@@ -20,14 +20,63 @@
 //!   **not** closed;
 //! * non-numeric variables are simply untracked (`⊤`), which keeps the
 //!   domain sound on the full language (arrays, booleans, heap refs).
+//!
+//! ## Sealed values and the fingerprint
+//!
+//! A state is an `Arc<`[`SealedOct`]`>`: an [`Oct`] plus a lazily computed
+//! 128-bit fingerprint of its `(vars, dbm)` content. `Hash` writes the
+//! fingerprint, so the DAIG's per-cell `content_digest` costs one matrix
+//! pass per *allocation* rather than one per cell write — a memo hit, a
+//! cell write and a snapshot all carry the same `Arc`. `Eq` is exact
+//! (pointer-equal and fingerprints-differ are only shortcuts).
+//!
+//! The fingerprint lives as long as the allocation and can never be stale,
+//! because nothing can change a sealed matrix: [`SealedOct`] derefs to
+//! `&Oct` only. Every mutating path un-seals first — [`Oct::clone`] out of
+//! the `Arc`, or `Arc::try_unwrap` when the handle is unique — works on
+//! the owned `Oct`, which has no cache, and seals the result
+//! ([`OctagonDomain::seal`]) into a fresh allocation with an empty one.
+//!
+//! ## When closure is incremental
+//!
+//! [`Oct::close`] is the one general strong closure, O(d³). Adding a
+//! single constraint to a matrix that is already strongly closed does not
+//! need it: [`Oct::tighten`] restores closure in O(d²) with
+//! [`Oct::close_through`] (Miné's incremental closure) when the matrix is
+//! flagged closed, consistent, and it and the new bound lie within
+//! [`EXACT_CLOSURE_BOUND`]. That is every tightening `assume` and call
+//! return on the warm path. Genuinely unclosed inputs — widening results,
+//! [`Oct::from_parts`], `call_entry`'s rebuilt matrix — and matrices with
+//! huge entries still go through `close()`.
+//!
+//! The two agree bit for bit, which the memo table needs (keys are content
+//! hashes). Below the bound no sum saturates, and then both compute *the*
+//! tight closure of the constraint system, which is unique: every step of
+//! either is a sound integer consequence, so neither can go below it; the
+//! incremental pass is exact shortest paths, then tightening, then
+//! strengthening, which reaches it (Bagnara, Hill and Zaffanella); and
+//! `close()` interleaves extra strengthening steps into the same
+//! shortest-path computation, which by monotonicity of `min` and `+` can
+//! only land at or below that — hence on it. The same argument makes both
+//! report ⊥ on the same inputs. With saturation `badd` is no longer
+//! associative and the two may round different paths differently, which is
+//! why such matrices are left to `close()`. (A two-cell constraint — `==`,
+//! or both ends of an interval — whose first cell closes incrementally and
+//! whose second is beyond the bound is finished by `close()` starting from
+//! the incrementally closed matrix: never above what `close()` computes
+//! from both raw cells, and equal to it unless that computation itself
+//! saturates.) The proptests in `incremental_closure` check all of this
+//! against `close()`, saturating entries included.
 
 use crate::interval::{Bound, Interval};
 use crate::{AbstractDomain, CallSite};
 use dai_lang::interp::{ConcreteState, Value};
 use dai_lang::{BinOp, Expr, Stmt, Symbol, UnOp, RETURN_VAR};
+use std::borrow::Cow;
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// `+∞` sentinel for DBM entries.
 const INF: i64 = i64::MAX;
@@ -43,6 +92,13 @@ fn badd(a: i64, b: i64) -> i64 {
     }
 }
 
+/// Largest magnitude of a finite entry (or new bound) for which
+/// [`Oct::tighten`] closes incrementally. A shortest path has fewer than
+/// `2n` edges, so below this bound no sum in either closure leaves `i64`
+/// for any matrix that fits in memory (`4·2n·2⁴⁰ < 2⁶³` up to 2¹⁹
+/// variables).
+const EXACT_CLOSURE_BOUND: u64 = 1 << 40;
+
 /// Floor division by 2 that respects the `∞` sentinel.
 fn bhalf(a: i64) -> i64 {
     if a == INF {
@@ -53,7 +109,8 @@ fn bhalf(a: i64) -> i64 {
 }
 
 /// A non-bottom octagon: tracked variables (sorted) plus the DBM over their
-/// signed forms.
+/// signed forms. This is the *mutable* form every transfer works on; a
+/// finished value is sealed into a [`SealedOct`] before it is shared.
 #[derive(Debug, Clone)]
 pub struct Oct {
     /// Shared, sorted variable list: assignments to already-tracked
@@ -63,7 +120,8 @@ pub struct Oct {
     vars: Arc<[Symbol]>,
     /// Row-major `(2n)²` matrix; `dbm[i * 2n + j]` bounds `vᵢ − vⱼ`.
     dbm: Vec<i64>,
-    /// Whether `dbm` is strongly closed. Ignored by `Eq`/`Hash`.
+    /// Whether `dbm` is strongly closed. Ignored by `Eq` and by the
+    /// fingerprint.
     closed: bool,
 }
 
@@ -75,10 +133,108 @@ impl PartialEq for Oct {
 
 impl Eq for Oct {}
 
-impl Hash for Oct {
+#[cfg(test)]
+thread_local! {
+    /// How many fingerprints this thread has computed from scratch.
+    static FINGERPRINTS_COMPUTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// An immutable octagon together with the lazily computed 128-bit
+/// fingerprint of its `(vars, dbm)` content — the value inside
+/// [`OctagonDomain::Oct`]'s [`Arc`].
+///
+/// `Hash` writes the fingerprint instead of walking the matrix, so a value
+/// that is hashed many times (every memo-matched cell write re-digests the
+/// state it is handed) pays for one matrix pass per *allocation*. The
+/// cache cannot go stale: the type hands out `&Oct` only (no `DerefMut`,
+/// no `&mut` accessor), so the only way to change the matrix is to copy it
+/// out ([`Oct::clone`]) or take it back ([`SealedOct::into_oct`]), and
+/// either leaves the fingerprint behind.
+pub struct SealedOct {
+    oct: Oct,
+    fingerprint: OnceLock<u128>,
+}
+
+impl SealedOct {
+    /// Un-seals a uniquely owned value for mutation, dropping the cache.
+    fn into_oct(self) -> Oct {
+        self.oct
+    }
+
+    /// The content fingerprint: one SipHash lane over `(vars, dbm)` and one
+    /// independent multiply-rotate lane over the matrix words — the same
+    /// strength as the 128-bit `dai_memo::content_digest` that used to walk
+    /// the matrix itself (one SipHash lane, one Fx lane).
+    fn fingerprint(&self) -> u128 {
+        let fp = *self.fingerprint.get_or_init(|| {
+            #[cfg(test)]
+            FINGERPRINTS_COMPUTED.with(|c| c.set(c.get() + 1));
+            content_fingerprint(&self.oct)
+        });
+        debug_assert_eq!(
+            fp,
+            content_fingerprint(&self.oct),
+            "stale octagon fingerprint"
+        );
+        fp
+    }
+}
+
+fn content_fingerprint(oct: &Oct) -> u128 {
+    let mut sip = DefaultHasher::new();
+    oct.vars.hash(&mut sip);
+    // The second lane starts from the variable list's hash, so it too
+    // tells apart equal matrices over different variables.
+    let vars_hash = sip.clone().finish();
+    oct.dbm.hash(&mut sip);
+    // Four interleaved streams (a `(2n)²` matrix is a whole number of
+    // quads): a single multiply-rotate chain is latency bound, and this
+    // runs once per freshly computed matrix.
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut lanes = [vars_hash, !vars_hash, vars_hash.rotate_left(16), K];
+    for quad in oct.dbm.chunks_exact(4) {
+        for (lane, &w) in lanes.iter_mut().zip(quad) {
+            *lane = step(*lane, w as u64);
+        }
+    }
+    let fx = lanes.into_iter().fold(K, step);
+    ((sip.finish() as u128) << 64) | fx as u128
+}
+
+impl std::ops::Deref for SealedOct {
+    type Target = Oct;
+
+    fn deref(&self) -> &Oct {
+        &self.oct
+    }
+}
+
+impl fmt::Debug for SealedOct {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.oct.fmt(f)
+    }
+}
+
+impl PartialEq for SealedOct {
+    fn eq(&self, other: &SealedOct) -> bool {
+        if std::ptr::eq(self, other) {
+            return true;
+        }
+        if let (Some(a), Some(b)) = (self.fingerprint.get(), other.fingerprint.get()) {
+            if a != b {
+                return false;
+            }
+        }
+        self.oct == other.oct
+    }
+}
+
+impl Eq for SealedOct {}
+
+impl Hash for SealedOct {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.vars.hash(state);
-        self.dbm.hash(state);
+        state.write_u128(self.fingerprint());
     }
 }
 
@@ -100,13 +256,78 @@ impl Oct {
         self.dbm[i * d + j] = v;
     }
 
+    /// Adds `vᵢ − vⱼ ≤ c` (and its coherent twin). On a strongly closed,
+    /// consistent matrix whose entries are all within
+    /// [`EXACT_CLOSURE_BOUND`] the strong closure is restored in place in
+    /// O(d²) ([`Oct::close_through`]); otherwise the matrix is left
+    /// unclosed for the next full [`Oct::close`].
     fn tighten(&mut self, i: usize, j: usize, c: i64) {
-        if c < self.at(i, j) {
-            self.set(i, j, c);
-            // Coherence: v_i − v_j and v_j̄ − v_ī are the same constraint.
-            self.set(j ^ 1, i ^ 1, c);
+        if c >= self.at(i, j) {
+            return;
+        }
+        let incremental = self.closed && !self.has_negative_diagonal() && self.closes_exactly(c);
+        self.set(i, j, c);
+        // Coherence: v_i − v_j and v_j̄ − v_ī are the same constraint.
+        self.set(j ^ 1, i ^ 1, c);
+        if incremental {
+            self.close_through(i, j, c);
+        } else {
             self.closed = false;
         }
+    }
+
+    /// Are `c` and every finite entry small enough that no sum either
+    /// closure forms can saturate? Saturating addition is not associative,
+    /// so once it fires [`Oct::close`] and [`Oct::close_through`] may
+    /// round different paths differently; below the bound both compute the
+    /// canonical tight closure (module docs) and agree bit for bit.
+    fn closes_exactly(&self, c: i64) -> bool {
+        let small = |v: i64| v == INF || v.unsigned_abs() <= EXACT_CLOSURE_BOUND;
+        // No early exit: the answer is almost always yes, and a branch-free
+        // scan vectorizes.
+        small(c) && self.dbm.iter().fold(true, |ok, &v| ok & small(v))
+    }
+
+    /// Incremental strong closure (Miné): `self` was strongly closed and
+    /// consistent before the edge `a → b` of weight `c` and its twin
+    /// `b̄ → ā` were tightened. Every new shortest path uses the new edge,
+    /// its twin, or both once, so one pass over those candidates
+    ///
+    /// ```text
+    /// i → a → b → j          i → b̄ → ā → j
+    /// i → a → b → b̄ → ā → j  i → b̄ → ā → a → b → j
+    /// ```
+    ///
+    /// restores shortest-path closure, and one strengthening pass then
+    /// restores strong closure. An inconsistent result shows as a negative
+    /// diagonal entry, exactly as after [`Oct::close`].
+    fn close_through(&mut self, a: usize, b: usize, c: i64) {
+        let d = self.dim();
+        let row = |r: usize| self.dbm[r * d..(r + 1) * d].to_vec();
+        // The old rows out of `b` and `ā`; by coherence they are also the
+        // old columns into `b̄` and `a`: m[i][a] = m[ā][ī], m[i][b̄] = m[b][ī].
+        let (from_b, from_na) = (row(b), row(a ^ 1));
+        // b → b̄ and ā → a join the new edge to its twin.
+        let (b_nb, na_a) = (from_b[b ^ 1], from_na[a]);
+        for i in 0..d {
+            let (to_a, to_nb) = (from_na[i ^ 1], from_b[i ^ 1]);
+            // Cheapest i ⇝ b ending in the new edge, and i ⇝ ā ending in
+            // its twin.
+            let via_b = badd(to_a, c).min(badd(badd(badd(to_nb, c), na_a), c));
+            let via_na = badd(to_nb, c).min(badd(badd(badd(to_a, c), b_nb), c));
+            if via_b == INF && via_na == INF {
+                continue;
+            }
+            let cells = &mut self.dbm[i * d..(i + 1) * d];
+            for ((cell, &bj), &naj) in cells.iter_mut().zip(&from_b).zip(&from_na) {
+                let via = badd(via_b, bj).min(badd(via_na, naj));
+                if via < *cell {
+                    *cell = via;
+                }
+            }
+        }
+        self.strengthen();
+        self.closed = true;
     }
 
     fn index_of(&self, var: &Symbol) -> Option<usize> {
@@ -202,8 +423,10 @@ impl Oct {
         }
     }
 
-    /// Strong closure: all-pairs shortest paths followed by octagonal
+    /// Strong closure: all-pairs shortest paths interleaved with octagonal
     /// strengthening. Returns `false` if a negative cycle (⊥) is found.
+    /// The only general closure; [`Oct::close_through`] is its O(d²)
+    /// special case and is tested against it.
     fn close(&mut self) -> bool {
         if self.closed {
             return !self.has_negative_diagonal();
@@ -226,30 +449,48 @@ impl Oct {
                     }
                 }
             }
-            // Strengthening: vᵢ − vⱼ ≤ (vᵢ − vī)/2 + (vj̄ − vⱼ)/2.
-            for i in 0..d {
-                let half_i = bhalf(self.at(i, i ^ 1));
-                if half_i == INF {
-                    continue;
-                }
-                for j in 0..d {
-                    let half_j = bhalf(self.at(j ^ 1, j));
-                    if half_j == INF {
-                        continue;
-                    }
-                    let s = badd(half_i, half_j);
-                    if s < self.at(i, j) {
-                        self.set(i, j, s);
-                    }
-                }
-            }
+            self.strengthen();
         }
         self.closed = true;
         !self.has_negative_diagonal()
     }
 
+    /// Strengthening: vᵢ − vⱼ ≤ ⌊(vᵢ − vī)/2⌋ + ⌊(vj̄ − vⱼ)/2⌋. At `j = ī`
+    /// this rounds the unary bound down to an even number (integer
+    /// tightening); at `j = i` it turns an integer-infeasible pair of unary
+    /// bounds into a negative diagonal entry.
+    fn strengthen(&mut self) {
+        let d = self.dim();
+        for i in 0..d {
+            let half_i = bhalf(self.at(i, i ^ 1));
+            if half_i == INF {
+                continue;
+            }
+            for j in 0..d {
+                let half_j = bhalf(self.at(j ^ 1, j));
+                if half_j == INF {
+                    continue;
+                }
+                let s = badd(half_i, half_j);
+                if s < self.at(i, j) {
+                    self.set(i, j, s);
+                }
+            }
+        }
+    }
+
     fn has_negative_diagonal(&self) -> bool {
         (0..self.dim()).any(|i| self.at(i, i) < 0)
+    }
+
+    /// `self` strongly closed — borrowed when it already is, a closed copy
+    /// otherwise — or `None` when it is empty.
+    fn closed_view(&self) -> Option<Cow<'_, Oct>> {
+        if self.closed {
+            return (!self.has_negative_diagonal()).then_some(Cow::Borrowed(self));
+        }
+        let mut c = self.clone();
+        c.close().then_some(Cow::Owned(c))
     }
 
     /// Removes all constraints mentioning `var` (projection; exact on a
@@ -532,24 +773,32 @@ fn combine(l: Linear1, r: Linear1, rsign: i64) -> Option<Linear1> {
 /// the octagon (skips, converged assumes on the warm path, call returns
 /// without a receiver) hands out a shared handle instead of copying a
 /// `(2n)²` matrix, and the DAIG's many cells holding equal iterates
-/// share one allocation. Mutating paths clone the inner [`Oct`] first,
-/// exactly as they used to.
+/// share one allocation — and one fingerprint. Mutating paths clone the
+/// inner [`Oct`] first and seal their result.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OctagonDomain {
     /// Unreachable.
     Bottom,
-    /// A (possibly unclosed) octagon.
-    Oct(Arc<Oct>),
+    /// A (possibly unclosed) octagon, sealed with its fingerprint cache.
+    Oct(Arc<SealedOct>),
 }
 
 impl OctagonDomain {
+    /// Seals a finished octagon into a shareable, immutable state.
+    pub fn seal(oct: Oct) -> OctagonDomain {
+        OctagonDomain::Oct(Arc::new(SealedOct {
+            oct,
+            fingerprint: OnceLock::new(),
+        }))
+    }
+
     /// The unconstrained state.
     pub fn top() -> OctagonDomain {
-        OctagonDomain::Oct(Arc::new(Oct::unconstrained(Vec::new())))
+        OctagonDomain::seal(Oct::unconstrained(Vec::new()))
     }
 
     /// The interval of `var` implied by this octagon (`⊤` if untracked,
-    /// empty if ⊥). Closes a copy if needed.
+    /// empty if ⊥).
     pub fn interval_of(&self, var: &str) -> Interval {
         match self {
             OctagonDomain::Bottom => Interval::EMPTY,
@@ -558,11 +807,10 @@ impl OctagonDomain {
                 if o.index_of(&sym).is_none() {
                     return Interval::TOP;
                 }
-                let mut c = Oct::clone(o);
-                if !c.close() {
-                    return Interval::EMPTY;
+                match o.closed_view() {
+                    Some(c) => c.var_interval(&sym),
+                    None => Interval::EMPTY,
                 }
-                c.var_interval(&sym)
             }
         }
     }
@@ -572,10 +820,9 @@ impl OctagonDomain {
         match self {
             OctagonDomain::Bottom => true,
             OctagonDomain::Oct(o) => {
-                let mut o = Oct::clone(o);
-                if !o.close() {
+                let Some(o) = o.closed_view() else {
                     return true;
-                }
+                };
                 let (Some(xi), Some(yi)) =
                     (o.index_of(&Symbol::new(x)), o.index_of(&Symbol::new(y)))
                 else {
@@ -591,20 +838,10 @@ impl OctagonDomain {
     pub fn eval_interval(&self, e: &Expr) -> Interval {
         match self {
             OctagonDomain::Bottom => Interval::EMPTY,
-            OctagonDomain::Oct(o) if o.closed => {
-                if o.has_negative_diagonal() {
-                    Interval::EMPTY
-                } else {
-                    eval_iv(o, e)
-                }
-            }
-            OctagonDomain::Oct(o) => {
-                let mut c = Oct::clone(o);
-                if !c.close() {
-                    return Interval::EMPTY;
-                }
-                eval_iv(&c, e)
-            }
+            OctagonDomain::Oct(o) => match o.closed_view() {
+                Some(c) => eval_iv(&c, e),
+                None => Interval::EMPTY,
+            },
         }
     }
 
@@ -614,7 +851,7 @@ impl OctagonDomain {
             OctagonDomain::Oct(o) => {
                 let mut o = Oct::clone(o);
                 if f(&mut o) && o.close() {
-                    OctagonDomain::Oct(Arc::new(o))
+                    OctagonDomain::seal(o)
                 } else {
                     OctagonDomain::Bottom
                 }
@@ -756,7 +993,7 @@ impl OctagonDomain {
         if !ok || !out.close() {
             return Some(OctagonDomain::Bottom);
         }
-        Some(OctagonDomain::Oct(Arc::new(out)))
+        Some(OctagonDomain::seal(out))
     }
 
     /// Refines this state by assuming `cond` has truth value `expected`.
@@ -844,47 +1081,19 @@ fn merge_terms(terms: Vec<(i64, Symbol)>) -> Option<(Vec<(i64, Symbol)>, i64)> {
     }
 }
 
-/// Adds `Σ terms ≤ bound` to `o` (terms as produced by [`merge_terms`];
-/// `k = 2` marks a doubled single-variable constraint `±2x ≤ bound`).
-/// Returns `false` on an immediately contradictory constant constraint.
 impl Oct {
     /// Read-only twin of [`add_sum_le`]: would adding `Σ terms ≤ bound`
     /// change nothing? True iff every cell [`add_sum_le`] would
     /// [`Oct::tighten`] already carries a bound at least as tight (so
     /// the tighten no-ops) and every variable it would [`Oct::track`] is
-    /// already tracked (so the matrix is not rebuilt). Must mirror
-    /// [`add_sum_le`]'s cell arithmetic exactly — the staged assume fast
-    /// path relies on "implied ⟹ bit-equal result".
+    /// already tracked (so the matrix is not rebuilt). Shares
+    /// [`add_sum_le`]'s cell arithmetic ([`sum_le_cell`]) — the staged
+    /// assume fast path relies on "implied ⟹ bit-equal result".
     fn implies_sum_le(&self, terms: &[(i64, Symbol)], k: i64, bound: i64) -> bool {
         match terms {
             [] => 0 <= bound,
-            [(c, x)] => {
-                let Some(xi) = self.index_of(x) else {
-                    return false;
-                };
-                let doubled = if k == 2 {
-                    bound
-                } else {
-                    bound.saturating_mul(2)
-                };
-                if *c > 0 {
-                    self.at(2 * xi, 2 * xi + 1) <= doubled
-                } else {
-                    self.at(2 * xi + 1, 2 * xi) <= doubled
-                }
-            }
-            [(c1, x), (c2, y)] => {
-                let (Some(xi), Some(yi)) = (self.index_of(x), self.index_of(y)) else {
-                    return false;
-                };
-                let (i, j) = match (*c1 > 0, *c2 > 0) {
-                    (true, true) => (2 * xi, 2 * yi + 1),
-                    (true, false) => (2 * xi, 2 * yi),
-                    (false, true) => (2 * yi, 2 * xi),
-                    (false, false) => (2 * xi + 1, 2 * yi),
-                };
-                self.at(i, j) <= bound
-            }
+            [_] | [_, _] => sum_le_cell(|v| self.index_of(v), terms, k, bound)
+                .is_some_and(|(i, j, c)| self.at(i, j) <= c),
             // `add_sum_le` ignores longer sums (unreachable after
             // `merge_terms`), mutating nothing.
             _ => true,
@@ -892,36 +1101,56 @@ impl Oct {
     }
 }
 
+/// Adds `Σ terms ≤ bound` to `o` (terms as produced by [`merge_terms`];
+/// `k = 2` marks a doubled single-variable constraint `±2x ≤ bound`).
+/// Returns `false` on an immediately contradictory constant constraint.
 fn add_sum_le(o: &mut Oct, terms: &[(i64, Symbol)], k: i64, bound: i64) -> bool {
+    if terms.is_empty() {
+        return 0 <= bound;
+    }
+    if let Some((i, j, c)) = sum_le_cell(|v| Some(o.track(v)), terms, k, bound) {
+        o.tighten(i, j, c);
+    }
+    true
+}
+
+/// The cell `(i, j)` and bound `c` with which `Σ terms ≤ bound` reads
+/// `vᵢ − vⱼ ≤ c`, given each variable's `index` (terms are sorted by
+/// variable, so tracking `y` after `x` never moves `x`). `None` when a
+/// variable has no index or the sum is not octagonal (unreachable after
+/// [`merge_terms`]).
+fn sum_le_cell(
+    mut index: impl FnMut(&Symbol) -> Option<usize>,
+    terms: &[(i64, Symbol)],
+    k: i64,
+    bound: i64,
+) -> Option<(usize, usize, i64)> {
     match terms {
-        [] => 0 <= bound,
         [(c, x)] => {
-            let xi = o.track(x);
+            let xi = index(x)?;
             let doubled = if k == 2 {
                 bound
             } else {
                 bound.saturating_mul(2)
             };
-            if *c > 0 {
-                o.tighten(2 * xi, 2 * xi + 1, doubled); // 2x ≤ …
+            Some(if *c > 0 {
+                (2 * xi, 2 * xi + 1, doubled) // 2x ≤ …
             } else {
-                o.tighten(2 * xi + 1, 2 * xi, doubled); // −2x ≤ …
-            }
-            true
+                (2 * xi + 1, 2 * xi, doubled) // −2x ≤ …
+            })
         }
         [(c1, x), (c2, y)] => {
-            let xi = o.track(x);
-            let yi = o.track(y);
+            let xi = index(x)?;
+            let yi = index(y)?;
             let (i, j) = match (*c1 > 0, *c2 > 0) {
                 (true, true) => (2 * xi, 2 * yi + 1), // x + y ≤ c ⟺ x − (−y) ≤ c
                 (true, false) => (2 * xi, 2 * yi),    // x − y ≤ c
                 (false, true) => (2 * yi, 2 * xi),    // y − x ≤ c
                 (false, false) => (2 * xi + 1, 2 * yi), // −x − y ≤ c
             };
-            o.tighten(i, j, bound);
-            true
+            Some((i, j, bound))
         }
-        _ => true,
+        _ => None,
     }
 }
 
@@ -988,10 +1217,9 @@ impl fmt::Display for OctagonDomain {
         match self {
             OctagonDomain::Bottom => write!(f, "⊥"),
             OctagonDomain::Oct(o) => {
-                let mut c = Oct::clone(o);
-                if !c.close() {
+                let Some(c) = o.closed_view() else {
                     return write!(f, "⊥");
-                }
+                };
                 write!(f, "{{")?;
                 let mut first = true;
                 for (i, x) in c.vars.iter().enumerate() {
@@ -1064,15 +1292,15 @@ impl AbstractDomain for OctagonDomain {
                     }
                     // Pointwise max of closed matrices is closed.
                     out.closed = true;
-                    return OctagonDomain::Oct(Arc::new(out));
+                    return OctagonDomain::seal(out);
                 }
                 let mut a = Oct::clone(a);
                 let mut b = Oct::clone(b);
                 if !a.close() {
-                    return OctagonDomain::Oct(Arc::new(b));
+                    return OctagonDomain::seal(b);
                 }
                 if !b.close() {
-                    return OctagonDomain::Oct(Arc::new(a));
+                    return OctagonDomain::seal(a);
                 }
                 // Tracked set: intersection (a variable missing on one side
                 // is unconstrained there, so its join is ⊤).
@@ -1103,7 +1331,7 @@ impl AbstractDomain for OctagonDomain {
                 }
                 // Pointwise max of closed matrices is closed.
                 out.closed = true;
-                OctagonDomain::Oct(Arc::new(out))
+                OctagonDomain::seal(out)
             }
         }
     }
@@ -1115,36 +1343,38 @@ impl AbstractDomain for OctagonDomain {
             (OctagonDomain::Oct(a), OctagonDomain::Oct(b)) => {
                 // Close the new iterate (right), NOT the accumulator (left):
                 // closing the widening output would defeat convergence.
-                let mut b = Oct::clone(b);
-                if !b.close() {
+                let Some(mut b) = b.closed_view() else {
                     return self.clone();
-                }
-                let mut a = Oct::clone(a);
-                // Align variables: intersection.
-                let common: Vec<Symbol> = a
-                    .vars
-                    .iter()
-                    .filter(|v| b.index_of(v).is_some())
-                    .cloned()
-                    .collect();
-                let snapshot = Arc::clone(&a.vars);
-                for v in snapshot.iter() {
-                    if !common.contains(v) {
-                        a.untrack(v);
+                };
+                let mut out = Oct::clone(a);
+                if out.vars != b.vars {
+                    // Align variables: intersection.
+                    let common: Vec<Symbol> = out
+                        .vars
+                        .iter()
+                        .filter(|v| b.index_of(v).is_some())
+                        .cloned()
+                        .collect();
+                    let snapshot = Arc::clone(&out.vars);
+                    for v in snapshot.iter() {
+                        if !common.contains(v) {
+                            out.untrack(v);
+                        }
+                    }
+                    let snapshot = Arc::clone(&b.vars);
+                    for v in snapshot.iter() {
+                        if !common.contains(v) {
+                            b.to_mut().untrack(v);
+                        }
                     }
                 }
-                let snapshot = Arc::clone(&b.vars);
-                for v in snapshot.iter() {
-                    if !common.contains(v) {
-                        b.untrack(v);
+                for (o, &bv) in out.dbm.iter_mut().zip(&b.dbm) {
+                    if bv > *o {
+                        *o = INF;
                     }
-                }
-                let mut out = a.clone();
-                for i in 0..out.dbm.len() {
-                    out.dbm[i] = if b.dbm[i] <= a.dbm[i] { a.dbm[i] } else { INF };
                 }
                 out.closed = false;
-                OctagonDomain::Oct(Arc::new(out))
+                OctagonDomain::seal(out)
             }
         }
     }
@@ -1152,19 +1382,14 @@ impl AbstractDomain for OctagonDomain {
     fn leq(&self, other: &Self) -> bool {
         match (self, other) {
             (OctagonDomain::Bottom, _) => true,
-            (OctagonDomain::Oct(a), OctagonDomain::Bottom) => {
-                let mut a = Oct::clone(a);
-                !a.close()
-            }
+            (OctagonDomain::Oct(a), OctagonDomain::Bottom) => a.closed_view().is_none(),
             (OctagonDomain::Oct(a), OctagonDomain::Oct(b)) => {
-                let mut a = Oct::clone(a);
-                if !a.close() {
+                let Some(a) = a.closed_view() else {
                     return true;
-                }
-                let mut b = Oct::clone(b);
-                if !b.close() {
+                };
+                let Some(b) = b.closed_view() else {
                     return false;
-                }
+                };
                 // Every constraint of b must be implied by a; variables a
                 // does not track are unconstrained (∞) on a's side.
                 for (j1, v1) in b.vars.iter().enumerate() {
@@ -1262,7 +1487,9 @@ impl AbstractDomain for OctagonDomain {
             return OctagonDomain::Bottom;
         };
         // `cur` is locally owned, so this is normally a move, not a copy.
-        let mut o = Arc::try_unwrap(o).unwrap_or_else(|shared| (*shared).clone());
+        let mut o = Arc::try_unwrap(o)
+            .map(SealedOct::into_oct)
+            .unwrap_or_else(|shared| Oct::clone(&shared));
         if !o.close() {
             return OctagonDomain::Bottom;
         }
@@ -1291,7 +1518,7 @@ impl AbstractDomain for OctagonDomain {
             }
         }
         out.closed = false;
-        OctagonDomain::Oct(Arc::new(out)).map(|_| true)
+        OctagonDomain::seal(out).map(|_| true)
     }
 
     fn call_return(&self, site: CallSite<'_>, callee_exit: &Self) -> Self {
@@ -1642,7 +1869,7 @@ impl AssumePlan {
                 if !ok || !out.close() {
                     OctagonDomain::Bottom
                 } else {
-                    OctagonDomain::Oct(Arc::new(out))
+                    OctagonDomain::seal(out)
                 }
             }
             AssumePlan::Raw(op, l, r) => match pre.assume_cmp(*op, l, r) {
@@ -1939,11 +2166,80 @@ mod tests {
         assert_eq!(after.interval_of("v"), Interval::constant(1));
     }
 
+    fn sealed(s: &OctagonDomain) -> &SealedOct {
+        match s {
+            OctagonDomain::Oct(o) => o,
+            OctagonDomain::Bottom => panic!("expected a non-bottom octagon"),
+        }
+    }
+
+    fn digest(s: &OctagonDomain) -> u64 {
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
     #[test]
-    fn equality_ignores_closedness_flag() {
+    fn equality_and_hash_ignore_closedness_flag() {
         let a = assume(&OctagonDomain::top(), "x <= 5");
-        let b = a.clone();
+        assert!(sealed(&a).is_closed());
+        let mut unclosed = Oct::clone(sealed(&a));
+        unclosed.closed = false;
+        let b = OctagonDomain::seal(unclosed);
         assert_eq!(a, b);
+        assert_eq!(digest(&a), digest(&b));
+    }
+
+    #[test]
+    fn fingerprint_is_computed_once_per_allocation() {
+        let computed = || FINGERPRINTS_COMPUTED.with(|c| c.get());
+        let a = assume(&OctagonDomain::top(), "x <= 5");
+        let shared = a.clone();
+        let before = computed();
+        let first = digest(&a);
+        for _ in 0..10 {
+            assert_eq!(digest(&a), first);
+            assert_eq!(digest(&shared), first);
+        }
+        assert_eq!(computed(), before + 1, "one Arc, one matrix pass");
+        // Un-sealing leaves the cache behind: a changed copy re-hashes and
+        // differs, an unchanged copy re-hashes and agrees.
+        let changed = assume(&a, "x <= 4");
+        assert_ne!(digest(&changed), first);
+        let copy = OctagonDomain::seal(Oct::clone(sealed(&a)));
+        assert_eq!(digest(&copy), first);
+        assert_eq!(computed(), before + 3);
+        assert_eq!(digest(&a), first, "the original's cache is untouched");
+    }
+
+    #[test]
+    fn fingerprints_short_circuit_inequality_only() {
+        let a = assume(&OctagonDomain::top(), "x <= 5");
+        let b = assume(&OctagonDomain::top(), "x <= 6");
+        let a2 = assume(&OctagonDomain::top(), "x <= 5");
+        // Unhashed, half-hashed and fully hashed pairs all compare by content.
+        assert!(a != b && a == a2);
+        digest(&a);
+        assert!(a != b && a == a2);
+        digest(&b);
+        digest(&a2);
+        assert!(a != b && a == a2);
+    }
+
+    #[test]
+    fn tighten_closes_incrementally_only_below_the_exact_bound() {
+        let small = assume(&OctagonDomain::top(), "x - y <= 5");
+        let big = assume(&small, &format!("y <= {}", 1i64 << 41));
+
+        let mut o = Oct::clone(sealed(&small));
+        o.tighten(0, 2, 3);
+        assert!(o.closed, "small closed matrix: closure restored in place");
+        let mut o = Oct::clone(sealed(&big));
+        o.tighten(0, 2, 3);
+        assert!(!o.closed, "an entry above the bound: left for close()");
+        let mut o = Oct::clone(sealed(&small));
+        o.tighten(0, 2, -(1i64 << 41));
+        assert!(!o.closed, "a new bound above the bound: left for close()");
     }
 
     #[test]
@@ -1960,5 +2256,200 @@ mod tests {
             .transfer(&Stmt::Assign("x".into(), Expr::Int(1)))
             .is_bottom());
         assert!(assume(&b, "x < 1").is_bottom());
+    }
+
+    /// Differential oracle for [`Oct::close_through`]: on random closed
+    /// octagons, adding a random octagonal constraint through the
+    /// incremental path must give what raw tightening plus the full
+    /// [`Oct::close`] gives — same ⊥ verdict, same matrix bytes, same
+    /// `closed` flag.
+    mod incremental_closure {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Mostly small (odd and even); sometimes absent; sometimes within
+        /// a few units of either end of `i64`, where `badd` saturates; and
+        /// sometimes straddling [`EXACT_CLOSURE_BOUND`].
+        fn bound() -> impl Strategy<Value = i64> {
+            prop_oneof![
+                -24i64..24,
+                -24i64..24,
+                -24i64..24,
+                -24i64..24,
+                Just(INF),
+                (0i64..4).prop_map(|k| i64::MAX - 1 - k),
+                (0i64..4).prop_map(|k| i64::MIN + k),
+                (-2i64..3).prop_map(|k| EXACT_CLOSURE_BOUND as i64 + k),
+                (-2i64..3).prop_map(|k| -(EXACT_CLOSURE_BOUND as i64) + k),
+            ]
+        }
+
+        fn var(i: usize) -> Symbol {
+            Symbol::new(format!("v{i:02}"))
+        }
+
+        /// A closed, consistent octagon over 2–14 variables, or `None` when
+        /// the drawn constraints are contradictory. Small bounds are
+        /// anchored at a concrete point (so most draws are satisfiable);
+        /// extreme ones are used as drawn, or folded to small ones in two
+        /// draws of three (so that most matrices stay on the incremental
+        /// path); then up to three of the closure-preserving O(d)
+        /// assignments run over the closed result.
+        fn closed_octagon() -> impl Strategy<Value = Option<Oct>> {
+            (
+                (2usize..15, 0u8..3),
+                prop::collection::vec(-9i64..10, 14..15),
+                prop::collection::vec((0usize..28, 0usize..28, bound()), 0..40),
+                prop::collection::vec((0u8..4, 0usize..14, 0usize..14, -20i64..20), 0..4),
+            )
+                .prop_map(|((n, tame), point, edges, ops)| {
+                    let mut o = Oct::unconstrained((0..n).map(var).collect());
+                    let d = o.dim();
+                    let signed = |i: usize| point[i / 2] * if i & 1 == 0 { 1 } else { -1 };
+                    for (i, j, b) in edges {
+                        let (i, j) = (i % d, j % d);
+                        if i == j || b == INF {
+                            continue;
+                        }
+                        let b = if tame != 0 { b % 64 } else { b };
+                        let c = if b.unsigned_abs() < 64 {
+                            signed(i) - signed(j) + b.abs()
+                        } else {
+                            b
+                        };
+                        tighten_raw(&mut o, i, j, c);
+                    }
+                    if !o.close() {
+                        return None;
+                    }
+                    for (op, x, y, c) in ops {
+                        let (x, y) = (var(x % n), var(y % n));
+                        let sign = if c & 1 == 0 { 1 } else { -1 };
+                        match op {
+                            0 => o.assign_const_closed(&x, c),
+                            1 if x != y => o.assign_copy_closed(&x, sign, &y, c),
+                            2 => o.assign_shift_closed(&x, sign, c),
+                            _ => o.forget(&x),
+                        }
+                    }
+                    (!o.has_negative_diagonal()).then_some(o)
+                })
+        }
+
+        /// What `tighten` does when it cannot close incrementally.
+        fn tighten_raw(o: &mut Oct, i: usize, j: usize, c: i64) {
+            if c < o.at(i, j) {
+                o.set(i, j, c);
+                o.set(j ^ 1, i ^ 1, c);
+                o.closed = false;
+            }
+        }
+
+        /// Same ⊥ verdict; when not ⊥, same variables, matrix bytes and
+        /// `closed` flag.
+        fn assert_same(incremental: Option<Oct>, full: Option<Oct>) {
+            prop_assert_eq!(incremental.is_some(), full.is_some(), "⊥ verdict");
+            if let (Some(inc), Some(full)) = (incremental, full) {
+                prop_assert_eq!(&inc.vars, &full.vars);
+                prop_assert_eq!(&inc.dbm, &full.dbm);
+                prop_assert!(inc.closed && full.closed);
+            }
+        }
+
+        /// The `add_sum_le` calls `assume_cmp` would make for the drawn
+        /// shape: one-variable (`±x`, `±2x`), two-variable (all four sign
+        /// pairs) and the two-constraint `==` form. Variable index `n`
+        /// names an untracked variable, so `track` runs first.
+        fn constraint(n: usize, shape: u8, x: usize, y: usize, bound: i64) -> Vec<SumLeArgs> {
+            let name = |i: usize| match i % (n + 1) {
+                i if i < n => var(i),
+                _ if y & 1 == 0 => Symbol::new("a-new"),
+                _ => Symbol::new("z-new"),
+            };
+            let (x, y) = (name(x), name(y));
+            let sign = |bit: u8| if shape & bit == 0 { 1 } else { -1 };
+            let (terms, k) = if x == y || shape & 8 == 0 {
+                (vec![(sign(1), x)], if shape & 2 == 0 { 1 } else { 2 })
+            } else {
+                let mut t = vec![(sign(1), x), (sign(2), y)];
+                t.sort_by(|a, b| a.1.cmp(&b.1));
+                (t, 1)
+            };
+            let mut adds = vec![(terms.clone(), k, bound)];
+            if shape & 4 != 0 {
+                if let Some(nb) = bound.checked_neg() {
+                    let neg = terms.iter().map(|(s, v)| (-s, v.clone())).collect();
+                    adds.push((neg, k, nb));
+                }
+            }
+            adds
+        }
+
+        /// The oracle's `add_sum_le`: the same cell, tightened raw.
+        fn add_sum_le_raw(o: &mut Oct, terms: &[(i64, Symbol)], k: i64, bound: i64) -> bool {
+            if terms.is_empty() {
+                return 0 <= bound;
+            }
+            if let Some((i, j, c)) = sum_le_cell(|v| Some(o.track(v)), terms, k, bound) {
+                tighten_raw(o, i, j, c);
+            }
+            true
+        }
+
+        type Add = fn(&mut Oct, &[(i64, Symbol)], i64, i64) -> bool;
+
+        fn add_and_close(mut o: Oct, adds: &[SumLeArgs], add: Add) -> Option<Oct> {
+            let ok = adds.iter().all(|(t, k, b)| add(&mut o, t, *k, *b));
+            (ok && o.close()).then_some(o)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 4000, ..ProptestConfig::default() })]
+
+            #[test]
+            fn incremental_closure_equals_full_closure(
+                closed in closed_octagon(),
+                added in (0u8..16, 0usize..15, 0usize..15, bound()),
+            ) {
+                let Some(closed) = closed else {
+                    return;
+                };
+                prop_assert!(closed.closed);
+                let adds = constraint(closed.n(), added.0, added.1, added.2, added.3);
+                let full = add_and_close(closed.clone(), &adds, add_sum_le_raw);
+                assert_same(add_and_close(closed, &adds, add_sum_le), full);
+            }
+
+            /// `call_return`'s shape: both bounds of one variable at once,
+            /// of independent magnitudes.
+            #[test]
+            fn interval_constraint_equals_full_closure(
+                closed in closed_octagon(),
+                x in 0usize..14,
+                ends in (
+                    // Also lower ends whose doubled negation stays just
+                    // below `INF`.
+                    prop_oneof![bound(), (1i64..5).prop_map(|k| k - (1 << 62))],
+                    bound(),
+                ),
+            ) {
+                let Some(closed) = closed else {
+                    return;
+                };
+                let x = var(x % closed.n());
+                let lo = ends.0.min(ends.1).max(i64::MIN + 1);
+                let hi = ends.0.max(ends.1).max(lo);
+                if hi == INF {
+                    return;
+                }
+                let mut full = closed.clone();
+                let xi = full.track(&x);
+                tighten_raw(&mut full, 2 * xi, 2 * xi + 1, hi.saturating_mul(2));
+                tighten_raw(&mut full, 2 * xi + 1, 2 * xi, (-lo).saturating_mul(2));
+                let mut inc = closed;
+                prop_assert!(inc.constrain_interval(&x, Interval::of(lo, hi)));
+                assert_same(inc.close().then_some(inc), full.close().then_some(full));
+            }
+        }
     }
 }

@@ -283,9 +283,12 @@ impl KeyBuilder {
 /// twin-stream construction as [`MemoKey`]s (differently seeded, so a
 /// digest is never confused with a one-argument key).
 ///
-/// Computed once per produced value (e.g. when a DAIG cell is written) and
-/// thereafter fed to [`KeyBuilder::push_digest`], this amortizes the cost
-/// of hashing large values across every memo lookup that reads them.
+/// Computed once per cell write and thereafter fed to
+/// [`KeyBuilder::push_digest`], this amortizes the cost of hashing large
+/// values across every memo lookup that reads them. What one call costs is
+/// up to the value's `Hash`: a domain that caches a fingerprint beside its
+/// shared representation (the octagon does) walks the value once per
+/// allocation, however many cells that allocation is written to.
 pub fn content_digest<T: Hash + ?Sized>(value: &T) -> u128 {
     let mut h = TwinHasher::seeded(0xD16E_57A7);
     value.hash(&mut h);

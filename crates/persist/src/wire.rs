@@ -1129,7 +1129,7 @@ impl Persist for OctagonDomain {
                 let oct = Oct::from_parts(vars, dbm).ok_or_else(|| {
                     PersistError::Corrupt("octagon parts violate invariants".to_string())
                 })?;
-                OctagonDomain::Oct(std::sync::Arc::new(oct))
+                OctagonDomain::seal(oct)
             }
             t => return Err(bad_tag("octagon", t)),
         })

@@ -4,6 +4,10 @@
 //! stabilize, and `models` is monotone along `⊑` (γ is monotone). Covers
 //! the paper's three evaluation domains (interval, octagon, shape) and the
 //! finite-height extensions (sign, constant propagation, products).
+//!
+//! Also the law memoization rests on: `Hash` follows `Eq`. States that are
+//! `==` have the same `content_digest` whatever route produced them, and a
+//! domain that caches its hash never hands a stale one to a changed copy.
 
 use dai_domains::constprop::{Const, ConstDomain};
 use dai_domains::interval::{AbsVal, Interval};
@@ -12,7 +16,9 @@ use dai_domains::{
     AbstractDomain, Bool3, IntervalDomain, OctagonDomain, Prod, ShapeDomain, SignDomain,
 };
 use dai_lang::interp::{ConcreteState, Value};
-use dai_lang::{parse_expr, Stmt, Symbol};
+use dai_lang::{parse_expr, Expr, Stmt, Symbol};
+use dai_memo::content_digest;
+use dai_persist::{Persist, Reader, Writer};
 use proptest::prelude::*;
 
 // ---------- generators ----------
@@ -180,6 +186,50 @@ fn law_widening_chain_stabilizes<D: AbstractDomain>(mut acc: D, steps: &[D]) {
     panic!("widening chain failed to stabilize");
 }
 
+/// `x := c` — exact and overwriting in every shipped domain, so two routes
+/// that end in the same assignments end in `==` states.
+fn assign_const<D: AbstractDomain>(s: &D, x: &str, c: i64) -> D {
+    s.transfer(&Stmt::Assign(x.into(), Expr::Int(c)))
+}
+
+fn law_hash_follows_eq<D: AbstractDomain + Persist>(a: &D) {
+    // A copy changed after its original was hashed: its digest is its own,
+    // and the original keeps the one it had.
+    let hashed = content_digest(a);
+    let changed = assign_const(&a.clone(), "v0", 41);
+    prop_assert_ok(
+        (changed == *a) == (content_digest(&changed) == hashed),
+        "a changed copy does not inherit its original's digest",
+    );
+    prop_assert_ok(content_digest(a) == hashed, "hashing is repeatable");
+
+    // `==` by different routes: overwritten and written back; through the
+    // wire format (which re-derives what it does not store — an octagon
+    // comes back flagged unclosed); fresh variables met in the other order.
+    let direct = assign_const(&assign_const(a, "fresh_b", 2), "v0", 3);
+    let mut w = Writer::new();
+    direct.put(&mut w);
+    let bytes = w.into_bytes();
+    let routes = [
+        (
+            "overwrite and write back",
+            assign_const(&assign_const(&direct.clone(), "v0", 7), "v0", 3),
+        ),
+        (
+            "persist round trip",
+            D::get(&mut Reader::new(&bytes)).expect("decodes its own encoding"),
+        ),
+        (
+            "other tracking order",
+            assign_const(&assign_const(a, "v0", 3), "fresh_b", 2),
+        ),
+    ];
+    for (route, other) in routes {
+        prop_assert_ok(other == direct, route);
+        prop_assert_ok(content_digest(&other) == content_digest(&direct), route);
+    }
+}
+
 fn prop_assert_ok(cond: bool, msg: &str) {
     assert!(cond, "domain law violated: {msg}");
 }
@@ -195,6 +245,7 @@ proptest! {
         law_widen_upper_bound(&a, &b);
         law_widen_reflexive(&a);
         law_leq_partial_order(&a, &b);
+        law_hash_follows_eq(&a);
     }
 
     #[test]
@@ -208,6 +259,7 @@ proptest! {
         law_widen_upper_bound(&a, &b);
         law_widen_reflexive(&a);
         law_leq_partial_order(&a, &b);
+        law_hash_follows_eq(&a);
     }
 
     #[test]
@@ -221,6 +273,7 @@ proptest! {
         law_widen_upper_bound(&a, &b);
         law_widen_reflexive(&a);
         law_leq_partial_order(&a, &b);
+        law_hash_follows_eq(&a);
     }
 
     #[test]
@@ -234,6 +287,7 @@ proptest! {
         law_widen_upper_bound(&a, &b);
         law_widen_reflexive(&a);
         law_leq_partial_order(&a, &b);
+        law_hash_follows_eq(&a);
     }
 
     #[test]
@@ -247,6 +301,7 @@ proptest! {
         law_widen_upper_bound(&a, &b);
         law_widen_reflexive(&a);
         law_leq_partial_order(&a, &b);
+        law_hash_follows_eq(&a);
     }
 
     #[test]
@@ -260,6 +315,7 @@ proptest! {
         law_widen_upper_bound(&a, &b);
         law_widen_reflexive(&a);
         law_leq_partial_order(&a, &b);
+        law_hash_follows_eq(&a);
     }
 
     #[test]

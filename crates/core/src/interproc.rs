@@ -13,6 +13,41 @@
 //! callee is an ordinary DAIG *edit* of its `φ₀` cell (dirtying downstream
 //! results). Programs must be non-recursive with static calls (checked at
 //! lowering), so cross-DAIG demand is well-founded.
+//!
+//! # What is cached, and what invalidates it
+//!
+//! * **The context table** ([`ContextTable`]): every `(function, context)`
+//!   reachable from the entry under the policy, each with its calls out
+//!   (edge → callee node, plus the call's site key) and the call sites
+//!   mapping to it, in the order entry forcing visits them. It is a
+//!   function of the program's call-graph index and is rebuilt only when
+//!   [`LoweredProgram::call_graph_version`] has moved after an edit — an
+//!   edit that adds, removes or retargets no call leaves it alone. During
+//!   a query the program and the table are borrowed immutably and units
+//!   are named by table node, so resolving a call builds no key.
+//! * **Forced-entry stamps**: a unit whose entry has been seeded from all
+//!   of its call sites ([`Eval::force_entry`]) is stamped with the current
+//!   *edit epoch*, and forcing a stamped unit returns at once. The epoch
+//!   moves — dropping every stamp — exactly where entries are reset to ⊥:
+//!   [`InterAnalyzer::relabel`], [`InterAnalyzer::splice`] and
+//!   [`InterAnalyzer::dirty_everything`]. A stamp is set only after the
+//!   forcing succeeded, so a failed one is retried by the next query.
+//!
+//! Skipping a stamped unit changes no value, no cell and no
+//! computed/memo-matched count, because re-forcing between edits is a
+//! no-op: forcing a unit first forces every caller, so the forced set is
+//! upward-closed to the entry function; a forced unit's entry is fed only
+//! by pre-call cells of forced callers; nothing dirties those cells between
+//! edits (entries only change when a *new* contribution arrives, and every
+//! contribution of a forced unit has arrived); so the re-join reproduces
+//! the entry and [`FuncAnalysis::set_entry_state`] returns early on
+//! equality, and the callee-exit demand that follows finds its cell filled.
+//!
+//! **Warning for whoever fixes the reset-every-entry edit policy.** Today
+//! an entry that grows after its callers were evaluated does not dirty
+//! those callers' post-call cells. A fix that starts dirtying caller cells
+//! when a callee entry grows breaks the argument above at "nothing dirties
+//! those cells between edits": it must move the epoch at that same event.
 
 use crate::analysis::FuncAnalysis;
 use crate::graph::{DaigError, Value};
@@ -23,7 +58,8 @@ use dai_lang::cfg::LoweredProgram;
 use dai_lang::edit::SpliceInfo;
 use dai_lang::{Block, CfgError, EdgeId, Loc, Stmt, Symbol};
 use dai_memo::{MemoStore, MemoTable};
-use std::collections::{HashMap, HashSet, VecDeque};
+use dai_trace::metrics::Counter;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A calling context: the most recent call edges, outermost last
@@ -77,28 +113,237 @@ impl ContextPolicy {
     }
 }
 
+/// Index of a `(function, context)` node of the [`ContextTable`].
+type NodeId = usize;
+/// Index of a unit in [`Units::slots`]; never reused.
+type UnitId = usize;
+
+/// The entry function in the root context: always the table's first node.
+const ENTRY_NODE: NodeId = 0;
+
+/// A call out of a table node.
+#[derive(Debug)]
+struct CallOut {
+    edge: EdgeId,
+    callee: NodeId,
+    /// `caller:edge`, the [`CallSite::site_key`] of this call.
+    site_key: String,
+}
+
+/// A call site mapping to a table node under the policy.
+#[derive(Debug)]
+struct CallIn {
+    caller: NodeId,
+    edge: EdgeId,
+}
+
+/// One `(function, context)` pair reachable from the entry.
+#[derive(Debug)]
+struct Node {
+    /// The function's definition index in the program.
+    func: usize,
+    ctx: Context,
+    /// Calls out of this node, ascending edge id.
+    calls: Vec<CallOut>,
+    /// Call sites whose callee context is this node: callers in
+    /// definition order, then ascending edge id, then ascending caller
+    /// context — the order entry forcing joins their contributions in.
+    sites: Vec<CallIn>,
+}
+
+/// Every `(function, context)` the call structure induces, discovered by
+/// walking the program's call-graph index from the entry function under
+/// the policy. See the module docs for what invalidates it.
+#[derive(Debug)]
+struct ContextTable {
+    /// The [`LoweredProgram::call_graph_version`] this was built from.
+    version: u64,
+    nodes: Vec<Node>,
+    /// Per function (definition index), its nodes in ascending context.
+    by_func: Vec<Vec<NodeId>>,
+}
+
+impl ContextTable {
+    fn build(program: &LoweredProgram, policy: ContextPolicy, entry_fn: &Symbol) -> ContextTable {
+        let mut nodes: Vec<Node> = Vec::new();
+        let mut ids: HashMap<(usize, Context), NodeId> = HashMap::new();
+        if let Some(entry) = program.func_index(entry_fn.as_str()) {
+            ids.insert((entry, Context::root()), ENTRY_NODE);
+            nodes.push(Node::new(entry, Context::root()));
+        }
+        // Breadth first; nodes are numbered in discovery order, so the
+        // node list doubles as the queue.
+        let mut next = 0;
+        while next < nodes.len() {
+            let (g, cg) = (nodes[next].func, nodes[next].ctx.clone());
+            let caller = program.cfgs()[g].name();
+            for &(edge, callee) in program.calls_out(g) {
+                let ctx = policy.extend(&cg, caller, edge);
+                let callee_node = *ids.entry((callee, ctx.clone())).or_insert_with(|| {
+                    nodes.push(Node::new(callee, ctx));
+                    nodes.len() - 1
+                });
+                nodes[next].calls.push(CallOut {
+                    edge,
+                    callee: callee_node,
+                    site_key: format!("{caller}:{edge}"),
+                });
+                nodes[callee_node].sites.push(CallIn { caller: next, edge });
+            }
+            next += 1;
+        }
+        for n in 0..nodes.len() {
+            let mut sites = std::mem::take(&mut nodes[n].sites);
+            sites.sort_by(|a, b| {
+                let (ca, cb) = (&nodes[a.caller], &nodes[b.caller]);
+                (ca.func, a.edge, &ca.ctx).cmp(&(cb.func, b.edge, &cb.ctx))
+            });
+            nodes[n].sites = sites;
+        }
+        let mut by_func: Vec<Vec<NodeId>> = vec![Vec::new(); program.cfgs().len()];
+        for (id, node) in nodes.iter().enumerate() {
+            by_func[node.func].push(id);
+        }
+        for of_func in &mut by_func {
+            of_func.sort_by(|&a, &b| nodes[a].ctx.cmp(&nodes[b].ctx));
+        }
+        ContextTable {
+            version: program.call_graph_version(),
+            nodes,
+            by_func,
+        }
+    }
+
+    /// The call on `edge` out of `node`.
+    fn call_on(&self, node: NodeId, edge: EdgeId) -> Option<&CallOut> {
+        let calls = &self.nodes[node].calls;
+        calls
+            .binary_search_by_key(&edge, |c| c.edge)
+            .ok()
+            .map(|i| &calls[i])
+    }
+}
+
+impl Node {
+    fn new(func: usize, ctx: Context) -> Node {
+        Node {
+            func,
+            ctx,
+            calls: Vec::new(),
+            sites: Vec::new(),
+        }
+    }
+}
+
+/// How often the interprocedural caches did their job; see
+/// [`InterAnalyzer::counters`]. The same events are published process-wide
+/// as `dai_interproc_context_table_builds_total`,
+/// `dai_interproc_entries_forced_total` and
+/// `dai_interproc_entry_force_skips_total` in the `dai-trace` registry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InterprocCounters {
+    /// Context tables built (one at construction, then one per edit that
+    /// moved the call graph).
+    pub context_table_builds: u64,
+    /// Unit entries seeded from their call sites.
+    pub entries_forced: u64,
+    /// Forcings answered by a stamp from the current edit epoch.
+    pub entry_force_skips: u64,
+}
+
+/// This analyzer's counts beside the handles of the process-wide ones.
+struct Counters {
+    own: InterprocCounters,
+    table_builds: Counter,
+    entries_forced: Counter,
+    force_skips: Counter,
+}
+
+impl Counters {
+    fn new() -> Counters {
+        let m = dai_trace::metrics();
+        Counters {
+            own: InterprocCounters::default(),
+            table_builds: m.counter("dai_interproc_context_table_builds_total"),
+            entries_forced: m.counter("dai_interproc_entries_forced_total"),
+            force_skips: m.counter("dai_interproc_entry_force_skips_total"),
+        }
+    }
+
+    fn table_built(&mut self) {
+        self.own.context_table_builds += 1;
+        self.table_builds.inc();
+    }
+
+    fn entry_forced(&mut self) {
+        self.own.entries_forced += 1;
+        self.entries_forced.inc();
+    }
+
+    fn force_skipped(&mut self) {
+        self.own.entry_force_skips += 1;
+        self.force_skips.inc();
+    }
+}
+
+/// One `(function, context)` DAIG and its forced-entry stamp.
+struct UnitSlot<D: AbstractDomain> {
+    key: (Symbol, Context),
+    /// `None` only while the unit is checked out by the query evaluating
+    /// it (the call graph is acyclic, so nothing demands it meanwhile).
+    fa: Option<FuncAnalysis<D>>,
+    /// The edit epoch in which the entry was last forced (0: never).
+    forced_in: u64,
+}
+
+impl<D: AbstractDomain> UnitSlot<D> {
+    fn fa_mut(&mut self) -> &mut FuncAnalysis<D> {
+        self.fa.as_mut().expect("unit demanded while checked out")
+    }
+}
+
+/// The analysis state a query mutates: units, stamps and counters.
+struct Units<D: AbstractDomain> {
+    phi0: D,
+    strategy: crate::strategy::FixStrategy,
+    mode: crate::compile::TransferMode,
+    slots: Vec<UnitSlot<D>>,
+    ids: HashMap<(Symbol, Context), UnitId>,
+    /// The unit of each table node, resolved on first use; emptied when
+    /// the table is rebuilt.
+    of_node: Vec<Option<UnitId>>,
+    /// Moves wherever entries are reset to ⊥; see the module docs.
+    epoch: u64,
+    counters: Counters,
+}
+
 /// The interprocedural analyzer: per-`(function, context)` DAIGs created
 /// on demand, a shared memo table, and the entry-join bookkeeping.
 pub struct InterAnalyzer<D: AbstractDomain> {
     program: LoweredProgram,
     policy: ContextPolicy,
     entry_fn: Symbol,
-    phi0: D,
-    strategy: crate::strategy::FixStrategy,
-    mode: crate::compile::TransferMode,
-    units: HashMap<(Symbol, Context), FuncAnalysis<D>>,
+    table: ContextTable,
+    units: Units<D>,
     memo: MemoTable<Value<D>>,
     stats: QueryStats,
 }
 
-/// Resolves calls by demanding callee DAIG exits.
-struct InterResolver<'a, D: AbstractDomain> {
-    analyzer: &'a mut InterAnalyzer<D>,
-    caller: Symbol,
-    caller_ctx: Context,
+/// One query's view of the analyzer: the program and the context table
+/// borrowed, the units mutable.
+struct Eval<'a, D: AbstractDomain> {
+    program: &'a LoweredProgram,
+    table: &'a ContextTable,
+    units: &'a mut Units<D>,
 }
 
-impl<D: AbstractDomain> CallResolver<D> for InterResolver<'_, D> {
+/// Resolves calls by demanding callee DAIG exits.
+struct InterResolver<'e, 'a, D: AbstractDomain> {
+    eval: &'e mut Eval<'a, D>,
+    caller: NodeId,
+}
+
+impl<D: AbstractDomain> CallResolver<D> for InterResolver<'_, '_, D> {
     fn resolve(
         &mut self,
         pre: &D,
@@ -107,8 +352,179 @@ impl<D: AbstractDomain> CallResolver<D> for InterResolver<'_, D> {
         memo: &mut dyn MemoStore<Value<D>>,
         stats: &mut QueryStats,
     ) -> Result<D, DaigError> {
-        self.analyzer
-            .resolve_call(&self.caller, &self.caller_ctx, pre, stmt, edge, memo, stats)
+        self.eval
+            .resolve_call(self.caller, pre, stmt, edge, memo, stats)
+    }
+}
+
+impl<D: AbstractDomain> Eval<'_, D> {
+    /// The unit of `node`, built with a ⊥ entry (`φ₀` for the entry node)
+    /// when no query has demanded it yet.
+    fn unit_of(&mut self, node: NodeId) -> UnitId {
+        if let Some(unit) = self.units.of_node[node] {
+            return unit;
+        }
+        let n = &self.table.nodes[node];
+        let cfg = &self.program.cfgs()[n.func];
+        let key = (cfg.name().clone(), n.ctx.clone());
+        let unit = match self.units.ids.get(&key) {
+            Some(&unit) => unit,
+            None => {
+                let entry = if node == ENTRY_NODE {
+                    self.units.phi0.clone()
+                } else {
+                    D::bottom()
+                };
+                let fa = FuncAnalysis::with_config(
+                    cfg.clone(),
+                    entry,
+                    self.units.strategy,
+                    self.units.mode,
+                );
+                let unit = self.units.slots.len();
+                self.units.slots.push(UnitSlot {
+                    key: key.clone(),
+                    fa: Some(fa),
+                    forced_in: 0,
+                });
+                self.units.ids.insert(key, unit);
+                unit
+            }
+        };
+        self.units.of_node[node] = Some(unit);
+        unit
+    }
+
+    /// Runs `demand` on the unit of `node`, with calls out of it resolved
+    /// through this evaluation.
+    fn with_unit<T>(
+        &mut self,
+        node: NodeId,
+        demand: impl FnOnce(&mut FuncAnalysis<D>, &mut InterResolver<'_, '_, D>) -> T,
+    ) -> T {
+        let unit = self.unit_of(node);
+        let mut fa = self.units.slots[unit]
+            .fa
+            .take()
+            .expect("unit demanded while checked out");
+        let out = demand(
+            &mut fa,
+            &mut InterResolver {
+                eval: self,
+                caller: node,
+            },
+        );
+        self.units.slots[unit].fa = Some(fa);
+        out
+    }
+
+    /// Demands the exit state of `node`.
+    fn query_exit_of(
+        &mut self,
+        node: NodeId,
+        memo: &mut dyn MemoStore<Value<D>>,
+        stats: &mut QueryStats,
+    ) -> Result<D, DaigError> {
+        self.with_unit(node, |fa, resolver| fa.query_exit(memo, resolver, stats))
+    }
+
+    /// Demands the fixed-point-consistent state at `loc` in `node`.
+    fn query_loc_of(
+        &mut self,
+        node: NodeId,
+        loc: Loc,
+        memo: &mut dyn MemoStore<Value<D>>,
+        stats: &mut QueryStats,
+    ) -> Result<D, DaigError> {
+        self.with_unit(node, |fa, resolver| {
+            fa.query_loc(memo, loc, resolver, stats)
+        })
+    }
+
+    /// Resolves one call: joins the entry contribution into the callee's
+    /// context, demands the callee's exit, and applies the return transfer.
+    fn resolve_call(
+        &mut self,
+        caller: NodeId,
+        pre: &D,
+        stmt: &Stmt,
+        edge: EdgeId,
+        memo: &mut dyn MemoStore<Value<D>>,
+        stats: &mut QueryStats,
+    ) -> Result<D, DaigError> {
+        let Stmt::Call { lhs, callee, args } = stmt else {
+            return Err(DaigError::Invariant("resolve_call on non-call".to_string()));
+        };
+        if pre.is_bottom() {
+            return Ok(D::bottom());
+        }
+        let table = self.table;
+        let Some(call) = table.call_on(caller, edge) else {
+            if self.program.by_name(callee.as_str()).is_none() {
+                // Unknown callee: fall back to the domain's conservative
+                // call transfer.
+                return Ok(pre.transfer(stmt));
+            }
+            return Err(DaigError::Invariant(format!(
+                "call to {callee} on {edge} is not in the context table"
+            )));
+        };
+        let callee_cfg = &self.program.cfgs()[table.nodes[call.callee].func];
+        debug_assert_eq!(callee_cfg.name(), callee, "context table is stale");
+        let site = CallSite {
+            lhs: lhs.as_ref(),
+            callee,
+            args: args.as_slice(),
+            site_key: &call.site_key,
+        };
+        let contribution = pre.call_entry(site, callee_cfg.params());
+        let unit = self.unit_of(call.callee);
+        let fa = self.units.slots[unit].fa_mut();
+        let joined = fa.entry_state().join(&contribution);
+        fa.set_entry_state(joined);
+        let exit = self.query_exit_of(call.callee, memo, stats)?;
+        Ok(pre.call_return(site, &exit))
+    }
+
+    /// Seeds the entry of `node` from all of its call sites' current
+    /// (fixed-point-consistent) pre-states. Needed when a query targets a
+    /// function directly, before any caller has been demanded. A unit
+    /// already forced in this edit epoch is left alone (module docs).
+    fn force_entry(
+        &mut self,
+        node: NodeId,
+        memo: &mut dyn MemoStore<Value<D>>,
+        stats: &mut QueryStats,
+    ) -> Result<(), DaigError> {
+        if node == ENTRY_NODE {
+            return Ok(());
+        }
+        let unit = self.unit_of(node);
+        if self.units.slots[unit].forced_in == self.units.epoch {
+            self.units.counters.force_skipped();
+            return Ok(());
+        }
+        let table = self.table;
+        for site in &table.nodes[node].sites {
+            // The caller's own entry must be populated first (demand
+            // flows transitively up the acyclic call graph).
+            self.force_entry(site.caller, memo, stats)?;
+            let caller_cfg = &self.program.cfgs()[table.nodes[site.caller].func];
+            let edge = caller_cfg.edge(site.edge).ok_or_else(|| {
+                DaigError::Invariant(format!(
+                    "missing edge {} in {}",
+                    site.edge,
+                    caller_cfg.name()
+                ))
+            })?;
+            let pre = self.query_loc_of(site.caller, edge.src, memo, stats)?;
+            // Feeding the contribution is exactly what resolve_call
+            // does; reuse it for the side effect on the entry join.
+            let _ = self.resolve_call(site.caller, &pre, &edge.stmt, site.edge, memo, stats)?;
+        }
+        self.units.slots[unit].forced_in = self.units.epoch;
+        self.units.counters.entry_forced();
+        Ok(())
     }
 }
 
@@ -161,17 +577,35 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
         strategy: crate::strategy::FixStrategy,
         mode: crate::compile::TransferMode,
     ) -> InterAnalyzer<D> {
+        let entry_fn = Symbol::new(entry_fn);
+        let table = ContextTable::build(&program, policy, &entry_fn);
+        let mut counters = Counters::new();
+        counters.table_built();
         InterAnalyzer {
+            units: Units {
+                phi0,
+                strategy,
+                mode,
+                slots: Vec::new(),
+                ids: HashMap::new(),
+                of_node: vec![None; table.nodes.len()],
+                epoch: 1,
+                counters,
+            },
             program,
             policy,
-            entry_fn: Symbol::new(entry_fn),
-            phi0,
-            strategy,
-            mode,
-            units: HashMap::new(),
+            entry_fn,
+            table,
             memo: MemoTable::new(),
             stats: QueryStats::default(),
         }
+    }
+
+    /// After an edit moved the call graph.
+    fn rebuild_table(&mut self) {
+        self.table = ContextTable::build(&self.program, self.policy, &self.entry_fn);
+        self.units.of_node = vec![None; self.table.nodes.len()];
+        self.units.counters.table_built();
     }
 
     /// The program under analysis.
@@ -189,235 +623,87 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
         *self.memo.stats()
     }
 
+    /// What the context table and the forced-entry stamps have done for
+    /// this analyzer so far.
+    pub fn counters(&self) -> InterprocCounters {
+        self.units.counters.own
+    }
+
     /// Number of DAIG units constructed so far.
     pub fn unit_count(&self) -> usize {
-        self.units.len()
+        self.units.slots.len()
     }
 
     /// All `(function, context)` units constructed so far, unordered
     /// (callers sort for deterministic output — see `dai-engine`'s
     /// session snapshot).
     pub fn units_iter(&self) -> impl Iterator<Item = (&(Symbol, Context), &FuncAnalysis<D>)> {
-        self.units.iter()
+        self.units.slots.iter().map(|slot| {
+            let fa = slot.fa.as_ref().expect("no query is in progress");
+            (&slot.key, fa)
+        })
     }
 
-    /// All contexts in which `f` can be analyzed, discovered by walking the
-    /// static call graph from the entry function under the policy.
+    /// All contexts in which `f` can be analyzed under the policy,
+    /// ascending: a lookup in the context table.
     pub fn contexts_of(&self, f: &str) -> Vec<Context> {
-        let mut out: HashMap<Symbol, HashSet<Context>> = HashMap::new();
-        let mut queue: VecDeque<(Symbol, Context)> = VecDeque::new();
-        out.entry(self.entry_fn.clone())
-            .or_default()
-            .insert(Context::root());
-        queue.push_back((self.entry_fn.clone(), Context::root()));
-        let mut seen: HashSet<(Symbol, Context)> = HashSet::new();
-        while let Some((g, cg)) = queue.pop_front() {
-            if !seen.insert((g.clone(), cg.clone())) {
-                continue;
-            }
-            let Some(cfg) = self.program.by_name(g.as_str()) else {
-                continue;
-            };
-            for e in cfg.edges() {
-                if let Some(callee) = e.stmt.callee() {
-                    if self.program.by_name(callee.as_str()).is_none() {
-                        continue;
-                    }
-                    let ctx2 = self.policy.extend(&cg, &g, e.id);
-                    out.entry(callee.clone()).or_default().insert(ctx2.clone());
-                    queue.push_back((callee.clone(), ctx2));
-                }
-            }
-        }
-        let mut v: Vec<Context> = out
-            .remove(&Symbol::new(f))
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
-        v.sort();
-        v
+        self.program
+            .func_index(f)
+            .map_or(&[][..], |func| &self.table.by_func[func])
+            .iter()
+            .map(|&node| self.table.nodes[node].ctx.clone())
+            .collect()
     }
 
-    fn ensure_unit(&mut self, f: &Symbol, ctx: &Context) -> Result<(), DaigError> {
-        let key = (f.clone(), ctx.clone());
-        if self.units.contains_key(&key) {
-            return Ok(());
-        }
-        let cfg = self
-            .program
-            .by_name(f.as_str())
-            .ok_or_else(|| DaigError::NoSuchCell(format!("function {f}")))?
-            .clone();
-        let entry = if *f == self.entry_fn && ctx.0.is_empty() {
-            self.phi0.clone()
-        } else {
-            D::bottom()
-        };
-        self.units.insert(
-            key,
-            FuncAnalysis::with_config(cfg, entry, self.strategy, self.mode),
-        );
-        Ok(())
-    }
-
-    /// Demands the exit state of `(f, ctx)`.
-    fn query_exit_of(
+    /// Runs `demand` as one query: the memo table and a fresh stats
+    /// record are threaded through and folded back whatever the outcome.
+    fn run_query<T>(
         &mut self,
-        f: &Symbol,
-        ctx: &Context,
-        memo: &mut dyn MemoStore<Value<D>>,
-        stats: &mut QueryStats,
-    ) -> Result<D, DaigError> {
-        self.ensure_unit(f, ctx)?;
-        let key = (f.clone(), ctx.clone());
-        let mut unit = self.units.remove(&key).expect("ensured");
-        let mut resolver = InterResolver {
-            analyzer: self,
-            caller: f.clone(),
-            caller_ctx: ctx.clone(),
+        demand: impl FnOnce(
+            &mut Eval<'_, D>,
+            &mut dyn MemoStore<Value<D>>,
+            &mut QueryStats,
+        ) -> Result<T, DaigError>,
+    ) -> Result<T, DaigError> {
+        let mut memo = std::mem::take(&mut self.memo);
+        let mut stats = QueryStats::default();
+        let mut eval = Eval {
+            program: &self.program,
+            table: &self.table,
+            units: &mut self.units,
         };
-        let out = unit.query_exit(memo, &mut resolver, stats);
-        self.units.insert(key, unit);
-        out
-    }
-
-    /// Demands the fixed-point-consistent state at `loc` in `(f, ctx)`.
-    fn query_loc_of(
-        &mut self,
-        f: &Symbol,
-        ctx: &Context,
-        loc: Loc,
-        memo: &mut dyn MemoStore<Value<D>>,
-        stats: &mut QueryStats,
-    ) -> Result<D, DaigError> {
-        self.ensure_unit(f, ctx)?;
-        let key = (f.clone(), ctx.clone());
-        let mut unit = self.units.remove(&key).expect("ensured");
-        let mut resolver = InterResolver {
-            analyzer: self,
-            caller: f.clone(),
-            caller_ctx: ctx.clone(),
-        };
-        let out = unit.query_loc(memo, loc, &mut resolver, stats);
-        self.units.insert(key, unit);
-        out
-    }
-
-    /// Resolves one call: joins the entry contribution into the callee's
-    /// context, demands the callee's exit, and applies the return transfer.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_call(
-        &mut self,
-        caller: &Symbol,
-        caller_ctx: &Context,
-        pre: &D,
-        stmt: &Stmt,
-        edge: EdgeId,
-        memo: &mut dyn MemoStore<Value<D>>,
-        stats: &mut QueryStats,
-    ) -> Result<D, DaigError> {
-        let Stmt::Call { lhs, callee, args } = stmt else {
-            return Err(DaigError::Invariant("resolve_call on non-call".to_string()));
-        };
-        if pre.is_bottom() {
-            return Ok(D::bottom());
-        }
-        let Some(callee_cfg) = self.program.by_name(callee.as_str()) else {
-            // Unknown callee: fall back to the domain's conservative call
-            // transfer.
-            return Ok(pre.transfer(stmt));
-        };
-        let params: Vec<Symbol> = callee_cfg.params().to_vec();
-        let site_key = format!("{caller}:{edge}");
-        let site = CallSite {
-            lhs: lhs.as_ref(),
-            callee,
-            args: args.as_slice(),
-            site_key: &site_key,
-        };
-        let contribution = pre.call_entry(site, &params);
-        let ctx2 = self.policy.extend(caller_ctx, caller, edge);
-        self.ensure_unit(callee, &ctx2)?;
-        {
-            let unit = self
-                .units
-                .get_mut(&(callee.clone(), ctx2.clone()))
-                .expect("ensured");
-            let joined = unit.entry_state().join(&contribution);
-            unit.set_entry_state(joined);
-        }
-        let exit = self.query_exit_of(callee, &ctx2, memo, stats)?;
-        Ok(pre.call_return(site, &exit))
-    }
-
-    /// Seeds the entry of `(f, ctx)` from all of its call sites' current
-    /// (fixed-point-consistent) pre-states. Needed when a query targets a
-    /// function directly, before any caller has been demanded.
-    fn force_entry(
-        &mut self,
-        f: &Symbol,
-        ctx: &Context,
-        memo: &mut dyn MemoStore<Value<D>>,
-        stats: &mut QueryStats,
-    ) -> Result<(), DaigError> {
-        if *f == self.entry_fn && ctx.0.is_empty() {
-            return Ok(());
-        }
-        // All call sites of f whose policy-context matches ctx.
-        let sites = self.program.call_sites_of(f.as_str());
-        for (g, e) in sites {
-            let caller_ctxs = self.contexts_of(g.as_str());
-            for cg in caller_ctxs {
-                if self.policy.extend(&cg, &g, e) != *ctx {
-                    continue;
-                }
-                // The caller's own entry must be populated first (demand
-                // flows transitively up the acyclic call graph).
-                self.ensure_unit(&g, &cg)?;
-                self.force_entry(&g, &cg, memo, stats)?;
-                let edge = self
-                    .program
-                    .by_name(g.as_str())
-                    .and_then(|c| c.edge(e))
-                    .cloned()
-                    .ok_or_else(|| DaigError::Invariant(format!("missing edge {e} in {g}")))?;
-                let pre = self.query_loc_of(&g, &cg, edge.src, memo, stats)?;
-                // Feeding the contribution is exactly what resolve_call
-                // does; reuse it for the side effect on the entry join.
-                let _ = self.resolve_call(&g, &cg, &pre, &edge.stmt, e, memo, stats)?;
-            }
-        }
-        Ok(())
+        let result = demand(&mut eval, &mut memo, &mut stats);
+        self.memo = memo;
+        self.stats.absorb(stats);
+        result
     }
 
     /// Demands the abstract state at `loc` of `f` under every context the
     /// call structure induces, returning per-context results.
+    ///
+    /// A function with no contexts is unreachable from the entry: every
+    /// location in it is dead code, reported as no results (joined: ⊥).
+    /// This matches demand semantics — a DAIG for it would have a ⊥ entry.
     ///
     /// # Errors
     ///
     /// Returns [`DaigError`] for unknown functions/locations or internal
     /// inconsistencies.
     pub fn query_at(&mut self, f: &str, loc: Loc) -> Result<Vec<(Context, D)>, DaigError> {
-        let fsym = Symbol::new(f);
-        let mut memo = std::mem::take(&mut self.memo);
-        let mut stats = QueryStats::default();
-        let mut out = Vec::new();
-        let result = (|| {
-            // A function with no contexts is unreachable from the entry:
-            // every location in it is dead code, reported as no results
-            // (joined: ⊥). This matches demand semantics — a DAIG for it
-            // would have a ⊥ entry.
-            let ctxs = self.contexts_of(f);
-            for ctx in ctxs {
-                self.ensure_unit(&fsym, &ctx)?;
-                self.force_entry(&fsym, &ctx, &mut memo, &mut stats)?;
-                let v = self.query_loc_of(&fsym, &ctx, loc, &mut memo, &mut stats)?;
-                out.push((ctx, v));
+        let Some(func) = self.program.func_index(f) else {
+            return Err(DaigError::NoSuchCell(format!("function {f}")));
+        };
+        self.run_query(|eval, memo, stats| {
+            let table = eval.table;
+            let nodes = &table.by_func[func];
+            let mut out = Vec::with_capacity(nodes.len());
+            for &node in nodes {
+                eval.force_entry(node, memo, stats)?;
+                let v = eval.query_loc_of(node, loc, memo, stats)?;
+                out.push((table.nodes[node].ctx.clone(), v));
             }
-            Ok(())
-        })();
-        self.memo = memo;
-        self.stats.absorb(stats);
-        result.map(|()| out)
+            Ok(out)
+        })
     }
 
     /// Like [`InterAnalyzer::query_at`] but joined over contexts.
@@ -442,32 +728,18 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
     ///
     /// See [`InterAnalyzer::query_at`].
     pub fn evaluate_everything(&mut self) -> Result<(), DaigError> {
-        let mut memo = std::mem::take(&mut self.memo);
-        let mut stats = QueryStats::default();
-        let result = (|| {
+        self.run_query(|eval, memo, stats| {
+            let (program, table) = (eval.program, eval.table);
             // Callers first: reverse of callees-first topo order.
-            let order: Vec<Symbol> = self.program.topo_order().iter().rev().cloned().collect();
-            for f in order {
-                for ctx in self.contexts_of(f.as_str()) {
-                    self.ensure_unit(&f, &ctx)?;
-                    self.force_entry(&f, &ctx, &mut memo, &mut stats)?;
-                    let key = (f.clone(), ctx.clone());
-                    let mut unit = self.units.remove(&key).expect("ensured");
-                    let mut resolver = InterResolver {
-                        analyzer: self,
-                        caller: f.clone(),
-                        caller_ctx: ctx.clone(),
-                    };
-                    let r = unit.evaluate_all(&mut memo, &mut resolver, &mut stats);
-                    self.units.insert(key, unit);
-                    r?;
+            for f in program.topo_order().iter().rev() {
+                let func = program.func_index(f.as_str()).expect("ordered name");
+                for &node in &table.by_func[func] {
+                    eval.force_entry(node, memo, stats)?;
+                    eval.with_unit(node, |fa, resolver| fa.evaluate_all(memo, resolver, stats))?;
                 }
             }
             Ok(())
-        })();
-        self.memo = memo;
-        self.stats.absorb(stats);
-        result
+        })
     }
 
     /// Applies an in-place statement relabel to `f` (all contexts),
@@ -475,21 +747,13 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
     ///
     /// # Errors
     ///
-    /// Returns [`CfgError`] for unknown edges and call-graph violations.
+    /// Returns [`CfgError`] for unknown edges and call-graph violations;
+    /// the analyzer is then unchanged.
     pub fn relabel(&mut self, f: &str, edge: EdgeId, stmt: Stmt) -> Result<(), CfgError> {
-        let cfg = self
-            .program
-            .by_name_mut(f)
-            .ok_or_else(|| CfgError::UndefinedFunction(Symbol::new(f)))?;
-        dai_lang::edit::relabel_edge(cfg, edge, stmt.clone())?;
-        self.program.refresh_call_graph()?;
-        for ((g, _), unit) in self.units.iter_mut() {
-            if g.as_str() == f {
-                unit.relabel(edge, stmt.clone())?;
-            }
-        }
-        self.propagate_cross_function_dirt(f);
-        Ok(())
+        self.program.edit_function(f, |cfg| {
+            dai_lang::edit::relabel_edge(cfg, edge, stmt.clone())
+        })?;
+        self.edit_units(f, |unit| unit.relabel(edge, stmt.clone()))
     }
 
     /// Applies a block splice to `f` (all contexts).
@@ -497,21 +761,32 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
     /// # Errors
     ///
     /// Returns [`CfgError`] for unknown edges, non-falling blocks, and
-    /// call-graph violations.
+    /// call-graph violations; the analyzer is then unchanged.
     pub fn splice(&mut self, f: &str, edge: EdgeId, block: &Block) -> Result<SpliceInfo, CfgError> {
-        let cfg = self
-            .program
-            .by_name_mut(f)
-            .ok_or_else(|| CfgError::UndefinedFunction(Symbol::new(f)))?;
-        let info = dai_lang::edit::splice_block_on_edge(cfg, edge, block)?;
-        self.program.refresh_call_graph()?;
-        for ((g, _), unit) in self.units.iter_mut() {
-            if g.as_str() == f {
-                unit.splice(edge, block)?;
+        let info = self.program.edit_function(f, |cfg| {
+            dai_lang::edit::splice_block_on_edge(cfg, edge, block)
+        })?;
+        self.edit_units(f, |unit| unit.splice(edge, block).map(|_| ()))?;
+        Ok(info)
+    }
+
+    /// After the program accepted an edit to `f`: replays it on every
+    /// unit of `f` and brings the caches and the other units in line.
+    fn edit_units(
+        &mut self,
+        f: &str,
+        mut edit: impl FnMut(&mut FuncAnalysis<D>) -> Result<(), CfgError>,
+    ) -> Result<(), CfgError> {
+        if self.table.version != self.program.call_graph_version() {
+            self.rebuild_table();
+        }
+        for slot in &mut self.units.slots {
+            if slot.key.0.as_str() == f {
+                edit(slot.fa_mut())?;
             }
         }
         self.propagate_cross_function_dirt(f);
-        Ok(info)
+        Ok(())
     }
 
     /// After editing `f`: accumulated callee entries anywhere may be stale
@@ -522,69 +797,35 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
     /// exit, so additionally dirty downstream of every transitive caller's
     /// relevant call sites.
     fn propagate_cross_function_dirt(&mut self, f: &str) {
-        let entry_fn = self.entry_fn.clone();
-        for ((g, ctx), unit) in self.units.iter_mut() {
-            if *g == entry_fn && ctx.0.is_empty() {
+        self.units.epoch += 1;
+        let entry_fn = &self.entry_fn;
+        for slot in &mut self.units.slots {
+            if slot.key.0 == *entry_fn && slot.key.1 .0.is_empty() {
                 continue;
             }
+            let unit = slot.fa_mut();
             unit.set_entry_state(D::bottom());
             unit.dirty_everything();
         }
-        // Transitive callers of f: functions from which f is reachable.
-        let mut affected: HashSet<Symbol> = HashSet::new();
-        affected.insert(Symbol::new(f));
-        loop {
-            let mut grew = false;
-            for g in self.program.topo_order().to_vec() {
-                if affected.contains(&g) {
-                    continue;
-                }
-                if self
-                    .program
-                    .callees(g.as_str())
-                    .iter()
-                    .any(|c| affected.contains(c))
-                {
-                    affected.insert(g);
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        // Dirty call-site destinations in callers whose callee is affected.
-        for ((g, _), unit) in self.units.iter_mut() {
-            if g.as_str() == f || !affected.contains(g) {
-                continue;
-            }
-            let call_edges: Vec<EdgeId> = unit
-                .cfg()
-                .edges()
-                .filter(|e| {
-                    e.stmt
-                        .callee()
-                        .map(|c| affected.contains(c))
-                        .unwrap_or(false)
-                })
-                .map(|e| e.id)
-                .collect();
-            for e in call_edges {
-                let deps: Vec<Name> = unit.daig().dependents(&Name::Stmt(e)).cloned().collect();
-                crate::edit::dirty_from(unit.daig_mut(), deps);
-            }
-        }
+        let units = self
+            .units
+            .slots
+            .iter_mut()
+            .map(|slot| (&slot.key.0, slot.fa.as_mut().expect("no query in progress")));
+        dirty_calls_reaching(&self.program, f, units);
     }
 
     /// Discards all analysis results but keeps program structure (the
     /// demand-driven-only configuration's "dirty the full DAIG").
     pub fn dirty_everything(&mut self) {
-        for unit in self.units.values_mut() {
+        self.units.epoch += 1;
+        let entry_fn = &self.entry_fn;
+        for slot in &mut self.units.slots {
+            let is_entry = slot.key.0 == *entry_fn && slot.key.1 .0.is_empty();
+            let unit = slot.fa_mut();
             unit.dirty_everything();
-        }
-        // Entries must also be re-accumulated.
-        for ((g, ctx), unit) in self.units.iter_mut() {
-            if !(*g == self.entry_fn && ctx.0.is_empty()) {
+            // Entries must also be re-accumulated.
+            if !is_entry {
                 unit.set_entry_state(D::bottom());
             }
         }
@@ -593,6 +834,132 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
 
     /// Access to a unit, for tests and inspection.
     pub fn unit(&self, f: &str, ctx: &Context) -> Option<&FuncAnalysis<D>> {
-        self.units.get(&(Symbol::new(f), ctx.clone()))
+        let unit = *self.units.ids.get(&(Symbol::new(f), ctx.clone()))?;
+        self.units.slots[unit].fa.as_ref()
+    }
+
+    /// Drops every forced-entry stamp, so the next query re-forces each
+    /// entry it needs as if an edit had just happened. Test-only: the
+    /// differential oracle for the stamps.
+    #[doc(hidden)]
+    pub fn drop_forced_stamps(&mut self) {
+        self.units.epoch += 1;
+    }
+}
+
+/// After an edit to `f`, dirties in every unit of a transitive caller of
+/// `f` the cells downstream of the calls through which `f` is reached:
+/// any such call transfer may now produce a different value. Units of `f`
+/// itself are the edit's own business.
+pub(crate) fn dirty_calls_reaching<'u, D: AbstractDomain>(
+    program: &LoweredProgram,
+    f: &str,
+    units: impl Iterator<Item = (&'u Symbol, &'u mut FuncAnalysis<D>)>,
+) {
+    let affected: HashSet<Symbol> = program.transitive_callers(f);
+    for (g, unit) in units {
+        if g.as_str() == f || !affected.contains(g) {
+            continue;
+        }
+        let Some(func) = program.func_index(g.as_str()) else {
+            continue;
+        };
+        for &(edge, callee) in program.calls_out(func) {
+            if affected.contains(program.cfgs()[callee].name()) {
+                let deps: Vec<Name> = unit.daig().dependents(&Name::Stmt(edge)).cloned().collect();
+                crate::edit::dirty_from(unit.daig_mut(), deps);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dai_domains::IntervalDomain;
+    use dai_lang::cfg::lower_program;
+    use dai_lang::parser::parse_program;
+
+    fn lower(src: &str) -> LoweredProgram {
+        lower_program(&parse_program(src).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_forcing_that_fails_part_way_is_retried_by_the_next_query() {
+        let program = lower(
+            "function low(v) { return v + 1; } \
+             function mid(v) { var t = v + 1; var w = low(t); return w; } \
+             function main() { var a = mid(1); return a; }",
+        );
+        let mut an: InterAnalyzer<IntervalDomain> = InterAnalyzer::new(
+            program,
+            ContextPolicy::CallString(1),
+            "main",
+            IntervalDomain::top(),
+        );
+        let low_exit = an.program().by_name("low").unwrap().exit();
+        let answer = an.query_joined("low", low_exit).unwrap();
+        an.drop_forced_stamps();
+
+        // Swap `mid`'s unit for one over a CFG without the call: the call
+        // site's source location is unknown there, so forcing `low` gets
+        // as far as `mid` (whose own forcing succeeds) and then fails.
+        let unit_of = |an: &InterAnalyzer<IntervalDomain>, f: &str| {
+            let unit = an.units.slots.iter().position(|s| s.key.0.as_str() == f);
+            unit.expect("demanded unit")
+        };
+        let (low, mid) = (unit_of(&an, "low"), unit_of(&an, "mid"));
+        let stub = lower("function mid(v) { return v; }").cfgs()[0].clone();
+        let real = an.units.slots[mid]
+            .fa
+            .replace(FuncAnalysis::new(stub, IntervalDomain::top()));
+        let before = an.counters();
+        let err = an.query_joined("low", low_exit).unwrap_err();
+        assert!(matches!(err, DaigError::NoSuchCell(_)), "{err}");
+        assert_eq!(an.units.slots[mid].forced_in, an.units.epoch);
+        assert_ne!(an.units.slots[low].forced_in, an.units.epoch);
+        assert_eq!(an.counters().entries_forced, before.entries_forced + 1);
+
+        // With the unit back, the next query forces `low` after all.
+        an.units.slots[mid].fa = real;
+        assert_eq!(an.query_joined("low", low_exit).unwrap(), answer);
+        assert_eq!(an.units.slots[low].forced_in, an.units.epoch);
+        assert_eq!(an.counters().entries_forced, before.entries_forced + 2);
+        assert_eq!(
+            an.counters().entry_force_skips,
+            before.entry_force_skips + 1
+        );
+    }
+
+    #[test]
+    fn context_table_orders_sites_as_forcing_visits_them() {
+        // `id` is called twice from `main` and once from `addOne`, which
+        // is defined before `main`.
+        let program = lower(
+            "function id(v) { return v; } \
+             function addOne(v) { var w = id(v); return w + 1; } \
+             function main() { var a = id(10); var b = addOne(a); var c = id(b); return c; }",
+        );
+        let table = ContextTable::build(&program, ContextPolicy::Insensitive, &Symbol::new("main"));
+        let id = table.by_func[program.func_index("id").unwrap()][0];
+        let sites: Vec<(String, EdgeId)> = table.nodes[id]
+            .sites
+            .iter()
+            .map(|s| {
+                let caller = &program.cfgs()[table.nodes[s.caller].func];
+                (caller.name().to_string(), s.edge)
+            })
+            .collect();
+        assert_eq!(sites, program_sites(&program, "id"));
+        assert_eq!(table.nodes[ENTRY_NODE].calls.len(), 3);
+        assert_eq!(table.nodes[ENTRY_NODE].calls[0].site_key, "main:e0");
+    }
+
+    fn program_sites(program: &LoweredProgram, f: &str) -> Vec<(String, EdgeId)> {
+        program
+            .call_sites_of(f)
+            .into_iter()
+            .map(|(g, e)| (g.to_string(), e))
+            .collect()
     }
 }

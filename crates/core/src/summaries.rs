@@ -37,7 +37,6 @@
 
 use crate::analysis::FuncAnalysis;
 use crate::graph::{DaigError, Value};
-use crate::name::Name;
 use crate::query::{CallResolver, QueryStats};
 use crate::strategy::FixStrategy;
 use dai_domains::{AbstractDomain, CallSite};
@@ -45,7 +44,7 @@ use dai_lang::cfg::LoweredProgram;
 use dai_lang::edit::SpliceInfo;
 use dai_lang::{Block, CfgError, EdgeId, Loc, Stmt, Symbol};
 use dai_memo::{MemoStore, MemoTable};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Counters for summary-table reuse (the phase-2 → phase-1 dependency
 /// traffic).
@@ -402,14 +401,12 @@ impl<D: AbstractDomain> SummaryAnalyzer<D> {
     ///
     /// # Errors
     ///
-    /// Returns [`CfgError`] for unknown edges and call-graph violations.
+    /// Returns [`CfgError`] for unknown edges and call-graph violations;
+    /// the analyzer is then unchanged.
     pub fn relabel(&mut self, f: &str, edge: EdgeId, stmt: Stmt) -> Result<(), CfgError> {
-        let cfg = self
-            .program
-            .by_name_mut(f)
-            .ok_or_else(|| CfgError::UndefinedFunction(Symbol::new(f)))?;
-        dai_lang::edit::relabel_edge(cfg, edge, stmt.clone())?;
-        self.program.refresh_call_graph()?;
+        self.program.edit_function(f, |cfg| {
+            dai_lang::edit::relabel_edge(cfg, edge, stmt.clone())
+        })?;
         for ((g, _), unit) in self.units.iter_mut() {
             if g.as_str() == f {
                 unit.relabel(edge, stmt.clone())?;
@@ -425,14 +422,11 @@ impl<D: AbstractDomain> SummaryAnalyzer<D> {
     /// # Errors
     ///
     /// Returns [`CfgError`] for unknown edges, non-falling blocks, and
-    /// call-graph violations.
+    /// call-graph violations; the analyzer is then unchanged.
     pub fn splice(&mut self, f: &str, edge: EdgeId, block: &Block) -> Result<SpliceInfo, CfgError> {
-        let cfg = self
-            .program
-            .by_name_mut(f)
-            .ok_or_else(|| CfgError::UndefinedFunction(Symbol::new(f)))?;
-        let info = dai_lang::edit::splice_block_on_edge(cfg, edge, block)?;
-        self.program.refresh_call_graph()?;
+        let info = self.program.edit_function(f, |cfg| {
+            dai_lang::edit::splice_block_on_edge(cfg, edge, block)
+        })?;
         for ((g, _), unit) in self.units.iter_mut() {
             if g.as_str() == f {
                 unit.splice(edge, block)?;
@@ -442,62 +436,16 @@ impl<D: AbstractDomain> SummaryAnalyzer<D> {
         Ok(info)
     }
 
-    /// The transitive callers of `f` (including `f` itself): exactly the
-    /// procedures whose summaries can observe an edit to `f`.
-    fn affected_by_edit(&self, f: &str) -> HashSet<Symbol> {
-        let mut affected: HashSet<Symbol> = HashSet::new();
-        affected.insert(Symbol::new(f));
-        loop {
-            let mut grew = false;
-            for g in self.program.topo_order().to_vec() {
-                if affected.contains(&g) {
-                    continue;
-                }
-                if self
-                    .program
-                    .callees(g.as_str())
-                    .iter()
-                    .any(|c| affected.contains(c))
-                {
-                    affected.insert(g);
-                    grew = true;
-                }
-            }
-            if !grew {
-                return affected;
-            }
-        }
-    }
-
     /// Summary invalidation for an edit to `f`: summaries (and post-call
-    /// results) of `f` and its transitive callers are dropped; everything
-    /// else — including summaries of `f`'s *callees* — survives.
+    /// results) of `f` and its transitive callers — exactly the procedures
+    /// whose summaries can observe the edit — are dropped; everything
+    /// else, including summaries of `f`'s *callees*, survives.
     fn invalidate_after_edit(&mut self, f: &str) {
-        let affected = self.affected_by_edit(f);
+        let affected = self.program.transitive_callers(f);
         self.summaries.retain(|(g, _), _| !affected.contains(g));
         self.entries_cache = None;
-        // Dirty the callers' post-call cells: any call transfer whose
-        // callee chain reaches f may now produce a different value.
-        for ((g, _), unit) in self.units.iter_mut() {
-            if g.as_str() == f || !affected.contains(g) {
-                continue;
-            }
-            let call_edges: Vec<EdgeId> = unit
-                .cfg()
-                .edges()
-                .filter(|e| {
-                    e.stmt
-                        .callee()
-                        .map(|c| affected.contains(c))
-                        .unwrap_or(false)
-                })
-                .map(|e| e.id)
-                .collect();
-            for e in call_edges {
-                let deps: Vec<Name> = unit.daig().dependents(&Name::Stmt(e)).cloned().collect();
-                crate::edit::dirty_from(unit.daig_mut(), deps);
-            }
-        }
+        let units = self.units.iter_mut().map(|((g, _), unit)| (g, unit));
+        crate::interproc::dirty_calls_reaching(&self.program, f, units);
     }
 }
 

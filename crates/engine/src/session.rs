@@ -125,8 +125,12 @@ struct Unit<D: AbstractDomain> {
 }
 
 /// The session's analysis machinery, chosen by [`ResolverChoice`].
+///
+/// Each backend owns the one copy of the program: an `Inter` session's is
+/// its analyzer's.
 enum Backend<D: AbstractDomain> {
     Intra {
+        program: LoweredProgram,
         units: HashMap<Symbol, Unit<D>>,
     },
     Inter {
@@ -138,7 +142,6 @@ enum Backend<D: AbstractDomain> {
 /// One loaded program and its per-function analyses.
 pub struct Session<D: AbstractDomain> {
     name: String,
-    program: LoweredProgram,
     strategy: FixStrategy,
     /// Transfer-evaluation mode applied to every unit this session
     /// creates (staged closures vs. the AST interpreter; bit-identical).
@@ -165,12 +168,13 @@ pub struct Session<D: AbstractDomain> {
 
 fn make_backend<D: AbstractDomain>(
     resolver: ResolverChoice,
-    program: &LoweredProgram,
+    program: LoweredProgram,
     strategy: FixStrategy,
     transfer: TransferMode,
 ) -> Backend<D> {
     match resolver {
         ResolverChoice::Intra => Backend::Intra {
+            program,
             units: HashMap::new(),
         },
         ResolverChoice::Interproc { policy } => {
@@ -181,12 +185,7 @@ fn make_backend<D: AbstractDomain>(
             Backend::Inter {
                 policy,
                 analyzer: Box::new(InterAnalyzer::with_config(
-                    program.clone(),
-                    policy,
-                    &entry,
-                    phi0,
-                    strategy,
-                    transfer,
+                    program, policy, &entry, phi0, strategy, transfer,
                 )),
             }
         }
@@ -218,10 +217,9 @@ impl<D: AbstractDomain> Session<D> {
         transfer: TransferMode,
         source: Option<String>,
     ) -> Self {
-        let backend = make_backend(resolver, &program, strategy, transfer);
+        let backend = make_backend(resolver, program, strategy, transfer);
         Session {
             name: name.into(),
-            program,
             strategy,
             transfer,
             source,
@@ -242,7 +240,10 @@ impl<D: AbstractDomain> Session<D> {
 
     /// The program under analysis.
     pub fn program(&self) -> &LoweredProgram {
-        &self.program
+        match &self.backend {
+            Backend::Intra { program, .. } => program,
+            Backend::Inter { analyzer, .. } => analyzer.program(),
+        }
     }
 
     /// The resolver choice this session runs under.
@@ -415,14 +416,9 @@ impl<D: AbstractDomain> Session<D> {
         assert_eq!(per_query.len(), locs.len(), "one stats slot per member");
         self.queries += locs.len() as u64;
         match &mut self.backend {
-            Backend::Intra { units } => {
-                let unit = match Self::unit_mut(
-                    units,
-                    &self.program,
-                    self.strategy,
-                    self.transfer,
-                    func,
-                ) {
+            Backend::Intra { program, units } => {
+                let unit = match Self::unit_mut(units, program, self.strategy, self.transfer, func)
+                {
                     Ok(unit) => unit,
                     Err(_) => {
                         return locs
@@ -434,7 +430,7 @@ impl<D: AbstractDomain> Session<D> {
                 Self::query_unit_locs(unit, locs, memo, pool, shared_stats, per_query, sink)
             }
             Backend::Inter { analyzer, .. } => {
-                if self.program.by_name(func).is_none() {
+                if analyzer.program().by_name(func).is_none() {
                     return locs
                         .iter()
                         .map(|_| Err(EngineError::NoSuchFunction(func.to_string())))
@@ -616,88 +612,78 @@ impl<D: AbstractDomain> Session<D> {
     /// exactly the incremental + demand-driven configuration. Successful
     /// edits are appended to the replayable [`Session::history`].
     ///
-    /// Validation happens on a scratch copy of the program first, so a
-    /// rejected edit (unknown edge, call-graph violation, malformed
-    /// block) leaves the session exactly as it was: program, call graph,
-    /// and DAIGs untouched.
+    /// The edit is staged on a copy of the one CFG it touches
+    /// ([`LoweredProgram::edit_function`]), so a rejected edit (unknown
+    /// edge, call-graph violation, malformed block) leaves the session
+    /// exactly as it was: program, call graph, and DAIGs untouched.
     ///
     /// # Errors
     ///
     /// [`EngineError::Cfg`] for malformed edits; the session is unchanged
     /// on error.
     pub fn apply_edit(&mut self, edit: &ProgramEdit) -> Result<EditOutcome, EngineError> {
-        // Stage the edit on a clone; only an edit that fully validates
-        // (including the call-graph refresh) is committed.
-        let mut staged = self.program.clone();
-        let (func, outcome) = match edit {
-            ProgramEdit::Relabel { func, edge, stmt } => {
-                let cfg = staged
-                    .by_name_mut(func.as_str())
-                    .ok_or_else(|| EngineError::NoSuchFunction(func.to_string()))?;
-                dai_lang::edit::relabel_edge(cfg, *edge, stmt.clone())?;
-                (func, EditOutcome::default())
-            }
-            ProgramEdit::Insert { func, edge, block } => {
-                let cfg = staged
-                    .by_name_mut(func.as_str())
-                    .ok_or_else(|| EngineError::NoSuchFunction(func.to_string()))?;
-                let info = dai_lang::edit::splice_block_on_edge(cfg, *edge, block)?;
-                (
-                    func,
-                    EditOutcome {
-                        new_locs: info.new_locs.len(),
-                        new_edges: info.new_edges.len(),
-                    },
-                )
-            }
-        };
-        staged.refresh_call_graph()?;
-        // Commit: install the validated program, then replay the edit on
-        // the demanded DAIGs (edits are deterministic, so every unit's CFG
-        // clone ends up identical to the staged one).
-        match &mut self.backend {
-            Backend::Intra { units } => {
-                self.program = staged;
-                if let Some(unit) = units.get_mut(func) {
-                    match edit {
-                        ProgramEdit::Relabel { edge, stmt, .. } => {
+        let (ProgramEdit::Relabel { func, .. } | ProgramEdit::Insert { func, .. }) = edit;
+        if self.program().by_name(func.as_str()).is_none() {
+            return Err(EngineError::NoSuchFunction(func.to_string()));
+        }
+        let spliced = match &mut self.backend {
+            Backend::Intra { program, units } => {
+                // Commit to the program, then replay the edit on the
+                // function's DAIG if it was demanded already (edits are
+                // deterministic, so the unit's CFG clone ends up identical
+                // to the program's).
+                let unit = units.get_mut(func);
+                match edit {
+                    ProgramEdit::Relabel { edge, stmt, .. } => {
+                        program.edit_function(func.as_str(), |cfg| {
+                            dai_lang::edit::relabel_edge(cfg, *edge, stmt.clone())
+                        })?;
+                        // A relabel leaves the structure (and epoch) intact
+                        // but empties downstream cells; cached resolutions
+                        // stay valid and simply miss on the emptied value.
+                        if let Some(unit) = unit {
                             unit.fa.relabel(*edge, stmt.clone())?;
                         }
-                        ProgramEdit::Insert { edge, block, .. } => {
+                        None
+                    }
+                    ProgramEdit::Insert { edge, block, .. } => {
+                        let info = program.edit_function(func.as_str(), |cfg| {
+                            dai_lang::edit::splice_block_on_edge(cfg, *edge, block)
+                        })?;
+                        // A splice bumps the epoch.
+                        if let Some(unit) = unit {
                             unit.fa.splice(*edge, block)?;
                         }
-                    }
-                    // A relabel leaves the structure (and epoch) intact but
-                    // empties downstream cells; cached resolutions stay
-                    // valid and simply miss on the emptied value. A splice
-                    // bumps the epoch.
-                }
-            }
-            Backend::Inter { analyzer, .. } => {
-                // The analyzer re-validates and applies to its own program
-                // + units (cross-unit dirtying included); it was given the
-                // same program, so the staged validation above already
-                // guarantees success.
-                match edit {
-                    ProgramEdit::Relabel { func, edge, stmt } => {
-                        analyzer.relabel(func.as_str(), *edge, stmt.clone())?;
-                    }
-                    ProgramEdit::Insert { func, edge, block } => {
-                        analyzer.splice(func.as_str(), *edge, block)?;
+                        Some(info)
                     }
                 }
-                self.program = staged;
             }
-        }
+            // The analyzer's edits are atomic and cover its program and
+            // its units (cross-unit dirtying included).
+            Backend::Inter { analyzer, .. } => match edit {
+                ProgramEdit::Relabel { edge, stmt, .. } => {
+                    analyzer.relabel(func.as_str(), *edge, stmt.clone())?;
+                    None
+                }
+                ProgramEdit::Insert { edge, block, .. } => {
+                    Some(analyzer.splice(func.as_str(), *edge, block)?)
+                }
+            },
+        };
         self.history.push(edit.clone());
         self.edits += 1;
-        Ok(outcome)
+        Ok(
+            spliced.map_or_else(EditOutcome::default, |info| EditOutcome {
+                new_locs: info.new_locs.len(),
+                new_edges: info.new_edges.len(),
+            }),
+        )
     }
 
     /// A deterministic DOT snapshot of every demanded DAIG.
     pub fn snapshot(&self) -> SessionSnapshot {
         let mut functions: Vec<(String, String)> = match &self.backend {
-            Backend::Intra { units } => units
+            Backend::Intra { units, .. } => units
                 .iter()
                 .map(|(f, unit)| {
                     let opts = DotOptions {
@@ -750,7 +736,7 @@ impl<D: PersistDomain> Session<D> {
             .clone()
             .ok_or_else(|| EngineError::NotReplayable(self.name.clone()))?;
         let mut funcs: Vec<FuncImage<D>> = match &self.backend {
-            Backend::Intra { units } => units
+            Backend::Intra { units, .. } => units
                 .iter()
                 .map(|(f, unit)| FuncImage {
                     func: f.clone(),
@@ -830,9 +816,9 @@ impl<D: PersistDomain> Session<D> {
             // warm-start health can see its sections went unused.
             return Ok((session, 0, dropped + image.funcs.len()));
         }
-        if let Backend::Intra { units } = &mut session.backend {
+        if let Backend::Intra { program, units } = &mut session.backend {
             for f in image.funcs {
-                let Some(cfg) = session.program.by_name(f.func.as_str()) else {
+                let Some(cfg) = program.by_name(f.func.as_str()) else {
                     dropped += 1;
                     continue;
                 };

@@ -668,19 +668,48 @@ impl Lowerer<'_> {
     }
 }
 
-/// The CFGs of a whole program, plus its call graph in topological order.
+/// The call-graph index kept with a [`LoweredProgram`].
+///
+/// Everything here is a function of the set of `(caller, edge, callee)`
+/// triples of the program as of the last successful
+/// [`LoweredProgram::refresh_call_graph`]; `version` moves exactly when
+/// that set does, so a consumer that derives its own tables from the
+/// index (the interprocedural analyzer's context table) can key them on
+/// it. Functions are named by their definition index (their position in
+/// [`LoweredProgram::cfgs`]).
+#[derive(Debug, Clone, Default)]
+struct CallIndex {
+    /// Per function, its call sites `(edge, callee)`, ascending edge id.
+    calls_out: Vec<Vec<(EdgeId, usize)>>,
+    /// Per function, the sites `(caller, edge)` calling it: callers in
+    /// definition order, then ascending edge id.
+    calls_in: Vec<Vec<(usize, EdgeId)>>,
+    /// Function names in reverse topological (callees-first) order.
+    topo_order: Vec<Symbol>,
+    version: u64,
+}
+
+/// The CFGs of a whole program, plus its call-graph index.
 #[derive(Debug, Clone)]
 pub struct LoweredProgram {
     cfgs: Vec<Cfg>,
     index: HashMap<Symbol, usize>,
-    /// Function names in reverse topological (callees-first) order.
-    topo_order: Vec<Symbol>,
+    calls: CallIndex,
+    /// Functions handed out mutably since the last successful refresh:
+    /// the only ones whose call sites can differ from the index.
+    touched: Vec<usize>,
 }
 
 impl LoweredProgram {
     /// Looks up a function's CFG by name.
     pub fn by_name(&self, name: &str) -> Option<&Cfg> {
         self.index.get(name).map(|&i| &self.cfgs[i])
+    }
+
+    /// A function's definition index (its position in
+    /// [`LoweredProgram::cfgs`]), the name the call-graph index uses.
+    pub fn func_index(&self, name: &str) -> Option<usize> {
+        self.index.get(name).copied()
     }
 
     /// The analysis entry CFG: `main` when present, otherwise the first
@@ -691,12 +720,14 @@ impl LoweredProgram {
         self.by_name("main").or_else(|| self.cfgs().first())
     }
 
-    /// Mutable access to a function's CFG by name.
+    /// Mutable access to a function's CFG by name. The call-graph index
+    /// goes stale for this function until the caller runs
+    /// [`LoweredProgram::refresh_call_graph`]; prefer
+    /// [`LoweredProgram::edit_function`], which does both atomically.
     pub fn by_name_mut(&mut self, name: &str) -> Option<&mut Cfg> {
-        self.index
-            .get(name)
-            .copied()
-            .map(move |i| &mut self.cfgs[i])
+        let i = self.index.get(name).copied()?;
+        self.touched.push(i);
+        Some(&mut self.cfgs[i])
     }
 
     /// All CFGs in definition order.
@@ -706,48 +737,156 @@ impl LoweredProgram {
 
     /// Function names, callees before callers.
     pub fn topo_order(&self) -> &[Symbol] {
-        &self.topo_order
+        &self.calls.topo_order
+    }
+
+    /// A counter that moves exactly when the set of
+    /// `(caller, edge, callee)` triples does (at a successful refresh).
+    pub fn call_graph_version(&self) -> u64 {
+        self.calls.version
+    }
+
+    /// The call sites `(edge, callee)` of the function with definition
+    /// index `func`, ascending edge id.
+    pub fn calls_out(&self, func: usize) -> &[(EdgeId, usize)] {
+        self.calls.calls_out.get(func).map_or(&[], Vec::as_slice)
     }
 
     /// Direct callees of `name` (deduplicated, in edge order).
     pub fn callees(&self, name: &str) -> Vec<Symbol> {
-        let Some(cfg) = self.by_name(name) else {
-            return Vec::new();
-        };
         let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for e in cfg.edges() {
-            if let Some(c) = e.stmt.callee() {
-                if seen.insert(c.clone()) {
-                    out.push(c.clone());
-                }
-            }
-        }
-        out
+        self.func_index(name)
+            .map_or(&[][..], |f| self.calls_out(f))
+            .iter()
+            .filter(|(_, callee)| seen.insert(*callee))
+            .map(|&(_, callee)| self.cfgs[callee].name().clone())
+            .collect()
     }
 
-    /// All call sites `(caller, edge)` whose callee is `name`.
+    /// All call sites `(caller, edge)` whose callee is `name`: callers in
+    /// definition order, then ascending edge id.
     pub fn call_sites_of(&self, name: &str) -> Vec<(Symbol, EdgeId)> {
-        let mut out = Vec::new();
-        for cfg in &self.cfgs {
-            for e in cfg.edges() {
-                if e.stmt.callee().map(Symbol::as_str) == Some(name) {
-                    out.push((cfg.name().clone(), e.id));
-                }
-            }
-        }
-        out
+        self.func_index(name)
+            .map_or(&[][..], |f| self.calls.calls_in[f].as_slice())
+            .iter()
+            .map(|&(caller, edge)| (self.cfgs[caller].name().clone(), edge))
+            .collect()
     }
 
-    /// Recomputes the call graph after an edit, re-validating that the
-    /// program is call-closed and non-recursive.
+    /// `name` and every function from which it is reachable through
+    /// calls: exactly the functions whose results can observe an edit to
+    /// `name`. Empty for an unknown name.
+    pub fn transitive_callers(&self, name: &str) -> HashSet<Symbol> {
+        let mut seen: HashSet<usize> = HashSet::new();
+        let mut work: Vec<usize> = self.func_index(name).into_iter().collect();
+        while let Some(f) = work.pop() {
+            if seen.insert(f) {
+                work.extend(self.calls.calls_in[f].iter().map(|&(caller, _)| caller));
+            }
+        }
+        seen.into_iter()
+            .map(|f| self.cfgs[f].name().clone())
+            .collect()
+    }
+
+    /// Brings the call-graph index up to date after an edit, re-validating
+    /// that the program is call-closed and non-recursive. Only functions
+    /// handed out by [`LoweredProgram::by_name_mut`] since the last
+    /// successful refresh are rescanned, and when their call sites turn
+    /// out unchanged nothing else is recomputed.
     ///
     /// # Errors
     ///
-    /// See [`check_call_graph`].
+    /// [`CfgError::UndefinedFunction`] or [`CfgError::RecursiveCall`]; the
+    /// index then still describes the program as of the last successful
+    /// refresh.
     pub fn refresh_call_graph(&mut self) -> Result<(), CfgError> {
-        self.topo_order = check_call_graph(&self.cfgs)?;
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        touched.dedup();
+        let mut rescanned: Vec<(usize, Vec<(EdgeId, usize)>)> = Vec::new();
+        for &f in &touched {
+            match self.scan_calls(f) {
+                Ok(sites) if sites == self.calls.calls_out[f] => {}
+                Ok(sites) => rescanned.push((f, sites)),
+                Err(e) => {
+                    self.touched = touched;
+                    return Err(e);
+                }
+            }
+        }
+        if rescanned.is_empty() {
+            return Ok(());
+        }
+        // Install the new sites, keeping the old ones to put back should
+        // they close a cycle.
+        for (f, sites) in &mut rescanned {
+            std::mem::swap(&mut self.calls.calls_out[*f], sites);
+        }
+        if let Err(e) = self.derive_call_index() {
+            for (f, sites) in &mut rescanned {
+                std::mem::swap(&mut self.calls.calls_out[*f], sites);
+            }
+            self.touched = touched;
+            return Err(e);
+        }
+        self.calls.version += 1;
         Ok(())
+    }
+
+    /// Recomputes everything the index derives from `calls_out`, checking
+    /// that the call graph is acyclic; on error nothing is changed.
+    fn derive_call_index(&mut self) -> Result<(), CfgError> {
+        self.calls.topo_order = topo_order(&self.cfgs, &self.calls.calls_out)?;
+        let mut calls_in = vec![Vec::new(); self.cfgs.len()];
+        for (caller, sites) in self.calls.calls_out.iter().enumerate() {
+            for &(edge, callee) in sites {
+                calls_in[callee].push((caller, edge));
+            }
+        }
+        self.calls.calls_in = calls_in;
+        Ok(())
+    }
+
+    /// The call sites of function `f` as its CFG has them now.
+    fn scan_calls(&self, f: usize) -> Result<Vec<(EdgeId, usize)>, CfgError> {
+        let mut sites = Vec::new();
+        for e in self.cfgs[f].edges() {
+            if let Some(c) = e.stmt.callee() {
+                let callee = self
+                    .func_index(c.as_str())
+                    .ok_or_else(|| CfgError::UndefinedFunction(c.clone()))?;
+                sites.push((e.id, callee));
+            }
+        }
+        Ok(sites)
+    }
+
+    /// Applies `edit` to the CFG of `name` and refreshes the call graph,
+    /// atomically: when the edit or the refresh fails, the CFG is put back
+    /// as it was and the program, index included, is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`CfgError::UndefinedFunction`] for an unknown `name`; otherwise
+    /// whatever `edit` or [`LoweredProgram::refresh_call_graph`] reports.
+    pub fn edit_function<T>(
+        &mut self,
+        name: &str,
+        edit: impl FnOnce(&mut Cfg) -> Result<T, CfgError>,
+    ) -> Result<T, CfgError> {
+        let f = self
+            .func_index(name)
+            .ok_or_else(|| CfgError::UndefinedFunction(Symbol::new(name)))?;
+        let saved = self.cfgs[f].clone();
+        self.touched.push(f);
+        let out = edit(&mut self.cfgs[f]).and_then(|t| self.refresh_call_graph().map(|()| t));
+        if out.is_err() {
+            // `f` stays marked: the next refresh rescans it and finds the
+            // sites the index already has.
+            self.cfgs[f] = saved;
+        }
+        out
     }
 }
 
@@ -767,61 +906,49 @@ pub fn lower_program(program: &Program) -> Result<LoweredProgram, CfgError> {
         index.insert(func.name.clone(), cfgs.len());
         cfgs.push(Cfg::from_function(func));
     }
-    let topo_order = check_call_graph(&cfgs)?;
-    Ok(LoweredProgram {
+    let mut lowered = LoweredProgram {
         cfgs,
         index,
-        topo_order,
-    })
+        calls: CallIndex::default(),
+        touched: Vec::new(),
+    };
+    lowered.calls.calls_out = (0..lowered.cfgs.len())
+        .map(|f| lowered.scan_calls(f))
+        .collect::<Result<_, _>>()?;
+    lowered.derive_call_index()?;
+    Ok(lowered)
 }
 
-/// Validates that all calls resolve and the call graph is acyclic; returns
-/// function names callees-first.
+/// Checks that the call graph `calls_out` is acyclic; returns function
+/// names callees-first.
 ///
 /// # Errors
 ///
-/// Returns [`CfgError::UndefinedFunction`] or [`CfgError::RecursiveCall`].
-pub fn check_call_graph(cfgs: &[Cfg]) -> Result<Vec<Symbol>, CfgError> {
-    let names: HashSet<&str> = cfgs.iter().map(|c| c.name().as_str()).collect();
-    let mut callees: HashMap<&str, Vec<Symbol>> = HashMap::new();
-    for cfg in cfgs {
-        let mut cs = Vec::new();
-        for e in cfg.edges() {
-            if let Some(c) = e.stmt.callee() {
-                if !names.contains(c.as_str()) {
-                    return Err(CfgError::UndefinedFunction(c.clone()));
-                }
-                cs.push(c.clone());
-            }
-        }
-        callees.insert(cfg.name().as_str(), cs);
-    }
+/// Returns [`CfgError::RecursiveCall`].
+fn topo_order(cfgs: &[Cfg], calls_out: &[Vec<(EdgeId, usize)>]) -> Result<Vec<Symbol>, CfgError> {
     // Iterative DFS three-color cycle detection + postorder.
-    let mut color: HashMap<&str, u8> = HashMap::new(); // 0 white, 1 grey, 2 black
-    let mut order: Vec<Symbol> = Vec::new();
-    for cfg in cfgs {
-        let root = cfg.name().as_str();
-        if color.get(root).copied().unwrap_or(0) != 0 {
+    let mut color = vec![0u8; cfgs.len()]; // 0 white, 1 grey, 2 black
+    let mut order: Vec<Symbol> = Vec::with_capacity(cfgs.len());
+    for root in 0..cfgs.len() {
+        if color[root] != 0 {
             continue;
         }
-        let mut stack: Vec<(&str, usize)> = vec![(root, 0)];
-        color.insert(root, 1);
+        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+        color[root] = 1;
         while let Some(&(node, next)) = stack.last() {
-            let cs = &callees[node];
-            if next < cs.len() {
+            if let Some(&(_, child)) = calls_out[node].get(next) {
                 stack.last_mut().expect("stack nonempty").1 += 1;
-                let child = cs[next].as_str();
-                match color.get(child).copied().unwrap_or(0) {
+                match color[child] {
                     0 => {
-                        color.insert(child, 1);
+                        color[child] = 1;
                         stack.push((child, 0));
                     }
-                    1 => return Err(CfgError::RecursiveCall(Symbol::new(child))),
+                    1 => return Err(CfgError::RecursiveCall(cfgs[child].name().clone())),
                     _ => {}
                 }
             } else {
-                color.insert(node, 2);
-                order.push(Symbol::new(node));
+                color[node] = 2;
+                order.push(cfgs[node].name().clone());
                 stack.pop();
             }
         }
@@ -1002,6 +1129,153 @@ mod tests {
         );
         assert_eq!(prog.call_sites_of("g").len(), 2);
         assert_eq!(prog.callees("main"), vec![Symbol::new("g")]);
+    }
+
+    const DIAMOND: &str = "function d(x) { return x; } \
+         function b(x) { var u = d(x); return u; } \
+         function c(x) { var u = d(x); var w = d(u); return w; } \
+         function spare(x) { return x; } \
+         function main() { var p = b(1); var q = c(2); return p + q; }";
+
+    fn names(set: &HashSet<Symbol>) -> Vec<&str> {
+        let mut v: Vec<&str> = set.iter().map(Symbol::as_str).collect();
+        v.sort();
+        v
+    }
+
+    fn call_edge(prog: &LoweredProgram, f: &str, nth: usize) -> EdgeId {
+        let f = prog.func_index(f).unwrap();
+        prog.calls_out(f)[nth].0
+    }
+
+    #[test]
+    fn index_answers_callers_and_sites() {
+        let prog = lower(DIAMOND);
+        assert_eq!(
+            names(&prog.transitive_callers("d")),
+            ["b", "c", "d", "main"]
+        );
+        assert_eq!(names(&prog.transitive_callers("main")), ["main"]);
+        assert_eq!(names(&prog.transitive_callers("spare")), ["spare"]);
+        assert!(prog.transitive_callers("nope").is_empty());
+        // Callers in definition order, then by edge.
+        let sites: Vec<(String, EdgeId)> = prog
+            .call_sites_of("d")
+            .into_iter()
+            .map(|(g, e)| (g.to_string(), e))
+            .collect();
+        assert_eq!(
+            sites,
+            [
+                ("b".to_string(), call_edge(&prog, "b", 0)),
+                ("c".to_string(), call_edge(&prog, "c", 0)),
+                ("c".to_string(), call_edge(&prog, "c", 1)),
+            ]
+        );
+        assert_eq!(prog.callees("c"), vec![Symbol::new("d")]);
+        assert!(prog.callees("nope").is_empty());
+        assert!(prog.call_sites_of("nope").is_empty());
+    }
+
+    #[test]
+    fn index_version_moves_only_with_the_call_sites() {
+        let mut prog = lower(DIAMOND);
+        let v0 = prog.call_graph_version();
+        // A refresh with nothing handed out, and an edit that moves no
+        // call, leave the index alone.
+        prog.refresh_call_graph().unwrap();
+        let ret = prog.by_name("spare").unwrap().edges().next().unwrap().id;
+        prog.edit_function("spare", |cfg| {
+            crate::edit::relabel_edge(cfg, ret, Stmt::Skip)
+        })
+        .unwrap();
+        let block = crate::parser::parse_block("var t = 1;").unwrap();
+        let first = call_edge(&prog, "c", 0);
+        prog.edit_function("c", |cfg| {
+            crate::edit::splice_block_on_edge(cfg, first, &block)
+        })
+        .unwrap();
+        assert_eq!(prog.call_graph_version(), v0);
+        // Retargeting one call moves it, and every answer with it.
+        let call = Stmt::Call {
+            lhs: Some("u".into()),
+            callee: Symbol::new("spare"),
+            args: vec![],
+        };
+        let cfg = prog.by_name_mut("c").unwrap();
+        crate::edit::relabel_edge(cfg, first, call).unwrap();
+        assert_eq!(prog.call_sites_of("d").len(), 3, "stale until refreshed");
+        prog.refresh_call_graph().unwrap();
+        assert_eq!(prog.call_graph_version(), v0 + 1);
+        assert_eq!(prog.call_sites_of("d").len(), 2);
+        assert_eq!(prog.call_sites_of("spare").len(), 1);
+        assert_eq!(
+            prog.callees("c"),
+            vec![Symbol::new("spare"), Symbol::new("d")]
+        );
+        assert_eq!(
+            names(&prog.transitive_callers("spare")),
+            ["c", "main", "spare"]
+        );
+        let order = prog.topo_order();
+        let pos = |n: &str| order.iter().position(|s| s.as_str() == n).unwrap();
+        assert!(pos("spare") < pos("c") && pos("c") < pos("main"));
+    }
+
+    #[test]
+    fn rejected_function_edit_restores_the_program() {
+        let mut prog = lower(DIAMOND);
+        let text = |p: &LoweredProgram| -> String {
+            p.cfgs().iter().map(crate::pretty::cfg_to_string).collect()
+        };
+        let (before, order) = (text(&prog), prog.topo_order().to_vec());
+        let ret = prog.by_name("d").unwrap().edges().next().unwrap().id;
+        let call_main = Stmt::Call {
+            lhs: None,
+            callee: Symbol::new("main"),
+            args: vec![],
+        };
+        let err = prog
+            .edit_function("d", |cfg| crate::edit::relabel_edge(cfg, ret, call_main))
+            .unwrap_err();
+        assert!(matches!(err, CfgError::RecursiveCall(_)), "{err}");
+        // A block that never falls through has been half lowered into the
+        // CFG by the time the splice finds out.
+        let block = crate::parser::parse_block("x = 1; return x;").unwrap();
+        let err = prog
+            .edit_function("d", |cfg| {
+                crate::edit::splice_block_on_edge(cfg, ret, &block)
+            })
+            .unwrap_err();
+        assert_eq!(err, CfgError::BlockNeverFallsThrough);
+        assert!(matches!(
+            prog.edit_function("nope", |_| Ok(())),
+            Err(CfgError::UndefinedFunction(_))
+        ));
+        assert_eq!(text(&prog), before);
+        assert_eq!(prog.topo_order(), order);
+        assert_eq!(prog.call_graph_version(), 0);
+        prog.by_name("d").unwrap().validate().unwrap();
+        // The raw path keeps its contract: a failed refresh leaves the
+        // index at the last good program, and the next one tries again.
+        let call_nope = Stmt::Call {
+            lhs: None,
+            callee: Symbol::new("nope"),
+            args: vec![],
+        };
+        let cfg = prog.by_name_mut("d").unwrap();
+        crate::edit::relabel_edge(cfg, ret, call_nope).unwrap();
+        for _ in 0..2 {
+            assert_eq!(
+                prog.refresh_call_graph(),
+                Err(CfgError::UndefinedFunction(Symbol::new("nope")))
+            );
+        }
+        assert_eq!(prog.topo_order(), order);
+        let cfg = prog.by_name_mut("d").unwrap();
+        crate::edit::relabel_edge(cfg, ret, Stmt::Skip).unwrap();
+        prog.refresh_call_graph().unwrap();
+        assert_eq!(prog.call_graph_version(), 0);
     }
 
     #[test]

@@ -22,8 +22,7 @@ const SRC: &str = r#"
 "#;
 
 fn analyzer(policy: ContextPolicy) -> InterAnalyzer<IntervalDomain> {
-    let program = lower_program(&parse_program(SRC).unwrap()).unwrap();
-    InterAnalyzer::new(program, policy, "main", IntervalDomain::top())
+    analyzer_of(SRC, policy)
 }
 
 #[test]
@@ -335,4 +334,524 @@ fn functional_unreachable_function_has_no_entries() {
     let dead_exit = fa.program().by_name("dead").unwrap().exit();
     let v = fa.query_joined("dead", dead_exit).unwrap();
     assert!(v.is_bottom());
+}
+
+// ---------------------------------------------------------------------
+// The call-graph index, the context table and the forced-entry stamps.
+// ---------------------------------------------------------------------
+
+use dai_core::dot::{to_dot, DotOptions};
+use dai_core::interproc::InterprocCounters;
+use dai_core::DaigError;
+use dai_lang::{CfgError, EdgeId, Stmt};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+type Analyzer = InterAnalyzer<IntervalDomain>;
+
+fn analyzer_of(src: &str, policy: ContextPolicy) -> Analyzer {
+    let program = lower_program(&parse_program(src).unwrap()).unwrap();
+    InterAnalyzer::new(program, policy, "main", IntervalDomain::top())
+}
+
+fn assign(lhs: &str, expr: &str) -> Stmt {
+    Stmt::Assign(lhs.into(), dai_lang::parse_expr(expr).unwrap())
+}
+
+fn call(lhs: &str, callee: &str, arg: &str) -> Stmt {
+    Stmt::Call {
+        lhs: Some(lhs.into()),
+        callee: Symbol::new(callee),
+        args: vec![dai_lang::parse_expr(arg).unwrap()],
+    }
+}
+
+fn edge_of(an: &Analyzer, f: &str, stmt: &str) -> EdgeId {
+    an.program()
+        .by_name(f)
+        .unwrap()
+        .edges()
+        .find(|e| e.stmt.to_string() == stmt)
+        .unwrap_or_else(|| panic!("no edge `{stmt}` in {f}"))
+        .id
+}
+
+/// The program as text, one line per edge of every function.
+fn program_text(program: &dai_lang::LoweredProgram) -> String {
+    program
+        .cfgs()
+        .iter()
+        .map(dai_lang::pretty::cfg_to_string)
+        .collect()
+}
+
+/// Every unit's DAIG with untruncated values, sorted by unit.
+fn unit_dots(an: &Analyzer) -> Vec<(String, String)> {
+    let opts = DotOptions {
+        max_value_chars: usize::MAX,
+        ..DotOptions::default()
+    };
+    let mut dots: Vec<(String, String)> = an
+        .units_iter()
+        .map(|((f, ctx), unit)| (format!("{f} @ {ctx}"), to_dot(unit.daig(), &opts)))
+        .collect();
+    dots.sort();
+    dots
+}
+
+/// Every answer the analyzer gives: each location of each function.
+fn all_answers(an: &mut Analyzer) -> Vec<(String, Vec<(Context, IntervalDomain)>)> {
+    let targets: Vec<(String, dai_lang::Loc)> = an
+        .program()
+        .cfgs()
+        .iter()
+        .flat_map(|cfg| cfg.locs().into_iter().map(|l| (cfg.name().to_string(), l)))
+        .collect();
+    targets
+        .into_iter()
+        .map(|(f, loc)| (format!("{f}:{loc}"), an.query_at(&f, loc).unwrap()))
+        .collect()
+}
+
+/// A layered call DAG below `main`: 2–3 layers of 1–3 functions, each
+/// calling 1–3 times into the next layer (so one caller can hold two call
+/// sites to one callee), some leaves looping.
+fn layered_program(rng: &mut StdRng) -> (String, Vec<Vec<String>>) {
+    let depth = rng.gen_range(2..=3usize);
+    let layers: Vec<Vec<String>> = (0..depth)
+        .map(|l| {
+            (0..rng.gen_range(1..=3usize))
+                .map(|i| format!("f{l}_{i}"))
+                .collect()
+        })
+        .collect();
+    let calls_into = |rng: &mut StdRng, next: &[String]| -> String {
+        let mut body = String::new();
+        let fan_out = rng.gen_range(1..=3usize);
+        for k in 0..fan_out {
+            let callee = &next[rng.gen_range(0..next.len())];
+            let _ = std::fmt::Write::write_fmt(
+                &mut body,
+                format_args!("var u{k} = 0; u{k} = {callee}(x + {k}); r = r + u{k}; "),
+            );
+            // Sometimes a second site to the same callee.
+            if k + 1 < fan_out && rng.gen_bool(0.5) {
+                let _ = std::fmt::Write::write_fmt(
+                    &mut body,
+                    format_args!("var v{k} = 0; v{k} = {callee}(x); r = r + v{k}; "),
+                );
+            }
+        }
+        body
+    };
+    let mut src = String::new();
+    for (l, layer) in layers.iter().enumerate() {
+        for name in layer {
+            let c = rng.gen_range(0..5);
+            let body = match layers.get(l + 1) {
+                Some(next) => calls_into(rng, next),
+                None if rng.gen_bool(0.5) => {
+                    "var i = 0; while (i < 3) { r = r + 2; i = i + 1; } ".to_string()
+                }
+                None => "r = r + 1; ".to_string(),
+            };
+            src.push_str(&format!(
+                "function {name}(p) {{ var x = p + {c}; var r = x; {body}return r; }}\n"
+            ));
+        }
+    }
+    let body = calls_into(rng, &layers[0]);
+    src.push_str(&format!(
+        "function main() {{ var x = 1; var r = x; {body}return r; }}\n"
+    ));
+    (src, layers)
+}
+
+/// One step of a random script.
+#[derive(Debug)]
+enum Step {
+    Edit(ProgramEdit),
+    Query(String, dai_lang::Loc),
+}
+
+/// A function strictly below `f` in the layering (`main` is above all).
+fn deeper(rng: &mut StdRng, layers: &[Vec<String>], f: &str) -> Option<String> {
+    let from = match layers.iter().position(|l| l.iter().any(|g| g == f)) {
+        Some(l) => l + 1,
+        None => 0,
+    };
+    let below: Vec<&String> = layers[from.min(layers.len())..].iter().flatten().collect();
+    (!below.is_empty()).then(|| below[rng.gen_range(0..below.len())].clone())
+}
+
+fn random_step(rng: &mut StdRng, an: &Analyzer, layers: &[Vec<String>]) -> Step {
+    let cfgs = an.program().cfgs();
+    let cfg = &cfgs[rng.gen_range(0..cfgs.len())];
+    let func = cfg.name().clone();
+    let edges: Vec<&dai_lang::cfg::Edge> = cfg.edges().collect();
+    let edge = edges[rng.gen_range(0..edges.len())];
+    match rng.gen_range(0..10u32) {
+        // Relabel an assignment or a call: to a constant, or to a call.
+        0..=2 => {
+            let lhs = match &edge.stmt {
+                Stmt::Assign(lhs, _) => lhs.to_string(),
+                Stmt::Call { lhs: Some(lhs), .. } => lhs.to_string(),
+                _ => return Step::Query(func.to_string(), edge.src),
+            };
+            let stmt = match deeper(rng, layers, func.as_str()) {
+                Some(callee) if rng.gen_bool(0.4) => call(&lhs, &callee, "p"),
+                _ => assign(&lhs, &format!("{}", rng.gen_range(0..9))),
+            };
+            Step::Edit(ProgramEdit::Relabel {
+                func,
+                edge: edge.id,
+                stmt,
+            })
+        }
+        // Insertions, with and without a call.
+        3..=4 => {
+            let block = match deeper(rng, layers, func.as_str()) {
+                Some(callee) if rng.gen_bool(0.5) => {
+                    format!("var t = 0; t = {callee}(r);")
+                }
+                _ if rng.gen_bool(0.5) => "var t = 3;".to_string(),
+                _ => "if (r > 2) { r = r + 1; } else { r = 2; }".to_string(),
+            };
+            Step::Edit(ProgramEdit::Insert {
+                func,
+                edge: edge.id,
+                block: parse_block(&block).unwrap(),
+            })
+        }
+        _ => {
+            let locs = cfg.locs();
+            Step::Query(func.to_string(), locs[rng.gen_range(0..locs.len())])
+        }
+    }
+}
+
+fn apply(an: &mut Analyzer, edit: &ProgramEdit) -> Result<(), CfgError> {
+    match edit {
+        ProgramEdit::Relabel { func, edge, stmt } => an.relabel(func.as_str(), *edge, stmt.clone()),
+        ProgramEdit::Insert { func, edge, block } => {
+            an.splice(func.as_str(), *edge, block).map(|_| ())
+        }
+    }
+}
+
+/// Replays one random script on two analyzers, one of which drops its
+/// forced-entry stamps before every query and so re-forces every entry the
+/// way the analyzer did before it had stamps. Nothing observable may
+/// differ: values, DAIGs, or the cells computed and memo-matched.
+fn stamps_change_nothing(seed: u64, policy: ContextPolicy) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (src, layers) = layered_program(&mut rng);
+    let mut stamped = analyzer_of(&src, policy);
+    let mut unstamped = analyzer_of(&src, policy);
+    for step in 0..40 {
+        match random_step(&mut rng, &stamped, &layers) {
+            Step::Edit(edit) => {
+                let a = apply(&mut stamped, &edit);
+                let b = apply(&mut unstamped, &edit);
+                assert_eq!(a, b, "seed {seed} step {step}: {edit:?}");
+            }
+            Step::Query(f, loc) => {
+                unstamped.drop_forced_stamps();
+                let (before_a, before_b) = (stamped.stats(), unstamped.stats());
+                let a = stamped.query_at(&f, loc).unwrap();
+                let b = unstamped.query_at(&f, loc).unwrap();
+                let at = format!("seed {seed} step {step}: {f}:{loc}\n{src}");
+                assert_eq!(a, b, "{at}");
+                assert_eq!(unit_dots(&stamped), unit_dots(&unstamped), "{at}");
+                let da = stamped.stats().delta(&before_a);
+                let db = unstamped.stats().delta(&before_b);
+                assert_eq!(
+                    (da.computed, da.memo_matched, da.unrolls),
+                    (db.computed, db.memo_matched, db.unrolls),
+                    "{at}"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        program_text(stamped.program()),
+        program_text(unstamped.program())
+    );
+    let (a, b) = (stamped.counters(), unstamped.counters());
+    assert!(a.entries_forced <= b.entries_forced, "seed {seed}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
+
+    #[test]
+    fn forced_entry_stamps_change_nothing_insensitive(seed in 0u64..100_000) {
+        stamps_change_nothing(seed, ContextPolicy::Insensitive);
+    }
+
+    #[test]
+    fn forced_entry_stamps_change_nothing_k1(seed in 0u64..100_000) {
+        stamps_change_nothing(seed, ContextPolicy::CallString(1));
+    }
+
+    #[test]
+    fn forced_entry_stamps_change_nothing_k2(seed in 0u64..100_000) {
+        stamps_change_nothing(seed, ContextPolicy::CallString(2));
+    }
+}
+
+const CHAIN: &str = r#"
+    function spare(v) { return v + 100; }
+    function low(v) { return v + 1; }
+    function mid(v) { var w = low(v); return w; }
+    function main() { var a = mid(1); var b = 0; return a + b; }
+"#;
+
+/// Everything a rejected edit must leave alone.
+fn observable(an: &mut Analyzer) -> impl PartialEq + std::fmt::Debug {
+    let contexts: Vec<(String, Vec<Context>)> = an
+        .program()
+        .cfgs()
+        .iter()
+        .map(|c| (c.name().to_string(), an.contexts_of(c.name().as_str())))
+        .collect();
+    (
+        program_text(an.program()),
+        an.program().call_graph_version(),
+        an.program().topo_order().to_vec(),
+        contexts,
+        all_answers(an),
+        unit_dots(an),
+    )
+}
+
+#[test]
+fn rejected_edits_leave_the_analyzer_untouched() {
+    for policy in [ContextPolicy::Insensitive, ContextPolicy::CallString(2)] {
+        let mut an = analyzer_of(CHAIN, policy);
+        let before = observable(&mut an);
+        let counters = an.counters();
+        let low_ret = edge_of(&an, "low", "__ret = (v + 1)");
+        let b_zero = edge_of(&an, "main", "b = 0");
+        // Recursion through two functions, an undefined callee, a missing
+        // edge, a block that never falls through (which has lowered half
+        // of itself into the CFG by the time it is found out), a splice
+        // closing a cycle.
+        assert!(matches!(
+            an.relabel("low", low_ret, call("__ret", "mid", "v")),
+            Err(CfgError::RecursiveCall(_))
+        ));
+        assert!(matches!(
+            an.relabel("main", b_zero, call("b", "nowhere", "1")),
+            Err(CfgError::UndefinedFunction(_))
+        ));
+        assert!(matches!(
+            an.relabel("main", EdgeId(999), Stmt::Skip),
+            Err(CfgError::NoSuchEdge(_))
+        ));
+        assert!(matches!(
+            an.splice("main", b_zero, &parse_block("b = 5; return b;").unwrap()),
+            Err(CfgError::BlockNeverFallsThrough)
+        ));
+        assert!(matches!(
+            an.splice("low", low_ret, &parse_block("var t = main();").unwrap()),
+            Err(CfgError::RecursiveCall(_))
+        ));
+        assert!(matches!(
+            an.relabel("nowhere", b_zero, Stmt::Skip),
+            Err(CfgError::UndefinedFunction(_))
+        ));
+        // No table was rebuilt and no stamp dropped: re-asking everything
+        // forces nothing.
+        assert_eq!(observable(&mut an), before);
+        let after = an.counters();
+        assert_eq!(after.context_table_builds, counters.context_table_builds);
+        assert_eq!(after.entries_forced, counters.entries_forced);
+        // And the analyzer is not poisoned: a valid edit still lands.
+        an.relabel("main", b_zero, call("b", "spare", "1")).unwrap();
+        let exit = an.program().by_name("main").unwrap().exit();
+        let v = an.query_joined("main", exit).unwrap();
+        assert_eq!(v.interval_of(dai_lang::RETURN_VAR), Interval::constant(103));
+    }
+}
+
+#[test]
+fn rejected_edits_leave_the_summary_analyzer_untouched() {
+    let program = lower_program(&parse_program(CHAIN).unwrap()).unwrap();
+    let mut an: dai_core::SummaryAnalyzer<IntervalDomain> =
+        dai_core::SummaryAnalyzer::new(program, "main", IntervalDomain::top());
+    let exit = an.program().by_name("main").unwrap().exit();
+    let before = an.query_joined("main", exit).unwrap();
+    let (text_before, summaries) = (program_text(an.program()), an.summary_count());
+    let low_ret = an
+        .program()
+        .by_name("low")
+        .unwrap()
+        .edges()
+        .find(|e| e.stmt.to_string().contains("__ret"))
+        .unwrap()
+        .id;
+    assert!(matches!(
+        an.relabel("low", low_ret, call("__ret", "mid", "v")),
+        Err(CfgError::RecursiveCall(_))
+    ));
+    assert!(matches!(
+        an.splice("low", low_ret, &parse_block("var t = nowhere();").unwrap()),
+        Err(CfgError::UndefinedFunction(_))
+    ));
+    assert_eq!(program_text(an.program()), text_before);
+    assert_eq!(an.program().call_graph_version(), 0);
+    assert_eq!(an.summary_count(), summaries, "nothing was invalidated");
+    assert_eq!(an.query_joined("main", exit).unwrap(), before);
+}
+
+/// The answers of `an` equal those of an analyzer built from scratch over
+/// the same source and fed the same edits.
+fn assert_matches_fresh_replay(an: &mut Analyzer, policy: ContextPolicy, edits: &[ProgramEdit]) {
+    let mut fresh = analyzer_of(CHAIN, policy);
+    for edit in edits {
+        apply(&mut fresh, edit).unwrap();
+    }
+    assert_eq!(program_text(an.program()), program_text(fresh.program()));
+    assert_eq!(all_answers(an), all_answers(&mut fresh));
+}
+
+#[test]
+fn the_context_table_follows_the_call_graph() {
+    for policy in [ContextPolicy::Insensitive, ContextPolicy::CallString(1)] {
+        let mut an = analyzer_of(CHAIN, policy);
+        let spare_exit = an.program().by_name("spare").unwrap().exit();
+        let low_exit = an.program().by_name("low").unwrap().exit();
+        // Nothing calls `spare`: no context, no answer.
+        assert!(an.contexts_of("spare").is_empty());
+        assert!(an.query_at("spare", spare_exit).unwrap().is_empty());
+        assert!(an.query_joined("spare", spare_exit).unwrap().is_bottom());
+        let _ = all_answers(&mut an);
+        let builds = an.counters().context_table_builds;
+
+        // A first call to it makes its context appear.
+        let b_zero = edge_of(&an, "main", "b = 0");
+        let mut edits = vec![ProgramEdit::Relabel {
+            func: Symbol::new("main"),
+            edge: b_zero,
+            stmt: call("b", "spare", "5"),
+        }];
+        apply(&mut an, &edits[0]).unwrap();
+        assert_eq!(an.contexts_of("spare").len(), 1);
+        assert_eq!(an.counters().context_table_builds, builds + 1);
+        let v = an.query_joined("spare", spare_exit).unwrap();
+        assert_eq!(v.interval_of(dai_lang::RETURN_VAR), Interval::constant(105));
+        assert_matches_fresh_replay(&mut an, policy, &edits);
+
+        // Relabelling away the last call to `low` empties its contexts.
+        let w_low = edge_of(&an, "mid", "w = low(v)");
+        edits.push(ProgramEdit::Relabel {
+            func: Symbol::new("mid"),
+            edge: w_low,
+            stmt: assign("w", "v"),
+        });
+        apply(&mut an, &edits[1]).unwrap();
+        assert!(an.contexts_of("low").is_empty());
+        assert!(an.query_at("low", low_exit).unwrap().is_empty());
+        assert!(an.query_joined("low", low_exit).unwrap().is_bottom());
+        assert_eq!(an.counters().context_table_builds, builds + 2);
+        assert_matches_fresh_replay(&mut an, policy, &edits);
+
+        // An edit that moves no call leaves index and table alone.
+        let version = an.program().call_graph_version();
+        edits.push(ProgramEdit::Insert {
+            func: Symbol::new("mid"),
+            edge: w_low,
+            block: parse_block("if (v > 0) { v = v + 1; } else { v = 2; }").unwrap(),
+        });
+        apply(&mut an, &edits[2]).unwrap();
+        edits.push(ProgramEdit::Relabel {
+            func: Symbol::new("main"),
+            edge: b_zero,
+            stmt: call("b", "spare", "6"),
+        });
+        apply(&mut an, &edits[3]).unwrap();
+        assert_eq!(an.program().call_graph_version(), version);
+        assert_eq!(an.counters().context_table_builds, builds + 2);
+        assert_matches_fresh_replay(&mut an, policy, &edits);
+    }
+}
+
+#[test]
+fn querying_a_name_that_is_no_function_is_an_error() {
+    let mut an = analyzer_of(CHAIN, ContextPolicy::CallString(1));
+    for result in [
+        an.query_at("nowhere", dai_lang::Loc(0)).map(|_| ()),
+        an.query_joined("nowhere", dai_lang::Loc(0)).map(|_| ()),
+    ] {
+        match result {
+            Err(DaigError::NoSuchCell(what)) => assert_eq!(what, "function nowhere"),
+            other => panic!("expected NoSuchCell, got {other:?}"),
+        }
+    }
+    assert!(an.contexts_of("nowhere").is_empty());
+}
+
+#[test]
+fn call_fan_forces_each_entry_once_per_edit() {
+    let src = include_str!("../benchmark/programs/call_fan.dai");
+    let mut an = analyzer_of(src, ContextPolicy::CallString(1));
+    let registry = dai_trace::metrics();
+    let published = || {
+        (
+            registry
+                .counter("dai_interproc_context_table_builds_total")
+                .get(),
+            registry.counter("dai_interproc_entries_forced_total").get(),
+            registry
+                .counter("dai_interproc_entry_force_skips_total")
+                .get(),
+        )
+    };
+    // Every function of the fan reaches `leaf`, so forcing `leaf` forces
+    // every unit but `main`'s.
+    let units: usize = an
+        .program()
+        .cfgs()
+        .iter()
+        .map(|c| an.contexts_of(c.name().as_str()).len())
+        .sum();
+    assert_eq!(an.contexts_of("leaf").len(), 8);
+    assert_eq!(an.counters().context_table_builds, 1);
+    let _ = all_answers(&mut an);
+
+    let edge = edge_of(&an, "leaf", "s = (s + 2)");
+    an.relabel("leaf", edge, assign("s", "s + 3")).unwrap();
+    let leaf_exit = an.program().by_name("leaf").unwrap().exit();
+    let (before, published_before) = (an.counters(), published());
+    an.query_joined("leaf", leaf_exit).unwrap();
+    let first = an.counters();
+    assert_eq!(
+        first,
+        InterprocCounters {
+            context_table_builds: before.context_table_builds,
+            entries_forced: before.entries_forced + units as u64 - 1,
+            ..first
+        }
+    );
+    // The process-wide counters saw at least this analyzer's events (other
+    // tests of this binary publish into them too).
+    let published_after = published();
+    assert!(published_after.1 - published_before.1 >= units as u64 - 1);
+    assert!(
+        published_after.2 - published_before.2
+            >= first.entry_force_skips - before.entry_force_skips
+    );
+    assert!(published_after.0 >= 1);
+
+    // The same query again forces nothing: one skip per context of `leaf`.
+    an.query_joined("leaf", leaf_exit).unwrap();
+    assert_eq!(
+        an.counters(),
+        InterprocCounters {
+            entry_force_skips: first.entry_force_skips + 8,
+            ..first
+        }
+    );
 }

@@ -102,6 +102,54 @@ fn splice_reports_new_structure() {
 }
 
 #[test]
+fn rejected_edits_leave_the_repl_session_untouched() {
+    let (cfg_out, _) = run_repl(PROGRAM, &[], "cfg main\nquit\n");
+    let edge = cfg_out
+        .lines()
+        .find(|l| l.contains("a = 1"))
+        .and_then(|l| l.split(':').next())
+        .map(|s| s.trim().trim_start_matches("dai> ").to_string())
+        .expect("a = 1 edge");
+    // What the session shows of itself: both CFGs and every answer.
+    let show = "cfg main\ncfg inc\nqueryall main\nqueryall inc\n";
+    let (baseline, _) = run_repl(PROGRAM, &[], &format!("{show}quit\n"));
+    // A recursive call, an undefined callee, a block that never falls
+    // through: each is refused, and none may leave a trace — the program
+    // text, and (the call graph being what it was) every answer. Before
+    // edits were atomic the first of these left `a = main()` in the
+    // program and the next query overflowed the stack.
+    let script = format!(
+        "relabel main {edge} a = main()\n\
+         relabel inc e0 __ret = nowhere(x)\n\
+         splice main {edge} a = 2; return a;\n\
+         {show}stats\nquit\n"
+    );
+    let (stdout, stderr) = run_repl(PROGRAM, &[], &script);
+    assert!(
+        stderr.contains("relabel failed: recursive call"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("undefined function `nowhere`"), "{stderr}");
+    assert!(stderr.contains("splice failed"), "{stderr}");
+    let shown = |out: &str| -> String {
+        let from = out.find("function main()").expect("cfg main printed");
+        let to = out.find("queries:").unwrap_or(out.len());
+        out[from..to].trim_end_matches("dai> ").to_string()
+    };
+    assert_eq!(shown(&stdout), shown(&baseline), "{stdout}");
+    // Nothing was dirtied by the refused edits: had they been applied and
+    // rolled back on the units, the answers would have been recomputed.
+    let (edited, _) = run_repl(
+        PROGRAM,
+        &[],
+        &format!("{show}relabel main {edge} a = main()\n{show}stats\nquit\n"),
+    );
+    let (unedited, _) = run_repl(PROGRAM, &[], &format!("{show}{show}stats\nquit\n"));
+    let stats = |out: &str| out[out.find("queries:").expect("stats printed")..].to_string();
+    assert_eq!(stats(&edited), stats(&unedited));
+}
+
+#[test]
 fn octagon_domain_flag_works() {
     let (stdout, _) = run_repl(PROGRAM, &["--domain", "octagon"], "queryall main\nquit\n");
     // Octagons print relational constraints; at minimum the run succeeds

@@ -575,7 +575,6 @@ pub fn measure_micro() -> MicroCosts {
 
     // Incrementality witness: one engine-side evaluation, however many
     // unrolls it takes, walks the cone once.
-    let pool = dai_engine::WorkerPool::new(1);
     let memo = dai_memo::SharedMemoTable::new(4);
     let mut fa: FuncAnalysis<OctagonDomain> = FuncAnalysis::new(cfg.clone(), OctagonDomain::top());
     let mut estats = QueryStats::default();
@@ -587,9 +586,9 @@ pub fn measure_micro() -> MicroCosts {
         &mut fa,
         &[exit],
         &memo,
-        &IntraResolver,
-        &pool.handle(),
+        &mut IntraResolver,
         &mut estats,
+        None,
     )
     .expect("engine evaluation succeeds");
 

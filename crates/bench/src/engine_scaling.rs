@@ -6,8 +6,7 @@
 //! program grown by a stream of random edits, is swept with a full
 //! (function × location) query load submitted through the concurrent
 //! request stream. Sessions are independent, so the engine can serve them
-//! in parallel; per-query cell batches additionally fan out within each
-//! session.
+//! in parallel; within a session one thread evaluates each query.
 //!
 //! Interpreting the numbers: scaling is bounded by the hardware — on a
 //! single-CPU host every worker count measures the same serial machine

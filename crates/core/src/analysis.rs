@@ -133,8 +133,8 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
     }
 
     /// Mutable access to the DAIG, for cross-DAIG dirtying and for
-    /// external schedulers (`dai-engine` writes [`Value`]s computed on
-    /// worker threads back through this). Callers must preserve
+    /// external schedulers (`dai-engine`'s cone scheduler writes the
+    /// [`Value`]s it computes back through this). Callers must preserve
     /// Definition 4.1 well-formedness; writing anything other than the
     /// result of the cell's own computation breaks from-scratch
     /// consistency.
@@ -142,16 +142,10 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         &mut self.daig
     }
 
-    /// Split borrow: the CFG (shared) alongside the DAIG (mutable). This
-    /// is what lets fix-resolution loops call
-    /// [`crate::query::fix_step`]`(daig, cfg, …)` without cloning the CFG
-    /// per step — the two live in disjoint fields.
-    pub fn parts_mut(&mut self) -> (&Cfg, &mut Daig<D>) {
-        (&self.cfg, &mut self.daig)
-    }
-
-    /// [`FuncAnalysis::parts_mut`] plus the staged transfer table —
-    /// the borrow shape `dai-engine`'s scheduler needs to evaluate
+    /// Split borrow: the CFG (shared) alongside the DAIG (mutable) and the
+    /// staged transfer table — the borrow shape `dai-engine`'s scheduler
+    /// needs to call [`crate::query::fix_step_id`]`(daig, cfg, …)` without
+    /// cloning the CFG per step (the fields are disjoint) and to evaluate
     /// compiled transfers while writing results back into the DAIG.
     pub fn sched_parts_mut(&mut self) -> (&Cfg, &mut Daig<D>, Option<&TransferTable<D>>) {
         (&self.cfg, &mut self.daig, self.transfers.as_ref())
@@ -436,7 +430,7 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
     ///
     /// # Errors
     ///
-    /// See [`crate::query::evaluate_all`].
+    /// See [`crate::query::evaluate_all_with`].
     pub fn evaluate_all(
         &mut self,
         memo: &mut dyn MemoStore<Value<D>>,
@@ -458,11 +452,11 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
 /// demanding each enclosing loop's fixed point (outermost first) through
 /// `demand` — the one place the fix-chain walk is encoded, shared by the
 /// sequential evaluator ([`FuncAnalysis::query_loc`]) and `dai-engine`'s
-/// parallel scheduler, so the two can never disagree about which cell a
+/// cone scheduler, so the two can never disagree about which cell a
 /// location query reads.
 ///
 /// `demand(fa, cell)` must leave `cell` filled on success; how it gets
-/// there (sequential [`crate::query::query`], parallel frontier
+/// there (sequential [`crate::query::query`], union-cone frontier
 /// evaluation, …) is the caller's choice.
 ///
 /// # Errors

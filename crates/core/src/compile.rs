@@ -114,8 +114,8 @@ struct Inner<D: AbstractDomain> {
 }
 
 /// The per-analysis staged-transfer store. Clones are cheap (copy-on-write
-/// behind an [`Arc`]), so the scheduler can hand workers a handle without
-/// re-staging anything.
+/// behind an [`Arc`]), so cloning the owning analysis shares the staged
+/// closures without re-staging anything.
 #[derive(Debug, Clone)]
 pub struct TransferTable<D: AbstractDomain> {
     inner: Arc<Inner<D>>,

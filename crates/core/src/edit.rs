@@ -82,7 +82,8 @@ mod tests {
     fn fully_evaluate(cfg: &Cfg, daig: &mut crate::graph::Daig<D>) {
         let mut memo = MemoTable::new();
         let mut stats = QueryStats::default();
-        crate::query::evaluate_all(daig, cfg, &mut memo, &mut IntraResolver, &mut stats).unwrap();
+        crate::query::evaluate_all_with(daig, cfg, &mut memo, &mut IntraResolver, &mut stats, None)
+            .unwrap();
     }
 
     #[test]

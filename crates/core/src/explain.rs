@@ -15,9 +15,9 @@
 //!   same traversal the scheduler already does in topological order:
 //!   `finish(c) = wall(c) + max(finish(src) for src in inputs)`;
 //! * [`ExplainReport`] is the finished, domain-erased artifact: total
-//!   work, span, the work/span parallelism ratio (the upper bound on any
-//!   parallel scheduler's speedup), per-outcome breakdowns, and the
-//!   hottest cells.
+//!   work, span, the work/span parallelism ratio (the ceiling an
+//!   intra-query fan-out could have reached; one thread evaluates a
+//!   query today), per-outcome breakdowns, and the hottest cells.
 //!
 //! Attribution is accounting-honest by construction: every record in
 //! `cells` corresponds to exactly one `computed` / `memo_matched` /
@@ -139,9 +139,12 @@ impl ExplainReport {
         self.fixes.iter().filter(|f| f.converged).count() as u64
     }
 
-    /// The work/span parallelism ratio — the maximum speedup any parallel
-    /// scheduler could extract from this cone. `1.0` when no timed work
-    /// was captured (an all-reused warm batch has no span).
+    /// The work/span parallelism ratio — the recorded ceiling an
+    /// intra-query cell fan-out could have reached on this cone. One
+    /// thread evaluates a query, so this ratio is how anyone wanting a
+    /// fan-out must justify it: a cone has to show real headroom here
+    /// first. `1.0` when no timed work was captured (an all-reused warm
+    /// batch has no span).
     pub fn parallelism(&self) -> f64 {
         if self.span_ns == 0 {
             1.0

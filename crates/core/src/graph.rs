@@ -468,8 +468,8 @@ impl<D: AbstractDomain> Daig<D> {
     /// The *ready frontier*: empty cells whose computation has every input
     /// filled — the cells a topological scheduler may evaluate right now.
     /// Because the DAIG is acyclic, distinct frontier cells never read
-    /// each other, so they can be computed **in any order or in
-    /// parallel** with identical results. Non-consuming: the iterator
+    /// each other, so they can be computed **in any order** with
+    /// identical results. Non-consuming: the iterator
     /// borrows the graph and the caller decides what to evaluate.
     ///
     /// This is the whole-graph frontier, the reference model for
@@ -481,8 +481,8 @@ impl<D: AbstractDomain> Daig<D> {
     ///
     /// `fix` destinations appear in the frontier once both their iterate
     /// inputs are filled; callers must route those through
-    /// [`crate::query::fix_step`] (they mutate the graph) rather than
-    /// [`crate::query::apply_ready`].
+    /// [`crate::query::fix_step_id`] (they mutate the graph) rather than
+    /// [`crate::query::apply_ready_at_with`].
     pub fn ready_frontier(&self) -> impl Iterator<Item = &Name> {
         self.live
             .iter()

@@ -88,9 +88,6 @@ pub use graph::{Daig, DaigError, Func, Value};
 pub use intern::{CellId, NameInterner};
 pub use interproc::{Context, ContextPolicy, InterAnalyzer};
 pub use name::{IterCtx, Name};
-pub use query::{
-    apply_ready, collect_ready, collect_ready_id, fix_step, CallResolver, FixOutcome,
-    IntraResolver, QueryStats, ReadyComp,
-};
+pub use query::{CallResolver, FixOutcome, IntraResolver, QueryStats};
 pub use strategy::{Convergence, FixStrategy};
 pub use summaries::SummaryAnalyzer;

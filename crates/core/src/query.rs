@@ -33,7 +33,6 @@ use crate::compile::TransferTable;
 use crate::graph::{Daig, DaigError, Func, Value};
 use crate::intern::CellId;
 use crate::name::Name;
-use crate::strategy::FixStrategy;
 use dai_domains::AbstractDomain;
 use dai_lang::cfg::Cfg;
 use dai_lang::{EdgeId, Stmt};
@@ -165,8 +164,9 @@ impl QueryStats {
 
 /// Upper bound on unrollings of a single loop instance, as a guard against
 /// domains with broken widening; hitting it is reported as an invariant
-/// violation rather than diverging.
-const MAX_UNROLLS_PER_QUERY: u64 = 1_000_000;
+/// violation rather than diverging. Shared with `dai-engine`'s cone
+/// scheduler, so the two evaluators cannot drift.
+pub const MAX_UNROLLS_PER_QUERY: u64 = 1_000_000;
 
 /// The iterate index `k ≥ 1` a widen edge produces, read off its
 /// destination name `ℓ⟨k⟩` (the strategy uses it to schedule `⊔` vs `∇`).
@@ -184,185 +184,24 @@ pub(crate) fn widen_dest_iterate(dest: &Name) -> Result<u32, DaigError> {
     }
 }
 
-/// A ready computation `n ← f(v₁, …, v_k)` with its input values cloned
-/// out of the DAIG, so applying it borrows neither the graph nor the
-/// analysis — which is what lets `dai-engine` apply many of these on
-/// worker threads while the scheduler thread keeps ownership of the DAIG.
-/// Input digests are carried along, so workers build memo keys without
-/// hashing the values again.
+/// Applies the ready computation for `dest`: exactly the `Q-Match`/`Q-Miss`
+/// step of Fig. 8, and the one place it is implemented. Inputs are borrowed
+/// directly from the graph — no input values are cloned — and the caller
+/// writes the returned value into `dest`. The sequential [`query`] loop and
+/// `dai-engine`'s cone scheduler both call this, which is what makes union
+/// evaluation bit-identical to sequential evaluation: every cell value is
+/// produced by this one function from the same inputs.
 ///
-/// `Fix` edges are never `ReadyComp`s: they are not functions but demands
-/// for convergence, and resolving them mutates the graph (unrolling);
-/// see [`fix_step`].
-#[derive(Debug, Clone)]
-pub struct ReadyComp<D: AbstractDomain> {
-    /// The destination cell.
-    pub dest: Name,
-    /// The destination's interned id in the owning DAIG.
-    pub dest_id: CellId,
-    /// The analysis function (`Transfer`, `Join`, or `Widen`).
-    pub func: Func,
-    /// Input values in argument order.
-    pub inputs: Vec<Value<D>>,
-    /// Cached content digests of `inputs`, in the same order.
-    pub digests: Vec<u128>,
-    /// For transfers: the edge whose statement cell feeds input 0 (needed
-    /// to resolve calls).
-    pub stmt_edge: Option<EdgeId>,
-    /// The iteration strategy of the owning DAIG (drives `⊔` vs `∇` on
-    /// widen edges).
-    pub strategy: FixStrategy,
-}
-
-/// Clones the ready computation for `dest` out of `daig`.
+/// Transfers are evaluated through a staged [`TransferTable`] when one is
+/// supplied (`None` interprets; the results are bit-identical either way,
+/// see [`crate::compile`]).
 ///
 /// # Errors
 ///
 /// [`DaigError::Invariant`] if `dest` has no computation, the computation
-/// is a `fix` edge, or any input is still empty — callers are expected to
-/// pick `dest` from [`Daig::ready_frontier`].
-pub fn collect_ready<D: AbstractDomain>(
-    daig: &Daig<D>,
-    dest: &Name,
-) -> Result<ReadyComp<D>, DaigError> {
-    let id = daig
-        .id_of(dest)
-        .ok_or_else(|| DaigError::Invariant(format!("cell {dest} has no computation")))?;
-    collect_ready_id(daig, id)
-}
-
-/// Id-level [`collect_ready`].
-///
-/// # Errors
-///
-/// As [`collect_ready`].
-pub fn collect_ready_id<D: AbstractDomain>(
-    daig: &Daig<D>,
-    dest: CellId,
-) -> Result<ReadyComp<D>, DaigError> {
-    let comp = daig.comp_slot(dest).ok_or_else(|| {
-        DaigError::Invariant(format!("cell {} has no computation", daig.name_of(dest)))
-    })?;
-    if comp.func == Func::Fix {
-        return Err(DaigError::Invariant(format!(
-            "fix edge at {} is not a ready computation (use fix_step)",
-            daig.name_of(dest)
-        )));
-    }
-    let mut inputs = Vec::with_capacity(comp.srcs.len());
-    let mut digests = Vec::with_capacity(comp.srcs.len());
-    for &s in &comp.srcs {
-        let v = daig.value_id(s).ok_or_else(|| {
-            DaigError::Invariant(format!(
-                "{} input {} is empty",
-                daig.name_of(dest),
-                daig.name_of(s)
-            ))
-        })?;
-        inputs.push(v.clone());
-        digests.push(daig.digest_id(s).expect("filled cells have digests"));
-    }
-    let stmt_edge = stmt_edge_of(daig, comp.func, &comp.srcs)?;
-    Ok(ReadyComp {
-        dest: daig.name_of(dest).clone(),
-        dest_id: dest,
-        func: comp.func,
-        inputs,
-        digests,
-        stmt_edge,
-        strategy: daig.strategy(),
-    })
-}
-
-/// For transfers: the CFG edge whose statement cell is argument 0.
-fn stmt_edge_of<D: AbstractDomain>(
-    daig: &Daig<D>,
-    func: Func,
-    srcs: &[CellId],
-) -> Result<Option<EdgeId>, DaigError> {
-    if func != Func::Transfer {
-        return Ok(None);
-    }
-    match srcs.first().map(|&s| daig.name_of(s)) {
-        Some(Name::Stmt(e)) => Ok(Some(*e)),
-        other => Err(DaigError::Invariant(format!(
-            "transfer stmt source {other:?} is not a statement cell"
-        ))),
-    }
-}
-
-/// Applies a ready computation: exactly the `Q-Match`/`Q-Miss` step of
-/// Fig. 8, without touching the DAIG. The sequential [`query`] loop and
-/// `dai-engine`'s parallel scheduler both call this, which is what makes
-/// concurrent evaluation bit-identical to sequential evaluation: every
-/// cell value is produced by this one function from the same inputs.
-///
-/// # Errors
-///
-/// Propagates resolver failures and input-typing violations.
-pub fn apply_ready<D: AbstractDomain>(
-    rc: &ReadyComp<D>,
-    memo: &mut dyn MemoStore<Value<D>>,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-) -> Result<Value<D>, DaigError> {
-    apply_ready_with(rc, memo, resolver, stats, None)
-}
-
-/// [`apply_ready`] evaluating transfers through a staged
-/// [`TransferTable`] when one is supplied (`None` interprets; the results
-/// are bit-identical either way, see [`crate::compile`]).
-///
-/// # Errors
-///
-/// As [`apply_ready`].
-pub fn apply_ready_with<D: AbstractDomain>(
-    rc: &ReadyComp<D>,
-    memo: &mut dyn MemoStore<Value<D>>,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
-) -> Result<Value<D>, DaigError> {
-    let inputs: Vec<&Value<D>> = rc.inputs.iter().collect();
-    apply_inputs(
-        &rc.dest,
-        rc.func,
-        &inputs,
-        &rc.digests,
-        rc.stmt_edge,
-        rc.strategy,
-        memo,
-        resolver,
-        stats,
-        transfers,
-    )
-}
-
-/// Applies the ready computation for `dest` by borrowing its inputs
-/// directly from the graph — no input values are cloned. This is the
-/// single-threaded fast path shared by the sequential [`query`] loop and
-/// the scheduler's small-batch/single-worker mode; the caller writes the
-/// returned value into `dest`.
-///
-/// # Errors
-///
-/// As [`collect_ready`] plus whatever the application reports.
-pub fn apply_ready_at<D: AbstractDomain>(
-    daig: &Daig<D>,
-    dest: CellId,
-    memo: &mut dyn MemoStore<Value<D>>,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-) -> Result<Value<D>, DaigError> {
-    apply_ready_at_with(daig, dest, memo, resolver, stats, None)
-}
-
-/// [`apply_ready_at`] evaluating transfers through a staged
-/// [`TransferTable`] when one is supplied.
-///
-/// # Errors
-///
-/// As [`apply_ready_at`].
+/// is a `fix` edge (those are demands for convergence, not functions; see
+/// [`fix_step_id`]), or any input is still empty; resolver failures and
+/// input-typing violations are propagated.
 pub fn apply_ready_at_with<D: AbstractDomain>(
     daig: &Daig<D>,
     dest: CellId,
@@ -393,124 +232,37 @@ pub fn apply_ready_at_with<D: AbstractDomain>(
         inputs.push(v);
         digests.push(daig.digest_id(s).expect("filled cells have digests"));
     }
-    let stmt_edge = stmt_edge_of(daig, comp.func, &comp.srcs)?;
-    apply_inputs(
-        daig.name_of(dest),
-        comp.func,
-        &inputs,
-        &digests,
-        stmt_edge,
-        daig.strategy(),
-        memo,
-        resolver,
-        stats,
-        transfers,
-    )
-}
-
-/// The one place `Q-Match`/`Q-Miss` is implemented, over borrowed inputs.
-#[allow(clippy::too_many_arguments)]
-fn apply_inputs<D: AbstractDomain>(
-    dest: &Name,
-    func: Func,
-    inputs: &[&Value<D>],
-    digests: &[u128],
-    stmt_edge: Option<EdgeId>,
-    strategy: FixStrategy,
-    memo: &mut dyn MemoStore<Value<D>>,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
-) -> Result<Value<D>, DaigError> {
-    match func {
-        Func::Fix => Err(DaigError::Invariant(format!(
-            "fix edge at {dest} cannot be applied as a ready computation"
-        ))),
-        Func::Transfer => {
-            let stmt = inputs[0].as_stmt().ok_or_else(|| {
-                DaigError::Invariant(format!("transfer for {dest} has no statement"))
-            })?;
-            let pre = inputs[1].as_state().ok_or_else(|| {
-                DaigError::Invariant(format!("transfer for {dest} has no pre-state"))
-            })?;
-            if let Stmt::Call { .. } = stmt {
-                // Calls: resolve through the interprocedural layer and do
-                // not memoize (the result depends on the callee's current
-                // body).
-                let edge = stmt_edge.ok_or_else(|| {
-                    DaigError::Invariant(format!("call transfer for {dest} lost its edge"))
-                })?;
-                stats.computed += 1;
-                Ok(Value::State(
-                    resolver.resolve(pre, stmt, edge, memo, stats)?,
-                ))
-            } else {
-                let key = KeyBuilder::new(Func::Transfer.memo_symbol())
-                    .push_digest(digests[0])
-                    .push_digest(digests[1])
-                    .finish();
-                match memo.fetch(key) {
-                    Some(v) => {
-                        stats.memo_matched += 1;
-                        dai_trace::event!("core.memo_hit");
-                        Ok(v)
-                    }
-                    None => {
-                        // `digests[0]` is the statement cell's content
-                        // digest — exactly what the table's staleness
-                        // guard wants, and already in hand from the memo
-                        // key. A stale or missing entry falls back to the
-                        // interpreter; both paths are bit-identical by
-                        // the `dai_domains::compile` contract.
-                        let staged = transfers
-                            .zip(stmt_edge)
-                            .and_then(|(t, e)| t.lookup(e, digests[0]));
-                        let post = match staged {
-                            Some(ct) => {
-                                stats.transfers_compiled += 1;
-                                ct.apply(pre)
-                            }
-                            None => {
-                                stats.transfers_interp += 1;
-                                pre.transfer(stmt)
-                            }
-                        };
-                        let v = Value::State(post);
-                        memo.record(key, v.clone());
-                        stats.computed += 1;
-                        dai_trace::event!("core.memo_miss");
-                        Ok(v)
-                    }
-                }
+    let dest = daig.name_of(dest);
+    if comp.func == Func::Transfer {
+        let stmt = inputs[0]
+            .as_stmt()
+            .ok_or_else(|| DaigError::Invariant(format!("transfer for {dest} has no statement")))?;
+        let pre = inputs[1]
+            .as_state()
+            .ok_or_else(|| DaigError::Invariant(format!("transfer for {dest} has no pre-state")))?;
+        // The CFG edge whose statement cell is argument 0: calls resolve
+        // against it, staged closures are looked up by it.
+        let edge = match daig.name_of(comp.srcs[0]) {
+            Name::Stmt(e) => *e,
+            other => {
+                return Err(DaigError::Invariant(format!(
+                    "transfer stmt source {other} is not a statement cell"
+                )));
             }
-        }
-        Func::Join | Func::Widen => {
-            let states: Vec<&D> = inputs
-                .iter()
-                .map(|v| {
-                    v.as_state()
-                        .ok_or_else(|| DaigError::Invariant(format!("{dest} input is not a state")))
-                })
-                .collect::<Result<_, _>>()?;
-            // The operator a widen edge applies depends on the strategy
-            // and on which iterate it produces (delayed widening joins
-            // early iterations); the memo key uses the symbol of the
-            // operator actually applied, so a delayed widen shares
-            // entries with genuine joins.
-            let iterate = if func == Func::Widen {
-                Some(widen_dest_iterate(dest)?)
-            } else {
-                None
-            };
-            let symbol = match iterate {
-                Some(k) => strategy.combine_symbol(k),
-                None => Func::Join.memo_symbol(),
-            };
-            let mut kb = KeyBuilder::new(symbol);
-            for &d in digests {
-                kb = kb.push_digest(d);
-            }
-            let key = kb.finish();
+        };
+        if let Stmt::Call { .. } = stmt {
+            // Calls: resolve through the interprocedural layer and do
+            // not memoize (the result depends on the callee's current
+            // body).
+            stats.computed += 1;
+            Ok(Value::State(
+                resolver.resolve(pre, stmt, edge, memo, stats)?,
+            ))
+        } else {
+            let key = KeyBuilder::new(Func::Transfer.memo_symbol())
+                .push_digest(digests[0])
+                .push_digest(digests[1])
+                .finish();
             match memo.fetch(key) {
                 Some(v) => {
                     stats.memo_matched += 1;
@@ -518,20 +270,80 @@ fn apply_inputs<D: AbstractDomain>(
                     Ok(v)
                 }
                 None => {
-                    dai_trace::event!("core.memo_miss");
-                    let out = match iterate {
-                        None => {
-                            let mut it = states.iter();
-                            let first = (*it.next().expect("join arity >= 2")).clone();
-                            it.fold(first, |acc, s| acc.join(s))
+                    // `digests[0]` is the statement cell's content
+                    // digest — exactly what the table's staleness
+                    // guard wants, and already in hand from the memo
+                    // key. A stale or missing entry falls back to the
+                    // interpreter; both paths are bit-identical by
+                    // the `dai_domains::compile` contract.
+                    let staged = transfers.and_then(|t| t.lookup(edge, digests[0]));
+                    let post = match staged {
+                        Some(ct) => {
+                            stats.transfers_compiled += 1;
+                            ct.apply(pre)
                         }
-                        Some(k) => strategy.combine(k, states[0], states[1]),
+                        None => {
+                            stats.transfers_interp += 1;
+                            pre.transfer(stmt)
+                        }
                     };
-                    let v = Value::State(out);
+                    let v = Value::State(post);
                     memo.record(key, v.clone());
                     stats.computed += 1;
+                    dai_trace::event!("core.memo_miss");
                     Ok(v)
                 }
+            }
+        }
+    } else {
+        // `Join` or `Widen`.
+        let states: Vec<&D> = inputs
+            .iter()
+            .map(|v| {
+                v.as_state()
+                    .ok_or_else(|| DaigError::Invariant(format!("{dest} input is not a state")))
+            })
+            .collect::<Result<_, _>>()?;
+        // The operator a widen edge applies depends on the strategy
+        // and on which iterate it produces (delayed widening joins
+        // early iterations); the memo key uses the symbol of the
+        // operator actually applied, so a delayed widen shares
+        // entries with genuine joins.
+        let strategy = daig.strategy();
+        let iterate = if comp.func == Func::Widen {
+            Some(widen_dest_iterate(dest)?)
+        } else {
+            None
+        };
+        let symbol = match iterate {
+            Some(k) => strategy.combine_symbol(k),
+            None => Func::Join.memo_symbol(),
+        };
+        let mut kb = KeyBuilder::new(symbol);
+        for &d in &digests {
+            kb = kb.push_digest(d);
+        }
+        let key = kb.finish();
+        match memo.fetch(key) {
+            Some(v) => {
+                stats.memo_matched += 1;
+                dai_trace::event!("core.memo_hit");
+                Ok(v)
+            }
+            None => {
+                dai_trace::event!("core.memo_miss");
+                let out = match iterate {
+                    None => {
+                        let mut it = states.iter();
+                        let first = (*it.next().expect("join arity >= 2")).clone();
+                        it.fold(first, |acc, s| acc.join(s))
+                    }
+                    Some(k) => strategy.combine(k, states[0], states[1]),
+                };
+                let v = Value::State(out);
+                memo.record(key, v.clone());
+                stats.computed += 1;
+                Ok(v)
             }
         }
     }
@@ -571,23 +383,6 @@ impl FixOutcome {
 ///
 /// [`DaigError::Invariant`] if `dest` is not a fix destination with filled
 /// state inputs.
-pub fn fix_step<D: AbstractDomain>(
-    daig: &mut Daig<D>,
-    cfg: &Cfg,
-    dest: &Name,
-    stats: &mut QueryStats,
-) -> Result<FixOutcome, DaigError> {
-    let id = daig
-        .id_of(dest)
-        .ok_or_else(|| DaigError::Invariant(format!("cell {dest} has no computation")))?;
-    fix_step_id(daig, cfg, id, stats)
-}
-
-/// Id-level [`fix_step`].
-///
-/// # Errors
-///
-/// As [`fix_step`].
 pub fn fix_step_id<D: AbstractDomain>(
     daig: &mut Daig<D>,
     cfg: &Cfg,
@@ -694,29 +489,12 @@ pub fn query_with<D: AbstractDomain>(
     query_id_with(daig, cfg, memo, id, resolver, stats, transfers)
 }
 
-/// Id-level [`query`]: the explicit-stack Fig. 8 evaluator over interned
-/// cells.
+/// Id-level [`query_with`]: the explicit-stack Fig. 8 evaluator over
+/// interned cells.
 ///
 /// # Errors
 ///
 /// As [`query`] (the id must be live).
-pub fn query_id<D: AbstractDomain>(
-    daig: &mut Daig<D>,
-    cfg: &Cfg,
-    memo: &mut dyn MemoStore<Value<D>>,
-    target: CellId,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-) -> Result<Value<D>, DaigError> {
-    query_id_with(daig, cfg, memo, target, resolver, stats, None)
-}
-
-/// [`query_id`] evaluating transfers through a staged [`TransferTable`]
-/// when one is supplied.
-///
-/// # Errors
-///
-/// As [`query_id`].
 #[allow(clippy::too_many_arguments)]
 pub fn query_id_with<D: AbstractDomain>(
     daig: &mut Daig<D>,
@@ -810,27 +588,12 @@ pub fn query_id_with<D: AbstractDomain>(
 }
 
 /// Evaluates every cell in the DAIG (used by the exhaustive analysis
-/// configurations).
-///
-/// # Errors
-///
-/// Propagates the first [`DaigError`] encountered.
-pub fn evaluate_all<D: AbstractDomain>(
-    daig: &mut Daig<D>,
-    cfg: &Cfg,
-    memo: &mut dyn MemoStore<Value<D>>,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-) -> Result<(), DaigError> {
-    evaluate_all_with(daig, cfg, memo, resolver, stats, None)
-}
-
-/// [`evaluate_all`] evaluating transfers through a staged
+/// configurations), evaluating transfers through a staged
 /// [`TransferTable`] when one is supplied.
 ///
 /// # Errors
 ///
-/// As [`evaluate_all`].
+/// Propagates the first [`DaigError`] encountered.
 pub fn evaluate_all_with<D: AbstractDomain>(
     daig: &mut Daig<D>,
     cfg: &Cfg,
@@ -872,9 +635,9 @@ mod tests {
         lower_program(&parse_program(src).unwrap()).unwrap().cfgs()[0].clone()
     }
 
-    /// Drains the ready frontier to quiescence — a single-threaded model
-    /// of the dai-engine scheduler: pure computations via
-    /// `collect_ready`/`apply_ready`, fix edges via `fix_step`.
+    /// Drains the ready frontier to quiescence — a model of the dai-engine
+    /// scheduler's evaluation order: pure computations via
+    /// `apply_ready_at_with`, fix edges via `fix_step_id`.
     fn frontier_schedule(daig: &mut Daig<D>, cfg: &Cfg, memo: &mut dyn MemoStore<Value<D>>) {
         let mut stats = QueryStats::default();
         loop {
@@ -892,12 +655,14 @@ mod tests {
                 if comp.srcs.iter().any(|s| daig.value(s).is_none()) {
                     continue; // inputs dirtied by an unroll this round
                 }
+                let id = daig.id_of(&n).unwrap();
                 if comp.func == Func::Fix {
-                    let _ = fix_step(daig, cfg, &n, &mut stats).unwrap();
+                    let _ = fix_step_id(daig, cfg, id, &mut stats).unwrap();
                 } else {
-                    let rc = collect_ready(daig, &n).unwrap();
-                    let v = apply_ready(&rc, memo, &mut IntraResolver, &mut stats).unwrap();
-                    daig.write(&n, v);
+                    let v =
+                        apply_ready_at_with(daig, id, memo, &mut IntraResolver, &mut stats, None)
+                            .unwrap();
+                    daig.write_id(id, v);
                 }
                 progressed = true;
             }
@@ -916,12 +681,13 @@ mod tests {
         let mut seq = initial_daig::<D>(&cfg, IntervalDomain::top());
         let mut seq_memo = MemoTable::new();
         let mut stats = QueryStats::default();
-        evaluate_all(
+        evaluate_all_with(
             &mut seq,
             &cfg,
             &mut seq_memo,
             &mut IntraResolver,
             &mut stats,
+            None,
         )
         .unwrap();
 
@@ -943,8 +709,18 @@ mod tests {
     fn apply_ready_rejects_fix_and_unready_cells() {
         let cfg = cfg_of(LOOPY);
         let daig = initial_daig::<D>(&cfg, IntervalDomain::top());
-        // Some cell is empty with empty inputs initially; collect_ready
-        // must refuse it.
+        let apply = |n: &Name| {
+            apply_ready_at_with(
+                &daig,
+                daig.id_of(n).unwrap(),
+                &mut MemoTable::new(),
+                &mut IntraResolver,
+                &mut QueryStats::default(),
+                None,
+            )
+        };
+        // Some cell is empty with empty inputs initially; applying it must
+        // be refused, as must applying a fix edge.
         let unready = daig
             .names()
             .find(|n| {
@@ -953,36 +729,13 @@ mod tests {
                         .comp(n)
                         .is_some_and(|c| c.srcs.iter().any(|s| daig.value(s).is_none()))
             })
-            .expect("fresh loop DAIG has unready cells")
-            .clone();
-        assert!(collect_ready(&daig, &unready).is_err());
-    }
-
-    #[test]
-    fn cloned_and_in_place_application_agree() {
-        // `apply_ready` (cloned inputs, worker path) and `apply_ready_at`
-        // (borrowed inputs, single-threaded path) must produce identical
-        // values *and* identical memo keys — evaluating via one must hit
-        // the memo when re-evaluating via the other.
-        let cfg = cfg_of(LOOPY);
-        let daig = initial_daig::<D>(&cfg, IntervalDomain::top());
-        let ready: Vec<Name> = daig.ready_frontier().cloned().collect();
-        assert!(!ready.is_empty());
-        for n in &ready {
-            if daig.comp(n).unwrap().func == Func::Fix {
-                continue;
-            }
-            let id = daig.id_of(n).unwrap();
-            let mut memo = MemoTable::new();
-            let mut stats = QueryStats::default();
-            let rc = collect_ready(&daig, n).unwrap();
-            let cloned = apply_ready(&rc, &mut memo, &mut IntraResolver, &mut stats).unwrap();
-            let in_place =
-                apply_ready_at(&daig, id, &mut memo, &mut IntraResolver, &mut stats).unwrap();
-            assert_eq!(cloned, in_place, "value at {n}");
-            assert_eq!(stats.computed, 1, "{n}: first application computes");
-            assert_eq!(stats.memo_matched, 1, "{n}: second application memo-hits");
-        }
+            .expect("fresh loop DAIG has unready cells");
+        assert!(apply(unready).is_err());
+        let fix = daig
+            .names()
+            .find(|n| daig.comp(n).is_some_and(|c| c.func == Func::Fix))
+            .expect("loop DAIG has a fix cell");
+        assert!(apply(fix).is_err());
     }
 
     #[test]
@@ -1011,14 +764,14 @@ mod tests {
                 )
                 .unwrap();
             }
-            match fix_step(&mut daig, &cfg, &fix_cell, &mut stats).unwrap() {
+            let fix_id = daig.id_of(&fix_cell).unwrap();
+            match fix_step_id(&mut daig, &cfg, fix_id, &mut stats).unwrap() {
                 FixOutcome::Converged => break,
                 FixOutcome::Unrolled { spliced } => {
                     assert!(!spliced.is_empty(), "unroll reports spliced cells");
                     // The fix cell itself is re-pointed, so it is in the
                     // spliced set; every spliced id resolves to a live
                     // cell.
-                    let fix_id = daig.id_of(&fix_cell).unwrap();
                     assert!(spliced.contains(&fix_id));
                     for &id in &spliced {
                         assert!(daig.contains_id(id), "spliced cell is live");

@@ -1,5 +1,5 @@
 //! The long-lived analysis engine: sessions, a request stream, and the
-//! worker pool that serves both requests and intra-query cell batches.
+//! worker pool that serves the requests.
 //!
 //! Concurrency structure:
 //!
@@ -13,8 +13,8 @@
 //!   are keyed by content hashes of the computation's inputs;
 //! * **requests** are submitted with [`Engine::submit`] (returning a
 //!   [`Ticket`]) or synchronously with [`Engine::request`]; workers pull
-//!   them FIFO and run them to completion, fanning per-frontier cell
-//!   batches back onto the pool (see [`crate::scheduler`]);
+//!   them FIFO and run them to completion — one worker evaluates a
+//!   query's whole demanded cone (see [`crate::scheduler`]);
 //! * **queries coalesce**: concurrently pending `Request::Query`s against
 //!   the same `(session, function)` are collected in a pending queue and
 //!   answered by one *leader* job, which drains them under a **single**
@@ -73,7 +73,9 @@ impl fmt::Display for SessionId {
 /// Engine construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads (minimum 1).
+    /// Worker threads (minimum 1): requests served concurrently, and so
+    /// how many sessions make progress at once; a query is evaluated by
+    /// one thread.
     pub workers: usize,
     /// Shards of the shared memo table.
     pub memo_shards: usize,
@@ -1189,7 +1191,6 @@ impl<D: PersistDomain> Engine<D> {
         targets: &[(String, Loc)],
     ) -> Result<(Vec<Result<D, EngineError>>, ExplainReport), EngineError> {
         let session = session_of(&self.shared, session_id)?;
-        let pool = self.pool.handle();
         let t_wait = std::time::Instant::now();
         let mut guard = lock_session(&self.shared, &session);
         let lock_wait_ns = t_wait.elapsed().as_nanos() as u64;
@@ -1216,11 +1217,10 @@ impl<D: PersistDomain> Engine<D> {
             let mut shared_stats = QueryStats::default();
             let mut per_query = vec![QueryStats::default(); locs.len()];
             let t0 = std::time::Instant::now();
-            let r = guard.query_locs_explain(
+            let r = guard.query_locs(
                 func,
                 &locs,
                 &self.shared.memo,
-                &pool,
                 &mut shared_stats,
                 &mut per_query,
                 Some(&mut sink),
@@ -2005,9 +2005,9 @@ fn serve_batch<D: PersistDomain>(shared: &Arc<EngineShared<D>>, pool: &PoolHandl
         func,
         &locs,
         &shared.memo,
-        pool,
         &mut shared_stats,
         &mut per_query,
+        None,
     );
     let served = eligible.len() as u64;
     lock_span.set_arg(served);

@@ -1,31 +1,28 @@
 //! # dai-engine — a concurrent, multi-session demanded-analysis engine
 //!
-//! The paper's DAIGs are acyclic by construction (Definition 4.1), and its
-//! §8 observes that this acyclicity is a *parallelism* license: cells on
-//! the ready frontier never read each other, so independent branches of
-//! the dependency hypergraph can be evaluated concurrently with no
-//! soundness risk. This crate turns that observation into a long-lived
-//! service:
+//! The paper's DAIGs are acyclic by construction (Definition 4.1): cells
+//! on the ready frontier never read each other, so a whole batch of
+//! queries can be answered from one **union** cone, in any topological
+//! order, with the sequential evaluator's exact values. This crate turns
+//! that into a long-lived service whose unit of parallelism is the
+//! **session**: `workers` threads serve that many requests — and so that
+//! many sessions — at once, and one thread evaluates a query.
 //!
-//! * [`pool`] — a fixed worker pool whose `parallel_map` lets the thread
-//!   serving a request fan cell batches out to idle workers while always
-//!   participating itself (deadlock-free under full load); workers claim
-//!   queued jobs in small batches so a dense request stream does not
-//!   ping-pong the queue lock;
-//! * [`scheduler`] — topological parallel evaluation of the demanded cone
-//!   over interned [`dai_core::CellId`]s: the cone is traversed **once**
-//!   per evaluation into a dense missing-input-count table, writes
-//!   decrement dependents through the graph's flat id adjacency, and a
-//!   loop unroll patches just the spliced subgraph reported by
-//!   `dai_core::FixOutcome` — per-query cost is O(cone + spliced), not
-//!   O(cone × unrolls). Pure computations (`⟦·⟧♯`, `⊔`, `∇`) are applied
-//!   in place on the scheduling thread (small batches / one worker) or
-//!   cloned out to workers through the *same* `dai_core::apply_ready`
-//!   code path the sequential evaluator uses, while `fix` edges (which
-//!   mutate the graph by unrolling) stay on the scheduling thread;
+//! * [`pool`] — a fixed worker pool draining a FIFO of request jobs;
+//!   workers claim queued jobs in small batches so a dense request stream
+//!   does not ping-pong the queue lock;
+//! * [`scheduler`] — topological evaluation of the demanded cone over
+//!   interned [`dai_core::CellId`]s: the cone is traversed **once** per
+//!   evaluation into a dense missing-input-count table, writes decrement
+//!   dependents through the graph's flat id adjacency, and a loop unroll
+//!   patches just the spliced subgraph reported by `dai_core::FixOutcome`
+//!   — per-query cost is O(cone + spliced), not O(cone × unrolls). Pure
+//!   computations (`⟦·⟧♯`, `⊔`, `∇`) are applied in place through the
+//!   *same* `dai_core::query::apply_ready_at_with` the sequential
+//!   evaluator uses; `fix` edges mutate the graph by unrolling;
 //! * [`session`] — one loaded program analyzed under a configurable
 //!   call-resolution backend ([`ResolverChoice`]): intraprocedural
-//!   per-function `FuncAnalysis` units (parallel, the default) or an
+//!   per-function `FuncAnalysis` units (the default) or an
 //!   interprocedural `InterAnalyzer` matching the REPL's answers. Units
 //!   are created on demand and edited incrementally; each caches its
 //!   `(location → cell)` query resolutions per structural epoch, so a
@@ -55,10 +52,11 @@
 //! sequential evaluator — and therefore the from-scratch batch oracle
 //! (`dai_core::batch`, Theorem 6.1) — produces for the same program and
 //! location, at every worker count. The scheduler preserves this by
-//! construction: a cell's value is computed by `apply_ready` from the
-//! cell's own inputs, memo entries are keyed by content hashes of those
-//! inputs (so cross-thread and cross-session reuse can only substitute
-//! equal values), and graph mutation stays on one thread. The
+//! construction: a cell's value is computed by `apply_ready_at_with` from
+//! the cell's own inputs, memo entries are keyed by content hashes of
+//! those inputs (so cross-session reuse can only substitute equal
+//! values), and a session's graph is only ever touched by the one thread
+//! holding its lock. The
 //! `engine_consistency` integration suite enforces the contract against
 //! randomized edit/query interleavings for 1..=8 workers.
 //!

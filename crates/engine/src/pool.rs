@@ -1,43 +1,23 @@
-//! A small fixed-size worker pool with a caller-participating parallel
-//! map.
+//! A small fixed-size worker pool: a FIFO of request jobs.
 //!
-//! The pool serves two tiers of work:
-//!
-//! * **request jobs** — whole engine requests (query/edit/snapshot),
-//!   submitted with [`PoolHandle::spawn`] and drained FIFO by the worker
-//!   threads; and
-//! * **cell batches** — the per-frontier fan-out of the DAIG scheduler,
-//!   run through [`PoolHandle::parallel_map`].
-//!
-//! `parallel_map` is deadlock-free by construction even when invoked *from
-//! a worker thread that is itself processing a request*: the caller always
-//! participates in executing its own batch, so the batch completes even if
-//! every other worker is busy with requests. Idle workers pick up helper
-//! jobs and join in; busy workers simply never get the chance, and the
-//! helpers exit immediately once the batch index is exhausted.
+//! Whole engine requests (query batches, edits, snapshots) are submitted
+//! with [`PoolHandle::spawn`] and drained in order by the worker threads.
+//! That is the pool's only job: `workers` is how many requests — and so
+//! how many sessions — are served at once. A query's demanded cone is
+//! evaluated by the one worker that picked its request up (see
+//! [`crate::scheduler`]).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// What a queued job is, which decides how workers may claim it.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum JobKind {
-    /// A whole engine request; amenable to batch claiming under backlog.
-    Request,
-    /// A `parallel_map` helper: exactly one per worker is enqueued, so a
-    /// worker must never claim more than one (batching them onto a single
-    /// worker would collapse the fan-out the helpers exist to provide).
-    Helper,
-}
-
 #[derive(Default)]
 struct Injector {
-    queue: Mutex<VecDeque<(JobKind, Job)>>,
+    queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     shutdown: AtomicBool,
 }
@@ -60,107 +40,9 @@ impl PoolHandle {
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
         {
             let mut q = self.injector.queue.lock().expect("pool queue poisoned");
-            q.push_back((JobKind::Request, Box::new(job)));
+            q.push_back(Box::new(job));
         }
         self.injector.available.notify_one();
-    }
-
-    /// Enqueues a cell-batch helper *ahead* of queued request jobs.
-    /// Helpers are sub-tasks of a request that is already running, so
-    /// they must not wait behind the request backlog — a worker freed
-    /// during a backlog should help finish in-flight batches (keeping
-    /// the two-tier parallelism real) rather than start another request
-    /// that will block on the same session locks.
-    fn spawn_helper(&self, job: impl FnOnce() + Send + 'static) {
-        {
-            let mut q = self.injector.queue.lock().expect("pool queue poisoned");
-            q.push_front((JobKind::Helper, Box::new(job)));
-        }
-        self.injector.available.notify_one();
-    }
-
-    /// Applies `f` to every item, using idle workers *and the calling
-    /// thread*, and returns the results in item order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` panicked on any item (the panic is surfaced on the
-    /// caller, not swallowed on a worker).
-    pub fn parallel_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + Sync + 'static,
-        R: Send + 'static,
-        F: Fn(&T) -> R + Send + Sync + 'static,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 || self.workers <= 1 {
-            return items.iter().map(f).collect();
-        }
-        let shared = Arc::new(MapShared {
-            items,
-            f,
-            next: AtomicUsize::new(0),
-            results: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: AtomicUsize::new(n),
-            done_lock: Mutex::new(()),
-            done: Condvar::new(),
-        });
-        // Helpers for every worker that might be idle; surplus helpers
-        // find the index exhausted and exit. The caller participates
-        // below, so progress never depends on a helper running.
-        for _ in 0..self.workers.min(n) {
-            let shared = Arc::clone(&shared);
-            self.spawn_helper(move || shared.drain());
-        }
-        shared.drain();
-        let mut guard = shared.done_lock.lock().expect("map lock poisoned");
-        while shared.remaining.load(Ordering::Acquire) > 0 {
-            guard = shared.done.wait(guard).expect("map lock poisoned");
-        }
-        drop(guard);
-        let mut slots = shared.results.lock().expect("map results poisoned");
-        slots
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.take()
-                    .unwrap_or_else(|| panic!("parallel_map item {i} panicked on a worker"))
-            })
-            .collect()
-    }
-}
-
-struct MapShared<T, R, F> {
-    items: Vec<T>,
-    f: F,
-    next: AtomicUsize,
-    results: Mutex<Vec<Option<R>>>,
-    remaining: AtomicUsize,
-    done_lock: Mutex<()>,
-    done: Condvar,
-}
-
-impl<T, R, F: Fn(&T) -> R> MapShared<T, R, F> {
-    fn drain(&self) {
-        loop {
-            let i = self.next.fetch_add(1, Ordering::AcqRel);
-            if i >= self.items.len() {
-                return;
-            }
-            // Panics must still decrement `remaining`, or the caller waits
-            // forever; the missing result slot reports the failure.
-            let out = catch_unwind(AssertUnwindSafe(|| (self.f)(&self.items[i]))).ok();
-            if let Some(r) = out {
-                self.results.lock().expect("map results poisoned")[i] = Some(r);
-            }
-            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let _guard = self.done_lock.lock().expect("map lock poisoned");
-                self.done.notify_all();
-            }
-        }
     }
 }
 
@@ -230,9 +112,9 @@ impl Drop for WorkerPool {
 /// the backlog is deep. Under a dense request stream (e.g. a benchmark
 /// submitting its whole load up front) this turns per-job lock ping-pong
 /// between submitter and worker into one lock round per batch. Shallow
-/// queues are claimed one job at a time so a `parallel_map` helper
-/// fan-out (at most one job per worker) spreads across workers instead
-/// of being swallowed into a single worker's local batch.
+/// queues are claimed one job at a time so a handful of requests spreads
+/// across workers instead of being swallowed into a single worker's local
+/// batch.
 const WORKER_BATCH: usize = 8;
 
 /// A queue at or beyond this depth is a backlog worth batch-claiming;
@@ -246,9 +128,7 @@ fn worker_loop(injector: &Injector) {
         {
             let mut q = injector.queue.lock().expect("pool queue poisoned");
             loop {
-                // Helpers are always claimed singly (see [`JobKind`]);
-                // requests are batch-claimed only under a deep backlog,
-                // and a batch never reaches past a helper.
+                // Requests are batch-claimed only under a deep backlog.
                 let claim = if q.len() >= DEEP_QUEUE {
                     WORKER_BATCH
                 } else {
@@ -256,14 +136,7 @@ fn worker_loop(injector: &Injector) {
                 };
                 while local.len() < claim {
                     match q.pop_front() {
-                        Some((kind, job)) => {
-                            local.push(job);
-                            if kind == JobKind::Helper
-                                || q.front().is_some_and(|(k, _)| *k == JobKind::Helper)
-                            {
-                                break;
-                            }
-                        }
+                        Some(job) => local.push(job),
                         None => break,
                     }
                 }
@@ -279,7 +152,7 @@ fn worker_loop(injector: &Injector) {
         for job in local.drain(..) {
             // A panicking request must not take the worker down with it;
             // the requester observes the failure through its dropped reply
-            // channel (or the missing parallel_map slot).
+            // channel.
             let _ = catch_unwind(AssertUnwindSafe(job));
         }
     }
@@ -307,59 +180,6 @@ mod tests {
             rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn parallel_map_preserves_item_order() {
-        let pool = WorkerPool::new(4);
-        let out = pool
-            .handle()
-            .parallel_map((0..1000i64).collect(), |x| x * 2);
-        assert_eq!(out, (0..1000i64).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_from_inside_a_request_job_cannot_deadlock() {
-        // One worker: the request job occupies the only worker, so the
-        // batch can only finish because the caller participates.
-        let pool = WorkerPool::new(1);
-        let handle = pool.handle();
-        let (tx, rx) = std::sync::mpsc::channel();
-        handle.clone().spawn(move || {
-            let out = handle.parallel_map(vec![1, 2, 3], |x| x + 1);
-            tx.send(out).unwrap();
-        });
-        let out = rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn nested_parallel_maps_under_contention() {
-        let pool = WorkerPool::new(2);
-        let handle = pool.handle();
-        let (tx, rx) = std::sync::mpsc::channel();
-        for _ in 0..8 {
-            let handle2 = handle.clone();
-            let tx = tx.clone();
-            handle.spawn(move || {
-                let out = handle2.parallel_map((0..50i64).collect(), |x| x * x);
-                let _ = tx.send(out.iter().sum::<i64>());
-            });
-        }
-        for _ in 0..8 {
-            let s = rx.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
-            assert_eq!(s, (0..50i64).map(|x| x * x).sum::<i64>());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "panicked on a worker")]
-    fn map_panics_surface_on_the_caller() {
-        let pool = WorkerPool::new(2);
-        let _ = pool.handle().parallel_map(vec![0, 1, 2], |x| {
-            assert!(*x != 1, "boom");
-            *x
-        });
     }
 
     #[test]

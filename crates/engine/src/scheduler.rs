@@ -1,22 +1,27 @@
-//! Topological, parallel evaluation of demanded DAIG cells.
+//! Topological evaluation of demanded DAIG cells, one thread per query.
 //!
-//! The paper's Definition 4.1 makes DAIGs acyclic, and §8 observes the
-//! consequence this module exploits: cells on the ready frontier never
-//! read each other, so they can be evaluated **concurrently** with results
-//! identical to any sequential order. The scheduler alternates two moves
+//! The paper's Definition 4.1 makes DAIGs acyclic, so the cells on the
+//! ready frontier never read each other and any order of applying them
+//! gives identical results. The scheduler evaluates the **union** cone of
+//! a whole batch of targets on the calling thread, alternating two moves
 //! until the demanded targets are filled:
 //!
-//! 1. **fan-out** — apply every ready pure computation in the demanded
-//!    cone: in place ([`dai_core::query::apply_ready_at`], borrowing
-//!    inputs straight from the graph) when the batch is small or the pool
-//!    has one worker, or cloned out ([`dai_core::collect_ready`]) and
-//!    applied on the worker pool otherwise. Both paths run the *same*
+//! 1. **apply** — every ready pure computation in the demanded cone is
+//!    applied in place ([`dai_core::query::apply_ready_at_with`],
+//!    borrowing inputs straight from the graph). This is the *same*
 //!    `Q-Match`/`Q-Miss` code the sequential `query` loop uses, which is
-//!    what makes concurrent results bit-identical;
+//!    what makes union evaluation bit-identical to it;
 //! 2. **fix resolution** — when no pure computation is ready, step one
-//!    `fix` edge ([`dai_core::fix_step`]): either its fixed point is
-//!    written or the loop unrolls and the new iterate's subgraph joins the
-//!    demand.
+//!    `fix` edge ([`dai_core::query::fix_step_id`]): either its fixed
+//!    point is written or the loop unrolls and the new iterate's subgraph
+//!    joins the demand.
+//!
+//! §8 of the paper notes that frontier cells could also be applied
+//! *concurrently*. This scheduler does not: the cones measured so far
+//! have a work/span ceiling of ~1.5×
+//! ([`dai_core::explain::ExplainReport::parallelism`]) and frontiers a few
+//! cells wide, less than a cross-thread hand-off costs. Concurrency lives
+//! one level up: the engine's workers serve different sessions at once.
 //!
 //! # Incremental cone maintenance
 //!
@@ -31,36 +36,17 @@
 //! the re-pointed fix cell's count is refreshed. Per-query cost is thus
 //! O(cone + spliced) rather than O(cone × unrolls); convergence of a
 //! fixed point was already an ordinary write.
-//!
-//! Graph mutation (write-back, unrolling) happens only on the scheduling
-//! thread; workers see cloned inputs and the sharded memo table. Memo
-//! races are benign: entries are keyed by content hashes of their inputs,
-//! so whichever worker wins the race records the same value any loser
-//! would have.
 
 use dai_core::analysis::FuncAnalysis;
-use dai_core::compile::TransferTable;
 use dai_core::explain::ExplainSink;
 use dai_core::graph::{Daig, DaigError, Func, Value};
 use dai_core::intern::CellId;
 use dai_core::name::Name;
 use dai_core::query::{
-    apply_ready_at_with, apply_ready_with, collect_ready_id, fix_step_id, CallResolver, FixOutcome,
-    QueryStats, ReadyComp,
+    apply_ready_at_with, fix_step_id, CallResolver, FixOutcome, QueryStats, MAX_UNROLLS_PER_QUERY,
 };
 use dai_domains::AbstractDomain;
-use dai_lang::cfg::Cfg;
 use dai_memo::SharedMemoTable;
-
-use crate::pool::PoolHandle;
-
-/// Guard against non-converging widenings, mirroring the sequential
-/// evaluator's bound.
-const MAX_UNROLLS: u64 = 1_000_000;
-
-/// Smallest frontier worth fanning out to the pool; below this the
-/// cross-thread hand-off costs more than the computations.
-const MIN_PARALLEL_BATCH: usize = 4;
 
 /// Sentinel for cells outside the demanded cone.
 const NOT_IN_CONE: u32 = u32::MAX;
@@ -153,65 +139,40 @@ fn missing_inputs<D: AbstractDomain>(
     Ok(count)
 }
 
-/// Evaluates `targets` (and their transitive demands) in `fa`, fanning
-/// ready computations out over `pool` and threading the shared memo table
-/// through every application.
+/// Evaluates `targets` (and their transitive demands) in `fa` on the
+/// calling thread, threading the shared memo table through every
+/// application.
 ///
-/// Call statements are resolved through `resolver`, cloned once per
-/// worker-side application — a resolver used here must be cheap to clone
-/// and correct when clones run concurrently. `dai_core::IntraResolver`
-/// (the session default) trivially qualifies; a shared-summary-table
-/// resolver in the style of `dai_core::summaries` (lookups against an
-/// `Arc`-shared map of entry-state-keyed callee summaries) is the
-/// intended future instantiation. Fully demand-driven interprocedural
-/// resolution can NOT plug in here — demanding a callee's DAIG needs
-/// cross-unit mutable access no worker clone can have — which is why
+/// Call statements are resolved through `resolver`.
+/// `dai_core::IntraResolver` is the session default. Fully demand-driven
+/// interprocedural resolution does not plug in here — demanding a
+/// callee's DAIG needs cross-unit mutable access this per-function
+/// evaluation does not have — which is why
 /// `dai_engine::session::ResolverChoice::Interproc` routes around the
-/// parallel scheduler instead.
+/// scheduler instead.
+///
+/// When `sink` is supplied, every demanded cell's outcome, wall time, and
+/// critical-path finish time is recorded into it (see
+/// [`dai_core::explain`]). The sink mirrors the [`QueryStats`] movements
+/// one-for-one — each record here corresponds to exactly one counter bump
+/// — which is what makes explain reports accounting-exact. With `None` no
+/// timestamps are taken.
 ///
 /// On success every target cell holds a value — the same value the
-/// sequential [`dai_core::query`] evaluator produces, regardless of worker
-/// count or interleaving.
+/// sequential [`dai_core::query`] evaluator produces.
 ///
 /// # Errors
 ///
 /// * [`DaigError::NoSuchCell`] if a target is not in the DAIG's namespace;
 /// * [`DaigError::Invariant`] on internal inconsistency or divergence.
-pub fn evaluate_targets<D, R>(
+pub fn evaluate_targets<D: AbstractDomain>(
     fa: &mut FuncAnalysis<D>,
     targets: &[Name],
     memo: &SharedMemoTable<Value<D>>,
-    resolver: &R,
-    pool: &PoolHandle,
-    stats: &mut QueryStats,
-) -> Result<(), DaigError>
-where
-    D: AbstractDomain,
-    R: CallResolver<D> + Clone + Send + Sync + 'static,
-{
-    evaluate_targets_explain(fa, targets, memo, resolver, pool, stats, None)
-}
-
-/// [`evaluate_targets`] with opt-in cost attribution: when `sink` is
-/// supplied, every demanded cell's outcome, wall time, and critical-path
-/// finish time is recorded into it (see [`dai_core::explain`]). The sink
-/// mirrors the [`QueryStats`] movements one-for-one — each record here
-/// corresponds to exactly one counter bump — which is what makes explain
-/// reports accounting-exact. With `sink = None` this *is* the plain
-/// evaluation path: no timestamps are taken.
-pub fn evaluate_targets_explain<D, R>(
-    fa: &mut FuncAnalysis<D>,
-    targets: &[Name],
-    memo: &SharedMemoTable<Value<D>>,
-    resolver: &R,
-    pool: &PoolHandle,
+    resolver: &mut dyn CallResolver<D>,
     stats: &mut QueryStats,
     mut sink: Option<&mut ExplainSink>,
-) -> Result<(), DaigError>
-where
-    D: AbstractDomain,
-    R: CallResolver<D> + Clone + Send + Sync + 'static,
-{
+) -> Result<(), DaigError> {
     // Split borrow: the CFG is read-only for the whole evaluation, so fix
     // resolution never clones it, and the staged transfer table rides
     // along for compiled evaluation.
@@ -235,35 +196,14 @@ where
     if pending.is_empty() {
         return Ok(());
     }
-    evaluate_pending(
-        daig, cfg, &pending, memo, resolver, pool, stats, transfers, sink,
-    )
-}
 
-/// The drain loop over resolved, unfilled target ids.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_pending<D, R>(
-    daig: &mut Daig<D>,
-    cfg: &Cfg,
-    pending: &[CellId],
-    memo: &SharedMemoTable<Value<D>>,
-    resolver: &R,
-    pool: &PoolHandle,
-    stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
-    mut sink: Option<&mut ExplainSink>,
-) -> Result<(), DaigError>
-where
-    D: AbstractDomain,
-    R: CallResolver<D> + Clone + Send + Sync + 'static,
-{
     // The one full traversal: load the demanded cone — unfilled cells
     // backward-reachable from the unfilled targets — with each cell's
     // count of distinct unfilled inputs.
     stats.cone_walks += 1;
     let mut cone = Cone::new(daig.arena_len());
     let mut ready: Vec<CellId> = Vec::new();
-    let mut stack: Vec<CellId> = pending.to_vec();
+    let mut stack: Vec<CellId> = pending.clone();
     while let Some(n) = stack.pop() {
         if cone.contains(n) {
             continue;
@@ -279,6 +219,7 @@ where
     // Drain the cone. Writing a cell decrements its cone-dependents'
     // counts; cells reaching zero join the ready queue. Loop unrolls patch
     // the spliced subgraph in; they do not end the traversal's validity.
+    let mut memo = memo.clone();
     let mut unroll_guard: u64 = 0;
     let mut pure: Vec<CellId> = Vec::new();
     let mut fixes: Vec<CellId> = Vec::new();
@@ -296,68 +237,22 @@ where
             }
         }
         if !pure.is_empty() {
-            // Sorting makes the batch composition (and with it the
-            // worker-visible order) deterministic; cell *values* do not
-            // depend on it, but reproducible schedules make debugging and
-            // statistics saner.
+            // Sorting makes the application order deterministic; cell
+            // *values* do not depend on it, but reproducible schedules
+            // make debugging and statistics saner.
             pure.sort_unstable();
-            if pure.len() < MIN_PARALLEL_BATCH || pool.workers() <= 1 {
-                // In-place fast path: inputs are borrowed from the graph,
-                // not cloned.
-                let _cells_span = dai_trace::span!("engine.cells", pure.len());
-                let mut memo = memo.clone();
-                let mut res = resolver.clone();
-                for &id in &pure {
-                    if let Some(s) = sink.as_deref_mut() {
-                        let before = *stats;
-                        let t0 = std::time::Instant::now();
-                        let v =
-                            apply_ready_at_with(daig, id, &mut memo, &mut res, stats, transfers)?;
-                        let wall_ns = t0.elapsed().as_nanos() as u64;
-                        s.record_applied(daig, id, &stats.delta(&before), wall_ns);
-                        daig.write_id(id, v);
-                    } else {
-                        let v =
-                            apply_ready_at_with(daig, id, &mut memo, &mut res, stats, transfers)?;
-                        daig.write_id(id, v);
-                    }
-                    settle_write(daig, id, &mut cone, &mut ready);
-                }
-            } else {
-                let batch: Vec<ReadyComp<D>> = pure
-                    .iter()
-                    .map(|&id| collect_ready_id(daig, id))
-                    .collect::<Result<_, _>>()?;
-                let shared = memo.clone();
-                let res0 = resolver.clone();
-                // Cheap fan-out: the table is an `Arc` snapshot, so each
-                // worker closure shares one staged-closure store.
-                let table = transfers.cloned();
+            let _cells_span = dai_trace::span!("engine.cells", pure.len());
+            for &id in &pure {
                 // Per-cell timestamps are taken only when a sink is
                 // attached, so the plain path stays timestamp-free.
-                let timed = sink.is_some();
-                let results = pool.parallel_map(batch, move |rc| {
-                    // One span per cell, recorded on the worker thread that
-                    // evaluated it — this is what attributes flame-trace
-                    // time to `dai-worker-{i}` threads.
-                    let _cell_span = dai_trace::span!("engine.cells", 1);
-                    let mut local = QueryStats::default();
-                    let mut memo = shared.clone();
-                    let mut res = res0.clone();
-                    let t0 = timed.then(std::time::Instant::now);
-                    let value =
-                        apply_ready_with(rc, &mut memo, &mut res, &mut local, table.as_ref());
-                    let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    (rc.dest_id, value, local, wall_ns)
-                });
-                for (dest, value, local, wall_ns) in results {
-                    stats.absorb(local);
-                    daig.write_id(dest, value?);
-                    if let Some(s) = sink.as_deref_mut() {
-                        s.record_applied(daig, dest, &local, wall_ns);
-                    }
-                    settle_write(daig, dest, &mut cone, &mut ready);
+                let timed = sink.is_some().then(|| (*stats, std::time::Instant::now()));
+                let v = apply_ready_at_with(daig, id, &mut memo, resolver, stats, transfers)?;
+                if let (Some(s), Some((before, t0))) = (sink.as_deref_mut(), timed) {
+                    let wall_ns = t0.elapsed().as_nanos() as u64;
+                    s.record_applied(daig, id, &stats.delta(&before), wall_ns);
                 }
+                daig.write_id(id, v);
+                settle_write(daig, id, &mut cone, &mut ready);
             }
             pure.clear();
             // Fix cells seen this round stay ready for the next one.
@@ -380,9 +275,9 @@ where
                 }
                 FixOutcome::Unrolled { spliced } => {
                     unroll_guard += 1;
-                    if unroll_guard > MAX_UNROLLS {
+                    if unroll_guard > MAX_UNROLLS_PER_QUERY {
                         return Err(DaigError::Invariant(format!(
-                            "loop at {} exceeded {MAX_UNROLLS} unrollings: \
+                            "loop at {} exceeded {MAX_UNROLLS_PER_QUERY} unrollings: \
                              widening does not converge",
                             daig.name_of(n)
                         )));
@@ -446,7 +341,7 @@ fn settle_write<D: AbstractDomain>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::WorkerPool;
+    use crate::{Engine, EngineConfig};
     use dai_core::query::{query, IntraResolver};
     use dai_domains::IntervalDomain;
     use dai_lang::cfg::lower_program;
@@ -459,72 +354,126 @@ mod tests {
                        while (i < 9) { var j = 0; while (j < 4) { s = s + j; j = j + 1; } i = i + 1; } \
                        return s; }";
 
-    fn fresh() -> FuncAnalysis<D> {
-        let cfg = lower_program(&parse_program(SRC).unwrap()).unwrap().cfgs()[0].clone();
+    /// Five independent branches, so ready frontiers are wide and a sweep
+    /// demands many locations at once.
+    const WIDE: &str = "function f(n) { var a = 0; var b = 0; var c = 0; var d = 0; var e = 0; \
+                        if (n < 1) { a = n + 1; } else { a = n - 1; } \
+                        if (n < 2) { b = n + 2; } else { b = n - 2; } \
+                        if (n < 3) { c = n + 3; } else { c = n - 3; } \
+                        if (n < 4) { d = n + 4; } else { d = n - 4; } \
+                        while (e < 5) { e = e + 1; } \
+                        return a + b + c + d + e; }";
+
+    fn fresh_of(src: &str) -> FuncAnalysis<D> {
+        let cfg = lower_program(&parse_program(src).unwrap()).unwrap().cfgs()[0].clone();
         FuncAnalysis::new(cfg, IntervalDomain::top())
     }
 
-    #[test]
-    fn parallel_evaluation_is_bit_identical_to_sequential() {
-        for workers in [1, 2, 4] {
-            let pool = WorkerPool::new(workers);
-            let mut par = fresh();
-            let memo = SharedMemoTable::new(8);
-            let mut stats = QueryStats::default();
-            let exit = par.cfg().exit();
-            let target = Name::State {
-                loc: exit,
-                ctx: dai_core::name::IterCtx::root(),
-            };
-            evaluate_targets(
-                &mut par,
-                std::slice::from_ref(&target),
-                &memo,
-                &IntraResolver,
-                &pool.handle(),
-                &mut stats,
-            )
-            .unwrap();
+    fn fresh() -> FuncAnalysis<D> {
+        fresh_of(SRC)
+    }
 
-            let mut seq = fresh();
+    fn root_state(loc: dai_lang::Loc) -> Name {
+        Name::State {
+            loc,
+            ctx: dai_core::name::IterCtx::root(),
+        }
+    }
+
+    fn evaluate(fa: &mut FuncAnalysis<D>, targets: &[Name], stats: &mut QueryStats) {
+        let memo = SharedMemoTable::new(8);
+        evaluate_targets(fa, targets, &memo, &mut IntraResolver, stats, None).unwrap();
+    }
+
+    #[test]
+    fn union_evaluation_is_bit_identical_to_sequential_query() {
+        // Every location outside a loop, demanded at once: a few on the
+        // nested-loop workload, many on the five-branch one (locations
+        // inside loops resolve to iterate cells that only exist after
+        // unrolling; `Session::query_locs` covers those).
+        for (src, at_least) in [(SRC, 2), (WIDE, 8)] {
+            let mut union = fresh_of(src);
+            let cfg = union.cfg().clone();
+            let targets: Vec<Name> = cfg
+                .locs()
+                .into_iter()
+                .filter(|&l| cfg.enclosing_loops(l).is_empty())
+                .map(root_state)
+                .collect();
+            assert!(targets.len() >= at_least, "{} targets", targets.len());
+            let mut stats = QueryStats::default();
+            evaluate(&mut union, &targets, &mut stats);
+            assert_eq!(stats.cone_walks, 1, "one union cone for all targets");
+
+            let mut seq = fresh_of(src);
             let mut seq_memo = MemoTable::new();
             let mut seq_stats = QueryStats::default();
-            let seq_cfg = seq.cfg().clone();
-            let expected = query(
-                seq.daig_mut(),
-                &seq_cfg,
-                &mut seq_memo,
-                &target,
-                &mut IntraResolver,
-                &mut seq_stats,
-            )
-            .unwrap();
+            for target in &targets {
+                let expected = query(
+                    seq.daig_mut(),
+                    &cfg,
+                    &mut seq_memo,
+                    target,
+                    &mut IntraResolver,
+                    &mut seq_stats,
+                )
+                .unwrap();
+                assert_eq!(union.daig().value(target), Some(&expected), "{target}");
+            }
             assert_eq!(
-                par.daig().value(&target),
-                Some(&expected),
-                "workers = {workers}"
+                stats.computed + stats.memo_matched,
+                seq_stats.computed + seq_stats.memo_matched,
+                "same cells applied either way"
             );
-            par.daig().check_well_formed().unwrap();
+            union.daig().check_well_formed().unwrap();
+        }
+    }
+
+    #[test]
+    fn evaluated_cell_counts_do_not_depend_on_the_worker_count() {
+        // `workers` is how many sessions are served at once; a query's
+        // cone is evaluated by one thread, so the work a sweep does — and
+        // its split into computed and memo-matched cells, which racing
+        // appliers could shift — is the same whatever the pool size.
+        let locs = fresh_of(WIDE).cfg().locs();
+        assert!(locs.len() >= 8);
+        let sweep = |workers: usize| {
+            let engine: Engine<D> = Engine::with_config(EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            });
+            let session = engine.open_session_src("wide", WIDE).unwrap();
+            let answers: Vec<D> = engine
+                .query_batch(session, "f", &locs)
+                .into_iter()
+                .map(|a| a.unwrap())
+                .collect();
+            let stats = engine.stats().query_stats;
+            (answers, stats.computed, stats.memo_matched)
+        };
+        let (expected, computed, matched) = sweep(1);
+        assert!(computed > 0);
+        for workers in [2, 4] {
+            let (answers, c, m) = sweep(workers);
+            assert_eq!(answers, expected, "workers = {workers}");
+            assert_eq!(c + m, computed + matched, "workers = {workers}");
+            assert_eq!((c, m), (computed, matched), "workers = {workers}");
         }
     }
 
     #[test]
     fn unknown_target_is_reported() {
-        let pool = WorkerPool::new(2);
         let mut fa = fresh();
         let memo = SharedMemoTable::new(2);
         let mut stats = QueryStats::default();
-        let bogus = Name::State {
-            loc: dai_lang::Loc(4242),
-            ctx: dai_core::name::IterCtx::root(),
-        };
+        let bogus = root_state(dai_lang::Loc(4242));
         let err = evaluate_targets(
             &mut fa,
             &[bogus],
             &memo,
-            &IntraResolver,
-            &pool.handle(),
+            &mut IntraResolver,
             &mut stats,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, DaigError::NoSuchCell(_)));
@@ -532,33 +481,12 @@ mod tests {
 
     #[test]
     fn already_filled_targets_count_as_reuse() {
-        let pool = WorkerPool::new(2);
         let mut fa = fresh();
-        let memo = SharedMemoTable::new(2);
         let mut stats = QueryStats::default();
-        let entry = Name::State {
-            loc: fa.cfg().entry(),
-            ctx: dai_core::name::IterCtx::root(),
-        };
-        evaluate_targets(
-            &mut fa,
-            std::slice::from_ref(&entry),
-            &memo,
-            &IntraResolver,
-            &pool.handle(),
-            &mut stats,
-        )
-        .unwrap();
+        let entry = root_state(fa.cfg().entry());
+        evaluate(&mut fa, std::slice::from_ref(&entry), &mut stats);
         let computed_before = stats.computed;
-        evaluate_targets(
-            &mut fa,
-            &[entry],
-            &memo,
-            &IntraResolver,
-            &pool.handle(),
-            &mut stats,
-        )
-        .unwrap();
+        evaluate(&mut fa, &[entry], &mut stats);
         assert_eq!(stats.computed, computed_before, "no recomputation");
         assert!(stats.reused >= 1);
     }
@@ -569,23 +497,10 @@ mod tests {
         // incremental cone maintenance must keep the traversal count at
         // one — the whole point of patching spliced subgraphs instead of
         // ending the epoch.
-        let pool = WorkerPool::new(1);
         let mut fa = fresh();
-        let memo = SharedMemoTable::new(2);
         let mut stats = QueryStats::default();
-        let exit = Name::State {
-            loc: fa.cfg().exit(),
-            ctx: dai_core::name::IterCtx::root(),
-        };
-        evaluate_targets(
-            &mut fa,
-            std::slice::from_ref(&exit),
-            &memo,
-            &IntraResolver,
-            &pool.handle(),
-            &mut stats,
-        )
-        .unwrap();
+        let exit = root_state(fa.cfg().exit());
+        evaluate(&mut fa, std::slice::from_ref(&exit), &mut stats);
         assert!(
             stats.unrolls >= 2,
             "workload must unroll several times (got {})",
@@ -598,15 +513,7 @@ mod tests {
         );
         // A repeated evaluation reuses the filled target without walking
         // anything.
-        evaluate_targets(
-            &mut fa,
-            &[exit],
-            &memo,
-            &IntraResolver,
-            &pool.handle(),
-            &mut stats,
-        )
-        .unwrap();
+        evaluate(&mut fa, &[exit], &mut stats);
         assert_eq!(stats.cone_walks, 1, "filled targets walk nothing");
         fa.daig().check_well_formed().unwrap();
     }

@@ -1,9 +1,10 @@
 //! Analysis sessions: one loaded program, analyzed under a configurable
 //! call-resolution backend, with a replayable history for persistence.
 //!
-//! A session is the engine's unit of isolation and serialization: requests
-//! against the same session are serialized behind its lock, while requests
-//! against different sessions proceed concurrently on the worker pool.
+//! A session is the engine's unit of isolation, serialization *and
+//! parallelism*: requests against the same session are serialized behind
+//! its lock, while requests against different sessions proceed
+//! concurrently on the worker pool.
 //!
 //! ## Call resolution backends
 //!
@@ -13,8 +14,8 @@
 //! * [`ResolverChoice::Intra`] (the default, and the PR 1 behavior) —
 //!   per-function units created on demand, entry states from
 //!   [`AbstractDomain::entry_default`], calls resolved intraprocedurally
-//!   (the domain's conservative transfer), and the demanded cone
-//!   evaluated **in parallel** on the worker pool. Every per-function
+//!   (the domain's conservative transfer), and a batch's demanded cones
+//!   evaluated as one union by [`crate::scheduler`]. Every per-function
 //!   result is exactly equal to the sequential batch oracle
 //!   `dai_core::batch::batch_analyze` on the same CFG — the
 //!   from-scratch-consistency gate the engine's test suite enforces.
@@ -56,14 +57,13 @@ use dai_persist::{FuncImage, PersistDomain, RestoreReport, SessionImage};
 use std::collections::HashMap;
 
 use crate::engine::EngineError;
-use crate::pool::PoolHandle;
-use crate::scheduler::evaluate_targets_explain;
+use crate::scheduler::evaluate_targets;
 
 /// How a session resolves call statements (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResolverChoice {
     /// Intraprocedural per-function analysis; calls havoc conservatively;
-    /// parallel cone evaluation. The engine's original semantics.
+    /// union-cone evaluation. The engine's original semantics.
     #[default]
     Intra,
     /// Interprocedural analysis demanding callee exits under the given
@@ -322,34 +322,6 @@ impl<D: AbstractDomain> Session<D> {
         Ok(units.get_mut(&sym).expect("just ensured"))
     }
 
-    /// Demands the abstract state at `loc` of `func` under the session's
-    /// resolver choice — the singleton form of [`Session::query_locs`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::NoSuchFunction`] / `NoSuchCell` for unknown targets;
-    /// otherwise scheduler failures.
-    pub fn query_loc(
-        &mut self,
-        func: &str,
-        loc: Loc,
-        memo: &SharedMemoTable<Value<D>>,
-        pool: &PoolHandle,
-        stats: &mut QueryStats,
-    ) -> Result<D, EngineError> {
-        let mut per_query = [QueryStats::default()];
-        let mut out = self.query_locs(
-            func,
-            std::slice::from_ref(&loc),
-            memo,
-            pool,
-            stats,
-            &mut per_query,
-        );
-        stats.absorb(per_query[0]);
-        out.pop().expect("one answer per queried location")
-    }
-
     /// Answers a whole batch of location queries against one function in
     /// a single pass — the engine's coalesced-query path.
     ///
@@ -357,12 +329,12 @@ impl<D: AbstractDomain> Session<D> {
     /// each round collects, per still-unanswered member, either its
     /// resolved location cell or the outermost unconverged fix cell
     /// blocking its resolution ([`resolve_loc_frontier`]), and evaluates
-    /// all of them in *one* [`evaluate_targets`] call on the worker pool.
-    /// A cold batch therefore traverses one union cone instead of one
-    /// cone per member; every answer is still exactly the sequential
+    /// all of them in *one* [`evaluate_targets`] call, on the calling
+    /// thread. A cold batch therefore traverses one union cone instead of
+    /// one cone per member; every answer is still exactly the sequential
     /// evaluator's (and the batch oracle's) value, because union
-    /// evaluation applies the same `apply_ready` computations to the same
-    /// inputs. `Interproc`: members are answered sequentially by
+    /// evaluation applies the same `apply_ready_at_with` computations to
+    /// the same inputs. `Interproc`: members are answered sequentially by
     /// [`dai_core::InterAnalyzer::query_joined`] under the one session
     /// lock the caller already holds — the batching win there is the
     /// single lock acquisition.
@@ -373,6 +345,14 @@ impl<D: AbstractDomain> Session<D> {
     /// individually: an unknown location yields `Err` in its slot while
     /// its siblings are still answered.
     ///
+    /// Cost attribution is opt-in: a supplied `sink` receives one record
+    /// per demanded cell — including the `Q-Reuse` fast paths this layer
+    /// answers without touching the scheduler — so report cell counts
+    /// match the [`QueryStats`] movements exactly. `Inter` sessions ignore
+    /// the sink (their evaluation never reaches the instrumented
+    /// scheduler); callers wanting reports must check
+    /// [`Session::intra_backend`] first.
+    ///
     /// # Panics
     ///
     /// Panics if `per_query.len() != locs.len()`.
@@ -381,34 +361,6 @@ impl<D: AbstractDomain> Session<D> {
         func: &str,
         locs: &[Loc],
         memo: &SharedMemoTable<Value<D>>,
-        pool: &PoolHandle,
-        shared_stats: &mut QueryStats,
-        per_query: &mut [QueryStats],
-    ) -> Vec<Result<D, EngineError>> {
-        self.query_locs_explain(func, locs, memo, pool, shared_stats, per_query, None)
-    }
-
-    /// `true` when the session runs the intraprocedural backend — the
-    /// only backend whose evaluation path supports cost attribution
-    /// (interprocedural resolution routes around the parallel scheduler).
-    pub fn intra_backend(&self) -> bool {
-        matches!(self.backend, Backend::Intra { .. })
-    }
-
-    /// [`Session::query_locs`] with opt-in cost attribution: a supplied
-    /// `sink` receives one record per demanded cell — including the
-    /// `Q-Reuse` fast paths this layer answers without touching the
-    /// scheduler — so report cell counts match the [`QueryStats`]
-    /// movements exactly. `Inter` sessions ignore the sink (their
-    /// evaluation never reaches the instrumented scheduler); callers
-    /// wanting reports must check [`Session::intra_backend`] first.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_locs_explain(
-        &mut self,
-        func: &str,
-        locs: &[Loc],
-        memo: &SharedMemoTable<Value<D>>,
-        pool: &PoolHandle,
         shared_stats: &mut QueryStats,
         per_query: &mut [QueryStats],
         sink: Option<&mut ExplainSink>,
@@ -427,7 +379,7 @@ impl<D: AbstractDomain> Session<D> {
                             .collect();
                     }
                 };
-                Self::query_unit_locs(unit, locs, memo, pool, shared_stats, per_query, sink)
+                Self::query_unit_locs(unit, locs, memo, shared_stats, per_query, sink)
             }
             Backend::Inter { analyzer, .. } => {
                 if analyzer.program().by_name(func).is_none() {
@@ -449,13 +401,18 @@ impl<D: AbstractDomain> Session<D> {
         }
     }
 
+    /// `true` when the session runs the intraprocedural backend — the
+    /// only backend whose evaluation path supports cost attribution
+    /// (interprocedural resolution routes around the scheduler).
+    pub fn intra_backend(&self) -> bool {
+        matches!(self.backend, Backend::Intra { .. })
+    }
+
     /// The `Intra` union-cone drain behind [`Session::query_locs`].
-    #[allow(clippy::too_many_arguments)]
     fn query_unit_locs(
         unit: &mut Unit<D>,
         locs: &[Loc],
         memo: &SharedMemoTable<Value<D>>,
-        pool: &PoolHandle,
         shared_stats: &mut QueryStats,
         per_query: &mut [QueryStats],
         mut sink: Option<&mut ExplainSink>,
@@ -576,12 +533,11 @@ impl<D: AbstractDomain> Session<D> {
             targets.sort();
             targets.dedup();
             let _round_span = dai_trace::span!("engine.round", targets.len());
-            if let Err(e) = evaluate_targets_explain(
+            if let Err(e) = evaluate_targets(
                 &mut unit.fa,
                 &targets,
                 memo,
-                &IntraResolver,
-                pool,
+                &mut IntraResolver,
                 shared_stats,
                 sink.as_deref_mut(),
             ) {

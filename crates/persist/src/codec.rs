@@ -142,27 +142,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a run of little-endian `i64`s (no length prefix) — the
-    /// bulk path for matrix-shaped payloads (octagon DBMs), where a
-    /// per-entry [`Writer::i64`] loop costs more than the rest of the
-    /// encoding combined.
-    pub fn i64s(&mut self, vs: &[i64]) {
-        #[cfg(target_endian = "little")]
-        {
-            // On little-endian hosts the in-memory representation IS the
-            // wire representation, so the whole run is one memcpy. `i64`
-            // has no padding and any byte pattern is valid `u8`.
-            let bytes = unsafe {
-                std::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), std::mem::size_of_val(vs))
-            };
-            self.buf.extend_from_slice(bytes);
-        }
-        #[cfg(not(target_endian = "little"))]
-        for &v in vs {
-            self.i64(v);
-        }
-    }
-
     /// Appends raw bytes (no length prefix).
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -264,22 +243,6 @@ impl<'a> Reader<'a> {
     /// [`PersistError::Truncated`] at end of input.
     pub fn u128(&mut self) -> Result<u128, PersistError> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16")))
-    }
-
-    /// Reads a run of `n` little-endian `i64`s — the bulk counterpart of
-    /// [`Writer::i64s`]. Bounds-checked once for the whole run.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Truncated`] if fewer than `n * 8` bytes remain
-    /// (or `n * 8` overflows).
-    pub fn i64s(&mut self, n: usize) -> Result<Vec<i64>, PersistError> {
-        let bytes = self
-            .take(n.checked_mul(8).ok_or(PersistError::Truncated)?)?
-            .chunks_exact(8);
-        let mut out = Vec::with_capacity(n);
-        out.extend(bytes.map(|c| i64::from_le_bytes(c.try_into().expect("8"))));
-        Ok(out)
     }
 
     /// Reads a length-prefixed UTF-8 string.

@@ -1086,10 +1086,10 @@ impl Persist for OctagonDomain {
     fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(match r.u8()? {
             0 => OctagonDomain::Bottom,
-            // Tag 1 is the legacy raw layout (8 bytes per DBM entry),
-            // still decoded so pre-compaction snapshots restore; tag 2
-            // is the compact layout every current writer emits.
-            tag @ (1 | 2) => {
+            // Tag 2 is the compact layout. Tag 1 was the raw layout (8
+            // bytes per DBM entry) no writer has emitted since the
+            // compact one landed; it is an unknown tag like any other.
+            2 => {
                 let n = r.u64()?;
                 if n > r.remaining() as u64 {
                     return Err(PersistError::Corrupt(
@@ -1103,29 +1103,19 @@ impl Persist for OctagonDomain {
                 // The DBM is quadratic in the variable count, so the
                 // linear `n` bound above is not enough: a corrupt count
                 // could otherwise request a multi-gigabyte allocation
-                // before the first matrix byte is read. In the legacy
-                // layout every entry is exactly 8 bytes, so the size
-                // check is exact; the compact layout needs at least one
-                // token byte per 0xFFFF_FFFF entries, so the division
-                // below still rejects absurd counts before allocating.
+                // before the first matrix byte is read. The compact
+                // layout needs at least one token byte per 0xFFFF_FFFF
+                // entries, so the division below rejects absurd counts
+                // before allocating.
                 let d = 2 * vars.len() as u128;
                 let entries_wide = d * d;
-                let min_bytes = if tag == 1 {
-                    entries_wide * 8
-                } else {
-                    entries_wide.div_ceil(u32::MAX as u128)
-                };
+                let min_bytes = entries_wide.div_ceil(u32::MAX as u128);
                 if min_bytes > r.remaining() as u128 {
                     return Err(PersistError::Corrupt(format!(
                         "octagon DBM of {entries_wide} entries exceeds remaining input"
                     )));
                 }
-                let entries = entries_wide as usize;
-                let dbm = if tag == 1 {
-                    r.i64s(entries)?
-                } else {
-                    get_dbm_compact(entries, r)?
-                };
+                let dbm = get_dbm_compact(entries_wide as usize, r)?;
                 let oct = Oct::from_parts(vars, dbm).ok_or_else(|| {
                     PersistError::Corrupt("octagon parts violate invariants".to_string())
                 })?;
@@ -1475,7 +1465,7 @@ mod tests {
         // the implied DBM would be (2*1000)^2 = 4M entries = 32MB — far
         // more than the remaining input.
         let mut w = Writer::new();
-        w.u8(1); // OctagonDomain::Oct
+        w.u8(2); // OctagonDomain::Oct
         let n = 1000u64;
         w.u64(n);
         for _ in 0..n {
@@ -1488,6 +1478,30 @@ mod tests {
             matches!(err, PersistError::Corrupt(ref m) if m.contains("DBM")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn retired_raw_octagon_tag_is_an_unknown_tag() {
+        // Tag 1 (raw 8-bytes-per-entry DBM) is no longer decoded: a
+        // payload carrying it — here a well-formed one-variable octagon in
+        // the old layout — fails on the tag byte, like any unknown tag,
+        // before a variable or matrix entry is read or allocated.
+        let mut w = Writer::new();
+        w.u8(1);
+        w.u64(1);
+        w.str("x");
+        for _ in 0..4 {
+            w.i64(i64::MAX);
+        }
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let err = OctagonDomain::get(&mut r).unwrap_err();
+        assert_eq!(err, bad_tag("octagon", 1));
+        assert_eq!(r.remaining(), bytes.len() - 1, "only the tag was read");
+        let mut w = Writer::new();
+        w.u8(9);
+        let unknown = OctagonDomain::get(&mut Reader::new(&w.into_bytes())).unwrap_err();
+        assert_eq!(unknown, bad_tag("octagon", 9));
     }
 
     #[test]

@@ -35,13 +35,14 @@
 //!   sessions:  Mutex<Session> per client — a LoweredProgram plus one
 //!              FuncAnalysis (CFG + DAIG) per function, built on demand
 //!      │                (session::Session — serialize per session,
-//!      ▼                 parallel across sessions)
-//!   scheduler: the demanded cone of a query, evaluated topologically:
-//!              ready cells (all inputs filled) fan out to the worker
-//!              pool; fix edges unroll on the scheduling thread
+//!      ▼                 parallel across sessions: one worker each)
+//!   scheduler: the union demanded cone of a batch of queries, evaluated
+//!              topologically on the worker that holds the session lock:
+//!              ready cells (all inputs filled) are applied in place;
+//!              fix edges converge or unroll
 //!      │                (scheduler::evaluate_targets)
 //!      ▼
-//!   substrate: collect_ready / apply_ready / fix_step and the
+//!   substrate: apply_ready_at_with / fix_step_id and the
 //!              ready-frontier notion (dai-core)  +  SharedMemoTable
 //!              (dai-memo): sharded, lock-per-shard, shared by all
 //!              sessions
@@ -50,14 +51,17 @@
 //! Three properties make this a faithful extension of the paper rather
 //! than a bolt-on:
 //!
-//! 1. **Acyclicity ⇒ parallelism.** Cells on the ready frontier never
-//!    read each other (Definition 4.1), so evaluating them concurrently
-//!    is sound and *confluent*: every schedule produces the same cell
-//!    values.
-//! 2. **One evaluation function.** Workers apply the exact
-//!    `dai_core::apply_ready` the sequential evaluator uses, so engine
-//!    answers are bit-identical to sequential answers — and therefore to
-//!    the from-scratch batch oracle (Theorem 6.1). The
+//! 1. **One thread per query.** Cells on the ready frontier never read
+//!    each other (Definition 4.1), so evaluation is *confluent*: every
+//!    topological order produces the same cell values, and a whole batch
+//!    of queries can share one union cone. The engine uses that freedom
+//!    for batching, not for threads — a query's cone is evaluated by the
+//!    one worker serving its request, and `workers` is how many sessions
+//!    are served at once.
+//! 2. **One evaluation function.** The scheduler applies the exact
+//!    `dai_core::query::apply_ready_at_with` the sequential evaluator
+//!    uses, so engine answers are bit-identical to sequential answers —
+//!    and therefore to the from-scratch batch oracle (Theorem 6.1). The
 //!    `engine_consistency` suite enforces this for 1..=8 workers over
 //!    randomized edit/query interleavings.
 //! 3. **Content-addressed sharing.** The shared memo table is keyed by

@@ -346,7 +346,6 @@ fn converged_query_walks_cone_once_despite_unrolls() {
         .cfgs()[0]
         .clone();
     let mut fa: FuncAnalysis<D> = FuncAnalysis::new(cfg, IntervalDomain::top());
-    let pool = dai_engine::WorkerPool::new(1);
     let memo = dai_memo::SharedMemoTable::new(4);
     let mut stats = QueryStats::default();
     let exit = Name::State {
@@ -357,9 +356,9 @@ fn converged_query_walks_cone_once_despite_unrolls() {
         &mut fa,
         std::slice::from_ref(&exit),
         &memo,
-        &IntraResolver,
-        &pool.handle(),
+        &mut IntraResolver,
         &mut stats,
+        None,
     )
     .unwrap();
     assert!(
@@ -377,9 +376,9 @@ fn converged_query_walks_cone_once_despite_unrolls() {
         &mut fa,
         &[exit],
         &memo,
-        &IntraResolver,
-        &pool.handle(),
+        &mut IntraResolver,
         &mut stats,
+        None,
     )
     .unwrap();
     assert_eq!(stats.cone_walks, 1);

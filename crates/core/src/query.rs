@@ -219,30 +219,31 @@ pub fn apply_ready_at_with<D: AbstractDomain>(
             daig.name_of(dest)
         )));
     }
-    let mut inputs = Vec::with_capacity(comp.srcs.len());
-    let mut digests = Vec::with_capacity(comp.srcs.len());
+    // Every source must be filled before any is looked at more closely;
+    // after that they are read in place, cell by cell.
     for &s in &comp.srcs {
-        let v = daig.value_id(s).ok_or_else(|| {
-            DaigError::Invariant(format!(
+        if daig.value_id(s).is_none() {
+            return Err(DaigError::Invariant(format!(
                 "{} input {} is empty",
                 daig.name_of(dest),
                 daig.name_of(s)
-            ))
-        })?;
-        inputs.push(v);
-        digests.push(daig.digest_id(s).expect("filled cells have digests"));
+            )));
+        }
     }
+    let input = |s: CellId| daig.value_id(s).expect("checked above");
+    let digest = |s: CellId| daig.digest_id(s).expect("filled cells have digests");
     let dest = daig.name_of(dest);
     if comp.func == Func::Transfer {
-        let stmt = inputs[0]
+        let (stmt_cell, pre_cell) = (comp.srcs[0], comp.srcs[1]);
+        let stmt = input(stmt_cell)
             .as_stmt()
             .ok_or_else(|| DaigError::Invariant(format!("transfer for {dest} has no statement")))?;
-        let pre = inputs[1]
+        let pre = input(pre_cell)
             .as_state()
             .ok_or_else(|| DaigError::Invariant(format!("transfer for {dest} has no pre-state")))?;
         // The CFG edge whose statement cell is argument 0: calls resolve
         // against it, staged closures are looked up by it.
-        let edge = match daig.name_of(comp.srcs[0]) {
+        let edge = match daig.name_of(stmt_cell) {
             Name::Stmt(e) => *e,
             other => {
                 return Err(DaigError::Invariant(format!(
@@ -260,8 +261,8 @@ pub fn apply_ready_at_with<D: AbstractDomain>(
             ))
         } else {
             let key = KeyBuilder::new(Func::Transfer.memo_symbol())
-                .push_digest(digests[0])
-                .push_digest(digests[1])
+                .push_digest(digest(stmt_cell))
+                .push_digest(digest(pre_cell))
                 .finish();
             match memo.fetch(key) {
                 Some(v) => {
@@ -270,13 +271,12 @@ pub fn apply_ready_at_with<D: AbstractDomain>(
                     Ok(v)
                 }
                 None => {
-                    // `digests[0]` is the statement cell's content
-                    // digest — exactly what the table's staleness
-                    // guard wants, and already in hand from the memo
-                    // key. A stale or missing entry falls back to the
-                    // interpreter; both paths are bit-identical by
-                    // the `dai_domains::compile` contract.
-                    let staged = transfers.and_then(|t| t.lookup(edge, digests[0]));
+                    // The statement cell's content digest is exactly
+                    // what the table's staleness guard wants. A stale or
+                    // missing entry falls back to the interpreter; both
+                    // paths are bit-identical by the
+                    // `dai_domains::compile` contract.
+                    let staged = transfers.and_then(|t| t.lookup(edge, digest(stmt_cell)));
                     let post = match staged {
                         Some(ct) => {
                             stats.transfers_compiled += 1;
@@ -297,13 +297,13 @@ pub fn apply_ready_at_with<D: AbstractDomain>(
         }
     } else {
         // `Join` or `Widen`.
-        let states: Vec<&D> = inputs
+        if comp.srcs.iter().any(|&s| input(s).as_state().is_none()) {
+            return Err(DaigError::Invariant(format!("{dest} input is not a state")));
+        }
+        let mut states = comp
+            .srcs
             .iter()
-            .map(|v| {
-                v.as_state()
-                    .ok_or_else(|| DaigError::Invariant(format!("{dest} input is not a state")))
-            })
-            .collect::<Result<_, _>>()?;
+            .map(|&s| input(s).as_state().expect("checked above"));
         // The operator a widen edge applies depends on the strategy
         // and on which iterate it produces (delayed widening joins
         // early iterations); the memo key uses the symbol of the
@@ -319,11 +319,11 @@ pub fn apply_ready_at_with<D: AbstractDomain>(
             Some(k) => strategy.combine_symbol(k),
             None => Func::Join.memo_symbol(),
         };
-        let mut kb = KeyBuilder::new(symbol);
-        for &d in &digests {
-            kb = kb.push_digest(d);
-        }
-        let key = kb.finish();
+        let key = comp
+            .srcs
+            .iter()
+            .fold(KeyBuilder::new(symbol), |kb, &s| kb.push_digest(digest(s)))
+            .finish();
         match memo.fetch(key) {
             Some(v) => {
                 stats.memo_matched += 1;
@@ -332,13 +332,10 @@ pub fn apply_ready_at_with<D: AbstractDomain>(
             }
             None => {
                 dai_trace::event!("core.memo_miss");
+                let first = states.next().expect("join arity >= 2");
                 let out = match iterate {
-                    None => {
-                        let mut it = states.iter();
-                        let first = (*it.next().expect("join arity >= 2")).clone();
-                        it.fold(first, |acc, s| acc.join(s))
-                    }
-                    Some(k) => strategy.combine(k, states[0], states[1]),
+                    None => states.fold(first.clone(), |acc, s| acc.join(s)),
+                    Some(k) => strategy.combine(k, first, states.next().expect("widen arity 2")),
                 };
                 let v = Value::State(out);
                 memo.record(key, v.clone());

@@ -21,21 +21,53 @@
 //! * non-numeric variables are simply untracked (`⊤`), which keeps the
 //!   domain sound on the full language (arrays, booleans, heap refs).
 //!
+//! ## The packed half matrix
+//!
+//! Writing `ī = i ^ 1` for the other signed form of `i`'s variable,
+//! `vᵢ − vⱼ` and `vj̄ − vī` are the same quantity, so a DBM over signed
+//! forms is *coherent*: `m[i][j] = m[j̄][ī]`. [`Oct`] stores each such pair
+//! once — the lower triangle of 2×2 blocks, `2n(n+1)` words for `n`
+//! variables where the square has `4n²`. Row `i` keeps columns `j ≤ i|1`,
+//! entry `(i, j)` at `j + ⌊(i+1)²/2⌋`; every other `(i, j)` is read as
+//! `(j̄, ī)` ([`slot`]). This is the only representation. Coherence is
+//! therefore structural: a twin is the same slot, so [`Oct::tighten`],
+//! [`Oct::forget`] and the O(d) assignments write each constraint once and
+//! an `Oct` whose halves disagree cannot be built. (The two diagonal
+//! entries of a block are twins that are both stored; they are `0` until
+//! closure finds the octagon empty.)
+//!
+//! Equality, the fingerprint, join, widening and `closes_exactly` are
+//! pointwise over the packed array, and so touch half the words;
+//! [`Oct::close`], [`Oct::strengthen`] and [`Oct::close_through`] relax
+//! stored rows only, each a contiguous zip against pivot rows read out at
+//! full width; `leq` visits the stored blocks. [`Oct::track`] re-lays rows
+//! as slices and [`Oct::project`] — projection onto a subset of the
+//! variables, renamed, in one pass — serves both `untrack` and
+//! `call_entry`. Everything else (`Display`, `models`, interval
+//! evaluation) goes through the accessor in the order it always did.
+//!
+//! The wire form is still the full row-major `(2n)²` matrix (state tag 2,
+//! byte for byte): [`Oct::with_dbm`] expands it for the encoder, into one
+//! buffer per thread, and [`Oct::from_parts`] checks length, variable
+//! order and that the decoded matrix is coherent — a payload whose halves
+//! disagree is refused, not halved — before it packs. Outside tests those
+//! are the only two places a full matrix exists.
+//!
 //! ## Sealed values and the fingerprint
 //!
 //! A state is an `Arc<`[`SealedOct`]`>`: an [`Oct`] plus a lazily computed
 //! 128-bit fingerprint of its `(vars, dbm)` content. `Hash` writes the
-//! fingerprint, so the DAIG's per-cell `content_digest` costs one matrix
-//! pass per *allocation* rather than one per cell write — a memo hit, a
-//! cell write and a snapshot all carry the same `Arc`. `Eq` is exact
-//! (pointer-equal and fingerprints-differ are only shortcuts).
+//! fingerprint, so the DAIG's per-cell `content_digest` costs one pass over
+//! the packed matrix per *allocation* rather than one per cell write — a
+//! memo hit, a cell write and a snapshot all carry the same `Arc`. `Eq` is
+//! exact (pointer-equal and fingerprints-differ are only shortcuts).
 //!
 //! The fingerprint lives as long as the allocation and can never be stale,
 //! because nothing can change a sealed matrix: [`SealedOct`] derefs to
 //! `&Oct` only. Every mutating path un-seals first — [`Oct::clone`] out of
-//! the `Arc`, or `Arc::try_unwrap` when the handle is unique — works on
-//! the owned `Oct`, which has no cache, and seals the result
-//! ([`OctagonDomain::seal`]) into a fresh allocation with an empty one.
+//! the `Arc` — works on the owned `Oct`, which has no cache, and seals the
+//! result ([`OctagonDomain::seal`]) into a fresh allocation with an empty
+//! one.
 //!
 //! ## When closure is incremental
 //!
@@ -46,7 +78,7 @@
 //! flagged closed, consistent, and it and the new bound lie within
 //! [`EXACT_CLOSURE_BOUND`]. That is every tightening `assume` and call
 //! return on the warm path. Genuinely unclosed inputs — widening results,
-//! [`Oct::from_parts`], `call_entry`'s rebuilt matrix — and matrices with
+//! [`Oct::from_parts`], `call_entry`'s projected matrix — and matrices with
 //! huge entries still go through `close()`.
 //!
 //! The two agree bit for bit, which the memo table needs (keys are content
@@ -58,15 +90,33 @@
 //! `close()` interleaves extra strengthening steps into the same
 //! shortest-path computation, which by monotonicity of `min` and `+` can
 //! only land at or below that — hence on it. The same argument makes both
-//! report ⊥ on the same inputs. With saturation `badd` is no longer
-//! associative and the two may round different paths differently, which is
-//! why such matrices are left to `close()`. (A two-cell constraint — `==`,
-//! or both ends of an interval — whose first cell closes incrementally and
-//! whose second is beyond the bound is finished by `close()` starting from
-//! the incrementally closed matrix: never above what `close()` computes
-//! from both raw cells, and equal to it unless that computation itself
-//! saturates.) The proptests in `incremental_closure` check all of this
-//! against `close()`, saturating entries included.
+//! report ⊥ on the same inputs, and makes both equal, below the bound, to
+//! the full-matrix closure this module ran before the matrix was packed
+//! (kept in the tests as the reference). With saturation `badd` is no
+//! longer associative and any two of the three may round different paths
+//! differently, which is why such matrices are left to `close()`, and why
+//! a constraint of two cells never takes both routes where a sum can
+//! saturate: the two bounds of an `==` have one magnitude, and
+//! [`Oct::constrain_interval`] puts an end beyond the bound in first, so
+//! that `close()` gets both ends raw. Adding a constraint therefore gives,
+//! bit for bit and on every input, what raw tightening followed by
+//! `close()` gives.
+//!
+//! **Beyond the bound this `close()` is not the full-matrix one**, whose
+//! `2n` single pivots a packed matrix cannot take (see [`Oct::close`]).
+//! Where a sum saturates, the `n` paired pivots here may round it
+//! differently: on about one saturating input in forty by the proptests'
+//! count, and on half of those the full-matrix result was itself
+//! incoherent (`m[i][j] ≠ m[j̄][ī]`), which no packed matrix can be. Both
+//! stay sound — a saturated sum is a weaker bound than the true one — and
+//! no answer, memo key or encoded byte of a program whose bounds stay
+//! within 2⁴⁰ moved.
+//!
+//! The proptests in `incremental_closure` check all of this: the
+//! incremental route equals `close()` on every draw; `close()` equals the
+//! reference wherever no sum can saturate, and beyond that is never below
+//! the closure in unbounded arithmetic and ⊥ only when that is; and one
+//! saturating input is pinned entry for entry.
 
 use crate::interval::{Bound, Interval};
 use crate::{AbstractDomain, CallSite};
@@ -99,6 +149,11 @@ fn badd(a: i64, b: i64) -> i64 {
 /// variables).
 const EXACT_CLOSURE_BOUND: u64 = 1 << 40;
 
+/// Is `v` absent, or within [`EXACT_CLOSURE_BOUND`]?
+fn small(v: i64) -> bool {
+    v == INF || v.unsigned_abs() <= EXACT_CLOSURE_BOUND
+}
+
 /// Floor division by 2 that respects the `∞` sentinel.
 fn bhalf(a: i64) -> i64 {
     if a == INF {
@@ -118,11 +173,43 @@ pub struct Oct {
     /// `Oct::clone` on the warm path is one `Vec<i64>` copy plus a
     /// refcount bump.
     vars: Arc<[Symbol]>,
-    /// Row-major `(2n)²` matrix; `dbm[i * 2n + j]` bounds `vᵢ − vⱼ`.
+    /// The packed half matrix, `2n(n+1)` words: row `i` holds columns
+    /// `0..=i|1` starting at [`row_start`]`(i)`, and `(i, j)` beyond that
+    /// is read as `(j̄, ī)` ([`slot`]). Never indexed directly outside the
+    /// accessors and the whole-array (pointwise) operations.
     dbm: Vec<i64>,
     /// Whether `dbm` is strongly closed. Ignored by `Eq` and by the
     /// fingerprint.
     closed: bool,
+}
+
+/// Where stored row `i` starts: rows `2p` and `2p + 1` both hold `2p + 2`
+/// columns, so the rows before `i` hold `⌊(i + 1)² / 2⌋` entries.
+fn row_start(i: usize) -> usize {
+    (i + 1) * (i + 1) / 2
+}
+
+/// The slot of entry `(i, j)`: its own when `j ≤ i|1`, otherwise that of
+/// its coherent twin `(j̄, ī)` — the same constraint, stored once.
+fn slot(i: usize, j: usize) -> usize {
+    if j <= (i | 1) {
+        row_start(i) + j
+    } else {
+        row_start(j ^ 1) + (i ^ 1)
+    }
+}
+
+/// The stored rows of a packed matrix, in order: row `i` has `(i|1) + 1`
+/// entries.
+fn stored_rows(mut rest: &mut [i64]) -> impl Iterator<Item = &mut [i64]> {
+    (0..).map_while(move |i| {
+        if rest.is_empty() {
+            return None;
+        }
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut((i | 1) + 1);
+        rest = tail;
+        Some(row)
+    })
 }
 
 impl PartialEq for Oct {
@@ -148,19 +235,13 @@ thread_local! {
 /// state it is handed) pays for one matrix pass per *allocation*. The
 /// cache cannot go stale: the type hands out `&Oct` only (no `DerefMut`,
 /// no `&mut` accessor), so the only way to change the matrix is to copy it
-/// out ([`Oct::clone`]) or take it back ([`SealedOct::into_oct`]), and
-/// either leaves the fingerprint behind.
+/// out ([`Oct::clone`]), which leaves the fingerprint behind.
 pub struct SealedOct {
     oct: Oct,
     fingerprint: OnceLock<u128>,
 }
 
 impl SealedOct {
-    /// Un-seals a uniquely owned value for mutation, dropping the cache.
-    fn into_oct(self) -> Oct {
-        self.oct
-    }
-
     /// The content fingerprint: one SipHash lane over `(vars, dbm)` and one
     /// independent multiply-rotate lane over the matrix words — the same
     /// strength as the 128-bit `dai_memo::content_digest` that used to walk
@@ -248,16 +329,37 @@ impl Oct {
     }
 
     fn at(&self, i: usize, j: usize) -> i64 {
-        self.dbm[i * self.dim() + j]
+        self.dbm[slot(i, j)]
     }
 
+    /// Writes `(i, j)` — and with it the twin `(j̄, ī)`, which is the same
+    /// slot.
     fn set(&mut self, i: usize, j: usize, v: i64) {
-        let d = self.dim();
-        self.dbm[i * d + j] = v;
+        self.dbm[slot(i, j)] = v;
     }
 
-    /// Adds `vᵢ − vⱼ ≤ c` (and its coherent twin). On a strongly closed,
-    /// consistent matrix whose entries are all within
+    /// Appends row `k` at full width `2n`: its stored prefix, then the
+    /// twins of the rest. Entry `(k, j)` lives at `(j̄, k̄)`, so the columns
+    /// `2q` and `2q + 1` of a later variable `q` are column `k̄` of rows
+    /// `2q + 1` and `2q`, which start `2q + 2` words apart.
+    fn push_row(&self, k: usize, out: &mut Vec<i64>) {
+        out.extend_from_slice(&self.dbm[row_start(k)..row_start(k + 1)]);
+        let mut at = row_start((k | 1) + 1) + (k ^ 1);
+        for q in k / 2 + 1..self.n() {
+            let width = 2 * q + 2;
+            out.extend([self.dbm[at + width], self.dbm[at]]);
+            at += 2 * width;
+        }
+    }
+
+    fn full_row(&self, k: usize) -> Vec<i64> {
+        let mut row = Vec::with_capacity(self.dim());
+        self.push_row(k, &mut row);
+        row
+    }
+
+    /// Adds `vᵢ − vⱼ ≤ c` (its coherent twin is the same slot). On a
+    /// strongly closed, consistent matrix whose entries are all within
     /// [`EXACT_CLOSURE_BOUND`] the strong closure is restored in place in
     /// O(d²) ([`Oct::close_through`]); otherwise the matrix is left
     /// unclosed for the next full [`Oct::close`].
@@ -267,8 +369,6 @@ impl Oct {
         }
         let incremental = self.closed && !self.has_negative_diagonal() && self.closes_exactly(c);
         self.set(i, j, c);
-        // Coherence: v_i − v_j and v_j̄ − v_ī are the same constraint.
-        self.set(j ^ 1, i ^ 1, c);
         if incremental {
             self.close_through(i, j, c);
         } else {
@@ -282,7 +382,6 @@ impl Oct {
     /// round different paths differently; below the bound both compute the
     /// canonical tight closure (module docs) and agree bit for bit.
     fn closes_exactly(&self, c: i64) -> bool {
-        let small = |v: i64| v == INF || v.unsigned_abs() <= EXACT_CLOSURE_BOUND;
         // No early exit: the answer is almost always yes, and a branch-free
         // scan vectorizes.
         small(c) && self.dbm.iter().fold(true, |ok, &v| ok & small(v))
@@ -302,14 +401,14 @@ impl Oct {
     /// restores strong closure. An inconsistent result shows as a negative
     /// diagonal entry, exactly as after [`Oct::close`].
     fn close_through(&mut self, a: usize, b: usize, c: i64) {
-        let d = self.dim();
-        let row = |r: usize| self.dbm[r * d..(r + 1) * d].to_vec();
-        // The old rows out of `b` and `ā`; by coherence they are also the
-        // old columns into `b̄` and `a`: m[i][a] = m[ā][ī], m[i][b̄] = m[b][ī].
-        let (from_b, from_na) = (row(b), row(a ^ 1));
+        // The old rows out of `b` and `ā`, at full width so that every
+        // stored row below zips against a contiguous prefix of them; by
+        // coherence they are also the old columns into `b̄` and `a`:
+        // m[i][a] = m[ā][ī], m[i][b̄] = m[b][ī].
+        let (from_b, from_na) = (self.full_row(b), self.full_row(a ^ 1));
         // b → b̄ and ā → a join the new edge to its twin.
         let (b_nb, na_a) = (from_b[b ^ 1], from_na[a]);
-        for i in 0..d {
+        for (i, cells) in stored_rows(&mut self.dbm).enumerate() {
             let (to_a, to_nb) = (from_na[i ^ 1], from_b[i ^ 1]);
             // Cheapest i ⇝ b ending in the new edge, and i ⇝ ā ending in
             // its twin.
@@ -318,7 +417,6 @@ impl Oct {
             if via_b == INF && via_na == INF {
                 continue;
             }
-            let cells = &mut self.dbm[i * d..(i + 1) * d];
             for ((cell, &bj), &naj) in cells.iter_mut().zip(&from_b).zip(&from_na) {
                 let via = badd(via_b, bj).min(badd(via_na, naj));
                 if via < *cell {
@@ -339,10 +437,42 @@ impl Oct {
         &self.vars
     }
 
-    /// The row-major `(2n)²` difference-bound matrix (persistence
-    /// accessor).
-    pub fn dbm(&self) -> &[i64] {
-        &self.dbm
+    /// Lends `f` the full row-major `(2n)²` difference-bound matrix — the
+    /// wire form — expanded from the packed half into a buffer this thread
+    /// keeps between calls, so encoding a state allocates nothing
+    /// (persistence accessor; [`Oct::from_parts`] takes the same matrix
+    /// back). Each stored row is read once, in order, and written twice:
+    /// as its row's prefix and, entry by entry, down its twins' column.
+    /// The reads — of a state that is usually cold when a snapshot gets to
+    /// it — are sequential; it is the writes, into the warm buffer, that
+    /// stride.
+    pub fn with_dbm<R>(&self, f: impl FnOnce(&[i64]) -> R) -> R {
+        thread_local! {
+            static FULL: std::cell::Cell<Vec<i64>> = const { std::cell::Cell::new(Vec::new()) };
+        }
+        let d = self.dim();
+        // Taken, not borrowed: an `f` that came back here would find an
+        // empty buffer, not a panic.
+        let mut full = FULL.take();
+        // Every entry is written below; what the buffer held may stay.
+        full.resize(d * d, INF);
+        let mut rest = self.dbm.as_slice();
+        for i in 0..d {
+            let row;
+            (row, rest) = rest.split_at((i | 1) + 1);
+            for (j, &v) in row.iter().enumerate() {
+                full[(j ^ 1) * d + (i ^ 1)] = v;
+            }
+            full[i * d..][..row.len()].copy_from_slice(row);
+        }
+        let out = f(&full);
+        FULL.set(full);
+        out
+    }
+
+    /// The matrix [`Oct::with_dbm`] lends, owned: for tests and tools.
+    pub fn dbm(&self) -> Vec<i64> {
+        self.with_dbm(<[i64]>::to_vec)
     }
 
     /// Whether the matrix is currently strongly closed.
@@ -350,10 +480,14 @@ impl Oct {
         self.closed
     }
 
-    /// Rebuilds an octagon from its serialized parts, validating the
-    /// structural invariants (`dbm` is `(2·|vars|)²` and `vars` is sorted
-    /// and duplicate-free). Returns `None` for inconsistent parts, so a
-    /// corrupted snapshot can never materialize a malformed matrix.
+    /// Rebuilds an octagon from its serialized parts — the sorted variable
+    /// list and the full row-major matrix [`Oct::dbm`] produces —
+    /// validating the structural invariants: `dbm` is `(2·|vars|)²`,
+    /// `vars` is sorted and duplicate-free, and the matrix is coherent
+    /// (`m[i][j] = m[j̄][ī]` everywhere, the diagonal included). Returns
+    /// `None` for inconsistent parts before allocating anything, so a
+    /// corrupted snapshot can never materialize a malformed matrix, nor
+    /// one whose discarded half said something else.
     ///
     /// The result is always marked **unclosed**: `closed` is a derived
     /// property the exact-assignment fast paths rely on, and trusting a
@@ -364,12 +498,20 @@ impl Oct {
     /// roundtripped states still compare equal.
     pub fn from_parts(vars: Vec<Symbol>, dbm: Vec<i64>) -> Option<Oct> {
         let d = 2 * vars.len();
-        if dbm.len() != d * d || vars.windows(2).any(|w| w[0] >= w[1]) {
+        // Each stored entry against its twin covers every pair once.
+        let coherent =
+            |i: usize| (0..=(i | 1)).all(|j| dbm[i * d + j] == dbm[(j ^ 1) * d + (i ^ 1)]);
+        let sorted = vars.windows(2).all(|w| w[0] < w[1]);
+        if dbm.len() != d * d || !sorted || !(0..d).all(coherent) {
             return None;
         }
+        let mut packed = Vec::with_capacity(row_start(d));
+        for i in 0..d {
+            packed.extend_from_slice(&dbm[i * d..][..(i | 1) + 1]);
+        }
         Some(Oct {
+            dbm: packed,
             vars: vars.into(),
-            dbm,
             closed: false,
         })
     }
@@ -378,32 +520,31 @@ impl Oct {
     /// matrix. Returns its index.
     ///
     /// Insertion at sorted position `pos` shifts signed-form indices `≥
-    /// 2·pos` up by one pair, so each surviving row splits into two
-    /// contiguous runs — copied as slices, no per-entry index mapping.
-    /// An unconstrained variable adds no finite path, so `closed` is
-    /// preserved as-is.
+    /// 2·pos` up by one pair: the stored rows before `2·pos` keep their
+    /// place, and each later one splits into two contiguous runs around
+    /// the new pair of columns — copied as slices, no per-entry index
+    /// mapping. An unconstrained variable adds no finite path, so
+    /// `closed` is preserved as-is.
     fn track(&mut self, var: &Symbol) -> usize {
-        if let Some(i) = self.index_of(var) {
-            return i;
-        }
-        let pos = self.vars.binary_search(var).unwrap_err();
-        let od = self.dim();
-        let nd = od + 2;
+        let pos = match self.vars.binary_search(var) {
+            Ok(i) => return i,
+            Err(pos) => pos,
+        };
         let lo = 2 * pos;
         let mut vars = Vec::with_capacity(self.vars.len() + 1);
         vars.extend_from_slice(&self.vars[..pos]);
         vars.push(var.clone());
         vars.extend_from_slice(&self.vars[pos..]);
-        let mut dbm = vec![INF; nd * nd];
-        for i in 0..nd {
-            dbm[i * nd + i] = 0;
+        let mut dbm = Vec::with_capacity(row_start(2 * vars.len()));
+        dbm.extend_from_slice(&self.dbm[..row_start(lo)]);
+        for own in [lo, lo + 1] {
+            dbm.extend((0..lo + 2).map(|j| if j == own { 0 } else { INF }));
         }
-        for i in 0..od {
-            let ni = if i < lo { i } else { i + 2 };
-            let src = i * od;
-            let dst = ni * nd;
-            dbm[dst..dst + lo].copy_from_slice(&self.dbm[src..src + lo]);
-            dbm[dst + lo + 2..dst + od + 2].copy_from_slice(&self.dbm[src + lo..src + od]);
+        for i in lo..self.dim() {
+            let row = &self.dbm[row_start(i)..row_start(i + 1)];
+            dbm.extend_from_slice(&row[..lo]);
+            dbm.extend([INF, INF]);
+            dbm.extend_from_slice(&row[lo..]);
         }
         self.vars = vars.into();
         self.dbm = dbm;
@@ -412,9 +553,9 @@ impl Oct {
 
     fn unconstrained(vars: Vec<Symbol>) -> Oct {
         let d = 2 * vars.len();
-        let mut dbm = vec![INF; d * d];
+        let mut dbm = vec![INF; row_start(d)];
         for i in 0..d {
-            dbm[i * d + i] = 0;
+            dbm[row_start(i) + i] = 0;
         }
         Oct {
             vars: vars.into(),
@@ -427,25 +568,33 @@ impl Oct {
     /// strengthening. Returns `false` if a negative cycle (⊥) is found.
     /// The only general closure; [`Oct::close_through`] is its O(d²)
     /// special case and is tested against it.
+    ///
+    /// The two signed forms of a variable are one pivot step (Miné): a
+    /// stored slot is also its twin's, and the twin's path through `k` is
+    /// this entry's path through `k̄`, so taking one form at a time, as a
+    /// full matrix can, would miss paths through both. Each entry is
+    /// relaxed through `k`, `k̄`, and both in either order, against the two
+    /// pivot rows snapshotted at full width — the inner loop is a
+    /// contiguous zip.
     fn close(&mut self) -> bool {
         if self.closed {
             return !self.has_negative_diagonal();
         }
-        let d = self.dim();
-        for k in 0..d {
-            for i in 0..d {
-                let ik = self.at(i, k);
-                if ik == INF {
+        for k in (0..self.dim()).step_by(2) {
+            let (from_k, from_nk) = (self.full_row(k), self.full_row(k + 1));
+            let (k_nk, nk_k) = (from_k[k + 1], from_nk[k]);
+            for (i, cells) in stored_rows(&mut self.dbm).enumerate() {
+                // Column `k` is row `k̄` mirrored: m[i][k] = m[k̄][ī].
+                let (to_k, to_nk) = (from_nk[i ^ 1], from_k[i ^ 1]);
+                let via_k = to_k.min(badd(to_nk, nk_k));
+                let via_nk = to_nk.min(badd(to_k, k_nk));
+                if via_k == INF && via_nk == INF {
                     continue;
                 }
-                for j in 0..d {
-                    let kj = self.at(k, j);
-                    if kj == INF {
-                        continue;
-                    }
-                    let via = badd(ik, kj);
-                    if via < self.at(i, j) {
-                        self.set(i, j, via);
+                for ((cell, &kj), &nkj) in cells.iter_mut().zip(&from_k).zip(&from_nk) {
+                    let via = badd(via_k, kj).min(badd(via_nk, nkj));
+                    if via < *cell {
+                        *cell = via;
                     }
                 }
             }
@@ -458,29 +607,27 @@ impl Oct {
     /// Strengthening: vᵢ − vⱼ ≤ ⌊(vᵢ − vī)/2⌋ + ⌊(vj̄ − vⱼ)/2⌋. At `j = ī`
     /// this rounds the unary bound down to an even number (integer
     /// tightening); at `j = i` it turns an integer-infeasible pair of unary
-    /// bounds into a negative diagonal entry.
+    /// bounds into a negative diagonal entry. The halves are read up
+    /// front: the pass only ever replaces a unary bound by twice its own
+    /// half.
     fn strengthen(&mut self) {
-        let d = self.dim();
-        for i in 0..d {
-            let half_i = bhalf(self.at(i, i ^ 1));
+        let half: Vec<i64> = (0..self.dim()).map(|j| bhalf(self.at(j ^ 1, j))).collect();
+        for (i, cells) in stored_rows(&mut self.dbm).enumerate() {
+            let half_i = half[i ^ 1];
             if half_i == INF {
                 continue;
             }
-            for j in 0..d {
-                let half_j = bhalf(self.at(j ^ 1, j));
-                if half_j == INF {
-                    continue;
-                }
+            for (cell, &half_j) in cells.iter_mut().zip(&half) {
                 let s = badd(half_i, half_j);
-                if s < self.at(i, j) {
-                    self.set(i, j, s);
+                if s < *cell {
+                    *cell = s;
                 }
             }
         }
     }
 
     fn has_negative_diagonal(&self) -> bool {
-        (0..self.dim()).any(|i| self.at(i, i) < 0)
+        (0..self.dim()).any(|i| self.dbm[row_start(i) + i] < 0)
     }
 
     /// `self` strongly closed — borrowed when it already is, a closed copy
@@ -498,52 +645,53 @@ impl Oct {
     fn forget(&mut self, var: &Symbol) {
         let Some(x) = self.index_of(var) else { return };
         self.close();
-        let d = self.dim();
-        for s in 0..2 {
-            let row = 2 * x + s;
-            for j in 0..d {
-                if j != row {
-                    self.set(row, j, INF);
-                    self.set(j, row, INF);
-                }
+        for row in [2 * x, 2 * x + 1] {
+            // Row `row` through the accessor is also column `row ^ 1`.
+            for j in (0..self.dim()).filter(|&j| j != row) {
+                self.set(row, j, INF);
             }
-            self.set(row, row ^ 1, INF);
-            self.set(row ^ 1, row, INF);
         }
         // Closure is preserved by exact projection of a closed matrix.
         self.closed = true;
     }
 
-    /// Stops tracking `var` entirely.
-    fn untrack(&mut self, var: &Symbol) {
-        let Some(pos) = self.index_of(var) else {
-            return;
-        };
-        self.close();
-        let old = std::mem::replace(self, Oct::unconstrained(Vec::new()));
-        let mut vars = old.vars.to_vec();
-        vars.remove(pos);
-        *self = Oct::unconstrained(vars);
-        // Dropping variable `pos` shifts every later index down by one
-        // signed pair; copy surviving rows with plain index arithmetic
-        // (projection of a closed matrix stays closed).
-        let od = old.dim();
-        let skip = |i: usize| -> Option<usize> {
-            match i.cmp(&(2 * pos)) {
-                std::cmp::Ordering::Less => Some(i),
-                std::cmp::Ordering::Equal => None,
-                std::cmp::Ordering::Greater if i == 2 * pos + 1 => None,
-                std::cmp::Ordering::Greater => Some(i - 2),
-            }
-        };
-        for i in 0..od {
-            let Some(ni) = skip(i) else { continue };
-            for j in 0..od {
-                let Some(nj) = skip(j) else { continue };
-                self.set(ni, nj, old.dbm[i * od + j]);
+    /// Projection and renaming in one pass: the octagon over `vars`
+    /// (sorted) in which variable `new` carries exactly what `self` says
+    /// about variable `old`, for every `(old, new)` of `map`, and nothing
+    /// else is constrained. Exact when `self` is closed, and the result is
+    /// closed then: projecting a closed matrix only drops rows and columns.
+    /// Later pairs overwrite earlier ones that name the same `new`.
+    fn project(&self, vars: Vec<Symbol>, map: &[(usize, usize)]) -> Oct {
+        let mut out = Oct::unconstrained(vars);
+        for &(o1, n1) in map {
+            // Blocks right of the diagonal are their twins' slots.
+            for &(o2, n2) in map.iter().filter(|&&(_, n2)| n2 <= n1) {
+                for (s1, s2) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    out.set(2 * n1 + s1, 2 * n2 + s2, self.at(2 * o1 + s1, 2 * o2 + s2));
+                }
             }
         }
-        self.closed = true;
+        out
+    }
+
+    /// Stops tracking every variable `keep` rejects: closes, then
+    /// [`Oct::project`]s onto the rest, once however many go.
+    fn retain_vars(&mut self, keep: impl Fn(&Symbol) -> bool) {
+        if self.vars.iter().all(&keep) {
+            return;
+        }
+        self.close();
+        let kept: Vec<usize> = (0..self.n()).filter(|&i| keep(&self.vars[i])).collect();
+        let vars = kept.iter().map(|&i| self.vars[i].clone()).collect();
+        let map: Vec<(usize, usize)> = kept.into_iter().zip(0..).collect();
+        *self = self.project(vars, &map);
+    }
+
+    /// Stops tracking `var` entirely.
+    fn untrack(&mut self, var: &Symbol) {
+        if self.index_of(var).is_some() {
+            self.retain_vars(|v| v != var);
+        }
     }
 
     /// Variable bounds `[lo, hi]` from the (closed) matrix:
@@ -567,17 +715,31 @@ impl Oct {
         Interval::new(lo, hi)
     }
 
-    /// Constrains `var ∈ iv`.
+    /// Constrains `var ∈ iv`. An end beyond [`EXACT_CLOSURE_BOUND`] goes
+    /// in first: once it has left the matrix unclosed the other end is
+    /// tightened raw too, and one [`Oct::close`] sees both as they were
+    /// given — never one folded in exactly and the other rounded on top of
+    /// it, which under saturation is a different matrix.
     fn constrain_interval(&mut self, var: &Symbol, iv: Interval) -> bool {
         if iv.is_empty() {
             return false;
         }
         let x = self.track(var);
-        if let Bound::Fin(hi) = iv.hi() {
-            self.tighten(2 * x, 2 * x + 1, hi.saturating_mul(2));
+        // An absent end is `INF`, which tightens nothing.
+        let up = match iv.hi() {
+            Bound::Fin(hi) => hi.saturating_mul(2),
+            _ => INF,
+        };
+        let down = match iv.lo() {
+            Bound::Fin(lo) => (-lo).saturating_mul(2),
+            _ => INF,
+        };
+        let mut ends = [(2 * x, 2 * x + 1, up), (2 * x + 1, 2 * x, down)];
+        if !small(down) {
+            ends.swap(0, 1);
         }
-        if let Bound::Fin(lo) = iv.lo() {
-            self.tighten(2 * x + 1, 2 * x, (-lo).saturating_mul(2));
+        for (i, j, c) in ends {
+            self.tighten(i, j, c);
         }
         true
     }
@@ -615,25 +777,14 @@ impl Oct {
         let two = |b: i64| if b == INF { INF } else { b.saturating_mul(2) };
         self.set(xp, xn, two(ub));
         self.set(xn, xp, two(nb));
-        let d = self.dim();
-        for k in 0..d {
-            if k == xp || k == xn {
-                continue;
-            }
+        // Rows `x⁺` and `x⁻` only: through the accessor they are also the
+        // columns into `x⁻` and `x⁺`.
+        for k in (0..self.dim()).filter(|&k| k != xp && k != xn) {
             let neg_k = bhalf(self.at(k ^ 1, k));
-            let pos_k = bhalf(self.at(k, k ^ 1));
             self.set(xp, k, badd(ub, neg_k));
-            self.set(k, xp, badd(pos_k, nb));
             self.set(xn, k, badd(nb, neg_k));
-            self.set(k, xn, badd(pos_k, ub));
         }
         self.closed = true;
-    }
-
-    /// `x := c` on a strongly closed matrix: the singleton-interval case
-    /// of [`Oct::assign_interval_closed`]. Exact; preserves closure.
-    fn assign_const_closed(&mut self, x: &Symbol, c: i64) {
-        self.assign_interval_closed(x, Interval::constant(c));
     }
 
     /// `x := sign·y + c` with `x ≠ y` on a strongly closed matrix: copy
@@ -655,16 +806,10 @@ impl Oct {
         } else {
             (2 * yi + 1, 2 * yi)
         };
-        let d = self.dim();
         let neg_c = c.saturating_neg();
-        for k in 0..d {
-            if k == xp || k == xn {
-                continue;
-            }
+        for k in (0..self.dim()).filter(|&k| k != xp && k != xn) {
             self.set(xp, k, badd(self.at(q, k), c));
-            self.set(k, xp, badd(self.at(k, q), neg_c));
             self.set(xn, k, badd(self.at(qn, k), neg_c));
-            self.set(k, xn, badd(self.at(k, qn), c));
         }
         let two_c = c.saturating_mul(2);
         self.set(xp, xn, badd(self.at(q, qn), two_c));
@@ -679,26 +824,17 @@ impl Oct {
         debug_assert!(self.closed);
         let xi = self.track(x);
         let (xp, xn) = (2 * xi, 2 * xi + 1);
-        let d = self.dim();
         let neg_c = c.saturating_neg();
-        for k in 0..d {
-            if k == xp || k == xn {
-                continue;
-            }
+        // Rows only: a column entry `(k, x±)` is the slot of the row entry
+        // `(x∓, k̄)`, and shifting it again would shift it twice.
+        for k in (0..self.dim()).filter(|&k| k != xp && k != xn) {
             let (row_p, row_n) = if sign > 0 {
                 (self.at(xp, k), self.at(xn, k))
             } else {
                 (self.at(xn, k), self.at(xp, k))
             };
-            let (col_p, col_n) = if sign > 0 {
-                (self.at(k, xp), self.at(k, xn))
-            } else {
-                (self.at(k, xn), self.at(k, xp))
-            };
             self.set(xp, k, badd(row_p, c));
             self.set(xn, k, badd(row_n, neg_c));
-            self.set(k, xp, badd(col_p, neg_c));
-            self.set(k, xn, badd(col_n, c));
         }
         let (up, down) = if sign > 0 {
             (self.at(xp, xn), self.at(xn, xp))
@@ -709,6 +845,36 @@ impl Oct {
         self.set(xp, xn, badd(up, two_c));
         self.set(xn, xp, badd(down, two_c.saturating_neg()));
         self.closed = true;
+    }
+
+    /// `x := e` on a strongly closed matrix, `lin` being [`linear1`]`(e)`:
+    /// exact by one of the primitives above for `c` and `±y + c`, through
+    /// `e`'s interval otherwise, and untracking `x` when `e` may not be a
+    /// number. `false` when `e` has no value (⊥). Preserves closure.
+    fn assign_closed(&mut self, x: &Symbol, e: &Expr, lin: Option<&Linear1>) -> bool {
+        match lin {
+            Some(Linear1::Const(c)) => self.assign_interval_closed(x, Interval::constant(*c)),
+            Some(Linear1::Term { sign, var, offset }) if var == x => {
+                self.assign_shift_closed(x, *sign, *offset)
+            }
+            Some(Linear1::Term { sign, var, offset }) => {
+                self.assign_copy_closed(x, *sign, var, *offset)
+            }
+            None => {
+                let iv = eval_iv(self, e);
+                if iv.is_empty() {
+                    return false;
+                }
+                // Classified here, not staged: one `match` beside the
+                // walk of `e` that `eval_iv` has just made.
+                if expr_definitely_numeric(e) {
+                    self.assign_interval_closed(x, iv);
+                } else {
+                    self.untrack(x);
+                }
+            }
+        }
+        true
     }
 }
 
@@ -859,36 +1025,13 @@ impl OctagonDomain {
         }
     }
 
-    /// Exact transfer for `x := ±y + c` / `x := c`: O(d) substitution on
-    /// the strongly closed matrix (see the `*_closed` primitives on
-    /// [`Oct`]).
-    fn assign_linear(&self, x: &Symbol, lin: &Linear1) -> OctagonDomain {
-        self.map(|o| {
-            if !o.close() {
-                return false;
-            }
-            match lin {
-                Linear1::Const(c) => o.assign_const_closed(x, *c),
-                Linear1::Term {
-                    sign,
-                    var: y,
-                    offset,
-                } if y == x => {
-                    o.assign_shift_closed(x, *sign, *offset);
-                }
-                Linear1::Term {
-                    sign,
-                    var: y,
-                    offset,
-                } => {
-                    o.assign_copy_closed(x, *sign, y, *offset);
-                }
-            }
-            true
-        })
+    /// The transfer for `x := e`, `lin` being [`linear1`]`(e)`: O(d)
+    /// substitution on a strongly closed copy ([`Oct::assign_closed`]).
+    fn assign(&self, x: &Symbol, e: &Expr, lin: Option<&Linear1>) -> OctagonDomain {
+        self.map(|o| o.close() && o.assign_closed(x, e, lin))
     }
 
-    /// Closure-based reference implementation of [`Self::assign_linear`]
+    /// Closure-based reference implementation of [`Self::assign`]'s linear cases
     /// (the temporary-variable route); kept as the oracle the fast-path
     /// tests compare against.
     #[cfg(test)]
@@ -1304,24 +1447,8 @@ impl AbstractDomain for OctagonDomain {
                 }
                 // Tracked set: intersection (a variable missing on one side
                 // is unconstrained there, so its join is ⊤).
-                let common: Vec<Symbol> = a
-                    .vars
-                    .iter()
-                    .filter(|v| b.index_of(v).is_some())
-                    .cloned()
-                    .collect();
-                let snapshot = Arc::clone(&a.vars);
-                for v in snapshot.iter() {
-                    if !common.contains(v) {
-                        a.untrack(v);
-                    }
-                }
-                let snapshot = Arc::clone(&b.vars);
-                for v in snapshot.iter() {
-                    if !common.contains(v) {
-                        b.untrack(v);
-                    }
-                }
+                a.retain_vars(|v| b.index_of(v).is_some());
+                b.retain_vars(|v| a.index_of(v).is_some());
                 debug_assert_eq!(a.vars, b.vars);
                 let mut out = a;
                 for (o, &bv) in out.dbm.iter_mut().zip(&b.dbm) {
@@ -1349,23 +1476,9 @@ impl AbstractDomain for OctagonDomain {
                 let mut out = Oct::clone(a);
                 if out.vars != b.vars {
                     // Align variables: intersection.
-                    let common: Vec<Symbol> = out
-                        .vars
-                        .iter()
-                        .filter(|v| b.index_of(v).is_some())
-                        .cloned()
-                        .collect();
-                    let snapshot = Arc::clone(&out.vars);
-                    for v in snapshot.iter() {
-                        if !common.contains(v) {
-                            out.untrack(v);
-                        }
-                    }
-                    let snapshot = Arc::clone(&b.vars);
-                    for v in snapshot.iter() {
-                        if !common.contains(v) {
-                            b.to_mut().untrack(v);
-                        }
+                    out.retain_vars(|v| b.index_of(v).is_some());
+                    if b.n() > out.n() {
+                        b.to_mut().retain_vars(|v| out.index_of(v).is_some());
                     }
                 }
                 for (o, &bv) in out.dbm.iter_mut().zip(&b.dbm) {
@@ -1391,10 +1504,11 @@ impl AbstractDomain for OctagonDomain {
                     return false;
                 };
                 // Every constraint of b must be implied by a; variables a
-                // does not track are unconstrained (∞) on a's side.
+                // does not track are unconstrained (∞) on a's side. The
+                // blocks with `j2 ≤ j1` are all the stored ones.
                 for (j1, v1) in b.vars.iter().enumerate() {
                     let a1 = a.index_of(v1);
-                    for (j2, v2) in b.vars.iter().enumerate() {
+                    for (j2, v2) in b.vars.iter().enumerate().take(j1 + 1) {
                         let a2 = a.index_of(v2);
                         for s1 in 0..2 {
                             for s2 in 0..2 {
@@ -1432,29 +1546,7 @@ impl AbstractDomain for OctagonDomain {
                 // and array-valued variables are never tracked).
                 self.clone()
             }
-            Stmt::Assign(x, e) => {
-                if let Some(lin) = linear1(e) {
-                    self.assign_linear(x, &lin)
-                } else {
-                    let iv = self.eval_interval(e);
-                    if iv.is_empty() {
-                        return OctagonDomain::Bottom;
-                    }
-                    let numeric = expr_definitely_numeric(e);
-                    self.map(|o| {
-                        if !o.close() {
-                            return false;
-                        }
-                        if numeric {
-                            o.assign_interval_closed(x, iv);
-                        } else {
-                            o.forget(x);
-                            o.untrack(x);
-                        }
-                        true
-                    })
-                }
-            }
+            Stmt::Assign(x, e) => self.assign(x, e, linear1(e).as_ref()),
             Stmt::Assume(e) => self.refine(e, true),
             Stmt::Call { lhs, .. } => match lhs {
                 Some(x) => self.map(|o| {
@@ -1471,54 +1563,44 @@ impl AbstractDomain for OctagonDomain {
     }
 
     fn call_entry(&self, site: CallSite<'_>, callee_params: &[Symbol]) -> Self {
-        if self.is_bottom() {
-            return OctagonDomain::Bottom;
-        }
-        // Assign temporaries $argᵢ := actualᵢ in the caller state (keeping
-        // relations between arguments), project onto them, then rename.
-        let mut cur = self.clone();
-        let temps: Vec<Symbol> = (0..callee_params.len())
-            .map(|i| Symbol::new(format!("$arg{i}")))
-            .collect();
-        for (t, a) in temps.iter().zip(site.args) {
-            cur = cur.transfer(&Stmt::Assign(t.clone(), a.clone()));
-        }
-        let OctagonDomain::Oct(o) = cur else {
+        // Bind temporaries $argᵢ := actualᵢ in a copy of the caller state
+        // (keeping relations between arguments), then project onto them
+        // and rename them to the parameters in one pass.
+        let OctagonDomain::Oct(caller) = self else {
             return OctagonDomain::Bottom;
         };
-        // `cur` is locally owned, so this is normally a move, not a copy.
-        let mut o = Arc::try_unwrap(o)
-            .map(SealedOct::into_oct)
-            .unwrap_or_else(|shared| Oct::clone(&shared));
+        let mut o = Oct::clone(caller);
         if !o.close() {
             return OctagonDomain::Bottom;
         }
-        let snapshot = Arc::clone(&o.vars);
-        for v in snapshot.iter() {
-            if !temps.contains(v) {
-                o.untrack(v);
+        let mut params = callee_params.to_vec();
+        params.sort();
+        params.dedup();
+        let mut bound = Vec::with_capacity(callee_params.len());
+        for (i, (p, a)) in callee_params.iter().zip(site.args).enumerate() {
+            let t = arg_temp(i);
+            if !o.assign_closed(&t, a, linear1(a).as_ref()) {
+                return OctagonDomain::Bottom;
+            }
+            // A non-numeric actual leaves its temporary, and with it the
+            // parameter, untracked.
+            if o.index_of(&t).is_some() {
+                bound.push((t, params.binary_search(p).expect("a parameter")));
             }
         }
-        // Rename $argᵢ → paramᵢ by rebuilding.
-        let mut out = Oct::unconstrained(Vec::new());
-        for p in callee_params {
-            out.track(p);
-        }
-        for (i, t1) in temps.iter().enumerate() {
-            let Some(o1) = o.index_of(t1) else { continue };
-            let n1 = out.index_of(&callee_params[i]).expect("tracked");
-            for (j, t2) in temps.iter().enumerate() {
-                let Some(o2) = o.index_of(t2) else { continue };
-                let n2 = out.index_of(&callee_params[j]).expect("tracked");
-                for s1 in 0..2 {
-                    for s2 in 0..2 {
-                        out.set(2 * n1 + s1, 2 * n2 + s2, o.at(2 * o1 + s1, 2 * o2 + s2));
-                    }
-                }
-            }
-        }
+        // Resolved only now: binding a later temporary moves the earlier.
+        let map: Vec<(usize, usize)> = bound
+            .iter()
+            .map(|(t, n)| (o.index_of(t).expect("just bound"), *n))
+            .collect();
+        let mut out = o.project(params, &map);
+        // Re-derived, as for any rebuilt matrix (module docs).
         out.closed = false;
-        OctagonDomain::seal(out).map(|_| true)
+        if out.close() {
+            OctagonDomain::seal(out)
+        } else {
+            OctagonDomain::Bottom
+        }
     }
 
     fn call_return(&self, site: CallSite<'_>, callee_exit: &Self) -> Self {
@@ -1592,11 +1674,10 @@ impl AbstractDomain for OctagonDomain {
 impl crate::compile::CompileTransfer for OctagonDomain {
     /// Stages a statement against the octagon domain. The win here is
     /// real: the interpreter re-runs [`linear1`] (an AST walk with
-    /// checked arithmetic) and [`expr_definitely_numeric`] on every
-    /// evaluation before reaching the O(d) `assign_*_closed` primitives;
-    /// staging runs the classification once and the closure jumps
-    /// straight to the same primitive, so the results are bit-identical
-    /// by construction.
+    /// checked arithmetic) on every evaluation before reaching the O(d)
+    /// `assign_*_closed` primitives; staging runs it once and the closure
+    /// enters [`OctagonDomain::assign`] where the interpreter does, so the
+    /// results are bit-identical by construction.
     fn stage(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
         use crate::compile::{CompiledTransfer, TransferShape};
         match stmt {
@@ -1609,51 +1690,20 @@ impl crate::compile::CompileTransfer for OctagonDomain {
                 ))
             }
             Stmt::Assign(x, e) => {
-                if let Some(lin) = linear1(e) {
-                    let shape = match &lin {
-                        Linear1::Const(_) => TransferShape::ConstAssign,
-                        Linear1::Term { var, .. } if var == x => TransferShape::ShiftAssign,
-                        Linear1::Term { .. } => TransferShape::CopyAssign,
-                    };
-                    let x = x.clone();
-                    Some(CompiledTransfer::new(shape, move |pre: &OctagonDomain| {
-                        if pre.is_bottom() {
-                            return OctagonDomain::Bottom;
-                        }
-                        pre.assign_linear(&x, &lin)
-                    }))
-                } else {
-                    // Non-octagonal right-hand side: the interval
-                    // evaluation depends on the pre-state, but the
-                    // numericity classification does not — stage it.
-                    let numeric = expr_definitely_numeric(e);
-                    let x = x.clone();
-                    let e = e.clone();
-                    Some(CompiledTransfer::new(
-                        TransferShape::Assign,
-                        move |pre: &OctagonDomain| {
-                            if pre.is_bottom() {
-                                return OctagonDomain::Bottom;
-                            }
-                            let iv = pre.eval_interval(&e);
-                            if iv.is_empty() {
-                                return OctagonDomain::Bottom;
-                            }
-                            pre.map(|o| {
-                                if !o.close() {
-                                    return false;
-                                }
-                                if numeric {
-                                    o.assign_interval_closed(&x, iv);
-                                } else {
-                                    o.forget(&x);
-                                    o.untrack(&x);
-                                }
-                                true
-                            })
-                        },
-                    ))
-                }
+                // The classification is the stage-time work; the interval
+                // of a non-octagonal right-hand side depends on the
+                // pre-state and is evaluated at apply time.
+                let lin = linear1(e);
+                let shape = match &lin {
+                    Some(Linear1::Const(_)) => TransferShape::ConstAssign,
+                    Some(Linear1::Term { var, .. }) if var == x => TransferShape::ShiftAssign,
+                    Some(Linear1::Term { .. }) => TransferShape::CopyAssign,
+                    None => TransferShape::Assign,
+                };
+                let (x, e) = (x.clone(), e.clone());
+                Some(CompiledTransfer::new(shape, move |pre: &OctagonDomain| {
+                    pre.assign(&x, &e, lin.as_ref())
+                }))
             }
             Stmt::Assume(e) => {
                 // Stage the whole `refine` recursion: the interpreter
@@ -1882,6 +1932,20 @@ impl AssumePlan {
     }
 }
 
+/// `$arg{i}`, the reserved name [`OctagonDomain::call_entry`] binds the
+/// `i`-th actual to; formatted and allocated once per thread.
+fn arg_temp(i: usize) -> Symbol {
+    thread_local! {
+        static TEMPS: std::cell::RefCell<Vec<Symbol>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+    TEMPS.with_borrow_mut(|temps| {
+        while temps.len() <= i {
+            temps.push(Symbol::new(format!("$arg{}", temps.len())));
+        }
+        temps[i].clone()
+    })
+}
+
 /// Conservative check that an expression always evaluates to an integer
 /// (when it evaluates at all).
 fn expr_definitely_numeric(e: &Expr) -> bool {
@@ -1949,7 +2013,7 @@ mod tests {
                     offset: next() % 50,
                 },
             };
-            let fast = st.assign_linear(&x, &lin);
+            let fast = st.assign(&x, &Expr::Int(0), Some(&lin));
             let slow = st.assign_linear_ref(&x, &lin);
             assert_eq!(fast.is_bottom(), slow.is_bottom(), "round {round}");
             for v in vars {
@@ -2243,6 +2307,26 @@ mod tests {
     }
 
     #[test]
+    fn storage_is_the_packed_half_and_the_wire_form_the_full_matrix() {
+        for n in [0usize, 1, 14] {
+            let vars: Vec<Symbol> = (0..n).map(|i| Symbol::new(format!("v{i:02}"))).collect();
+            let mut o = Oct::unconstrained(vars.clone());
+            assert_eq!(o.dbm.len(), 2 * n * (n + 1));
+            assert_eq!(o.dbm().len(), 4 * n * n);
+            if n > 1 {
+                o.tighten(2, 1, 7);
+                assert_eq!((o.at(2, 1), o.at(0, 3)), (7, 7), "one slot, both twins");
+                // A matrix whose two halves disagree has no packed form.
+                let mut torn = o.dbm();
+                torn[3] = 8; // (0, 3) alone; its twin (2, 1) still says 7
+                assert!(Oct::from_parts(vars.clone(), torn).is_none());
+            }
+            let back = Oct::from_parts(vars, o.dbm()).expect("coherent");
+            assert_eq!((&back, back.closed), (&o, false));
+        }
+    }
+
+    #[test]
     fn display_shows_constraints() {
         let s = assume(&assign(&OctagonDomain::top(), "x", "1"), "x <= y");
         let txt = s.to_string();
@@ -2326,7 +2410,7 @@ mod tests {
                         let (x, y) = (var(x % n), var(y % n));
                         let sign = if c & 1 == 0 { 1 } else { -1 };
                         match op {
-                            0 => o.assign_const_closed(&x, c),
+                            0 => o.assign_interval_closed(&x, Interval::constant(c)),
                             1 if x != y => o.assign_copy_closed(&x, sign, &y, c),
                             2 => o.assign_shift_closed(&x, sign, c),
                             _ => o.forget(&x),
@@ -2340,13 +2424,118 @@ mod tests {
         fn tighten_raw(o: &mut Oct, i: usize, j: usize, c: i64) {
             if c < o.at(i, j) {
                 o.set(i, j, c);
-                o.set(j ^ 1, i ^ 1, c);
                 o.closed = false;
             }
         }
 
+        /// The full-matrix strong closure this module ran before the matrix
+        /// was packed, on the row-major `(2n)²` form [`Oct::dbm`] expands
+        /// to: one pivot at a time over every entry, strengthening after
+        /// each. The reference [`Oct::close`] is compared with — over `i64`
+        /// with this module's saturating arithmetic, and over `i128`,
+        /// where no sum of fewer than `2n` `i64`s can leave the type.
+        fn close_full<T: Copy + Ord + Default>(
+            m: &mut [T],
+            d: usize,
+            inf: T,
+            add: fn(T, T) -> T,
+            half: fn(T) -> T,
+        ) -> bool {
+            for k in 0..d {
+                for i in 0..d {
+                    let ik = m[i * d + k];
+                    if ik == inf {
+                        continue;
+                    }
+                    for j in 0..d {
+                        let kj = m[k * d + j];
+                        if kj == inf {
+                            continue;
+                        }
+                        let via = add(ik, kj);
+                        if via < m[i * d + j] {
+                            m[i * d + j] = via;
+                        }
+                    }
+                }
+                // Strengthening, as `Oct::strengthen` documents it.
+                for i in 0..d {
+                    let half_i = half(m[i * d + (i ^ 1)]);
+                    if half_i == inf {
+                        continue;
+                    }
+                    for j in 0..d {
+                        let half_j = half(m[(j ^ 1) * d + j]);
+                        if half_j == inf {
+                            continue;
+                        }
+                        let s = add(half_i, half_j);
+                        if s < m[i * d + j] {
+                            m[i * d + j] = s;
+                        }
+                    }
+                }
+            }
+            (0..d).all(|i| m[i * d + i] >= T::default())
+        }
+
+        const WIDE_INF: i128 = i128::MAX;
+
+        fn wide(v: i64) -> i128 {
+            if v == INF {
+                WIDE_INF
+            } else {
+                v as i128
+            }
+        }
+
+        /// [`Oct::close`] on `raw` against the reference on `raw` expanded.
+        /// While no sum can saturate the two agree entry for entry and on
+        /// ⊥. Beyond [`EXACT_CLOSURE_BOUND`] they may round a saturated sum
+        /// differently (the reference, relaxing one signed form at a time,
+        /// can even leave `m[i][j] ≠ m[j̄][ī]`, which a packed matrix cannot
+        /// hold), so there the packed result is held to what saturation
+        /// promises: never below the closure in unbounded arithmetic, and
+        /// ⊥ only when that is.
+        fn assert_matches_reference(raw: &Oct, closed: Option<&Oct>) {
+            let d = raw.dim();
+            if raw.closes_exactly(0) {
+                let mut reference = raw.dbm();
+                let consistent = close_full(&mut reference, d, INF, badd, bhalf);
+                prop_assert_eq!(closed.is_some(), consistent, "⊥ verdict");
+                if let Some(closed) = closed {
+                    prop_assert_eq!(closed.dbm(), reference);
+                }
+                return;
+            }
+            let mut truth: Vec<i128> = raw.dbm().into_iter().map(wide).collect();
+            let add = |a, b| {
+                if a == WIDE_INF || b == WIDE_INF {
+                    WIDE_INF
+                } else {
+                    a + b
+                }
+            };
+            let half = |a: i128| if a == WIDE_INF { a } else { a.div_euclid(2) };
+            if close_full(&mut truth, d, WIDE_INF, add, half) {
+                let closed = closed.expect("a satisfiable system closed to ⊥");
+                for (got, least) in closed.dbm().into_iter().zip(truth) {
+                    prop_assert!(wide(got) >= least, "{got} is below the closure's {least}");
+                }
+            }
+        }
+
+        /// Closes `raw` — the oracle's input, every cell tightened raw —
+        /// and checks that closure against the full-matrix reference.
+        fn close_checked(raw: Oct) -> Option<Oct> {
+            let mut full = raw.clone();
+            let full = full.close().then_some(full);
+            assert_matches_reference(&raw, full.as_ref());
+            full
+        }
+
         /// Same ⊥ verdict; when not ⊥, same variables, matrix bytes and
-        /// `closed` flag.
+        /// `closed` flag — on every draw, saturating ones included.
         fn assert_same(incremental: Option<Oct>, full: Option<Oct>) {
             prop_assert_eq!(incremental.is_some(), full.is_some(), "⊥ verdict");
             if let (Some(inc), Some(full)) = (incremental, full) {
@@ -2398,9 +2587,98 @@ mod tests {
 
         type Add = fn(&mut Oct, &[(i64, Symbol)], i64, i64) -> bool;
 
-        fn add_and_close(mut o: Oct, adds: &[SumLeArgs], add: Add) -> Option<Oct> {
+        /// `o` with every constraint of `adds` added through `add`, or
+        /// `None` when one is contradictory on its face.
+        fn add_all(mut o: Oct, adds: &[SumLeArgs], add: Add) -> Option<Oct> {
             let ok = adds.iter().all(|(t, k, b)| add(&mut o, t, *k, *b));
-            (ok && o.close()).then_some(o)
+            ok.then_some(o)
+        }
+
+        /// The full-matrix row and column insert [`Oct::track`] is compared
+        /// with: an unconstrained pair of signed forms at variable `pos`.
+        fn insert_pair_full(m: &[i64], d: usize, pos: usize) -> Vec<i64> {
+            let old = |i: usize| {
+                (i < 2 * pos)
+                    .then_some(i)
+                    .or((i >= 2 * pos + 2).then(|| i - 2))
+            };
+            (0..d + 2)
+                .flat_map(|i| (0..d + 2).map(move |j| (i, j)))
+                .map(|(i, j)| match (old(i), old(j)) {
+                    (Some(i), Some(j)) => m[i * d + j],
+                    _ if i == j => 0,
+                    _ => INF,
+                })
+                .collect()
+        }
+
+        /// The parent commit's `call_entry`: a temporary per actual, each
+        /// assigned through `transfer`, every other variable untracked one
+        /// at a time, and the temporaries copied onto the parameters.
+        fn call_entry_ref(
+            caller: &OctagonDomain,
+            site: CallSite<'_>,
+            callee_params: &[Symbol],
+        ) -> OctagonDomain {
+            let mut cur = caller.clone();
+            let temps: Vec<Symbol> = (0..callee_params.len())
+                .map(|i| Symbol::new(format!("$arg{i}")))
+                .collect();
+            for (t, a) in temps.iter().zip(site.args) {
+                cur = cur.transfer(&Stmt::Assign(t.clone(), a.clone()));
+            }
+            let OctagonDomain::Oct(o) = cur else {
+                return OctagonDomain::Bottom;
+            };
+            let mut o = Oct::clone(&o);
+            if !o.close() {
+                return OctagonDomain::Bottom;
+            }
+            for v in Arc::clone(&o.vars).iter() {
+                if !temps.contains(v) {
+                    o.untrack(v);
+                }
+            }
+            let mut out = Oct::unconstrained(Vec::new());
+            for p in callee_params {
+                out.track(p);
+            }
+            // (a tracked temporary's index, its parameter's), in order.
+            let pairs: Vec<(usize, usize)> = (temps.iter().zip(callee_params))
+                .filter_map(|(t, p)| Some((o.index_of(t)?, out.index_of(p)?)))
+                .collect();
+            for (&(o1, n1), s1) in pairs.iter().flat_map(|p| [(p, 0), (p, 1)]) {
+                for (&(o2, n2), s2) in pairs.iter().flat_map(|p| [(p, 0), (p, 1)]) {
+                    out.set(2 * n1 + s1, 2 * n2 + s2, o.at(2 * o1 + s1, 2 * o2 + s2));
+                }
+            }
+            out.closed = false;
+            OctagonDomain::seal(out).map(|_| true)
+        }
+
+        /// One saturating input, pinned so that drift in what [`Oct::close`]
+        /// does beyond [`EXACT_CLOSURE_BOUND`] shows. The paired pivots
+        /// leave `v1 + v2 ≤ −4611686018427387954`, the strengthening of two
+        /// saturated unary bounds, where the reference's single pivots
+        /// find a path whose sum saturates to `i64::MIN`. The bound in
+        /// unbounded arithmetic is below both, so both are sound; every
+        /// other entry agrees.
+        #[test]
+        fn closure_of_a_saturating_input_is_pinned() {
+            let mut o = Oct::unconstrained((0..3).map(var).collect());
+            for (i, j, c) in [(0, 1, 100), (4, 5, -100), (2, 1, i64::MIN + 2), (1, 0, -5)] {
+                tighten_raw(&mut o, i, j, c);
+            }
+            let mut reference = o.dbm();
+            assert!(close_full(&mut reference, 6, INF, badd, bhalf));
+            assert!(o.close());
+            let closed = o.dbm();
+            let differ: Vec<usize> = (0..36).filter(|&e| closed[e] != reference[e]).collect();
+            assert_eq!(differ, [2 * 6 + 5, 4 * 6 + 3], "(v1⁺, v2⁻) and its twin");
+            assert_eq!(
+                (o.at(2, 5), reference[2 * 6 + 5]),
+                (-4611686018427387954, i64::MIN)
+            );
         }
 
         proptest! {
@@ -2416,8 +2694,12 @@ mod tests {
                 };
                 prop_assert!(closed.closed);
                 let adds = constraint(closed.n(), added.0, added.1, added.2, added.3);
-                let full = add_and_close(closed.clone(), &adds, add_sum_le_raw);
-                assert_same(add_and_close(closed, &adds, add_sum_le), full);
+                let raw = add_all(closed.clone(), &adds, add_sum_le_raw);
+                let incremental = add_all(closed, &adds, add_sum_le);
+                assert_same(
+                    incremental.and_then(|mut o| o.close().then_some(o)),
+                    raw.and_then(close_checked),
+                );
             }
 
             /// `call_return`'s shape: both bounds of one variable at once,
@@ -2442,13 +2724,102 @@ mod tests {
                 if hi == INF {
                     return;
                 }
-                let mut full = closed.clone();
-                let xi = full.track(&x);
-                tighten_raw(&mut full, 2 * xi, 2 * xi + 1, hi.saturating_mul(2));
-                tighten_raw(&mut full, 2 * xi + 1, 2 * xi, (-lo).saturating_mul(2));
+                let mut raw = closed.clone();
+                let xi = raw.track(&x);
+                tighten_raw(&mut raw, 2 * xi, 2 * xi + 1, hi.saturating_mul(2));
+                tighten_raw(&mut raw, 2 * xi + 1, 2 * xi, (-lo).saturating_mul(2));
                 let mut inc = closed;
                 prop_assert!(inc.constrain_interval(&x, Interval::of(lo, hi)));
-                assert_same(inc.close().then_some(inc), full.close().then_some(full));
+                assert_same(inc.close().then_some(inc), close_checked(raw));
+            }
+
+            /// The layout under `track` and `untrack`: a variable that
+            /// sorts first, in the middle or last comes and goes as the
+            /// full matrix's row-and-column insert and delete, and a
+            /// constrained one leaves as its rows and columns deleted.
+            #[test]
+            fn track_and_untrack_are_row_and_column_insert_and_delete(
+                closed in closed_octagon(),
+                place in 0u8..3,
+                gone in 0usize..14,
+            ) {
+                let Some(closed) = closed else {
+                    return;
+                };
+                let (n, d) = (closed.n(), closed.dim());
+                let fresh = Symbol::new(["a-new", "v00x", "z-new"][place as usize]);
+                let mut grown = closed.clone();
+                let pos = grown.track(&fresh);
+                prop_assert_eq!(pos, [0, 1, n][place as usize]);
+                prop_assert_eq!(grown.dbm.len(), 2 * (n + 1) * (n + 2));
+                prop_assert_eq!(grown.dbm(), insert_pair_full(&closed.dbm(), d, pos));
+                grown.untrack(&fresh);
+                prop_assert_eq!(&grown, &closed);
+
+                let gone = gone % n;
+                let mut shrunk = closed.clone();
+                shrunk.untrack(&var(gone));
+                let mut vars = closed.vars.to_vec();
+                vars.remove(gone);
+                prop_assert_eq!(&shrunk.vars[..], &vars[..]);
+                prop_assert!(shrunk.closed);
+                // Deleting the pair is what inserting it back undoes, up
+                // to the constraints it carried.
+                let kept = |e: &usize| e / d / 2 != gone && e % d / 2 != gone;
+                let full = closed.dbm();
+                let deleted: Vec<i64> = (0..d * d).filter(kept).map(|e| full[e]).collect();
+                prop_assert_eq!(shrunk.dbm(), deleted);
+            }
+
+            /// The one-pass call binding against the parent's construction,
+            /// on zero to four actuals of every kind it distinguishes.
+            #[test]
+            fn call_entry_equals_the_per_variable_construction(
+                closed in closed_octagon(),
+                actuals in prop::collection::vec((0u8..7, 0usize..14, -30i64..30), 0..5),
+                formals in (0usize..24, 0usize..2),
+            ) {
+                let Some(closed) = closed else {
+                    return;
+                };
+                let n = closed.n();
+                let args: Vec<Expr> = actuals
+                    .iter()
+                    .map(|&(kind, v, c)| {
+                        let v = var(v % n);
+                        parse_expr(&match kind {
+                            0 => format!("{v}"),
+                            1 => format!("{c}"),
+                            2 => format!("{v} + {c}"),
+                            3 => format!("{c} - {v}"),
+                            4 => format!("{v} * {v}"),
+                            5 => "untracked".to_string(),
+                            _ => "[1, 2]".to_string(),
+                        })
+                        .unwrap()
+                    })
+                    .collect();
+                // Parameter names in an order that is not the actuals',
+                // and sometimes one more parameter than actuals.
+                let mut names = ["p", "q", "r", "s", "t"].map(Symbol::new).to_vec();
+                names.rotate_left(formals.0 % 5);
+                if formals.0 / 5 % 2 == 1 {
+                    names.swap(0, 3);
+                }
+                names.truncate(args.len() + formals.1);
+                let site = CallSite {
+                    lhs: None,
+                    callee: &Symbol::new("f"),
+                    args: &args,
+                    site_key: "main:e0",
+                };
+                let caller = OctagonDomain::seal(closed);
+                let got = caller.call_entry(site, &names);
+                let want = call_entry_ref(&caller, site, &names);
+                prop_assert_eq!(&got, &want);
+                if let (OctagonDomain::Oct(got), OctagonDomain::Oct(want)) = (&got, &want) {
+                    prop_assert_eq!(got.is_closed(), want.is_closed());
+                }
             }
         }
     }

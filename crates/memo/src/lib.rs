@@ -287,8 +287,9 @@ impl KeyBuilder {
 /// [`KeyBuilder::push_digest`], this amortizes the cost of hashing large
 /// values across every memo lookup that reads them. What one call costs is
 /// up to the value's `Hash`: a domain that caches a fingerprint beside its
-/// shared representation (the octagon does) walks the value once per
-/// allocation, however many cells that allocation is written to.
+/// shared representation (the octagon does, over the packed half of its
+/// matrix) walks the value once per allocation, however many cells that
+/// allocation is written to.
 pub fn content_digest<T: Hash + ?Sized>(value: &T) -> u128 {
     let mut h = TwinHasher::seeded(0xD16E_57A7);
     value.hash(&mut h);

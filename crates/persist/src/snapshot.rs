@@ -47,11 +47,12 @@ pub const SESSION_VERSION: u16 = 1;
 /// Payload version of `FUNC` sections.
 pub const FUNC_VERSION: u16 = 1;
 /// Payload version of `MEMO` sections. The payload layout has not changed
-/// since version 1, but its keys are content hashes of abstract states, and
-/// version 2 marks the octagon's fingerprint-based `Hash`: keys written by
-/// an older binary can never be matched again, so the skew path drops the
-/// section instead of loading entries that would only occupy the table.
-pub const MEMO_VERSION: u16 = 2;
+/// since version 1, but its keys are content hashes of abstract states:
+/// version 2 marks the octagon's fingerprint-based `Hash`, version 3 that
+/// fingerprint covering the packed half matrix. Keys written by an older
+/// binary can never be matched again, so the skew path drops the section
+/// instead of loading entries that would only occupy the table.
+pub const MEMO_VERSION: u16 = 3;
 
 /// One demanded function's restored analysis state.
 #[derive(Debug, Clone)]
@@ -688,22 +689,25 @@ mod tests {
 
     #[test]
     fn memo_section_keyed_by_an_older_hash_is_dropped_alone() {
-        // A snapshot from before the octagon fingerprint: same layout,
-        // MEMO stamped version 1. Its keys no longer name any state, so
-        // the section is counted and dropped; everything else restores.
+        // A snapshot from before the octagon fingerprint (MEMO stamped
+        // version 1) or from before it covered the packed half (version
+        // 2): same layout, but its keys no longer name any state, so the
+        // section is counted and dropped; everything else restores.
         let (fa, memo) = evaluated_analysis();
         let bytes = image_of(&fa, &memo).to_bytes();
-        let list = crate::codec::read_sections(&bytes).unwrap();
-        let mut rewritten = crate::codec::SnapshotWriter::new();
-        for s in list.sections {
-            let version = if s.tag == TAG_MEMO { 1 } else { s.version };
-            rewritten.section(s.tag, version, s.payload.unwrap());
+        for older in 1..MEMO_VERSION {
+            let list = crate::codec::read_sections(&bytes).unwrap();
+            let mut rewritten = crate::codec::SnapshotWriter::new();
+            for s in list.sections {
+                let version = if s.tag == TAG_MEMO { older } else { s.version };
+                rewritten.section(s.tag, version, s.payload.unwrap());
+            }
+            let (image, report) = SessionImage::<D>::from_bytes(&rewritten.into_bytes()).unwrap();
+            assert_eq!(report.memo_sections_dropped, 1, "version {older}");
+            assert_eq!(report.memo_entries, 0);
+            assert!(image.memo.is_empty());
+            assert_eq!((report.funcs_restored, report.funcs_dropped), (1, 0));
         }
-        let (image, report) = SessionImage::<D>::from_bytes(&rewritten.into_bytes()).unwrap();
-        assert_eq!(report.memo_sections_dropped, 1);
-        assert_eq!(report.memo_entries, 0);
-        assert!(image.memo.is_empty());
-        assert_eq!((report.funcs_restored, report.funcs_dropped), (1, 0));
     }
 
     #[test]

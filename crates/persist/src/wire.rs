@@ -1077,8 +1077,10 @@ impl Persist for OctagonDomain {
                 // The DBM dimension is implied by the variable count. The
                 // `closed` flag is deliberately NOT serialized: it is a
                 // derived property, re-derived after restore (see
-                // [`Oct::from_parts`]).
-                put_dbm_compact(o.dbm(), w);
+                // [`Oct::from_parts`]). The wire carries the full
+                // row-major matrix, which the octagon — keeping half of
+                // it in memory — expands into a buffer it lends.
+                o.with_dbm(|dbm| put_dbm_compact(dbm, w));
             }
         }
     }
@@ -1478,6 +1480,68 @@ mod tests {
             matches!(err, PersistError::Corrupt(ref m) if m.contains("DBM")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn incoherent_octagon_matrix_is_rejected() {
+        // `(0, 3)` and its twin `(2, 1)` are one constraint; a payload in
+        // which they differ names no octagon, and packing it would keep
+        // one half and silently drop what the other said.
+        let oct = |torn: bool| {
+            let mut w = Writer::new();
+            w.u8(2);
+            w.u64(2);
+            w.str("x");
+            w.str("y");
+            let mut dbm = [i64::MAX; 16];
+            for i in 0..4 {
+                dbm[i * 4 + i] = 0;
+            }
+            (dbm[3], dbm[2 * 4 + 1]) = (7, if torn { 8 } else { 7 });
+            put_dbm_compact(&dbm, &mut w);
+            w.into_bytes()
+        };
+        let bytes = oct(true);
+        let mut r = Reader::new(&bytes);
+        let err = OctagonDomain::get(&mut r).unwrap_err();
+        assert_eq!(
+            err,
+            PersistError::Corrupt("octagon parts violate invariants".to_string())
+        );
+        assert!(r.is_exhausted(), "refused after the matrix, not inside it");
+        // Its coherent neighbour decodes, and re-encodes to the same bytes.
+        let bytes = oct(false);
+        let back = OctagonDomain::get(&mut Reader::new(&bytes)).unwrap();
+        let mut w = Writer::new();
+        back.put(&mut w);
+        assert_eq!(w.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn octagon_encoding_is_byte_identical_to_the_full_matrix_writer() {
+        // Recorded at b75001f, whose octagons stored — and whose encoder
+        // walked — the full matrix: unary bounds (one beyond the one-byte
+        // tokens), relational content, and INF runs across row boundaries.
+        let golden = [
+            ("x := 5; y >= -3; y <= 100000; z <= -77", "02030000000000000001000000000000007801000000000000007901000000000000007a001410fea586010000000000ff010000008f130003fe9b86010000000000ff01000000a3fe9b86010000000000fea58601000000000000fe400d030000000000ff01000000fe538601000000000003100c00ff0100000093a38f93fe538601000000000000fe66ffffffffffffffff0500000000"),
+            ("i < j; j - k <= 7; i + k <= 12; m := -i + 2; i >= 0", "02040000000000000001000000000000006901000000000000006a01000000000000006b01000000000000006d002401260c182004000001260c1803042626004c0e3e222a010103000a1605021818163e0030141c0c0c0a0e180008100404022a101c00080320052208141c00"),
+            ("a := u * u; b := u * u; c := u * u; d := u * u; e := u * u; f := u * u; g := u * u; h := u * u; d - g <= 9; h := 1", "02080000000000000001000000000000006101000000000000006201000000000000006301000000000000006401000000000000006501000000000000006601000000000000006701000000000000006800ff1000000000ff1000000000ff1000000000ff1000000000ff1000000000ff1000000000ff0500000012ff0a00000000ff1000000000ff1000000000ff1000000000ff1000000000ff1000000000ff0a00000012ff0500000000ff100000000004ff0e0000000300"),
+        ];
+        for (script, hex) in golden {
+            let oct = script.split("; ").fold(OctagonDomain::top(), |d, line| {
+                let expr = |e| dai_lang::parse_expr(e).unwrap();
+                d.transfer(&match line.split_once(" := ") {
+                    Some((x, e)) => Stmt::Assign(x.into(), expr(e)),
+                    None => Stmt::Assume(expr(line)),
+                })
+            });
+            let mut w = Writer::new();
+            oct.put(&mut w);
+            let bytes = w.into_bytes();
+            let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{oct}");
+            assert_eq!(OctagonDomain::get(&mut Reader::new(&bytes)).unwrap(), oct);
+        }
     }
 
     #[test]

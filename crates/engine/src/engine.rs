@@ -354,32 +354,46 @@ impl From<PersistError> for EngineError {
     }
 }
 
+/// What the waiting half gets: the request's response or its failure.
+type Reply<D> = Result<Response<D>, EngineError>;
+
 /// A single-use reply slot: one allocation per request instead of an
-/// mpsc channel, with `Condvar` wakeup for the waiter and an optional
-/// completion hook for pollers that must not block (the RPC event loop).
+/// mpsc channel. The consumer either parks in [`Ticket::wait`] or leaves
+/// a completion hook ([`Ticket::on_complete`]) that receives the value
+/// on the producing thread — the RPC server frames and writes the
+/// response from there, so no other thread has to be woken.
 struct Oneshot<D> {
-    slot: Mutex<Option<Result<Response<D>, EngineError>>>,
+    slot: Mutex<Slot<D>>,
     ready: Condvar,
-    /// Fired (at most once) when the slot is filled. Stored and taken
-    /// under `slot`'s lock, so registration can never race a concurrent
-    /// fill into a lost wakeup.
-    hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+/// All under one lock: a fill cannot race a hook registration or a
+/// parking waiter into a lost wake-up.
+struct Slot<D> {
+    value: Option<Reply<D>>,
+    hook: Option<Box<dyn FnOnce(Reply<D>) + Send>>,
+    /// A [`Ticket::wait`] is parked on `ready`; only then does `fill`
+    /// signal the condvar — a system call whether or not anyone waits,
+    /// and most tickets are hooked, or filled before they are waited on.
+    parked: bool,
 }
 
 impl<D> Oneshot<D> {
-    /// Fills the slot and delivers both wakeup paths: the blocking
-    /// waiter's condvar and the registered completion hook, if any. The
-    /// hook runs *after* the slot lock is released, on the producing
-    /// thread, with the value already visible to [`Ticket::try_take`].
-    fn fill(&self, value: Result<Response<D>, EngineError>) {
-        let hook = {
-            let mut slot = self.slot.lock().expect("ticket slot poisoned");
-            *slot = Some(value);
-            self.hook.lock().expect("ticket hook poisoned").take()
-        };
-        self.ready.notify_one();
-        if let Some(hook) = hook {
-            hook();
+    /// Delivers the value: to the registered hook — on this, the
+    /// producing, thread, after the slot lock is released — or else into
+    /// the slot, waking the waiter if one is parked.
+    fn fill(&self, value: Reply<D>) {
+        let mut slot = self.slot.lock().expect("ticket slot poisoned");
+        if let Some(hook) = slot.hook.take() {
+            drop(slot);
+            hook(value);
+            return;
+        }
+        slot.value = Some(value);
+        let parked = slot.parked;
+        drop(slot);
+        if parked {
+            self.ready.notify_one();
         }
     }
 }
@@ -387,13 +401,13 @@ impl<D> Oneshot<D> {
 /// The producing side of a [`Ticket`]'s reply slot. Dropping it without
 /// replying (worker panic) delivers [`EngineError::Disconnected`], so a
 /// waiter can never hang.
-struct Responder<D> {
+pub(crate) struct Responder<D> {
     cell: Arc<Oneshot<D>>,
     sent: bool,
 }
 
 impl<D> Responder<D> {
-    fn send(mut self, value: Result<Response<D>, EngineError>) {
+    fn send(mut self, value: Reply<D>) {
         self.sent = true;
         self.cell.fill(value);
     }
@@ -407,7 +421,9 @@ impl<D> Drop for Responder<D> {
     }
 }
 
-/// A pending response; [`Ticket::wait`] blocks until the worker finishes.
+/// A pending response, consumed one of two ways: [`Ticket::wait`] blocks
+/// until the worker finishes; [`Ticket::on_complete`] leaves a hook that
+/// the finishing thread runs with the value, so nobody blocks at all.
 pub struct Ticket<D> {
     cell: Arc<Oneshot<D>>,
 }
@@ -422,36 +438,30 @@ impl<D> Ticket<D> {
     pub fn wait(self) -> Result<Response<D>, EngineError> {
         let mut guard = self.cell.slot.lock().expect("ticket slot poisoned");
         loop {
-            if let Some(v) = guard.take() {
+            if let Some(v) = guard.value.take() {
                 return v;
             }
+            guard.parked = true;
             guard = self.cell.ready.wait(guard).expect("ticket slot poisoned");
         }
     }
 
-    /// Takes the response if the worker has already delivered it,
-    /// without blocking. Returns `None` while the request is still in
-    /// flight (or if the response was already taken). A poller that saw
-    /// [`Ticket::on_ready`] fire is guaranteed `Some` on its first call.
-    pub fn try_take(&self) -> Option<Result<Response<D>, EngineError>> {
-        self.cell.slot.lock().expect("ticket slot poisoned").take()
-    }
-
-    /// Registers a completion hook, fired exactly once when the response
-    /// is delivered (immediately, on the caller's thread, if it already
-    /// was). The hook runs on whichever thread fills the reply slot —
-    /// keep it tiny and non-blocking (push a token, wake an event loop);
-    /// heavy work belongs on the loop that polls [`Ticket::try_take`].
-    /// Registering a second hook replaces an unfired first.
-    pub fn on_ready(&self, hook: impl FnOnce() + Send + 'static) {
-        {
-            let slot = self.cell.slot.lock().expect("ticket slot poisoned");
-            if slot.is_none() {
-                *self.cell.hook.lock().expect("ticket hook poisoned") = Some(Box::new(hook));
-                return;
+    /// Hands the response to `hook` instead of to a waiter: exactly once,
+    /// on whichever thread fills the reply slot — or inline, on the
+    /// caller's thread, if it is already filled. A request whose worker
+    /// died delivers [`EngineError::Disconnected`] like any other value.
+    /// The hook runs outside the slot's lock and may do real work (the
+    /// RPC server encodes and writes the response in it) — on an engine
+    /// worker, so it must not wait on another ticket.
+    pub fn on_complete(self, hook: impl FnOnce(Result<Response<D>, EngineError>) + Send + 'static) {
+        let mut slot = self.cell.slot.lock().expect("ticket slot poisoned");
+        match slot.value.take() {
+            Some(value) => {
+                drop(slot);
+                hook(value);
             }
+            None => slot.hook = Some(Box::new(hook)),
         }
-        hook();
     }
 
     /// Waits for a whole batch, returning responses in submission order.
@@ -1759,11 +1769,14 @@ fn decode_memo_delta<D: PersistDomain>(
 }
 
 /// Builds one reply slot, returning the waiting and the producing half.
-fn reply_slot<D>() -> (Ticket<D>, Responder<D>) {
+pub(crate) fn reply_slot<D>() -> (Ticket<D>, Responder<D>) {
     let cell = Arc::new(Oneshot {
-        slot: Mutex::new(None),
+        slot: Mutex::new(Slot {
+            value: None,
+            hook: None,
+            parked: false,
+        }),
         ready: Condvar::new(),
-        hook: Mutex::new(None),
     });
     let responder = Responder {
         cell: Arc::clone(&cell),

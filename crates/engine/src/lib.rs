@@ -198,9 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn ticket_hooks_fire_once_and_try_take_never_blocks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
+    fn completion_hooks_get_the_value_exactly_once() {
+        use std::sync::mpsc;
         let engine: Engine<IntervalDomain> = Engine::new(2);
         let session = engine.open_session("t", program());
         let exit = engine
@@ -209,42 +208,49 @@ mod tests {
             .by_name("main")
             .unwrap()
             .exit();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let ticket = engine.submit(Request::Query {
-            session,
-            func: "main".to_string(),
-            loc: exit,
-        });
-        let hook_fired = Arc::clone(&fired);
-        ticket.on_ready(move || {
-            hook_fired.fetch_add(1, Ordering::SeqCst);
-        });
-        // The hook is the poller's wakeup: once it fires, the response
-        // is guaranteed to be takeable without blocking.
-        while fired.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        let response = ticket.try_take().expect("filled after hook fired");
+        // The hook receives the value itself, on the filling thread. The
+        // sender moves into the hook, so a second firing could not
+        // compile, and a hook dropped unfired would end the channel.
+        let (tx, rx) = mpsc::channel();
+        engine
+            .submit(Request::Query {
+                session,
+                func: "main".to_string(),
+                loc: exit,
+            })
+            .on_complete(move |response| {
+                let _ = tx.send((std::thread::current().id(), response));
+            });
+        let (_, response) = rx.recv().expect("the hook fires");
         let state = response.unwrap().into_state().unwrap();
         assert_eq!(state.interval_of("b"), Interval::constant(3));
-        // The slot is single-use and the hook fires exactly once.
-        assert!(ticket.try_take().is_none());
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        // Registering on an already-completed ticket fires immediately,
-        // on the caller's thread.
-        let done = engine.submit(Request::Stats);
-        let _ = done.wait();
-        let late = engine.submit(Request::Stats);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let immediate = Arc::new(AtomicUsize::new(0));
-        let hook_now = Arc::clone(&immediate);
-        late.on_ready(move || {
-            hook_now.fetch_add(1, Ordering::SeqCst);
+        assert!(rx.recv().is_err(), "the hook fired once and was dropped");
+
+        // Registering on an already-filled ticket runs the hook inline,
+        // on the caller's thread. A second ticket behind the first on the
+        // same worker is the barrier: it cannot be answered before the
+        // first is filled.
+        let one: Engine<IntervalDomain> = Engine::new(1);
+        let filled = one.submit(Request::Stats);
+        one.submit(Request::Stats).wait().unwrap();
+        let (tx, rx) = mpsc::channel();
+        filled.on_complete(move |response| {
+            let _ = tx.send((std::thread::current().id(), response));
         });
-        while immediate.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        assert!(late.try_take().is_some());
+        let (thread, response) = rx.try_recv().expect("ran before on_complete returned");
+        assert_eq!(thread, std::thread::current().id());
+        assert!(matches!(response, Ok(Response::Stats(_))));
+
+        // A responder dropped without an answer (a worker that died)
+        // delivers `Disconnected` to the hook, as it would to a waiter.
+        let (ticket, responder) = crate::engine::reply_slot::<IntervalDomain>();
+        let (tx, rx) = mpsc::channel();
+        ticket.on_complete(move |response| {
+            let _ = tx.send(response);
+        });
+        assert!(rx.try_recv().is_err(), "nothing to deliver yet");
+        drop(responder);
+        assert!(matches!(rx.try_recv(), Ok(Err(EngineError::Disconnected))));
     }
 
     #[test]

@@ -45,7 +45,7 @@ use dai_lang::Loc;
 use dai_persist::frame::{read_frame_expecting, write_frame_id, FrameReadError, StreamFrame};
 use dai_persist::PersistDomain;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::marker::PhantomData;
 use std::sync::{Mutex, MutexGuard};
 
@@ -70,12 +70,28 @@ pub struct ClientOptions {
 }
 
 struct ClientInner {
-    stream: Stream,
+    /// Responses are read through one buffer — unbuffered, a frame's
+    /// four fields are four `read` calls, and a burst's answers arrive
+    /// many to a read; requests are written straight to the stream.
+    stream: BufReader<Stream>,
     /// The negotiated (or pinned) protocol version of this connection.
     proto: u16,
     /// The next request id (protocol ≥ 4; ids start at 1 — id 0 is the
     /// server's "unattributable frame" sentinel).
     next_id: u64,
+}
+
+impl ClientInner {
+    fn send(&mut self, frames: &[u8]) -> Result<(), EngineError> {
+        self.stream
+            .get_mut()
+            .write_all(frames)
+            .map_err(transport_err)
+    }
+
+    fn recv(&mut self) -> Result<(Option<u64>, WireResponse), EngineError> {
+        read_response(&mut self.stream, self.proto)
+    }
 }
 
 /// A blocking connection to a [`crate::Server`] for domain `D`.
@@ -93,6 +109,9 @@ pub struct Client<D: PersistDomain> {
 /// [`Client::decode_cache`] entry bound; the map is dropped whole when
 /// it fills.
 const DECODE_CACHE_CAP: usize = 4096;
+
+/// Response read-buffer size: a 200-frame burst's answers in one read.
+const READ_BUF: usize = 64 * 1024;
 
 fn transport_err(detail: impl std::fmt::Display) -> EngineError {
     EngineError::Remote {
@@ -165,7 +184,7 @@ impl<D: PersistDomain> Client<D> {
             }
             let stream = Stream::connect(addr).map_err(transport_err)?;
             let mut inner = ClientInner {
-                stream,
+                stream: BufReader::with_capacity(READ_BUF, stream),
                 proto: version,
                 next_id: 1,
             };
@@ -319,17 +338,12 @@ impl<D: PersistDomain> Client<D> {
                 &encode_message(&request),
             );
         }
-        if let Err(e) = inner
-            .stream
-            .write_all(&out)
-            .and_then(|()| inner.stream.flush())
-            .map_err(transport_err)
-        {
+        if let Err(e) = inner.send(&out) {
             return locs.iter().map(|_| Err(refail(&e))).collect();
         }
         let mut by_id: HashMap<u64, Result<D, EngineError>> = HashMap::new();
         for _ in 0..locs.len() {
-            match read_response(&mut inner) {
+            match inner.recv() {
                 Ok((Some(id), response)) => {
                     let member = match response {
                         WireResponse::State(blob) => self.decode_state(&blob),
@@ -389,17 +403,12 @@ impl<D: PersistDomain> Client<D> {
             ids.push(id);
             write_frame_id(&mut out, TAG_REQUEST, inner.proto, Some(id), &payload);
         }
-        if let Err(e) = inner
-            .stream
-            .write_all(&out)
-            .and_then(|()| inner.stream.flush())
-            .map_err(transport_err)
-        {
+        if let Err(e) = inner.send(&out) {
             return (0..depth).map(|_| sweep_err(&e)).collect();
         }
         let mut by_id: HashMap<u64, Vec<Result<D, EngineError>>> = HashMap::new();
         for _ in 0..depth {
-            match read_response(&mut inner) {
+            match inner.recv() {
                 Ok((Some(id), WireResponse::States(members))) => {
                     let answers = members
                         .into_iter()
@@ -585,9 +594,8 @@ fn call_on(inner: &mut ClientInner, request: &WireRequest) -> Result<WireRespons
     });
     let mut out = Vec::with_capacity(payload.len() + 32);
     write_frame_id(&mut out, TAG_REQUEST, inner.proto, id, &payload);
-    inner.stream.write_all(&out).map_err(transport_err)?;
-    inner.stream.flush().map_err(transport_err)?;
-    let (got_id, response) = read_response(inner)?;
+    inner.send(&out)?;
+    let (got_id, response) = inner.recv()?;
     if let Some(id) = id {
         if got_id != Some(id) {
             return Err(transport_err(format!(
@@ -600,9 +608,11 @@ fn call_on(inner: &mut ClientInner, request: &WireRequest) -> Result<WireRespons
 
 /// Reads and decodes one response frame, returning its echoed id (`None`
 /// on a v3 connection, whose frames carry no id field).
-fn read_response(inner: &mut ClientInner) -> Result<(Option<u64>, WireResponse), EngineError> {
-    let proto = inner.proto;
-    let frame: StreamFrame = read_frame_expecting(&mut inner.stream, MAX_FRAME_LEN, |h| {
+fn read_response(
+    stream: &mut impl Read,
+    proto: u16,
+) -> Result<(Option<u64>, WireResponse), EngineError> {
+    let frame: StreamFrame = read_frame_expecting(stream, MAX_FRAME_LEN, |h| {
         h.tag == TAG_RESPONSE && h.version >= 4
     })
     .map_err(|e| match e {
@@ -756,6 +766,52 @@ mod tests {
     use dai_domains::IntervalDomain;
     use dai_engine::Engine;
     use std::sync::Arc;
+
+    /// A socket whose receive buffer already holds everything: each
+    /// `read` hands over as much as fits, and is counted.
+    struct CountingReader {
+        data: std::io::Cursor<Vec<u8>>,
+        calls: usize,
+    }
+
+    impl Read for CountingReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.data.read(buf)
+        }
+    }
+
+    /// Unbuffered, a response frame is four reads (header, id, payload,
+    /// checksum); through the client's reader, three frames that arrived
+    /// together are one.
+    #[test]
+    fn three_responses_delivered_at_once_cost_one_read() {
+        let mut bytes = Vec::new();
+        for id in 1..=3u64 {
+            let payload = encode_message(&WireResponse::Opened { session: id });
+            write_frame_id(
+                &mut bytes,
+                TAG_RESPONSE,
+                PROTOCOL_VERSION,
+                Some(id),
+                &payload,
+            );
+        }
+        let socket = CountingReader {
+            data: std::io::Cursor::new(bytes),
+            calls: 0,
+        };
+        let mut stream = BufReader::with_capacity(READ_BUF, socket);
+        for id in 1..=3u64 {
+            match read_response(&mut stream, PROTOCOL_VERSION).unwrap() {
+                (Some(got), WireResponse::Opened { session }) => {
+                    assert_eq!((got, session), (id, id));
+                }
+                other => panic!("frame {id} misread: {other:?}"),
+            }
+        }
+        assert_eq!(stream.get_ref().calls, 1, "three frames, one read");
+    }
 
     /// A panic while a thread holds the client's stream lock must not
     /// cascade: later calls on the client get a structured

@@ -13,13 +13,16 @@
 //!   every message is one `dai_persist::frame` frame — the identical
 //!   tag/version/length/checksum layout snapshot sections use on disk;
 //! * [`server`] — one [`dai_engine::Engine`], many connections, **one
-//!   event loop**: nonblocking sockets behind a hand-rolled epoll loop,
+//!   event loop**: nonblocking sockets read by a hand-rolled epoll loop,
 //!   per-connection bounded buffers (slow readers stall or get a
 //!   structured `overload` error, never unbounded memory), decoded
-//!   queries dispatched as engine tickets whose completions wake the
-//!   loop — so one connection can pipeline many requests (protocol ≥ 4
-//!   frames carry ids; responses may complete out of order), and
-//!   adjacent same-function query frames coalesce into one engine batch.
+//!   queries dispatched as engine tickets whose completion hooks frame
+//!   and write the response on the worker that finished it — so one
+//!   connection can pipeline many requests (protocol ≥ 4 frames carry
+//!   ids; responses may complete out of order), adjacent same-function
+//!   query frames coalesce into one engine batch, and a warm request
+//!   costs the server one wake-up, one read and one write
+//!   ([`Server::io_stats`]).
 //!   Sessions are owned per connection (closed on disconnect) with
 //!   explicit handoff, and a sweep frame lands in
 //!   `Engine::submit_query_sweep`, so query coalescing and edit/load
@@ -77,7 +80,7 @@ pub use proto::{
 };
 pub use replica::{Replica, SyncOutcome, DEFAULT_PULL_BATCH};
 pub use router::{Router, ShardBackend};
-pub use server::{Addr, Server, ServerConfig};
+pub use server::{Addr, IoStats, Server, ServerConfig};
 
 #[allow(unused_imports)]
 use dai_persist::Persist; // referenced by crate docs

@@ -1,39 +1,73 @@
 //! The socket front end: one [`dai_engine::Engine`], many connections,
-//! one event loop.
+//! one event loop — and responses written by whichever thread finishes
+//! them.
 //!
 //! A [`Server`] binds a TCP or Unix socket and routes decoded
 //! [`WireRequest`] frames into the engine it wraps. Connections are not
 //! threads: a single readiness event loop (epoll, hand-rolled — no
-//! dependency, matching the rest of the stack) owns every nonblocking
-//! socket, parses frames incrementally out of per-connection read
-//! buffers, and dispatches queries as [`dai_engine::Ticket`]s whose
-//! completion hooks wake the loop through a self-pipe. One connection
-//! can therefore carry **many in-flight requests** (protocol ≥ 4 frames
-//! carry a request id; responses may complete out of order), and the
-//! loop never blocks on the engine.
+//! dependency, matching the rest of the stack) owns the **read side** of
+//! every nonblocking socket. A readiness event buys one bounded `read`
+//! into the connection's buffer (epoll is level-triggered: what did not
+//! fit raises another event, so nothing reads "until `EAGAIN`"); the
+//! loop parses the complete frames and dispatches them — queries as
+//! [`dai_engine::Ticket`]s, session-table and introspection requests
+//! answered on the spot — and never blocks on the engine.
+//!
+//! The **write side** is shared. Each connection has an outbox — reply
+//! slots in request-arrival order, encoded-but-unsent bytes, the pinned
+//! protocol version, owned sessions, epoll interest — behind one mutex,
+//! beside the stream. A ticket's hook
+//! ([`dai_engine::Ticket::on_complete`]) runs on the engine worker that
+//! produced the answer, and that worker converts, frames and writes it
+//! itself, through the one function (`Link::deliver`) the loop also uses
+//! for its immediate answers and for `EPOLLOUT`. Nothing is handed back
+//! to the loop: a request costs it one wake-up (the arrival) and one
+//! `read`, and the worker one `write`. `epoll_ctl` is callable from any
+//! thread, so whichever thread changes what a connection waits for (a
+//! short write → `EPOLLOUT`; a stall → no `EPOLLIN`) settles the
+//! interest before it releases the outbox. One thread at a time writes
+//! a socket (the outbox's `writing` flag), with the mutex *released*:
+//! the peer it wakes may send its next request at once, and the loop
+//! must be able to queue it. Protocol ≥ 4 frames carry a request id, so
+//! one connection carries **many in-flight requests** answered as they
+//! complete; protocol 3 connections are answered strictly in request
+//! order, a rule that lives in the outbox's flush and nowhere else.
+//!
+//! Only the loop accepts, reads, dispatches and closes: a worker that
+//! leaves a connection finished or broken shuts the socket down, and the
+//! loop closes it on the `EPOLLHUP`. The **self-pipe** wakes the loop
+//! for shutdown and for a worker that un-stalled a connection (below) —
+//! frames already parsed into the read buffer raise no readiness event,
+//! so the loop has to be told to look. Never per request.
 //!
 //! ## Pipelined coalescing
 //!
 //! Adjacent `Query` frames against the same `(session, function)` that
-//! arrive in one read drain are submitted through
+//! arrive in one read are submitted through
 //! [`dai_engine::Engine::submit_query_batch`] as **one** batch — one
 //! session-lock acquisition, one union-cone evaluation — while each
-//! frame keeps its own request id and gets its own response. A client
-//! that pipelines per-query frames over one socket reproduces the
+//! frame keeps its own request id and gets its own response: one engine
+//! drain answers the run, and the member that completes last frames all
+//! of its responses and sends them in one `write`. A client that pipelines per-query frames over one socket reproduces the
 //! in-process coalesced lock profile without ever building an explicit
 //! batch. Runs break at any non-query frame, so an interleaved `Edit`
 //! keeps its submission-order fencing semantics.
 //!
 //! ## Backpressure
 //!
-//! Per-connection buffers are bounded in both directions. A connection
-//! whose write queue backlog passes the soft cap (or that has too many
-//! requests in flight) stops being *read* — its socket fills, the peer's
-//! sends stall, and memory stays put. If the backlog still passes the
-//! hard cap (responses already owed can be large), further responses are
-//! replaced with a structured [`WireError::Overloaded`] carrying the
-//! same request id — the peer always learns the fate of every request,
-//! and the server never buffers unboundedly for a slow reader.
+//! Per-connection buffers are bounded in both directions. The read
+//! buffer is allocated once (64 KiB) and grows only for a single frame
+//! larger than itself. A connection whose unsent backlog passes the soft
+//! cap, or that owes `MAX_INFLIGHT` replies — queued slots plus the run
+//! being collected — is **stalled**: its buffered frames stop being
+//! dispatched and its socket stops being read, so the peer's sends stall
+//! and memory stays put. Every delivery re-checks the caps; the one that
+//! finds them clear un-stalls the connection and gets the loop to resume
+//! it. If the backlog still passes the hard cap (responses already owed
+//! can be large), further responses are replaced with a structured
+//! [`WireError::Overloaded`] carrying the same request id — the peer
+//! always learns the fate of every request, and the server never buffers
+//! unboundedly for a slow reader.
 //!
 //! ## Session ownership
 //!
@@ -67,8 +101,8 @@ use std::net::{TcpListener, TcpStream};
 use std::os::raw::c_int;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::proto::{
@@ -78,17 +112,17 @@ use crate::proto::{
 
 /// Write-queue backlog (bytes) above which a connection stops being
 /// read: the peer's own sends stall instead of the server buffering.
-const SOFT_WRITE_CAP: usize = 1 << 20;
+pub const SOFT_WRITE_CAP: usize = 1 << 20;
 
 /// Write-queue backlog (bytes) above which further responses are
 /// replaced with [`WireError::Overloaded`] (the id still answers). The
 /// backlog can legitimately exceed the *soft* cap by responses already
 /// owed, so the hard cap bounds worst-case memory per connection at
 /// roughly `HARD_WRITE_CAP + MAX_FRAME_LEN`.
-const HARD_WRITE_CAP: usize = 8 << 20;
+pub const HARD_WRITE_CAP: usize = 8 << 20;
 
 /// In-flight request cap per connection; reads stall above it.
-const MAX_INFLIGHT: usize = 1024;
+pub const MAX_INFLIGHT: usize = 1024;
 
 /// Request id used on responses to frames whose own id could not be
 /// read (wrong tag, short header). Clients allocate ids from 1.
@@ -306,28 +340,43 @@ pub(crate) fn tune_stream(stream: &Stream) {
     }
 }
 
+// Reads and writes go through a shared reference, as on the std streams
+// underneath: the loop reads a connection while a worker writes it.
+impl Read for &Stream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match **self {
+            Stream::Tcp(ref s) => (&mut &*s).read(buf),
+            Stream::Unix(ref s) => (&mut &*s).read(buf),
+        }
+    }
+}
+
+impl Write for &Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match **self {
+            Stream::Tcp(ref s) => (&mut &*s).write(buf),
+            Stream::Unix(ref s) => (&mut &*s).write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(()) // sockets have no userspace buffer
+    }
+}
+
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
+        (&*self).read(buf)
     }
 }
 
 impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
+        (&*self).write(buf)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
+        Ok(())
     }
 }
 
@@ -344,12 +393,108 @@ pub struct ServerConfig {
     pub auth_token: Option<String>,
 }
 
+/// What serving has cost in system calls and wake-ups, and how full the
+/// per-connection queues have been ([`Server::io_stats`]; the `Metrics`
+/// response carries the same values as `dai_rpc_*` lines). Counted per
+/// server, not in the process-wide registry: test binaries run several
+/// servers in one process, and a budget is checked against one's traffic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IoStats {
+    /// `read` calls on connection sockets.
+    pub reads: u64,
+    /// `write` calls on connection sockets.
+    pub writes: u64,
+    /// Returns from `epoll_wait`.
+    pub wakeups: u64,
+    /// Pokes of the self-pipe (shutdown, un-stalls).
+    pub pipe_writes: u64,
+    /// The most reply slots any one connection has owed at once.
+    pub inflight_high_water: u64,
+    /// The most unsent response bytes any one connection has held at once.
+    pub backlog_high_water: u64,
+}
+
+impl IoStats {
+    /// The values as Prometheus gauge lines, in the registry's format.
+    fn render(&self) -> String {
+        [
+            ("dai_rpc_socket_reads", self.reads),
+            ("dai_rpc_socket_writes", self.writes),
+            ("dai_rpc_loop_wakeups", self.wakeups),
+            ("dai_rpc_pipe_writes", self.pipe_writes),
+            ("dai_rpc_inflight_high_water", self.inflight_high_water),
+            ("dai_rpc_backlog_high_water", self.backlog_high_water),
+        ]
+        .iter()
+        .map(|(name, value)| format!("# TYPE {name} gauge\n{name} {value}\n"))
+        .collect()
+    }
+}
+
+/// The live side of [`IoStats`]. All `Relaxed`: each is a statistic that
+/// publishes nothing else.
+#[derive(Default)]
+struct IoCounters {
+    reads: AtomicU64,
+    writes: AtomicU64,
+    wakeups: AtomicU64,
+    pipe_writes: AtomicU64,
+    inflight_high_water: AtomicU64,
+    backlog_high_water: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Raises a high-water mark (the load keeps "no new high" off the RMW).
+fn raise(mark: &AtomicU64, value: usize) {
+    if value as u64 > mark.load(Ordering::Relaxed) {
+        mark.fetch_max(value as u64, Ordering::Relaxed);
+    }
+}
+
+impl IoCounters {
+    fn snapshot(&self) -> IoStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        IoStats {
+            reads: get(&self.reads),
+            writes: get(&self.writes),
+            wakeups: get(&self.wakeups),
+            pipe_writes: get(&self.pipe_writes),
+            inflight_high_water: get(&self.inflight_high_water),
+            backlog_high_water: get(&self.backlog_high_water),
+        }
+    }
+}
+
+/// What the loop shares with every thread that completes a response.
+struct Hub<D> {
+    ep: Epoll,
+    /// Write end of the self-pipe.
+    waker: UnixStream,
+    /// Connections a completing thread un-stalled: pushed before the
+    /// self-pipe is poked, taken by the loop after it reads the pipe.
+    unstalled: Mutex<Vec<u64>>,
+    encode_cache: Mutex<EncodeCache<D>>,
+    io: IoCounters,
+}
+
+impl<D> Hub<D> {
+    /// Pokes the self-pipe. A full (or closed, post-shutdown) pipe is
+    /// fine: a byte is already in flight, or nobody is listening anymore.
+    fn wake(&self) {
+        bump(&self.io.pipe_writes);
+        let _ = (&self.waker).write(&[1u8]);
+    }
+}
+
 /// A bound socket server serving one engine to many connections.
 pub struct Server<D: PersistDomain> {
     engine: Arc<Engine<D>>,
     addr: Addr,
     stop: Arc<AtomicBool>,
-    waker: Arc<UnixStream>,
+    hub: Arc<Hub<D>>,
     event_loop: Option<JoinHandle<()>>,
 }
 
@@ -391,29 +536,30 @@ impl<D: PersistDomain> Server<D> {
         let (waker_rx, waker_tx) = UnixStream::pair()?;
         waker_rx.set_nonblocking(true)?;
         waker_tx.set_nonblocking(true)?;
-        let waker_tx = Arc::new(waker_tx);
+        let hub = Arc::new(Hub {
+            ep: Epoll::new()?,
+            waker: waker_tx,
+            unstalled: Mutex::new(Vec::new()),
+            encode_cache: Mutex::new(EncodeCache {
+                map: HashMap::default(),
+            }),
+            io: IoCounters::default(),
+        });
+        hub.ep.add(listener.raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+        hub.ep.add(waker_rx.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
         let stop = Arc::new(AtomicBool::new(false));
         let mut event_loop = EventLoop {
-            ep: Epoll::new()?,
             listener,
             waker_rx,
-            engine: Arc::clone(&engine),
-            auth_token: config.auth_token,
             stop: Arc::clone(&stop),
-            completion: Arc::new(CompletionQueue {
-                ready: Mutex::new(Vec::new()),
-                waker: Arc::clone(&waker_tx),
-            }),
             conns: HashMap::new(),
             next_conn: 0,
-            encode_cache: EncodeCache::new(),
+            dispatch: Dispatch {
+                engine: Arc::clone(&engine),
+                hub: Arc::clone(&hub),
+                auth_token: config.auth_token,
+            },
         };
-        event_loop
-            .ep
-            .add(event_loop.listener.raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        event_loop
-            .ep
-            .add(event_loop.waker_rx.as_raw_fd(), EPOLLIN, TOKEN_WAKER)?;
         let handle = std::thread::Builder::new()
             .name("dai-rpc-loop".to_string())
             .spawn(move || event_loop.run())
@@ -422,7 +568,7 @@ impl<D: PersistDomain> Server<D> {
             engine,
             addr: bound,
             stop,
-            waker: waker_tx,
+            hub,
             event_loop: Some(handle),
         })
     }
@@ -438,6 +584,11 @@ impl<D: PersistDomain> Server<D> {
         &self.engine
     }
 
+    /// What serving has cost so far ([`IoStats`]); deltas price traffic.
+    pub fn io_stats(&self) -> IoStats {
+        self.hub.io.snapshot()
+    }
+
     /// Stops the event loop, closes every connection (sessions still
     /// owned by connections are closed with them), and removes a Unix
     /// socket file. In-flight requests resolve engine-side; their
@@ -450,7 +601,7 @@ impl<D: PersistDomain> Server<D> {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        let _ = (&*self.waker).write(&[1u8]);
+        self.hub.wake();
         if let Some(h) = self.event_loop.take() {
             let _ = h.join();
         }
@@ -467,100 +618,373 @@ impl<D: PersistDomain> Drop for Server<D> {
 }
 
 // ---------------------------------------------------------------------
-// The event loop.
+// The write side: one outbox per connection, shared by every thread
+// that completes a response.
 // ---------------------------------------------------------------------
 
-const TOKEN_LISTENER: u64 = u64::MAX;
-const TOKEN_WAKER: u64 = u64::MAX - 1;
-
-/// Ticket-completion fan-in: engine workers push `(conn, seq)` and poke
-/// the self-pipe; the loop drains under one short lock hold.
-struct CompletionQueue {
-    ready: Mutex<Vec<(u64, u64)>>,
-    waker: Arc<UnixStream>,
-}
-
-impl CompletionQueue {
-    fn push(&self, conn: u64, seq: u64) {
-        self.ready
-            .lock()
-            .expect("completion queue poisoned")
-            .push((conn, seq));
-        // A full (or closed, post-shutdown) pipe is fine: a byte is
-        // already in flight, or nobody is listening anymore.
-        let _ = (&*self.waker).write(&[1u8]);
-    }
-
-    fn drain(&self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut *self.ready.lock().expect("completion queue poisoned"))
-    }
-}
-
-/// One queued reply slot, in request-arrival order.
-struct Pending<D> {
+/// One owed reply, in request-arrival order.
+struct Slot {
     seq: u64,
     id: Option<u64>,
-    state: PendState<D>,
+    /// Filled and waiting for the flush (v4: the next one; v3: its
+    /// turn). Boxed: a response dwarfs the rest of the slot, and most
+    /// queued slots at any instant are still unfilled.
+    reply: Option<Box<WireResponse>>,
 }
 
-enum PendState<D> {
-    /// Resolved; waiting for its turn (v3) or the next flush (v4).
-    /// Boxed: a resolved response dwarfs the ticket variants, and most
-    /// queue entries at any instant are still tickets.
-    Ready(Box<WireResponse>),
-    /// One engine ticket (single query, edit, save, load, stats, …).
-    One(Ticket<D>),
-    /// A query batch or sweep: one response carrying every member.
-    Many(Vec<Ticket<D>>),
-}
-
-struct Conn<D> {
-    stream: Stream,
-    fd: RawFd,
-    rbuf: Vec<u8>,
-    rpos: usize,
+/// Everything about a connection that the thread finishing a response
+/// needs, behind [`Link::out`].
+#[derive(Default)]
+struct Outbox {
+    /// Owed replies, ascending in `seq`.
+    slots: VecDeque<Slot>,
+    /// Framed responses no thread has taken to the socket yet.
     wbuf: Vec<u8>,
-    wpos: usize,
-    /// Pinned by the hello frame's header version; `None` until then.
+    /// Framed bytes the socket has not accepted: `wbuf` plus whatever
+    /// the writing thread holds.
+    backlog: usize,
+    /// A thread is between taking `wbuf` and reporting what the socket
+    /// took of it; everyone else appends and leaves.
+    writing: bool,
+    /// The socket refused bytes; only an `EPOLLOUT` event (the loop)
+    /// writes again, so workers do not retry what cannot succeed.
+    blocked: bool,
+    /// Pinned by the first valid-versioned frame; `None` until then.
     version: Option<u16>,
-    hello_done: bool,
     owned: HashSet<SessionId>,
-    pending: VecDeque<Pending<D>>,
-    next_seq: u64,
     interest: u32,
+    /// The loop stopped dispatching this connection's frames (set in
+    /// [`Outbox::room`]); cleared by the delivery that finds the caps
+    /// clear, which then owes the loop a pump.
+    stalled: bool,
+    /// The peer closed its sending side *and* the loop has dispatched
+    /// every complete frame it had buffered.
     peer_eof: bool,
     dead: bool,
+    /// The loop closed the connection; late completions drop their
+    /// answer.
+    closed: bool,
 }
 
-impl<D> Conn<D> {
-    fn backlog(&self) -> usize {
-        self.wbuf.len() - self.wpos
-    }
-
-    /// Whether new request bytes should stop being consumed.
-    fn stalled(&self) -> bool {
-        self.backlog() > SOFT_WRITE_CAP || self.pending.len() >= MAX_INFLIGHT
-    }
-
+impl Outbox {
     /// The protocol version responses on this connection are framed
     /// with ([`PROTOCOL_VERSION`] until the first valid-versioned frame
     /// pins one).
     fn wire_version(&self) -> u16 {
         self.version.unwrap_or(PROTOCOL_VERSION)
     }
+
+    /// How many more frames the loop may dispatch before asking again,
+    /// given the `run` members it has parsed but not yet queued; zero
+    /// marks the connection stalled.
+    fn room(&mut self, run: usize) -> usize {
+        let owed = self.slots.len() + run;
+        self.stalled = self.backlog > SOFT_WRITE_CAP || owed >= MAX_INFLIGHT;
+        if self.stalled {
+            0
+        } else {
+            MAX_INFLIGHT - owed
+        }
+    }
+
+    /// Frames filled replies into the write buffer. v4 connections flush
+    /// any filled slot (out-of-order completion is the point); v3
+    /// connections flush strictly in request order.
+    fn flush_ready(&mut self) {
+        let mut slots = std::mem::take(&mut self.slots);
+        if self.wire_version() >= 4 {
+            slots.retain_mut(|slot| match slot.reply.take() {
+                Some(response) => {
+                    self.encode_response(slot.id, *response);
+                    false
+                }
+                None => true,
+            });
+        } else {
+            while let Some(response) = slots.front_mut().and_then(|slot| slot.reply.take()) {
+                let slot = slots.pop_front().expect("checked front");
+                self.encode_response(slot.id, *response);
+            }
+        }
+        self.slots = slots;
+    }
+
+    /// Appends one response frame to the write buffer, applying the
+    /// three response-side guards: the overload hard cap, the
+    /// oversized-response replacement, and the v3 error downgrade.
+    fn encode_response(&mut self, id: Option<u64>, mut response: WireResponse) {
+        let version = self.wire_version();
+        if self.backlog > HARD_WRITE_CAP {
+            // The peer reads too slowly for the responses it keeps
+            // requesting: drop the payload, keep the id answered.
+            response = WireResponse::Error(WireError::Overloaded);
+        }
+        if let WireResponse::Error(e) = response {
+            response = WireResponse::Error(e.downgrade_for(version));
+        }
+        let _encode_span = dai_trace::span!("rpc.encode");
+        let mut payload = encode_message(&response);
+        if payload.len() > MAX_FRAME_LEN {
+            payload = encode_message(&WireResponse::Error(
+                WireError::Protocol(format!(
+                    "response of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame bound",
+                    payload.len()
+                ))
+                .downgrade_for(version),
+            ));
+        }
+        let frame_id = (version >= 4).then(|| id.unwrap_or(UNATTRIBUTED_ID));
+        let before = self.wbuf.len();
+        dai_persist::frame::write_frame_id(
+            &mut self.wbuf,
+            TAG_RESPONSE,
+            version,
+            frame_id,
+            &payload,
+        );
+        self.backlog += self.wbuf.len() - before;
+    }
 }
 
-struct EventLoop<D: PersistDomain> {
-    ep: Epoll,
-    listener: Listener,
-    waker_rx: UnixStream,
-    engine: Arc<Engine<D>>,
-    auth_token: Option<String>,
-    stop: Arc<AtomicBool>,
-    completion: Arc<CompletionQueue>,
-    conns: HashMap<u64, Conn<D>>,
-    next_conn: u64,
-    encode_cache: EncodeCache<D>,
+/// The two follow-ups a delivery leaves to the loop thread.
+#[derive(Default)]
+struct Verdict {
+    /// Broken, or the peer is gone and nothing is owed: close it.
+    finished: bool,
+    /// This delivery took the connection out of the stalled state: the
+    /// loop must resume dispatching its buffered frames.
+    unstalled: bool,
+}
+
+/// A connection as the completing threads see it: the stream and the
+/// outbox. The loop keeps the read side in its own [`Conn`].
+struct Link<D> {
+    /// The connection's id: its epoll token and its name in
+    /// [`Hub::unstalled`].
+    id: u64,
+    stream: Stream,
+    out: Mutex<Outbox>,
+    hub: Arc<Hub<D>>,
+}
+
+impl<D: PersistDomain> Link<D> {
+    fn out(&self) -> MutexGuard<'_, Outbox> {
+        self.out.lock().expect("outbox poisoned")
+    }
+
+    /// Queues reply slots (ascending `seq`, above every queued one).
+    fn queue(&self, slots: impl IntoIterator<Item = Slot>) {
+        let mut out = self.out();
+        out.slots.extend(slots);
+        raise(&self.hub.io.inflight_high_water, out.slots.len());
+    }
+
+    /// The one way a response reaches the socket, from any thread: fill
+    /// the named slots, frame whatever is ready, write what the socket
+    /// takes, re-check the backpressure caps and settle epoll interest.
+    /// `writable` says an `EPOLLOUT` event caused the call.
+    fn deliver(
+        &self,
+        fills: impl IntoIterator<Item = (u64, WireResponse)>,
+        writable: bool,
+    ) -> Verdict {
+        let mut out = self.out();
+        for (seq, response) in fills {
+            let at = out.slots.partition_point(|slot| slot.seq < seq);
+            if let Some(slot) = out.slots.get_mut(at).filter(|slot| slot.seq == seq) {
+                slot.reply = Some(Box::new(response));
+            }
+        }
+        out.flush_ready();
+        raise(&self.hub.io.backlog_high_water, out.backlog);
+        out.blocked &= !writable;
+        // One writer at a time, and with the outbox unlocked: the peer
+        // this write wakes may send its next request at once, and the
+        // loop must be able to queue that request's slot meanwhile.
+        if !out.writing && !out.blocked {
+            out.writing = true;
+            while !out.wbuf.is_empty() && !out.dead && !out.closed {
+                let mut chunk = std::mem::take(&mut out.wbuf);
+                drop(out);
+                let sent = self.write_once(&chunk);
+                out = self.out();
+                let Ok(sent) = sent else {
+                    out.dead = true;
+                    break;
+                };
+                out.backlog -= sent;
+                if sent < chunk.len() {
+                    // A short write: the socket is full. Keep the rest
+                    // ahead of what arrived meanwhile.
+                    out.blocked = true;
+                    chunk.drain(..sent);
+                    chunk.append(&mut out.wbuf);
+                    out.wbuf = chunk;
+                    break;
+                }
+                if out.wbuf.is_empty() {
+                    chunk.clear();
+                    out.wbuf = chunk; // keep the allocation
+                }
+            }
+            out.writing = false;
+        }
+        if out.closed {
+            return Verdict::default();
+        }
+        let unstalled = out.stalled && out.room(0) > 0;
+        let mut finished = out.dead || (out.peer_eof && out.slots.is_empty() && out.backlog == 0);
+        if !finished {
+            let mut interest = 0;
+            if !out.stalled && !out.peer_eof {
+                interest |= EPOLLIN | EPOLLRDHUP;
+            }
+            if out.blocked {
+                interest |= EPOLLOUT;
+            }
+            if interest != out.interest {
+                let fd = self.stream.raw_fd();
+                finished = self.hub.ep.modify(fd, interest, self.id).is_err();
+                out.interest = interest;
+            }
+        }
+        Verdict {
+            finished,
+            unstalled,
+        }
+    }
+
+    /// One `write` call: how many bytes the socket took (0: it is full).
+    fn write_once(&self, bytes: &[u8]) -> std::io::Result<usize> {
+        loop {
+            bump(&self.hub.io.writes);
+            return match (&self.stream).write(bytes) {
+                Ok(0) => Err(std::io::ErrorKind::WriteZero.into()),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(0),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                other => other,
+            };
+        }
+    }
+
+    /// [`Link::deliver`] for a thread that is not (or may not be) the
+    /// loop: what only the loop may do is passed on to it — a finished
+    /// connection by shutting the socket down (the loop sees `EPOLLHUP`
+    /// and closes it), an un-stall through the self-pipe.
+    fn complete(&self, fills: Vec<(u64, WireResponse)>) {
+        let verdict = self.deliver(fills, false);
+        if verdict.finished {
+            self.stream.shutdown();
+        }
+        if verdict.unstalled {
+            self.hub
+                .unstalled
+                .lock()
+                .expect("un-stall list poisoned")
+                .push(self.id);
+            self.hub.wake();
+        }
+    }
+
+    /// Maps a completed engine response onto its wire form. `Loaded`
+    /// responses register session ownership here — completion time —
+    /// since the restore runs async to the loop; a connection closed in
+    /// the meantime leaves the session engine-owned.
+    fn response_to_wire(&self, result: Reply<D>, cache: &mut EncodeCache<D>) -> WireResponse {
+        match result {
+            Err(e) => WireResponse::Error(WireError::from_engine(&e)),
+            Ok(Response::State(d)) => WireResponse::State(cache.encode(&d)),
+            Ok(Response::Edited(outcome)) => WireResponse::Edited(outcome),
+            Ok(Response::Snapshot(snap)) => WireResponse::Snapshot(snap),
+            Ok(Response::Saved(outcome)) => WireResponse::Saved(outcome),
+            Ok(Response::Loaded { session, outcome }) => {
+                let mut out = self.out();
+                if !out.closed {
+                    out.owned.insert(session);
+                }
+                WireResponse::Loaded {
+                    session: session.0,
+                    outcome,
+                }
+            }
+            Ok(Response::Stats(stats)) => WireResponse::Stats(*stats),
+        }
+    }
+}
+
+/// What a ticket completes with.
+type Reply<D> = Result<Response<D>, EngineError>;
+
+/// The tickets behind one request frame (`one_frame`: a query batch or
+/// sweep, answered by one `States` response in slot `seq`) or behind a
+/// coalescing run of query frames (each member its own response, in
+/// slots `seq`, `seq + 1`, …; a lone ticket is a run of one). Members
+/// park their results here; the one that completes last converts them
+/// all — the encode cache locked once — and delivers them together.
+struct Group<D> {
+    link: Arc<Link<D>>,
+    one_frame: bool,
+    seq: u64,
+    /// Members still out, and the results so far in member order.
+    parked: Mutex<(usize, Vec<Option<Reply<D>>>)>,
+}
+
+impl<D: PersistDomain> Group<D> {
+    /// Registers the group's completion hook on every ticket. Call only
+    /// after the slots are queued and the outbox is unlocked: a ticket
+    /// that is already resolved runs its hook here, inline.
+    fn arm(link: &Arc<Link<D>>, tickets: Vec<Ticket<D>>, one_frame: bool, seq: u64) {
+        let group = Arc::new(Group {
+            link: Arc::clone(link),
+            one_frame,
+            seq,
+            parked: Mutex::new((tickets.len(), tickets.iter().map(|_| None).collect())),
+        });
+        for (member, ticket) in tickets.into_iter().enumerate() {
+            let group = Arc::clone(&group);
+            ticket.on_complete(move |result| group.park(member, result));
+        }
+    }
+
+    /// Runs on whichever thread filled the member's reply slot.
+    fn park(&self, member: usize, result: Reply<D>) {
+        let results = {
+            let mut parked = self.parked.lock().expect("ticket group poisoned");
+            parked.1[member] = Some(result);
+            parked.0 -= 1;
+            if parked.0 > 0 {
+                return;
+            }
+            std::mem::take(&mut parked.1)
+        };
+        let results = results
+            .into_iter()
+            .map(|r| r.expect("every member parked its result"));
+        let fills = {
+            let mut cache = self
+                .link
+                .hub
+                .encode_cache
+                .lock()
+                .expect("encode cache poisoned");
+            let cache = &mut *cache;
+            if self.one_frame {
+                let members = results
+                    .map(|r| {
+                        r.and_then(Response::state_or_invariant)
+                            .map(|d| cache.encode(&d))
+                            .map_err(|e| WireError::from_engine(&e))
+                    })
+                    .collect();
+                vec![(self.seq, WireResponse::States(members))]
+            } else {
+                (self.seq..)
+                    .zip(results.map(|r| self.link.response_to_wire(r, cache)))
+                    .collect()
+            }
+        };
+        self.link.complete(fills);
+    }
 }
 
 /// Memoizes [`WireState::encode`] per state identity (see
@@ -568,7 +992,8 @@ struct EventLoop<D: PersistDomain> {
 /// the *same* shared state handle back on warm repeats, so a warm
 /// sweep's per-member encodes collapse into map hits. Each entry pins a
 /// clone of its state: address-derived identity tokens are only unique
-/// while the allocation lives, so the cache keeps it alive.
+/// while the allocation lives, so the cache keeps it alive. Shared by
+/// every completing thread behind [`Hub::encode_cache`].
 ///
 /// Domains without a cheap identity (`encode_identity() == None`)
 /// bypass the cache entirely.
@@ -580,12 +1005,6 @@ impl<D: PersistDomain> EncodeCache<D> {
     /// Entry bound; the whole map is dropped when it fills, which also
     /// releases every pinned state (no stale tokens can survive).
     const CAP: usize = 4096;
-
-    fn new() -> Self {
-        EncodeCache {
-            map: HashMap::default(),
-        }
-    }
 
     fn encode(&mut self, d: &D) -> WireState {
         let Some(key) = d.encode_identity() else {
@@ -603,11 +1022,71 @@ impl<D: PersistDomain> EncodeCache<D> {
     }
 }
 
+// ---------------------------------------------------------------------
+// The read side: the event loop.
+// ---------------------------------------------------------------------
+
+const TOKEN_LISTENER: u64 = u64::MAX;
+const TOKEN_WAKER: u64 = u64::MAX - 1;
+
+/// The read buffer every connection starts with (see `process_rbuf`).
+const READ_BUF: usize = 64 * 1024;
+
+/// A connection as the loop sees it: the read buffer and what parsing
+/// needs to remember. Nothing here is visible to another thread.
+struct Conn<D> {
+    link: Arc<Link<D>>,
+    /// Allocated (and zeroed) once; `rbuf[rpos..rend]` is unparsed.
+    rbuf: Vec<u8>,
+    rpos: usize,
+    rend: usize,
+    /// The loop's copy of [`Outbox::version`], for checking frames.
+    version: Option<u16>,
+    hello_done: bool,
+    next_seq: u64,
+    /// `read` returned 0.
+    eof: bool,
+}
+
+impl<D: PersistDomain> Conn<D> {
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Queues an already-answered slot; the pump's delivery frames it.
+    fn push_ready(&mut self, id: Option<u64>, response: WireResponse) {
+        let seq = self.take_seq();
+        self.link.queue([Slot {
+            seq,
+            id,
+            reply: Some(Box::new(response)),
+        }]);
+    }
+
+    /// Queues the slot of one request frame and hooks its tickets: a
+    /// lone ticket, or (`one_frame`) the members of a batch or sweep.
+    fn push_tickets(&mut self, id: Option<u64>, tickets: Vec<Ticket<D>>, one_frame: bool) {
+        if tickets.is_empty() {
+            return self.push_ready(id, WireResponse::States(Vec::new()));
+        }
+        let seq = self.take_seq();
+        self.link.queue([Slot {
+            seq,
+            id,
+            reply: None,
+        }]);
+        let _arm_span = dai_trace::span!("rpc.arm", tickets.len());
+        Group::arm(&self.link, tickets, one_frame, seq);
+    }
+}
+
 /// One frame parsed off the front of a connection's read buffer.
 enum Parsed {
     /// Not enough buffered bytes for the next boundary yet.
     Incomplete,
-    /// A complete frame (damaged payloads arrive as `payload: None`).
+    /// A complete frame (damaged payloads arrive as `payload_ok: false`).
     Frame {
         header: FrameHeader,
         id: Option<u64>,
@@ -675,62 +1154,44 @@ fn parse_frame(buf: &[u8]) -> Parsed {
 }
 
 /// A run of adjacent same-`(session, function)` query frames being
-/// collected for one coalesced batch submission.
+/// collected for one coalesced batch submission. Members took
+/// consecutive sequence numbers from `first_seq`: every other kind of
+/// frame flushes the run before it takes its own.
 struct QueryRun {
     session: u64,
     func: String,
-    members: Vec<(dai_lang::Loc, u64, Option<u64>)>, // (loc, seq, id)
+    first_seq: u64,
+    members: Vec<(dai_lang::Loc, Option<u64>)>, // (loc, id)
+}
+
+struct EventLoop<D: PersistDomain> {
+    listener: Listener,
+    waker_rx: UnixStream,
+    stop: Arc<AtomicBool>,
+    conns: HashMap<u64, Conn<D>>,
+    next_conn: u64,
+    dispatch: Dispatch<D>,
 }
 
 impl<D: PersistDomain> EventLoop<D> {
     fn run(&mut self) {
         let mut events = [EpollEvent { events: 0, data: 0 }; 64];
-        // Not a while-let: the handlers below re-borrow `self` mutably,
-        // so the wait result must be detached from the loop condition.
-        #[allow(clippy::while_let_loop)]
-        loop {
-            let ready: Vec<EpollEvent> = match self.ep.wait(&mut events) {
-                Ok(evs) => evs.to_vec(),
-                Err(_) => break,
-            };
+        while let Ok(ready) = self.dispatch.hub.ep.wait(&mut events) {
+            bump(&self.dispatch.hub.io.wakeups);
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            let mut touched: Vec<u64> = Vec::new();
-            for ev in &ready {
-                let token = ev.data;
-                let kinds = ev.events;
-                match token {
+            for ev in ready {
+                match ev.data {
                     TOKEN_LISTENER => self.accept_all(),
-                    TOKEN_WAKER => self.drain_waker(),
-                    conn_id => {
-                        if let Some(conn) = self.conns.get_mut(&conn_id) {
-                            if kinds & (EPOLLERR | EPOLLHUP) != 0 {
-                                conn.dead = true;
-                            }
-                            touched.push(conn_id);
-                        }
-                    }
+                    TOKEN_WAKER => self.resume_unstalled(),
+                    conn_id => self.on_event(conn_id, ev.events),
                 }
-            }
-            // Ticket completions resolve pending entries to Ready.
-            for (conn_id, seq) in self.completion.drain() {
-                self.resolve(conn_id, seq);
-                touched.push(conn_id);
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            for conn_id in touched {
-                self.pump(conn_id);
-            }
-            if self.stop.load(Ordering::SeqCst) {
-                break;
             }
         }
         // Shutdown: close every connection and the sessions it owns.
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
-        for id in ids {
-            self.close_conn(id);
+        for (_, conn) in self.conns.drain() {
+            self.dispatch.close(conn);
         }
     }
 
@@ -738,7 +1199,6 @@ impl<D: PersistDomain> EventLoop<D> {
         loop {
             let stream = match self.listener.accept() {
                 Ok(s) => s,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
@@ -748,195 +1208,162 @@ impl<D: PersistDomain> EventLoop<D> {
             tune_stream(&stream);
             let conn_id = self.next_conn;
             self.next_conn += 1;
-            let fd = stream.raw_fd();
             let interest = EPOLLIN | EPOLLRDHUP;
-            if self.ep.add(fd, interest, conn_id).is_err() {
+            let hub = Arc::clone(&self.dispatch.hub);
+            if hub.ep.add(stream.raw_fd(), interest, conn_id).is_err() {
                 continue;
             }
-            self.conns.insert(
-                conn_id,
-                Conn {
+            let conn = Conn {
+                link: Arc::new(Link {
+                    id: conn_id,
                     stream,
-                    fd,
-                    rbuf: Vec::new(),
-                    rpos: 0,
-                    wbuf: Vec::new(),
-                    wpos: 0,
-                    version: None,
-                    hello_done: false,
-                    owned: HashSet::new(),
-                    pending: VecDeque::new(),
-                    next_seq: 0,
-                    interest,
-                    peer_eof: false,
-                    dead: false,
-                },
-            );
+                    out: Mutex::new(Outbox {
+                        interest,
+                        ..Outbox::default()
+                    }),
+                    hub,
+                }),
+                rbuf: vec![0u8; READ_BUF],
+                rpos: 0,
+                rend: 0,
+                version: None,
+                hello_done: false,
+                next_seq: 0,
+                eof: false,
+            };
+            self.conns.insert(conn_id, conn);
         }
     }
 
-    fn drain_waker(&mut self) {
-        let mut buf = [0u8; 256];
+    /// The self-pipe fired: shutdown (the caller checks `stop`), or
+    /// workers un-stalled connections whose buffered frames only this
+    /// thread can dispatch.
+    fn resume_unstalled(&mut self) {
+        let mut buf = [0u8; 64];
+        let _ = (&self.waker_rx).read(&mut buf);
+        let hub = &self.dispatch.hub;
+        let ids = std::mem::take(&mut *hub.unstalled.lock().expect("un-stall list poisoned"));
+        for conn_id in ids {
+            self.on_event(conn_id, 0);
+        }
+    }
+
+    /// One readiness event (`kinds == 0`: an un-stall) on one connection.
+    fn on_event(&mut self, conn_id: u64, kinds: u32) {
+        let Some(conn) = self.conns.get_mut(&conn_id) else {
+            return;
+        };
+        let finished = kinds & (EPOLLERR | EPOLLHUP) != 0
+            || (kinds & (EPOLLIN | EPOLLRDHUP) != 0 && self.dispatch.read_once(conn).is_err())
+            || self.dispatch.pump(conn, kinds & EPOLLOUT != 0);
+        if finished {
+            let conn = self.conns.remove(&conn_id).expect("fetched above");
+            self.dispatch.close(conn);
+        }
+    }
+}
+
+/// The parse → dispatch half of the loop, apart from the table of
+/// connections so that a handler can hold one `&mut Conn`.
+struct Dispatch<D: PersistDomain> {
+    engine: Arc<Engine<D>>,
+    hub: Arc<Hub<D>>,
+    auth_token: Option<String>,
+}
+
+impl<D: PersistDomain> Dispatch<D> {
+    /// The one `read` a readiness event buys, into the free tail of the
+    /// buffer (which [`Dispatch::process_rbuf`] keeps non-empty unless
+    /// the connection is stalled). `Err`: a transport failure.
+    fn read_once(&self, conn: &mut Conn<D>) -> std::io::Result<()> {
+        if conn.eof || conn.rend == conn.rbuf.len() {
+            return Ok(());
+        }
         loop {
-            match (&self.waker_rx).read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => continue,
+            bump(&self.hub.io.reads);
+            match (&conn.link.stream).read(&mut conn.rbuf[conn.rend..]) {
+                Ok(0) => conn.eof = true,
+                Ok(n) => conn.rend += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
+                Err(e) => return Err(e),
             }
+            return Ok(());
         }
     }
 
-    /// Marks the pending entry `(conn, seq)` Ready by taking its
-    /// completed tickets. Completions for dead connections are dropped.
-    fn resolve(&mut self, conn_id: u64, seq: u64) {
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return;
-        };
-        let Some(entry) = conn.pending.iter_mut().find(|p| p.seq == seq) else {
-            return;
-        };
-        // Placeholder, immediately overwritten below; never observed.
-        let placeholder = PendState::Ready(Box::new(WireResponse::Error(WireError::Disconnected)));
-        let state = std::mem::replace(&mut entry.state, placeholder);
-        let response = match state {
-            PendState::Ready(r) => *r,
-            PendState::One(ticket) => {
-                let result = ticket.try_take().unwrap_or(Err(EngineError::Disconnected));
-                response_to_wire(result, &mut conn.owned, &mut self.encode_cache)
-            }
-            PendState::Many(tickets) => {
-                let cache = &mut self.encode_cache;
-                let members = tickets
-                    .iter()
-                    .map(|t| {
-                        t.try_take()
-                            .unwrap_or(Err(EngineError::Disconnected))
-                            .and_then(Response::state_or_invariant)
-                            .map(|d| cache.encode(&d))
-                            .map_err(|e| WireError::from_engine(&e))
-                    })
-                    .collect();
-                WireResponse::States(members)
-            }
-        };
-        entry.state = PendState::Ready(Box::new(response));
-    }
-
-    /// Makes every kind of progress available on one connection: parse
-    /// and dispatch buffered requests, flush resolved responses into the
-    /// write buffer, push the write buffer into the socket, then settle
-    /// epoll interest — and close the connection when it is finished.
-    fn pump(&mut self, conn_id: u64) {
-        // Not a while-let: `process_rbuf` needs `&mut self`, so the
-        // connection must be re-fetched around it rather than held.
-        #[allow(clippy::while_let_loop)]
+    /// Makes every kind of progress available on one connection:
+    /// dispatch buffered requests, then one delivery — frame the
+    /// immediate answers, write, settle epoll interest. Returns whether
+    /// the connection is finished and must be closed.
+    fn pump(&self, conn: &mut Conn<D>, mut writable: bool) -> bool {
         loop {
-            let Some(conn) = self.conns.get_mut(&conn_id) else {
-                return;
-            };
-            if conn.dead {
-                break;
+            if self.process_rbuf(conn) && conn.eof {
+                conn.link.out().peer_eof = true;
             }
-            let mut progressed = false;
-            // Read newly arrived bytes (unless backpressure stalls us).
-            if !conn.stalled() && !conn.peer_eof {
-                match read_available(conn) {
-                    Ok(_) => {}
-                    Err(_) => conn.dead = true,
-                }
+            let verdict = conn.link.deliver([], writable);
+            if verdict.finished || !verdict.unstalled {
+                return verdict.finished;
             }
-            if !conn.dead {
-                progressed |= self.process_rbuf(conn_id);
-            }
-            let Some(conn) = self.conns.get_mut(&conn_id) else {
-                return;
-            };
-            progressed |= flush_ready(conn);
-            progressed |= flush_writes(conn);
-            if !progressed || conn.dead {
-                break;
-            }
-        }
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return;
-        };
-        let finished = conn.peer_eof && conn.pending.is_empty() && conn.backlog() == 0;
-        if conn.dead || finished {
-            self.close_conn(conn_id);
-            return;
-        }
-        let want_read = !conn.stalled() && !conn.peer_eof;
-        let mut interest = EPOLLRDHUP;
-        if want_read {
-            interest |= EPOLLIN;
-        }
-        if conn.backlog() > 0 {
-            interest |= EPOLLOUT;
-        }
-        if interest != conn.interest {
-            if self.ep.modify(conn.fd, interest, conn_id).is_err() {
-                self.close_conn(conn_id);
-                return;
-            }
-            if let Some(conn) = self.conns.get_mut(&conn_id) {
-                conn.interest = interest;
-            }
+            // That delivery cleared the stall `process_rbuf` stopped at.
+            writable = false;
         }
     }
 
     /// Parses complete frames out of the read buffer and dispatches
     /// them, coalescing adjacent same-key query frames into one engine
-    /// batch. Returns whether any frame was consumed.
-    fn process_rbuf(&mut self, conn_id: u64) -> bool {
-        let mut any = false;
+    /// batch. Returns `false` when it stopped at a stall with frames
+    /// possibly left, `true` when it ran out of complete frames.
+    fn process_rbuf(&self, conn: &mut Conn<D>) -> bool {
         let mut run: Option<QueryRun> = None;
-        // Not a while-let: `dispatch_frame` needs `&mut self`, so the
-        // connection must be re-fetched around it rather than held.
-        #[allow(clippy::while_let_loop)]
-        loop {
-            let Some(conn) = self.conns.get_mut(&conn_id) else {
-                break;
-            };
-            if conn.stalled() {
-                break;
+        let mut room = 0;
+        let drained = loop {
+            if room == 0 {
+                // Asked once per `room` frames, not per frame: the slots
+                // only drain meanwhile, so the answer stays a lower bound.
+                room = conn
+                    .link
+                    .out()
+                    .room(run.as_ref().map_or(0, |r| r.members.len()));
+                if room == 0 {
+                    break false;
+                }
             }
-            let parsed = parse_frame(&conn.rbuf[conn.rpos..]);
-            match parsed {
-                Parsed::Incomplete => break,
+            match parse_frame(&conn.rbuf[conn.rpos..conn.rend]) {
+                Parsed::Incomplete => break true,
                 Parsed::Oversized {
                     header,
                     id,
                     consumed,
                 } => {
                     conn.rpos += consumed;
-                    any = true;
-                    self.flush_run(conn_id, &mut run);
+                    self.flush_run(conn, &mut run);
                     let err = WireError::Protocol(format!(
                         "declared frame length {} exceeds the {MAX_FRAME_LEN}-byte bound",
                         header.len
                     ));
-                    self.push_ready(conn_id, id, WireResponse::Error(err));
+                    conn.push_ready(id, WireResponse::Error(err));
                 }
                 Parsed::Frame {
                     header,
                     id,
                     payload_ok,
                     consumed,
-                } => {
-                    any = true;
-                    self.dispatch_frame(conn_id, header, id, payload_ok, consumed, &mut run);
-                }
+                } => self.dispatch_frame(conn, header, id, payload_ok, consumed, &mut run),
             }
+            room -= 1;
+        };
+        self.flush_run(conn, &mut run);
+        // Keep the free tail: move what is left (a partial frame, or a
+        // stall's leftovers) to the front, and grow only for a single
+        // frame that fills the whole buffer without completing.
+        conn.rbuf.copy_within(conn.rpos..conn.rend, 0);
+        conn.rend -= conn.rpos;
+        conn.rpos = 0;
+        if drained && conn.rend == conn.rbuf.len() {
+            conn.rbuf.resize(2 * conn.rend, 0);
         }
-        self.flush_run(conn_id, &mut run);
-        if let Some(conn) = self.conns.get_mut(&conn_id) {
-            if conn.rpos > 0 {
-                conn.rbuf.drain(..conn.rpos);
-                conn.rpos = 0;
-            }
-        }
-        any
+        drained
     }
 
     /// Handles one complete frame: protocol checks, hello gating, then
@@ -944,155 +1371,118 @@ impl<D: PersistDomain> EventLoop<D> {
     /// run; everything else flushes it first, preserving submission
     /// order across the engine's edit fences.
     fn dispatch_frame(
-        &mut self,
-        conn_id: u64,
+        &self,
+        conn: &mut Conn<D>,
         header: FrameHeader,
         id: Option<u64>,
         payload_ok: bool,
         consumed: usize,
         run: &mut Option<QueryRun>,
     ) {
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return;
-        };
         let payload_start =
             conn.rpos + FRAME_HEADER_LEN + if id.is_some() { FRAME_ID_LEN } else { 0 };
         let payload_range = payload_start..payload_start + header.len as usize;
         conn.rpos += consumed;
 
-        if header.tag != TAG_REQUEST {
-            self.flush_run(conn_id, run);
-            let err = WireError::Protocol(format!(
-                "unexpected frame tag {:?} (want {:?})",
-                header.tag, TAG_REQUEST
-            ));
-            self.push_ready(conn_id, id, WireResponse::Error(err));
-            return;
-        }
-        let pinned = conn.version;
-        let version_ok = match pinned {
+        let version_ok = match conn.version {
             Some(v) => header.version == v,
             None => (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&header.version),
         };
-        if version_ok && pinned.is_none() {
-            // Pin the connection's frame layout to the first
-            // valid-versioned frame, hello or not, accepted or not: a
-            // rejected v3 hello (bad auth, wrong domain) must be
-            // *answered* in the id-less v3 layout the peer can read.
-            conn.version = Some(header.version);
-        }
-        if !version_ok {
-            self.flush_run(conn_id, run);
-            let err = WireError::UnsupportedVersion {
+        let refusal = if header.tag != TAG_REQUEST {
+            Some(WireError::Protocol(format!(
+                "unexpected frame tag {:?} (want {:?})",
+                header.tag, TAG_REQUEST
+            )))
+        } else if !version_ok {
+            Some(WireError::UnsupportedVersion {
                 got: header.version,
                 want: PROTOCOL_VERSION,
-            };
-            self.push_ready(conn_id, id, WireResponse::Error(err));
-            return;
-        }
-        if !payload_ok {
-            self.flush_run(conn_id, run);
-            let err = WireError::Protocol("frame checksum mismatch".to_string());
-            self.push_ready(conn_id, id, WireResponse::Error(err));
-            return;
-        }
-        let request = {
-            let Some(conn) = self.conns.get_mut(&conn_id) else {
-                return;
-            };
-            let payload = &conn.rbuf[payload_range];
-            let _decode_span = dai_trace::span!("rpc.decode", payload.len());
-            decode_message::<WireRequest>(payload)
+            })
+        } else {
+            if conn.version.is_none() {
+                // Pin the connection's frame layout to the first
+                // valid-versioned frame, hello or not, accepted or not: a
+                // rejected v3 hello (bad auth, wrong domain) must be
+                // *answered* in the id-less v3 layout the peer can read.
+                conn.version = Some(header.version);
+                conn.link.out().version = conn.version;
+            }
+            (!payload_ok).then(|| WireError::Protocol("frame checksum mismatch".to_string()))
         };
-        let request = match request {
-            Ok(r) => r,
-            Err(e) => {
-                self.flush_run(conn_id, run);
-                let err = WireError::Protocol(format!("undecodable request payload: {e}"));
-                self.push_ready(conn_id, id, WireResponse::Error(err));
-                return;
+        let request = match refusal {
+            Some(err) => Err(err),
+            None => {
+                let payload = &conn.rbuf[payload_range];
+                let _decode_span = dai_trace::span!("rpc.decode", payload.len());
+                decode_message::<WireRequest>(payload)
+                    .map_err(|e| WireError::Protocol(format!("undecodable request payload: {e}")))
             }
         };
         let _dispatch_span = dai_trace::span!("rpc.dispatch");
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return;
-        };
-        if !conn.hello_done {
-            self.flush_run(conn_id, run);
-            let response = self.handle_hello(conn_id, header.version, request);
-            self.push_ready(conn_id, id, response);
-            return;
-        }
         match request {
-            WireRequest::Query { session, func, loc } => {
-                // Extend the coalescing run, or flush and start another.
-                let matches = run
-                    .as_ref()
-                    .is_some_and(|r| r.session == session && r.func == func);
-                if !matches {
-                    self.flush_run(conn_id, run);
-                }
-                let Some(conn) = self.conns.get_mut(&conn_id) else {
-                    return;
-                };
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                match run {
-                    Some(r) if matches => r.members.push((loc, seq, id)),
-                    _ => {
-                        *run = Some(QueryRun {
-                            session,
-                            func,
-                            members: vec![(loc, seq, id)],
-                        });
-                    }
-                }
+            Err(err) => {
+                self.flush_run(conn, run);
+                conn.push_ready(id, WireResponse::Error(err));
             }
-            other => {
-                self.flush_run(conn_id, run);
-                self.handle_request(conn_id, id, other);
+            Ok(request) if !conn.hello_done => {
+                self.flush_run(conn, run);
+                let response = self.handle_hello(conn, header.version, request);
+                conn.push_ready(id, response);
+            }
+            Ok(WireRequest::Query { session, func, loc }) => {
+                // Extend the coalescing run, or flush and start another.
+                if !run
+                    .as_ref()
+                    .is_some_and(|r| r.session == session && r.func == func)
+                {
+                    self.flush_run(conn, run);
+                }
+                let seq = conn.take_seq();
+                run.get_or_insert_with(|| QueryRun {
+                    session,
+                    func,
+                    first_seq: seq,
+                    members: Vec::new(),
+                })
+                .members
+                .push((loc, id));
+            }
+            Ok(other) => {
+                self.flush_run(conn, run);
+                self.handle_request(conn, id, other);
             }
         }
     }
 
     /// Submits a collected query run as **one** coalesced engine batch;
-    /// every member keeps its own pending entry (and id), so each query
+    /// every member keeps its own reply slot (and id), so each query
     /// frame still gets its own response.
-    fn flush_run(&mut self, conn_id: u64, run: &mut Option<QueryRun>) {
+    fn flush_run(&self, conn: &mut Conn<D>, run: &mut Option<QueryRun>) {
         let Some(r) = run.take() else {
             return;
         };
-        let locs: Vec<dai_lang::Loc> = r.members.iter().map(|(l, _, _)| *l).collect();
+        let locs: Vec<dai_lang::Loc> = r.members.iter().map(|(loc, _)| *loc).collect();
         let tickets = self
             .engine
             .submit_query_batch(SessionId(r.session), &r.func, &locs);
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return;
-        };
-        for (ticket, (_, seq, id)) in tickets.into_iter().zip(r.members) {
-            arm_group(
-                std::slice::from_ref(&ticket),
-                conn_id,
-                seq,
-                &self.completion,
-            );
-            conn.pending.push_back(Pending {
+        conn.link
+            .queue((r.first_seq..).zip(r.members).map(|(seq, (_, id))| Slot {
                 seq,
                 id,
-                state: PendState::One(ticket),
-            });
-        }
+                reply: None,
+            }));
+        Group::arm(&conn.link, tickets, false, r.first_seq);
     }
 
     /// The gate every connection starts behind: the first decoded
     /// message must be a hello naming the right domain (and presenting
     /// the auth token, when the server requires one). The frame layout
     /// was already pinned to the hello frame's version in
-    /// [`EventLoop::dispatch_frame`] — even a rejected hello answers in
+    /// [`Dispatch::dispatch_frame`] — even a rejected hello answers in
     /// the layout the peer reads.
     fn handle_hello(
-        &mut self,
-        conn_id: u64,
+        &self,
+        conn: &mut Conn<D>,
         frame_version: u16,
         request: WireRequest,
     ) -> WireResponse {
@@ -1112,11 +1502,7 @@ impl<D: PersistDomain> EventLoop<D> {
                         return WireResponse::Error(WireError::Unauthorized);
                     }
                 }
-                let Some(conn) = self.conns.get_mut(&conn_id) else {
-                    return WireResponse::Error(WireError::Disconnected);
-                };
                 conn.hello_done = true;
-                conn.version = Some(frame_version);
                 WireResponse::HelloOk {
                     domain,
                     protocol: frame_version,
@@ -1132,17 +1518,14 @@ impl<D: PersistDomain> EventLoop<D> {
     /// Routes one post-hello, non-`Query` request. Engine-backed
     /// requests become tickets (the loop never blocks on them); the
     /// session-table and introspection requests answer immediately.
-    fn handle_request(&mut self, conn_id: u64, id: Option<u64>, request: WireRequest) {
-        let engine = Arc::clone(&self.engine);
+    fn handle_request(&self, conn: &mut Conn<D>, id: Option<u64>, request: WireRequest) {
+        let engine = &self.engine;
+        let mut ticketed =
+            |request: Request| conn.push_tickets(id, vec![engine.submit(request)], false);
         match request {
             WireRequest::Hello { .. } => {
-                self.push_ready(
-                    conn_id,
-                    id,
-                    WireResponse::Error(WireError::Protocol(
-                        "hello already exchanged on this connection".to_string(),
-                    )),
-                );
+                let err = "hello already exchanged on this connection".to_string();
+                conn.push_ready(id, WireResponse::Error(WireError::Protocol(err)));
             }
             WireRequest::Query { .. } => unreachable!("query frames travel the coalescing run"),
             WireRequest::QueryBatch {
@@ -1152,7 +1535,7 @@ impl<D: PersistDomain> EventLoop<D> {
             } => {
                 // One wire frame → one deliberate coalesced batch.
                 let tickets = engine.submit_query_batch(SessionId(session), &func, &locs);
-                self.push_tickets(conn_id, id, tickets);
+                conn.push_tickets(id, tickets, true);
             }
             WireRequest::Sweep { session, targets } => {
                 // One wire frame → the engine's sweep path: one
@@ -1161,66 +1544,45 @@ impl<D: PersistDomain> EventLoop<D> {
                     let _submit_span = dai_trace::span!("rpc.submit");
                     engine.submit_query_sweep(SessionId(session), &targets)
                 };
-                self.push_tickets(conn_id, id, tickets);
+                conn.push_tickets(id, tickets, true);
             }
             WireRequest::Edit { session, edit } => {
-                let ticket = engine.submit(Request::Edit {
-                    session: SessionId(session),
-                    edit,
-                });
-                self.push_ticket(conn_id, id, ticket);
+                let session = SessionId(session);
+                ticketed(Request::Edit { session, edit });
             }
             WireRequest::Snapshot { session } => {
-                let ticket = engine.submit(Request::Snapshot {
-                    session: SessionId(session),
-                });
-                self.push_ticket(conn_id, id, ticket);
+                let session = SessionId(session);
+                ticketed(Request::Snapshot { session });
             }
             WireRequest::Save { session, path } => {
-                let ticket = engine.submit(Request::Save {
-                    session: SessionId(session),
-                    path,
-                });
-                self.push_ticket(conn_id, id, ticket);
+                let session = SessionId(session);
+                ticketed(Request::Save { session, path });
             }
-            WireRequest::Load { path } => {
-                // Ownership of the restored session is recorded at
-                // completion time (see `response_to_wire`).
-                let ticket = engine.submit(Request::Load { path });
-                self.push_ticket(conn_id, id, ticket);
-            }
-            WireRequest::Stats => {
-                let ticket = engine.submit(Request::Stats);
-                self.push_ticket(conn_id, id, ticket);
-            }
+            // Ownership of the restored session is recorded at completion
+            // time (see `Link::response_to_wire`).
+            WireRequest::Load { path } => ticketed(Request::Load { path }),
+            WireRequest::Stats => ticketed(Request::Stats),
             WireRequest::Open { name, source } => {
                 let response = match engine.open_session_src(name, &source) {
                     Ok(sid) => {
-                        if let Some(conn) = self.conns.get_mut(&conn_id) {
-                            conn.owned.insert(sid);
-                        }
+                        conn.link.out().owned.insert(sid);
                         WireResponse::Opened { session: sid.0 }
                     }
                     Err(e) => WireResponse::Error(WireError::from_engine(&e)),
                 };
-                self.push_ready(conn_id, id, response);
+                conn.push_ready(id, response);
             }
             WireRequest::Close { session } => {
                 let sid = SessionId(session);
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.owned.remove(&sid);
-                }
+                conn.link.out().owned.remove(&sid);
                 let response = WireResponse::Closed {
                     existed: engine.close_session(sid),
                 };
-                self.push_ready(conn_id, id, response);
+                conn.push_ready(id, response);
             }
             WireRequest::Handoff { session } => {
-                let owned = self
-                    .conns
-                    .get_mut(&conn_id)
-                    .is_some_and(|c| c.owned.remove(&SessionId(session)));
-                self.push_ready(conn_id, id, WireResponse::Released { owned });
+                let owned = conn.link.out().owned.remove(&SessionId(session));
+                conn.push_ready(id, WireResponse::Released { owned });
             }
             WireRequest::Trace { op } => {
                 let dump = match op {
@@ -1234,13 +1596,13 @@ impl<D: PersistDomain> EventLoop<D> {
                     }
                     dai_engine::TraceOp::Dump => engine.drain_trace(),
                 };
-                self.push_ready(conn_id, id, WireResponse::Trace(dump));
+                conn.push_ready(id, WireResponse::Trace(dump));
             }
             WireRequest::Metrics => {
                 let response = WireResponse::Metrics {
-                    text: engine.metrics_text(),
+                    text: engine.metrics_text() + &self.hub.io.snapshot().render(),
                 };
-                self.push_ready(conn_id, id, response);
+                conn.push_ready(id, response);
             }
             WireRequest::Explain { session, targets } => {
                 // One wire frame → one attributed sweep, served
@@ -1255,7 +1617,7 @@ impl<D: PersistDomain> EventLoop<D> {
                     Ok(report) => WireResponse::Explain(report),
                     Err(e) => WireResponse::Error(WireError::from_engine(&e)),
                 };
-                self.push_ready(conn_id, id, response);
+                conn.push_ready(id, response);
             }
             WireRequest::Subscribe { after, max } => {
                 // Served straight off the leader's journal file: the
@@ -1278,238 +1640,28 @@ impl<D: PersistDomain> EventLoop<D> {
                         Err(e) => WireResponse::Error(WireError::Persist(e.to_string())),
                     },
                 };
-                self.push_ready(conn_id, id, response);
+                conn.push_ready(id, response);
             }
         }
     }
 
-    fn push_ready(&mut self, conn_id: u64, id: Option<u64>, response: WireResponse) {
-        if let Some(conn) = self.conns.get_mut(&conn_id) {
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            conn.pending.push_back(Pending {
-                seq,
-                id,
-                state: PendState::Ready(Box::new(response)),
-            });
-        }
-    }
-
-    fn push_ticket(&mut self, conn_id: u64, id: Option<u64>, ticket: Ticket<D>) {
-        if let Some(conn) = self.conns.get_mut(&conn_id) {
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            arm_group(
-                std::slice::from_ref(&ticket),
-                conn_id,
-                seq,
-                &self.completion,
-            );
-            conn.pending.push_back(Pending {
-                seq,
-                id,
-                state: PendState::One(ticket),
-            });
-        }
-    }
-
-    fn push_tickets(&mut self, conn_id: u64, id: Option<u64>, tickets: Vec<Ticket<D>>) {
-        if let Some(conn) = self.conns.get_mut(&conn_id) {
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            if tickets.is_empty() {
-                conn.pending.push_back(Pending {
-                    seq,
-                    id,
-                    state: PendState::Ready(Box::new(WireResponse::States(Vec::new()))),
-                });
-                return;
-            }
-            {
-                let _arm_span = dai_trace::span!("rpc.arm", tickets.len());
-                arm_group(&tickets, conn_id, seq, &self.completion);
-            }
-            conn.pending.push_back(Pending {
-                seq,
-                id,
-                state: PendState::Many(tickets),
-            });
-        }
-    }
-
-    fn close_conn(&mut self, conn_id: u64) {
-        let Some(conn) = self.conns.remove(&conn_id) else {
-            return;
+    /// Closes a connection: marks the outbox closed (completions still
+    /// in flight drop their answers), forgets the socket, and closes
+    /// the sessions the connection still owns.
+    fn close(&self, conn: Conn<D>) {
+        let owned = {
+            let mut out = conn.link.out();
+            out.closed = true;
+            out.slots.clear();
+            out.wbuf = Vec::new();
+            std::mem::take(&mut out.owned)
         };
-        self.ep.del(conn.fd);
-        for session in conn.owned {
+        self.hub.ep.del(conn.link.stream.raw_fd());
+        for session in owned {
             self.engine.close_session(session);
         }
-        conn.stream.shutdown();
+        conn.link.stream.shutdown();
     }
-}
-
-/// Registers the group-completion hook on each ticket: the *last*
-/// member to resolve pushes `(conn, seq)` and wakes the loop. Hooks run
-/// on engine worker threads and do constant work.
-fn arm_group<D>(tickets: &[Ticket<D>], conn_id: u64, seq: u64, completion: &Arc<CompletionQueue>) {
-    let remaining = Arc::new(AtomicUsize::new(tickets.len()));
-    for ticket in tickets {
-        let remaining = Arc::clone(&remaining);
-        let completion = Arc::clone(completion);
-        ticket.on_ready(move || {
-            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                completion.push(conn_id, seq);
-            }
-        });
-    }
-}
-
-/// Maps a completed engine response onto its wire form. `Loaded`
-/// responses register session ownership here — completion time — since
-/// the restore runs async to the loop.
-fn response_to_wire<D: PersistDomain>(
-    result: Result<Response<D>, EngineError>,
-    owned: &mut HashSet<SessionId>,
-    cache: &mut EncodeCache<D>,
-) -> WireResponse {
-    match result {
-        Err(e) => WireResponse::Error(WireError::from_engine(&e)),
-        Ok(Response::State(d)) => WireResponse::State(cache.encode(&d)),
-        Ok(Response::Edited(outcome)) => WireResponse::Edited(outcome),
-        Ok(Response::Snapshot(snap)) => WireResponse::Snapshot(snap),
-        Ok(Response::Saved(outcome)) => WireResponse::Saved(outcome),
-        Ok(Response::Loaded { session, outcome }) => {
-            owned.insert(session);
-            WireResponse::Loaded {
-                session: session.0,
-                outcome,
-            }
-        }
-        Ok(Response::Stats(stats)) => WireResponse::Stats(*stats),
-    }
-}
-
-/// Reads whatever the socket has, growing the read buffer. Flags EOF on
-/// a clean peer close.
-///
-/// # Errors
-///
-/// Transport failures (the connection is then torn down).
-fn read_available<D>(conn: &mut Conn<D>) -> std::io::Result<()> {
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.peer_eof = true;
-                return Ok(());
-            }
-            Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Encodes resolved responses into the write buffer. v4 connections
-/// flush any Ready entry (out-of-order completion is the point); v3
-/// connections flush strictly in request order. Returns whether any
-/// response was encoded.
-fn flush_ready<D>(conn: &mut Conn<D>) -> bool {
-    let version = conn.wire_version();
-    let mut any = false;
-    if version >= 4 {
-        let mut i = 0;
-        while i < conn.pending.len() {
-            if matches!(conn.pending[i].state, PendState::Ready(_)) {
-                let entry = conn.pending.remove(i).expect("indexed entry");
-                let PendState::Ready(response) = entry.state else {
-                    unreachable!("matched Ready above")
-                };
-                encode_response(conn, entry.id, *response);
-                any = true;
-            } else {
-                i += 1;
-            }
-        }
-    } else {
-        while matches!(
-            conn.pending.front(),
-            Some(Pending {
-                state: PendState::Ready(_),
-                ..
-            })
-        ) {
-            let entry = conn.pending.pop_front().expect("checked front");
-            let PendState::Ready(response) = entry.state else {
-                unreachable!("matched Ready above")
-            };
-            encode_response(conn, entry.id, *response);
-            any = true;
-        }
-    }
-    any
-}
-
-/// Appends one response frame to the connection's write buffer,
-/// applying the three response-side guards: the overload hard cap, the
-/// oversized-response replacement, and the v3 error downgrade.
-fn encode_response<D>(conn: &mut Conn<D>, id: Option<u64>, mut response: WireResponse) {
-    let version = conn.wire_version();
-    if conn.backlog() > HARD_WRITE_CAP {
-        // The peer reads too slowly for the responses it keeps
-        // requesting: drop the payload, keep the id answered.
-        response = WireResponse::Error(WireError::Overloaded);
-    }
-    if let WireResponse::Error(e) = response {
-        response = WireResponse::Error(e.downgrade_for(version));
-    }
-    let _encode_span = dai_trace::span!("rpc.encode");
-    let mut payload = encode_message(&response);
-    if payload.len() > MAX_FRAME_LEN {
-        payload = encode_message(&WireResponse::Error(
-            WireError::Protocol(format!(
-                "response of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame bound",
-                payload.len()
-            ))
-            .downgrade_for(version),
-        ));
-    }
-    let frame_id = (version >= 4).then(|| id.unwrap_or(UNATTRIBUTED_ID));
-    dai_persist::frame::write_frame_id(&mut conn.wbuf, TAG_RESPONSE, version, frame_id, &payload);
-}
-
-/// Pushes buffered response bytes into the socket until it would block.
-/// Returns whether any byte moved.
-fn flush_writes<D>(conn: &mut Conn<D>) -> bool {
-    let mut any = false;
-    while conn.wpos < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                break;
-            }
-            Ok(n) => {
-                conn.wpos += n;
-                any = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                break;
-            }
-        }
-    }
-    if conn.wpos == conn.wbuf.len() && conn.wpos > 0 {
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    } else if conn.wpos > SOFT_WRITE_CAP {
-        conn.wbuf.drain(..conn.wpos);
-        conn.wpos = 0;
-    }
-    any
 }
 
 /// Constant-time byte equality: every byte pair is visited regardless

@@ -1343,3 +1343,448 @@ fn shutdown_survives_a_connection_churn_storm() {
     }
     assert!(total > 0, "the storm never connected at all");
 }
+
+// ---------------------------------------------------------------------
+// The wire's budget: what a request costs, backpressure, and responses
+// written by the threads that finish them.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_warm_request_costs_one_read_one_write_and_one_wakeup() {
+    let engine: Arc<Engine<IntervalDomain>> = Arc::new(Engine::new(1));
+    let server = Server::bind(&Addr::Unix(scratch("budget")), Arc::clone(&engine)).unwrap();
+    let client: Client<IntervalDomain> = Client::connect(&server.addr().to_string()).unwrap();
+    let session = client.open("budget", LOOPY).unwrap();
+    let locs: Vec<Loc> = engine
+        .program_of(session)
+        .unwrap()
+        .by_name("f")
+        .unwrap()
+        .locs();
+    let cycle = |n: usize| -> Vec<Loc> { locs.iter().copied().cycle().take(n).collect() };
+    let targets: Vec<(String, Loc)> = cycle(500)
+        .into_iter()
+        .map(|loc| ("f".to_string(), loc))
+        .collect();
+    // Warm every cell, so what is counted below is the wire alone.
+    for answer in client.query_sweep(session, &targets) {
+        answer.unwrap();
+    }
+    let spent = |work: &dyn Fn()| {
+        let before = server.io_stats();
+        work();
+        let after = server.io_stats();
+        dai_rpc::IoStats {
+            reads: after.reads - before.reads,
+            writes: after.writes - before.writes,
+            wakeups: after.wakeups - before.wakeups,
+            pipe_writes: after.pipe_writes - before.pipe_writes,
+            ..after
+        }
+    };
+
+    // 200 warm single queries: the request's arrival wakes the loop once
+    // and is read once; the worker that answers writes the response.
+    let singles = spent(&|| {
+        for loc in cycle(200) {
+            client.query(session, "f", loc).unwrap();
+        }
+    });
+    assert!(singles.reads <= 220, "{singles:?}");
+    assert!(singles.writes <= 220, "{singles:?}");
+    assert!(singles.wakeups <= 220, "{singles:?}");
+    assert_eq!(singles.pipe_writes, 0, "{singles:?}");
+
+    // A 200-frame burst: read in a few gulps, coalesced into a few runs,
+    // each run's responses sent by its last member in one write.
+    let burst = spent(&|| {
+        for answer in client.pipeline_queries(session, "f", &cycle(200)) {
+            answer.unwrap();
+        }
+    });
+    assert!(burst.reads <= 8, "{burst:?}");
+    assert!(burst.writes <= 8, "{burst:?}");
+    assert_eq!(burst.pipe_writes, 0, "{burst:?}");
+
+    // A 500-member sweep: one frame in, one frame out.
+    let sweep = spent(&|| {
+        for answer in client.query_sweep(session, &targets) {
+            answer.unwrap();
+        }
+    });
+    assert!(sweep.writes <= 2, "{sweep:?}");
+    assert_eq!(sweep.pipe_writes, 0, "{sweep:?}");
+
+    // The same counters ride the metrics exposition.
+    let text = client.metrics().unwrap();
+    for name in [
+        "dai_rpc_socket_reads",
+        "dai_rpc_socket_writes",
+        "dai_rpc_loop_wakeups",
+        "dai_rpc_pipe_writes",
+        "dai_rpc_inflight_high_water",
+        "dai_rpc_backlog_high_water",
+    ] {
+        assert!(text.contains(&format!("# TYPE {name} gauge")), "{text}");
+    }
+    server.shutdown();
+}
+
+extern "C" {
+    fn mkfifo(path: *const std::os::raw::c_char, mode: u32) -> i32;
+}
+
+/// Spins (yielding) until `done` holds; a test's way of waiting for a
+/// server-side state it can observe but not be told about.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "never saw: {what}");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn a_peer_that_does_not_read_is_bounded_and_still_answered_in_full() {
+    use dai_rpc::server::{HARD_WRITE_CAP, MAX_INFLIGHT, SOFT_WRITE_CAP};
+    let (server, path) = hostile_server();
+    let mut conn = RawV4Conn::connect(&path);
+    // `big` answers with a state of several hundred intervals (≈ 10 KB
+    // on the wire), `small` with one.
+    let mut source = String::from("function big(n) { ");
+    for v in 0..400 {
+        source.push_str(&format!("var v{v} = {v}; "));
+    }
+    source.push_str("return v0; } function small(n) { var x = 1; return x; }");
+    conn.send_request(
+        2,
+        &dai_rpc::proto::encode_message(&WireRequest::Open {
+            name: "bp".to_string(),
+            source,
+        }),
+    );
+    let session = match conn.read_response() {
+        (Some(2), WireResponse::Opened { session }) => session,
+        other => panic!("open failed: {other:?}"),
+    };
+    let exit_of = |func: &str| {
+        let program = server.engine().program_of(SessionId(session)).unwrap();
+        program.by_name(func).unwrap().exit()
+    };
+    let burst = |func: &str, first_id: u64, count: usize| {
+        let payload = dai_rpc::proto::encode_message(&WireRequest::Query {
+            session,
+            func: func.to_string(),
+            loc: exit_of(func),
+        });
+        let mut bytes = Vec::new();
+        for id in first_id..first_id + count as u64 {
+            dai_persist::frame::write_frame_id(
+                &mut bytes,
+                TAG_REQUEST,
+                PROTOCOL_VERSION,
+                Some(id),
+                &payload,
+            );
+        }
+        bytes
+    };
+    // Reads until every id of the burst has been answered exactly once,
+    // by a state or by `Overloaded` (and `also`, if given, by an error);
+    // returns (overloaded, largest state frame).
+    let drain = |conn: &mut RawV4Conn, first_id: u64, count: usize, mut also: Option<u64>| {
+        let mut seen = std::collections::HashSet::new();
+        let (mut overloaded, mut largest) = (0usize, 0usize);
+        while seen.len() < count || also.is_some() {
+            let (id, response) = conn.read_response();
+            let id = id.expect("v4 responses carry ids");
+            if also == Some(id) {
+                assert!(matches!(response, WireResponse::Error(_)), "{response:?}");
+                also = None;
+                continue;
+            }
+            assert!(
+                (first_id..first_id + count as u64).contains(&id),
+                "stray id {id}"
+            );
+            assert!(seen.insert(id), "id {id} answered twice");
+            match response {
+                WireResponse::State(blob) => largest = largest.max(blob.0.len() + 64),
+                WireResponse::Error(e) if e.code() == "overload" => overloaded += 1,
+                other => panic!("id {id}: {other:?}"),
+            }
+        }
+        (overloaded, largest)
+    };
+
+    // Phase 1 — small answers behind a barrier. A `Load` from a fifo
+    // holds its worker (and, through the engine-global fence, every
+    // query submitted after it) until the test opens the other end, so
+    // the burst piles up to exactly `MAX_INFLIGHT` owed replies. The
+    // burst is a few frames longer than that and fits the server's read
+    // buffer (64 KiB) whole: when the stall begins, the surplus frames
+    // sit parsed-but-undispatched in that buffer and nothing is left in
+    // the socket to raise another readiness event. Releasing the barrier
+    // completes the load on a worker; that worker un-stalls the
+    // connection, and only its poke of the loop gets the surplus served.
+    conn.stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let fifo = scratch("barrier");
+    let c_path = std::ffi::CString::new(fifo.clone()).unwrap();
+    // SAFETY: `c_path` is a live NUL-terminated string for the call.
+    assert_eq!(unsafe { mkfifo(c_path.as_ptr(), 0o600) }, 0, "mkfifo");
+    conn.send_request(
+        3,
+        &dai_rpc::proto::encode_message(&WireRequest::Load { path: fifo.clone() }),
+    );
+    let surplus = MAX_INFLIGHT + 8;
+    let bytes = burst("small", 100_000, surplus);
+    assert!(
+        bytes.len() < 64 * 1024,
+        "the burst must fit one read buffer"
+    );
+    {
+        conn.send_raw(&bytes);
+        wait_until("MAX_INFLIGHT owed replies", || {
+            server.io_stats().inflight_high_water == MAX_INFLIGHT as u64
+        });
+        assert_eq!(server.io_stats().pipe_writes, 0, "no un-stall yet");
+        // Open and close the writing end: the load reads EOF and fails.
+        drop(std::fs::OpenOptions::new().write(true).open(&fifo).unwrap());
+        let (overloaded, _) = drain(&mut conn, 100_000, surplus, Some(3));
+        assert_eq!(overloaded, 0, "small answers never overload");
+    }
+    let _ = std::fs::remove_file(&fifo);
+    let io = server.io_stats();
+    assert_eq!(io.inflight_high_water, MAX_INFLIGHT as u64, "{io:?}");
+    assert!(
+        io.pipe_writes > 0,
+        "the un-stall happened off the loop and must have poked it: {io:?}"
+    );
+
+    // Phase 2 — large answers, nobody reading, until the backlog has
+    // passed the soft cap; then everything is read. (The writer is its
+    // own thread: the server stops reading long before the burst is in.)
+    let writer = conn.stream.try_clone().unwrap();
+    let bytes = burst("big", 1_000, 4 * MAX_INFLIGHT);
+    let (overloaded, largest) = std::thread::scope(|scope| {
+        scope.spawn(move || (&writer).write_all(&bytes).expect("burst sent"));
+        wait_until("a backlog past the soft cap", || {
+            server.io_stats().backlog_high_water > SOFT_WRITE_CAP as u64
+        });
+        drain(&mut conn, 1_000, 4 * MAX_INFLIGHT, None)
+    });
+    let io = server.io_stats();
+    assert_eq!(io.inflight_high_water, MAX_INFLIGHT as u64, "{io:?}");
+    // Past the hard cap only `Overloaded` notices are queued — a few
+    // dozen bytes each, and at most one per owed reply.
+    assert!(
+        io.backlog_high_water <= (HARD_WRITE_CAP + largest + MAX_INFLIGHT * 64) as u64,
+        "{io:?} (largest frame {largest}, {overloaded} overloaded)"
+    );
+
+    // And the connection serves a fresh query afterwards.
+    conn.send_request(
+        7,
+        &dai_rpc::proto::encode_message(&WireRequest::Query {
+            session,
+            func: "small".to_string(),
+            loc: exit_of("small"),
+        }),
+    );
+    match conn.read_response() {
+        (Some(7), WireResponse::State(_)) => {}
+        other => panic!("connection did not survive: {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// One step of a stress connection's script; `Edit` sets the constant a
+/// function starts from (`a` in `f`, `b` in `g`).
+#[derive(Clone)]
+enum Step {
+    Query(&'static str, Loc),
+    Edit(&'static str, i64),
+}
+
+#[test]
+fn responses_written_by_four_workers_match_an_in_process_replay() {
+    // Four connections, each pipelining bursts over two functions of its
+    // own session with its own edits in between, against an engine with
+    // four workers: answers are framed and written by whichever worker
+    // finishes them, several per connection at once. Every id must be
+    // answered exactly once and every answer must equal what an
+    // in-process engine gives for the same script — and on the protocol 3
+    // connection, which has no ids, in request order.
+    const SOURCE: &str = "function f(n) { var a = 1; var i = 0; var s = 0; \
+                          while (i < 9) { s = s + a; i = i + 1; } return s; } \
+                          function g(n) { var b = 2; var t = b + 1; return t; }";
+    const ROUNDS: i64 = 12;
+    let edit_of = |engine: &Engine<IntervalDomain>, session: SessionId, func: &str, k: i64| {
+        let var = if func == "f" { "a" } else { "b" };
+        let program = engine.program_of(session).unwrap();
+        let edge = program
+            .by_name(func)
+            .unwrap()
+            .edges()
+            .find(|e| e.stmt.to_string().starts_with(&format!("{var} = ")))
+            .expect("the constant's edge")
+            .id;
+        ProgramEdit::Relabel {
+            func: dai_lang::Symbol::new(func),
+            edge,
+            stmt: dai_lang::Stmt::Assign(var.into(), dai_lang::parse_expr(&k.to_string()).unwrap()),
+        }
+    };
+
+    let engine: Arc<Engine<IntervalDomain>> = Arc::new(Engine::with_config(EngineConfig {
+        workers: 4,
+        ..EngineConfig::default()
+    }));
+    let server = Server::bind(&Addr::Unix(scratch("stress")), Arc::clone(&engine)).unwrap();
+    let path = match server.addr() {
+        Addr::Unix(p) => p.clone(),
+        other => panic!("expected unix addr, got {other}"),
+    };
+
+    // A round: edit `f`, ask for all of `f`; edit `g`, ask for all of
+    // `g`, then all of `f` again. Every query follows the last edit of
+    // its own function (the engine fences it behind that edit) and the
+    // other function's edit cannot change its answer, so the replay is
+    // determined — while the second `f` run is stamped one fence later
+    // than the first and may meet it in the engine's queue, where the
+    // fence splits them.
+    let script_of = |conn: i64, locs_f: &[Loc], locs_g: &[Loc]| -> Vec<Vec<Step>> {
+        (0..ROUNDS)
+            .map(|round| {
+                let mut burst = vec![Step::Edit("f", 10 * conn + round)];
+                burst.extend(locs_f.iter().map(|&l| Step::Query("f", l)));
+                burst.push(Step::Edit("g", 100 * conn + round));
+                burst.extend(locs_g.iter().map(|&l| Step::Query("g", l)));
+                burst.extend(locs_f.iter().map(|&l| Step::Query("f", l)));
+                burst
+            })
+            .collect()
+    };
+
+    std::thread::scope(|scope| {
+        for conn_no in 0..4i64 {
+            let (engine, path) = (&engine, &path);
+            scope.spawn(move || {
+                let v3 = conn_no == 3;
+                // (`RawV4Conn` reads either layout: the header says which.)
+                let mut conn = RawV4Conn {
+                    stream: UnixStream::connect(path).unwrap(),
+                };
+                conn.stream
+                    .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+                    .unwrap();
+                let version = if v3 { 3 } else { PROTOCOL_VERSION };
+                let mut next_id = 1u64;
+                // Frames one request in the connection's layout.
+                let mut frame = |out: &mut Vec<u8>, request: &WireRequest| -> u64 {
+                    let id = next_id;
+                    next_id += 1;
+                    dai_persist::frame::write_frame_id(
+                        out,
+                        TAG_REQUEST,
+                        version,
+                        (!v3).then_some(id),
+                        &dai_rpc::proto::encode_message(request),
+                    );
+                    id
+                };
+                let mut out = Vec::new();
+                frame(
+                    &mut out,
+                    &WireRequest::Hello {
+                        domain: IntervalDomain::domain_tag(),
+                        auth: None,
+                    },
+                );
+                frame(
+                    &mut out,
+                    &WireRequest::Open {
+                        name: format!("stress-{conn_no}"),
+                        source: SOURCE.to_string(),
+                    },
+                );
+                conn.send_raw(&out);
+                assert!(matches!(
+                    conn.read_response().1,
+                    WireResponse::HelloOk { .. }
+                ));
+                let session = match conn.read_response().1 {
+                    WireResponse::Opened { session } => SessionId(session),
+                    other => panic!("open failed: {other:?}"),
+                };
+                let program = engine.program_of(session).unwrap();
+                let locs_f = program.by_name("f").unwrap().locs();
+                let locs_g = program.by_name("g").unwrap().locs();
+                drop(program);
+
+                // The reference: the same script, one request at a time,
+                // on an engine of this thread's own.
+                let oracle: Engine<IntervalDomain> = Engine::new(1);
+                let oracle_session = oracle.open_session_src("oracle", SOURCE).unwrap();
+
+                for burst in script_of(conn_no, &locs_f, &locs_g) {
+                    let mut out = Vec::new();
+                    let mut ids = Vec::new();
+                    let mut want = Vec::new();
+                    for step in &burst {
+                        match step {
+                            Step::Edit(func, k) => {
+                                let edit = edit_of(&oracle, oracle_session, func, *k);
+                                Service::<IntervalDomain>::edit(&oracle, oracle_session, &edit)
+                                    .unwrap();
+                                want.push(None);
+                                ids.push(frame(
+                                    &mut out,
+                                    &WireRequest::Edit {
+                                        session: session.0,
+                                        edit,
+                                    },
+                                ));
+                            }
+                            Step::Query(func, loc) => {
+                                want.push(Some(oracle.query(oracle_session, func, *loc).unwrap()));
+                                ids.push(frame(
+                                    &mut out,
+                                    &WireRequest::Query {
+                                        session: session.0,
+                                        func: func.to_string(),
+                                        loc: *loc,
+                                    },
+                                ));
+                            }
+                        }
+                    }
+                    conn.send_raw(&out);
+                    let mut answered = std::collections::HashSet::new();
+                    for position in 0..burst.len() {
+                        let (id, response) = conn.read_response();
+                        // Protocol 3 answers carry no id: request order
+                        // is the only thing matching them to questions.
+                        let at = match id {
+                            Some(id) => ids.iter().position(|&i| i == id).expect("a known id"),
+                            None => position,
+                        };
+                        assert_eq!(id.is_none(), v3);
+                        assert!(answered.insert(at), "request {at} answered twice");
+                        match (&want[at], response) {
+                            (None, WireResponse::Edited(_)) => {}
+                            (Some(want), WireResponse::State(blob)) => {
+                                let got = blob.decode::<IntervalDomain>().unwrap();
+                                assert_eq!(&got, want, "conn {conn_no}, request {at}");
+                            }
+                            (_, other) => panic!("conn {conn_no}, request {at}: {other:?}"),
+                        }
+                    }
+                }
+            });
+        }
+    });
+    server.shutdown();
+}

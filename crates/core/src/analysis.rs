@@ -6,8 +6,9 @@ use crate::build::{
     rollback_loop, Overrides,
 };
 use crate::compile::{TransferMode, TransferTable};
-use crate::edit::{dirty_from, write_with_invalidation};
+use crate::edit::{dirty_from, dirty_from_ids, write_with_invalidation};
 use crate::graph::{Daig, DaigError, Value};
+use crate::intern::CellId;
 use crate::name::{IterCtx, Name};
 use crate::query::{query_with, CallResolver, QueryStats};
 use dai_domains::AbstractDomain;
@@ -211,6 +212,7 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
             .copied()
             .filter(|h| !info.new_locs.contains(h))
             .collect();
+        let mut reshaped = self.invalidate_reshaped_loops(&info, &promoted);
         for &h in &promoted {
             let ctx = crate::build::iter_ctx(&self.cfg, h, &ov);
             let old_cell = Name::State {
@@ -235,27 +237,32 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         // wave reaches their fix cells.
         let dest = self.moved_edge_dest(edge);
         dirty_from(&mut self.daig, vec![dest]);
+        // A reshaped loop the waves did not reach (the spliced region leaves
+        // the loop without reaching its back edge) would keep iterations
+        // `≥ 1` that lack the new cells: roll it back as well.
+        reshaped.retain(|&fix| self.daig.unrolled_blocks(fix) > 0);
+        dirty_from_ids(&mut self.daig, reshaped);
         // Install the structure for the inserted region (iteration 0).
         for &l in info.new_locs.iter().chain(&promoted) {
             add_loc_cells(&mut self.daig, &self.cfg, l, &ov);
         }
         for &e in &info.new_edges {
-            let edge_ref = self.cfg.edge(e).expect("new edge exists").clone();
-            add_edge_structure(&mut self.daig, &self.cfg, &edge_ref, &ov);
+            let edge_ref = self.cfg.edge(e).expect("new edge exists");
+            add_edge_structure(&mut self.daig, &self.cfg, edge_ref, &ov);
         }
         // In-edges of promoted heads re-target the 0th iterate.
         for &h in &promoted {
-            for e in self.cfg.fwd_in_edges(h) {
-                let edge_ref = self.cfg.edge(e).expect("edge exists").clone();
-                add_edge_structure(&mut self.daig, &self.cfg, &edge_ref, &ov);
+            for &e in self.cfg.fwd_in(h) {
+                let edge_ref = self.cfg.edge(e).expect("edge exists");
+                add_edge_structure(&mut self.daig, &self.cfg, edge_ref, &ov);
             }
         }
         for &l in info.new_locs.iter().chain(&promoted) {
             add_join_comp(&mut self.daig, &self.cfg, l, &ov);
         }
         // Re-point the moved edge's computation at its new source.
-        let moved = self.cfg.edge(edge).expect("moved edge exists").clone();
-        add_edge_structure(&mut self.daig, &self.cfg, &moved, &ov);
+        let moved = self.cfg.edge(edge).expect("moved edge exists");
+        add_edge_structure(&mut self.daig, &self.cfg, moved, &ov);
         // A promoted entry re-seeds φ₀ into its 0th iterate.
         if promoted.contains(&self.cfg.entry()) {
             let ec = entry_cell_name(&self.cfg);
@@ -273,6 +280,32 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
             );
         }
         Ok(info)
+    }
+
+    /// Tells the DAIG which loops a splice reshaped, so that what they
+    /// unrolled under the old shape is not replayed: every loop whose
+    /// natural body gained the spliced region — those enclosing a new
+    /// location, a promoted head or the moved edge's destination (the
+    /// moved edge reads a new source in every iteration of them), and the
+    /// destination itself when the moved edge is its back edge. Loops
+    /// elsewhere in the function keep their parked iterations. Returns the
+    /// reshaped loops' unrolled instances (by fixed-point cell).
+    fn invalidate_reshaped_loops(&mut self, info: &SpliceInfo, promoted: &[Loc]) -> Vec<CellId> {
+        let mut reshaped: Vec<Loc> = Vec::new();
+        for &l in info.new_locs.iter().chain(promoted).chain([&info.dst]) {
+            for &h in self.cfg.enclosing_chain(l) {
+                if !reshaped.contains(&h) {
+                    reshaped.push(h);
+                }
+            }
+        }
+        if self.cfg.is_back_edge(info.edge) && !reshaped.contains(&info.dst) {
+            reshaped.push(info.dst);
+        }
+        if reshaped.is_empty() {
+            return Vec::new();
+        }
+        self.daig.invalidate_loops(&reshaped)
     }
 
     /// The destination cell of `edge`'s transfer at iteration 0.
@@ -300,36 +333,12 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
     /// configuration "dirties the full DAIG after each edit"): unrolled
     /// loops are rolled back, all state cells emptied, and `φ₀` re-seeded.
     pub fn dirty_everything(&mut self) {
-        // Roll every loop instance back to its initial structure,
-        // outermost first.
-        let fix_cells: Vec<(Loc, IterCtx)> = self
-            .daig
-            .names()
-            .filter_map(|n| match (n, self.daig.comp(n)) {
-                (Name::State { loc, ctx }, Some(c)) if c.func == crate::graph::Func::Fix => {
-                    Some((*loc, ctx.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-        for (head, sigma) in fix_cells {
-            let fix_cell = Name::State {
-                loc: head,
-                ctx: sigma.clone(),
-            };
-            if self.daig.contains(&fix_cell) {
-                rollback_loop(&mut self.daig, head, &sigma);
-            }
+        // Roll every unrolled loop instance back to its initial structure,
+        // outermost first (an enclosing rollback takes nested ones along).
+        for fix in self.daig.unrolled_loops() {
+            rollback_loop(&mut self.daig, fix);
         }
-        let names: Vec<Name> = self
-            .daig
-            .names()
-            .filter(|n| !n.is_stmt())
-            .cloned()
-            .collect();
-        for n in names {
-            self.daig.clear(&n);
-        }
+        self.daig.clear_states();
         let ec = entry_cell_name(&self.cfg);
         self.daig.write(&ec, Value::State(self.entry_state.clone()));
     }
@@ -753,6 +762,87 @@ mod tests {
         fa.daig().check_well_formed().unwrap();
         let after = exit_state(&mut fa);
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn splice_into_inner_body_invalidates_inner_and_outer_not_a_sibling_loop() {
+        let mut fa = analysis(
+            "function f(n) { var i = 0; while (i < 5) { var j = 0; while (j < 3) { j = j + 1; } i = i + 1; } \
+             var k = 0; while (k < 4) { k = k + 1; } return k; }",
+        );
+        let heads = fa.cfg().loop_heads();
+        let (outer, inner, sibling) = (heads[0], heads[1], heads[2]);
+        assert_eq!(fa.cfg().enclosing_chain(inner), [outer]);
+        assert!(fa.cfg().enclosing_chain(sibling).is_empty());
+        let fix = |fa: &FuncAnalysis<D>, loc: Loc, ctx: IterCtx| {
+            fa.daig().id_of(&Name::State { loc, ctx }).unwrap()
+        };
+        let (outer_fix, sibling_fix) = (
+            fix(&fa, outer, IterCtx::root()),
+            fix(&fa, sibling, IterCtx::root()),
+        );
+        let inner_fix = fix(&fa, inner, IterCtx::root().push(outer, 0));
+        let parked = |fa: &FuncAnalysis<D>| {
+            [outer_fix, inner_fix, sibling_fix].map(|f| fa.daig().parked_blocks(f))
+        };
+        let inner_back = fa.cfg().back_edge(inner).unwrap();
+        let block = parse_block("j = j + 0;").unwrap();
+
+        // Parked blocks of the reshaped loops are dropped; the sibling's
+        // stay.
+        let before = exit_state(&mut fa);
+        fa.dirty_everything();
+        assert_eq!(parked(&fa), [1, 1, 1]);
+        fa.splice(inner_back, &block).unwrap();
+        assert_eq!(parked(&fa), [0, 0, 1]);
+        assert_eq!(exit_state(&mut fa), before);
+        fa.daig().check_well_formed().unwrap();
+
+        // Live blocks of the reshaped loops are dropped by the rollback the
+        // splice causes, where the sibling's are parked.
+        assert!(fa.daig().unrolled_blocks(sibling_fix) > 0);
+        fa.splice(inner_back, &block).unwrap();
+        assert_eq!(fa.daig().unrolled_loops(), []);
+        assert_eq!(parked(&fa), [0, 0, 1]);
+        assert_eq!(exit_state(&mut fa), before);
+        fa.daig().check_well_formed().unwrap();
+    }
+
+    #[test]
+    fn splice_the_wave_cannot_carry_to_the_fix_cell_still_rolls_the_loop_back() {
+        // The `return` branch is lexically inside the loop but leaves it
+        // without reaching the back edge, so dirtying from a splice there
+        // never arrives at the loop's fixed-point cell.
+        let mut fa = analysis(
+            "function f() { var i = 0; var x = 0; while (i < 5) { if (i > 2) { x = 7; return x; } i = i + 1; } return i; }",
+        );
+        let _ = exit_state(&mut fa);
+        let head = fa.cfg().loop_heads()[0];
+        let fix = fa
+            .daig()
+            .id_of(&Name::State {
+                loc: head,
+                ctx: IterCtx::root(),
+            })
+            .unwrap();
+        assert!(fa.daig().unrolled_blocks(fix) > 0);
+        let in_branch = fa
+            .cfg()
+            .edges()
+            .find(|e| e.stmt.to_string() == "x = 7")
+            .unwrap()
+            .id;
+        let info = fa
+            .splice(in_branch, &parse_block("x = x + 1;").unwrap())
+            .unwrap();
+        assert_eq!(fa.daig().unrolled_blocks(fix), 0);
+        fa.daig().check_well_formed().unwrap();
+        // The new location is queryable at the fixed point: re-unrolling
+        // builds it at every iteration.
+        let mut memo = MemoTable::new();
+        let mut stats = QueryStats::default();
+        fa.query_loc(&mut memo, info.new_locs[0], &mut IntraResolver, &mut stats)
+            .unwrap();
     }
 
     #[test]

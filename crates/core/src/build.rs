@@ -16,6 +16,7 @@
 //! the plain state cell otherwise.
 
 use crate::graph::{Daig, Func, Value};
+use crate::intern::CellId;
 use crate::name::{IterCtx, Name};
 use dai_domains::AbstractDomain;
 use dai_lang::cfg::{Cfg, Edge};
@@ -419,28 +420,48 @@ pub fn entry_cell_name(cfg: &Cfg) -> Name {
     dest_name(cfg, cfg.entry(), &Overrides::new())
 }
 
-/// Builds one more abstract iteration of the loop at `head` whose fix edge
-/// currently reads iterates `k−1` and `k` under enclosing context `sigma`:
-/// fresh body cells at iteration `k`, the `k+1`-th iterate, the pre-widen
-/// cell, the widen edge, and the slid fix edge. Nested loops restart at
-/// their initial two-iterate structure.
+/// `Q-Loop-Unroll`: gives the loop instance whose fixed-point cell is `fix`
+/// — its fix edge currently reading iterates `k−1` and `k` — one more
+/// abstract iteration, block `k` of the instance (see "Loop instances and
+/// parked iterations" in [`crate::graph`]).
 ///
-/// Returns the ids of every structurally changed cell — the new iterate
-/// subgraph plus the re-pointed fix cell — so demanded-cone schedulers can
-/// patch their ready-counts for exactly this set instead of re-walking the
-/// cone (`dai_engine::scheduler::evaluate_targets`).
+/// *Replayed* when the instance holds a parked block `k`: its cells are
+/// revived and its computations moved back by id, in the order they were
+/// first installed; no name is built or looked up. *Built* otherwise, from
+/// names, exactly once per instance, iteration and loop shape: the
+/// iterate `ℓ⟨σ,k+1⟩`, the pre-widen cell and widen edge of iteration `k`,
+/// fresh body cells at iteration `k` with nested heads at their initial
+/// two-iterate structure, and what was built is recorded as the block.
+/// Either way the fix edge slides forward to read iterates `k` and `k+1`.
+///
+/// Returns the ids of every structurally changed cell — the block plus the
+/// re-pointed fix cell, ascending — so demanded-cone schedulers can patch
+/// their ready-counts for exactly this set instead of re-walking the cone
+/// (`dai_engine::scheduler::evaluate_targets`).
 ///
 /// This realizes the paper's `unroll` (§5.2): it is the `incr`-duplication
 /// of the region between the two greatest iterates, with stale inner-loop
 /// unrollings normalized to their initial form (a strictly smaller,
 /// name-equivalent graph; see DESIGN.md).
+///
+/// # Panics
+///
+/// Panics if `fix` is not the destination of a fix edge.
 pub fn unroll_loop<D: AbstractDomain>(
     daig: &mut Daig<D>,
     cfg: &Cfg,
-    head: Loc,
-    sigma: &IterCtx,
+    fix: CellId,
     k: u32,
-) -> Vec<crate::intern::CellId> {
+) -> Vec<CellId> {
+    if let Some(spliced) = daig.replay_block(fix, k) {
+        return spliced;
+    }
+    let (head, sigma, older) = match (daig.name_of(fix), daig.comp_slot(fix)) {
+        (Name::State { loc, ctx }, Some(c)) if c.func == Func::Fix => {
+            (*loc, ctx.clone(), [c.srcs[0], c.srcs[1]])
+        }
+        (other, _) => panic!("{other} is not the destination of a fix edge"),
+    };
     daig.begin_delta();
     let mut overrides = Overrides::new();
     for (h, i) in &sigma.0 {
@@ -450,27 +471,21 @@ pub fn unroll_loop<D: AbstractDomain>(
     let mut ctxs = CtxCache::new(cfg, &overrides);
 
     // New iterate and pre-widen cells; widen edge.
-    let it_k = Name::State {
-        loc: head,
-        ctx: sigma.push(head, k),
-    };
-    let it_k1 = Name::State {
-        loc: head,
-        ctx: sigma.push(head, k + 1),
-    };
-    let pw_k = Name::PreWiden {
-        head,
-        ctx: sigma.push(head, k),
-    };
-    daig.add_cell(it_k1.clone(), None);
-    daig.add_cell(pw_k, None);
-    {
-        let pw_k = Name::PreWiden {
+    let it_k1 = daig.add_cell_id(
+        Name::State {
+            loc: head,
+            ctx: sigma.push(head, k + 1),
+        },
+        None,
+    );
+    let pw_k = daig.add_cell_id(
+        Name::PreWiden {
             head,
             ctx: sigma.push(head, k),
-        };
-        daig.add_comp(it_k1.clone(), Func::Widen, vec![it_k.clone(), pw_k]);
-    }
+        },
+        None,
+    );
+    daig.add_comp_ids(it_k1, Func::Widen, vec![older[1], pw_k]);
 
     // Fresh body cells at iteration k (nested heads get their initial
     // structure back).
@@ -495,61 +510,30 @@ pub fn unroll_loop<D: AbstractDomain>(
     region.sort_unstable();
     region.dedup();
     for id in region {
-        let e = cfg.edge(id).expect("region edges exist").clone();
-        add_edge_structure_cached(daig, &mut ctxs, &e);
+        let e = cfg.edge(id).expect("region edges exist");
+        add_edge_structure_cached(daig, &mut ctxs, e);
     }
     for &x in &body {
         add_join_comp_cached(daig, &mut ctxs, x);
     }
 
     // Slide the fix edge forward.
-    let fix_cell = Name::State {
-        loc: head,
-        ctx: sigma.clone(),
-    };
-    daig.add_comp(fix_cell, Func::Fix, vec![it_k, it_k1]);
-    daig.take_delta()
+    daig.add_comp_ids(fix, Func::Fix, vec![older[1], it_k1]);
+    daig.record_block(fix, k, older)
 }
 
-/// Rolls the loop at `head` (instance `sigma`) back to its initial
-/// two-iterate structure (the E-Loop rule): removes every cell and
-/// computation whose context extends `sigma` with `(head, j ≥ 1)` — except
-/// the first iterate itself — and resets the fix edge to read iterates 0
-/// and 1.
-pub fn rollback_loop<D: AbstractDomain>(daig: &mut Daig<D>, head: Loc, sigma: &IterCtx) {
-    let it1 = Name::State {
-        loc: head,
-        ctx: sigma.push(head, 1),
-    };
-    let victims: Vec<Name> = daig
-        .names()
-        .filter(|n| {
-            if **n == it1 {
-                return false;
-            }
-            let Some(ctx) = n.ctx() else { return false };
-            if ctx.0.len() <= sigma.0.len() {
-                return false;
-            }
-            if ctx.0[..sigma.0.len()] != sigma.0[..] {
-                return false;
-            }
-            matches!(ctx.0[sigma.0.len()], (h, j) if h == head && j >= 1)
-        })
-        .cloned()
-        .collect();
-    for v in &victims {
-        daig.remove_cell(v);
-    }
-    let fix_cell = Name::State {
-        loc: head,
-        ctx: sigma.clone(),
-    };
-    let it0 = Name::State {
-        loc: head,
-        ctx: sigma.push(head, 0),
-    };
-    daig.add_comp(fix_cell, Func::Fix, vec![it0, it1]);
+/// `E-Loop`: rolls the loop instance whose fixed-point cell is `fix` back
+/// to its initial two-iterate structure. *Removed*, by id: every cell its
+/// unrollings created — iterates `≥ 2`, pre-widen cells and body cells of
+/// iterations `≥ 1`, and with them whatever the loops nested inside had
+/// unrolled — found through the instance's blocks, never by scanning the
+/// namespace. *Kept*: iterates 0 and 1 and iteration 0's body (initial
+/// structure), the fix edge, reset to read iterates 0 and 1, and the
+/// removed blocks themselves, parked for [`unroll_loop`] to replay unless
+/// the loop's shape has changed since they were built. A no-op for an
+/// instance that has not unrolled.
+pub fn rollback_loop<D: AbstractDomain>(daig: &mut Daig<D>, fix: CellId) {
+    daig.rollback_instance(fix);
 }
 
 #[cfg(test)]
@@ -645,7 +629,10 @@ mod tests {
         let head = cfg.loop_heads()[0];
         let sigma = IterCtx::root();
         let before = daig.cell_count();
-        unroll_loop(&mut daig, &cfg, head, &sigma, 1);
+        let fix = daig
+            .id_of(&fix_name(&cfg, head, &Overrides::new()))
+            .unwrap();
+        unroll_loop(&mut daig, &cfg, fix, 1);
         daig.check_well_formed().unwrap();
         assert!(daig.cell_count() > before);
         let comp = daig
@@ -683,9 +670,12 @@ mod tests {
         let reference = initial_daig::<D>(&cfg, IntervalDomain::top());
         let head = cfg.loop_heads()[0];
         let sigma = IterCtx::root();
-        unroll_loop(&mut daig, &cfg, head, &sigma, 1);
-        unroll_loop(&mut daig, &cfg, head, &sigma, 2);
-        rollback_loop(&mut daig, head, &sigma);
+        let fix = daig
+            .id_of(&fix_name(&cfg, head, &Overrides::new()))
+            .unwrap();
+        unroll_loop(&mut daig, &cfg, fix, 1);
+        unroll_loop(&mut daig, &cfg, fix, 2);
+        rollback_loop(&mut daig, fix);
         daig.check_well_formed().unwrap();
         assert_eq!(daig.cell_count(), reference.cell_count());
         let comp = daig
@@ -737,7 +727,10 @@ mod tests {
         let mut daig = initial_daig::<D>(&cfg, IntervalDomain::top());
         let heads = cfg.loop_heads();
         let (outer, inner) = (heads[0], heads[1]);
-        unroll_loop(&mut daig, &cfg, outer, &IterCtx::root(), 1);
+        let outer_fix = daig
+            .id_of(&fix_name(&cfg, outer, &Overrides::new()))
+            .unwrap();
+        unroll_loop(&mut daig, &cfg, outer_fix, 1);
         daig.check_well_formed().unwrap();
         // Inner loop structure exists at outer iteration 1.
         let inner_fix1 = Name::State {
@@ -746,9 +739,155 @@ mod tests {
         };
         assert_eq!(daig.comp(&inner_fix1).unwrap().func, Func::Fix);
         // And rolling back the outer loop removes it again.
-        rollback_loop(&mut daig, outer, &IterCtx::root());
+        rollback_loop(&mut daig, outer_fix);
         daig.check_well_formed().unwrap();
         assert!(!daig.contains(&inner_fix1));
+    }
+
+    const NESTED: &str = "function f(n) { var i = 0; while (i < n) { var j = 0; while (j < i) { j = j + 1; } i = i + 1; } return i; }";
+
+    /// Every cell's value-less shape: name, function, source names.
+    fn shape(daig: &Daig<D>) -> Vec<(Name, Option<crate::graph::Comp>)> {
+        let mut cells: Vec<_> = daig.names().map(|n| (n.clone(), daig.comp(n))).collect();
+        cells.sort_by(|a, b| a.0.cmp(&b.0));
+        cells
+    }
+
+    fn lookups() -> u64 {
+        crate::intern::LOOKUPS.with(|c| c.get())
+    }
+
+    #[test]
+    fn inner_parked_inside_a_parked_outer_block_replays_after_the_outer_replays() {
+        let cfg = cfg_of(NESTED, "f");
+        let mut daig = initial_daig::<D>(&cfg, IntervalDomain::top());
+        let heads = cfg.loop_heads();
+        let (outer, inner) = (heads[0], heads[1]);
+        let outer_fix = daig
+            .id_of(&fix_name(&cfg, outer, &Overrides::new()))
+            .unwrap();
+        let built_outer = unroll_loop(&mut daig, &cfg, outer_fix, 1);
+        let inner_fix = daig
+            .id_of(&Name::State {
+                loc: inner,
+                ctx: IterCtx::root().push(outer, 1),
+            })
+            .unwrap();
+        let built_inner = unroll_loop(&mut daig, &cfg, inner_fix, 1);
+        let built_inner2 = unroll_loop(&mut daig, &cfg, inner_fix, 2);
+        daig.check_well_formed().unwrap();
+        let unrolled = shape(&daig);
+        let arena = daig.arena_len();
+
+        // One rollback at the top parks the outer block and, found through
+        // it, both blocks of the inner instance at outer iteration 1.
+        rollback_loop(&mut daig, outer_fix);
+        daig.check_well_formed().unwrap();
+        assert!(!daig.contains_id(inner_fix));
+        assert_eq!(
+            shape(&daig),
+            shape(&initial_daig::<D>(&cfg, IntervalDomain::top()))
+        );
+        assert_eq!(
+            (
+                daig.unrolled_blocks(outer_fix),
+                daig.parked_blocks(outer_fix)
+            ),
+            (0, 1)
+        );
+        assert_eq!(
+            (
+                daig.unrolled_blocks(inner_fix),
+                daig.parked_blocks(inner_fix)
+            ),
+            (0, 2)
+        );
+
+        // Replaying the outer block revives the inner head in its initial
+        // form; the inner blocks stay parked until they are demanded.
+        let before = lookups();
+        assert_eq!(unroll_loop(&mut daig, &cfg, outer_fix, 1), built_outer);
+        assert_eq!(lookups(), before, "a replay looks no name up");
+        daig.check_well_formed().unwrap();
+        assert!(daig.contains_id(inner_fix));
+        assert_eq!(
+            (
+                daig.unrolled_blocks(inner_fix),
+                daig.parked_blocks(inner_fix)
+            ),
+            (0, 2)
+        );
+        let before = lookups();
+        assert_eq!(unroll_loop(&mut daig, &cfg, inner_fix, 1), built_inner);
+        assert_eq!(unroll_loop(&mut daig, &cfg, inner_fix, 2), built_inner2);
+        assert_eq!(lookups(), before, "a replay looks no name up");
+        daig.check_well_formed().unwrap();
+        assert_eq!(shape(&daig), unrolled, "replay rebuilt the same graph");
+        assert_eq!(daig.arena_len(), arena);
+    }
+
+    #[test]
+    fn steady_state_rounds_stay_within_the_id_budget() {
+        // Fifty relabel → query rounds on the four-deep nest. After the
+        // first, every unroll is a replay and every rollback goes through
+        // the table: the arena does not grow, no name is looked up, and a
+        // rollback visits exactly the cells it removes.
+        use crate::edit::dirty_from_ids;
+        use crate::query::{query_id_with, IntraResolver, QueryStats};
+        let cfg = cfg_of(
+            include_str!("../../../tests/fixtures/loop_nest4.dai"),
+            "nest0",
+        );
+        let mut daig = initial_daig::<D>(&cfg, IntervalDomain::top());
+        daig.set_strategy(crate::strategy::FixStrategy::delayed(2));
+        let exit = daig
+            .id_of(&dest_name(&cfg, cfg.exit(), &Overrides::new()))
+            .unwrap();
+        let innermost = cfg
+            .edges()
+            .find(|e| e.stmt.to_string() == "v3 = (v3 + 1)")
+            .unwrap();
+        let stmt_cell = daig.id_of(&Name::Stmt(innermost.id)).unwrap();
+        let stmts = [
+            dai_lang::parse_block("v3 = v3 + 2;").unwrap(),
+            dai_lang::parse_block("v3 = v3 + 1;").unwrap(),
+        ]
+        .map(|b| match &b.0[0] {
+            dai_lang::ast::AstStmt::Simple(s) => s.clone(),
+            other => panic!("not simple: {other:?}"),
+        });
+        let mut memo = dai_memo::MemoTable::new();
+        let mut stats = QueryStats::default();
+        let mut budget = None;
+        for round in 0..50 {
+            let (cells, visits) = (
+                daig.cell_count(),
+                crate::graph::ROLLBACK_VISITS.with(|v| v.get()),
+            );
+            let readers = daig.dependents_ids(stmt_cell).to_vec();
+            dirty_from_ids(&mut daig, readers);
+            assert_eq!(
+                crate::graph::ROLLBACK_VISITS.with(|v| v.get()) - visits,
+                (cells - daig.cell_count()) as u64,
+                "round {round}: rollback looked at a cell it did not remove"
+            );
+            daig.write_id(stmt_cell, Value::Stmt(stmts[round % 2].clone()));
+            query_id_with(
+                &mut daig,
+                &cfg,
+                &mut memo,
+                exit,
+                &mut IntraResolver,
+                &mut stats,
+                None,
+            )
+            .unwrap();
+            let (arena, looked_up) = *budget.get_or_insert((daig.arena_len(), lookups()));
+            assert_eq!(daig.arena_len(), arena, "round {round}: arena grew");
+            assert_eq!(lookups(), looked_up, "round {round}: a name was looked up");
+        }
+        assert!(stats.unrolls > 50 * 15, "every round re-unrolls the nest");
+        daig.check_well_formed().unwrap();
     }
 
     #[test]

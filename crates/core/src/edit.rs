@@ -7,9 +7,14 @@
 //!   (transitive) dependents. Because AI-consistency guarantees non-empty
 //!   cells have non-empty inputs, propagation can prune at cells that are
 //!   already empty.
-//! * `E-Loop` — when the destination of a `fix` edge is dirtied, the
-//!   loop's unrolled iterations are discarded and the fix edge rolls back
-//!   to the 0th and 1st iterates ([`crate::build::rollback_loop`]).
+//! * `E-Loop` — when the wave reaches the destination of a `fix` edge
+//!   whose loop instance is unrolled, the unrolled iterations are
+//!   discarded and the fix edge rolls back to the 0th and 1st iterates
+//!   ([`crate::build::rollback_loop`]). It fires on unrolled instances
+//!   *filled or not*: a query that failed inside a loop leaves it unrolled
+//!   around an empty fixed-point cell, and iterations `≥ 1` that outlived
+//!   the wave would miss whatever a later splice adds to the body (splices
+//!   build at iteration 0 only).
 
 use crate::build::rollback_loop;
 use crate::graph::{Daig, Func, Value};
@@ -32,15 +37,14 @@ pub fn dirty_from_ids<D: AbstractDomain>(daig: &mut Daig<D>, mut work: Vec<CellI
         if !daig.contains_id(x) {
             continue; // removed by a rollback
         }
-        if daig.clear_id(x).is_none() {
-            continue; // already empty: dependents are empty too
+        let was_filled = daig.clear_id(x).is_some();
+        // E-Loop: reaching the fixed-point cell of an unrolled instance
+        // rolls its loop back, whether or not the cell held a value.
+        if daig.comp_func(x) == Some(Func::Fix) && daig.unrolled_blocks(x) > 0 {
+            rollback_loop(daig, x);
         }
-        // E-Loop: clearing a fixed-point cell rolls its loop back.
-        if daig.comp_func(x) == Some(Func::Fix) {
-            if let Name::State { loc, ctx } = daig.name_of(x) {
-                let (head, sigma) = (*loc, ctx.clone());
-                rollback_loop(daig, head, &sigma);
-            }
+        if !was_filled {
+            continue; // already empty: dependents are empty too
         }
         work.extend_from_slice(daig.dependents_ids(x));
     }

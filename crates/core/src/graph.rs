@@ -30,6 +30,56 @@
 //! [`Daig::contains_id`]. Ids are graph-local: never mix ids from two
 //! DAIGs.
 //!
+//! ## Loop instances and parked iterations
+//!
+//! A *loop instance* is one loop head under one enclosing iteration
+//! context, identified by the [`CellId`] of its fixed-point cell `ℓ⟨σ⟩`.
+//! The graph keeps, per instance, what each demanded unrolling built:
+//! **block `k ≥ 1`** is the subgraph `unroll_loop(…, k)` created — the
+//! iterate `ℓ⟨σ,k+1⟩`, the pre-widen cell of iteration `k`, the body cells
+//! at iteration `k`, and the initial four cells of every loop head nested
+//! in the body.
+//!
+//! **The ownership rule.** Which block owns a cell is a function of the
+//! cell's name alone (`owning_block`): walk the iteration context from
+//! the innermost component outward; a component `(h, i)` with prefix `σ`
+//! claims the cell for instance `h⟨σ⟩`, block `i`, when `i ≥ 1` — except
+//! that when the cell *is* `h`'s own iterate (`State { loc: h }` whose
+//! context ends in that component) it belongs to block `i − 1`, and
+//! `i ≤ 1` passes outward: `ℓ⟨σ,0⟩` and `ℓ⟨σ,1⟩` are initial structure. A
+//! cell nobody claims is `Dinit`'s (or a splice's, which builds at
+//! iteration 0 only). [`Daig::check_well_formed`] holds the table to this
+//! rule — every live cell the rule assigns is listed in a live block of
+//! the instance it names and nothing else is — and
+//! [`Daig::rebuild_loop_table`] derives the table from it for a decoded
+//! graph, so restored graphs roll back by the same code as built ones.
+//!
+//! **Parked blocks.** `E-Loop` ([`crate::build::rollback_loop`]) removes an
+//! instance's live blocks by id — recursing into listed cells that are
+//! themselves unrolled fixed-point cells — and *parks* them: a parked
+//! block keeps its cell ids and, moved out of the arena, its computations
+//! in installation order. `Q-Loop-Unroll` ([`crate::build::unroll_loop`])
+//! of the same instance and iteration revives the cells and moves the
+//! computations back in that order, so reverse adjacency comes out as a
+//! build from names would leave it, without constructing a [`Name`]. Ids
+//! make this safe: interning is append-only, so a parked id still denotes
+//! the name it was recorded under, and a parked computation reads only
+//! cells of its own block, the previous iterate (live whenever the block
+//! is next in line) and statement cells (never removed).
+//!
+//! **Who invalidates.** A parked block is the memoised output of the
+//! name-level builders for one loop *shape* — the locations, edges and
+//! nested heads of the natural loop. Only a splice changes a shape, and
+//! [`crate::analysis::FuncAnalysis::splice`] names the loops whose body
+//! gained the spliced region (`Daig::invalidate_loops`): their parked
+//! blocks are dropped and their live ones will be dropped, not parked,
+//! when they roll back — within the same splice, which rolls back every
+//! reshaped loop whether or not a dirtying wave reaches its fixed-point
+//! cell. Relabels change no shape. Blocks of a decoded
+//! graph are likewise never parked (their installation order was not
+//! saved). Parked blocks are a cache, not state: `dai-persist` never
+//! writes them and [`Daig::clone_unparked`] does not copy them.
+//!
 //! ## Structural epochs and deltas
 //!
 //! Every mutation of graph *structure* (cell added/removed, computation
@@ -50,11 +100,12 @@
 //! hashed when it was produced.
 
 use crate::intern::{CellId, NameInterner};
-use crate::name::Name;
+use crate::name::{IterCtx, Name};
 use crate::strategy::FixStrategy;
 use dai_domains::AbstractDomain;
-use dai_lang::Stmt;
-use dai_memo::content_digest;
+use dai_lang::{Loc, Stmt};
+use dai_memo::{content_digest, FxBuild};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::hash::Hash;
 
@@ -164,6 +215,88 @@ impl fmt::Display for DaigError {
 
 impl std::error::Error for DaigError {}
 
+/// What one unrolling of a loop instance built (see "Loop instances and
+/// parked iterations" in the module docs).
+#[derive(Debug, Clone)]
+struct IterBlock {
+    /// The cells the unrolling created, ascending.
+    cells: Vec<CellId>,
+    /// The greatest iterate it created, `ℓ⟨σ,k+1⟩`: the fix edge's second
+    /// source while this is the instance's last live block.
+    iterate: CellId,
+    /// Destinations of the computations it installed, in installation
+    /// order (the slid fix edge is not one of them). Empty for a block
+    /// rebuilt from names, which is never parked.
+    dests: Vec<CellId>,
+    /// While parked: the computations of `dests`, in the same order.
+    /// Empty while live.
+    comps: Vec<CompSlot>,
+}
+
+/// One loop instance's unrollings, keyed in [`Daig`] by its fixed-point
+/// cell.
+#[derive(Debug, Clone)]
+struct LoopInst {
+    /// `ℓ⟨σ,0⟩` and `ℓ⟨σ,1⟩`: what the fix edge reads when nothing is
+    /// unrolled.
+    base: [CellId; 2],
+    /// `blocks[k − 1]` is block `k`. The first `live` are in the graph, the
+    /// rest are parked.
+    blocks: Vec<IterBlock>,
+    /// Number of live blocks: the fix edge reads iterates `live` and
+    /// `live + 1`.
+    live: usize,
+    /// The live blocks must be dropped, not parked, when they roll back:
+    /// the loop's shape changed under them, or they were rebuilt from
+    /// names. Implies `live > 0`.
+    unparkable: bool,
+}
+
+/// The ownership rule of the module docs: the loop instance (head, length
+/// of its context prefix within `n`'s context) and block that own the
+/// cell named `n`, or `None` for initial structure.
+fn owning_block(n: &Name) -> Option<(Loc, usize, u32)> {
+    let ctx = &n.ctx()?.0;
+    for (depth, &(head, i)) in ctx.iter().enumerate().rev() {
+        let own_iterate =
+            depth + 1 == ctx.len() && matches!(n, Name::State { loc, .. } if *loc == head);
+        let block = if own_iterate { i.saturating_sub(1) } else { i };
+        if block >= 1 {
+            return Some((head, depth, block));
+        }
+    }
+    None
+}
+
+/// Registers `dest` in the reverse adjacency of the cells its computation
+/// reads: one entry per *distinct* source, so a dependent is counted (and
+/// later decremented) once even if the computation reads the same cell in
+/// several argument positions.
+fn link(deps: &mut [Vec<CellId>], dest: CellId, srcs: &[CellId]) {
+    for (i, &s) in srcs.iter().enumerate() {
+        if !srcs[..i].contains(&s) {
+            deps[s.idx()].push(dest);
+        }
+    }
+}
+
+/// Structural changes logged between [`Daig::begin_delta`] and
+/// [`Daig::take_delta`].
+#[derive(Debug, Clone, Default)]
+struct Delta {
+    /// Cells whose structure changed, in event order (with repeats).
+    touched: Vec<CellId>,
+    /// Destinations of installed computations, in installation order.
+    installed: Vec<CellId>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Cells [`Daig::rollback_instance`] looked at on this thread (the
+    /// count budget of `build`'s tests: it must equal the cells removed).
+    pub(crate) static ROLLBACK_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// A demanded abstract interpretation graph: named reference cells plus
 /// computation hyperedges keyed by destination (well-formedness (2):
 /// destinations are unique). See the module docs for the id-based
@@ -172,6 +305,9 @@ impl std::error::Error for DaigError {}
 /// The arena is struct-of-arrays: five parallel vectors indexed by
 /// [`CellId`], each holding one column of what was conceptually a per-cell
 /// slot. Invariant: all five always have length [`Daig::arena_len`].
+///
+/// `Clone` copies the parked-iteration cache too; see
+/// [`Daig::clone_unparked`].
 #[derive(Debug, Clone)]
 pub struct Daig<D: AbstractDomain> {
     interner: NameInterner,
@@ -193,8 +329,11 @@ pub struct Daig<D: AbstractDomain> {
     comps: usize,
     /// Bumped on every structural mutation.
     epoch: u64,
-    /// When recording, ids of cells whose structure changed.
-    delta: Option<Vec<CellId>>,
+    /// When recording, the structural changes so far.
+    delta: Option<Delta>,
+    /// Loop instances that have unrolled, by fixed-point cell (module docs:
+    /// "Loop instances and parked iterations").
+    loops: HashMap<CellId, LoopInst, FxBuild>,
     /// The loop-head iteration strategy this DAIG's `∇` and `fix` edges
     /// realize. Carried by the graph so query evaluation and the
     /// Definition 4.3 consistency checker always agree on the abstract
@@ -222,6 +361,7 @@ impl<D: AbstractDomain> Daig<D> {
             comps: 0,
             epoch: 0,
             delta: None,
+            loops: HashMap::default(),
             strategy: FixStrategy::PAPER,
         }
     }
@@ -292,7 +432,7 @@ impl<D: AbstractDomain> Daig<D> {
 
     fn record(&mut self, id: CellId) {
         if let Some(d) = &mut self.delta {
-            d.push(id);
+            d.touched.push(id);
         }
     }
 
@@ -300,7 +440,7 @@ impl<D: AbstractDomain> Daig<D> {
     /// computations installed/removed). Nested recording is not supported:
     /// a second call resets the log.
     pub fn begin_delta(&mut self) {
-        self.delta = Some(Vec::new());
+        self.delta = Some(Delta::default());
     }
 
     /// Stops recording and returns the ids of structurally changed cells,
@@ -308,7 +448,7 @@ impl<D: AbstractDomain> Daig<D> {
     /// |delta|) — deliberately independent of the arena size, so per-unroll
     /// delta collection cannot re-introduce an O(arena × unrolls) term.
     pub fn take_delta(&mut self) -> Vec<CellId> {
-        let mut d = self.delta.take().unwrap_or_default();
+        let mut d = self.delta.take().unwrap_or_default().touched;
         d.sort_unstable();
         d.dedup();
         d
@@ -549,19 +689,14 @@ impl<D: AbstractDomain> Daig<D> {
     /// Id-level [`Daig::add_comp`].
     pub fn add_comp_ids(&mut self, dest: CellId, func: Func, srcs: Vec<CellId>) {
         self.remove_comp_id(dest);
-        // One reverse-adjacency entry per *distinct* source, so a
-        // dependent is counted (and later decremented) once even if the
-        // computation reads the same cell in several argument positions.
-        for (i, &s) in srcs.iter().enumerate() {
-            if srcs[..i].contains(&s) {
-                continue;
-            }
-            self.deps[s.idx()].push(dest);
-        }
+        link(&mut self.deps, dest, &srcs);
         self.producers[dest.idx()] = Some(CompSlot { func, srcs });
         self.comps += 1;
         self.epoch += 1;
-        self.record(dest);
+        if let Some(d) = &mut self.delta {
+            d.touched.push(dest);
+            d.installed.push(dest);
+        }
     }
 
     /// Removes the computation for `dest`, if any.
@@ -610,11 +745,398 @@ impl<D: AbstractDomain> Daig<D> {
         }
     }
 
+    /// Empties every state cell (statement cells keep their syntax).
+    /// Structure is untouched: callers roll unrolled loops back first
+    /// ([`Daig::unrolled_loops`]) and re-seed `φ₀` after.
+    pub(crate) fn clear_states(&mut self) {
+        for (live, v) in self.live.iter().zip(&mut self.values) {
+            if *live && matches!(v, Some(Value::State(_))) {
+                *v = None;
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Loop instances and parked iterations (see the module docs).
+    // ------------------------------------------------------------------
+
+    /// How many unrolled iterations (live blocks) the loop instance with
+    /// fixed-point cell `fix` currently has; 0 for any other cell.
+    pub fn unrolled_blocks(&self, fix: CellId) -> usize {
+        self.loops.get(&fix).map_or(0, |inst| inst.live)
+    }
+
+    /// How many rolled-back iterations of the instance `fix` are parked
+    /// for replay.
+    pub fn parked_blocks(&self, fix: CellId) -> usize {
+        self.loops
+            .get(&fix)
+            .map_or(0, |inst| inst.blocks.len() - inst.live)
+    }
+
+    /// The fixed-point cells of every instance with unrolled iterations,
+    /// ascending (nested instances included).
+    pub fn unrolled_loops(&self) -> Vec<CellId> {
+        let mut fixes: Vec<CellId> = self
+            .loops
+            .iter()
+            .filter(|(_, inst)| inst.live > 0)
+            .map(|(&fix, _)| fix)
+            .collect();
+        fixes.sort_unstable();
+        fixes
+    }
+
+    /// Re-installs block `k` of instance `fix` if it is parked: revives
+    /// its cells, moves its computations back in recorded order and slides
+    /// the fix edge. Returns the spliced set — the block's cells plus
+    /// `fix`, ascending: what [`Daig::take_delta`] returned when the block
+    /// was built — or `None` when there is no such block to replay.
+    pub(crate) fn replay_block(&mut self, fix: CellId, k: u32) -> Option<Vec<CellId>> {
+        let older = self.comp_srcs(fix)?[1];
+        let inst = self.loops.get_mut(&fix)?;
+        let at = (k as usize).checked_sub(1)?;
+        if inst.live != at || inst.blocks.len() <= at {
+            return None;
+        }
+        inst.live = at + 1;
+        let block = &mut inst.blocks[at];
+        let mut spliced = Vec::with_capacity(block.cells.len() + 1);
+        let fix_at = block.cells.partition_point(|&c| c < fix);
+        spliced.extend_from_slice(&block.cells[..fix_at]);
+        spliced.push(fix);
+        spliced.extend_from_slice(&block.cells[fix_at..]);
+        for &c in &block.cells {
+            debug_assert!(!self.live[c.idx()] && self.producers[c.idx()].is_none());
+            self.live[c.idx()] = true;
+        }
+        self.live_cells += block.cells.len();
+        self.comps += block.dests.len();
+        for (&dest, comp) in block.dests.iter().zip(block.comps.drain(..)) {
+            link(&mut self.deps, dest, &comp.srcs);
+            self.producers[dest.idx()] = Some(comp);
+        }
+        let slide = vec![older, block.iterate];
+        self.add_comp_ids(fix, Func::Fix, slide);
+        Some(spliced)
+    }
+
+    /// Ends the delta recording of a from-names `unroll_loop(fix, k)` and
+    /// records what it built as block `k`. `base` is what the fix edge read
+    /// before the unrolling slid it (iterates 0 and 1 when `k` is 1, which
+    /// is when an instance enters the table). Returns the spliced set.
+    pub(crate) fn record_block(&mut self, fix: CellId, k: u32, base: [CellId; 2]) -> Vec<CellId> {
+        let delta = self.delta.take().expect("unroll_loop records a delta");
+        let mut spliced = delta.touched;
+        spliced.sort_unstable();
+        spliced.dedup();
+        let block = IterBlock {
+            cells: spliced.iter().copied().filter(|&c| c != fix).collect(),
+            iterate: self.comp_srcs(fix).expect("unroll_loop slid the fix edge")[1],
+            dests: delta.installed.into_iter().filter(|&d| d != fix).collect(),
+            comps: Vec::new(),
+        };
+        debug_assert!(
+            block.cells.iter().all(|&c| {
+                owning_block(self.name_of(c)).map(|(_, _, b)| b) == Some(k)
+                    && self.producers[c.idx()].is_some()
+            }),
+            "unroll {k} of {} built a cell outside its block",
+            self.name_of(fix)
+        );
+        let inst = self.loops.entry(fix).or_insert(LoopInst {
+            base,
+            blocks: Vec::new(),
+            live: 0,
+            unparkable: false,
+        });
+        assert!(
+            inst.live + 1 == k as usize && inst.blocks.len() == inst.live,
+            "loop table out of step with the graph"
+        );
+        inst.blocks.push(block);
+        inst.live += 1;
+        spliced
+    }
+
+    /// `E-Loop` by id: removes every live block of the instance `fix` —
+    /// and of the unrolled instances nested in them — parks the blocks
+    /// that may be replayed, and resets the fix edge to iterates 0 and 1.
+    /// Visits exactly the cells it removes.
+    pub(crate) fn rollback_instance(&mut self, fix: CellId) {
+        // The instances torn down (each after the one whose block lists
+        // its fixed-point cell) and their cells.
+        let mut insts = vec![fix];
+        let mut victims: Vec<CellId> = Vec::new();
+        let mut next = 0;
+        while let Some(inst) = insts.get(next).and_then(|f| self.loops.get(f)) {
+            next += 1;
+            for block in &inst.blocks[..inst.live] {
+                for &c in &block.cells {
+                    victims.push(c);
+                    if self.comp_func(c) == Some(Func::Fix) && self.unrolled_blocks(c) > 0 {
+                        insts.push(c);
+                    }
+                }
+            }
+        }
+        if victims.is_empty() {
+            return;
+        }
+        #[cfg(test)]
+        ROLLBACK_VISITS.with(|v| v.set(v.get() + victims.len() as u64));
+        // Ascending id order is the order a namespace scan removed cells
+        // in; keeping it leaves the dependents lists of the sources that
+        // survive (statement cells, iterate 1) in the same order.
+        victims.sort_unstable();
+        for &v in &victims {
+            self.live[v.idx()] = false;
+            self.values[v.idx()] = None;
+        }
+        for &v in &victims {
+            let Some(comp) = &self.producers[v.idx()] else {
+                continue;
+            };
+            self.comps -= 1;
+            for (i, &s) in comp.srcs.iter().enumerate() {
+                // A dying source's list is cleared whole below.
+                if !self.live[s.idx()] || comp.srcs[..i].contains(&s) {
+                    continue;
+                }
+                let deps = &mut self.deps[s.idx()];
+                if let Some(pos) = deps.iter().position(|&d| d == v) {
+                    deps.swap_remove(pos);
+                }
+            }
+        }
+        self.live_cells -= victims.len();
+        // Innermost first: a nested instance's fix edge goes back to its
+        // initial sources before the enclosing block parks it.
+        for (depth, f) in insts.iter().enumerate().rev() {
+            let inst = self.loops.get_mut(f).expect("collected above");
+            if depth > 0 {
+                let comp = self.producers[f.idx()].as_mut().expect("fix edge");
+                comp.srcs.copy_from_slice(&inst.base);
+            }
+            for block in &mut inst.blocks[..inst.live] {
+                if !inst.unparkable {
+                    block.comps.extend(block.dests.iter().map(|d| {
+                        self.producers[d.idx()]
+                            .take()
+                            .expect("a live block's computation")
+                    }));
+                }
+                for &c in &block.cells {
+                    self.producers[c.idx()] = None;
+                    self.deps[c.idx()].clear();
+                }
+            }
+            if inst.unparkable {
+                inst.blocks.clear();
+                inst.unparkable = false;
+            }
+            inst.live = 0;
+        }
+        let base = self.loops[&fix].base;
+        self.add_comp_ids(fix, Func::Fix, base.to_vec());
+    }
+
+    /// The loops at `heads` changed shape (a splice added to their natural
+    /// body): every instance of them drops its parked blocks, and its live
+    /// blocks will be dropped rather than parked when they roll back.
+    /// Returns the instances that have live blocks — the caller's dirtying
+    /// must roll each of them back.
+    pub(crate) fn invalidate_loops(&mut self, heads: &[Loc]) -> Vec<CellId> {
+        let mut unrolled = Vec::new();
+        for (&fix, inst) in &mut self.loops {
+            if matches!(self.interner.name(fix), Name::State { loc, .. } if heads.contains(loc)) {
+                inst.blocks.truncate(inst.live);
+                inst.unparkable = inst.live > 0;
+                if inst.unparkable {
+                    unrolled.push(fix);
+                }
+            }
+        }
+        unrolled
+    }
+
+    /// A copy of the graph without its parked blocks, which are a cache
+    /// and can be large: what a snapshot image should hold.
+    pub fn clone_unparked(&self) -> Daig<D> {
+        let loops = self
+            .loops
+            .iter()
+            .filter(|(_, inst)| inst.live > 0)
+            .map(|(&fix, inst)| {
+                let blocks = inst.blocks[..inst.live].to_vec();
+                (fix, LoopInst { blocks, ..*inst })
+            })
+            .collect();
+        Daig {
+            interner: self.interner.clone(),
+            live: self.live.clone(),
+            values: self.values.clone(),
+            digests: self.digests.clone(),
+            producers: self.producers.clone(),
+            deps: self.deps.clone(),
+            live_cells: self.live_cells,
+            comps: self.comps,
+            epoch: self.epoch,
+            delta: None,
+            loops,
+            strategy: self.strategy,
+        }
+    }
+
+    /// Derives the loop table of a graph whose cells were installed by name
+    /// (a decoded snapshot) from the ownership rule, in one pass over the
+    /// live cells. The rebuilt blocks are never parked: the order their
+    /// computations were installed in is not part of a snapshot.
+    ///
+    /// # Errors
+    ///
+    /// [`DaigError::Invariant`] if some cell belongs to an unrolling that
+    /// the rest of the graph does not bear out.
+    pub fn rebuild_loop_table(&mut self) -> Result<(), DaigError> {
+        self.loops = self.loop_table_from_names()?;
+        Ok(())
+    }
+
+    /// The table the ownership rule assigns to the current live cells, all
+    /// blocks live.
+    fn loop_table_from_names(&self) -> Result<HashMap<CellId, LoopInst, FxBuild>, DaigError> {
+        let broken = |n: &Name| {
+            DaigError::Invariant(format!(
+                "{n} belongs to an unrolling the graph does not hold"
+            ))
+        };
+        // (instance, block, cell) for every owned cell; consecutive cells
+        // mostly share an instance, so its fix cell is looked up once per
+        // run.
+        let mut claims: Vec<(CellId, u32, CellId)> = Vec::new();
+        let mut run: (Loc, &[(Loc, u32)]) = (Loc(0), &[]);
+        let mut run_fix = None;
+        for id in self.ids() {
+            let n = self.name_of(id);
+            let Some((head, depth, k)) = owning_block(n) else {
+                continue;
+            };
+            let sigma = &n.ctx().expect("owned cells have contexts").0[..depth];
+            if run_fix.is_none() || run != (head, sigma) {
+                let fix = Name::State {
+                    loc: head,
+                    ctx: IterCtx(sigma.to_vec()),
+                };
+                run_fix = Some(self.id_of(&fix).ok_or_else(|| broken(n))?);
+                run = (head, sigma);
+            }
+            claims.push((run_fix.expect("set above"), k, id));
+        }
+        claims.sort_unstable();
+        let mut table: HashMap<CellId, LoopInst, FxBuild> = HashMap::default();
+        for group in claims.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (fix, k, first) = group[0];
+            let Name::State { loc, ctx } = self.name_of(fix) else {
+                return Err(broken(self.name_of(first)));
+            };
+            let iterate = |i: u32| {
+                self.id_of(&Name::State {
+                    loc: *loc,
+                    ctx: ctx.push(*loc, i),
+                })
+                .ok_or_else(|| broken(self.name_of(first)))
+            };
+            let inst = match table.entry(fix) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(LoopInst {
+                    base: [iterate(0)?, iterate(1)?],
+                    blocks: Vec::new(),
+                    live: 0,
+                    unparkable: true,
+                }),
+            };
+            // Sorted claims bring an instance's blocks in order: a gap
+            // means iterations are missing.
+            if inst.live + 1 != k as usize {
+                return Err(broken(self.name_of(first)));
+            }
+            inst.blocks.push(IterBlock {
+                cells: group.iter().map(|c| c.2).collect(),
+                iterate: iterate(k + 1)?,
+                dests: Vec::new(),
+                comps: Vec::new(),
+            });
+            inst.live += 1;
+        }
+        Ok(table)
+    }
+
+    /// The table check of [`Daig::check_well_formed`]: the live blocks are
+    /// exactly what the ownership rule assigns, each unrolled instance's
+    /// fix edge reads its two greatest iterates, and parked blocks are
+    /// whole.
+    fn check_loop_table(&self) -> Result<(), DaigError> {
+        let name = |id: CellId| self.name_of(id);
+        let expected = self.loop_table_from_names()?;
+        for (&fix, want) in &expected {
+            if self.unrolled_blocks(fix) != want.live {
+                return Err(DaigError::Invariant(format!(
+                    "loop table lists {} unrolled iteration(s) of {}, its cells make {}",
+                    self.unrolled_blocks(fix),
+                    name(fix),
+                    want.live
+                )));
+            }
+        }
+        for (&fix, inst) in &self.loops {
+            let bad = |what: &str| {
+                Err(DaigError::Invariant(format!(
+                    "loop table entry of {}: {what}",
+                    name(fix)
+                )))
+            };
+            if inst.live > inst.blocks.len() || (inst.unparkable && inst.live == 0) {
+                return bad("counts out of range");
+            }
+            let (live, parked) = inst.blocks.split_at(inst.live);
+            if parked.iter().any(|b| b.comps.len() != b.dests.len())
+                || live.iter().any(|b| !b.comps.is_empty())
+            {
+                return bad("a block is neither live nor parked");
+            }
+            let Some(last) = live.last() else {
+                continue;
+            };
+            let Some(want) = expected.get(&fix) else {
+                return bad("unrolled iterations without cells");
+            };
+            if inst.base != want.base {
+                return bad("iterates 0 and 1 misrecorded");
+            }
+            for (k, (have, want)) in live.iter().zip(&want.blocks).enumerate() {
+                if have.cells != want.cells || have.iterate != want.iterate {
+                    return bad(&format!("block {} does not list its cells", k + 1));
+                }
+            }
+            let older = live
+                .len()
+                .checked_sub(2)
+                .map_or(inst.base[1], |i| live[i].iterate);
+            if self.comp_slot(fix).map(|c| (c.func, c.srcs.as_slice()))
+                != Some((Func::Fix, &[older, last.iterate][..]))
+            {
+                return bad("fix edge does not read the two greatest iterates");
+            }
+        }
+        Ok(())
+    }
+
     /// Definition 4.1 well-formedness: unique names and destinations hold
     /// structurally (interner + slot arena); checks (3) acyclicity, (4)
     /// well-typedness, and (5) empty cells have dependencies, plus
-    /// adjacency coherence and the AI-consistency condition that non-empty
-    /// cells have non-empty sources.
+    /// adjacency coherence, the AI-consistency condition that non-empty
+    /// cells have non-empty sources, and the loop table against the
+    /// ownership rule (module docs).
     pub fn check_well_formed(&self) -> Result<(), DaigError> {
         let name = |id: CellId| self.interner.name(id);
         // (2)/(1) namespace: a computation's destination must be a live
@@ -767,7 +1289,7 @@ impl<D: AbstractDomain> Daig<D> {
                 }
             }
         }
-        Ok(())
+        self.check_loop_table()
     }
 }
 
@@ -836,6 +1358,76 @@ mod tests {
         d.add_cell(state(3), None);
         d.add_comp(state(3), Func::Transfer, vec![state(0), state(1)]);
         assert!(d.check_well_formed().is_err());
+    }
+
+    #[test]
+    fn ownership_rule_by_name() {
+        let (outer, inner) = (Loc(3), Loc(5));
+        let sigma = |o: u32| IterCtx::root().push(outer, o);
+        let at = |loc: u32, ctx: IterCtx| Name::State { loc: Loc(loc), ctx };
+        // (name, owner as (head, prefix length, block))
+        let cases = [
+            (state(9), None),
+            (Name::Stmt(EdgeId(1)), None),
+            // The head's fixed-point cell and iterates 0 and 1 are initial.
+            (at(3, IterCtx::root()), None),
+            (at(3, sigma(0)), None),
+            (at(3, sigma(1)), None),
+            // Iterate k+1 is built by unrolling k; body and pre-widen cells
+            // of iteration k likewise.
+            (at(3, sigma(2)), Some((outer, 0, 1))),
+            (at(3, sigma(4)), Some((outer, 0, 3))),
+            (at(4, sigma(0)), None),
+            (at(4, sigma(2)), Some((outer, 0, 2))),
+            (
+                Name::PreWiden {
+                    head: outer,
+                    ctx: sigma(0),
+                },
+                None,
+            ),
+            (
+                Name::PreWiden {
+                    head: outer,
+                    ctx: sigma(2),
+                },
+                Some((outer, 0, 2)),
+            ),
+            // A nested head's initial four cells belong to the enclosing
+            // iteration; what it unrolls is its own instance's.
+            (at(5, sigma(2)), Some((outer, 0, 2))),
+            (at(5, sigma(2).push(inner, 1)), Some((outer, 0, 2))),
+            (at(5, sigma(0).push(inner, 1)), None),
+            (at(5, sigma(2).push(inner, 2)), Some((inner, 1, 1))),
+            (at(6, sigma(2).push(inner, 1)), Some((inner, 1, 1))),
+            (at(6, sigma(2).push(inner, 0)), Some((outer, 0, 2))),
+            (
+                Name::PreJoin {
+                    edge: EdgeId(7),
+                    ctx: sigma(1).push(inner, 0),
+                },
+                Some((outer, 0, 1)),
+            ),
+        ];
+        for (name, owner) in cases {
+            assert_eq!(owning_block(&name), owner, "{name}");
+        }
+    }
+
+    #[test]
+    fn unrolled_cell_without_its_loop_rejected() {
+        // `ℓ2⟨ℓ2:2⟩` is, by its name, block 1 of a loop at `ℓ2`; added by
+        // hand it is in no table entry (and the loop has no cells at all).
+        let mut d = simple_daig();
+        let it2 = Name::State {
+            loc: Loc(2),
+            ctx: IterCtx::root().push(Loc(2), 2),
+        };
+        d.add_cell(it2.clone(), None);
+        d.add_comp(it2, Func::Widen, vec![state(0), state(1)]);
+        let err = d.check_well_formed().unwrap_err();
+        assert!(matches!(err, DaigError::Invariant(m) if m.contains("unrolling")));
+        assert!(d.rebuild_loop_table().is_err());
     }
 
     #[test]

@@ -50,6 +50,13 @@ pub struct NameInterner {
     names: Vec<Name>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Hash lookups made by this thread's interners: `build`'s tests hold
+    /// the replayed unroll and the rollback to zero of them.
+    pub(crate) static LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl NameInterner {
     /// An empty interner.
     pub fn new() -> NameInterner {
@@ -59,7 +66,7 @@ impl NameInterner {
     /// The id for `n`, assigning a fresh one on first sight. `n` is cloned
     /// only when it is new.
     pub fn intern(&mut self, n: &Name) -> CellId {
-        if let Some(&id) = self.ids.get(n) {
+        if let Some(id) = self.get(n) {
             return id;
         }
         self.insert_new(n.clone())
@@ -69,7 +76,7 @@ impl NameInterner {
     /// callers that already hold an owned name pay one clone (the lookup
     /// key) instead of two.
     pub fn intern_owned(&mut self, n: Name) -> CellId {
-        if let Some(&id) = self.ids.get(&n) {
+        if let Some(id) = self.get(&n) {
             return id;
         }
         self.insert_new(n)
@@ -85,6 +92,8 @@ impl NameInterner {
     /// The id for `n`, if it has ever been interned.
     #[inline]
     pub fn get(&self, n: &Name) -> Option<CellId> {
+        #[cfg(test)]
+        LOOKUPS.with(|c| c.set(c.get() + 1));
         self.ids.get(n).copied()
     }
 

@@ -422,8 +422,8 @@ pub fn fix_step_id<D: AbstractDomain>(
         return Ok(FixOutcome::Converged);
     }
     // Q-Loop-Unroll.
-    let (head, sigma) = match daig.name_of(dest) {
-        Name::State { loc, ctx } => (*loc, ctx.clone()),
+    let head = match daig.name_of(dest) {
+        Name::State { loc, .. } => *loc,
         other => {
             return Err(DaigError::Invariant(format!(
                 "fix destination {other} is not a state cell"
@@ -439,7 +439,7 @@ pub fn fix_step_id<D: AbstractDomain>(
             )));
         }
     };
-    let spliced = unroll_loop(daig, cfg, head, &sigma, k);
+    let spliced = unroll_loop(daig, cfg, dest, k);
     stats.unrolls += 1;
     dai_trace::event!("core.unroll", spliced.len());
     Ok(FixOutcome::Unrolled { spliced })

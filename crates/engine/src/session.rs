@@ -697,7 +697,7 @@ impl<D: PersistDomain> Session<D> {
                 .map(|(f, unit)| FuncImage {
                     func: f.clone(),
                     entry: unit.fa.entry_state().clone(),
-                    daig: unit.fa.daig().clone(),
+                    daig: unit.fa.daig().clone_unparked(),
                 })
                 .collect(),
             Backend::Inter { .. } => Vec::new(),

@@ -191,7 +191,8 @@ pub fn encode_daig<D: AbstractDomain + Persist>(daig: &Daig<D>, w: &mut Writer) 
 
 /// Decodes a DAIG encoded by [`encode_daig`], rebuilding the interner in
 /// the same order (so the graph is structurally identical up to dead-slot
-/// compaction) and re-deriving value digests at write time.
+/// compaction), re-deriving value digests at write time and the loop
+/// table ([`Daig::rebuild_loop_table`]) from the cell names.
 ///
 /// The result is **not** yet validated; callers should run
 /// [`Daig::check_well_formed`] and treat failure as a dropped (cold)
@@ -266,6 +267,11 @@ pub fn decode_daig<D: AbstractDomain + Persist>(
             daig.add_comp_ids(ids[i], *func, src_ids);
         }
     }
+    // Which unrolled iteration owns a cell is a function of its name, so
+    // the loop table is derived, not stored; a restored graph then rolls
+    // its loops back by id like any other.
+    daig.rebuild_loop_table()
+        .map_err(|e| PersistError::Corrupt(e.to_string()))?;
     Ok(daig)
 }
 
@@ -585,6 +591,64 @@ mod tests {
             assert_eq!(restored.comp(n), fa.daig().comp(n), "comp of {n}");
         }
         assert_eq!(image.memo.len(), memo.len());
+    }
+
+    #[test]
+    fn loop_table_is_rebuilt_from_names_not_stored() {
+        let (fa, _) = evaluated_analysis();
+        let unrolled = fa.daig().unrolled_loops();
+        assert_eq!(unrolled.len(), 1, "the interval loop unrolls");
+        let mut w = Writer::new();
+        encode_daig(fa.daig(), &mut w);
+        let bytes = w.into_bytes();
+        let restored: Daig<D> =
+            decode_daig(&mut Reader::new(&bytes), fa.daig().strategy()).unwrap();
+        restored.check_well_formed().unwrap();
+        let fix = restored.id_of(fa.daig().name_of(unrolled[0])).unwrap();
+        assert_eq!(restored.unrolled_loops(), [fix]);
+        assert_eq!(
+            restored.unrolled_blocks(fix),
+            fa.daig().unrolled_blocks(unrolled[0])
+        );
+        // The parked cache is never written: a graph that rolled back and
+        // holds parked blocks encodes like one that never unrolled.
+        let mut rolled = fa.clone();
+        rolled.dirty_everything();
+        assert!(rolled.daig().parked_blocks(unrolled[0]) > 0);
+        let cfg = lower_program(&parse_program(SRC).unwrap()).unwrap().cfgs()[0].clone();
+        let initial = FuncAnalysis::new(cfg, IntervalDomain::top());
+        let (mut a, mut b) = (Writer::new(), Writer::new());
+        encode_daig(rolled.daig(), &mut a);
+        encode_daig(initial.daig(), &mut b);
+        assert_eq!(a.into_bytes(), b.into_bytes());
+        // Nor does a session image's copy of the graph carry it.
+        assert_eq!(rolled.daig().clone_unparked().parked_blocks(unrolled[0]), 0);
+    }
+
+    #[test]
+    fn unrolled_cell_without_its_loop_is_corrupt_not_trusted() {
+        // `ℓ2⟨ℓ2:2⟩` names an iterate only an unrolling of the loop at `ℓ2`
+        // creates; a section holding it without that loop must not decode.
+        use dai_core::name::IterCtx;
+        use dai_lang::{EdgeId, Loc, Stmt};
+        let mut d: Daig<D> = Daig::new();
+        let l0 = Name::State {
+            loc: Loc(0),
+            ctx: IterCtx::root(),
+        };
+        let it2 = Name::State {
+            loc: Loc(2),
+            ctx: IterCtx::root().push(Loc(2), 2),
+        };
+        d.add_cell(l0.clone(), Some(Value::State(IntervalDomain::top())));
+        d.add_cell(Name::Stmt(EdgeId(0)), Some(Value::Stmt(Stmt::Skip)));
+        d.add_cell(it2.clone(), None);
+        d.add_comp(it2, Func::Transfer, vec![Name::Stmt(EdgeId(0)), l0]);
+        let mut w = Writer::new();
+        encode_daig(&d, &mut w);
+        let bytes = w.into_bytes();
+        let err = decode_daig::<D>(&mut Reader::new(&bytes), FixStrategy::PAPER).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupt(m) if m.contains("unrolling")));
     }
 
     #[test]

@@ -200,3 +200,97 @@ fn memo_reuse_actually_happens_when_not_perturbed() {
     }
     assert!(memo.stats().hits > 0, "no memo reuse in the clean run");
 }
+
+// ---------------------------------------------------------------------
+// A query that fails inside a loop (Thm 6.1 after the failure).
+// ---------------------------------------------------------------------
+
+/// Havocs calls like [`IntraResolver`], except that its `fail_at`-th call
+/// is an error — a callee that cannot be demanded, or a query that runs
+/// out of fuel mid-loop (`MAX_UNROLLS_PER_QUERY` is a constant, so the
+/// test injects the failure here instead).
+struct FailingResolver {
+    calls: u32,
+    fail_at: u32,
+}
+
+impl dai_core::query::CallResolver<IntervalDomain> for FailingResolver {
+    fn resolve(
+        &mut self,
+        pre: &IntervalDomain,
+        stmt: &dai_lang::Stmt,
+        _edge: dai_lang::EdgeId,
+        _memo: &mut dyn dai_memo::MemoStore<dai_core::Value<IntervalDomain>>,
+        _stats: &mut QueryStats,
+    ) -> Result<IntervalDomain, dai_core::DaigError> {
+        self.calls += 1;
+        if self.calls == self.fail_at {
+            return Err(dai_core::DaigError::Invariant("injected failure".into()));
+        }
+        Ok(pre.transfer(stmt))
+    }
+}
+
+/// Fails the `fail_at`-th call of a query on a loop whose every iteration
+/// makes one call — so `fail_at − 1` unrollings are done and the
+/// fixed-point cell is empty — then splices into the loop body and checks
+/// the next answer against a from-scratch analysis of the edited program.
+fn splice_after_query_failed_in_loop(fail_at: u32, strategy: dai_core::FixStrategy) {
+    const SRC: &str = "function g(x) { return x; } \
+        function f(n) { var i = 0; var s = 0; \
+        while (i < 10) { s = g(s); i = i + 1; } return s; }";
+    let cfg = lower_program(&parse_program(SRC).unwrap())
+        .unwrap()
+        .by_name("f")
+        .unwrap()
+        .clone();
+    let head = cfg.loop_heads()[0];
+    let mut fa = FuncAnalysis::with_strategy(cfg, IntervalDomain::top(), strategy);
+    let mut memo = MemoTable::new();
+    let mut stats = QueryStats::default();
+    let mut resolver = FailingResolver { calls: 0, fail_at };
+    fa.query_exit(&mut memo, &mut resolver, &mut stats)
+        .expect_err("the injected failure surfaces");
+    let fix = fa
+        .daig()
+        .id_of(&dai_core::Name::State {
+            loc: head,
+            ctx: dai_core::name::IterCtx::root(),
+        })
+        .unwrap();
+    assert!(fa.daig().value_id(fix).is_none());
+    assert_eq!(fa.daig().unrolled_blocks(fix), fail_at as usize - 1);
+    fa.daig().check_well_formed().unwrap();
+
+    let increment = fa.cfg().back_edge(head).unwrap();
+    let block = dai_lang::parser::parse_block("s = s + 100;").unwrap();
+    fa.splice(increment, &block).unwrap();
+    assert_eq!(
+        fa.daig().unrolled_blocks(fix),
+        0,
+        "E-Loop fires on an unrolled instance whose fixed-point cell is empty"
+    );
+    fa.daig().check_well_formed().unwrap();
+    let demanded = fa.query_exit(&mut memo, &mut resolver, &mut stats).unwrap();
+
+    let mut fresh = FuncAnalysis::with_strategy(fa.cfg().clone(), IntervalDomain::top(), strategy);
+    let from_scratch = fresh
+        .query_exit(&mut MemoTable::new(), &mut IntraResolver, &mut stats)
+        .unwrap();
+    assert_eq!(demanded, from_scratch);
+    check_cfg_consistency(fa.daig(), fa.cfg()).unwrap();
+    check_ai_consistency(fa.daig()).unwrap();
+}
+
+#[test]
+fn splice_after_a_query_failed_inside_a_loop_is_from_scratch_consistent() {
+    // The second call is iteration 1's: one unrolling done.
+    splice_after_query_failed_in_loop(2, dai_core::FixStrategy::PAPER);
+}
+
+#[test]
+fn splice_after_a_query_ran_out_of_fuel_mid_loop_is_from_scratch_consistent() {
+    // Delayed widening keeps the loop unrolling; the failure lands three
+    // unrollings in, as exhausted fuel would.
+    splice_after_query_failed_in_loop(4, dai_core::FixStrategy::delayed(6));
+}

@@ -846,6 +846,28 @@ mod tests {
     }
 
     #[test]
+    fn rejected_splice_leaves_cfg_and_daig_as_they_were() {
+        let mut fa = analysis("function f() { var x = 1; x = x + 1; return x; }");
+        let before = exit_state(&mut fa);
+        let text = dai_lang::pretty::cfg_to_string(fa.cfg());
+        let cells = fa.daig().cell_count();
+        let second = fa.cfg().edges().nth(1).unwrap().id;
+        let err = fa.splice(second, &parse_block("x = 1; return x;").unwrap());
+        assert_eq!(err.unwrap_err(), CfgError::BlockNeverFallsThrough);
+        assert_eq!(dai_lang::pretty::cfg_to_string(fa.cfg()), text);
+        fa.cfg().validate().unwrap();
+        fa.daig().check_well_formed().unwrap();
+        assert_eq!(fa.daig().cell_count(), cells);
+        // Nothing was dirtied: the answer is read back, not recomputed.
+        let mut stats = QueryStats::default();
+        let after = fa
+            .query_exit(&mut MemoTable::new(), &mut IntraResolver, &mut stats)
+            .unwrap();
+        assert_eq!(after, before);
+        assert_eq!(stats.computed, 0);
+    }
+
+    #[test]
     fn query_missing_location_errors() {
         let mut fa = analysis("function f() { return 0; }");
         let mut memo = MemoTable::new();

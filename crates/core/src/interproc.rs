@@ -750,9 +750,7 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
     /// Returns [`CfgError`] for unknown edges and call-graph violations;
     /// the analyzer is then unchanged.
     pub fn relabel(&mut self, f: &str, edge: EdgeId, stmt: Stmt) -> Result<(), CfgError> {
-        self.program.edit_function(f, |cfg| {
-            dai_lang::edit::relabel_edge(cfg, edge, stmt.clone())
-        })?;
+        self.program.relabel(f, edge, stmt.clone())?;
         self.edit_units(f, |unit| unit.relabel(edge, stmt.clone()))
     }
 
@@ -763,9 +761,7 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
     /// Returns [`CfgError`] for unknown edges, non-falling blocks, and
     /// call-graph violations; the analyzer is then unchanged.
     pub fn splice(&mut self, f: &str, edge: EdgeId, block: &Block) -> Result<SpliceInfo, CfgError> {
-        let info = self.program.edit_function(f, |cfg| {
-            dai_lang::edit::splice_block_on_edge(cfg, edge, block)
-        })?;
+        let info = self.program.splice(f, edge, block)?;
         self.edit_units(f, |unit| unit.splice(edge, block).map(|_| ()))?;
         Ok(info)
     }

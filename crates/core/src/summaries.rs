@@ -404,9 +404,7 @@ impl<D: AbstractDomain> SummaryAnalyzer<D> {
     /// Returns [`CfgError`] for unknown edges and call-graph violations;
     /// the analyzer is then unchanged.
     pub fn relabel(&mut self, f: &str, edge: EdgeId, stmt: Stmt) -> Result<(), CfgError> {
-        self.program.edit_function(f, |cfg| {
-            dai_lang::edit::relabel_edge(cfg, edge, stmt.clone())
-        })?;
+        self.program.relabel(f, edge, stmt.clone())?;
         for ((g, _), unit) in self.units.iter_mut() {
             if g.as_str() == f {
                 unit.relabel(edge, stmt.clone())?;
@@ -424,9 +422,7 @@ impl<D: AbstractDomain> SummaryAnalyzer<D> {
     /// Returns [`CfgError`] for unknown edges, non-falling blocks, and
     /// call-graph violations; the analyzer is then unchanged.
     pub fn splice(&mut self, f: &str, edge: EdgeId, block: &Block) -> Result<SpliceInfo, CfgError> {
-        let info = self.program.edit_function(f, |cfg| {
-            dai_lang::edit::splice_block_on_edge(cfg, edge, block)
-        })?;
+        let info = self.program.splice(f, edge, block)?;
         for ((g, _), unit) in self.units.iter_mut() {
             if g.as_str() == f {
                 unit.splice(edge, block)?;

@@ -568,10 +568,11 @@ impl<D: AbstractDomain> Session<D> {
     /// exactly the incremental + demand-driven configuration. Successful
     /// edits are appended to the replayable [`Session::history`].
     ///
-    /// The edit is staged on a copy of the one CFG it touches
-    /// ([`LoweredProgram::edit_function`]), so a rejected edit (unknown
-    /// edge, call-graph violation, malformed block) leaves the session
-    /// exactly as it was: program, call graph, and DAIGs untouched.
+    /// The program checks an edit completely before applying it
+    /// ([`LoweredProgram::splice`], [`LoweredProgram::relabel`]), so a
+    /// rejected edit (unknown edge, call-graph violation, malformed block)
+    /// leaves the session exactly as it was: program, call graph, and
+    /// DAIGs untouched.
     ///
     /// # Errors
     ///
@@ -591,9 +592,7 @@ impl<D: AbstractDomain> Session<D> {
                 let unit = units.get_mut(func);
                 match edit {
                     ProgramEdit::Relabel { edge, stmt, .. } => {
-                        program.edit_function(func.as_str(), |cfg| {
-                            dai_lang::edit::relabel_edge(cfg, *edge, stmt.clone())
-                        })?;
+                        program.relabel(func.as_str(), *edge, stmt.clone())?;
                         // A relabel leaves the structure (and epoch) intact
                         // but empties downstream cells; cached resolutions
                         // stay valid and simply miss on the emptied value.
@@ -603,9 +602,7 @@ impl<D: AbstractDomain> Session<D> {
                         None
                     }
                     ProgramEdit::Insert { edge, block, .. } => {
-                        let info = program.edit_function(func.as_str(), |cfg| {
-                            dai_lang::edit::splice_block_on_edge(cfg, *edge, block)
-                        })?;
+                        let info = program.splice(func.as_str(), *edge, block)?;
                         // A splice bumps the epoch.
                         if let Some(unit) = unit {
                             unit.fa.splice(*edge, block)?;

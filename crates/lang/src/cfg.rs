@@ -21,11 +21,51 @@
 //! (outermost first). `dai-core` uses this to assign iteration contexts to
 //! DAIG names, and [`crate::loops`] re-derives the same structure from
 //! dominators to cross-check it in tests.
+//!
+//! # Derived structure
+//!
+//! DAIG construction and demanded unrolling ask per edge whether it is a
+//! back edge, which in-edges of a location are forward, whether it is a
+//! join, which loops enclose it and what a loop's body is. Those answers
+//! (`Derived`) are a function of the adjacency, `loop_parent` and
+//! `loop_heads`; `Cfg::compute_derived` is that function and its one
+//! definition. [`Cfg::from_function`] runs it once, when lowering is done;
+//! clones share the result (an `Arc`, copied on write while a clone still
+//! holds it); a splice does not run it again but patches what it changed
+//! (`Cfg::patch_derived`), and [`Cfg::validate`] — under `debug_assert`
+//! after every splice — compares the patched structure with a
+//! recomputation. The patch is local because of four facts about a splice
+//! (`crate::edit::splice_block_on_edge`: lower a block at `old_src`, then
+//! move one edge's source to the block's end):
+//!
+//! 1. A location's `loop_parent` is fixed once the lowering call that
+//!    created it returns, so an existing location's enclosing chain never
+//!    changes.
+//! 2. A splice adds loop heads (new locations, or `old_src` promoted by a
+//!    leading `while`) and removes none, and a promoted `old_src` was no
+//!    location's `loop_parent`; so an existing loop's body only gains new
+//!    locations, whose ids exceed every member's — pushing keeps it
+//!    ascending.
+//! 3. Edges are never deleted; exactly one existing edge changes its
+//!    source (the moved one) and none its destination (`merge_locs` only
+//!    merges away locations the same lowering created, whose in-edges are
+//!    new). Back-edge-ness can therefore change only for new edges and the
+//!    moved one.
+//! 4. Hence in-edges, forward in-edges and join-ness change only at
+//!    destinations of new edges and at new locations — live ones only (an
+//!    exit pruned by `prune_dead_exit` has no entry).
+//!
+//! So the patch computes chains for the live new locations from their
+//! `loop_parent`s', opens a body for each new head and pushes each new
+//! location onto the bodies of its chain, re-decides the back-edge bit of
+//! the new edges and the moved edge, and rebuilds the forward in-edges of
+//! those edges' destinations. Lowering itself reads adjacency only.
 
 use crate::ast::{AstStmt, Block, Function, Program, Stmt};
 use crate::{Symbol, RETURN_VAR};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A control-flow location `ℓ`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -102,13 +142,9 @@ impl fmt::Display for CfgError {
 
 impl std::error::Error for CfgError {}
 
-/// Loop/join structure derived from a CFG's adjacency — computed once per
-/// structural version of the graph and shared by clones
-/// ([`std::sync::OnceLock`]`<`[`std::sync::Arc`]`>`): DAIG construction and
-/// demanded unrolling query these relations per edge, so deriving them on
-/// every call (the previous implementation) made graph building the
-/// dominant cost of cold queries.
-#[derive(Debug, Default)]
+/// Loop/join structure derived from a CFG's adjacency (module docs,
+/// "Derived structure").
+#[derive(Debug, Default, Clone, PartialEq)]
 struct Derived {
     /// Edges whose destination is a loop head dominating their source.
     back_edges: HashSet<EdgeId>,
@@ -140,14 +176,24 @@ pub struct Cfg {
     loop_parent: HashMap<Loc, Option<Loc>>,
     /// Locations that are the destination of a back edge.
     loop_heads: HashSet<Loc>,
-    /// Lazily derived loop/join structure; reset by structural mutation.
-    /// Clones share the cache (the `Arc`) until either side mutates.
-    derived: std::sync::OnceLock<std::sync::Arc<Derived>>,
+    /// The derived loop/join structure: current whenever no lowering is
+    /// in progress. Clones share it until either side splices.
+    derived: Arc<Derived>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Whole-graph derivations installed on this thread (`validate`'s
+    /// reference recomputation is not one).
+    pub(crate) static DERIVATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Locations and edges `patch_derived` looked at on this thread.
+    pub(crate) static PATCH_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Cfg {
-    /// Creates an empty CFG (entry and exit only, no edges) for a function.
-    pub fn empty(name: Symbol, params: Vec<Symbol>) -> Cfg {
+    /// An empty CFG (entry and exit only, no edges) for lowering to start
+    /// from; its derived structure is not yet current.
+    fn empty(name: Symbol, params: Vec<Symbol>) -> Cfg {
         let mut cfg = Cfg {
             name,
             params,
@@ -160,7 +206,7 @@ impl Cfg {
             in_edges: HashMap::new(),
             loop_parent: HashMap::new(),
             loop_heads: HashSet::new(),
-            derived: std::sync::OnceLock::new(),
+            derived: Arc::default(),
         };
         cfg.loop_parent.insert(cfg.entry, None);
         cfg.loop_parent.insert(cfg.exit, None);
@@ -176,6 +222,9 @@ impl Cfg {
             lowerer.finish_at_exit(end);
         }
         cfg.prune_dead_exit();
+        #[cfg(test)]
+        DERIVATIONS.with(|n| n.set(n.get() + 1));
+        cfg.derived = Arc::new(cfg.compute_derived());
         cfg
     }
 
@@ -251,7 +300,7 @@ impl Cfg {
     /// Is edge `id` a back edge (its destination is a loop head whose
     /// natural loop contains the source)?
     pub fn is_back_edge(&self, id: EdgeId) -> bool {
-        self.derived().back_edges.contains(&id)
+        self.derived.back_edges.contains(&id)
     }
 
     /// The unique back edge of loop head `head`, if `head` is a loop head.
@@ -270,7 +319,7 @@ impl Cfg {
     /// The paper's `fwd-edges-to`: join points are locations where this has
     /// length ≥ 2. Borrowing variant of [`Cfg::fwd_in_edges`].
     pub fn fwd_in(&self, loc: Loc) -> &[EdgeId] {
-        self.derived().fwd_in.get(&loc).map_or(&[], Vec::as_slice)
+        self.derived.fwd_in.get(&loc).map_or(&[], Vec::as_slice)
     }
 
     /// Incoming *forward* (non-back) edges of `loc`, ascending (owned).
@@ -280,7 +329,7 @@ impl Cfg {
 
     /// Is `loc` a join point (forward in-degree ≥ 2)?
     pub fn is_join(&self, loc: Loc) -> bool {
-        self.derived().joins.contains(&loc)
+        self.derived.joins.contains(&loc)
     }
 
     /// The chain of loop heads whose natural loops contain `loc`, outermost
@@ -289,10 +338,7 @@ impl Cfg {
     /// outside its own loop). Borrowing variant of
     /// [`Cfg::enclosing_loops`].
     pub fn enclosing_chain(&self, loc: Loc) -> &[Loc] {
-        self.derived()
-            .enclosing
-            .get(&loc)
-            .map_or(&[], Vec::as_slice)
+        self.derived.enclosing.get(&loc).map_or(&[], Vec::as_slice)
     }
 
     /// The chain of enclosing loop heads (owned; see
@@ -314,7 +360,7 @@ impl Cfg {
     /// All locations in the natural loop of `head` (including `head`),
     /// ascending. Borrowing variant of [`Cfg::natural_loop`].
     pub fn natural_loop_ref(&self, head: Loc) -> &[Loc] {
-        self.derived().natural.get(&head).map_or(&[], Vec::as_slice)
+        self.derived.natural.get(&head).map_or(&[], Vec::as_slice)
     }
 
     /// All locations in the natural loop of `head` (owned; see
@@ -323,80 +369,135 @@ impl Cfg {
         self.natural_loop_ref(head).to_vec()
     }
 
-    /// The derived loop/join structure, computed on first use after a
-    /// structural change.
-    fn derived(&self) -> &Derived {
-        self.derived
-            .get_or_init(|| std::sync::Arc::new(self.compute_derived()))
+    /// Enters live location `l` into `d`: its chain of enclosing heads (its
+    /// `loop_parent`'s chain, then the parent itself), its own natural loop
+    /// if it is a head, and its membership of the loops of its chain.
+    /// Called in ascending order of `l`: a location's `loop_parent` is older
+    /// than it, so the parent is placed already and every body stays
+    /// ascending.
+    fn place(&self, d: &mut Derived, l: Loc) {
+        let mut chain = Vec::new();
+        if let Some(p) = self.loop_parent[&l] {
+            chain.clone_from(&d.enclosing[&p]);
+            if self.loop_heads.contains(&p) {
+                chain.push(p);
+            }
+        }
+        if self.loop_heads.contains(&l) {
+            d.natural.insert(l, vec![l]);
+        }
+        for h in &chain {
+            let body = d.natural.get_mut(h).expect("a head is older than its body");
+            body.push(l);
+        }
+        d.enclosing.insert(l, chain);
     }
 
-    /// Drops the derived cache; every structural mutation calls this.
-    fn invalidate_derived(&mut self) {
-        self.derived = std::sync::OnceLock::new();
+    /// Is `e` a back edge, given the enclosing chains in `d`?
+    fn closes_loop(&self, d: &Derived, e: &Edge) -> bool {
+        self.loop_heads.contains(&e.dst)
+            && (e.src == e.dst || d.enclosing.get(&e.src).is_some_and(|c| c.contains(&e.dst)))
+    }
+
+    /// Rebuilds `d`'s forward in-edges and join bit of live location `l`
+    /// from its in-edges and the back-edge bits.
+    fn derive_fwd_in(&self, d: &mut Derived, l: Loc) {
+        let fwd: Vec<EdgeId> = self
+            .in_edges(l)
+            .iter()
+            .copied()
+            .filter(|e| !d.back_edges.contains(e))
+            .collect();
+        if fwd.len() >= 2 {
+            d.joins.insert(l);
+        } else {
+            d.joins.remove(&l);
+        }
+        d.fwd_in.insert(l, fwd);
     }
 
     /// One pass over the graph computing every derived relation the DAIG
-    /// builder queries per edge.
+    /// builder queries per edge: the definition [`Cfg::patch_derived`]
+    /// must agree with.
     fn compute_derived(&self) -> Derived {
-        let mut d = Derived::default();
-        for &l in self.loop_parent.keys() {
-            let mut chain = Vec::new();
-            let mut cur = self.loop_parent.get(&l).copied().flatten();
-            while let Some(h) = cur {
-                if self.loop_heads.contains(&h) {
-                    chain.push(h);
-                }
-                cur = self.loop_parent.get(&h).copied().flatten();
-            }
-            chain.reverse();
-            d.enclosing.insert(l, chain);
-        }
-        let containing = |l: Loc| -> Vec<Loc> {
-            let mut c = d.enclosing.get(&l).cloned().unwrap_or_default();
-            if self.loop_heads.contains(&l) {
-                c.push(l);
-            }
-            c
+        let mut locs: Vec<Loc> = self.loop_parent.keys().copied().collect();
+        locs.sort_unstable();
+        let mut d = Derived {
+            enclosing: HashMap::with_capacity(locs.len()),
+            fwd_in: HashMap::with_capacity(locs.len()),
+            ..Derived::default()
         };
-        for (id, e) in &self.edges {
-            if self.loop_heads.contains(&e.dst)
-                && (e.src == e.dst || containing(e.src).contains(&e.dst))
-            {
-                d.back_edges.insert(*id);
+        for &l in &locs {
+            self.place(&mut d, l);
+        }
+        for e in self.edges.values() {
+            if self.closes_loop(&d, e) {
+                d.back_edges.insert(e.id);
             }
         }
-        for &l in self.loop_parent.keys() {
-            let fwd: Vec<EdgeId> = self
-                .in_edges(l)
-                .iter()
-                .copied()
-                .filter(|e| !d.back_edges.contains(e))
-                .collect();
-            if fwd.len() >= 2 {
-                d.joins.insert(l);
-            }
-            d.fwd_in.insert(l, fwd);
-        }
-        d.natural = self.loop_heads.iter().map(|&h| (h, Vec::new())).collect();
-        for &l in self.loop_parent.keys() {
-            for h in containing(l) {
-                d.natural
-                    .get_mut(&h)
-                    .expect("containing heads exist")
-                    .push(l);
-            }
-        }
-        for (&h, body) in d.natural.iter_mut() {
-            if !body.contains(&h) {
-                body.push(h);
-            }
-            body.sort();
+        for &l in &locs {
+            self.derive_fwd_in(&mut d, l);
         }
         d
     }
 
+    /// Brings the derived structure up to date after a splice that created
+    /// the live locations `new_locs` (ascending) and the edges from
+    /// `first_edge` on, moved the source of `moved` and made the existing
+    /// location `promoted` a loop head (module docs, "Derived structure").
+    pub(crate) fn patch_derived(
+        &mut self,
+        new_locs: &[Loc],
+        first_edge: u32,
+        moved: EdgeId,
+        promoted: Option<Loc>,
+    ) {
+        let mut derived = std::mem::take(&mut self.derived);
+        let d = Arc::make_mut(&mut derived);
+        if let Some(h) = promoted {
+            d.natural.insert(h, vec![h]);
+        }
+        for &l in new_locs {
+            self.place(d, l);
+        }
+        let mut touched = new_locs.to_vec();
+        for id in (first_edge..self.next_edge).map(EdgeId).chain([moved]) {
+            let e = &self.edges[&id];
+            if self.closes_loop(d, e) {
+                d.back_edges.insert(id);
+            } else {
+                d.back_edges.remove(&id);
+            }
+            if self.loop_parent.contains_key(&e.dst) {
+                touched.push(e.dst);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        #[cfg(test)]
+        PATCH_VISITS.with(|n| {
+            n.set(n.get() + u64::from(self.next_edge - first_edge) + 1 + touched.len() as u64)
+        });
+        for l in touched {
+            self.derive_fwd_in(d, l);
+        }
+        self.derived = derived;
+    }
+
+    /// The ids the next location and the next edge will get.
+    pub(crate) fn id_marks(&self) -> (u32, u32) {
+        (self.next_loc, self.next_edge)
+    }
+
+    /// The live locations with ids from `first` on, ascending (lowering
+    /// merges some of the locations it creates away).
+    pub(crate) fn live_locs_from(&self, first: u32) -> impl Iterator<Item = Loc> + '_ {
+        (first..self.next_loc)
+            .map(Loc)
+            .filter(|l| self.loop_parent.contains_key(l))
+    }
+
     fn fresh_loc(&mut self, parent: Option<Loc>) -> Loc {
-        self.invalidate_derived();
         let l = Loc(self.next_loc);
         self.next_loc += 1;
         self.loop_parent.insert(l, parent);
@@ -404,28 +505,25 @@ impl Cfg {
     }
 
     fn add_edge(&mut self, src: Loc, dst: Loc, stmt: Stmt) -> EdgeId {
-        self.invalidate_derived();
+        // The greatest id so far: pushing keeps both lists ascending.
         let id = EdgeId(self.next_edge);
         self.next_edge += 1;
         self.edges.insert(id, Edge { id, src, dst, stmt });
         self.out_edges.entry(src).or_default().push(id);
-        self.out_edges.entry(src).or_default().sort();
         self.in_edges.entry(dst).or_default().push(id);
-        self.in_edges.entry(dst).or_default().sort();
         id
     }
 
-    /// Replaces the statement on an edge (used by [`crate::edit`]).
-    pub(crate) fn replace_edge_stmt_internal(&mut self, id: EdgeId, stmt: Stmt) {
-        if let Some(e) = self.edges.get_mut(&id) {
-            e.stmt = stmt;
-        }
+    /// Replaces the statement on an edge, returning the old one
+    /// (used by [`crate::edit`]).
+    pub(crate) fn replace_edge_stmt_internal(&mut self, id: EdgeId, stmt: Stmt) -> Option<Stmt> {
+        let e = self.edges.get_mut(&id)?;
+        Some(std::mem::replace(&mut e.stmt, stmt))
     }
 
     /// Moves an edge's source to `new_src`, updating adjacency
     /// (used by [`crate::edit`] splices).
     pub(crate) fn move_edge_src_internal(&mut self, id: EdgeId, new_src: Loc) {
-        self.invalidate_derived();
         let Some(e) = self.edges.get_mut(&id) else {
             return;
         };
@@ -442,7 +540,6 @@ impl Cfg {
     /// Redirects all in-edges of `from` to `into` and deletes `from`.
     /// `from` must have no out-edges.
     fn merge_locs(&mut self, from: Loc, into: Loc) {
-        self.invalidate_derived();
         debug_assert!(from != into);
         debug_assert!(self.out_edges(from).is_empty());
         let incoming: Vec<EdgeId> = self.in_edges(from).to_vec();
@@ -462,7 +559,6 @@ impl Cfg {
     /// cannot fall through and has no `return` would otherwise leave an
     /// isolated exit violating "all locations reachable").
     fn prune_dead_exit(&mut self) {
-        self.invalidate_derived();
         if self.exit != self.entry && self.in_edges(self.exit).is_empty() {
             // Keep a reachable exit: collapse it onto the entry's last
             // reachable location is not meaningful; instead retain the exit
@@ -545,12 +641,18 @@ impl Cfg {
         if self.loop_parent.contains_key(&self.exit) && !self.out_edges(self.exit).is_empty() {
             return Err("exit has outgoing edges".to_string());
         }
+        // The kept (patched) structure is what a derivation would give.
+        if *self.derived != self.compute_derived() {
+            return Err("derived loop/join structure differs from its recomputation".to_string());
+        }
         Ok(())
     }
 }
 
 /// Shared lowering machinery, also used by [`crate::edit`] to splice blocks
-/// into an existing CFG.
+/// into an existing CFG. Lowering reads adjacency, `loop_parent` and
+/// `loop_heads` only, never [`Derived`], which is out of date until the
+/// caller derives or patches it.
 pub(crate) struct Lowerer<'a> {
     pub(crate) cfg: &'a mut Cfg,
 }
@@ -608,7 +710,16 @@ impl Lowerer<'_> {
                 }
             }
             AstStmt::While { cond, body } => {
-                let head = cur;
+                // A spliced `while` can start at a location that heads a
+                // loop already; a second back edge into it would break "one
+                // back edge per head", so it gets a head of its own.
+                let head = if self.cfg.loop_heads.contains(&cur) {
+                    let fresh = self.cfg.fresh_loc(parent);
+                    self.cfg.add_edge(cur, fresh, Stmt::Skip);
+                    fresh
+                } else {
+                    cur
+                };
                 let mut body_ctx = ctx.to_vec();
                 body_ctx.push(head);
                 let first_body_loc = self.cfg.next_loc;
@@ -624,22 +735,15 @@ impl Lowerer<'_> {
                             self.cfg.add_edge(b_end, head, Stmt::Skip);
                         }
                         self.cfg.loop_heads.insert(head);
-                        self.cfg.invalidate_derived();
                     }
                     None => {
                         // The body always returns: `head` is not a loop head.
                         // Re-parent locations that optimistically claimed it.
-                        let created: Vec<Loc> = self
-                            .cfg
-                            .loop_parent
-                            .keys()
-                            .copied()
-                            .filter(|l| l.0 >= first_body_loc)
-                            .collect();
-                        for l in created {
-                            if self.cfg.loop_parent[&l] == Some(head) {
-                                self.cfg.loop_parent.insert(l, parent);
-                                self.cfg.invalidate_derived();
+                        for l in first_body_loc..self.cfg.next_loc {
+                            if let Some(p) = self.cfg.loop_parent.get_mut(&Loc(l)) {
+                                if *p == Some(head) {
+                                    *p = parent;
+                                }
                             }
                         }
                     }
@@ -666,6 +770,30 @@ impl Lowerer<'_> {
             self.cfg.merge_locs(end, exit);
         }
     }
+}
+
+/// Does `block` fall through when lowered? The recursion of
+/// [`Lowerer::lower_block`] on the AST alone, so that an edit can be judged
+/// before the CFG is touched; `callees` gains, in edge order, the callee of
+/// every call lowering would put on an edge (nothing behind a `return` is
+/// lowered).
+pub(crate) fn falls_through(block: &Block, callees: &mut Vec<Symbol>) -> bool {
+    block.0.iter().all(|stmt| match stmt {
+        AstStmt::Simple(s) => {
+            callees.extend(s.callee().cloned());
+            true
+        }
+        AstStmt::Nested(inner) => falls_through(inner, callees),
+        AstStmt::Return(_) => false,
+        AstStmt::If { then_, else_, .. } => {
+            let (t, e) = (falls_through(then_, callees), falls_through(else_, callees));
+            t || e
+        }
+        AstStmt::While { body, .. } => {
+            falls_through(body, callees);
+            true
+        }
+    })
 }
 
 /// The call-graph index kept with a [`LoweredProgram`].
@@ -723,7 +851,8 @@ impl LoweredProgram {
     /// Mutable access to a function's CFG by name. The call-graph index
     /// goes stale for this function until the caller runs
     /// [`LoweredProgram::refresh_call_graph`]; prefer
-    /// [`LoweredProgram::edit_function`], which does both atomically.
+    /// [`LoweredProgram::splice`] and [`LoweredProgram::relabel`], which
+    /// reject an edit the refresh would reject before touching anything.
     pub fn by_name_mut(&mut self, name: &str) -> Option<&mut Cfg> {
         let i = self.index.get(name).copied()?;
         self.touched.push(i);
@@ -862,31 +991,89 @@ impl LoweredProgram {
         Ok(sites)
     }
 
-    /// Applies `edit` to the CFG of `name` and refreshes the call graph,
-    /// atomically: when the edit or the refresh fails, the CFG is put back
-    /// as it was and the program, index included, is unchanged.
+    /// Replaces the statement on `edge` of function `name`, returning the
+    /// old one. Atomic: every check runs before the first mutation.
     ///
     /// # Errors
     ///
-    /// [`CfgError::UndefinedFunction`] for an unknown `name`; otherwise
-    /// whatever `edit` or [`LoweredProgram::refresh_call_graph`] reports.
-    pub fn edit_function<T>(
+    /// [`CfgError::UndefinedFunction`] for an unknown `name` or callee,
+    /// [`CfgError::NoSuchEdge`], [`CfgError::RecursiveCall`]; the program,
+    /// index included, is then unchanged.
+    pub fn relabel(&mut self, name: &str, edge: EdgeId, stmt: Stmt) -> Result<Stmt, CfgError> {
+        let f = self.editable(name)?;
+        let e = self.cfgs[f].edge(edge).ok_or(CfgError::NoSuchEdge(edge))?;
+        let callee = stmt.callee().cloned();
+        let calls = e.stmt.callee().is_some() || callee.is_some();
+        self.check_new_callees(name, callee.as_slice())?;
+        let old = crate::edit::relabel_edge(&mut self.cfgs[f], edge, stmt)?;
+        self.committed(f, calls);
+        Ok(old)
+    }
+
+    /// Splices `block` onto `edge` of function `name`
+    /// ([`crate::edit::splice_block_on_edge`]). Atomic: every check runs
+    /// before the first mutation.
+    ///
+    /// # Errors
+    ///
+    /// [`CfgError::UndefinedFunction`] for an unknown `name` or callee,
+    /// [`CfgError::NoSuchEdge`], [`CfgError::BlockNeverFallsThrough`],
+    /// [`CfgError::RecursiveCall`]; the program, index included, is then
+    /// unchanged.
+    pub fn splice(
         &mut self,
         name: &str,
-        edit: impl FnOnce(&mut Cfg) -> Result<T, CfgError>,
-    ) -> Result<T, CfgError> {
-        let f = self
-            .func_index(name)
-            .ok_or_else(|| CfgError::UndefinedFunction(Symbol::new(name)))?;
-        let saved = self.cfgs[f].clone();
-        self.touched.push(f);
-        let out = edit(&mut self.cfgs[f]).and_then(|t| self.refresh_call_graph().map(|()| t));
-        if out.is_err() {
-            // `f` stays marked: the next refresh rescans it and finds the
-            // sites the index already has.
-            self.cfgs[f] = saved;
+        edge: EdgeId,
+        block: &Block,
+    ) -> Result<crate::edit::SpliceInfo, CfgError> {
+        let f = self.editable(name)?;
+        // A missing edge or a block that never falls through comes first,
+        // and the CFG's own (atomic) splice reports it.
+        let mut callees = Vec::new();
+        if self.cfgs[f].edge(edge).is_some() && falls_through(block, &mut callees) {
+            self.check_new_callees(name, &callees)?;
         }
-        out
+        let info = crate::edit::splice_block_on_edge(&mut self.cfgs[f], edge, block)?;
+        self.committed(f, !callees.is_empty());
+        Ok(info)
+    }
+
+    /// The definition index of `name`, with the call-graph index brought
+    /// up to date first: the checks of an edit read it.
+    fn editable(&mut self, name: &str) -> Result<usize, CfgError> {
+        if !self.touched.is_empty() {
+            self.refresh_call_graph()?;
+        }
+        self.func_index(name)
+            .ok_or_else(|| CfgError::UndefinedFunction(Symbol::new(name)))
+    }
+
+    /// What [`LoweredProgram::refresh_call_graph`] would reject once `name`
+    /// called `callees`, in its order: an undefined callee first, then one
+    /// from which `name` is reachable.
+    fn check_new_callees(&self, name: &str, callees: &[Symbol]) -> Result<(), CfgError> {
+        let undefined = |c: &&Symbol| self.func_index(c.as_str()).is_none();
+        if let Some(c) = callees.iter().find(undefined) {
+            return Err(CfgError::UndefinedFunction(c.clone()));
+        }
+        if callees.is_empty() {
+            return Ok(());
+        }
+        let callers = self.transitive_callers(name);
+        match callees.iter().find(|c| callers.contains(*c)) {
+            Some(c) => Err(CfgError::RecursiveCall(c.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// After a validated edit to function `f`: rescans its call sites when
+    /// the statements that went or came contain a call.
+    fn committed(&mut self, f: usize, calls: bool) {
+        if calls {
+            self.touched.push(f);
+            self.refresh_call_graph()
+                .expect("the edit's callees were checked before it was applied");
+        }
     }
 }
 
@@ -1185,16 +1372,10 @@ mod tests {
         // call, leave the index alone.
         prog.refresh_call_graph().unwrap();
         let ret = prog.by_name("spare").unwrap().edges().next().unwrap().id;
-        prog.edit_function("spare", |cfg| {
-            crate::edit::relabel_edge(cfg, ret, Stmt::Skip)
-        })
-        .unwrap();
+        prog.relabel("spare", ret, Stmt::Skip).unwrap();
         let block = crate::parser::parse_block("var t = 1;").unwrap();
         let first = call_edge(&prog, "c", 0);
-        prog.edit_function("c", |cfg| {
-            crate::edit::splice_block_on_edge(cfg, first, &block)
-        })
-        .unwrap();
+        prog.splice("c", first, &block).unwrap();
         assert_eq!(prog.call_graph_version(), v0);
         // Retargeting one call moves it, and every answer with it.
         let call = Stmt::Call {
@@ -1235,21 +1416,13 @@ mod tests {
             callee: Symbol::new("main"),
             args: vec![],
         };
-        let err = prog
-            .edit_function("d", |cfg| crate::edit::relabel_edge(cfg, ret, call_main))
-            .unwrap_err();
+        let err = prog.relabel("d", ret, call_main).unwrap_err();
         assert!(matches!(err, CfgError::RecursiveCall(_)), "{err}");
-        // A block that never falls through has been half lowered into the
-        // CFG by the time the splice finds out.
         let block = crate::parser::parse_block("x = 1; return x;").unwrap();
-        let err = prog
-            .edit_function("d", |cfg| {
-                crate::edit::splice_block_on_edge(cfg, ret, &block)
-            })
-            .unwrap_err();
+        let err = prog.splice("d", ret, &block).unwrap_err();
         assert_eq!(err, CfgError::BlockNeverFallsThrough);
         assert!(matches!(
-            prog.edit_function("nope", |_| Ok(())),
+            prog.relabel("nope", ret, Stmt::Skip),
             Err(CfgError::UndefinedFunction(_))
         ));
         assert_eq!(text(&prog), before);

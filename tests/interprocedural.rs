@@ -635,9 +635,7 @@ fn rejected_edits_leave_the_analyzer_untouched() {
         let low_ret = edge_of(&an, "low", "__ret = (v + 1)");
         let b_zero = edge_of(&an, "main", "b = 0");
         // Recursion through two functions, an undefined callee, a missing
-        // edge, a block that never falls through (which has lowered half
-        // of itself into the CFG by the time it is found out), a splice
-        // closing a cycle.
+        // edge, a block that never falls through, a splice closing a cycle.
         assert!(matches!(
             an.relabel("low", low_ret, call("__ret", "mid", "v")),
             Err(CfgError::RecursiveCall(_))
@@ -715,6 +713,41 @@ fn assert_matches_fresh_replay(an: &mut Analyzer, policy: ContextPolicy, edits: 
     }
     assert_eq!(program_text(an.program()), program_text(fresh.program()));
     assert_eq!(all_answers(an), all_answers(&mut fresh));
+}
+
+#[test]
+fn a_while_spliced_at_a_loop_head_answers_like_the_loops_written_in_source() {
+    const ONE: &str =
+        "function main() { var i = 0; var n = 0; while (i < 10) { i = i + 1; } return n; }";
+    const BOTH: &str = "function main() { var i = 0; var n = 0; while (i < 10) { i = i + 1; } \
+         while (n < 3) { n = n + 1; } return n; }";
+    for policy in [ContextPolicy::Insensitive, ContextPolicy::CallString(1)] {
+        let mut an = analyzer_of(ONE, policy);
+        let _ = all_answers(&mut an);
+        // Onto the exit edge of the first loop: its source is a head.
+        let exit_edge = edge_of(&an, "main", "assume (i >= 10)");
+        let block = parse_block("while (n < 3) { n = n + 1; }").unwrap();
+        an.splice("main", exit_edge, &block).unwrap();
+        let cfg = an.program().by_name("main").unwrap();
+        cfg.validate().unwrap();
+        assert_eq!(cfg.loop_heads().len(), 2);
+        // Demanded == from scratch == the exit of the program as written.
+        let mut fresh =
+            InterAnalyzer::new(an.program().clone(), policy, "main", IntervalDomain::top());
+        assert_eq!(all_answers(&mut an), all_answers(&mut fresh));
+        let exit = an.query_joined("main", cfg_exit(&an)).unwrap();
+        assert!(!exit.is_bottom(), "the exit is reachable with n = 3");
+        let mut written = analyzer_of(BOTH, policy);
+        assert_eq!(
+            exit,
+            written.query_joined("main", cfg_exit(&written)).unwrap()
+        );
+        assert_eq!(exit.interval_of("n").to_string(), "[3, +inf]");
+    }
+}
+
+fn cfg_exit(an: &Analyzer) -> dai_lang::Loc {
+    an.program().by_name("main").unwrap().exit()
 }
 
 #[test]

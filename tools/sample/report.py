@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Shares of a sigprof.c dump: self, inclusive, and "under function X".
 
-    report.py DUMP BINARY [--under SUBSTRING] [--top N]
+    report.py DUMP BINARY [--under SUBSTRING] [--only PREFIX] [--top N]
 
 A sample counts once for every distinct function on its stack (inclusive)
 and once for its innermost one (self); with --under, only samples whose
 stack contains SUBSTRING count, and the inclusive table lists what runs
-below it. Shares are of all samples taken.
+below it. With --only, frames whose symbol does not start with PREFIX (or,
+for `<T as Trait>::f` impls, contain it) are dropped from every stack first,
+so `--only dai_` charges std/hashbrown wrappers to the crate function that
+called them. Shares are of all samples taken.
 """
 import collections
 import os
@@ -17,7 +20,7 @@ import sys
 
 def main():
     args = sys.argv[1:]
-    opt = {"--under": None, "--top": "30"}
+    opt = {"--under": None, "--only": None, "--top": "30"}
     for flag in opt:
         if flag in args:
             at = args.index(flag)
@@ -66,6 +69,10 @@ def main():
     self_n, incl_n, total = collections.Counter(), collections.Counter(), len(stacks)
     for stack in stacks:
         funcs = [f for a in stack for f in (names.get(a, ["??"]) if isinstance(a, int) else [a])]
+        if opt["--only"]:
+            only = opt["--only"]
+            funcs = [f for f in funcs if f.startswith(only) or (f[0] == "<" and only in f)]
+            funcs = funcs or ["[elsewhere]"]
         if opt["--under"]:
             hits = [i for i, f in enumerate(funcs) if opt["--under"] in f]
             if not hits:

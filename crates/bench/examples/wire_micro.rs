@@ -142,8 +142,8 @@ fn main() {
         (0usize, 0usize, 0usize, 0usize, 0usize);
     for a in &answers {
         if let OctagonDomain::Oct(o) = a {
-            // The full row-major matrix, as the wire carries it.
-            for c in o.dbm() {
+            // The packed half, as the wire carries it.
+            for &c in o.packed() {
                 total_e += 1;
                 if c == i64::MAX {
                     inf += 1;

@@ -46,12 +46,11 @@
 //! `call_entry`. Everything else (`Display`, `models`, interval
 //! evaluation) goes through the accessor in the order it always did.
 //!
-//! The wire form is still the full row-major `(2n)²` matrix (state tag 2,
-//! byte for byte): [`Oct::with_dbm`] expands it for the encoder, into one
-//! buffer per thread, and [`Oct::from_parts`] checks length, variable
-//! order and that the decoded matrix is coherent — a payload whose halves
-//! disagree is refused, not halved — before it packs. Outside tests those
-//! are the only two places a full matrix exists.
+//! The wire form is the same half (state tag 3): [`Oct::packed`] lends it
+//! to the encoder as stored, and [`Oct::from_packed`] takes it back after
+//! checking length, variable order and the one relation the half holds
+//! twice — nothing is expanded or re-packed on the way. Outside the tests'
+//! reference closure no full matrix exists.
 //!
 //! ## Sealed values and the fingerprint
 //!
@@ -78,7 +77,7 @@
 //! flagged closed, consistent, and it and the new bound lie within
 //! [`EXACT_CLOSURE_BOUND`]. That is every tightening `assume` and call
 //! return on the warm path. Genuinely unclosed inputs — widening results,
-//! [`Oct::from_parts`], `call_entry`'s projected matrix — and matrices with
+//! [`Oct::from_packed`], `call_entry`'s projected matrix — and matrices with
 //! huge entries still go through `close()`.
 //!
 //! The two agree bit for bit, which the memo table needs (keys are content
@@ -245,8 +244,9 @@ impl SealedOct {
     /// The content fingerprint: one SipHash lane over `(vars, dbm)` and one
     /// independent multiply-rotate lane over the matrix words — the same
     /// strength as the 128-bit `dai_memo::content_digest` that used to walk
-    /// the matrix itself (one SipHash lane, one Fx lane).
-    fn fingerprint(&self) -> u128 {
+    /// the matrix itself (one SipHash lane, one Fx lane). Public as the key
+    /// a snapshot tells states apart by without hashing them again.
+    pub fn fingerprint(&self) -> u128 {
         let fp = *self.fingerprint.get_or_init(|| {
             #[cfg(test)]
             FINGERPRINTS_COMPUTED.with(|c| c.set(c.get() + 1));
@@ -437,42 +437,11 @@ impl Oct {
         &self.vars
     }
 
-    /// Lends `f` the full row-major `(2n)²` difference-bound matrix — the
-    /// wire form — expanded from the packed half into a buffer this thread
-    /// keeps between calls, so encoding a state allocates nothing
-    /// (persistence accessor; [`Oct::from_parts`] takes the same matrix
-    /// back). Each stored row is read once, in order, and written twice:
-    /// as its row's prefix and, entry by entry, down its twins' column.
-    /// The reads — of a state that is usually cold when a snapshot gets to
-    /// it — are sequential; it is the writes, into the warm buffer, that
-    /// stride.
-    pub fn with_dbm<R>(&self, f: impl FnOnce(&[i64]) -> R) -> R {
-        thread_local! {
-            static FULL: std::cell::Cell<Vec<i64>> = const { std::cell::Cell::new(Vec::new()) };
-        }
-        let d = self.dim();
-        // Taken, not borrowed: an `f` that came back here would find an
-        // empty buffer, not a panic.
-        let mut full = FULL.take();
-        // Every entry is written below; what the buffer held may stay.
-        full.resize(d * d, INF);
-        let mut rest = self.dbm.as_slice();
-        for i in 0..d {
-            let row;
-            (row, rest) = rest.split_at((i | 1) + 1);
-            for (j, &v) in row.iter().enumerate() {
-                full[(j ^ 1) * d + (i ^ 1)] = v;
-            }
-            full[i * d..][..row.len()].copy_from_slice(row);
-        }
-        let out = f(&full);
-        FULL.set(full);
-        out
-    }
-
-    /// The matrix [`Oct::with_dbm`] lends, owned: for tests and tools.
-    pub fn dbm(&self) -> Vec<i64> {
-        self.with_dbm(<[i64]>::to_vec)
+    /// The packed half matrix exactly as stored — the wire form
+    /// (persistence accessor; [`Oct::from_packed`] takes the same words
+    /// back).
+    pub fn packed(&self) -> &[i64] {
+        &self.dbm
     }
 
     /// Whether the matrix is currently strongly closed.
@@ -480,14 +449,21 @@ impl Oct {
         self.closed
     }
 
+    /// Words in the packed half matrix over `n` variables, or `None` when
+    /// that overflows — what a decoder checks a variable count against
+    /// before it reads the half.
+    pub fn packed_len(n: usize) -> Option<usize> {
+        n.checked_add(1)?.checked_mul(n)?.checked_mul(2)
+    }
+
     /// Rebuilds an octagon from its serialized parts — the sorted variable
-    /// list and the full row-major matrix [`Oct::dbm`] produces —
-    /// validating the structural invariants: `dbm` is `(2·|vars|)²`,
-    /// `vars` is sorted and duplicate-free, and the matrix is coherent
-    /// (`m[i][j] = m[j̄][ī]` everywhere, the diagonal included). Returns
-    /// `None` for inconsistent parts before allocating anything, so a
-    /// corrupted snapshot can never materialize a malformed matrix, nor
-    /// one whose discarded half said something else.
+    /// list and the half matrix [`Oct::packed`] lends — validating what a
+    /// packed matrix does not hold by construction: `half` is `2n(n+1)`
+    /// words, `vars` is sorted and duplicate-free, and the two diagonal
+    /// entries of each block, twins that are both stored, agree. Every
+    /// other twin pair is one slot, so nothing else can be incoherent.
+    /// Returns `None` for inconsistent parts, so a corrupted snapshot can
+    /// never materialize a malformed matrix.
     ///
     /// The result is always marked **unclosed**: `closed` is a derived
     /// property the exact-assignment fast paths rely on, and trusting a
@@ -496,21 +472,17 @@ impl Oct {
     /// closure costs one `close()` on first use, which the lossy
     /// persistence contract happily pays; `Eq`/`Hash` ignore the flag, so
     /// roundtripped states still compare equal.
-    pub fn from_parts(vars: Vec<Symbol>, dbm: Vec<i64>) -> Option<Oct> {
-        let d = 2 * vars.len();
-        // Each stored entry against its twin covers every pair once.
-        let coherent =
-            |i: usize| (0..=(i | 1)).all(|j| dbm[i * d + j] == dbm[(j ^ 1) * d + (i ^ 1)]);
+    pub fn from_packed(vars: Vec<Symbol>, half: Vec<i64>) -> Option<Oct> {
         let sorted = vars.windows(2).all(|w| w[0] < w[1]);
-        if dbm.len() != d * d || !sorted || !(0..d).all(coherent) {
+        if Oct::packed_len(vars.len()) != Some(half.len()) || !sorted {
             return None;
         }
-        let mut packed = Vec::with_capacity(row_start(d));
-        for i in 0..d {
-            packed.extend_from_slice(&dbm[i * d..][..(i | 1) + 1]);
+        let diagonal = |i: usize| half[row_start(i) + i];
+        if !(0..vars.len()).all(|k| diagonal(2 * k) == diagonal(2 * k + 1)) {
+            return None;
         }
         Some(Oct {
-            dbm: packed,
+            dbm: half,
             vars: vars.into(),
             closed: false,
         })
@@ -2306,24 +2278,52 @@ mod tests {
         assert!(!o.closed, "a new bound above the bound: left for close()");
     }
 
+    impl Oct {
+        /// The full row-major `(2n)²` matrix, for the reference closure.
+        fn full(&self) -> Vec<i64> {
+            let d = self.dim();
+            (0..d * d).map(|e| self.at(e / d, e % d)).collect()
+        }
+    }
+
     #[test]
-    fn storage_is_the_packed_half_and_the_wire_form_the_full_matrix() {
+    fn storage_and_the_wire_form_are_the_packed_half() {
         for n in [0usize, 1, 14] {
             let vars: Vec<Symbol> = (0..n).map(|i| Symbol::new(format!("v{i:02}"))).collect();
             let mut o = Oct::unconstrained(vars.clone());
-            assert_eq!(o.dbm.len(), 2 * n * (n + 1));
-            assert_eq!(o.dbm().len(), 4 * n * n);
+            assert_eq!(o.packed().len(), 2 * n * (n + 1));
+            assert_eq!(Oct::packed_len(n), Some(o.packed().len()));
             if n > 1 {
                 o.tighten(2, 1, 7);
                 assert_eq!((o.at(2, 1), o.at(0, 3)), (7, 7), "one slot, both twins");
-                // A matrix whose two halves disagree has no packed form.
-                let mut torn = o.dbm();
-                torn[3] = 8; // (0, 3) alone; its twin (2, 1) still says 7
-                assert!(Oct::from_parts(vars.clone(), torn).is_none());
             }
-            let back = Oct::from_parts(vars, o.dbm()).expect("coherent");
+            let back = Oct::from_packed(vars.clone(), o.packed().to_vec()).expect("valid parts");
             assert_eq!((&back, back.closed), (&o, false));
+            // What the half does not hold by construction is checked: its
+            // length, the order of the names, and the diagonal's twins.
+            let mut long = o.packed().to_vec();
+            long.push(0);
+            assert!(Oct::from_packed(vars.clone(), long).is_none());
+            if n > 0 {
+                let mut short = o.packed().to_vec();
+                short.pop();
+                assert!(Oct::from_packed(vars.clone(), short).is_none());
+                for i in [0, 1, 2 * n - 1] {
+                    let mut torn = o.packed().to_vec();
+                    torn[slot(i, i)] = -1; // (i, i) alone; (ī, ī) still says 0
+                    assert!(Oct::from_packed(vars.clone(), torn).is_none(), "{i}");
+                }
+            }
+            if n > 1 {
+                let mut swapped = vars.clone();
+                swapped.swap(0, 1);
+                assert!(Oct::from_packed(swapped, o.packed().to_vec()).is_none());
+                let mut doubled = vars.clone();
+                doubled[1] = doubled[0].clone();
+                assert!(Oct::from_packed(doubled, o.packed().to_vec()).is_none());
+            }
         }
+        assert_eq!(Oct::packed_len(usize::MAX / 2), None);
     }
 
     #[test]
@@ -2429,7 +2429,7 @@ mod tests {
         }
 
         /// The full-matrix strong closure this module ran before the matrix
-        /// was packed, on the row-major `(2n)²` form [`Oct::dbm`] expands
+        /// was packed, on the row-major `(2n)²` form `Oct::full` expands
         /// to: one pivot at a time over every entry, strengthening after
         /// each. The reference [`Oct::close`] is compared with — over `i64`
         /// with this module's saturating arithmetic, and over `i128`,
@@ -2500,15 +2500,15 @@ mod tests {
         fn assert_matches_reference(raw: &Oct, closed: Option<&Oct>) {
             let d = raw.dim();
             if raw.closes_exactly(0) {
-                let mut reference = raw.dbm();
+                let mut reference = raw.full();
                 let consistent = close_full(&mut reference, d, INF, badd, bhalf);
                 prop_assert_eq!(closed.is_some(), consistent, "⊥ verdict");
                 if let Some(closed) = closed {
-                    prop_assert_eq!(closed.dbm(), reference);
+                    prop_assert_eq!(closed.full(), reference);
                 }
                 return;
             }
-            let mut truth: Vec<i128> = raw.dbm().into_iter().map(wide).collect();
+            let mut truth: Vec<i128> = raw.full().into_iter().map(wide).collect();
             let add = |a, b| {
                 if a == WIDE_INF || b == WIDE_INF {
                     WIDE_INF
@@ -2519,7 +2519,7 @@ mod tests {
             let half = |a: i128| if a == WIDE_INF { a } else { a.div_euclid(2) };
             if close_full(&mut truth, d, WIDE_INF, add, half) {
                 let closed = closed.expect("a satisfiable system closed to ⊥");
-                for (got, least) in closed.dbm().into_iter().zip(truth) {
+                for (got, least) in closed.full().into_iter().zip(truth) {
                     prop_assert!(wide(got) >= least, "{got} is below the closure's {least}");
                 }
             }
@@ -2669,10 +2669,10 @@ mod tests {
             for (i, j, c) in [(0, 1, 100), (4, 5, -100), (2, 1, i64::MIN + 2), (1, 0, -5)] {
                 tighten_raw(&mut o, i, j, c);
             }
-            let mut reference = o.dbm();
+            let mut reference = o.full();
             assert!(close_full(&mut reference, 6, INF, badd, bhalf));
             assert!(o.close());
-            let closed = o.dbm();
+            let closed = o.full();
             let differ: Vec<usize> = (0..36).filter(|&e| closed[e] != reference[e]).collect();
             assert_eq!(differ, [2 * 6 + 5, 4 * 6 + 3], "(v1⁺, v2⁻) and its twin");
             assert_eq!(
@@ -2752,7 +2752,7 @@ mod tests {
                 let pos = grown.track(&fresh);
                 prop_assert_eq!(pos, [0, 1, n][place as usize]);
                 prop_assert_eq!(grown.dbm.len(), 2 * (n + 1) * (n + 2));
-                prop_assert_eq!(grown.dbm(), insert_pair_full(&closed.dbm(), d, pos));
+                prop_assert_eq!(grown.full(), insert_pair_full(&closed.full(), d, pos));
                 grown.untrack(&fresh);
                 prop_assert_eq!(&grown, &closed);
 
@@ -2766,9 +2766,9 @@ mod tests {
                 // Deleting the pair is what inserting it back undoes, up
                 // to the constraints it carried.
                 let kept = |e: &usize| e / d / 2 != gone && e % d / 2 != gone;
-                let full = closed.dbm();
+                let full = closed.full();
                 let deleted: Vec<i64> = (0..d * d).filter(kept).map(|e| full[e]).collect();
-                prop_assert_eq!(shrunk.dbm(), deleted);
+                prop_assert_eq!(shrunk.full(), deleted);
             }
 
             /// The one-pass call binding against the parent's construction,

@@ -35,7 +35,11 @@
 //! members stay pending — the batch *splits* at the fence — and the
 //! fencing request re-kicks them once it completes (success or failure;
 //! a failed edit still advances the fence, which is sound because it
-//! changed nothing).
+//! changed nothing). The fences count, so a session's edits must complete
+//! in the order they were stamped: each joins its session's edit queue as
+//! it is stamped, and whichever worker next holds the session lock applies
+//! the queue's front — `n` completions are the first `n` edits, never the
+//! second one overtaking the first on another worker.
 
 use dai_core::compile::TransferMode;
 use dai_core::driver::ProgramEdit;
@@ -47,12 +51,12 @@ use dai_domains::AbstractDomain;
 use dai_journal::{Journal, JournalConfig, JournalEntry, JournalRecord};
 use dai_lang::cfg::{lower_program, LoweredProgram};
 use dai_lang::{CfgError, Loc};
-use dai_memo::{MemoKey, MemoStats, SharedMemoTable};
+use dai_memo::{MemoKey, MemoStamps, MemoStats, SharedMemoTable};
 use dai_persist::{
-    read_snapshot_file, write_snapshot_file_durable, Durability, Persist, PersistDomain,
-    PersistError, Reader, SessionImage, Writer,
+    decode_memo_entries, encode_memo_entries, read_snapshot_file, write_snapshot_file_durable,
+    Durability, PersistDomain, PersistError, SessionImage,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -169,6 +173,10 @@ pub struct PersistOutcome {
     pub funcs_dropped: usize,
     /// Memo entries written (save) or imported (load).
     pub memo_entries: usize,
+    /// Of those, the entries this save also appended to the attached
+    /// journal as one `JMEM` frame: the ones no frame since the last
+    /// compaction already carries (0 without a journal, and on load).
+    pub memo_journaled: usize,
     /// Memo sections dropped on load.
     pub memo_sections_dropped: usize,
     /// The file ended mid-section (load only).
@@ -765,10 +773,26 @@ pub struct BatchStats {
 
 /// A submitted/applied counter pair ordering queries after mutations (see
 /// the module docs on edit fencing).
-#[derive(Default)]
-struct Fence {
+struct Fence<D> {
     submitted: AtomicU64,
     applied: AtomicU64,
+    /// A session fence's edits submitted and not yet applied, oldest
+    /// first, each with the slot its outcome goes to. An edit joins under
+    /// this lock as it takes its stamp, and an edit job applies the
+    /// *front* once it holds the session lock — so a session's edits apply
+    /// in the order they were submitted whichever worker gets to them
+    /// first, and `applied == n` means the first `n` edits are done.
+    edits: Mutex<VecDeque<(ProgramEdit, Responder<D>)>>,
+}
+
+impl<D> Default for Fence<D> {
+    fn default() -> Fence<D> {
+        Fence {
+            submitted: AtomicU64::new(0),
+            applied: AtomicU64::new(0),
+            edits: Mutex::new(VecDeque::new()),
+        }
+    }
 }
 
 /// One query waiting in the coalescing queue.
@@ -820,8 +844,8 @@ struct EngineShared<D: AbstractDomain> {
     /// Per-session fences. Entries are created on first use and kept for
     /// the engine's lifetime (session ids are never reused, so a stale
     /// fence is unreachable, and keeping it avoids close/submit races).
-    fences: RwLock<HashMap<SessionId, Arc<Fence>>>,
-    global_fence: Fence,
+    fences: RwLock<HashMap<SessionId, Arc<Fence<D>>>>,
+    global_fence: Fence<D>,
     /// The pending-query coalescing queue. Invariant: an entry is present
     /// iff it is non-empty, and then either a leader job is queued/running
     /// for its key or every member is deferred behind a fence whose
@@ -852,6 +876,13 @@ struct EngineShared<D: AbstractDomain> {
     journal: RwLock<Option<Arc<Journal>>>,
     /// Journal-session ↔ local-session correspondence.
     journal_map: Mutex<JournalMap>,
+    /// The memo table's insertion stamp up to which the journal's `JMEM`
+    /// frames carry its entries; 0 when they carry none. Held across
+    /// "pick the entries above it, append them, advance it" and across a
+    /// compaction, which drops every `JMEM` frame and puts it back to 0 —
+    /// so the journal holds each entry once between compactions, and a
+    /// compaction racing a save wins.
+    memo_mark: Mutex<u64>,
     /// Highest journal sequence number applied through
     /// [`Engine::apply_journal_entry`], and how many entries that was.
     applied_seq: AtomicU64,
@@ -919,6 +950,7 @@ impl<D: PersistDomain> Engine<D> {
                     next_id: 1,
                     ..JournalMap::default()
                 }),
+                memo_mark: Mutex::new(0),
                 applied_seq: AtomicU64::new(0),
                 applied_frames: AtomicU64::new(0),
                 explain_totals: Mutex::new(ExplainStats::default()),
@@ -1037,20 +1069,24 @@ impl<D: PersistDomain> Engine<D> {
                     vec![(loc, responder)],
                 );
             }
+            Request::Edit { session, edit } => {
+                let fence = fence_of(&self.shared, session);
+                {
+                    let mut edits = fence.edits.lock().expect("edit queue poisoned");
+                    fence.submitted.fetch_add(1, Ordering::SeqCst);
+                    edits.push_back((edit, responder));
+                }
+                let shared = Arc::clone(&self.shared);
+                let pool = self.pool.handle();
+                pool.clone()
+                    .spawn(move || apply_next_edit(&shared, &pool, session));
+            }
             request => {
-                match &request {
-                    Request::Edit { session, .. } => {
-                        fence_of(&self.shared, *session)
-                            .submitted
-                            .fetch_add(1, Ordering::SeqCst);
-                    }
-                    Request::Load { .. } => {
-                        self.shared
-                            .global_fence
-                            .submitted
-                            .fetch_add(1, Ordering::SeqCst);
-                    }
-                    _ => {}
+                if let Request::Load { .. } = &request {
+                    self.shared
+                        .global_fence
+                        .submitted
+                        .fetch_add(1, Ordering::SeqCst);
                 }
                 let shared = Arc::clone(&self.shared);
                 let pool = self.pool.handle();
@@ -1445,6 +1481,9 @@ impl<D: PersistDomain> Engine<D> {
             damaged_len: replay.damaged_len,
             last_seq: journal.last_seq(),
         };
+        // This engine has appended nothing to the journal it now holds:
+        // the first save carries the table whole.
+        *self.shared.memo_mark.lock().expect("memo mark poisoned") = 0;
         *self.shared.journal.write().expect("journal slot poisoned") = Some(journal);
         Ok(recovery)
     }
@@ -1516,7 +1555,7 @@ impl<D: PersistDomain> Engine<D> {
             JournalRecord::MemoDelta { bytes } => {
                 // Lossy, like a snapshot's MEMO section: a delta that
                 // fails to decode is skipped whole, costing warmth only.
-                match decode_memo_delta::<D>(bytes) {
+                match decode_memo_entries::<D>(bytes) {
                     Ok(entries) => {
                         for (k, v) in entries {
                             shared.memo.insert(k, v);
@@ -1616,7 +1655,11 @@ fn compact_attached_journal<D: PersistDomain>(
         drop(guard);
         snapshots.push((journal_id, image.to_bytes()));
     }
+    // The rewritten file holds no `JMEM` frame: the next save must carry
+    // the table whole (see `memo_mark`).
+    let mut mark = shared.memo_mark.lock().expect("memo mark poisoned");
     journal.compact(&snapshots)?;
+    *mark = 0;
     Ok(true)
 }
 
@@ -1684,20 +1727,21 @@ fn journal_close<D: AbstractDomain>(shared: &EngineShared<D>, local: SessionId) 
 /// Appends `record` for the session `local` is bound to, lazily
 /// adopting a pre-journal session (its `Open` is written first, from
 /// the locked session's own name and source). Call with the session
-/// lock held so the session's frames appear in its edit order.
+/// lock held so the session's frames appear in its edit order. Returns
+/// whether the frame landed in the journal.
 fn journal_record<D: AbstractDomain>(
     shared: &EngineShared<D>,
     local: SessionId,
     guard: &Session<D>,
     record: JournalRecord,
-) {
+) -> bool {
     let Some(journal) = shared
         .journal
         .read()
         .expect("journal slot poisoned")
         .clone()
     else {
-        return;
+        return false;
     };
     let mut map = shared.journal_map.lock().expect("journal map poisoned");
     let journal_id = match map.to_journal.get(&local) {
@@ -1705,7 +1749,9 @@ fn journal_record<D: AbstractDomain>(
         None => {
             // Adopt: sessions without source aren't replayable, so they
             // stay out of the journal entirely.
-            let Some(source) = guard.source() else { return };
+            let Some(source) = guard.source() else {
+                return false;
+            };
             let journal_id = map.next_id;
             map.bind(journal_id, local);
             journal_append(
@@ -1720,52 +1766,55 @@ fn journal_record<D: AbstractDomain>(
         }
     };
     drop(map);
-    journal_append(&journal, journal_id, record);
+    journal_append(&journal, journal_id, record)
 }
 
 /// One journal append, with failures counted rather than propagated:
 /// the state change the frame describes has already happened, so the
 /// caller cannot un-apply it — an append failure costs durability (and
 /// is visible in `dai_journal_append_errors_total`), never consistency.
-fn journal_append(journal: &Journal, journal_id: u64, record: JournalRecord) {
-    if journal.append(journal_id, record).is_err() {
+/// Returns whether the frame landed.
+fn journal_append(journal: &Journal, journal_id: u64, record: JournalRecord) -> bool {
+    let landed = journal.append(journal_id, record).is_ok();
+    if !landed {
         dai_trace::metrics()
             .counter("dai_journal_append_errors_total")
             .inc();
     }
+    landed
 }
 
-/// Encodes memo entries as an opaque `MemoDelta` payload.
-fn encode_memo_delta<D: PersistDomain>(entries: &[(MemoKey, Value<D>)]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(entries.len() as u64);
-    for (k, v) in entries {
-        k.put(&mut w);
-        v.put(&mut w);
+/// Appends, as one `JMEM` frame for the session `local` is bound to, the
+/// exported memo entries no frame since the last compaction carries:
+/// those stamped above the engine's mark. The mark moves only once the
+/// frame has landed. Returns how many entries that was. Call with the
+/// session lock held, like [`journal_record`].
+fn journal_memo_delta<D: PersistDomain>(
+    shared: &EngineShared<D>,
+    local: SessionId,
+    guard: &Session<D>,
+    entries: &[(MemoKey, Value<D>)],
+    stamps: &MemoStamps,
+) -> usize {
+    let mut mark = shared.memo_mark.lock().expect("memo mark poisoned");
+    let fresh: Vec<&(MemoKey, Value<D>)> = stamps.newer_than(*mark).map(|i| &entries[i]).collect();
+    if fresh.is_empty() {
+        return 0;
     }
-    w.into_bytes()
-}
-
-/// Decodes a `MemoDelta` payload (strict: any malformed entry rejects
-/// the whole delta, and the caller skips it — lossy, sound).
-fn decode_memo_delta<D: PersistDomain>(
-    bytes: &[u8],
-) -> Result<Vec<(MemoKey, Value<D>)>, PersistError> {
-    let mut r = Reader::new(bytes);
-    let n = r.u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let k = MemoKey::get(&mut r)?;
-        let v = Value::<D>::get(&mut r)?;
-        out.push((k, v));
+    let bytes = encode_memo_entries(fresh.iter().copied());
+    let len = bytes.len() as u64;
+    if !journal_record(shared, local, guard, JournalRecord::MemoDelta { bytes }) {
+        return 0;
     }
-    if !r.is_exhausted() {
-        return Err(PersistError::Corrupt(format!(
-            "memo delta has {} trailing bytes",
-            r.remaining()
-        )));
-    }
-    Ok(out)
+    *mark = stamps.high;
+    let metrics = dai_trace::metrics();
+    metrics
+        .counter("dai_journal_memo_delta_entries_total")
+        .add(fresh.len() as u64);
+    metrics
+        .counter("dai_journal_memo_delta_bytes_total")
+        .add(len);
+    fresh.len()
 }
 
 /// Builds one reply slot, returning the waiting and the producing half.
@@ -1801,7 +1850,7 @@ fn session_of<D: AbstractDomain>(
 }
 
 /// The session's fence, created on first use (see `EngineShared::fences`).
-fn fence_of<D: AbstractDomain>(shared: &EngineShared<D>, id: SessionId) -> Arc<Fence> {
+fn fence_of<D: AbstractDomain>(shared: &EngineShared<D>, id: SessionId) -> Arc<Fence<D>> {
     if let Some(f) = shared
         .fences
         .read()
@@ -1928,6 +1977,61 @@ impl<D: PersistDomain> Drop for FenceCompletion<'_, D> {
         }
         kick_pending(self.shared, self.pool, self.session);
     }
+}
+
+/// An edit job: applies the oldest queued edit of session `sid` and answers
+/// it. One job is spawned per queued edit, so there is always one to take;
+/// it need not be the one whose submission spawned this job.
+fn apply_next_edit<D: PersistDomain>(
+    shared: &Arc<EngineShared<D>>,
+    pool: &PoolHandle,
+    sid: SessionId,
+) {
+    let fence = fence_of(shared.as_ref(), sid);
+    let next = || {
+        let mut edits = fence.edits.lock().expect("edit queue poisoned");
+        edits.pop_front().expect("one queued edit per edit job")
+    };
+    let (out, responder) = {
+        // The fence was bumped at submit time; its completion (bump of
+        // `applied` + re-kick of deferred queries) must happen on every
+        // exit path — a failed edit changed nothing, so releasing the
+        // queries it fenced is sound — and before the edit is answered.
+        let _fence = FenceCompletion {
+            shared,
+            pool,
+            session: Some(sid),
+        };
+        let _edit_span = dai_trace::span!("engine.edit");
+        match session_of(shared, sid) {
+            Err(e) => (Err(e), next().1),
+            Ok(session) => {
+                let mut guard = lock_session(shared.as_ref(), &session);
+                let _lock_span = dai_trace::span!("engine.session_lock");
+                // Taken with the session locked: see `Fence::edits`.
+                let (edit, responder) = next();
+                let out = if guard.is_replica() {
+                    Err(EngineError::ReadOnly(sid))
+                } else {
+                    guard.apply_edit(&edit)
+                };
+                if out.is_ok() {
+                    // Behind the session lock: this session's journal
+                    // frames land in its edit order.
+                    journal_record(shared.as_ref(), sid, &guard, JournalRecord::Edit { edit });
+                }
+                drop(guard);
+                if out.is_ok() {
+                    shared.edits.fetch_add(1, Ordering::Relaxed);
+                    // Past the threshold? Fold history into snapshots. A
+                    // compaction failure costs journal size, not the edit.
+                    let _ = compact_attached_journal(shared.as_ref(), false);
+                }
+                (out, responder)
+            }
+        }
+    };
+    responder.send(out.map(Response::Edited));
 }
 
 /// The leader job: drains `key`'s pending batch under one session-lock
@@ -2164,45 +2268,13 @@ fn process<D: PersistDomain>(
     request: Request,
 ) -> Result<Response<D>, EngineError> {
     match request {
-        Request::Query { .. } => {
+        Request::Query { .. } | Request::Edit { .. } => {
             // Unreachable: `Engine::submit` routes every query through the
-            // coalescing queue (`enqueue_queries`), never through here.
+            // coalescing queue (`enqueue_queries`) and every edit through
+            // its session's edit queue (`apply_next_edit`).
             Err(EngineError::Daig(DaigError::Invariant(
-                "queries are served through the coalescing queue, not process()".to_string(),
+                "queries and edits are served through their queues, not process()".to_string(),
             )))
-        }
-        Request::Edit { session, edit } => {
-            // The fence was bumped at submit time; its completion (bump of
-            // `applied` + re-kick of deferred queries) must happen on every
-            // exit path — a failed edit changed nothing, so releasing the
-            // queries it fenced is sound.
-            let sid = session;
-            let _fence = FenceCompletion {
-                shared,
-                pool,
-                session: Some(session),
-            };
-            let _edit_span = dai_trace::span!("engine.edit");
-            let session = session_of(shared, session)?;
-            let mut guard = lock_session(shared.as_ref(), &session);
-            let _lock_span = dai_trace::span!("engine.session_lock");
-            if guard.is_replica() {
-                return Err(EngineError::ReadOnly(sid));
-            }
-            let out = guard.apply_edit(&edit);
-            if out.is_ok() {
-                // Behind the session lock: this session's journal frames
-                // land in its edit order.
-                journal_record(shared.as_ref(), sid, &guard, JournalRecord::Edit { edit });
-            }
-            drop(guard);
-            if out.is_ok() {
-                shared.edits.fetch_add(1, Ordering::Relaxed);
-                // Past the threshold? Fold history into snapshots. A
-                // compaction failure costs journal size, not the edit.
-                let _ = compact_attached_journal(shared.as_ref(), false);
-            }
-            out.map(Response::Edited)
         }
         Request::Snapshot { session } => {
             let session = session_of(shared, session)?;
@@ -2229,7 +2301,8 @@ fn process<D: PersistDomain>(
             let _lock_span = dai_trace::span!("engine.session_lock");
             let mut image = guard.image()?;
             drop(guard);
-            image.memo = shared.memo.export_entries();
+            let stamps;
+            (image.memo, stamps) = shared.memo.export_entries();
             let funcs = image.funcs.len();
             let memo_entries = image.memo.len();
             let bytes = image.to_bytes();
@@ -2239,24 +2312,16 @@ fn process<D: PersistDomain>(
             // Per-session attribution (and the journal's memo delta)
             // happen only once the write has actually landed. The brief
             // relock is bookkeeping, not serving — not a session_lock.
-            {
+            let memo_journaled = {
                 let mut guard = session.lock().expect("session poisoned");
                 guard.note_saved();
-                if !image.memo.is_empty() {
-                    journal_record(
-                        shared.as_ref(),
-                        sid,
-                        &guard,
-                        JournalRecord::MemoDelta {
-                            bytes: encode_memo_delta(&image.memo),
-                        },
-                    );
-                }
-            }
+                journal_memo_delta(shared.as_ref(), sid, &guard, &image.memo, &stamps)
+            };
             Ok(Response::Saved(PersistOutcome {
                 bytes: bytes.len(),
                 funcs,
                 memo_entries,
+                memo_journaled,
                 ..PersistOutcome::default()
             }))
         }
@@ -2322,6 +2387,7 @@ fn process<D: PersistDomain>(
                     funcs: installed,
                     funcs_dropped: dropped,
                     memo_entries: imported,
+                    memo_journaled: 0,
                     memo_sections_dropped: report.memo_sections_dropped + memo_unused,
                     truncated: report.truncated,
                 },

@@ -10,7 +10,7 @@
 //! same tmp + rename + fsync dance snapshots use.
 
 use crate::record::{replay_bytes, JournalEntry, JournalRecord, Replay};
-use dai_persist::{sync_file, sync_parent_dir, Durability, PersistError};
+use dai_persist::{sync_file, sync_parent_dir, temp_sibling, Durability, PersistError};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -299,9 +299,7 @@ impl Journal {
             }
             .encode_into(&mut buf);
         }
-        let mut tmp = self.path.as_os_str().to_owned();
-        tmp.push(format!(".compact-{}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
+        let tmp = temp_sibling(&self.path, "compact");
         {
             let mut file = std::fs::File::create(&tmp).map_err(err)?;
             file.write_all(&buf).map_err(err)?;

@@ -132,6 +132,12 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Overwrites the `u64` written at byte offset `at` — for a count that
+    /// leads what it counts and is known only once that is written.
+    pub fn set_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
     /// Appends a little-endian `i64`.
     pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());

@@ -40,14 +40,16 @@
 //! ```text
 //! header   "DAIP" + container version
 //! SESS     name, domain tag, strategy, source text, edit history   (required)
-//! FUNC*    one per demanded function: name, φ₀, DAIG cells         (lossy)
-//! MEMO     sorted (key, value) memo entries                        (lossy)
+//! FUNC*    one per demanded function: name, φ₀, state table, cells (lossy)
+//! MEMO     layout version, state table, sorted (key, value) entries (lossy)
 //! ```
 //!
 //! Every section is length-prefixed and carries its own version and
 //! checksum, so readers can always skip what they cannot use. Snapshots
 //! of equal sessions are byte-identical (cells are written in interning
-//! order, memo entries sorted by key).
+//! order, memo entries sorted by key). A `FUNC` or `MEMO` payload writes
+//! each distinct abstract state once, in a table its cells and entries
+//! index ([`snapshot`]'s module docs have the layout).
 //!
 //! ## Crate map
 //!
@@ -89,9 +91,10 @@ pub use frame::{
     FRAME_TRAILER_LEN,
 };
 pub use snapshot::{
-    decode_daig, encode_daig, read_snapshot_file, sync_counts, sync_file, sync_parent_dir,
-    write_snapshot_file, write_snapshot_file_durable, Durability, FuncImage, RestoreReport,
-    SessionImage, FUNC_VERSION, MEMO_VERSION, SESSION_VERSION,
+    decode_daig, decode_memo_entries, encode_daig, encode_memo_entries, read_snapshot_file,
+    sync_counts, sync_file, sync_parent_dir, temp_sibling, write_snapshot_file,
+    write_snapshot_file_durable, Durability, FuncImage, RestoreReport, SessionImage, FUNC_VERSION,
+    MEMO_VERSION, SESSION_VERSION,
 };
 pub use trace::{decode_trace_frame, encode_trace_frame, TRACE_FRAME_TAG, TRACE_FRAME_VERSION};
 pub use wire::{Persist, PersistDomain, MAX_DECODE_DEPTH};

@@ -18,13 +18,44 @@
 //!   dropping it merely means the next query recomputes (paper §2.2:
 //!   dropping cached results is always sound).
 //! * **`MEMO` (optional)** — memo-table entries `f·(v₁⋯v_k) ↦ v`, sorted
-//!   by key for byte-deterministic output. Same lossy contract.
+//!   by key for byte-deterministic output. Same lossy contract. The
+//!   payload is [`encode_memo_entries`]' — the bytes a journal's `JMEM`
+//!   frame carries too.
 //!
 //! [`SessionImage::from_bytes`] enforces that policy: a damaged or
 //! version-skewed `FUNC`/`MEMO` section is *counted and skipped* (the
 //! [`RestoreReport`] says what was dropped), while a damaged `SESS`
 //! section fails the whole restore — there is nothing sound to fall back
 //! to without the program.
+//!
+//! ## A state is written once per payload
+//!
+//! Most cells of a DAIG hold a state some other cell holds too (a matched
+//! cell's value *is* a memo entry's), so a `FUNC` payload (after the
+//! function's name and entry state) and a memo-entries payload (after its
+//! layout version) each open with a **state table**:
+//!
+//! ```text
+//! u64     number of distinct states
+//! D × n   the states, each in its domain's `Persist` form, in the order
+//!         the payload first uses them
+//! ```
+//!
+//! and a value slot in what follows is one byte — `0` empty (cells only),
+//! `1` a statement, inline, `2` a state — with a state's `u32` table index
+//! behind it. States are told apart by a 128-bit content hash: the digest
+//! a filled cell already caches, [`PersistDomain::content_key`] for a memo
+//! entry's state (the trust memo keys already place in such hashes).
+//! Decoding builds each state once and hands out clones, so states that
+//! shared an allocation when saved share one when restored. An index may
+//! name at most the next state not yet used, and every state must be used:
+//! one payload has one encoding, and anything else is `Corrupt`. The table
+//! is per payload, so the lossy policy above is untouched — a damaged
+//! section takes only its own states with it.
+//!
+//! [`FUNC_VERSION`] 2 and [`MEMO_VERSION`] 4 mark this layout (and, for
+//! octagons, state tag 3 inside it — see [`crate::wire`]); sections and
+//! `JMEM` frames written before it are dropped cold, which is sound.
 
 use crate::codec::{
     read_sections, PersistError, Reader, SnapshotWriter, Writer, TAG_FUNC, TAG_MEMO, TAG_SESSION,
@@ -37,22 +68,26 @@ use dai_core::interproc::ContextPolicy;
 use dai_core::name::Name;
 use dai_core::strategy::FixStrategy;
 use dai_domains::AbstractDomain;
-use dai_lang::Symbol;
-use dai_memo::MemoKey;
+use dai_lang::{Stmt, Symbol};
+use dai_memo::{MemoKey, PrehashedBuild};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
 /// Payload version of `SESS` sections.
 pub const SESSION_VERSION: u16 = 1;
-/// Payload version of `FUNC` sections.
-pub const FUNC_VERSION: u16 = 1;
-/// Payload version of `MEMO` sections. The payload layout has not changed
-/// since version 1, but its keys are content hashes of abstract states:
-/// version 2 marks the octagon's fingerprint-based `Hash`, version 3 that
-/// fingerprint covering the packed half matrix. Keys written by an older
-/// binary can never be matched again, so the skew path drops the section
-/// instead of loading entries that would only occupy the table.
-pub const MEMO_VERSION: u16 = 3;
+/// Payload version of `FUNC` sections: 2 opens the payload with a state
+/// table (module docs).
+pub const FUNC_VERSION: u16 = 2;
+/// Version of a memo-entries payload — a `MEMO` section's, where it is
+/// also the section's version, and a journal `JMEM` frame's, which has no
+/// other. Its keys are content hashes of abstract states: version 2 marks
+/// the octagon's fingerprint-based `Hash`, version 3 that fingerprint
+/// covering the packed half matrix (keys written by an older binary can
+/// never be matched again, so the skew path drops the section instead of
+/// loading entries that would only occupy the table); version 4 is the
+/// state-table layout.
+pub const MEMO_VERSION: u16 = 4;
 
 /// One demanded function's restored analysis state.
 #[derive(Debug, Clone)]
@@ -153,9 +188,104 @@ fn func_from_code(c: u8) -> Result<Func, PersistError> {
     })
 }
 
-/// Encodes a DAIG: live cells in interning (id) order, each with its
-/// name, optional value, and producing computation (source cells encoded
-/// as positions into the same cell list).
+/// The state table of a payload being written (module docs): which states
+/// it has met, by content hash. Their encodings go straight to the output,
+/// in first-use order, behind a count that [`StateTable::finish`] fills in.
+struct StateTable<'w> {
+    index: HashMap<u128, u32, PrehashedBuild>,
+    out: &'w mut Writer,
+    count_at: usize,
+}
+
+impl<'w> StateTable<'w> {
+    fn new(out: &'w mut Writer) -> StateTable<'w> {
+        let count_at = out.len();
+        out.u64(0);
+        StateTable {
+            index: HashMap::default(),
+            out,
+            count_at,
+        }
+    }
+
+    /// Writes a filled value slot: a statement inline, a state by its table
+    /// index — encoding the state if `key`, a content hash that tells this
+    /// payload's states apart, is one the payload has not met.
+    fn put_value<D: Persist>(&mut self, key: u128, value: &Value<D>, body: &mut Writer) {
+        match value {
+            Value::Stmt(s) => {
+                body.u8(1);
+                s.put(body);
+            }
+            Value::State(d) => {
+                let next = self.index.len() as u32;
+                let at = *self.index.entry(key).or_insert_with(|| {
+                    d.put(self.out);
+                    next
+                });
+                body.u8(2);
+                body.u32(at);
+            }
+        }
+    }
+
+    /// Closes the table and appends the `body` whose slots refer into it.
+    fn finish(self, body: Writer) {
+        self.out.set_u64(self.count_at, self.index.len() as u64);
+        self.out.bytes(&body.into_bytes());
+    }
+}
+
+/// The state table of a payload being read.
+struct StateReader<D> {
+    states: Vec<D>,
+    /// States `0..used` have been referred to.
+    used: usize,
+}
+
+impl<D: Persist + Clone> StateReader<D> {
+    fn get(r: &mut Reader<'_>) -> Result<StateReader<D>, PersistError> {
+        // `Vec::get` refuses a count beyond the remaining input.
+        let states = Vec::<D>::get(r)?;
+        Ok(StateReader { states, used: 0 })
+    }
+
+    /// Reads the rest of a value slot whose first byte was `tag` (not 0).
+    fn get_value(&mut self, tag: u8, r: &mut Reader<'_>) -> Result<Value<D>, PersistError> {
+        match tag {
+            1 => Ok(Value::Stmt(Stmt::get(r)?)),
+            2 => {
+                let at = r.u32()? as usize;
+                if at > self.used || at >= self.states.len() {
+                    return Err(PersistError::Corrupt(format!(
+                        "state index {at} with {} of {} states used",
+                        self.used,
+                        self.states.len()
+                    )));
+                }
+                self.used = self.used.max(at + 1);
+                Ok(Value::State(self.states[at].clone()))
+            }
+            t => Err(PersistError::Corrupt(format!("bad value marker {t}"))),
+        }
+    }
+
+    /// The payload is over: it must have used every state it carried.
+    fn finish(self) -> Result<(), PersistError> {
+        if self.used != self.states.len() {
+            return Err(PersistError::Corrupt(format!(
+                "{} of {} states never used",
+                self.states.len() - self.used,
+                self.states.len()
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Encodes a DAIG: its state table, then the live cells in interning (id)
+/// order, each with its name, optional value, and producing computation
+/// (source cells encoded as positions into the same cell list).
 pub fn encode_daig<D: AbstractDomain + Persist>(daig: &Daig<D>, w: &mut Writer) {
     let ids: Vec<CellId> = daig.ids().collect();
     // Dense position map: arena ids are bounded by `arena_len`.
@@ -163,30 +293,30 @@ pub fn encode_daig<D: AbstractDomain + Persist>(daig: &Daig<D>, w: &mut Writer) 
     for (i, &id) in ids.iter().enumerate() {
         pos[id.idx()] = i as u32;
     }
-    w.u64(ids.len() as u64);
+    let mut table = StateTable::new(w);
+    let mut body = Writer::new();
+    body.u64(ids.len() as u64);
     for &id in &ids {
-        daig.name_of(id).put(w);
-        match daig.value_id(id) {
-            Some(v) => {
-                w.u8(1);
-                v.put(w);
-            }
-            None => w.u8(0),
+        daig.name_of(id).put(&mut body);
+        match (daig.value_id(id), daig.digest_id(id)) {
+            (Some(v), Some(digest)) => table.put_value(digest, v, &mut body),
+            _ => body.u8(0),
         }
         match daig.comp_slot(id) {
-            None => w.u8(0),
+            None => body.u8(0),
             Some(c) => {
-                w.u8(1);
-                w.u8(func_code(c.func));
-                w.u64(c.srcs.len() as u64);
+                body.u8(1);
+                body.u8(func_code(c.func));
+                body.u64(c.srcs.len() as u64);
                 for &s in &c.srcs {
                     // Live comps only read live cells (well-formedness), so
                     // every source has a position.
-                    w.u32(pos[s.idx()]);
+                    body.u32(pos[s.idx()]);
                 }
             }
         }
     }
+    table.finish(body);
 }
 
 /// Decodes a DAIG encoded by [`encode_daig`], rebuilding the interner in
@@ -205,26 +335,28 @@ pub fn decode_daig<D: AbstractDomain + Persist>(
     r: &mut Reader<'_>,
     strategy: FixStrategy,
 ) -> Result<Daig<D>, PersistError> {
+    let mut states = StateReader::<D>::get(r)?;
     let n = r.u64()?;
     if n > r.remaining() as u64 {
         return Err(PersistError::Corrupt(
             "cell count exceeds remaining input".to_string(),
         ));
     }
-    struct Decoded<D> {
-        name: Name,
-        value: Option<Value<D>>,
-        comp: Option<(Func, Vec<u32>)>,
-    }
-    let mut cells: Vec<Decoded<D>> = Vec::with_capacity(n as usize);
-    for _ in 0..n {
+    let mut daig: Daig<D> = Daig::new();
+    daig.set_strategy(strategy);
+    let mut comps: Vec<Option<(Func, Vec<CellId>)>> = Vec::with_capacity(n as usize);
+    for i in 0..n {
         let name = Name::get(r)?;
         let value = match r.u8()? {
             0 => None,
-            1 => Some(Value::<D>::get(r)?),
-            t => return Err(PersistError::Corrupt(format!("bad value marker {t}"))),
+            tag => Some(states.get_value(tag, r)?),
         };
-        let comp = match r.u8()? {
+        // A fresh interner hands out dense ids in insertion order; anything
+        // else means a duplicated name aliased two saved cells onto one id.
+        if daig.add_cell_id(name, value).idx() as u64 != i {
+            return Err(PersistError::Corrupt("duplicate cell name".to_string()));
+        }
+        comps.push(match r.u8()? {
             0 => None,
             1 => {
                 let func = func_from_code(r.u8()?)?;
@@ -242,29 +374,18 @@ pub fn decode_daig<D: AbstractDomain + Persist>(
                             "source position {p} out of range (cells: {n})"
                         )));
                     }
-                    srcs.push(p);
+                    // Position `p` is the id the `p`th cell got, or will get.
+                    srcs.push(CellId(p));
                 }
                 Some((func, srcs))
             }
             t => return Err(PersistError::Corrupt(format!("bad comp marker {t}"))),
-        };
-        cells.push(Decoded { name, value, comp });
+        });
     }
-    let mut daig: Daig<D> = Daig::new();
-    daig.set_strategy(strategy);
-    let ids: Vec<CellId> = cells
-        .iter()
-        .map(|c| daig.add_cell_id(c.name.clone(), c.value.clone()))
-        .collect();
-    // A fresh interner hands out dense ids in insertion order; anything
-    // else means a duplicated name aliased two saved cells onto one id.
-    if ids.iter().enumerate().any(|(i, id)| id.idx() != i) {
-        return Err(PersistError::Corrupt("duplicate cell name".to_string()));
-    }
-    for (i, c) in cells.iter().enumerate() {
-        if let Some((func, srcs)) = &c.comp {
-            let src_ids: Vec<CellId> = srcs.iter().map(|&p| ids[p as usize]).collect();
-            daig.add_comp_ids(ids[i], *func, src_ids);
+    states.finish()?;
+    for (i, comp) in comps.into_iter().enumerate() {
+        if let Some((func, srcs)) = comp {
+            daig.add_comp_ids(CellId(i as u32), func, srcs);
         }
     }
     // Which unrolled iteration owns a cell is a function of its name, so
@@ -273,6 +394,73 @@ pub fn decode_daig<D: AbstractDomain + Persist>(
     daig.rebuild_loop_table()
         .map_err(|e| PersistError::Corrupt(e.to_string()))?;
     Ok(daig)
+}
+
+/// Encodes memo entries — a `MEMO` section's payload, and a journal `JMEM`
+/// frame's: [`MEMO_VERSION`], the state table, then the entries sorted by
+/// key (each key once), so equal sets produce identical bytes.
+pub fn encode_memo_entries<'a, D: PersistDomain + 'a>(
+    entries: impl IntoIterator<Item = &'a (MemoKey, Value<D>)>,
+) -> Vec<u8> {
+    // Sort and dedup by reference: cloning the entries (every memoized
+    // abstract state) just to order them would double the save path's
+    // transient memory.
+    let mut entries: Vec<&(MemoKey, Value<D>)> = entries.into_iter().collect();
+    entries.sort_by_key(|(k, _)| *k);
+    entries.dedup_by_key(|(k, _)| *k);
+    let mut w = Writer::new();
+    w.u16(MEMO_VERSION);
+    let mut table = StateTable::new(&mut w);
+    let mut body = Writer::new();
+    body.u64(entries.len() as u64);
+    for (k, v) in entries {
+        k.put(&mut body);
+        // A cell caches its value's digest; an entry's state is asked.
+        let key = v.as_state().map_or(0, D::content_key);
+        table.put_value(key, v, &mut body);
+    }
+    table.finish(body);
+    w.into_bytes()
+}
+
+/// Decodes a payload [`encode_memo_entries`] wrote. Strict: any malformed
+/// entry, or a byte left over, rejects the whole payload — the caller
+/// counts it dropped, which is lossy and sound.
+///
+/// # Errors
+///
+/// [`PersistError::UnsupportedVersion`] for a payload of another layout
+/// (anything written before the version led the payload reads as one),
+/// [`PersistError`] on truncated or structurally invalid input.
+pub fn decode_memo_entries<D: PersistDomain>(
+    bytes: &[u8],
+) -> Result<Vec<(MemoKey, Value<D>)>, PersistError> {
+    let mut r = Reader::new(bytes);
+    let version = r.u16()?;
+    if version != MEMO_VERSION {
+        return Err(PersistError::UnsupportedVersion(version));
+    }
+    let mut states = StateReader::<D>::get(&mut r)?;
+    let n = r.u64()?;
+    if n > r.remaining() as u64 {
+        return Err(PersistError::Corrupt(format!(
+            "memo entry count {n} exceeds remaining input"
+        )));
+    }
+    let mut entries = Vec::with_capacity(n as usize);
+    for _ in 0..n {
+        let key = MemoKey::get(&mut r)?;
+        let tag = r.u8()?;
+        entries.push((key, states.get_value(tag, &mut r)?));
+    }
+    states.finish()?;
+    if !r.is_exhausted() {
+        return Err(PersistError::Corrupt(format!(
+            "memo entries have {} trailing bytes",
+            r.remaining()
+        )));
+    }
+    Ok(entries)
 }
 
 impl<D: PersistDomain> SessionImage<D> {
@@ -297,19 +485,7 @@ impl<D: PersistDomain> SessionImage<D> {
             out.section(TAG_FUNC, FUNC_VERSION, &w.into_bytes());
         }
         if !self.memo.is_empty() {
-            // Sort and dedup by reference: cloning the entries (every
-            // memoized abstract state) just to order them would double
-            // the save path's transient memory.
-            let mut entries: Vec<&(MemoKey, Value<D>)> = self.memo.iter().collect();
-            entries.sort_by_key(|(k, _)| *k);
-            entries.dedup_by_key(|(k, _)| *k);
-            let mut w = Writer::new();
-            w.u64(entries.len() as u64);
-            for (k, v) in entries {
-                k.put(&mut w);
-                v.put(&mut w);
-            }
-            out.section(TAG_MEMO, MEMO_VERSION, &w.into_bytes());
+            out.section(TAG_MEMO, MEMO_VERSION, &encode_memo_entries(&self.memo));
         }
         out.into_bytes()
     }
@@ -388,14 +564,10 @@ impl<D: PersistDomain> SessionImage<D> {
                     }
                 }
                 t if t == TAG_MEMO => {
-                    let decoded =
-                        s.payload
-                            .filter(|_| s.version == MEMO_VERSION)
-                            .and_then(|payload| {
-                                let mut r = Reader::new(payload);
-                                let entries = Vec::<(MemoKey, Value<D>)>::get(&mut r).ok()?;
-                                r.is_exhausted().then_some(entries)
-                            });
+                    let decoded = s
+                        .payload
+                        .filter(|_| s.version == MEMO_VERSION)
+                        .and_then(|payload| decode_memo_entries::<D>(payload).ok());
                     match decoded {
                         Some(mut entries) => {
                             report.memo_entries += entries.len();
@@ -470,6 +642,19 @@ pub fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
+/// A name beside `path` that no other call in this process, and no other
+/// live process, is handed: `path.<label>-<pid>-<n>`. Two writers
+/// replacing one file by tmp + rename — two saves of one path on two
+/// workers, two compactions — must not create, truncate and rename the
+/// same temporary.
+pub fn temp_sibling(path: &Path, label: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let mut name = path.as_os_str().to_owned();
+    name.push(format!(".{label}-{}-{n}", std::process::id()));
+    std::path::PathBuf::from(name)
+}
+
 /// Writes snapshot bytes to `path` **atomically**: the bytes land in a
 /// temporary file in the same directory, then rename over the
 /// destination. A crash or full disk mid-write therefore never clobbers
@@ -501,16 +686,18 @@ pub fn write_snapshot_file_durable(
 ) -> Result<(), PersistError> {
     let path = path.as_ref();
     let io_err = |e: std::io::Error| PersistError::Io(format!("{}: {e}", path.display()));
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp-{}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-        std::io::Write::write_all(&mut file, bytes).map_err(io_err)?;
+    let tmp = temp_sibling(path, "tmp");
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        std::io::Write::write_all(&mut file, bytes)?;
         if durability == Durability::Safe {
-            sync_file(&file).map_err(io_err)?;
+            sync_file(&file)?;
         }
-    }
+        Ok(())
+    });
+    written.map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
+        io_err(e)
+    })?;
     std::fs::rename(&tmp, path).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
         io_err(e)
@@ -649,6 +836,147 @@ mod tests {
         let bytes = w.into_bytes();
         let err = decode_daig::<D>(&mut Reader::new(&bytes), FixStrategy::PAPER).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(m) if m.contains("unrolling")));
+    }
+
+    #[test]
+    fn a_state_is_written_once_per_payload_and_restored_shared() {
+        use dai_domains::OctagonDomain as O;
+        let cfg = lower_program(&parse_program(SRC).unwrap()).unwrap().cfgs()[0].clone();
+        let mut fa = FuncAnalysis::new(cfg, O::top());
+        let mut memo = MemoTable::new();
+        fa.query_exit(&mut memo, &mut IntraResolver, &mut QueryStats::default())
+            .unwrap();
+        let daig = fa.daig();
+        let states = |d: &Daig<O>| -> Vec<O> {
+            let cells = d.ids().filter_map(|id| d.value_id(id)?.as_state().cloned());
+            cells.collect()
+        };
+        let distinct = |of: &[O], by: &dyn Fn(&O) -> u128| {
+            let set: std::collections::HashSet<u128> = of.iter().map(by).collect();
+            set.len()
+        };
+        let by_content = |s: &O| s.content_key();
+        let by_allocation = |s: &O| u128::from(s.encode_identity().unwrap());
+        let live = states(daig);
+        let unique = distinct(&live, &by_content);
+        assert!(unique < live.len(), "the loop's cells repeat states");
+
+        let mut w = Writer::new();
+        encode_daig(daig, &mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u64().unwrap(), unique as u64, "the table holds each once");
+        let back: Daig<O> = decode_daig(&mut Reader::new(&bytes), daig.strategy()).unwrap();
+        assert_eq!(states(&back), live);
+        // Built once each, then handed out as clones of the one handle.
+        assert_eq!(distinct(&states(&back), &by_allocation), unique);
+
+        // The same for memo entries, whose digests are computed here.
+        let entries: Vec<(MemoKey, Value<O>)> =
+            memo.entries().map(|(k, v)| (k, v.clone())).collect();
+        let values: Vec<O> = entries
+            .iter()
+            .filter_map(|(_, v)| v.as_state().cloned())
+            .collect();
+        let unique = distinct(&values, &by_content);
+        let bytes = encode_memo_entries(&entries);
+        assert_eq!(Reader::new(&bytes[2..]).u64().unwrap(), unique as u64);
+        let mut back = decode_memo_entries::<O>(&bytes).unwrap();
+        let mut sorted = entries.clone();
+        sorted.sort_by_key(|(k, _)| *k);
+        assert_eq!(back, sorted);
+        back.retain(|(_, v)| v.as_state().is_some());
+        let restored: Vec<O> = back
+            .into_iter()
+            .filter_map(|(_, v)| v.as_state().cloned())
+            .collect();
+        assert_eq!(distinct(&restored, &by_allocation), unique);
+    }
+
+    /// A memo-entries payload: `table` states as declared by `count`, then
+    /// entries whose values are the state indices `refs`.
+    fn memo_payload(version: u16, count: u64, table: &[D], refs: &[u32]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u16(version);
+        w.u64(count);
+        for s in table {
+            s.put(&mut w);
+        }
+        w.u64(refs.len() as u64);
+        for (i, at) in refs.iter().enumerate() {
+            MemoKey(i as u128).put(&mut w);
+            w.u8(2);
+            w.u32(*at);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn hostile_state_tables_are_corrupt_not_trusted() {
+        let table = [IntervalDomain::top(), IntervalDomain::bottom()];
+        let decode = |bytes: &[u8]| decode_memo_entries::<D>(bytes).map(|e| e.len());
+        let corrupt = |bytes: &[u8], what: &str| match decode(bytes) {
+            Err(PersistError::Corrupt(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("{what}: {other:?}"),
+        };
+        // The canonical payload: states in first-use order, all used.
+        let good = memo_payload(MEMO_VERSION, 2, &table, &[0, 1, 0]);
+        assert_eq!(decode(&good), Ok(3));
+        assert_eq!(
+            good,
+            encode_memo_entries(&decode_memo_entries::<D>(&good).unwrap())
+        );
+        // A table count beyond the remaining input is refused before any
+        // state is read or a slot allocated for one.
+        corrupt(
+            &memo_payload(MEMO_VERSION, u64::MAX, &table, &[0, 1]),
+            "count",
+        );
+        corrupt(&memo_payload(MEMO_VERSION, 1 << 40, &[], &[]), "count");
+        // An index past the table, and one that skips a state not yet used.
+        corrupt(
+            &memo_payload(MEMO_VERSION, 2, &table, &[0, 1, 2]),
+            "state index 2",
+        );
+        corrupt(
+            &memo_payload(MEMO_VERSION, 2, &table, &[1, 0]),
+            "state index 1",
+        );
+        corrupt(&memo_payload(MEMO_VERSION, 0, &[], &[0]), "state index 0");
+        // A state nothing refers to, an entry count beyond the input, a
+        // value marker that is neither statement nor state, trailing bytes.
+        corrupt(&memo_payload(MEMO_VERSION, 2, &table, &[0]), "never used");
+        let mut counted = memo_payload(MEMO_VERSION, 0, &[], &[]);
+        let at = counted.len() - 8;
+        counted[at..].copy_from_slice(&u64::MAX.to_le_bytes());
+        corrupt(&counted, "entry count");
+        let mut marked = good.clone();
+        let at = marked.len() - 5;
+        marked[at] = 0; // "empty" is a cell's marker, not an entry's
+        corrupt(&marked, "bad value marker 0");
+        let mut trailing = good.clone();
+        trailing.push(0);
+        corrupt(&trailing, "trailing");
+        // Another layout is named as such, so the caller can count it.
+        for version in [0, MEMO_VERSION - 1, MEMO_VERSION + 1] {
+            let skewed = memo_payload(version, 2, &table, &[0, 1, 0]);
+            assert_eq!(
+                decode(&skewed),
+                Err(PersistError::UnsupportedVersion(version))
+            );
+        }
+        // Every prefix is a clean error.
+        for cut in 0..good.len() {
+            assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        // The same reader serves a DAIG's cells.
+        let (fa, _) = evaluated_analysis();
+        let mut w = Writer::new();
+        encode_daig(fa.daig(), &mut w);
+        let mut bytes = w.into_bytes();
+        bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = decode_daig::<D>(&mut Reader::new(&bytes), FixStrategy::PAPER).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupt(m) if m.contains("count")));
     }
 
     #[test]

@@ -12,17 +12,34 @@
 //!   the remaining input, so a corrupted length can never trigger a
 //!   pathological allocation.
 //! * **Canonical in, canonical out.** Domain states re-enter through
-//!   their normalizing constructors (`from_bindings`, [`Oct::from_parts`],
+//!   their normalizing constructors (`from_bindings`, [`Oct::from_packed`],
 //!   [`Sign::from_bits`]), so a decoded state satisfies the same
 //!   representation invariants `Eq`/`Hash` rely on — a snapshot cannot
 //!   smuggle in a non-canonical state that would break `Q-Loop-Converge`.
 //! * **Bounded recursion.** [`Expr`] and [`AstStmt`] are recursive;
 //!   decoding tracks depth and rejects nesting beyond
 //!   [`MAX_DECODE_DEPTH`], so corrupt input cannot overflow the stack.
+//!
+//! ## The octagon's state tags
+//!
+//! An octagon state opens with a tag byte: `0` is ⊥ and `3` a non-bottom
+//! octagon — its variable count, its sorted names, then the **packed half
+//! matrix as the domain stores it** (`2n(n+1)` entries for `n` variables,
+//! see `dai_domains::octagon`) in the run-length token encoding below.
+//! Nothing is expanded to write it or re-packed to read it: the decoder
+//! checks the half's length, the names' order and the one relation the
+//! half holds twice (the two diagonal entries of a block), and every other
+//! coherence condition is structural. Tags `1` (the raw full matrix) and
+//! `2` (the token encoding over the full `(2n)²` matrix) are retired:
+//! no writer emits them and the reader treats them as any unknown tag,
+//! here and on the socket, where the same `Persist` form is the answer
+//! blob. A snapshot section or journal frame holding one fails to decode
+//! and is dropped cold — [`crate::snapshot::FUNC_VERSION`] and
+//! [`crate::snapshot::MEMO_VERSION`] moved with tag 3 so that such a
+//! section is skipped on its version before a byte of it is read.
 
 use crate::codec::{PersistError, Reader, Writer};
 use dai_core::driver::ProgramEdit;
-use dai_core::graph::Value;
 use dai_core::name::{IterCtx, Name};
 use dai_core::strategy::{Convergence, FixStrategy};
 use dai_domains::bool3::Bool3;
@@ -33,7 +50,7 @@ use dai_domains::shape::{Addr, ShapeDomain, SymHeap};
 use dai_domains::sign::{Sign, SignDomain};
 use dai_domains::{AbstractDomain, Prod};
 use dai_lang::{AstStmt, BinOp, Block, EdgeId, Expr, Loc, Stmt, Symbol, UnOp};
-use dai_memo::MemoKey;
+use dai_memo::{content_digest, MemoKey};
 use std::collections::BTreeMap;
 
 /// Maximum nesting depth accepted when decoding recursive syntax.
@@ -71,6 +88,15 @@ pub trait PersistDomain: AbstractDomain + Persist {
     /// entry to pin the address.
     fn encode_identity(&self) -> Option<u64> {
         None
+    }
+
+    /// A 128-bit content hash of this state — what a payload's state table
+    /// tells the states of memo entries apart by. Equal states must return
+    /// equal keys, and unequal ones equal keys no more often than
+    /// [`content_digest`] would; a domain that already caches such a hash
+    /// returns it instead of hashing again.
+    fn content_key(&self) -> u128 {
+        content_digest(self)
     }
 }
 
@@ -598,7 +624,7 @@ impl Persist for Block {
 }
 
 // ---------------------------------------------------------------------
-// dai-core: edits, names, strategies, values.
+// dai-core: edits, names, strategies.
 // ---------------------------------------------------------------------
 
 impl Persist for ProgramEdit {
@@ -738,29 +764,6 @@ impl Persist for FixStrategy {
         Ok(FixStrategy {
             widen_delay: r.u32()?,
             convergence: Convergence::get(r)?,
-        })
-    }
-}
-
-impl<D: Persist> Persist for Value<D> {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            Value::Stmt(s) => {
-                w.u8(0);
-                s.put(w);
-            }
-            Value::State(d) => {
-                w.u8(1);
-                d.put(w);
-            }
-        }
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.u8()? {
-            0 => Value::Stmt(Stmt::get(r)?),
-            1 => Value::State(D::get(r)?),
-            t => return Err(bad_tag("value", t)),
         })
     }
 }
@@ -983,9 +986,9 @@ impl Persist for ConstDomain {
     }
 }
 
-/// Token bytes of the compact DBM encoding (octagon tag 2). A closed
-/// octagon's difference-bound matrix is dominated by `INF` (no
-/// constraint) and small finite bounds, so the raw 8-bytes-per-entry
+/// Token bytes of the compact DBM encoding (octagon tag 3, over the packed
+/// half). A closed octagon's difference-bound matrix is dominated by `INF`
+/// (no constraint) and small finite bounds, so the raw 8-bytes-per-entry
 /// layout spends ~90% of its bytes on two values. The compact layout
 /// emits one token byte per run/entry:
 ///
@@ -1069,18 +1072,16 @@ impl Persist for OctagonDomain {
         match self {
             OctagonDomain::Bottom => w.u8(0),
             OctagonDomain::Oct(o) => {
-                w.u8(2);
+                w.u8(3);
                 w.u64(o.vars().len() as u64);
                 for v in o.vars() {
                     v.put(w);
                 }
-                // The DBM dimension is implied by the variable count. The
+                // The half's length is implied by the variable count. The
                 // `closed` flag is deliberately NOT serialized: it is a
                 // derived property, re-derived after restore (see
-                // [`Oct::from_parts`]). The wire carries the full
-                // row-major matrix, which the octagon — keeping half of
-                // it in memory — expands into a buffer it lends.
-                o.with_dbm(|dbm| put_dbm_compact(dbm, w));
+                // [`Oct::from_packed`]).
+                put_dbm_compact(o.packed(), w);
             }
         }
     }
@@ -1088,10 +1089,10 @@ impl Persist for OctagonDomain {
     fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(match r.u8()? {
             0 => OctagonDomain::Bottom,
-            // Tag 2 is the compact layout. Tag 1 was the raw layout (8
-            // bytes per DBM entry) no writer has emitted since the
-            // compact one landed; it is an unknown tag like any other.
-            2 => {
+            // Tag 3 is the packed half. Tags 1 and 2 were the full matrix,
+            // raw and compact; no writer emits them and each is an unknown
+            // tag like any other (module docs).
+            3 => {
                 let n = r.u64()?;
                 if n > r.remaining() as u64 {
                     return Err(PersistError::Corrupt(
@@ -1102,23 +1103,22 @@ impl Persist for OctagonDomain {
                 for _ in 0..n {
                     vars.push(Symbol::get(r)?);
                 }
-                // The DBM is quadratic in the variable count, so the
+                // The half is quadratic in the variable count, so the
                 // linear `n` bound above is not enough: a corrupt count
                 // could otherwise request a multi-gigabyte allocation
                 // before the first matrix byte is read. The compact
                 // layout needs at least one token byte per 0xFFFF_FFFF
                 // entries, so the division below rejects absurd counts
                 // before allocating.
-                let d = 2 * vars.len() as u128;
-                let entries_wide = d * d;
-                let min_bytes = entries_wide.div_ceil(u32::MAX as u128);
-                if min_bytes > r.remaining() as u128 {
-                    return Err(PersistError::Corrupt(format!(
-                        "octagon DBM of {entries_wide} entries exceeds remaining input"
-                    )));
-                }
-                let dbm = get_dbm_compact(entries_wide as usize, r)?;
-                let oct = Oct::from_parts(vars, dbm).ok_or_else(|| {
+                let entries = Oct::packed_len(vars.len())
+                    .filter(|e| e.div_ceil(u32::MAX as usize) <= r.remaining())
+                    .ok_or_else(|| {
+                        PersistError::Corrupt(format!(
+                            "octagon DBM over {n} variables exceeds remaining input"
+                        ))
+                    })?;
+                let half = get_dbm_compact(entries, r)?;
+                let oct = Oct::from_packed(vars, half).ok_or_else(|| {
                     PersistError::Corrupt("octagon parts violate invariants".to_string())
                 })?;
                 OctagonDomain::seal(oct)
@@ -1245,6 +1245,13 @@ impl PersistDomain for OctagonDomain {
         match self {
             OctagonDomain::Bottom => Some(0),
             OctagonDomain::Oct(o) => Some(std::sync::Arc::as_ptr(o) as u64),
+        }
+    }
+
+    fn content_key(&self) -> u128 {
+        match self {
+            OctagonDomain::Bottom => 0,
+            OctagonDomain::Oct(o) => o.fingerprint(),
         }
     }
 }
@@ -1399,10 +1406,6 @@ mod tests {
             site_key: "f:e1",
         };
         roundtrip(&iv.call_entry(site, &["p".into()]));
-
-        // Values wrap either syntax or states.
-        roundtrip(&Value::<IntervalDomain>::Stmt(Stmt::Skip));
-        roundtrip(&Value::State(iv));
     }
 
     #[test]
@@ -1464,10 +1467,10 @@ mod tests {
         // A crafted payload claiming many octagon variables must fail on
         // the quadratic-DBM size check, not attempt a pathological
         // allocation. 1000 one-byte-named vars fit in ~9KB of input, but
-        // the implied DBM would be (2*1000)^2 = 4M entries = 32MB — far
+        // the implied half would be 2·1000·1001 = 2M entries = 16MB — far
         // more than the remaining input.
         let mut w = Writer::new();
-        w.u8(2); // OctagonDomain::Oct
+        w.u8(3); // OctagonDomain::Oct
         let n = 1000u64;
         w.u64(n);
         for _ in 0..n {
@@ -1482,50 +1485,78 @@ mod tests {
         );
     }
 
+    /// A tag-3 octagon over `vars` whose packed half is `half`.
+    fn oct_bytes(vars: &[&str], half: &[i64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u8(3);
+        w.u64(vars.len() as u64);
+        for v in vars {
+            w.str(v);
+        }
+        put_dbm_compact(half, &mut w);
+        w.into_bytes()
+    }
+
     #[test]
-    fn incoherent_octagon_matrix_is_rejected() {
-        // `(0, 3)` and its twin `(2, 1)` are one constraint; a payload in
-        // which they differ names no octagon, and packing it would keep
-        // one half and silently drop what the other said.
-        let oct = |torn: bool| {
-            let mut w = Writer::new();
-            w.u8(2);
-            w.u64(2);
-            w.str("x");
-            w.str("y");
-            let mut dbm = [i64::MAX; 16];
-            for i in 0..4 {
-                dbm[i * 4 + i] = 0;
-            }
-            (dbm[3], dbm[2 * 4 + 1]) = (7, if torn { 8 } else { 7 });
-            put_dbm_compact(&dbm, &mut w);
-            w.into_bytes()
+    fn octagon_parts_the_half_cannot_vouch_for_are_rejected() {
+        // Over x and y the half is rows 0..4 of widths 2, 2, 4, 4; slots 0
+        // and 3 are x's diagonal twins, 6 and 11 are y's.
+        let mut good = [i64::MAX; 12];
+        for at in [0, 3, 6, 11] {
+            good[at] = 0;
+        }
+        good[4] = 7; // y − x ≤ 7
+        let invariants = PersistError::Corrupt("octagon parts violate invariants".to_string());
+        let decode = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            let out = OctagonDomain::get(&mut r);
+            (out, r.remaining())
         };
-        let bytes = oct(true);
-        let mut r = Reader::new(&bytes);
-        let err = OctagonDomain::get(&mut r).unwrap_err();
+        // Twins that are both stored must agree: the two diagonal entries
+        // of a block. Refused after the half is read, not inside it.
+        for at in [0, 3, 6, 11] {
+            let mut torn = good;
+            torn[at] = -1;
+            assert_eq!(
+                decode(&oct_bytes(&["x", "y"], &torn)),
+                (Err(invariants.clone()), 0)
+            );
+        }
+        // Names out of order, or one name twice.
+        for names in [["y", "x"], ["x", "x"]] {
+            assert_eq!(
+                decode(&oct_bytes(&names, &good)),
+                (Err(invariants.clone()), 0)
+            );
+        }
+        // A half too short for its names ends the input; a run that would
+        // make it too long is refused where it starts.
         assert_eq!(
-            err,
-            PersistError::Corrupt("octagon parts violate invariants".to_string())
+            decode(&oct_bytes(&["x", "y"], &good[..10])).0,
+            Err(PersistError::Truncated)
         );
-        assert!(r.is_exhausted(), "refused after the matrix, not inside it");
-        // Its coherent neighbour decodes, and re-encodes to the same bytes.
-        let bytes = oct(false);
+        let mut long = oct_bytes(&["x"], &[0, i64::MAX]);
+        long.extend([DBM_INF_RUN, 3, 0, 0, 0]);
+        assert!(matches!(decode(&long).0, Err(PersistError::Corrupt(m)) if m.contains("run")));
+        // The valid neighbour decodes, and re-encodes to the same bytes.
+        let bytes = oct_bytes(&["x", "y"], &good);
         let back = OctagonDomain::get(&mut Reader::new(&bytes)).unwrap();
+        let assumed = dai_lang::parse_expr("y - x <= 7").unwrap();
+        assert_eq!(back, OctagonDomain::top().transfer(&Stmt::Assume(assumed)));
         let mut w = Writer::new();
         back.put(&mut w);
         assert_eq!(w.into_bytes(), bytes);
     }
 
     #[test]
-    fn octagon_encoding_is_byte_identical_to_the_full_matrix_writer() {
-        // Recorded at b75001f, whose octagons stored — and whose encoder
-        // walked — the full matrix: unary bounds (one beyond the one-byte
-        // tokens), relational content, and INF runs across row boundaries.
+    fn octagon_encoding_is_the_packed_half_and_is_pinned() {
+        // Unary bounds (one beyond the one-byte tokens), relational content,
+        // and INF runs across row boundaries. The bytes are the header and
+        // the token encoding of exactly the words the octagon stores.
         let golden = [
-            ("x := 5; y >= -3; y <= 100000; z <= -77", "02030000000000000001000000000000007801000000000000007901000000000000007a001410fea586010000000000ff010000008f130003fe9b86010000000000ff01000000a3fe9b86010000000000fea58601000000000000fe400d030000000000ff01000000fe538601000000000003100c00ff0100000093a38f93fe538601000000000000fe66ffffffffffffffff0500000000"),
-            ("i < j; j - k <= 7; i + k <= 12; m := -i + 2; i >= 0", "02040000000000000001000000000000006901000000000000006a01000000000000006b01000000000000006d002401260c182004000001260c1803042626004c0e3e222a010103000a1605021818163e0030141c0c0c0a0e180008100404022a101c00080320052208141c00"),
-            ("a := u * u; b := u * u; c := u * u; d := u * u; e := u * u; f := u * u; g := u * u; h := u * u; d - g <= 9; h := 1", "02080000000000000001000000000000006101000000000000006201000000000000006301000000000000006401000000000000006501000000000000006601000000000000006701000000000000006800ff1000000000ff1000000000ff1000000000ff1000000000ff1000000000ff1000000000ff0500000012ff0a00000000ff1000000000ff1000000000ff1000000000ff1000000000ff1000000000ff0a00000012ff0500000000ff100000000004ff0e0000000300"),
+            ("x := 5; y >= -3; y <= 100000; z <= -77", "03030000000000000001000000000000007801000000000000007901000000000000007a00141300fe9b86010000000000fea58601000000000000fe400d03000000000003100c00a38f93fe538601000000000000fe66ffffffffffffffff0500000000"),
+            ("i < j; j - k <= 7; i + k <= 12; m := -i + 2; i >= 0", "03040000000000000001000000000000006901000000000000006a01000000000000006b01000000000000006d002400002626004c010103001818163e00300c0c0a0e18000404022a101c00080320052208141c00"),
+            ("a := u * u; b := u * u; c := u * u; d := u * u; e := u * u; f := u * u; g := u * u; h := u * u; d - g <= 9; h := 1", "03080000000000000001000000000000006101000000000000006201000000000000006301000000000000006401000000000000006501000000000000006601000000000000006701000000000000006800ff0200000000ff0200000000ff0400000000ff0400000000ff0600000000ff0600000000ff0800000000ff0800000000ff0a00000000ff0a00000000ff0c00000000ff0c00000000ff0800000012ff0500000000ff0e0000000004ff0e0000000300"),
         ];
         for (script, hex) in golden {
             let oct = script.split("; ").fold(OctagonDomain::top(), |d, line| {
@@ -1540,28 +1571,39 @@ mod tests {
             let bytes = w.into_bytes();
             let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(got, hex, "{oct}");
+            let OctagonDomain::Oct(o) = &oct else {
+                panic!("{script} is not ⊥")
+            };
+            let names: Vec<&str> = o.vars().iter().map(Symbol::as_str).collect();
+            assert_eq!(bytes, oct_bytes(&names, o.packed()));
             assert_eq!(OctagonDomain::get(&mut Reader::new(&bytes)).unwrap(), oct);
         }
     }
 
     #[test]
-    fn retired_raw_octagon_tag_is_an_unknown_tag() {
-        // Tag 1 (raw 8-bytes-per-entry DBM) is no longer decoded: a
-        // payload carrying it — here a well-formed one-variable octagon in
-        // the old layout — fails on the tag byte, like any unknown tag,
-        // before a variable or matrix entry is read or allocated.
-        let mut w = Writer::new();
-        w.u8(1);
-        w.u64(1);
-        w.str("x");
-        for _ in 0..4 {
-            w.i64(i64::MAX);
+    fn retired_full_matrix_octagon_tags_are_unknown_tags() {
+        // Tags 1 (raw 8-bytes-per-entry) and 2 (token-encoded) carried the
+        // full matrix and are no longer decoded: a payload carrying one —
+        // here a well-formed one-variable octagon in each old layout —
+        // fails on the tag byte, like any unknown tag, before a variable
+        // or matrix entry is read or allocated.
+        let full = [0, i64::MAX, i64::MAX, 0];
+        for (tag, matrix) in [(1, &full[..]), (2, &full[..])] {
+            let mut w = Writer::new();
+            w.u8(tag);
+            w.u64(1);
+            w.str("x");
+            if tag == 1 {
+                matrix.iter().for_each(|&c| w.i64(c));
+            } else {
+                put_dbm_compact(matrix, &mut w);
+            }
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            let err = OctagonDomain::get(&mut r).unwrap_err();
+            assert_eq!(err, bad_tag("octagon", tag));
+            assert_eq!(r.remaining(), bytes.len() - 1, "only the tag was read");
         }
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let err = OctagonDomain::get(&mut r).unwrap_err();
-        assert_eq!(err, bad_tag("octagon", 1));
-        assert_eq!(r.remaining(), bytes.len() - 1, "only the tag was read");
         let mut w = Writer::new();
         w.u8(9);
         let unknown = OctagonDomain::get(&mut Reader::new(&w.into_bytes())).unwrap_err();

@@ -8,7 +8,8 @@
 //! edit/query stream — clearing the memo table, bounding its capacity so
 //! it continually evicts, dirtying whole DAIGs, and purging the summary
 //! analyzer — and assert that query answers never change relative to an
-//! unperturbed twin run over the same stream.
+//! unperturbed twin run over the same stream. A failed save is the same
+//! kind of fault one layer up: it must cost nothing but the save.
 
 use dai_bench::workload::Workload;
 use dai_core::analysis::FuncAnalysis;
@@ -293,4 +294,66 @@ fn splice_after_a_query_ran_out_of_fuel_mid_loop_is_from_scratch_consistent() {
     // Delayed widening keeps the loop unrolling; the failure lands three
     // unrollings in, as exhausted fuel would.
     splice_after_query_failed_in_loop(4, dai_core::FixStrategy::delayed(6));
+}
+
+#[test]
+fn a_save_that_cannot_write_journals_nothing_and_the_next_good_save_carries_its_entries() {
+    use dai_engine::{Engine, EngineError, JournalConfig, JournalRecord, Service};
+    let dir = std::env::temp_dir().join(format!("dai-failed-save-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal_path = dir.join("journal.daij");
+    let _ = std::fs::remove_file(&journal_path);
+    let engine: Engine<OctagonDomain> = Engine::new(1);
+    engine
+        .open_journal(&journal_path, JournalConfig::default())
+        .unwrap();
+    let src = "function f(n) { var i = 0; while (i < n) { i = i + 1; } return i; }";
+    let session = engine.open_session_src("s", src).unwrap();
+    let exit = engine
+        .program_of(session)
+        .unwrap()
+        .by_name("f")
+        .unwrap()
+        .exit();
+    engine.query(session, "f", exit).unwrap();
+    let journal = engine.journal().unwrap();
+    let deltas = || {
+        let bytes = std::fs::read(&journal_path).unwrap();
+        let entries = dai_journal::replay_bytes(&bytes).entries.into_iter();
+        entries
+            .filter(|e| matches!(e.record, JournalRecord::MemoDelta { .. }))
+            .count()
+    };
+    let frames_before = journal.frames();
+
+    // The directory does not exist: the temporary cannot be created.
+    let unwritable = dir.join("no-such-dir").join("snap.daip");
+    let err =
+        Service::<OctagonDomain>::save(&engine, session, unwritable.to_str().unwrap()).unwrap_err();
+    assert!(
+        matches!(&err, EngineError::Persist(dai_persist::PersistError::Io(m)) if m.contains("no-such-dir")),
+        "{err}"
+    );
+    assert_eq!(
+        (journal.frames(), deltas()),
+        (frames_before, 0),
+        "nothing journaled"
+    );
+    assert_eq!(engine.stats().saves, 0);
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        1,
+        "no temporary left behind"
+    );
+
+    // The mark stayed where it was: the next save that lands journals
+    // everything the failed one would have, and the one after it nothing.
+    let good = dir.join("snap.daip");
+    let saved = Service::<OctagonDomain>::save(&engine, session, good.to_str().unwrap()).unwrap();
+    assert!(saved.memo_entries > 0);
+    assert_eq!(saved.memo_journaled, saved.memo_entries);
+    assert_eq!(deltas(), 1);
+    let again = Service::<OctagonDomain>::save(&engine, session, good.to_str().unwrap()).unwrap();
+    assert_eq!((again.memo_journaled, deltas()), (0, 1));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,8 +21,12 @@ use dai_domains::{IntervalDomain, OctagonDomain};
 use dai_engine::{Engine, EngineConfig, EngineError, Request, ResolverChoice, Response, SessionId};
 use dai_lang::cfg::lower_program;
 use dai_lang::{parse_program, Loc, Symbol};
-use dai_persist::{PersistDomain, TAG_FUNC, TAG_SESSION};
+use dai_persist::{
+    read_sections, Persist, PersistDomain, Reader, SessionImage, SnapshotWriter, Writer, TAG_FUNC,
+    TAG_MEMO, TAG_SESSION,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 type D = OctagonDomain;
 
@@ -182,6 +186,124 @@ fn corrupted_func_and_memo_sections_degrade_to_cold_start() {
     );
 }
 
+/// `bytes` with the payload of every section tagged `tag` passed through
+/// `edit` and re-framed, so its checksum is good and only the decoder can
+/// object.
+fn with_payloads_edited(bytes: &[u8], tag: [u8; 4], edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = SnapshotWriter::new();
+    let mut edited = 0;
+    for s in read_sections(bytes).unwrap().sections {
+        let mut payload = s.payload.expect("clean file").to_vec();
+        if s.tag == tag {
+            edit(&mut payload);
+            edited += 1;
+        }
+        out.section(s.tag, s.version, &payload);
+    }
+    assert!(edited > 0);
+    out.into_bytes()
+}
+
+#[test]
+fn hostile_state_tables_and_retired_octagon_tags_drop_their_section_and_restore_cold() {
+    let (engine, session, targets, live) = grown_session(6, 0x7AB1E);
+    let path = scratch("hostile.daip");
+    save_to(&engine, session, &path);
+    drop(engine);
+    let bytes = std::fs::read(&path).unwrap();
+    // Where a FUNC payload's state table starts: after the name and φ₀.
+    let table_at = |payload: &[u8]| {
+        let mut r = Reader::new(payload);
+        Symbol::get(&mut r).unwrap();
+        D::get(&mut r).unwrap();
+        payload.len() - r.remaining()
+    };
+    // … and where its first cell's state index sits: after the table, the
+    // cell count, the cell's name and the marker that says "a state".
+    let first_ref_at = |payload: &[u8]| {
+        let mut r = Reader::new(&payload[table_at(payload)..]);
+        Vec::<D>::get(&mut r).unwrap();
+        r.u64().unwrap();
+        dai_core::name::Name::get(&mut r).unwrap();
+        assert_eq!(r.u8().unwrap(), 2, "the entry cell holds a state");
+        payload.len() - r.remaining()
+    };
+    let funcs = read_sections(&bytes).unwrap();
+    let funcs = funcs.sections.iter().filter(|s| s.tag == TAG_FUNC).count();
+    type Edit<'a> = Box<dyn Fn(&mut Vec<u8>) + 'a>;
+    let cases: Vec<(&str, [u8; 4], Edit)> = vec![
+        (
+            "a table count beyond the input",
+            TAG_FUNC,
+            Box::new(|p| {
+                let at = table_at(p);
+                p[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            }),
+        ),
+        (
+            "a state index out of range",
+            TAG_FUNC,
+            Box::new(|p| {
+                let at = first_ref_at(p);
+                p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            }),
+        ),
+        (
+            "a forward state index",
+            TAG_FUNC,
+            Box::new(|p| {
+                let at = first_ref_at(p);
+                p[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+            }),
+        ),
+        (
+            "a retired octagon tag in the table",
+            TAG_FUNC,
+            Box::new(|p| {
+                let at = table_at(p) + 8;
+                assert_eq!(p[at], 3, "the table's first state is a packed octagon");
+                p[at] = 2;
+            }),
+        ),
+        (
+            "a memo table count beyond the input",
+            TAG_MEMO,
+            Box::new(|p| {
+                p[2..10].copy_from_slice(&u64::MAX.to_le_bytes());
+            }),
+        ),
+        (
+            "a memo payload of another layout",
+            TAG_MEMO,
+            Box::new(|p| {
+                p[..2].copy_from_slice(&3u16.to_le_bytes());
+            }),
+        ),
+    ];
+    let hostile = scratch("hostile_edited.daip");
+    for (what, tag, edit) in cases {
+        std::fs::write(&hostile, with_payloads_edited(&bytes, tag, edit)).unwrap();
+        let fresh: Engine<D> = Engine::new(1);
+        let (restored, outcome) =
+            load_from(&fresh, &hostile).unwrap_or_else(|e| panic!("{what}: {e}"));
+        if tag == TAG_FUNC {
+            assert_eq!((outcome.funcs, outcome.funcs_dropped), (0, funcs), "{what}");
+            assert!(
+                outcome.memo_entries > 0,
+                "{what}: the memo section is its own"
+            );
+        } else {
+            assert_eq!(
+                (outcome.funcs, outcome.memo_sections_dropped),
+                (funcs, 1),
+                "{what}"
+            );
+            assert_eq!(outcome.memo_entries, 0, "{what}");
+        }
+        assert_eq!(sweep(&fresh, restored, &targets), live, "{what}");
+    }
+}
+
 #[test]
 fn corrupted_session_header_fails_cleanly() {
     let (engine, session, _, _) = grown_session(4, 0x5E55);
@@ -209,6 +331,25 @@ fn every_truncation_prefix_is_cold_start_or_clean_error() {
     save_to(&engine, session, &path);
     drop(engine);
     let bytes = std::fs::read(&path).unwrap();
+    // The file under the knife holds state tables that do something: its
+    // cells repeat states, and decoding hands the repeats one handle.
+    let (image, _) = SessionImage::<D>::from_bytes(&bytes).unwrap();
+    let states = image.funcs.iter().flat_map(|f| {
+        let cells = f
+            .daig
+            .ids()
+            .filter_map(|id| f.daig.value_id(id)?.as_state());
+        cells.map(|s| s.encode_identity().unwrap())
+    });
+    let states: Vec<u64> = states.collect();
+    let handles: std::collections::HashSet<u64> = states.iter().copied().collect();
+    assert!(
+        handles.len() < states.len(),
+        "{} of {}",
+        handles.len(),
+        states.len()
+    );
+    drop(image);
     // Sample prefixes across the whole file (every byte would be slow with
     // engine startup per cut; a stride still crosses every section
     // boundary region).
@@ -230,6 +371,56 @@ fn every_truncation_prefix_is_cold_start_or_clean_error() {
             }
         }
     }
+}
+
+#[test]
+fn two_saves_racing_to_one_path_leave_one_whole_image() {
+    // Two workers, two sessions, one path: each save writes its own
+    // temporary and renames it, so whichever rename lands last the file is
+    // one of the two images, whole — never a mix, and never a failed save
+    // because the other renamed "its" temporary away.
+    let engine: Arc<Engine<D>> = Arc::new(Engine::new(2));
+    let sessions = [3usize, 5].map(|edits| {
+        let session = engine
+            .open_session_src(format!("racer-{edits}"), &Workload::initial_source())
+            .unwrap();
+        let mut gen = Workload::new(edits as u64);
+        for _ in 0..edits {
+            let edit = gen.next_edit(&engine.program_of(session).unwrap());
+            engine.request(Request::Edit { session, edit }).unwrap();
+        }
+        let targets = all_targets(&*engine, session);
+        (session, sweep(&*engine, session, &targets), targets)
+    });
+    let path = scratch("raced.daip");
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for (session, _, _) in &sessions {
+            let (engine, path, start) = (&engine, &path, &start);
+            scope.spawn(move || {
+                start.wait();
+                for _ in 0..25 {
+                    save_to(&**engine, *session, path);
+                }
+            });
+        }
+    });
+    let fresh: Engine<D> = Engine::new(1);
+    let (restored, outcome) = load_from(&fresh, &path).expect("the survivor loads");
+    assert!(
+        !outcome.truncated && outcome.funcs_dropped == 0,
+        "{outcome:?}"
+    );
+    let whole = sessions.iter().any(|(_, live, targets)| {
+        all_targets(&fresh, restored) == *targets && sweep(&fresh, restored, targets) == *live
+    });
+    assert!(whole, "the file is neither session's image");
+    let dir = path.parent().unwrap();
+    let litter: Vec<_> = std::fs::read_dir(dir).unwrap().flatten().collect();
+    let stray = litter
+        .iter()
+        .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"));
+    assert_eq!(stray.count(), 0, "temporaries are renamed, not left");
 }
 
 #[test]
@@ -453,6 +644,72 @@ fn run_random_roundtrip(seed: u64, edits: usize) {
         live_dot,
         "seed {seed}: DOT mismatch after restore"
     );
+}
+
+/// Entries on the edges of the token codec (±126 and ±127: one byte or
+/// the escape), of `i64`, of the `INF` sentinel and of the closure's
+/// exactness bound 2⁴⁰.
+const EDGE_ENTRIES: [i64; 21] = [
+    i64::MAX,
+    i64::MAX - 1,
+    i64::MIN,
+    i64::MIN + 1,
+    0,
+    1,
+    -1,
+    126,
+    -126,
+    127,
+    -127,
+    128,
+    -128,
+    1 << 40,
+    -(1 << 40),
+    (1 << 40) + 1,
+    -(1 << 40) - 1,
+    (1 << 40) - 1,
+    1 - (1 << 40),
+    i64::MAX / 2,
+    i64::MIN / 2,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    /// Any half the domain can hold survives the wire exactly: the decoded
+    /// octagon is equal, hashes to the same fingerprint, and encodes to
+    /// the same bytes — whatever sits in its entries.
+    #[test]
+    fn packed_octagons_with_edge_entries_roundtrip_exactly(
+        n in 0usize..5,
+        picks in prop::collection::vec(0usize..EDGE_ENTRIES.len() * 2, 60..61),
+    ) {
+        use dai_domains::octagon::Oct;
+        let vars: Vec<Symbol> = (0..n).map(|i| Symbol::new(format!("v{i}"))).collect();
+        // Half the draws are INF, as in a real matrix, so runs form.
+        let entry = |p: usize| EDGE_ENTRIES.get(p).copied().unwrap_or(i64::MAX);
+        let mut half: Vec<i64> = picks[..2 * n * (n + 1)].iter().map(|&p| entry(p)).collect();
+        for k in 0..n {
+            // Row i starts at ⌊(i+1)²/2⌋; a block's two diagonal entries
+            // are twins that are both stored.
+            let (even, odd) = (2 * k, 2 * k + 1);
+            half[(odd + 1) * (odd + 1) / 2 + odd] = half[(even + 1) * (even + 1) / 2 + even];
+        }
+        let oct = D::seal(Oct::from_packed(vars, half.clone()).expect("valid parts"));
+        let mut w = Writer::new();
+        oct.put(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back = D::get(&mut r).expect("decodes");
+        prop_assert!(r.is_exhausted());
+        prop_assert_eq!(&back, &oct);
+        prop_assert_eq!(dai_memo::content_digest(&back), dai_memo::content_digest(&oct));
+        let D::Oct(o) = &back else { panic!("not ⊥") };
+        prop_assert_eq!(o.packed(), &half[..]);
+        let mut again = Writer::new();
+        back.put(&mut again);
+        prop_assert_eq!(again.into_bytes(), bytes);
+    }
 }
 
 proptest! {

@@ -219,6 +219,60 @@ fn edit_interleaved_into_pending_batches_never_yields_stale_answers() {
 /// A failed edit must still advance the fence: the queries it deferred
 /// are released (and answered from the unchanged program), never stranded.
 #[test]
+fn pipelined_edits_to_one_session_apply_in_submit_order_on_any_worker() {
+    // Two edits in flight at once, on a pool wide enough to run both: the
+    // fence counts completions, so if the second could finish first the
+    // query stamped between them would be released against the first's
+    // old program. Each round's answers name the round.
+    const SRC: &str =
+        "function f(n) { var a = 0; return a; } function g(n) { var b = 0; return b; }";
+    let engine: Engine<IntervalDomain> = Engine::new(4);
+    let session = engine.open_session_src("ordered", SRC).unwrap();
+    let program = engine.program_of(session).unwrap();
+    let site = |func: &str, var: &str| {
+        let cfg = program.by_name(func).unwrap();
+        let prefix = format!("{var} = ");
+        let mut edges = cfg.edges();
+        let edge = edges.find(|e| e.stmt.to_string().starts_with(&prefix));
+        (edge.unwrap().id, cfg.exit())
+    };
+    let ((edge_f, exit_f), (edge_g, exit_g)) = (site("f", "a"), site("g", "b"));
+    let relabel = |func: &str, edge, var: &str, k: i64| Request::Edit {
+        session,
+        edit: ProgramEdit::Relabel {
+            func: Symbol::new(func),
+            edge,
+            stmt: dai_lang::Stmt::Assign(var.into(), dai_lang::Expr::Int(k)),
+        },
+    };
+    let query = |func: &str, loc| Request::Query {
+        session,
+        func: func.to_string(),
+        loc,
+    };
+    for k in 1..=300 {
+        let tickets = [
+            engine.submit(relabel("f", edge_f, "a", k)),
+            engine.submit(query("f", exit_f)),
+            engine.submit(relabel("g", edge_g, "b", -k)),
+            engine.submit(query("g", exit_g)),
+            engine.submit(query("f", exit_f)),
+        ];
+        let answers: Vec<String> = tickets
+            .into_iter()
+            .filter_map(|t| t.wait().unwrap().into_state())
+            .map(|s| s.to_string())
+            .collect();
+        let (a, b) = (format!("a: [{k}, {k}]"), format!("b: [{}, {}]", -k, -k));
+        let named = [&a, &b, &a]
+            .iter()
+            .zip(&answers)
+            .all(|(v, s)| s.contains(*v));
+        assert!(named && answers.len() == 3, "round {k}: {answers:?}");
+    }
+}
+
+#[test]
 fn failed_edit_still_releases_fenced_queries() {
     let engine: Engine<IntervalDomain> = Engine::new(1);
     let session = engine.open_session("fence", program(STRAIGHT));

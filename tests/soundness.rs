@@ -199,3 +199,78 @@ fn constprop_soundness_preserved_across_random_edits() {
 fn product_soundness_preserved_across_random_edits() {
     check_soundness_across_random_edits(Prod::new(IntervalDomain::top(), SignDomain::top()), &[13]);
 }
+
+// ---------------------------------------------------------------------
+// ROADMAP item 1: the two open holes around `return`, as red tests. Each
+// is `#[ignore]`d until its fix lands; `cargo test -- --ignored` runs
+// them, and the values they fail with today are recorded beside them.
+// ---------------------------------------------------------------------
+
+/// Item 1(a): an edge that leaves a loop from a non-head body location is
+/// read at iteration 0 only, so a fresh analysis misses the early return.
+/// Today the exit answers `{__ret: [5,+inf], i: [5,+inf], x: [0,0]}`
+/// where the program returns with `__ret = 7, i = 3, x = 7`.
+#[test]
+#[ignore = "ROADMAP item 1"]
+fn early_return_from_a_loop_body_is_modelled_at_the_exit() {
+    let src = include_str!("corpus/return_in_loop.dai");
+    check_soundness(src, IntervalDomain::top(), vec![]);
+    check_soundness(src, OctagonDomain::top(), vec![]);
+}
+
+/// A corpus edit script: `splice FUNC eN BLOCK`, one edit a line.
+fn edit_script(script: &str) -> Vec<(String, dai_lang::EdgeId, dai_lang::Block)> {
+    let lines = script.lines().filter(|l| !l.trim().is_empty());
+    let edits = lines.map(|line| {
+        let mut parts = line.splitn(4, ' ');
+        let (op, func, edge, block) = (parts.next(), parts.next(), parts.next(), parts.next());
+        assert_eq!(op, Some("splice"), "{line}");
+        let edge = edge
+            .and_then(|e| e.strip_prefix('e'))
+            .and_then(|e| e.parse().ok());
+        let edge = dai_lang::EdgeId(edge.unwrap_or_else(|| panic!("edge in `{line}`")));
+        let block = dai_lang::parse_block(block.expect("a block")).expect("block parses");
+        (func.expect("a function").to_string(), edge, block)
+    });
+    edits.collect()
+}
+
+/// Item 1(b): a splice that gives an *existing* location a second forward
+/// in-edge (the new `return` into the exit) installs no join there. Today
+/// the demanded exit answers ⊥ where a fresh analysis of the same CFG
+/// answers `{__ret: [5,5], x: [1,1]}`.
+#[test]
+#[ignore = "ROADMAP item 1"]
+fn a_spliced_return_joins_at_the_exit_like_a_fresh_analysis() {
+    let mut lowered =
+        lower_program(&parse_program(include_str!("corpus/return_after_splice.dai")).unwrap())
+            .unwrap();
+    let mut fa = FuncAnalysis::new(lowered.cfgs()[0].clone(), IntervalDomain::top());
+    let mut memo = MemoTable::new();
+    let sweep = |fa: &mut FuncAnalysis<IntervalDomain>, memo: &mut MemoTable<_>| {
+        let locs = fa.cfg().locs();
+        let answer = |loc| {
+            fa.query_loc(memo, loc, &mut IntraResolver, &mut QueryStats::default())
+                .unwrap_or_else(|e| panic!("query {loc}: {e}"))
+        };
+        locs.into_iter().map(answer).collect::<Vec<_>>()
+    };
+    sweep(&mut fa, &mut memo);
+    for (func, edge, block) in edit_script(include_str!("corpus/return_after_splice.edits")) {
+        fa.splice(edge, &block).unwrap();
+        lowered.splice(&func, edge, &block).unwrap();
+    }
+    let demanded = sweep(&mut fa, &mut memo);
+    let mut fresh = FuncAnalysis::new(fa.cfg().clone(), IntervalDomain::top());
+    assert_eq!(demanded, sweep(&mut fresh, &mut MemoTable::new()));
+    // And what both say covers what the program does.
+    let run = collect(&lowered, "main", vec![], 50_000);
+    for (loc, abs) in fa.cfg().locs().into_iter().zip(&demanded) {
+        for concrete in run.states_at("main", loc) {
+            assert!(
+                abs.models(concrete),
+                "UNSOUND at {loc}: {concrete:?} vs {abs}"
+            );
+        }
+    }
+}

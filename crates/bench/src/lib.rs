@@ -1,43 +1,30 @@
-//! # dai-bench — workloads and experiment harnesses
+//! # dai-bench — the paper's experiments and the workload generator
 //!
 //! Reproduces the evaluation of *Demanded Abstract Interpretation*
 //! (PLDI 2021):
 //!
 //! * [`workload`] — the §7.3 synthetic workload: random edit streams
 //!   (85% statement / 10% `if` / 5% `while` insertions, expressions
-//!   sampled from the grammar) interleaved with random queries;
+//!   sampled from the grammar) interleaved with random queries; the
+//!   differential suites under `tests/` draw their programs from it;
 //! * [`harness`] — the Fig. 10 measurement pipeline over the four driver
 //!   configurations, producing the scatter series, the latency CDF, and
-//!   the summary statistics table;
+//!   the summary statistics table (`fig10` binary);
 //! * [`buckets`] — the §7.2 interval / context-sensitivity experiment on
-//!   ports of the Buckets.js array functions;
+//!   ports of the Buckets.js array functions (`interval_buckets`);
 //! * [`lists`] — the §7.2 shape-analysis experiment (Fig. 1 `append` and
-//!   linked-list utilities);
-//! * [`engine_scaling`] — worker-pool throughput of the concurrent
-//!   `dai-engine` on the Fig. 10 workload (the `engine_scaling` binary
-//!   records `BENCH_engine.json` baselines, with `host_cpus` captured at
-//!   measurement time);
-//! * [`persist_bench`] — cold-start vs warm-start restore comparison for
-//!   the `dai-persist` snapshot subsystem (the `persist_bench` binary
-//!   records `BENCH_persist.json` and doubles as the CI roundtrip gate);
-//! * [`batch_bench`] — batched (coalesced) vs sequential query dispatch
-//!   on the Fig. 10 sweep (the `batch_bench` binary records
-//!   `BENCH_batch.json` and is the CI coalescing gate: identical answers,
-//!   strictly fewer session-lock acquisitions, one union-cone traversal
-//!   per cold coalesced batch);
-//! * [`rpc_bench`] — socket vs in-process dispatch through `dai-rpc` on
-//!   the same sweep (the `rpc_bench` binary records `BENCH_rpc.json` and
-//!   is the CI wire gate: identical answers, the sweep frame reproducing
-//!   the in-process lock/walk profile, strictly fewer locks than
-//!   per-query frames).
+//!   linked-list utilities; `shape_lists`).
+//!
+//! These are the paper's figures, not this repository's performance
+//! record. Throughput, latency, memory and the per-layer budgets of the
+//! engine, wire, snapshot and journal layers are measured by the one
+//! benchmark under `benchmark/` (`bash benchmark/run.sh`, five workloads,
+//! contract in `BENCHMARK.json`); the count invariants of those layers
+//! (locks per batch, cells recomputed after a restore, follower
+//! byte-equality, routed == served) are asserted by the suites under
+//! `tests/`.
 
-pub mod batch_bench;
 pub mod buckets;
-pub mod daig_bench;
-pub mod engine_scaling;
 pub mod harness;
 pub mod lists;
-pub mod persist_bench;
-pub mod replica_bench;
-pub mod rpc_bench;
 pub mod workload;

@@ -212,6 +212,17 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
             .copied()
             .filter(|h| !info.new_locs.contains(h))
             .collect();
+        // A new forward edge into any other *existing* location (a spliced
+        // `return` into the exit) makes it a join, or a wider one: its old
+        // in-edges must write pre-join cells and one `⊔` edge read them all.
+        let mut joined: Vec<Loc> = Vec::new();
+        for &e in &info.new_edges {
+            let dst = self.cfg.edge(e).expect("new edge exists").dst;
+            let handled = info.new_locs.contains(&dst) || promoted.contains(&dst);
+            if !self.cfg.is_back_edge(e) && !handled && !joined.contains(&dst) {
+                joined.push(dst);
+            }
+        }
         let mut reshaped = self.invalidate_reshaped_loops(&info, &promoted);
         for &h in &promoted {
             let ctx = crate::build::iter_ctx(&self.cfg, h, &ov);
@@ -236,7 +247,8 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         // about to change); this also rolls back enclosing loops when the
         // wave reaches their fix cells.
         let dest = self.moved_edge_dest(edge);
-        dirty_from(&mut self.daig, vec![dest]);
+        let joined_cells = joined.iter().map(|&l| dest_name(&self.cfg, l, &ov));
+        dirty_from(&mut self.daig, joined_cells.chain([dest]).collect());
         // A reshaped loop the waves did not reach (the spliced region leaves
         // the loop without reaching its back edge) would keep iterations
         // `≥ 1` that lack the new cells: roll it back as well.
@@ -250,14 +262,15 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
             let edge_ref = self.cfg.edge(e).expect("new edge exists");
             add_edge_structure(&mut self.daig, &self.cfg, edge_ref, &ov);
         }
-        // In-edges of promoted heads re-target the 0th iterate.
-        for &h in &promoted {
+        // In-edges of promoted heads re-target the 0th iterate; those of a
+        // new or widened join, its pre-join cells.
+        for &h in promoted.iter().chain(&joined) {
             for &e in self.cfg.fwd_in(h) {
                 let edge_ref = self.cfg.edge(e).expect("edge exists");
                 add_edge_structure(&mut self.daig, &self.cfg, edge_ref, &ov);
             }
         }
-        for &l in info.new_locs.iter().chain(&promoted) {
+        for &l in info.new_locs.iter().chain(&promoted).chain(&joined) {
             add_join_comp(&mut self.daig, &self.cfg, l, &ov);
         }
         // Re-point the moved edge's computation at its new source.

@@ -39,7 +39,9 @@
 //! digest per filled DAIG cell at write time, which turns the per-lookup
 //! cost for large abstract states (octagon matrices, shape graphs) from
 //! O(|state|) into O(1); on the Fig. 10 octagon workload this is a large
-//! fraction of the end-to-end query cost (see `BENCH_daig.json`).
+//! fraction of the end-to-end query cost (`memo.fetch_us`, `memo.record_us`
+//! and `memo.self_share` of `benchmark/run.sh --workload fig10_edit_query
+//! --trace 1` are where it shows).
 //!
 //! ```
 //! use dai_memo::{KeyBuilder, MemoTable};

@@ -70,10 +70,12 @@
 //!    ever substitute equal values, and dropping entries under capacity
 //!    pressure is always sound (§2.2).
 //!
-//! Throughput baselines live in `BENCH_engine.json` (recorded by
-//! `cargo run --release --bin engine_scaling -- --out BENCH_engine.json`);
-//! each baseline embeds `host_cpus`, since worker scaling is bounded by
-//! the hardware the baseline was taken on.
+//! Throughput is measured by the one benchmark under `benchmark/`
+//! (`bash benchmark/run.sh`; `durable_multi_session` is the workload with
+//! concurrent clients and `workers: 2`, and `engine.query_self_us`,
+//! `engine.session_locks` and `engine.coalesced_share` are the engine's
+//! per-layer metrics); a result that depends on threads is only as good
+//! as the core count of the host it was taken on.
 
 pub use dai_bench as bench;
 pub use dai_core as core;

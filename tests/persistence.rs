@@ -11,7 +11,8 @@
 //! 2. a property test over random edit histories, checking values *and*
 //!    DOT bytes against the live session;
 //! 3. adversarial files: corrupted `FUNC`/`MEMO` sections must load cold
-//!    with identical answers, a corrupted `SESS` section must fail
+//!    with identical answers (and with `MEMO` intact, memo-warm: strictly
+//!    fewer cells computed), a corrupted `SESS` section must fail
 //!    cleanly, and every truncation prefix must either fail cleanly or
 //!    restore a session that still answers identically.
 
@@ -155,34 +156,46 @@ fn corrupted_func_and_memo_sections_degrade_to_cold_start() {
     let path = scratch("damaged.daip");
     save_to(&engine, session, &path);
     drop(engine);
+    let clean = std::fs::read(&path).unwrap();
 
-    // Flip one byte inside every FUNC and MEMO payload.
-    let mut bytes = std::fs::read(&path).unwrap();
-    let positions: Vec<usize> = bytes
-        .windows(4)
-        .enumerate()
-        .filter(|(_, w)| *w == TAG_FUNC || *w == b"MEMO")
-        .map(|(i, _)| i)
-        .collect();
-    assert!(!positions.is_empty());
-    for at in positions {
-        bytes[at + 24] ^= 0xA5;
-    }
-    let damaged = scratch("damaged_flipped.daip");
-    std::fs::write(&damaged, &bytes).unwrap();
+    // One byte flipped inside every payload tagged one of `tags`, loaded
+    // into a fresh engine and swept: what the load kept, and how many
+    // cells the sweep had to compute.
+    let restore_damaged = |tags: &[[u8; 4]]| {
+        let mut bytes = clean.clone();
+        let positions: Vec<usize> = bytes
+            .windows(4)
+            .enumerate()
+            .filter(|(_, w)| tags.iter().any(|t| w == t))
+            .map(|(i, _)| i)
+            .collect();
+        assert!(!positions.is_empty());
+        for at in positions {
+            bytes[at + 24] ^= 0xA5;
+        }
+        let damaged = scratch("damaged_flipped.daip");
+        std::fs::write(&damaged, &bytes).unwrap();
+        let fresh: Engine<D> = Engine::new(1);
+        let (restored, outcome) = load_from(&fresh, &damaged).expect("lossy load still succeeds");
+        // Whatever was dropped, requerying gives the identical answers.
+        let answers = sweep(&fresh, restored, &targets);
+        assert_eq!(answers, live, "damaged {tags:?}: answers differ");
+        (outcome, fresh.stats().query_stats.computed)
+    };
 
-    let fresh: Engine<D> = Engine::new(1);
-    let (restored, outcome) = load_from(&fresh, &damaged).expect("lossy load still succeeds");
-    assert_eq!(outcome.funcs, 0, "every warm section dropped: {outcome:?}");
-    assert!(outcome.funcs_dropped > 0);
-    // Cold, but correct: requerying recomputes the identical answers.
-    let before = fresh.stats().query_stats;
-    let answers = sweep(&fresh, restored, &targets);
-    assert_eq!(answers, live, "cold restore answers differ");
-    let after = fresh.stats().query_stats;
+    let (cold, cold_computed) = restore_damaged(&[TAG_FUNC, TAG_MEMO]);
+    assert_eq!(cold.funcs, 0, "every warm section dropped: {cold:?}");
+    assert!(cold.funcs_dropped > 0 && cold.memo_entries == 0, "{cold:?}");
+    assert!(cold_computed > 0, "cold restore must recompute");
+
+    // Memo-only warm start: every DAIG is rebuilt empty, but what the memo
+    // table kept answers part of the sweep — strictly fewer cells computed.
+    let (memo_only, memo_computed) = restore_damaged(&[TAG_FUNC]);
+    assert_eq!(memo_only.funcs, 0, "{memo_only:?}");
+    assert!(memo_only.memo_entries > 0, "MEMO survives: {memo_only:?}");
     assert!(
-        after.computed > before.computed,
-        "cold restore must recompute"
+        memo_computed < cold_computed,
+        "memo-only restore computed {memo_computed} cells, cold {cold_computed}"
     );
 }
 

@@ -104,13 +104,16 @@ fn follower_matches_leader(resolver: ResolverChoice, tag: &str) {
     let server = Server::bind(&Addr::Unix(scratch(tag)), Arc::clone(&leader)).unwrap();
     // The follower engine mirrors the leader's resolver configuration
     // (the stream carries edits, not resolver policy).
-    let client = dai_rpc::Client::connect(&server.addr().to_string()).unwrap();
-    let follower_engine: Arc<Engine<OctagonDomain>> = Arc::new(Engine::with_config(EngineConfig {
-        workers: 1,
-        resolver,
-        ..EngineConfig::default()
-    }));
-    let follower = Replica::new(client, follower_engine);
+    let fresh_follower = || {
+        let client = dai_rpc::Client::connect(&server.addr().to_string()).unwrap();
+        let engine: Arc<Engine<OctagonDomain>> = Arc::new(Engine::with_config(EngineConfig {
+            workers: 1,
+            resolver,
+            ..EngineConfig::default()
+        }));
+        Replica::new(client, engine)
+    };
+    let follower = fresh_follower();
     let applied = follower.catch_up().unwrap();
     assert_eq!(
         applied,
@@ -141,6 +144,17 @@ fn follower_matches_leader(resolver: ResolverChoice, tag: &str) {
         stats.replication.applied_frames,
         1 + edits.len() as u64,
         "every frame applied exactly once"
+    );
+
+    // A follower keeps no journal of its own, so a restart loses all of
+    // its state: the next one replays the leader's from frame zero and
+    // applies exactly the frames the first did.
+    drop(follower);
+    let restarted = fresh_follower();
+    assert_eq!(restarted.catch_up().unwrap(), applied, "restart replay");
+    assert_eq!(
+        restarted.engine().stats().replication.applied_frames,
+        applied
     );
     server.shutdown();
 }

@@ -1370,22 +1370,33 @@ fn a_warm_request_costs_one_read_one_write_and_one_wakeup() {
     for answer in client.query_sweep(session, &targets) {
         answer.unwrap();
     }
-    let spent = |work: &dyn Fn()| {
+    // What `work` (`trips` round trips) cost the server; the per-trip
+    // figures are what `--nocapture` shows of the budget pinned below.
+    let spent = |what: &str, trips: u32, work: &dyn Fn()| {
         let before = server.io_stats();
         work();
         let after = server.io_stats();
-        dai_rpc::IoStats {
+        let io = dai_rpc::IoStats {
             reads: after.reads - before.reads,
             writes: after.writes - before.writes,
             wakeups: after.wakeups - before.wakeups,
             pipe_writes: after.pipe_writes - before.pipe_writes,
             ..after
-        }
+        };
+        let per = |n: u64| n as f64 / f64::from(trips);
+        println!(
+            "{what}: reads {:.2} writes {:.2} loop wake-ups {:.2} self-pipe writes {:.2}",
+            per(io.reads),
+            per(io.writes),
+            per(io.wakeups),
+            per(io.pipe_writes),
+        );
+        io
     };
 
     // 200 warm single queries: the request's arrival wakes the loop once
     // and is read once; the worker that answers writes the response.
-    let singles = spent(&|| {
+    let singles = spent("warm single query, per round trip", 200, &|| {
         for loc in cycle(200) {
             client.query(session, "f", loc).unwrap();
         }
@@ -1397,7 +1408,7 @@ fn a_warm_request_costs_one_read_one_write_and_one_wakeup() {
 
     // A 200-frame burst: read in a few gulps, coalesced into a few runs,
     // each run's responses sent by its last member in one write.
-    let burst = spent(&|| {
+    let burst = spent("one 200-frame pipelined burst", 1, &|| {
         for answer in client.pipeline_queries(session, "f", &cycle(200)) {
             answer.unwrap();
         }
@@ -1407,7 +1418,7 @@ fn a_warm_request_costs_one_read_one_write_and_one_wakeup() {
     assert_eq!(burst.pipe_writes, 0, "{burst:?}");
 
     // A 500-member sweep: one frame in, one frame out.
-    let sweep = spent(&|| {
+    let sweep = spent("one 500-member sweep", 1, &|| {
         for answer in client.query_sweep(session, &targets) {
             answer.unwrap();
         }

@@ -201,9 +201,9 @@ fn product_soundness_preserved_across_random_edits() {
 }
 
 // ---------------------------------------------------------------------
-// ROADMAP item 1: the two open holes around `return`, as red tests. Each
-// is `#[ignore]`d until its fix lands; `cargo test -- --ignored` runs
-// them, and the values they fail with today are recorded beside them.
+// ROADMAP item 1: the two holes around `return`. (a) is open and a red
+// test, `#[ignore]`d until its fix lands (`cargo test -- --ignored` runs
+// it; the values it fails with today are recorded beside it); (b) is fixed.
 // ---------------------------------------------------------------------
 
 /// Item 1(a): an edge that leaves a loop from a non-head body location is
@@ -235,42 +235,60 @@ fn edit_script(script: &str) -> Vec<(String, dai_lang::EdgeId, dai_lang::Block)>
     edits.collect()
 }
 
-/// Item 1(b): a splice that gives an *existing* location a second forward
-/// in-edge (the new `return` into the exit) installs no join there. Today
-/// the demanded exit answers ⊥ where a fresh analysis of the same CFG
-/// answers `{__ret: [5,5], x: [1,1]}`.
+/// Item 1(b): a splice that gives an *existing* location one more forward
+/// in-edge (the new `return` into the exit) installs a join there, as a
+/// fresh analysis of the same CFG does. Before the fix the demanded exit
+/// of the first program answered ⊥ where a fresh one answers
+/// `{__ret: [5,5], x: [1,1]}`.
 #[test]
-#[ignore = "ROADMAP item 1"]
 fn a_spliced_return_joins_at_the_exit_like_a_fresh_analysis() {
-    let mut lowered =
-        lower_program(&parse_program(include_str!("corpus/return_after_splice.dai")).unwrap())
-            .unwrap();
-    let mut fa = FuncAnalysis::new(lowered.cfgs()[0].clone(), IntervalDomain::top());
-    let mut memo = MemoTable::new();
-    let sweep = |fa: &mut FuncAnalysis<IntervalDomain>, memo: &mut MemoTable<_>| {
-        let locs = fa.cfg().locs();
-        let answer = |loc| {
-            fa.query_loc(memo, loc, &mut IntraResolver, &mut QueryStats::default())
-                .unwrap_or_else(|e| panic!("query {loc}: {e}"))
+    // Program, edit script, and whether the answers are also held against
+    // the concrete interpreter: the second `return` leaves a loop body, and
+    // what a fresh analysis says of that is item 1(a).
+    let corpus = [
+        (
+            include_str!("corpus/return_after_splice.dai"),
+            include_str!("corpus/return_after_splice.edits"),
+            true,
+        ),
+        (
+            include_str!("corpus/return_spliced_in_loop.dai"),
+            include_str!("corpus/return_spliced_in_loop.edits"),
+            false,
+        ),
+    ];
+    for (src, edits, check_concrete) in corpus {
+        let mut lowered = lower_program(&parse_program(src).unwrap()).unwrap();
+        let mut fa = FuncAnalysis::new(lowered.cfgs()[0].clone(), IntervalDomain::top());
+        let mut memo = MemoTable::new();
+        let sweep = |fa: &mut FuncAnalysis<IntervalDomain>, memo: &mut MemoTable<_>| {
+            let locs = fa.cfg().locs();
+            let answer = |loc| {
+                fa.query_loc(memo, loc, &mut IntraResolver, &mut QueryStats::default())
+                    .unwrap_or_else(|e| panic!("query {loc}: {e}"))
+            };
+            locs.into_iter().map(answer).collect::<Vec<_>>()
         };
-        locs.into_iter().map(answer).collect::<Vec<_>>()
-    };
-    sweep(&mut fa, &mut memo);
-    for (func, edge, block) in edit_script(include_str!("corpus/return_after_splice.edits")) {
-        fa.splice(edge, &block).unwrap();
-        lowered.splice(&func, edge, &block).unwrap();
-    }
-    let demanded = sweep(&mut fa, &mut memo);
-    let mut fresh = FuncAnalysis::new(fa.cfg().clone(), IntervalDomain::top());
-    assert_eq!(demanded, sweep(&mut fresh, &mut MemoTable::new()));
-    // And what both say covers what the program does.
-    let run = collect(&lowered, "main", vec![], 50_000);
-    for (loc, abs) in fa.cfg().locs().into_iter().zip(&demanded) {
-        for concrete in run.states_at("main", loc) {
-            assert!(
-                abs.models(concrete),
-                "UNSOUND at {loc}: {concrete:?} vs {abs}"
-            );
+        sweep(&mut fa, &mut memo);
+        for (func, edge, block) in edit_script(edits) {
+            fa.splice(edge, &block).unwrap();
+            lowered.splice(&func, edge, &block).unwrap();
+        }
+        let demanded = sweep(&mut fa, &mut memo);
+        let mut fresh = FuncAnalysis::new(fa.cfg().clone(), IntervalDomain::top());
+        assert_eq!(demanded, sweep(&mut fresh, &mut MemoTable::new()), "{src}");
+        if !check_concrete {
+            continue;
+        }
+        // And what both say covers what the program does.
+        let run = collect(&lowered, "main", vec![], 50_000);
+        for (loc, abs) in fa.cfg().locs().into_iter().zip(&demanded) {
+            for concrete in run.states_at("main", loc) {
+                assert!(
+                    abs.models(concrete),
+                    "UNSOUND at {loc}: {concrete:?} vs {abs}"
+                );
+            }
         }
     }
 }

@@ -350,7 +350,7 @@ fn fuse_runs<D: AbstractDomain>(cfg: &Cfg, entries: &[Option<Entry<D>>]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dai_domains::{IntervalDomain, OctagonDomain, TransferShape};
+    use dai_domains::{OctagonDomain, TransferShape};
     use dai_lang::cfg::lower_program;
     use dai_lang::parser::parse_program;
 
@@ -377,14 +377,14 @@ mod tests {
     #[test]
     fn relabel_restages_the_edge() {
         let cfg = cfg_of("function f() { var x = 1; return x; }");
-        let mut t = TransferTable::<IntervalDomain>::build(&cfg);
+        let mut t = TransferTable::<OctagonDomain>::build(&cfg);
         let e = cfg.edges().next().unwrap();
         let new_stmt = Stmt::Assign("x".into(), dai_lang::parse_expr("41").unwrap());
-        let old_digest = stmt_digest::<IntervalDomain>(&e.stmt);
+        let old_digest = stmt_digest::<OctagonDomain>(&e.stmt);
         t.relabel(e.id, &new_stmt);
         assert!(t.lookup(e.id, old_digest).is_none(), "old digest is stale");
         let ct = t
-            .lookup(e.id, stmt_digest::<IntervalDomain>(&new_stmt))
+            .lookup(e.id, stmt_digest::<OctagonDomain>(&new_stmt))
             .unwrap();
         assert_eq!(ct.shape(), TransferShape::ConstAssign);
     }
@@ -392,18 +392,18 @@ mod tests {
     #[test]
     fn fused_runs_cover_straightline_chains() {
         let cfg = cfg_of("function f() { var a = 1; var b = 2; var c = 3; return a + b + c; }");
-        let t = TransferTable::<IntervalDomain>::build(&cfg);
+        let t = TransferTable::<OctagonDomain>::build(&cfg);
         let runs = t.fused_runs();
         assert!(!runs.is_empty(), "straight-line program has a fused run");
         // Each run's fused closure equals statement-at-a-time application.
         for run in runs {
             assert!(run.edges.len() >= 2);
             assert_eq!(run.ct.shape(), TransferShape::Fused);
-            let mut seq = IntervalDomain::top();
+            let mut seq = OctagonDomain::top();
             for &eid in &run.edges {
                 seq = seq.transfer(&cfg.edge(eid).unwrap().stmt);
             }
-            assert_eq!(run.ct.apply(&IntervalDomain::top()), seq);
+            assert_eq!(run.ct.apply(&OctagonDomain::top()), seq);
         }
         // Runs are edge-disjoint.
         let mut seen = std::collections::HashSet::new();

@@ -357,7 +357,17 @@ impl<D: AbstractDomain> CallResolver<D> for InterResolver<'_, '_, D> {
     }
 }
 
-impl<D: AbstractDomain> Eval<'_, D> {
+/// What [`Eval::feed_callee`] found at a call.
+enum Fed<'s, D> {
+    /// The pre-state is `⊥`: the call is never reached.
+    Dead,
+    /// No function of that name: there is no unit to feed.
+    UnknownCallee,
+    /// The callee was fed and this is its exit, for the call site.
+    Exit(CallSite<'s>, D),
+}
+
+impl<'a, D: AbstractDomain> Eval<'a, D> {
     /// The unit of `node`, built with a ⊥ entry (`φ₀` for the entry node)
     /// when no query has demanded it yet.
     fn unit_of(&mut self, node: NodeId) -> UnitId {
@@ -441,8 +451,8 @@ impl<D: AbstractDomain> Eval<'_, D> {
         })
     }
 
-    /// Resolves one call: joins the entry contribution into the callee's
-    /// context, demands the callee's exit, and applies the return transfer.
+    /// Resolves one call: feeds the callee ([`Eval::feed_callee`]) and
+    /// applies the return transfer to the exit it demanded.
     fn resolve_call(
         &mut self,
         caller: NodeId,
@@ -452,18 +462,41 @@ impl<D: AbstractDomain> Eval<'_, D> {
         memo: &mut dyn MemoStore<Value<D>>,
         stats: &mut QueryStats,
     ) -> Result<D, DaigError> {
+        Ok(
+            match self.feed_callee(caller, pre, stmt, edge, memo, stats)? {
+                Fed::Dead => D::bottom(),
+                // Fall back to the domain's conservative call transfer.
+                Fed::UnknownCallee => pre.transfer(stmt),
+                Fed::Exit(site, exit) => pre.call_return(site, &exit),
+            },
+        )
+    }
+
+    /// The half of a call that acts on the callee: joins the entry
+    /// contribution of `pre` into the callee's context and demands the
+    /// callee's exit.
+    fn feed_callee<'s>(
+        &mut self,
+        caller: NodeId,
+        pre: &D,
+        stmt: &'s Stmt,
+        edge: EdgeId,
+        memo: &mut dyn MemoStore<Value<D>>,
+        stats: &mut QueryStats,
+    ) -> Result<Fed<'s, D>, DaigError>
+    where
+        'a: 's,
+    {
         let Stmt::Call { lhs, callee, args } = stmt else {
             return Err(DaigError::Invariant("resolve_call on non-call".to_string()));
         };
         if pre.is_bottom() {
-            return Ok(D::bottom());
+            return Ok(Fed::Dead);
         }
         let table = self.table;
         let Some(call) = table.call_on(caller, edge) else {
             if self.program.by_name(callee.as_str()).is_none() {
-                // Unknown callee: fall back to the domain's conservative
-                // call transfer.
-                return Ok(pre.transfer(stmt));
+                return Ok(Fed::UnknownCallee);
             }
             return Err(DaigError::Invariant(format!(
                 "call to {callee} on {edge} is not in the context table"
@@ -483,7 +516,7 @@ impl<D: AbstractDomain> Eval<'_, D> {
         let joined = fa.entry_state().join(&contribution);
         fa.set_entry_state(joined);
         let exit = self.query_exit_of(call.callee, memo, stats)?;
-        Ok(pre.call_return(site, &exit))
+        Ok(Fed::Exit(site, exit))
     }
 
     /// Seeds the entry of `node` from all of its call sites' current
@@ -518,9 +551,8 @@ impl<D: AbstractDomain> Eval<'_, D> {
                 ))
             })?;
             let pre = self.query_loc_of(site.caller, edge.src, memo, stats)?;
-            // Feeding the contribution is exactly what resolve_call
-            // does; reuse it for the side effect on the entry join.
-            let _ = self.resolve_call(site.caller, &pre, &edge.stmt, site.edge, memo, stats)?;
+            // Only the entry join is wanted: no return binding is made.
+            self.feed_callee(site.caller, &pre, &edge.stmt, site.edge, memo, stats)?;
         }
         self.units.slots[unit].forced_in = self.units.epoch;
         self.units.counters.entry_forced();

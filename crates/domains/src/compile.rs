@@ -29,10 +29,9 @@
 //! divergence, even between semantically equal representations, is
 //! observable. Compilers therefore call the *same internal primitives*
 //! the interpreter dispatches to (octagon's `assign_*_closed` fast
-//! paths, the env domains' `with_binding`/`eval_*`/`refine`), never a
-//! reimplementation. The interpreter stays as the always-available
-//! differential oracle; `tests/transfer_compile.rs` proptests the
-//! contract per statement and end-to-end.
+//! paths), never a reimplementation. The interpreter stays as the
+//! always-available differential oracle; `tests/transfer_compile.rs`
+//! proptests the contract per statement and end-to-end.
 //!
 //! ## Fallback rules
 //!
@@ -43,9 +42,12 @@
 //! * **call statements** are never compiled — their meaning routes
 //!   through the interprocedural resolver and depends on the callee's
 //!   current body, not only on the statement text;
-//! * **shape and other unstaged domains** do not override
+//! * **every domain but the octagon** — [`crate::nonrel::NonRel`]'s
+//!   instances and shape — does not override
 //!   [`AbstractDomain::compile_transfer`](crate::AbstractDomain::compile_transfer),
-//!   so every statement falls back;
+//!   so every statement falls back (measured for PR 23: over a Rust
+//!   `match` on `Stmt` the staged closures of the environment domains
+//!   bought nothing, ROADMAP item 4.2);
 //! * **products** compile only when both components do (a half-compiled
 //!   pair would blur the compiled/interpreted accounting).
 //!
@@ -66,8 +68,7 @@ use std::sync::Arc;
 /// the shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransferShape {
-    /// No effect on the abstract state (`skip`, `print`, untracked heap
-    /// writes).
+    /// No effect on the abstract state (`skip`, `print`, heap writes).
     Identity,
     /// `x := c` with a constant right-hand side.
     ConstAssign,
@@ -80,8 +81,6 @@ pub enum TransferShape {
     Assign,
     /// `assume e` (guard refinement).
     Assume,
-    /// An array/field write with domain-specific trap checks.
-    HeapWrite,
     /// A fused straight-line run of several statements.
     Fused,
 }

@@ -15,10 +15,10 @@
 //! concrete semantics' trapping behavior: folding `1/0` or an overflowing
 //! `+` yields `⊥` (the execution halts), not an arbitrary value.
 
-use crate::{AbstractDomain, CallSite};
-use dai_lang::interp::{ConcreteState, Value};
-use dai_lang::{BinOp, Expr, Stmt, Symbol, UnOp, RETURN_VAR};
-use std::collections::BTreeMap;
+use crate::bool3::Bool3;
+use crate::nonrel::{Env, Lifted, NonRel, ValueLattice};
+use dai_lang::interp::Value;
+use dai_lang::{BinOp, Expr, Symbol, UnOp};
 use std::fmt;
 
 /// A propagated constant: the concrete scalar values of the language.
@@ -44,430 +44,152 @@ impl fmt::Display for Const {
     }
 }
 
-/// Result of abstractly evaluating an expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CVal {
-    /// Evaluation traps (no value).
-    Bot,
-    /// Exactly this constant.
-    Known(Const),
-    /// Not a single known constant.
-    Unknown,
-}
-
-/// The constant-propagation domain: `⊥` or an environment of constant
+/// The constant-propagation domain: [`NonRel`] environments of constant
 /// bindings.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ConstDomain {
-    /// Unreachable.
-    Bottom,
-    /// Reachable with the given constant bindings.
-    Env(BTreeMap<Symbol, Const>),
-}
+pub type ConstDomain = NonRel<Const>;
 
 impl ConstDomain {
-    /// The unconstrained state (no bindings).
-    pub fn top() -> ConstDomain {
-        ConstDomain::Env(BTreeMap::new())
-    }
-
-    /// A state from explicit bindings.
-    pub fn from_bindings(bindings: impl IntoIterator<Item = (Symbol, Const)>) -> ConstDomain {
-        ConstDomain::Env(bindings.into_iter().collect())
-    }
-
     /// The constant bound to `var`, if any.
     pub fn const_of(&self, var: &str) -> Option<Const> {
-        match self {
-            ConstDomain::Bottom => None,
-            ConstDomain::Env(env) => env.get(&Symbol::new(var)).copied(),
+        self.env()?.get(var).copied()
+    }
+}
+
+impl ValueLattice for Const {
+    const NAME: &'static str = "const";
+
+    /// Flat join: constants that disagree drop to `⊤`.
+    fn join(&self, other: &Const) -> Option<Const> {
+        (self == other).then_some(*self)
+    }
+
+    fn leq(&self, other: &Const) -> bool {
+        self == other
+    }
+
+    fn models(&self, concrete: &Value) -> bool {
+        match (self, concrete) {
+            (Const::Int(n), Value::Int(m)) => m == n,
+            (Const::Bool(b), Value::Bool(c)) => c == b,
+            (Const::Null, Value::Null) => true,
+            _ => false,
         }
     }
 
-    fn with_binding(&self, var: &Symbol, v: CVal) -> ConstDomain {
-        let ConstDomain::Env(env) = self else {
-            return ConstDomain::Bottom;
-        };
-        let mut env = env.clone();
-        match v {
-            CVal::Bot => return ConstDomain::Bottom,
-            CVal::Known(c) => {
-                env.insert(var.clone(), c);
-            }
-            CVal::Unknown => {
-                env.remove(var);
-            }
-        }
-        ConstDomain::Env(env)
+    fn eval(env: &Env<Const>, expr: &Expr) -> Lifted<Const> {
+        eval_const(env, expr)
     }
 
-    /// Refines this state by assuming `cond` evaluates to `expected`.
-    fn refine(&self, cond: &Expr, expected: bool) -> ConstDomain {
-        let ConstDomain::Env(env) = self else {
-            return ConstDomain::Bottom;
-        };
+    /// A guard that folds to a non-boolean traps.
+    fn truth(env: &Env<Const>, cond: &Expr) -> Bool3 {
         match eval_const(env, cond) {
-            CVal::Bot => return ConstDomain::Bottom,
-            CVal::Known(Const::Bool(b)) if b != expected => return ConstDomain::Bottom,
-            CVal::Known(Const::Bool(_)) => return self.clone(),
-            CVal::Known(_) => return ConstDomain::Bottom, // guard on non-boolean traps
-            CVal::Unknown => {}
-        }
-        match cond {
-            Expr::Unary(UnOp::Not, inner) => self.refine(inner, !expected),
-            Expr::Binary(BinOp::And, l, r) if expected => {
-                let first = self.refine(l, true);
-                if first.is_bottom() {
-                    first
-                } else {
-                    first.refine(r, true)
-                }
-            }
-            Expr::Binary(BinOp::Or, l, r) if !expected => {
-                let first = self.refine(l, false);
-                if first.is_bottom() {
-                    first
-                } else {
-                    first.refine(r, false)
-                }
-            }
-            // Equality against a constant pins the variable (the only
-            // comparison a flat lattice can exploit).
-            Expr::Binary(BinOp::Eq, l, r) if expected => self.refine_eq(l, r).refine_eq(r, l),
-            Expr::Binary(BinOp::Ne, l, r) if !expected => self.refine_eq(l, r).refine_eq(r, l),
-            _ => self.clone(),
+            Lifted::Val(Const::Bool(b)) => Bool3::of(b),
+            Lifted::Top => Bool3::Top,
+            Lifted::Bot | Lifted::Val(_) => Bool3::Bot,
         }
     }
 
-    /// Refines `l == r` (taken true) when `l` is a variable and `r` folds
-    /// to a constant.
-    fn refine_eq(&self, l: &Expr, r: &Expr) -> ConstDomain {
-        let ConstDomain::Env(env) = self else {
-            return ConstDomain::Bottom;
-        };
-        let Expr::Var(x) = l else { return self.clone() };
-        match eval_const(env, r) {
-            CVal::Known(c) => self.with_binding(x, CVal::Known(c)),
-            _ => self.clone(),
+    /// Equality against a constant pins the variable (the only comparison
+    /// a flat lattice can exploit).
+    fn refine_cmp<'e>(
+        env: &Env<Const>,
+        op: BinOp,
+        l: &'e Expr,
+        r: &Expr,
+    ) -> Option<(&'e Symbol, Lifted<Const>)> {
+        match (op, l, eval_const(env, r)) {
+            (BinOp::Eq, Expr::Var(x), pinned @ Lifted::Val(_)) => Some((x, pinned)),
+            _ => None,
+        }
+    }
+
+    /// Writing into a scalar constant traps; a genuine array is untracked,
+    /// so only the index/value traps matter.
+    fn array_write(env: &Env<Const>, a: &Symbol, i: &Expr, e: &Expr) -> Lifted<Const> {
+        match (eval_const(env, i), eval_const(env, e)) {
+            (Lifted::Bot, _) | (_, Lifted::Bot) => Lifted::Bot,
+            (Lifted::Val(Const::Int(n)), _) if n < 0 => Lifted::Bot,
+            (Lifted::Val(Const::Bool(_) | Const::Null), _) => Lifted::Bot, // non-integer index
+            _ => env.scalar_written_through(a),
         }
     }
 }
 
-impl fmt::Display for ConstDomain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConstDomain::Bottom => write!(f, "⊥"),
-            ConstDomain::Env(env) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in env.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{k}: {v}")?;
-                }
-                write!(f, "}}")
-            }
-        }
-    }
-}
-
-impl crate::compile::CompileTransfer for ConstDomain {
-    fn stage(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        use crate::compile::{CompiledTransfer, TransferShape};
-        match stmt {
-            Stmt::Skip | Stmt::Print(_) => Some(CompiledTransfer::new(
-                TransferShape::Identity,
-                |pre: &ConstDomain| match pre {
-                    ConstDomain::Env(_) => pre.clone(),
-                    ConstDomain::Bottom => ConstDomain::Bottom,
-                },
-            )),
-            Stmt::Assign(x, e) => {
-                let x = x.clone();
-                match e {
-                    Expr::Int(_) | Expr::Bool(_) | Expr::Null => {
-                        let v = eval_const(&BTreeMap::new(), e);
-                        Some(CompiledTransfer::new(
-                            TransferShape::ConstAssign,
-                            move |pre: &ConstDomain| match pre {
-                                ConstDomain::Env(_) => pre.with_binding(&x, v),
-                                ConstDomain::Bottom => ConstDomain::Bottom,
-                            },
-                        ))
-                    }
-                    _ => {
-                        let shape = if matches!(e, Expr::Var(_)) {
-                            TransferShape::CopyAssign
-                        } else {
-                            TransferShape::Assign
-                        };
-                        let e = e.clone();
-                        Some(CompiledTransfer::new(shape, move |pre: &ConstDomain| {
-                            let ConstDomain::Env(env) = pre else {
-                                return ConstDomain::Bottom;
-                            };
-                            pre.with_binding(&x, eval_const(env, &e))
-                        }))
-                    }
-                }
-            }
-            Stmt::ArrayWrite(a, i, e) => {
-                let a = a.clone();
-                let i = i.clone();
-                let e = e.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::HeapWrite,
-                    move |pre: &ConstDomain| {
-                        let ConstDomain::Env(env) = pre else {
-                            return ConstDomain::Bottom;
-                        };
-                        if env.contains_key(&a) {
-                            return ConstDomain::Bottom;
-                        }
-                        match (eval_const(env, &i), eval_const(env, &e)) {
-                            (CVal::Bot, _) | (_, CVal::Bot) => ConstDomain::Bottom,
-                            (CVal::Known(Const::Int(n)), _) if n < 0 => ConstDomain::Bottom,
-                            (CVal::Known(c), _) if !matches!(c, Const::Int(_)) => {
-                                ConstDomain::Bottom
-                            }
-                            _ => pre.clone(),
-                        }
-                    },
-                ))
-            }
-            Stmt::FieldWrite(x, _, _) => {
-                let x = x.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::HeapWrite,
-                    move |pre: &ConstDomain| {
-                        let ConstDomain::Env(env) = pre else {
-                            return ConstDomain::Bottom;
-                        };
-                        if env.contains_key(&x) {
-                            return ConstDomain::Bottom;
-                        }
-                        pre.clone()
-                    },
-                ))
-            }
-            Stmt::Assume(e) => {
-                let e = e.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::Assume,
-                    move |pre: &ConstDomain| match pre {
-                        ConstDomain::Env(_) => pre.refine(&e, true),
-                        ConstDomain::Bottom => ConstDomain::Bottom,
-                    },
-                ))
-            }
-            Stmt::Call { .. } => None,
-        }
-    }
-}
-
-/// Constant-folds `expr` in `env`, trapping exactly when the concrete
-/// semantics would (overflow, division by zero, type confusion).
-fn eval_const(env: &BTreeMap<Symbol, Const>, expr: &Expr) -> CVal {
+/// Constant-folds `expr` in `env`, trapping (`Bot`) exactly when the
+/// concrete semantics would (overflow, division by zero, type confusion);
+/// `Top` is "not a single known constant".
+fn eval_const(env: &Env<Const>, expr: &Expr) -> Lifted<Const> {
+    use Lifted::{Bot, Top, Val};
     match expr {
-        Expr::Int(n) => CVal::Known(Const::Int(*n)),
-        Expr::Bool(b) => CVal::Known(Const::Bool(*b)),
-        Expr::Null => CVal::Known(Const::Null),
-        Expr::Var(x) => env.get(x).map(|c| CVal::Known(*c)).unwrap_or(CVal::Unknown),
+        Expr::Int(n) => Val(Const::Int(*n)),
+        Expr::Bool(b) => Val(Const::Bool(*b)),
+        Expr::Null => Val(Const::Null),
+        Expr::Var(x) => env.get(x).map_or(Top, |c| Val(*c)),
         Expr::Unary(UnOp::Neg, e) => match eval_const(env, e) {
-            CVal::Known(Const::Int(n)) => n
-                .checked_neg()
-                .map(|m| CVal::Known(Const::Int(m)))
-                .unwrap_or(CVal::Bot),
-            CVal::Known(_) => CVal::Bot, // negating a non-integer traps
+            Val(Const::Int(n)) => int_or_trap(n.checked_neg()),
+            Val(_) => Bot, // negating a non-integer traps
             other => other,
         },
         Expr::Unary(UnOp::Not, e) => match eval_const(env, e) {
-            CVal::Known(Const::Bool(b)) => CVal::Known(Const::Bool(!b)),
-            CVal::Known(_) => CVal::Bot,
+            Val(Const::Bool(b)) => Val(Const::Bool(!b)),
+            Val(_) => Bot,
             other => other,
         },
-        Expr::Binary(op, l, r) => {
-            let (a, b) = (eval_const(env, l), eval_const(env, r));
-            match (a, b) {
-                (CVal::Bot, _) | (_, CVal::Bot) => CVal::Bot,
-                (CVal::Known(ca), CVal::Known(cb)) => fold_binop(*op, ca, cb),
-                _ => CVal::Unknown,
-            }
-        }
+        Expr::Binary(op, l, r) => match (eval_const(env, l), eval_const(env, r)) {
+            (Bot, _) | (_, Bot) => Bot,
+            (Val(ca), Val(cb)) => fold_binop(*op, ca, cb),
+            _ => Top,
+        },
         // Arrays and heap values are not propagated.
         Expr::ArrayLit(_)
         | Expr::ArrayRead(..)
         | Expr::ArrayLen(_)
         | Expr::Field(..)
-        | Expr::AllocNode => CVal::Unknown,
+        | Expr::AllocNode => Top,
     }
 }
 
 /// Folds a binary operation on two scalar constants, mirroring the
 /// concrete semantics (including its traps).
-fn fold_binop(op: BinOp, a: Const, b: Const) -> CVal {
+fn fold_binop(op: BinOp, a: Const, b: Const) -> Lifted<Const> {
     use BinOp::*;
     use Const::*;
+    let known = |b: bool| Lifted::Val(Bool(b));
     match (op, a, b) {
         (Add, Int(x), Int(y)) => int_or_trap(x.checked_add(y)),
         (Sub, Int(x), Int(y)) => int_or_trap(x.checked_sub(y)),
         (Mul, Int(x), Int(y)) => int_or_trap(x.checked_mul(y)),
-        (Div, Int(_), Int(0)) | (Mod, Int(_), Int(0)) => CVal::Bot,
+        (Div, Int(_), Int(0)) | (Mod, Int(_), Int(0)) => Lifted::Bot,
         (Div, Int(x), Int(y)) => int_or_trap(x.checked_div(y)),
         (Mod, Int(x), Int(y)) => int_or_trap(x.checked_rem(y)),
-        (Lt, Int(x), Int(y)) => CVal::Known(Bool(x < y)),
-        (Le, Int(x), Int(y)) => CVal::Known(Bool(x <= y)),
-        (Gt, Int(x), Int(y)) => CVal::Known(Bool(x > y)),
-        (Ge, Int(x), Int(y)) => CVal::Known(Bool(x >= y)),
-        (Eq, Int(x), Int(y)) => CVal::Known(Bool(x == y)),
-        (Ne, Int(x), Int(y)) => CVal::Known(Bool(x != y)),
-        (Eq, Bool(x), Bool(y)) => CVal::Known(Bool(x == y)),
-        (Ne, Bool(x), Bool(y)) => CVal::Known(Bool(x != y)),
-        (Eq, Null, Null) => CVal::Known(Bool(true)),
-        (Ne, Null, Null) => CVal::Known(Bool(false)),
-        (And, Bool(x), Bool(y)) => CVal::Known(Bool(x && y)),
-        (Or, Bool(x), Bool(y)) => CVal::Known(Bool(x || y)),
+        (Lt, Int(x), Int(y)) => known(x < y),
+        (Le, Int(x), Int(y)) => known(x <= y),
+        (Gt, Int(x), Int(y)) => known(x > y),
+        (Ge, Int(x), Int(y)) => known(x >= y),
+        (Eq, Int(x), Int(y)) => known(x == y),
+        (Ne, Int(x), Int(y)) => known(x != y),
+        (Eq, Bool(x), Bool(y)) => known(x == y),
+        (Ne, Bool(x), Bool(y)) => known(x != y),
+        (Eq, Null, Null) => known(true),
+        (Ne, Null, Null) => known(false),
+        (And, Bool(x), Bool(y)) => known(x && y),
+        (Or, Bool(x), Bool(y)) => known(x || y),
         // Everything else (arithmetic on booleans, ordering null, mixed
         // scalar families) traps in the concrete semantics.
-        _ => CVal::Bot,
+        _ => Lifted::Bot,
     }
 }
 
-fn int_or_trap(v: Option<i64>) -> CVal {
-    v.map(|n| CVal::Known(Const::Int(n))).unwrap_or(CVal::Bot)
-}
-
-impl AbstractDomain for ConstDomain {
-    fn bottom() -> Self {
-        ConstDomain::Bottom
-    }
-
-    fn is_bottom(&self) -> bool {
-        matches!(self, ConstDomain::Bottom)
-    }
-
-    fn entry_default(_params: &[Symbol]) -> Self {
-        ConstDomain::top()
-    }
-
-    fn join(&self, other: &Self) -> Self {
-        match (self, other) {
-            (ConstDomain::Bottom, x) | (x, ConstDomain::Bottom) => x.clone(),
-            (ConstDomain::Env(a), ConstDomain::Env(b)) => {
-                // Flat join: keep only bindings equal on both sides.
-                let env = a
-                    .iter()
-                    .filter(|(k, va)| b.get(*k) == Some(va))
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect();
-                ConstDomain::Env(env)
-            }
-        }
-    }
-
-    fn widen(&self, next: &Self) -> Self {
-        // Flat lattice: chains have length ≤ 2 per variable, join suffices.
-        self.join(next)
-    }
-
-    fn leq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (ConstDomain::Bottom, _) => true,
-            (_, ConstDomain::Bottom) => false,
-            (ConstDomain::Env(a), ConstDomain::Env(b)) => {
-                b.iter().all(|(k, vb)| a.get(k) == Some(vb))
-            }
-        }
-    }
-
-    fn transfer(&self, stmt: &Stmt) -> Self {
-        let ConstDomain::Env(env) = self else {
-            return ConstDomain::Bottom;
-        };
-        match stmt {
-            Stmt::Skip | Stmt::Print(_) => self.clone(),
-            Stmt::Assign(x, e) => self.with_binding(x, eval_const(env, e)),
-            Stmt::ArrayWrite(a, i, e) => {
-                // Writing into a scalar constant traps; a genuine array is
-                // untracked, so only the index/value traps matter.
-                if env.contains_key(a) {
-                    return ConstDomain::Bottom;
-                }
-                match (eval_const(env, i), eval_const(env, e)) {
-                    (CVal::Bot, _) | (_, CVal::Bot) => ConstDomain::Bottom,
-                    (CVal::Known(Const::Int(n)), _) if n < 0 => ConstDomain::Bottom,
-                    (CVal::Known(c), _) if !matches!(c, Const::Int(_)) => {
-                        ConstDomain::Bottom // non-integer index traps
-                    }
-                    _ => self.clone(),
-                }
-            }
-            Stmt::FieldWrite(x, _, _) => {
-                if env.contains_key(x) {
-                    return ConstDomain::Bottom; // scalars are not nodes
-                }
-                self.clone()
-            }
-            Stmt::Assume(e) => self.refine(e, true),
-            Stmt::Call { lhs, .. } => match lhs {
-                Some(x) => self.with_binding(x, CVal::Unknown),
-                None => self.clone(),
-            },
-        }
-    }
-
-    fn compile_transfer(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        <ConstDomain as crate::compile::CompileTransfer>::stage(stmt)
-    }
-
-    fn call_entry(&self, site: CallSite<'_>, callee_params: &[Symbol]) -> Self {
-        let ConstDomain::Env(env) = self else {
-            return ConstDomain::Bottom;
-        };
-        ConstDomain::from_bindings(callee_params.iter().zip(site.args).filter_map(|(p, a)| {
-            match eval_const(env, a) {
-                CVal::Known(c) => Some((p.clone(), c)),
-                _ => None,
-            }
-        }))
-    }
-
-    fn call_return(&self, site: CallSite<'_>, callee_exit: &Self) -> Self {
-        if self.is_bottom() || callee_exit.is_bottom() {
-            return ConstDomain::Bottom;
-        }
-        match site.lhs {
-            Some(x) => {
-                let ret = match callee_exit {
-                    ConstDomain::Env(env) => env
-                        .get(&Symbol::new(RETURN_VAR))
-                        .map(|c| CVal::Known(*c))
-                        .unwrap_or(CVal::Unknown),
-                    ConstDomain::Bottom => CVal::Bot,
-                };
-                self.with_binding(x, ret)
-            }
-            None => self.clone(),
-        }
-    }
-
-    fn models(&self, concrete: &ConcreteState) -> bool {
-        let ConstDomain::Env(env) = self else {
-            return false;
-        };
-        concrete.env.iter().all(|(x, v)| match env.get(x) {
-            None => true,
-            Some(Const::Int(n)) => matches!(v, Value::Int(m) if m == n),
-            Some(Const::Bool(b)) => matches!(v, Value::Bool(c) if c == b),
-            Some(Const::Null) => matches!(v, Value::Null),
-        })
-    }
+fn int_or_trap(v: Option<i64>) -> Lifted<Const> {
+    v.map_or(Lifted::Bot, |n| Lifted::Val(Const::Int(n)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dai_lang::parse_expr;
+    use crate::{AbstractDomain, CallSite};
+    use dai_lang::interp::ConcreteState;
+    use dai_lang::{parse_expr, Stmt, RETURN_VAR};
 
     fn assign(d: &ConstDomain, var: &str, e: &str) -> ConstDomain {
         d.transfer(&Stmt::Assign(var.into(), parse_expr(e).unwrap()))

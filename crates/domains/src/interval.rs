@@ -10,15 +10,15 @@
 //! * [`AbsVal`] — a reduced sum abstraction of the language's runtime
 //!   values: numbers, booleans, null/node references, and arrays
 //!   (abstracted as a length interval plus smashed element abstraction);
-//! * [`IntervalDomain`] — environments mapping variables to [`AbsVal`]s,
-//!   with transfer functions, branch refinement for `assume`, widening,
-//!   and the array-bounds-checking client used by the Buckets experiment.
+//! * [`IntervalDomain`] — [`NonRel`] environments of [`AbsVal`]s: this
+//!   module supplies the value lattice (expression evaluation, comparison
+//!   refinement, the array and field write hooks) and the
+//!   array-bounds-checking client used by the Buckets experiment.
 
 use crate::bool3::Bool3;
-use crate::{AbstractDomain, CallSite};
-use dai_lang::interp::{ConcreteState, Value};
-use dai_lang::{BinOp, Expr, Stmt, Symbol, UnOp, RETURN_VAR};
-use std::collections::BTreeMap;
+use crate::nonrel::{Env, Lifted, NonRel, ValueLattice};
+use dai_lang::interp::Value;
+use dai_lang::{BinOp, Expr, Symbol, UnOp};
 use std::fmt;
 
 /// An interval endpoint: `-∞`, a finite `i64`, or `+∞`.
@@ -601,40 +601,6 @@ impl AbsVal {
         }
     }
 
-    /// Inclusion `⊑`.
-    pub fn leq(&self, other: &AbsVal) -> bool {
-        use AbsVal::*;
-        match (self, other) {
-            (Bot, _) => true,
-            (_, Top) => true,
-            (Num(a), Num(b)) => a.leq(b),
-            (Boolean(a), Boolean(b)) => a.leq(*b),
-            (NullRef, NullRef | AnyRef) => true,
-            (NodeRef, NodeRef | AnyRef) => true,
-            (AnyRef, AnyRef) => true,
-            (Arr(a), Arr(b)) => a.len.leq(&b.len) && a.elem.leq(&b.elem),
-            _ => false,
-        }
-    }
-
-    /// Does this abstract value cover the concrete value?
-    pub fn models(&self, v: &Value) -> bool {
-        use AbsVal::*;
-        match (self, v) {
-            (Top, _) => true,
-            (Bot, _) => false,
-            (Num(i), Value::Int(n)) => i.contains(*n),
-            (Boolean(b), Value::Bool(x)) => Bool3::of(*x).leq(*b),
-            (NullRef, Value::Null) => true,
-            (NodeRef, Value::Node(_)) => true,
-            (AnyRef, Value::Null | Value::Node(_)) => true,
-            (Arr(a), Value::Arr(vs)) => {
-                a.len.contains(vs.len() as i64) && vs.iter().all(|x| a.elem.models(x))
-            }
-            _ => false,
-        }
-    }
-
     fn as_num(&self) -> Interval {
         match self {
             AbsVal::Num(i) => *i,
@@ -667,84 +633,32 @@ impl fmt::Display for AbsVal {
     }
 }
 
-/// An abstract environment state: `⊥` or a finite map from variables to
-/// non-trivial abstract values (unbound variables are `⊤`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum IntervalDomain {
-    /// Unreachable.
-    Bottom,
-    /// Reachable with the given variable constraints.
-    Env(BTreeMap<Symbol, AbsVal>),
-}
+/// The interval domain: environments of [`AbsVal`]s (unbound variables
+/// are `⊤`).
+pub type IntervalDomain = NonRel<AbsVal>;
 
 impl IntervalDomain {
-    /// The state constraining nothing (all variables `⊤`).
-    pub fn top() -> IntervalDomain {
-        IntervalDomain::Env(BTreeMap::new())
-    }
-
-    /// Builds a state from explicit bindings (useful for `φ₀` and tests).
-    pub fn from_bindings<I>(bindings: I) -> IntervalDomain
-    where
-        I: IntoIterator<Item = (Symbol, AbsVal)>,
-    {
-        let mut env = BTreeMap::new();
-        for (k, v) in bindings {
-            match v.normalize() {
-                AbsVal::Bot => return IntervalDomain::Bottom,
-                AbsVal::Top => {}
-                v => {
-                    env.insert(k, v);
-                }
-            }
-        }
-        IntervalDomain::Env(env)
-    }
-
-    /// The abstract value of `var` (`⊤` when unbound).
+    /// The abstract value of `var` (`⊤` when unbound, `⊥` in the bottom
+    /// state).
     pub fn value_of(&self, var: &str) -> AbsVal {
-        match self {
-            IntervalDomain::Bottom => AbsVal::Bot,
-            IntervalDomain::Env(env) => env.get(var).cloned().unwrap_or(AbsVal::Top),
+        match self.env() {
+            None => AbsVal::Bot,
+            Some(env) => env.get(var).cloned().unwrap_or(AbsVal::Top),
         }
     }
 
     /// The interval of `var`, if it is (possibly) numeric.
     pub fn interval_of(&self, var: &str) -> Interval {
-        self.value_of(var).as_num()
-    }
-
-    /// Abstractly evaluates an expression in this state.
-    pub fn eval(&self, expr: &Expr) -> AbsVal {
-        let IntervalDomain::Env(env) = self else {
-            return AbsVal::Bot;
-        };
-        eval_in(env, expr)
-    }
-
-    fn with_binding(&self, var: &Symbol, v: AbsVal) -> IntervalDomain {
-        match self {
-            IntervalDomain::Bottom => IntervalDomain::Bottom,
-            IntervalDomain::Env(env) => {
-                let mut env = env.clone();
-                match v.normalize() {
-                    AbsVal::Bot => return IntervalDomain::Bottom,
-                    AbsVal::Top => {
-                        env.remove(var);
-                    }
-                    v => {
-                        env.insert(var.clone(), v);
-                    }
-                }
-                IntervalDomain::Env(env)
-            }
+        match self.env() {
+            None => Interval::EMPTY,
+            Some(env) => env.get(var).map_or(Interval::TOP, AbsVal::as_num),
         }
     }
 
     /// Is the array access `arr[idx]` provably in bounds in this state?
     /// (`⊥` states are vacuously safe.) This is the §7.2 client.
     pub fn array_access_safe(&self, arr: &Expr, idx: &Expr) -> bool {
-        let IntervalDomain::Env(env) = self else {
+        let Some(env) = self.env() else {
             return true;
         };
         let i = eval_in(env, idx).as_num();
@@ -763,101 +677,6 @@ impl IntervalDomain {
         match (i.hi(), a.len.lo()) {
             (Bound::Fin(ihi), Bound::Fin(llo)) => ihi < llo,
             _ => false,
-        }
-    }
-
-    /// Refines this state by assuming `cond` evaluates to `expected`.
-    fn refine(&self, cond: &Expr, expected: bool) -> IntervalDomain {
-        let IntervalDomain::Env(env) = self else {
-            return IntervalDomain::Bottom;
-        };
-        // First: is the expected outcome even possible?
-        let b = eval_in(env, cond).as_bool();
-        let possible = if expected {
-            b.may_true()
-        } else {
-            b.may_false()
-        };
-        if !possible {
-            return IntervalDomain::Bottom;
-        }
-        match cond {
-            Expr::Unary(UnOp::Not, inner) => self.refine(inner, !expected),
-            Expr::Binary(BinOp::And, l, r) if expected => {
-                self.refine(l, true).refine_checked(r, true)
-            }
-            Expr::Binary(BinOp::And, l, r) => {
-                // ¬(l ∧ r) = ¬l ∨ ¬r
-                self.refine(l, false).join(&self.refine(r, false))
-            }
-            Expr::Binary(BinOp::Or, l, r) if expected => {
-                self.refine(l, true).join(&self.refine(r, true))
-            }
-            Expr::Binary(BinOp::Or, l, r) => self.refine(l, false).refine_checked(r, false),
-            Expr::Binary(op, l, r) if op.is_comparison() => {
-                let op = if expected {
-                    *op
-                } else {
-                    op.negate_comparison().expect("comparison")
-                };
-                self.refine_cmp(op, l, r)
-            }
-            _ => self.clone(),
-        }
-    }
-
-    fn refine_checked(&self, cond: &Expr, expected: bool) -> IntervalDomain {
-        if self.is_bottom() {
-            IntervalDomain::Bottom
-        } else {
-            self.refine(cond, expected)
-        }
-    }
-
-    /// Refines under a single comparison `l op r`, narrowing variable (and
-    /// `len(var)`) occurrences on either side.
-    fn refine_cmp(&self, op: BinOp, l: &Expr, r: &Expr) -> IntervalDomain {
-        let IntervalDomain::Env(_) = self else {
-            return IntervalDomain::Bottom;
-        };
-        let mut out = self.clone();
-        out = out.refine_side(op, l, r);
-        if let Some(flipped) = op.flip_comparison() {
-            out = out.refine_side(flipped, r, l);
-        }
-        out
-    }
-
-    /// Refines the left side `l` of `l op r` when `l` is a variable or a
-    /// `len(variable)`.
-    fn refine_side(&self, op: BinOp, l: &Expr, r: &Expr) -> IntervalDomain {
-        let IntervalDomain::Env(env) = self else {
-            return IntervalDomain::Bottom;
-        };
-        let rv = eval_in(env, r);
-        match l {
-            Expr::Var(x) => {
-                let xv = env.get(x).cloned().unwrap_or(AbsVal::Top);
-                let refined = refine_absval(op, &xv, &rv);
-                self.with_binding(x, refined)
-            }
-            Expr::ArrayLen(inner) => {
-                if let Expr::Var(a) = &**inner {
-                    if let AbsVal::Arr(arr) = env.get(a).cloned().unwrap_or(AbsVal::Top) {
-                        let new_len = refine_interval(op, &arr.len, &rv.as_num())
-                            .meet(&Interval::at_least(0));
-                        return self.with_binding(
-                            a,
-                            AbsVal::Arr(ArrayAbs {
-                                len: new_len,
-                                elem: arr.elem,
-                            }),
-                        );
-                    }
-                }
-                self.clone()
-            }
-            _ => self.clone(),
         }
     }
 }
@@ -921,131 +740,132 @@ fn refine_absval(op: BinOp, x: &AbsVal, other: &AbsVal) -> AbsVal {
     }
 }
 
-impl crate::compile::CompileTransfer for IntervalDomain {
-    fn stage(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        use crate::compile::{CompiledTransfer, TransferShape};
-        match stmt {
-            Stmt::Skip | Stmt::Print(_) => Some(CompiledTransfer::new(
-                TransferShape::Identity,
-                |pre: &IntervalDomain| match pre {
-                    IntervalDomain::Env(_) => pre.clone(),
-                    IntervalDomain::Bottom => IntervalDomain::Bottom,
-                },
-            )),
-            Stmt::Assign(x, Expr::AllocNode) => {
-                let x = x.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::ConstAssign,
-                    move |pre: &IntervalDomain| match pre {
-                        IntervalDomain::Env(_) => pre.with_binding(&x, AbsVal::NodeRef),
-                        IntervalDomain::Bottom => IntervalDomain::Bottom,
-                    },
-                ))
+impl ValueLattice for AbsVal {
+    const NAME: &'static str = "interval";
+
+    fn lift(self) -> Lifted<AbsVal> {
+        match self.normalize() {
+            AbsVal::Bot => Lifted::Bot,
+            AbsVal::Top => Lifted::Top,
+            v => Lifted::Val(v),
+        }
+    }
+
+    fn join(&self, other: &AbsVal) -> Option<AbsVal> {
+        Some(AbsVal::join(self, other)).filter(|j| *j != AbsVal::Top)
+    }
+
+    fn widen(&self, next: &AbsVal) -> Option<AbsVal> {
+        Some(AbsVal::widen(self, next)).filter(|w| *w != AbsVal::Top)
+    }
+
+    fn leq(&self, other: &AbsVal) -> bool {
+        use AbsVal::*;
+        match (self, other) {
+            (Bot, _) => true,
+            (_, Top) => true,
+            (Num(a), Num(b)) => a.leq(b),
+            (Boolean(a), Boolean(b)) => a.leq(*b),
+            (NullRef, NullRef | AnyRef) => true,
+            (NodeRef, NodeRef | AnyRef) => true,
+            (AnyRef, AnyRef) => true,
+            (Arr(a), Arr(b)) => a.len.leq(&b.len) && a.elem.leq(&b.elem),
+            _ => false,
+        }
+    }
+
+    fn models(&self, v: &Value) -> bool {
+        use AbsVal::*;
+        match (self, v) {
+            (Top, _) => true,
+            (Bot, _) => false,
+            (Num(i), Value::Int(n)) => i.contains(*n),
+            (Boolean(b), Value::Bool(x)) => Bool3::of(*x).leq(*b),
+            (NullRef, Value::Null) => true,
+            (NodeRef, Value::Node(_)) => true,
+            (AnyRef, Value::Null | Value::Node(_)) => true,
+            (Arr(a), Value::Arr(vs)) => {
+                a.len.contains(vs.len() as i64) && vs.iter().all(|x| a.elem.models(x))
             }
-            Stmt::Assign(x, e) => {
-                let x = x.clone();
-                match e {
-                    Expr::Int(_) | Expr::Bool(_) | Expr::Null => {
-                        let v = eval_in(&BTreeMap::new(), e);
-                        Some(CompiledTransfer::new(
-                            TransferShape::ConstAssign,
-                            move |pre: &IntervalDomain| match pre {
-                                IntervalDomain::Env(_) => pre.with_binding(&x, v.clone()),
-                                IntervalDomain::Bottom => IntervalDomain::Bottom,
-                            },
-                        ))
-                    }
-                    _ => {
-                        let shape = if matches!(e, Expr::Var(_)) {
-                            TransferShape::CopyAssign
-                        } else {
-                            TransferShape::Assign
-                        };
-                        let e = e.clone();
-                        Some(CompiledTransfer::new(shape, move |pre: &IntervalDomain| {
-                            let IntervalDomain::Env(env) = pre else {
-                                return IntervalDomain::Bottom;
-                            };
-                            pre.with_binding(&x, eval_in(env, &e))
-                        }))
-                    }
+            _ => false,
+        }
+    }
+
+    fn eval(env: &Env<AbsVal>, expr: &Expr) -> Lifted<AbsVal> {
+        eval_in(env, expr).lift()
+    }
+
+    fn truth(env: &Env<AbsVal>, cond: &Expr) -> Bool3 {
+        eval_in(env, cond).as_bool()
+    }
+
+    /// Narrows a variable, or the length of an array variable under
+    /// `len(a) op r`.
+    fn refine_cmp<'e>(
+        env: &Env<AbsVal>,
+        op: BinOp,
+        l: &'e Expr,
+        r: &Expr,
+    ) -> Option<(&'e Symbol, Lifted<AbsVal>)> {
+        let refined = |x: &'e Symbol, v: AbsVal| Some((x, v.lift()));
+        match l {
+            Expr::Var(x) => {
+                let xv = env.get(x).unwrap_or(&AbsVal::Top);
+                refined(x, refine_absval(op, xv, &eval_in(env, r)))
+            }
+            Expr::ArrayLen(inner) => {
+                let Expr::Var(a) = &**inner else {
+                    return None;
+                };
+                let AbsVal::Arr(arr) = env.get(a)? else {
+                    return None;
+                };
+                let bound = eval_in(env, r).as_num();
+                let len = refine_interval(op, &arr.len, &bound).meet(&Interval::at_least(0));
+                let elem = arr.elem.clone();
+                refined(a, AbsVal::Arr(ArrayAbs { len, elem }))
+            }
+            _ => None,
+        }
+    }
+
+    /// Weak update; a successful write also proves `len > idx ≥ 0`.
+    fn array_write(env: &Env<AbsVal>, a: &Symbol, i: &Expr, e: &Expr) -> Lifted<AbsVal> {
+        let iv = eval_in(env, i).as_num();
+        if iv.is_empty() {
+            return Lifted::Bot;
+        }
+        let ev = eval_in(env, e);
+        let written = match env.get(a) {
+            Some(AbsVal::Arr(arr)) => {
+                let min_len = match iv.lo() {
+                    Bound::Fin(l) if l >= 0 => l.saturating_add(1),
+                    _ => 1,
+                };
+                ArrayAbs {
+                    len: arr.len.meet(&Interval::at_least(min_len)),
+                    elem: Box::new(arr.elem.join(&ev)),
                 }
             }
-            Stmt::ArrayWrite(a, i, e) => {
-                let a = a.clone();
-                let i = i.clone();
-                let e = e.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::HeapWrite,
-                    move |pre: &IntervalDomain| {
-                        let IntervalDomain::Env(env) = pre else {
-                            return IntervalDomain::Bottom;
-                        };
-                        let iv = eval_in(env, &i).as_num();
-                        if iv.is_empty() {
-                            return IntervalDomain::Bottom;
-                        }
-                        let ev = eval_in(env, &e);
-                        match env.get(&a).cloned().unwrap_or(AbsVal::Top) {
-                            AbsVal::Arr(arr) => {
-                                let min_len = match iv.lo() {
-                                    Bound::Fin(l) if l >= 0 => l.saturating_add(1),
-                                    _ => 1,
-                                };
-                                let new = ArrayAbs {
-                                    len: arr.len.meet(&Interval::at_least(min_len)),
-                                    elem: Box::new(arr.elem.join(&ev)),
-                                };
-                                if new.len.is_empty() {
-                                    return IntervalDomain::Bottom;
-                                }
-                                pre.with_binding(&a, AbsVal::Arr(new))
-                            }
-                            AbsVal::Top => pre.with_binding(
-                                &a,
-                                AbsVal::Arr(ArrayAbs {
-                                    len: Interval::at_least(1),
-                                    elem: Box::new(AbsVal::Top),
-                                }),
-                            ),
-                            _ => IntervalDomain::Bottom,
-                        }
-                    },
-                ))
-            }
-            Stmt::FieldWrite(x, _, _) => {
-                let x = x.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::HeapWrite,
-                    move |pre: &IntervalDomain| {
-                        let IntervalDomain::Env(env) = pre else {
-                            return IntervalDomain::Bottom;
-                        };
-                        match env.get(&x).cloned().unwrap_or(AbsVal::Top) {
-                            AbsVal::NodeRef | AbsVal::AnyRef | AbsVal::Top => {
-                                pre.with_binding(&x, AbsVal::NodeRef)
-                            }
-                            _ => IntervalDomain::Bottom,
-                        }
-                    },
-                ))
-            }
-            Stmt::Assume(e) => {
-                let e = e.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::Assume,
-                    move |pre: &IntervalDomain| match pre {
-                        IntervalDomain::Env(_) => pre.refine(&e, true),
-                        IntervalDomain::Bottom => IntervalDomain::Bottom,
-                    },
-                ))
-            }
-            Stmt::Call { .. } => None,
+            None => ArrayAbs {
+                len: Interval::at_least(1),
+                elem: Box::new(AbsVal::Top),
+            },
+            Some(_) => return Lifted::Bot, // write to non-array halts
+        };
+        AbsVal::Arr(written).lift()
+    }
+
+    /// No heap tracking; but a successful write proves `x` is a node.
+    fn field_write(env: &Env<AbsVal>, x: &Symbol) -> Lifted<AbsVal> {
+        match env.get(x) {
+            Some(AbsVal::NodeRef | AbsVal::AnyRef) | None => Lifted::Val(AbsVal::NodeRef),
+            Some(_) => Lifted::Bot,
         }
     }
 }
 
-fn eval_in(env: &BTreeMap<Symbol, AbsVal>, expr: &Expr) -> AbsVal {
+fn eval_in(env: &Env<AbsVal>, expr: &Expr) -> AbsVal {
     match expr {
         Expr::Int(n) => AbsVal::Num(Interval::constant(*n)),
         Expr::Bool(b) => AbsVal::Boolean(Bool3::of(*b)),
@@ -1075,7 +895,7 @@ fn eval_in(env: &BTreeMap<Symbol, AbsVal>, expr: &Expr) -> AbsVal {
                 return AbsVal::Bot;
             }
             match av {
-                AbsVal::Arr(arr) => (*arr.elem).clone(),
+                AbsVal::Arr(arr) => *arr.elem,
                 AbsVal::Top => AbsVal::Top,
                 _ => AbsVal::Bot, // indexing a non-array halts
             }
@@ -1150,188 +970,11 @@ fn abstract_eq(l: &AbsVal, r: &AbsVal) -> Bool3 {
     }
 }
 
-impl fmt::Display for IntervalDomain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IntervalDomain::Bottom => write!(f, "⊥"),
-            IntervalDomain::Env(env) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in env.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{k}: {v}")?;
-                }
-                write!(f, "}}")
-            }
-        }
-    }
-}
-
-impl AbstractDomain for IntervalDomain {
-    fn bottom() -> Self {
-        IntervalDomain::Bottom
-    }
-
-    fn is_bottom(&self) -> bool {
-        matches!(self, IntervalDomain::Bottom)
-    }
-
-    fn entry_default(_params: &[Symbol]) -> Self {
-        IntervalDomain::top()
-    }
-
-    fn join(&self, other: &Self) -> Self {
-        match (self, other) {
-            (IntervalDomain::Bottom, x) | (x, IntervalDomain::Bottom) => x.clone(),
-            (IntervalDomain::Env(a), IntervalDomain::Env(b)) => {
-                // Unbound means ⊤, so only keep variables bound on both
-                // sides (anything else joins to ⊤ and is dropped).
-                let mut env = BTreeMap::new();
-                for (k, va) in a {
-                    if let Some(vb) = b.get(k) {
-                        let j = va.join(vb);
-                        if j != AbsVal::Top {
-                            env.insert(k.clone(), j);
-                        }
-                    }
-                }
-                IntervalDomain::Env(env)
-            }
-        }
-    }
-
-    fn widen(&self, next: &Self) -> Self {
-        match (self, next) {
-            (IntervalDomain::Bottom, x) | (x, IntervalDomain::Bottom) => x.clone(),
-            (IntervalDomain::Env(a), IntervalDomain::Env(b)) => {
-                let mut env = BTreeMap::new();
-                for (k, va) in a {
-                    if let Some(vb) = b.get(k) {
-                        let w = va.widen(vb);
-                        if w != AbsVal::Top {
-                            env.insert(k.clone(), w);
-                        }
-                    }
-                }
-                IntervalDomain::Env(env)
-            }
-        }
-    }
-
-    fn leq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (IntervalDomain::Bottom, _) => true,
-            (_, IntervalDomain::Bottom) => false,
-            (IntervalDomain::Env(a), IntervalDomain::Env(b)) => {
-                // self ⊑ other iff every constraint in other is implied.
-                b.iter()
-                    .all(|(k, vb)| a.get(k).cloned().unwrap_or(AbsVal::Top).leq(vb))
-            }
-        }
-    }
-
-    fn transfer(&self, stmt: &Stmt) -> Self {
-        let IntervalDomain::Env(env) = self else {
-            return IntervalDomain::Bottom;
-        };
-        match stmt {
-            Stmt::Skip | Stmt::Print(_) => self.clone(),
-            Stmt::Assign(x, Expr::AllocNode) => self.with_binding(x, AbsVal::NodeRef),
-            Stmt::Assign(x, e) => self.with_binding(x, eval_in(env, e)),
-            Stmt::ArrayWrite(a, i, e) => {
-                let iv = eval_in(env, i).as_num();
-                if iv.is_empty() {
-                    return IntervalDomain::Bottom;
-                }
-                let ev = eval_in(env, e);
-                match env.get(a).cloned().unwrap_or(AbsVal::Top) {
-                    AbsVal::Arr(arr) => {
-                        // Weak update; a successful write also proves
-                        // len > idx ≥ 0.
-                        let min_len = match iv.lo() {
-                            Bound::Fin(l) if l >= 0 => l.saturating_add(1),
-                            _ => 1,
-                        };
-                        let new = ArrayAbs {
-                            len: arr.len.meet(&Interval::at_least(min_len)),
-                            elem: Box::new(arr.elem.join(&ev)),
-                        };
-                        if new.len.is_empty() {
-                            return IntervalDomain::Bottom;
-                        }
-                        self.with_binding(a, AbsVal::Arr(new))
-                    }
-                    AbsVal::Top => self.with_binding(
-                        a,
-                        AbsVal::Arr(ArrayAbs {
-                            len: Interval::at_least(1),
-                            elem: Box::new(AbsVal::Top),
-                        }),
-                    ),
-                    _ => IntervalDomain::Bottom, // write to non-array halts
-                }
-            }
-            Stmt::FieldWrite(x, _, _) => {
-                // No heap tracking; but a successful write proves x is a
-                // node.
-                match env.get(x).cloned().unwrap_or(AbsVal::Top) {
-                    AbsVal::NodeRef | AbsVal::AnyRef | AbsVal::Top => {
-                        self.with_binding(x, AbsVal::NodeRef)
-                    }
-                    _ => IntervalDomain::Bottom,
-                }
-            }
-            Stmt::Assume(e) => self.refine(e, true),
-            Stmt::Call { lhs, .. } => match lhs {
-                // Intraprocedural fallback: havoc the result.
-                Some(x) => self.with_binding(x, AbsVal::Top),
-                None => self.clone(),
-            },
-        }
-    }
-
-    fn compile_transfer(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        <IntervalDomain as crate::compile::CompileTransfer>::stage(stmt)
-    }
-
-    fn call_entry(&self, site: CallSite<'_>, callee_params: &[Symbol]) -> Self {
-        let IntervalDomain::Env(env) = self else {
-            return IntervalDomain::Bottom;
-        };
-        IntervalDomain::from_bindings(
-            callee_params
-                .iter()
-                .zip(site.args)
-                .map(|(p, a)| (p.clone(), eval_in(env, a))),
-        )
-    }
-
-    fn call_return(&self, site: CallSite<'_>, callee_exit: &Self) -> Self {
-        if self.is_bottom() || callee_exit.is_bottom() {
-            return IntervalDomain::Bottom;
-        }
-        match site.lhs {
-            Some(x) => self.with_binding(x, callee_exit.value_of(RETURN_VAR)),
-            None => self.clone(),
-        }
-    }
-
-    fn models(&self, concrete: &ConcreteState) -> bool {
-        let IntervalDomain::Env(env) = self else {
-            return false;
-        };
-        concrete
-            .env
-            .iter()
-            .all(|(x, v)| env.get(x).is_none_or(|av| av.models(v)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dai_lang::parse_expr;
+    use crate::{AbstractDomain, CallSite};
+    use dai_lang::{parse_expr, Stmt, RETURN_VAR};
 
     fn st(bindings: &[(&str, AbsVal)]) -> IntervalDomain {
         IntervalDomain::from_bindings(bindings.iter().map(|(k, v)| (Symbol::new(k), v.clone())))
@@ -1540,10 +1183,10 @@ mod tests {
     #[test]
     fn join_and_widen_with_bottom() {
         let a = st(&[("x", num(0, 1))]);
-        assert_eq!(IntervalDomain::Bottom.join(&a), a);
-        assert_eq!(a.widen(&IntervalDomain::Bottom), a);
-        assert!(IntervalDomain::Bottom.leq(&a));
-        assert!(!a.leq(&IntervalDomain::Bottom));
+        assert_eq!(IntervalDomain::bottom().join(&a), a);
+        assert_eq!(a.widen(&IntervalDomain::bottom()), a);
+        assert!(IntervalDomain::bottom().leq(&a));
+        assert!(!a.leq(&IntervalDomain::bottom()));
     }
 
     #[test]
@@ -1574,7 +1217,7 @@ mod tests {
         assert!(s.models(&c));
         c.env.insert("x".into(), Value::Int(6));
         assert!(!s.models(&c));
-        assert!(!IntervalDomain::Bottom.models(&c));
+        assert!(!IntervalDomain::bottom().models(&c));
     }
 
     #[test]
@@ -1630,6 +1273,6 @@ mod tests {
     fn display_formats() {
         let s = st(&[("x", num(0, 5))]);
         assert_eq!(s.to_string(), "{x: [0, 5]}");
-        assert_eq!(IntervalDomain::Bottom.to_string(), "⊥");
+        assert_eq!(IntervalDomain::bottom().to_string(), "⊥");
     }
 }

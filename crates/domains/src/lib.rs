@@ -7,7 +7,8 @@
 //!
 //! * [`interval`] — the textbook infinite-height interval domain over an
 //!   environment of abstract values (numbers, booleans, arrays, references),
-//!   with an array-bounds-checking client (the paper used APRON intervals);
+//!   with an array-bounds-checking client (the paper used APRON intervals),
+//!   a [`nonrel`] instance;
 //! * [`octagon`] — Miné's relational octagon domain (`±x ±y ≤ c`) via
 //!   difference-bound matrices with strong closure (the paper used APRON
 //!   octagons);
@@ -28,8 +29,20 @@
 //! * [`sign`] — the eight-element sign lattice (widening degenerates to
 //!   join);
 //! * [`constprop`] — flat constant propagation à la Sagiv–Reps–Horwitz;
+//! * [`parity`] — even/odd, the smallest complete value domain;
 //! * [`product`] — the direct-product combinator `Prod<A, B>`, building new
 //!   domain instances compositionally (e.g. intervals × signs).
+//!
+//! # Where a new value domain starts
+//!
+//! Interval, sign, constant propagation and parity are one environment
+//! domain, [`nonrel::NonRel`], over four value lattices. `NonRel<V>` owns
+//! the variable map (shared behind an `Arc`, with a content digest kept
+//! per binding so `clone`, `Hash` and `==` are cheap), pointwise `⊔`/`∇`/`⊑`,
+//! the statement and `assume` dispatch, call binding and `models`; a new
+//! non-relational domain implements [`nonrel::ValueLattice`] — its
+//! elements, their order, abstract arithmetic and comparison refinement —
+//! and names `NonRel` of it. [`parity`] is the template.
 //!
 //! # Staged transfer compilation
 //!
@@ -42,14 +55,17 @@
 //! every application. Staged closures are **bit-for-bit identical** to
 //! [`AbstractDomain::transfer`] (the module docs state the contract),
 //! so the interpreter remains shipped as the differential oracle.
-//! Domains without a compiler inherit the default (`None`) and simply
-//! always interpret.
+//! Only the octagon stages: domains without a compiler — `NonRel`'s
+//! instances, shape, and any product with one — inherit the default
+//! (`None`) and always interpret.
 
 pub mod bool3;
 pub mod compile;
 pub mod constprop;
 pub mod interval;
+pub mod nonrel;
 pub mod octagon;
+pub mod parity;
 pub mod product;
 pub mod shape;
 pub mod sign;
@@ -58,7 +74,9 @@ pub use bool3::Bool3;
 pub use compile::{CompileTransfer, CompiledTransfer, TransferShape};
 pub use constprop::ConstDomain;
 pub use interval::IntervalDomain;
+pub use nonrel::{NonRel, ValueLattice};
 pub use octagon::OctagonDomain;
+pub use parity::ParityDomain;
 pub use product::Prod;
 pub use shape::ShapeDomain;
 pub use sign::SignDomain;

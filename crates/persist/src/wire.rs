@@ -43,15 +43,14 @@ use dai_core::driver::ProgramEdit;
 use dai_core::name::{IterCtx, Name};
 use dai_core::strategy::{Convergence, FixStrategy};
 use dai_domains::bool3::Bool3;
-use dai_domains::constprop::{Const, ConstDomain};
-use dai_domains::interval::{AbsVal, ArrayAbs, Bound, Interval, IntervalDomain};
+use dai_domains::constprop::Const;
+use dai_domains::interval::{AbsVal, ArrayAbs, Bound, Interval};
 use dai_domains::octagon::{Oct, OctagonDomain};
 use dai_domains::shape::{Addr, ShapeDomain, SymHeap};
-use dai_domains::sign::{Sign, SignDomain};
-use dai_domains::{AbstractDomain, Prod};
+use dai_domains::sign::Sign;
+use dai_domains::{AbstractDomain, NonRel, Prod, ValueLattice};
 use dai_lang::{AstStmt, BinOp, Block, EdgeId, Expr, Loc, Stmt, Symbol, UnOp};
 use dai_memo::{content_digest, MemoKey};
-use std::collections::BTreeMap;
 
 /// Maximum nesting depth accepted when decoding recursive syntax.
 pub const MAX_DECODE_DEPTH: u32 = 512;
@@ -873,47 +872,30 @@ impl Persist for AbsVal {
     }
 }
 
-/// Encodes a `Bottom | Env(map)` environment domain: tag byte, then the
-/// sorted `(Symbol, V)` pairs (a `BTreeMap` iterates sorted, so encoding
-/// is deterministic).
-fn put_env<V: Persist>(bottom: bool, env: Option<&BTreeMap<Symbol, V>>, w: &mut Writer) {
-    if bottom {
-        w.u8(0);
-        return;
-    }
-    w.u8(1);
-    let env = env.expect("non-bottom env");
-    w.u64(env.len() as u64);
-    for (k, v) in env {
-        k.put(w);
-        v.put(w);
-    }
-}
-
-fn get_env_entries<V: Persist>(
-    r: &mut Reader<'_>,
-) -> Result<Option<Vec<(Symbol, V)>>, PersistError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(Vec::<(Symbol, V)>::get(r)?)),
-        t => Err(bad_tag("env-domain", t)),
-    }
-}
-
-impl Persist for IntervalDomain {
+/// Every [`NonRel`] instance: a tag byte (`0` is `⊥`), then the `(Symbol,
+/// V)` pairs in the order the environment holds them, sorted by variable,
+/// so encoding is deterministic.
+impl<V: ValueLattice + Persist> Persist for NonRel<V> {
     fn put(&self, w: &mut Writer) {
-        match self {
-            IntervalDomain::Bottom => put_env::<AbsVal>(true, None, w),
-            IntervalDomain::Env(env) => put_env(false, Some(env), w),
+        let Some(env) = self.env() else {
+            return w.u8(0);
+        };
+        w.u8(1);
+        let bindings = env.iter();
+        w.u64(bindings.len() as u64);
+        for (k, v) in bindings {
+            k.put(w);
+            v.put(w);
         }
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match get_env_entries::<AbsVal>(r)? {
-            None => IntervalDomain::Bottom,
+        Ok(match r.u8()? {
+            0 => NonRel::bottom(),
             // `from_bindings` re-normalizes, so decoded states satisfy the
             // domain's canonical-form invariant.
-            Some(entries) => IntervalDomain::from_bindings(entries),
+            1 => NonRel::from_bindings(Vec::<(Symbol, V)>::get(r)?),
+            t => return Err(bad_tag("env-domain", t)),
         })
     }
 }
@@ -926,22 +908,6 @@ impl Persist for Sign {
     fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let bits = r.u8()?;
         Sign::from_bits(bits).ok_or_else(|| bad_tag("sign", bits))
-    }
-}
-
-impl Persist for SignDomain {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            SignDomain::Bottom => put_env::<Sign>(true, None, w),
-            SignDomain::Env(env) => put_env(false, Some(env), w),
-        }
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match get_env_entries::<Sign>(r)? {
-            None => SignDomain::Bottom,
-            Some(entries) => SignDomain::from_bindings(entries),
-        })
     }
 }
 
@@ -966,22 +932,6 @@ impl Persist for Const {
             1 => Const::Bool(bool::get(r)?),
             2 => Const::Null,
             t => return Err(bad_tag("const", t)),
-        })
-    }
-}
-
-impl Persist for ConstDomain {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            ConstDomain::Bottom => put_env::<Const>(true, None, w),
-            ConstDomain::Env(env) => put_env(false, Some(env), w),
-        }
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match get_env_entries::<Const>(r)? {
-            None => ConstDomain::Bottom,
-            Some(entries) => ConstDomain::from_bindings(entries),
         })
     }
 }
@@ -1226,9 +1176,18 @@ impl<A: Persist, B: Persist> Persist for Prod<A, B> {
     }
 }
 
-impl PersistDomain for IntervalDomain {
+impl<V: ValueLattice + Persist> PersistDomain for NonRel<V> {
     fn domain_tag() -> String {
-        "interval".to_string()
+        V::NAME.to_string()
+    }
+
+    /// The shared environment's address (`0` for `⊥`), as for octagons.
+    fn encode_identity(&self) -> Option<u64> {
+        Some(self.identity())
+    }
+
+    fn content_key(&self) -> u128 {
+        self.digest()
     }
 }
 
@@ -1256,18 +1215,6 @@ impl PersistDomain for OctagonDomain {
     }
 }
 
-impl PersistDomain for SignDomain {
-    fn domain_tag() -> String {
-        "sign".to_string()
-    }
-}
-
-impl PersistDomain for ConstDomain {
-    fn domain_tag() -> String {
-        "const".to_string()
-    }
-}
-
 impl PersistDomain for ShapeDomain {
     fn domain_tag() -> String {
         "shape".to_string()
@@ -1283,6 +1230,7 @@ impl<A: PersistDomain, B: PersistDomain> PersistDomain for Prod<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dai_domains::{ConstDomain, IntervalDomain, SignDomain};
     use dai_lang::parse_program;
 
     fn roundtrip<T: Persist + PartialEq + std::fmt::Debug>(v: &T) {

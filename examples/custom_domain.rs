@@ -12,6 +12,11 @@
 //! provides demand-driven queries, incremental edits, demanded unrolling,
 //! and memoization for it, unchanged.
 //!
+//! (A domain that, like this one, is a map from variables to values need
+//! not write the map: `dai_domains::nonrel::ValueLattice` asks only for the
+//! value lattice, and `dai_domains::parity` is this domain in that form.
+//! The long way is kept here because it is the paper's claim.)
+//!
 //! Run with `cargo run --example custom_domain`.
 
 use dai_core::analysis::FuncAnalysis;

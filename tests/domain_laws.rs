@@ -3,14 +3,19 @@
 //! `⊔`, `∇` is an upper-bound operator with `∇(a, a) = a`, widening chains
 //! stabilize, and `models` is monotone along `⊑` (γ is monotone). Covers
 //! the paper's three evaluation domains (interval, octagon, shape) and the
-//! finite-height extensions (sign, constant propagation, products).
+//! finite-height extensions (sign, constant propagation, parity, products).
 //!
 //! Also the law memoization rests on: `Hash` follows `Eq`. States that are
 //! `==` have the same `content_digest` whatever route produced them, and a
 //! domain that caches its hash never hands a stale one to a changed copy.
+//! For the `NonRel` instances, which keep a digest per binding and share
+//! their map, that is checked after every step of a random operation
+//! sequence (`law_digest_and_sharing`).
 
 use dai_domains::constprop::{Const, ConstDomain};
 use dai_domains::interval::{AbsVal, Interval};
+use dai_domains::nonrel::{Lifted, NonRel, ValueLattice};
+use dai_domains::parity::{Parity, ParityDomain};
 use dai_domains::sign::Sign;
 use dai_domains::{
     AbstractDomain, Bool3, IntervalDomain, OctagonDomain, Prod, ShapeDomain, SignDomain,
@@ -112,6 +117,20 @@ fn arb_const_state() -> impl Strategy<Value = ConstDomain> {
                 .map(|(i, c)| (Symbol::new(format!("v{i}")), c)),
         )
     })
+}
+
+fn arb_parity_state() -> impl Strategy<Value = ParityDomain> {
+    prop::collection::vec((0usize..4, any::<bool>()), 0..4).prop_map(|binds| {
+        ParityDomain::from_bindings(binds.into_iter().map(|(i, even)| {
+            let parity = if even { Parity::Even } else { Parity::Odd };
+            (Symbol::new(format!("v{i}")), parity)
+        }))
+    })
+}
+
+/// Steps of `law_digest_and_sharing`: (operation, variable, constant).
+fn arb_ops() -> impl Strategy<Value = Vec<(usize, usize, i64)>> {
+    prop::collection::vec((0usize..5, 0usize..4, -5i64..5), 0..8)
 }
 
 fn arb_product_state() -> impl Strategy<Value = Prod<IntervalDomain, SignDomain>> {
@@ -230,6 +249,79 @@ fn law_hash_follows_eq<D: AbstractDomain + Persist>(a: &D) {
     }
 }
 
+/// What a `NonRel` state owes its kept digest and its shared map.
+fn check_nonrel<V: ValueLattice>(s: &NonRel<V>) {
+    let Some(env) = s.env() else {
+        return;
+    };
+    let rebuilt = NonRel::from_bindings(env.iter().map(|(k, v)| (k.clone(), v.clone())));
+    prop_assert_ok(
+        rebuilt.digest() == s.digest(),
+        "the kept digest is the digest of the bindings from scratch",
+    );
+    prop_assert_ok(
+        rebuilt == *s && content_digest(&rebuilt) == content_digest(s),
+        "Hash follows Eq for states built along different paths",
+    );
+    prop_assert_ok(
+        s.clone().identity() == s.identity(),
+        "clone is pointer-equal",
+    );
+    if let Some((k, v)) = env.iter().next() {
+        let held = || Lifted::Val(v.clone());
+        prop_assert_ok(
+            s.with_binding(k, held()).identity() == s.identity(),
+            "binding what is held copies nothing",
+        );
+        let back = s.with_binding(k, Lifted::Top).with_binding(k, held());
+        prop_assert_ok(
+            back == *s && back.digest() == s.digest(),
+            "unbinding and rebinding restores the digest",
+        );
+    }
+}
+
+/// `check_nonrel`, and decode(encode(s)) == s with an equal digest.
+fn check_nonrel_on_the_wire<V: ValueLattice + Persist>(s: &NonRel<V>) {
+    check_nonrel(s);
+    let mut w = Writer::new();
+    s.put(&mut w);
+    let back = NonRel::<V>::get(&mut Reader::new(&w.into_bytes())).expect("decodes");
+    prop_assert_ok(
+        back == *s && back.digest() == s.digest(),
+        "a decoded state equals the encoded one, digest included",
+    );
+}
+
+/// Runs `check` on `a` and after every step of a random sequence of
+/// assignments (`with_binding` underneath), joins and widenings with `b`,
+/// and refinements.
+fn law_digest_and_sharing<D: AbstractDomain>(
+    a: &D,
+    b: &D,
+    ops: &[(usize, usize, i64)],
+    check: impl Fn(&D),
+) {
+    let mut s = a.clone();
+    check(&s);
+    for &(op, v, c) in ops {
+        let (x, y) = (format!("v{v}"), format!("v{}", (v + 1) % 4));
+        s = match op {
+            0 => assign_const(&s, &x, c),
+            1 => s.transfer(&Stmt::Assign(
+                x.into(),
+                parse_expr(&format!("{y} * {c} + 1")).unwrap(),
+            )),
+            2 => s.join(b),
+            3 => s.widen(b),
+            _ => s.transfer(&Stmt::Assume(
+                parse_expr(&format!("{x} <= {c} || {x} % 2 == {y}")).unwrap(),
+            )),
+        };
+        check(&s);
+    }
+}
+
 fn prop_assert_ok(cond: bool, msg: &str) {
     assert!(cond, "domain law violated: {msg}");
 }
@@ -310,6 +402,47 @@ proptest! {
     }
 
     #[test]
+    fn parity_laws(a in arb_parity_state(), b in arb_parity_state()) {
+        law_join_upper_bound(&a, &b);
+        law_widen_upper_bound(&a, &b);
+        law_widen_reflexive(&a);
+        law_leq_partial_order(&a, &b);
+    }
+
+    #[test]
+    fn parity_widening_chains(a in arb_parity_state(), steps in prop::collection::vec(arb_parity_state(), 1..4)) {
+        law_widening_chain_stabilizes(a, &steps);
+    }
+
+    #[test]
+    fn interval_digest_and_sharing(a in arb_interval_state(), b in arb_interval_state(), ops in arb_ops()) {
+        law_digest_and_sharing(&a, &b, &ops, check_nonrel_on_the_wire);
+    }
+
+    #[test]
+    fn sign_digest_and_sharing(a in arb_sign_state(), b in arb_sign_state(), ops in arb_ops()) {
+        law_digest_and_sharing(&a, &b, &ops, check_nonrel_on_the_wire);
+    }
+
+    #[test]
+    fn constprop_digest_and_sharing(a in arb_const_state(), b in arb_const_state(), ops in arb_ops()) {
+        law_digest_and_sharing(&a, &b, &ops, check_nonrel_on_the_wire);
+    }
+
+    #[test]
+    fn parity_digest_and_sharing(a in arb_parity_state(), b in arb_parity_state(), ops in arb_ops()) {
+        law_digest_and_sharing(&a, &b, &ops, check_nonrel);
+    }
+
+    #[test]
+    fn product_digest_and_sharing(a in arb_product_state(), b in arb_product_state(), ops in arb_ops()) {
+        law_digest_and_sharing(&a, &b, &ops, |p| {
+            check_nonrel_on_the_wire(p.first());
+            check_nonrel_on_the_wire(p.second());
+        });
+    }
+
+    #[test]
     fn product_laws(a in arb_product_state(), b in arb_product_state()) {
         law_join_upper_bound(&a, &b);
         law_widen_upper_bound(&a, &b);
@@ -374,6 +507,7 @@ fn transfer_preserves_bottom() {
         assert!(ShapeDomain::bottom().transfer(s).is_bottom());
         assert!(SignDomain::bottom().transfer(s).is_bottom());
         assert!(ConstDomain::bottom().transfer(s).is_bottom());
+        assert!(ParityDomain::bottom().transfer(s).is_bottom());
         assert!(Prod::<IntervalDomain, SignDomain>::bottom()
             .transfer(s)
             .is_bottom());

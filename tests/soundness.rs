@@ -7,7 +7,8 @@ use dai_bench::workload::Workload;
 use dai_core::analysis::FuncAnalysis;
 use dai_core::query::{IntraResolver, QueryStats};
 use dai_domains::{
-    AbstractDomain, ConstDomain, IntervalDomain, OctagonDomain, Prod, ShapeDomain, SignDomain,
+    AbstractDomain, ConstDomain, IntervalDomain, OctagonDomain, ParityDomain, Prod, ShapeDomain,
+    SignDomain,
 };
 use dai_lang::cfg::lower_program;
 use dai_lang::interp::{collect, Value as CValue};
@@ -87,6 +88,14 @@ fn sign_sound_on_numeric_programs() {
 fn constprop_sound_on_numeric_programs() {
     for src in NUMERIC_PROGRAMS {
         check_soundness(src, ConstDomain::top(), vec![]);
+    }
+}
+
+#[test]
+fn parity_sound_on_numeric_programs() {
+    let evens = "function main() { var x = 9; var e = 0; while (x > 0) { if (x % 2 == 0) { e = e + x; } x = x - 1; } return e; }";
+    for src in NUMERIC_PROGRAMS.iter().chain([&evens]) {
+        check_soundness(src, ParityDomain::top(), vec![]);
     }
 }
 

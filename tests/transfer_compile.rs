@@ -1,12 +1,14 @@
 //! Differential suite for staged transfer compilation (PR 7): under
-//! every compilable domain, analyses evaluated through the compiled
-//! [`dai_core::TransferTable`] must be **bit-for-bit identical** to the
-//! interpreted oracle — every queried value, the DOT bytes of the final
-//! DAIG, and the memo table's `(key, value-digest)` set — across random
-//! programs, random edit (splice/relabel) sequences, and the demanded
-//! unrolling those queries force. The interpreter is kept precisely so
-//! this oracle exists; a divergence here means a staged closure took a
-//! different branch than `AbstractDomain::transfer`.
+//! every domain, analyses evaluated in [`TransferMode::Compiled`] must be
+//! **bit-for-bit identical** to the interpreted oracle — every queried
+//! value, the DOT bytes of the final DAIG, and the memo table's `(key,
+//! value-digest)` set — across random programs, random edit
+//! (splice/relabel) sequences, and the demanded unrolling those queries
+//! force. The octagon is the one domain that stages closures, and a
+//! divergence there means a closure took a different branch than
+//! `AbstractDomain::transfer`; the `NonRel` domains (and products of them)
+//! stage nothing, so their rows prove that the compiled mode's fall-through
+//! to the interpreter is exact and counted as interpretation.
 
 use dai_bench::workload::Workload;
 use dai_core::analysis::FuncAnalysis;
@@ -20,6 +22,7 @@ use dai_engine::{Engine, EngineConfig, Request, ResolverChoice, Response};
 use dai_lang::cfg::lower_program;
 use dai_lang::{parse_program, Stmt};
 use dai_memo::{content_digest, MemoTable};
+use dai_persist::PersistDomain;
 use proptest::prelude::*;
 
 const SEED_PROGRAM: &str = "function main() { var x0 = 0; return x0; }";
@@ -47,7 +50,7 @@ fn memo_digests<D: AbstractDomain>(memo: &MemoTable<Value<D>>) -> Vec<(u128, u12
 /// Runs the same random splice/relabel/query script through a compiled
 /// and an interpreted [`FuncAnalysis`] and asserts bit-identity of
 /// values, DOT bytes, and memo digests after every round.
-fn run_core_differential<D: AbstractDomain>(domain: &str, seed: u64, rounds: usize) {
+fn run_core_differential<D: AbstractDomain>(domain: &str, seed: u64, rounds: usize, stages: bool) {
     let cfg = seed_cfg();
     let phi0 = D::entry_default(cfg.params());
     let mut compiled = FuncAnalysis::<D>::with_config(
@@ -122,11 +125,13 @@ fn run_core_differential<D: AbstractDomain>(domain: &str, seed: u64, rounds: usi
             "{label}: memo digests diverge"
         );
     }
-    // The comparison is only meaningful if the compiled run actually
-    // took the staged path (and the oracle never did).
-    assert!(
+    // The comparison is only meaningful if the compiled run took the
+    // staged path exactly where the domain stages (and the oracle never
+    // did).
+    assert_eq!(
         stats_c.transfers_compiled > 0,
-        "{domain} seed {seed}: compiled run never used a staged closure"
+        stages,
+        "{domain} seed {seed}: staged closures used by the compiled run"
     );
     assert_eq!(
         stats_i.transfers_compiled, 0,
@@ -140,11 +145,11 @@ proptest! {
 
     #[test]
     fn compiled_matches_interpreter_on_every_compilable_domain(seed in 0u64..100_000) {
-        run_core_differential::<SignDomain>("sign", seed, 4);
-        run_core_differential::<ConstDomain>("const", seed, 4);
-        run_core_differential::<IntervalDomain>("interval", seed, 4);
-        run_core_differential::<OctagonDomain>("octagon", seed, 3);
-        run_core_differential::<Prod<SignDomain, IntervalDomain>>("sign×interval", seed, 3);
+        run_core_differential::<SignDomain>("sign", seed, 4, false);
+        run_core_differential::<ConstDomain>("const", seed, 4, false);
+        run_core_differential::<IntervalDomain>("interval", seed, 4, false);
+        run_core_differential::<OctagonDomain>("octagon", seed, 3, true);
+        run_core_differential::<Prod<SignDomain, IntervalDomain>>("sign×interval", seed, 3, false);
     }
 }
 
@@ -152,11 +157,17 @@ proptest! {
 /// stream and query load through two engines that differ only in
 /// [`EngineConfig::transfer`]; every answer and the final DOT snapshots
 /// must be bit-identical, and each engine's counters must show it
-/// evaluated through its configured path.
-fn run_engine_differential(seed: u64, resolver: ResolverChoice, rounds: usize) {
-    let label = format!("seed {seed} resolver {resolver:?}");
+/// evaluated through its configured path (`stages`: whether `D` has
+/// closures for the compiled engine to take).
+fn run_engine_differential<D: PersistDomain>(
+    seed: u64,
+    resolver: ResolverChoice,
+    rounds: usize,
+    stages: bool,
+) {
+    let label = format!("{} seed {seed} resolver {resolver:?}", D::domain_tag());
     let mk = |transfer| {
-        Engine::<IntervalDomain>::with_config(EngineConfig {
+        Engine::<D>::with_config(EngineConfig {
             workers: 2,
             resolver,
             transfer,
@@ -188,22 +199,21 @@ fn run_engine_differential(seed: u64, resolver: ResolverChoice, rounds: usize) {
             assert_eq!(a, b, "{label} round {round}: answer at {f} {loc} diverges");
         }
     }
-    let snap = |engine: &Engine<IntervalDomain>, s| match engine
-        .request(Request::Snapshot { session: s })
-        .unwrap()
-    {
-        Response::Snapshot(snap) => snap,
-        other => panic!("{label}: unexpected {other:?}"),
-    };
+    let snap =
+        |engine: &Engine<D>, s| match engine.request(Request::Snapshot { session: s }).unwrap() {
+            Response::Snapshot(snap) => snap,
+            other => panic!("{label}: unexpected {other:?}"),
+        };
     assert_eq!(
         snap(&compiled, sc),
         snap(&interp, si),
         "{label}: final DOT snapshots diverge"
     );
     let (cs, is) = (compiled.stats(), interp.stats());
-    assert!(
+    assert_eq!(
         cs.query_stats.transfers_compiled > 0,
-        "{label}: compiled engine never used a staged closure"
+        stages,
+        "{label}: staged closures used by the compiled engine"
     );
     assert_eq!(
         is.query_stats.transfers_compiled, 0,
@@ -217,12 +227,11 @@ proptest! {
 
     #[test]
     fn engine_transfer_modes_agree_under_both_resolvers(seed in 0u64..100_000) {
-        run_engine_differential(seed, ResolverChoice::Intra, 4);
-        run_engine_differential(
-            seed,
-            ResolverChoice::Interproc { policy: dai_core::ContextPolicy::CallString(1) },
-            4,
-        );
+        let interproc = ResolverChoice::Interproc { policy: dai_core::ContextPolicy::CallString(1) };
+        run_engine_differential::<IntervalDomain>(seed, ResolverChoice::Intra, 4, false);
+        run_engine_differential::<IntervalDomain>(seed, interproc, 4, false);
+        run_engine_differential::<OctagonDomain>(seed, ResolverChoice::Intra, 4, true);
+        run_engine_differential::<OctagonDomain>(seed, interproc, 4, true);
     }
 }
 
@@ -237,9 +246,9 @@ fn relabel_never_serves_a_stale_closure() {
         .unwrap()
         .clone();
     for mode in [TransferMode::Compiled, TransferMode::Interp] {
-        let mut fa = FuncAnalysis::<IntervalDomain>::with_config(
+        let mut fa = FuncAnalysis::<OctagonDomain>::with_config(
             cfg.clone(),
-            IntervalDomain::entry_default(cfg.params()),
+            OctagonDomain::entry_default(cfg.params()),
             FixStrategy::PAPER,
             mode,
         );

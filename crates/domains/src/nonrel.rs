@@ -20,8 +20,9 @@
 //! adds nothing) hands back the allocation it was given, so a memo hit, a
 //! cell write and a convergence check usually compare pointers.
 //!
-//! The digest is the wrapping sum, over the bindings, of a 128-bit hash of
-//! each `(variable, value)` pair — a sum so that [`NonRel::with_binding`]
+//! The digest is the wrapping sum, over the bindings, of the one content
+//! hash (`dai_memo::content_digest`, a few folded multiplies) of each
+//! `(variable, value)` pair — a sum so that [`NonRel::with_binding`]
 //! adjusts it in O(1) (take the old pair's hash out, put the new one in)
 //! and so that it does not depend on the route that built the map. `Hash`
 //! writes the digest and nothing else, which makes the DAIG's per-write
@@ -39,7 +40,6 @@ use crate::{AbstractDomain, CallSite};
 use dai_lang::interp::{ConcreteState, Value};
 use dai_lang::{BinOp, Expr, Stmt, Symbol, UnOp, RETURN_VAR};
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -125,15 +125,10 @@ pub struct Env<V> {
     digest: u128,
 }
 
-/// The 128-bit hash of one binding: two SipHash outputs over one pass,
-/// the second finished after one more word.
+/// The 128-bit hash of one binding, a term of the digest's sum: the one
+/// content hash, `dai_memo::content_digest`, of the pair.
 fn binding_digest<V: Hash>(var: &Symbol, value: &V) -> u128 {
-    let mut lo = DefaultHasher::new();
-    var.hash(&mut lo);
-    value.hash(&mut lo);
-    let mut hi = lo.clone();
-    hi.write_u64(0x6e6f_6e72_656c);
-    (u128::from(hi.finish()) << 64) | u128::from(lo.finish())
+    dai_memo::content_digest(&(var, value))
 }
 
 impl<V: Hash> Env<V> {

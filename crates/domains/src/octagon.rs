@@ -61,6 +61,11 @@
 //! memo hit, a cell write and a snapshot all carry the same `Arc`. `Eq` is
 //! exact (pointer-equal and fingerprints-differ are only shortcuts).
 //!
+//! The fingerprint is `dai_memo::content_digest` of `(vars, dbm)`, the one
+//! content hash of every memo key and cell digest: four folded-multiply
+//! lanes over the `2n(n+1)` packed words, in place of a fixed-key SipHash
+//! lane that kept out no adversary and cost several times as much.
+//!
 //! The fingerprint lives as long as the allocation and can never be stale,
 //! because nothing can change a sealed matrix: [`SealedOct`] derefs to
 //! `&Oct` only. Every mutating path un-seals first — [`Oct::clone`] out of
@@ -122,7 +127,6 @@ use crate::{AbstractDomain, CallSite};
 use dai_lang::interp::{ConcreteState, Value};
 use dai_lang::{BinOp, Expr, Stmt, Symbol, UnOp, RETURN_VAR};
 use std::borrow::Cow;
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -241,11 +245,10 @@ pub struct SealedOct {
 }
 
 impl SealedOct {
-    /// The content fingerprint: one SipHash lane over `(vars, dbm)` and one
-    /// independent multiply-rotate lane over the matrix words — the same
-    /// strength as the 128-bit `dai_memo::content_digest` that used to walk
-    /// the matrix itself (one SipHash lane, one Fx lane). Public as the key
-    /// a snapshot tells states apart by without hashing them again.
+    /// The content fingerprint: `dai_memo::content_digest` of `(vars,
+    /// dbm)`, whose four-lane slice path takes the packed half matrix.
+    /// Public as the key a snapshot tells states apart by without hashing
+    /// them again.
     pub fn fingerprint(&self) -> u128 {
         let fp = *self.fingerprint.get_or_init(|| {
             #[cfg(test)]
@@ -262,25 +265,7 @@ impl SealedOct {
 }
 
 fn content_fingerprint(oct: &Oct) -> u128 {
-    let mut sip = DefaultHasher::new();
-    oct.vars.hash(&mut sip);
-    // The second lane starts from the variable list's hash, so it too
-    // tells apart equal matrices over different variables.
-    let vars_hash = sip.clone().finish();
-    oct.dbm.hash(&mut sip);
-    // Four interleaved streams (a `(2n)²` matrix is a whole number of
-    // quads): a single multiply-rotate chain is latency bound, and this
-    // runs once per freshly computed matrix.
-    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
-    let mut lanes = [vars_hash, !vars_hash, vars_hash.rotate_left(16), K];
-    for quad in oct.dbm.chunks_exact(4) {
-        for (lane, &w) in lanes.iter_mut().zip(quad) {
-            *lane = step(*lane, w as u64);
-        }
-    }
-    let fx = lanes.into_iter().fold(K, step);
-    ((sip.finish() as u128) << 64) | fx as u128
+    dai_memo::content_digest(&(&*oct.vars, &oct.dbm))
 }
 
 impl std::ops::Deref for SealedOct {
@@ -2209,10 +2194,8 @@ mod tests {
         }
     }
 
-    fn digest(s: &OctagonDomain) -> u64 {
-        let mut h = DefaultHasher::new();
-        s.hash(&mut h);
-        h.finish()
+    fn digest(s: &OctagonDomain) -> u128 {
+        dai_memo::content_digest(s)
     }
 
     #[test]

@@ -30,18 +30,13 @@
 //!
 //! ## Throughput notes
 //!
-//! Key construction is on the analysis hot path — every `Q-Match` lookup
-//! hashes the function's inputs — so the builder is engineered to do no
-//! redundant work: [`KeyBuilder::finish`] consumes the builder and
-//! finalizes its two hash streams in place (no hasher cloning), and
+//! Hashing is on the analysis hot path — every `Q-Match` lookup builds a
+//! key, every cell write a digest — and one kernel does all of it:
+//! `ContentHasher`, a folded multiply in place of fixed-key SipHash.
 //! [`KeyBuilder::push_digest`] feeds a **pre-computed** [`content_digest`]
-//! (16 bytes) instead of re-hashing a full value. `dai-core` caches a
-//! digest per filled DAIG cell at write time, which turns the per-lookup
-//! cost for large abstract states (octagon matrices, shape graphs) from
-//! O(|state|) into O(1); on the Fig. 10 octagon workload this is a large
-//! fraction of the end-to-end query cost (`memo.fetch_us`, `memo.record_us`
-//! and `memo.self_share` of `benchmark/run.sh --workload fig10_edit_query
-//! --trace 1` are where it shows).
+//! (one block): `dai-core` caches one per filled DAIG cell, the octagon and
+//! `NonRel` one per allocation, so a lookup costs O(1) however large the
+//! state (`memo.fetch_us` and `domains.eq_hash_us` under `--trace 1`).
 //!
 //! ```
 //! use dai_memo::{KeyBuilder, MemoTable};
@@ -54,7 +49,6 @@
 //! assert_eq!(m.stats().hits, 1);
 //! ```
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -62,11 +56,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A fast, non-cryptographic hasher (the rustc-hash / FxHash algorithm)
-/// for *map-internal* use, where a collision costs a probe rather than a
-/// wrong answer. [`MemoKey`] identity and [`content_digest`]s stay on the
-/// two-stream SipHash construction; this type exists so hot id- and
-/// name-keyed tables (the DAIG interner, the memo shards) do not pay
-/// SipHash per lookup.
+/// for *map-internal* use and frame checksums, where a collision costs a
+/// probe or a re-read rather than a wrong answer. It is not a content
+/// hash: [`MemoKey`]s and [`content_digest`]s are `ContentHasher`'s.
+/// This type exists so hot id- and name-keyed tables (the DAIG interner,
+/// the memo shards) do not pay std's SipHash per lookup.
 #[derive(Debug, Default, Clone)]
 pub struct FxHasher64 {
     hash: u64,
@@ -164,10 +158,9 @@ pub type PrehashedBuild = BuildHasherDefault<PrehashedKeyHasher>;
 
 /// A 128-bit content hash identifying a memoized application `f·(v₁⋯v_k)`.
 ///
-/// Two independently seeded 64-bit SipHash streams are concatenated; keys
-/// are equal only if both streams agree, making accidental collisions
-/// vanishingly unlikely at analysis scales (billions of entries would be
-/// needed for a 2⁻⁶⁴ birthday bound to matter).
+/// Keys are never checked against what they name, so a collision would be
+/// a wrong answer; the halves come from two lanes with independent secrets,
+/// and a birthday collision needs on the order of 2⁶⁴ keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MemoKey(pub u128);
 
@@ -177,70 +170,131 @@ impl fmt::Display for MemoKey {
     }
 }
 
-/// A 128-bit-output hasher pairing one SipHash stream (collision
-/// resistance) with one FxHash stream (independence), fed by a **single**
-/// traversal of the value — `Hash::hash` walks the structure once, not
-/// once per stream. A [`MemoKey`] collision requires both streams to
-/// collide simultaneously, which for non-adversarial analysis values is
-/// as unlikely as the previous dual-SipHash construction in practice,
-/// at roughly half the hashing cost.
+/// The folded multiply: the 128-bit product of `a` and `b`, halves XOR-ed.
+const fn fold(a: u64, b: u64) -> u64 {
+    let p = a as u128 * b as u128;
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// What every word is XOR-ed with before it multiplies: odd, half their
+/// bits set, and (the tests pin it) no word analysis data is made of.
+const SECRET: [u64; 6] = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+    0x5899_65cc_7537_4cc3,
+    0x1d8e_4e27_c47d_124f,
+    0x2d35_8dcc_aa6c_78a5,
+];
+
+/// The one content hash: every [`MemoKey`] and [`content_digest`] (hence
+/// every cell digest, octagon fingerprint and `NonRel` binding digest).
+/// Two lanes with independent secrets absorb 16-byte blocks `(a, b)` by the
+/// folded multiply of wyhash and rapidhash, `x ← fold(a ⊕ s₀, b ⊕ x)` and
+/// `y ← fold(b ⊕ s₁, a ⊕ y)`; the finaliser adds the word count. A slice
+/// of 64 bytes or more (a packed octagon) runs a second pair of lanes on
+/// alternate blocks, so four multiply chains are in flight, not two.
+///
+/// It replaced `DefaultHasher::new()`, SipHash-1-3 under the fixed, public
+/// key `(0, 0)`: a key anyone can compute keeps out no adversary, so it
+/// bought only statistical spread, which the folded multiply gives at a
+/// fraction of the cost. Its one weakness, a zero multiplicand wiping a
+/// lane, needs a data word equal to a secret.
 #[derive(Debug, Clone)]
-struct TwinHasher {
-    sip: DefaultHasher,
-    fx: FxHasher64,
+struct ContentHasher {
+    lanes: [u64; 2],
+    /// The first word of a half-fed block, live while `words` is odd.
+    pending: u64,
+    words: u64,
 }
 
-impl TwinHasher {
-    fn seeded(seed: u64) -> TwinHasher {
-        let mut t = TwinHasher {
-            sip: DefaultHasher::new(),
-            fx: FxHasher64::default(),
-        };
-        seed.hash(&mut t);
-        t
+impl ContentHasher {
+    const fn seeded(seed: u64) -> ContentHasher {
+        ContentHasher {
+            lanes: [seed ^ SECRET[0], seed ^ SECRET[1]],
+            pending: 0,
+            words: 0,
+        }
     }
 
-    fn finish128(&self) -> u128 {
-        ((self.sip.finish() as u128) << 64) | self.fx.finish() as u128
+    fn block(&mut self, a: u64, b: u64) {
+        let [x, y] = self.lanes;
+        self.lanes = [fold(a ^ SECRET[0], b ^ x), fold(b ^ SECRET[1], a ^ y)];
+    }
+
+    fn word(&mut self, w: u64) {
+        if self.words & 1 == 1 {
+            self.block(self.pending, w);
+        } else {
+            self.pending = w;
+        }
+        self.words += 1;
+    }
+
+    /// Absorbs `bytes`' 32-byte chunks, returning the rest: two words of
+    /// each to the lanes, two to a second pair, merged at the end.
+    fn bulk<'a>(&mut self, bytes: &'a [u8]) -> &'a [u8] {
+        let [x, y] = self.lanes;
+        let mut l = [x, y, x ^ SECRET[4], y ^ SECRET[5]];
+        let mut chunks = bytes.chunks_exact(32);
+        for chunk in &mut chunks {
+            let [a, b, c, d] = [0, 8, 16, 24].map(|i| le_word(&chunk[i..i + 8]));
+            l = [
+                fold(a ^ SECRET[0], b ^ l[0]),
+                fold(b ^ SECRET[1], a ^ l[1]),
+                fold(c ^ SECRET[2], d ^ l[2]),
+                fold(d ^ SECRET[3], c ^ l[3]),
+            ];
+        }
+        self.words += (bytes.len() / 32 * 4) as u64;
+        self.lanes = [l[0] ^ l[2], l[1] ^ l[3]];
+        chunks.remainder()
+    }
+
+    fn finish128(mut self) -> u128 {
+        let last = if self.words & 1 == 1 { self.pending } else { 0 };
+        self.block(last, self.words);
+        let [x, y] = self.lanes;
+        let lo = fold(x ^ SECRET[2], y ^ SECRET[3]);
+        u128::from(fold(y ^ SECRET[4], x ^ SECRET[5])) << 64 | u128::from(lo)
     }
 }
 
-impl Hasher for TwinHasher {
-    #[inline]
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
+}
+
+/// Integers reach [`Hasher::write`] as their bytes: one path, one word.
+impl Hasher for ContentHasher {
     fn finish(&self) -> u64 {
-        self.sip.finish() ^ self.fx.finish()
+        self.clone().finish128() as u64
     }
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        self.sip.write(bytes);
-        self.fx.write(bytes);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.sip.write_u8(n);
-        self.fx.write_u8(n);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.sip.write_u32(n);
-        self.fx.write_u32(n);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.sip.write_u64(n);
-        self.fx.write_u64(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.sip.write_usize(n);
-        self.fx.write_usize(n);
+        let mut rest = bytes;
+        if rest.len() >= 64 {
+            if self.words & 1 == 1 {
+                self.word(le_word(&rest[..8]));
+                rest = &rest[8..];
+            }
+            rest = self.bulk(rest);
+        }
+        let mut words = rest.chunks_exact(8);
+        words.by_ref().for_each(|w| self.word(le_word(w)));
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            // Up to seven bytes, and their count in the eighth.
+            let w = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            self.word(w | (tail.len() as u64) << 56);
+        }
     }
 }
+
+/// Where keys and digests start: apart, so no digest is a one-argument key.
+const KEYS: ContentHasher = ContentHasher::seeded(0xD41A_1E57);
+const DIGESTS: ContentHasher = ContentHasher::seeded(0xD16E_57A7);
 
 /// Incrementally hashes a function symbol and its argument values into a
 /// [`MemoKey`].
@@ -250,13 +304,13 @@ impl Hasher for TwinHasher {
 /// widening.
 #[derive(Debug, Clone)]
 pub struct KeyBuilder {
-    h: TwinHasher,
+    h: ContentHasher,
 }
 
 impl KeyBuilder {
     /// Starts a key for an application of the function named `func`.
     pub fn new(func: &str) -> KeyBuilder {
-        let mut h = TwinHasher::seeded(0xD41A_1E57);
+        let mut h = KEYS;
         func.hash(&mut h);
         KeyBuilder { h }
     }
@@ -267,33 +321,29 @@ impl KeyBuilder {
         self
     }
 
-    /// Feeds a pre-computed [`content_digest`] into the key — 16 bytes of
+    /// Feeds a pre-computed [`content_digest`] into the key — one block of
     /// hashing regardless of how large the digested value was.
-    pub fn push_digest(mut self, digest: u128) -> KeyBuilder {
-        digest.hash(&mut self.h);
-        self
+    pub fn push_digest(self, digest: u128) -> KeyBuilder {
+        self.push(&digest)
     }
 
-    /// Finalizes the key, consuming the builder (the hashers are finished
-    /// in place — no clones).
+    /// Finalizes the key, consuming the builder.
     pub fn finish(self) -> MemoKey {
         MemoKey(self.h.finish128())
     }
 }
 
-/// The 128-bit content hash of a single value, using the same
-/// twin-stream construction as [`MemoKey`]s (differently seeded, so a
-/// digest is never confused with a one-argument key).
+/// The 128-bit content hash of a single value: `ContentHasher` seeded
+/// apart from [`MemoKey`]s.
 ///
 /// Computed once per cell write and thereafter fed to
 /// [`KeyBuilder::push_digest`], this amortizes the cost of hashing large
 /// values across every memo lookup that reads them. What one call costs is
 /// up to the value's `Hash`: a domain that caches a fingerprint beside its
-/// shared representation (the octagon does, over the packed half of its
-/// matrix) walks the value once per allocation, however many cells that
-/// allocation is written to.
+/// shared representation (the octagon and `NonRel` do) hashes 16 bytes
+/// here, and walks its content once per allocation.
 pub fn content_digest<T: Hash + ?Sized>(value: &T) -> u128 {
-    let mut h = TwinHasher::seeded(0xD16E_57A7);
+    let mut h = DIGESTS;
     value.hash(&mut h);
     h.finish128()
 }
@@ -566,8 +616,8 @@ impl<V> SharedMemoTable<V> {
     }
 
     fn shard(&self, key: MemoKey) -> &Mutex<MemoTable<(u64, V)>> {
-        // Fold both 64-bit halves so either hash stream alone suffices to
-        // spread keys.
+        // Fold both 64-bit halves so either lane alone suffices to spread
+        // keys.
         let h = (key.0 >> 64) as u64 ^ key.0 as u64;
         &self.inner.shards[(h as usize) & (self.inner.shards.len() - 1)]
     }
@@ -923,5 +973,266 @@ mod tests {
         let _ = m.get(k);
         let _ = m.get(key("f", &[2]));
         assert!((m.stats().hit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    // -----------------------------------------------------------------
+    // The content hash, held to what an unchecked memo key needs: no
+    // collision over 2²⁰ structured inputs a family (2¹⁶ in a debug
+    // build; CI runs these optimised), full avalanche, and no secret a
+    // common word could cancel.
+    // -----------------------------------------------------------------
+
+    const CASES: usize = if cfg!(debug_assertions) {
+        1 << 16
+    } else {
+        1 << 20
+    };
+
+    /// No two of `hashes` agree in all 128 bits, or in either half.
+    fn assert_no_collisions(what: &str, hashes: Vec<u128>) {
+        assert!(hashes.len() >= CASES, "{what}: {} inputs", hashes.len());
+        for (half, mask) in [("128-bit", u128::MAX), ("low", u64::MAX.into())] {
+            for shift in [0, 64] {
+                let mut h: Vec<u128> = hashes.iter().map(|x| (x >> shift) & mask).collect();
+                h.sort_unstable();
+                let dup = h.windows(2).find(|w| w[0] == w[1]);
+                assert!(
+                    dup.is_none(),
+                    "{what}: {half} >> {shift} collision {dup:x?}"
+                );
+            }
+        }
+    }
+
+    /// Mean output bits changed by each single-bit flip of the first `bits`
+    /// bits of `input` (`hash` applied to the flipped copy), and the fewest
+    /// any flip changed.
+    fn avalanche(input: &[u64], bits: usize, hash: impl Fn(&[u64]) -> u128) -> (f64, u32) {
+        let base = hash(input);
+        let mut flipped = input.to_vec();
+        let (mut total, mut fewest) = (0u64, 128);
+        for bit in 0..bits {
+            flipped[bit / 64] ^= 1 << (bit % 64);
+            let changed = (hash(&flipped) ^ base).count_ones();
+            flipped[bit / 64] ^= 1 << (bit % 64);
+            total += u64::from(changed);
+            fewest = fewest.min(changed);
+        }
+        (total as f64 / bits as f64, fewest)
+    }
+
+    const INF: i64 = i64::MAX;
+    /// The octagon's `EXACT_CLOSURE_BOUND`.
+    const BOUND: i64 = 1 << 40;
+
+    /// What the octagon's fingerprint hashes: `(vars, dbm)`.
+    fn fingerprint(vars: &[String], dbm: &[i64]) -> u128 {
+        content_digest(&(vars, dbm))
+    }
+
+    #[test]
+    fn octagon_matrices_one_or_two_words_apart_never_collide() {
+        // Entries an octagon holds: +inf, i64::MIN (a saturated sum),
+        // small finite bounds, and both edges of the exact-closure bound.
+        const VALUES: [i64; 16] = [
+            INF,
+            i64::MIN,
+            0,
+            1,
+            -1,
+            2,
+            -3,
+            7,
+            -11,
+            64,
+            BOUND,
+            BOUND - 1,
+            BOUND + 1,
+            -BOUND,
+            -BOUND + 1,
+            -BOUND - 1,
+        ];
+        // +inf-heavy, small finite, and at the bound.
+        let kinds = ["inf", "small", "bound"];
+        let entry = |kind: &str, i: usize| match kind {
+            "inf" if i.is_multiple_of(5) => 0,
+            "inf" => INF,
+            "small" => (i * 37 % 23) as i64 - 11,
+            _ => [BOUND, -BOUND, BOUND - 1, -BOUND - 1][i % 4],
+        };
+        let sizes = [1, 2, 4, 8, 14];
+        let mut hashes = Vec::new();
+        let mut bases = 0;
+        // Each base (its own variable names, so bases never meet) yields
+        // its one-word variants, then two-word ones, until its share of
+        // the cases (and what smaller bases left over) is met.
+        for kind in kinds {
+            for n in sizes {
+                bases += 1;
+                let target = CASES.div_ceil(kinds.len() * sizes.len()) * bases;
+                let vars: Vec<String> = (0..n).map(|v| format!("{kind}{v}")).collect();
+                let mut dbm: Vec<i64> = (0..2 * n * (n + 1)).map(|i| entry(kind, i)).collect();
+                let w = dbm.len();
+                let one = (0..w).flat_map(|p| VALUES.map(|v| [(p, v), (p, v)]));
+                let two = (0..w).flat_map(|p| (p + 1..w).map(move |q| (p, q)));
+                let two = two.flat_map(|(p, q)| {
+                    (0..16).map(move |k| [(p, VALUES[(p + k) % 16]), (q, VALUES[(q + 7 * k) % 16])])
+                });
+                for change in one.chain(two) {
+                    if hashes.len() >= target {
+                        break;
+                    }
+                    if change.iter().any(|&(p, v)| dbm[p] == v) {
+                        continue;
+                    }
+                    let old = change.map(|(p, _)| dbm[p]);
+                    change.iter().for_each(|&(p, v)| dbm[p] = v);
+                    hashes.push(fingerprint(&vars, &dbm));
+                    change.iter().zip(old).for_each(|(&(p, _), v)| dbm[p] = v);
+                }
+            }
+        }
+        assert_no_collisions("octagon", hashes);
+    }
+
+    /// A `NonRel` binding, an interval as `AbsVal` hashes it: a tagged
+    /// bound at each end.
+    fn binding(var: &str, lo: i64, hi: i64) -> u128 {
+        content_digest(&(var, (0u8, lo), (1u8, hi)))
+    }
+
+    #[test]
+    fn environments_one_binding_apart_never_collide() {
+        // A state's digest is the wrapping sum of its bindings', and a key
+        // reads the digest of that sum as a cell's `Value::State` hashes it.
+        let interval = |t: i64| (t - 500, t - 500 + t % 7);
+        let state = |sum: u128| content_digest(&(1isize, sum));
+        let mut hashes = Vec::new();
+        for env in 0.. {
+            if hashes.len() >= CASES {
+                break;
+            }
+            let k = 1 + env % 12;
+            let vars: Vec<String> = (0..k).map(|j| format!("e{env}v{j}")).collect();
+            let base: Vec<i64> = (0..k).map(|j| (env * 13 + j * 101) as i64 % 1024).collect();
+            let digests: Vec<u128> = (0..k)
+                .map(|j| {
+                    let (lo, hi) = interval(base[j]);
+                    binding(&vars[j], lo, hi)
+                })
+                .collect();
+            let sum = digests.iter().fold(0u128, |s, d| s.wrapping_add(*d));
+            hashes.push(state(sum));
+            for j in 0..k {
+                // Unbound (`⊤`; the empty environment only once), then
+                // rebound to every other interval.
+                if k > 1 || env == 0 {
+                    hashes.push(state(sum.wrapping_sub(digests[j])));
+                }
+                for t in (0..1024).filter(|&t| t != base[j]) {
+                    let (lo, hi) = interval(t);
+                    let changed = binding(&vars[j], lo, hi);
+                    hashes.push(state(sum.wrapping_sub(digests[j]).wrapping_add(changed)));
+                }
+            }
+        }
+        assert_no_collisions("environment", hashes);
+    }
+
+    #[test]
+    fn keys_over_permuted_digests_never_collide() {
+        let n = if cfg!(debug_assertions) { 256 } else { 1024 };
+        let d: Vec<u128> = (0..n as u64).map(|i| content_digest(&i)).collect();
+        let mut hashes = Vec::new();
+        // Every ordered pair: `widen(a, b)` and `widen(b, a)` both.
+        for (i, a) in d.iter().enumerate() {
+            for (j, b) in d.iter().enumerate().filter(|&(j, _)| j != i) {
+                let _ = j;
+                hashes.push(
+                    KeyBuilder::new("widen")
+                        .push_digest(*a)
+                        .push_digest(*b)
+                        .finish()
+                        .0,
+                );
+            }
+        }
+        // All six orders of consecutive triples under one symbol.
+        for i in 0..n {
+            let [a, b, c] = [d[i], d[(i + 1) % n], d[(i + 2) % n]];
+            for order in [
+                [a, b, c],
+                [a, c, b],
+                [b, a, c],
+                [b, c, a],
+                [c, a, b],
+                [c, b, a],
+            ] {
+                let key = order
+                    .iter()
+                    .fold(KeyBuilder::new("join"), |k, x| k.push_digest(*x));
+                hashes.push(key.finish().0);
+            }
+        }
+        assert_no_collisions("key", hashes);
+    }
+
+    #[test]
+    fn one_flipped_input_bit_changes_half_the_output() {
+        // The bulk path (a 40-word packed matrix), the block path (a key's
+        // digests) and the tail path (a short name beside a value).
+        let vars: Vec<String> = (0..4).map(|v| format!("x{v}")).collect();
+        let matrix: Vec<u64> = (0..40).map(|i| [INF, 0, 3, -BOUND][i % 4] as u64).collect();
+        let oct = |m: &[u64]| fingerprint(&vars, &m.iter().map(|&w| w as i64).collect::<Vec<_>>());
+        let digests = [content_digest(&1u8), content_digest(&2u8)];
+        let key_words: Vec<u64> = digests
+            .iter()
+            .flat_map(|d| [*d as u64, (*d >> 64) as u64])
+            .collect();
+        let key = |w: &[u64]| {
+            let digest = |i: usize| u128::from(w[2 * i]) | u128::from(w[2 * i + 1]) << 64;
+            KeyBuilder::new("transfer")
+                .push_digest(digest(0))
+                .push_digest(digest(1))
+                .finish()
+                .0
+        };
+        // Seven bytes of a name, beside a value: the tail word.
+        let named = |w: &[u64]| content_digest(&(&w[0].to_le_bytes()[..7], (0u8, 42)));
+        let name = [u64::from_le_bytes(*b"loop_i7\0")];
+        for (path, (mean, fewest)) in [
+            ("bulk", avalanche(&matrix, 64 * matrix.len(), oct)),
+            ("block", avalanche(&key_words, 256, key)),
+            ("tail", avalanche(&name, 56, named)),
+        ] {
+            assert!(
+                (60.0..=68.0).contains(&mean),
+                "{path}: {mean:.2} bits on average"
+            );
+            assert!(fewest >= 32, "{path}: a flip changed only {fewest} bits");
+        }
+    }
+
+    #[test]
+    fn no_secret_is_a_word_data_is_made_of() {
+        // A word equal to a secret zeroes its multiplicand and wipes the
+        // lane; no such word may be zero, +inf, or any integer an analysis
+        // state plausibly holds (up to the exact-closure bound, either
+        // sign). Balanced bits keep every product spread.
+        for (i, s) in SECRET.into_iter().enumerate() {
+            assert!(
+                ![0, u64::MAX, INF as u64, i64::MIN as u64].contains(&s),
+                "{i}"
+            );
+            assert!(
+                (s as i64).unsigned_abs() > BOUND as u64,
+                "secret {i} is small"
+            );
+            assert!(
+                (28..=36).contains(&s.count_ones()),
+                "secret {i} is unbalanced"
+            );
+            assert_eq!(SECRET.iter().filter(|&&t| t == s).count(), 1, "{i} repeats");
+        }
     }
 }

@@ -56,6 +56,8 @@
 //! [`FUNC_VERSION`] 2 and [`MEMO_VERSION`] 4 mark this layout (and, for
 //! octagons, state tag 3 inside it — see [`crate::wire`]); sections and
 //! `JMEM` frames written before it are dropped cold, which is sound.
+//! [`MEMO_VERSION`] 5 is the same layout under keys of the folded-multiply
+//! content hash; a version-4 payload is dropped the same way.
 
 use crate::codec::{
     read_sections, PersistError, Reader, SnapshotWriter, Writer, TAG_FUNC, TAG_MEMO, TAG_SESSION,
@@ -86,8 +88,9 @@ pub const FUNC_VERSION: u16 = 2;
 /// covering the packed half matrix (keys written by an older binary can
 /// never be matched again, so the skew path drops the section instead of
 /// loading entries that would only occupy the table); version 4 is the
-/// state-table layout.
-pub const MEMO_VERSION: u16 = 4;
+/// state-table layout; version 5 marks dai-memo's folded-multiply content
+/// hash, which replaced SipHash in every key.
+pub const MEMO_VERSION: u16 = 5;
 
 /// One demanded function's restored analysis state.
 #[derive(Debug, Clone)]
@@ -1082,9 +1085,10 @@ mod tests {
     #[test]
     fn memo_section_keyed_by_an_older_hash_is_dropped_alone() {
         // A snapshot from before the octagon fingerprint (MEMO stamped
-        // version 1) or from before it covered the packed half (version
-        // 2): same layout, but its keys no longer name any state, so the
-        // section is counted and dropped; everything else restores.
+        // version 1), from before it covered the packed half (version 2)
+        // or from before the folded-multiply hash (version 4): its keys no
+        // longer name any state, so the section is counted and dropped;
+        // everything else restores.
         let (fa, memo) = evaluated_analysis();
         let bytes = image_of(&fa, &memo).to_bytes();
         for older in 1..MEMO_VERSION {

@@ -7,10 +7,11 @@ use crate::build::{
 };
 use crate::compile::{TransferMode, TransferTable};
 use crate::edit::{dirty_from, dirty_from_ids, write_with_invalidation};
+use crate::explain::ExplainSink;
 use crate::graph::{Daig, DaigError, Value};
 use crate::intern::CellId;
 use crate::name::{IterCtx, Name};
-use crate::query::{query_with, CallResolver, QueryStats};
+use crate::query::{CallResolver, QueryStats};
 use dai_domains::AbstractDomain;
 use dai_lang::cfg::{Cfg, CfgError};
 use dai_lang::edit::{relabel_edge, splice_block_on_edge, SpliceInfo};
@@ -133,23 +134,12 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         &self.daig
     }
 
-    /// Mutable access to the DAIG, for cross-DAIG dirtying and for
-    /// external schedulers (`dai-engine`'s cone scheduler writes the
-    /// [`Value`]s it computes back through this). Callers must preserve
-    /// Definition 4.1 well-formedness; writing anything other than the
-    /// result of the cell's own computation breaks from-scratch
+    /// Mutable access to the DAIG, for cross-DAIG dirtying. Callers must
+    /// preserve Definition 4.1 well-formedness; writing anything other
+    /// than the result of the cell's own computation breaks from-scratch
     /// consistency.
     pub fn daig_mut(&mut self) -> &mut Daig<D> {
         &mut self.daig
-    }
-
-    /// Split borrow: the CFG (shared) alongside the DAIG (mutable) and the
-    /// staged transfer table — the borrow shape `dai-engine`'s scheduler
-    /// needs to call [`crate::query::fix_step_id`]`(daig, cfg, …)` without
-    /// cloning the CFG per step (the fields are disjoint) and to evaluate
-    /// compiled transfers while writing results back into the DAIG.
-    pub fn sched_parts_mut(&mut self) -> (&Cfg, &mut Daig<D>, Option<&TransferTable<D>>) {
-        (&self.cfg, &mut self.daig, self.transfers.as_ref())
     }
 
     /// The current entry state `φ₀`.
@@ -356,11 +346,63 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         self.daig.write(&ec, Value::State(self.entry_state.clone()));
     }
 
+    /// Demands every cell in `targets`, in order, through the one Fig. 8
+    /// evaluator (see [`crate::query`]): on success each target holds a
+    /// value. A batch applies cells in exactly the order
+    /// sequential one-target evaluations would; a supplied `sink` receives
+    /// one cost record per counter bump (see [`crate::explain`]).
+    ///
+    /// # Errors
+    ///
+    /// [`DaigError::NoSuchCell`] if a target is not in the DAIG's
+    /// namespace; [`DaigError::Invariant`] on internal inconsistency or
+    /// divergence.
+    pub fn evaluate(
+        &mut self,
+        targets: &[Name],
+        memo: &mut dyn MemoStore<Value<D>>,
+        resolver: &mut dyn CallResolver<D>,
+        stats: &mut QueryStats,
+        sink: Option<&mut ExplainSink>,
+    ) -> Result<(), DaigError> {
+        let ids = targets
+            .iter()
+            .map(|t| self.cell_id(t))
+            .collect::<Result<Vec<CellId>, DaigError>>()?;
+        self.evaluate_ids(&ids, memo, resolver, stats, sink)
+    }
+
+    fn cell_id(&self, n: &Name) -> Result<CellId, DaigError> {
+        self.daig
+            .id_of(n)
+            .ok_or_else(|| DaigError::NoSuchCell(n.to_string()))
+    }
+
+    fn evaluate_ids(
+        &mut self,
+        targets: &[CellId],
+        memo: &mut dyn MemoStore<Value<D>>,
+        resolver: &mut dyn CallResolver<D>,
+        stats: &mut QueryStats,
+        sink: Option<&mut ExplainSink>,
+    ) -> Result<(), DaigError> {
+        crate::query::evaluate(
+            &mut self.daig,
+            &self.cfg,
+            self.transfers.as_ref(),
+            targets,
+            memo,
+            resolver,
+            stats,
+            sink,
+        )
+    }
+
     /// Queries the raw cell named `n`.
     ///
     /// # Errors
     ///
-    /// See [`crate::query::query`].
+    /// See [`FuncAnalysis::evaluate`].
     pub fn query_name(
         &mut self,
         memo: &mut dyn MemoStore<Value<D>>,
@@ -368,15 +410,9 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         resolver: &mut dyn CallResolver<D>,
         stats: &mut QueryStats,
     ) -> Result<Value<D>, DaigError> {
-        query_with(
-            &mut self.daig,
-            &self.cfg,
-            memo,
-            n,
-            resolver,
-            stats,
-            self.transfers.as_ref(),
-        )
+        let id = self.cell_id(n)?;
+        self.evaluate_ids(&[id], memo, resolver, stats, None)?;
+        Ok(self.daig.value_id(id).expect("evaluated").clone())
     }
 
     /// Queries the fixed-point-consistent abstract state at a program
@@ -388,7 +424,7 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
     /// # Errors
     ///
     /// [`DaigError::NoSuchCell`] for locations not in the CFG; otherwise
-    /// see [`crate::query::query`].
+    /// see [`FuncAnalysis::evaluate`].
     pub fn query_loc(
         &mut self,
         memo: &mut dyn MemoStore<Value<D>>,
@@ -397,16 +433,11 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         stats: &mut QueryStats,
     ) -> Result<D, DaigError> {
         let name = self.resolve_loc_name(memo, loc, resolver, stats)?;
-        let v = query_with(
-            &mut self.daig,
-            &self.cfg,
-            memo,
-            &name,
-            resolver,
-            stats,
-            self.transfers.as_ref(),
-        )?;
-        v.as_state()
+        let id = self.cell_id(&name)?;
+        self.evaluate_ids(&[id], memo, resolver, stats, None)?;
+        self.daig
+            .value_id(id)
+            .and_then(Value::as_state)
             .cloned()
             .ok_or_else(|| DaigError::Invariant(format!("location cell {name} holds a statement")))
     }
@@ -421,16 +452,8 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         stats: &mut QueryStats,
     ) -> Result<Name, DaigError> {
         resolve_loc_cell(self, loc, |fa, cell| {
-            query_with(
-                &mut fa.daig,
-                &fa.cfg,
-                memo,
-                cell,
-                resolver,
-                stats,
-                fa.transfers.as_ref(),
-            )
-            .map(|_| ())
+            let id = fa.cell_id(cell)?;
+            fa.evaluate_ids(&[id], memo, resolver, stats, None)
         })
     }
 
@@ -452,39 +475,24 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
     ///
     /// # Errors
     ///
-    /// See [`crate::query::evaluate_all_with`].
+    /// See [`FuncAnalysis::evaluate`].
     pub fn evaluate_all(
         &mut self,
         memo: &mut dyn MemoStore<Value<D>>,
         resolver: &mut dyn CallResolver<D>,
         stats: &mut QueryStats,
     ) -> Result<(), DaigError> {
-        crate::query::evaluate_all_with(
+        crate::query::evaluate_all(
             &mut self.daig,
             &self.cfg,
+            self.transfers.as_ref(),
             memo,
             resolver,
             stats,
-            self.transfers.as_ref(),
         )
     }
 }
 
-/// Resolves the name of the fixed-point-consistent cell at `loc`,
-/// demanding each enclosing loop's fixed point (outermost first) through
-/// `demand` — the one place the fix-chain walk is encoded, shared by the
-/// sequential evaluator ([`FuncAnalysis::query_loc`]) and `dai-engine`'s
-/// cone scheduler, so the two can never disagree about which cell a
-/// location query reads.
-///
-/// `demand(fa, cell)` must leave `cell` filled on success; how it gets
-/// there (sequential [`crate::query::query`], union-cone frontier
-/// evaluation, …) is the caller's choice.
-///
-/// # Errors
-///
-/// [`DaigError::NoSuchCell`] if `loc` has no cell in the resolved
-/// iteration context; otherwise whatever `demand` reports.
 /// One non-evaluating step of the fix-chain walk: either `loc`'s
 /// fixed-point-consistent cell is resolvable right now (every enclosing
 /// loop's fixed point is already converged), or the walk is blocked on
@@ -493,9 +501,10 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
 ///
 /// This is the batching counterpart of [`resolve_loc_cell`]: where the
 /// demanding walk evaluates each enclosing fixed point as it descends,
-/// the frontier form lets a scheduler collect the blocking fix cells of
-/// *many* locations first and demand them in one union-cone evaluation
-/// (`dai_engine`'s coalesced query batches do exactly that).
+/// the frontier form lets a caller collect the blocking fix cells of
+/// *many* locations first and demand them in one multi-target
+/// [`FuncAnalysis::evaluate`] (`dai_engine`'s coalesced query batches do
+/// exactly that).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LocResolution {
     /// The fixed-point-consistent cell at the queried location.
@@ -525,7 +534,7 @@ pub fn resolve_loc_frontier<D: AbstractDomain>(
         };
         // Id-level walk: resolve the fix cell once, then read its source
         // ids and their interned names in place — this runs once per
-        // location per evaluation round in `dai-engine`'s scheduler, so it
+        // location per evaluation round of a `dai-engine` batch, so it
         // must not clone the computation's source names each time.
         let fix_id = fa
             .daig
@@ -552,6 +561,18 @@ pub fn resolve_loc_frontier<D: AbstractDomain>(
     Ok(LocResolution::Resolved(name))
 }
 
+/// Resolves the name of the fixed-point-consistent cell at `loc`,
+/// demanding each enclosing loop's fixed point (outermost first) through
+/// `demand` — the one place the demanding fix-chain walk is encoded
+/// ([`FuncAnalysis::query_loc`] runs it; [`resolve_loc_frontier`] is its
+/// non-demanding counterpart).
+///
+/// `demand(fa, cell)` must leave `cell` filled on success.
+///
+/// # Errors
+///
+/// [`DaigError::NoSuchCell`] if `loc` has no cell in the resolved
+/// iteration context; otherwise whatever `demand` reports.
 pub fn resolve_loc_cell<D, F>(
     fa: &mut FuncAnalysis<D>,
     loc: Loc,

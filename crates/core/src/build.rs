@@ -435,9 +435,9 @@ pub fn entry_cell_name(cfg: &Cfg) -> Name {
 /// Either way the fix edge slides forward to read iterates `k` and `k+1`.
 ///
 /// Returns the ids of every structurally changed cell — the block plus the
-/// re-pointed fix cell, ascending — so demanded-cone schedulers can patch
-/// their ready-counts for exactly this set instead of re-walking the cone
-/// (`dai_engine::scheduler::evaluate_targets`).
+/// re-pointed fix cell, ascending. The evaluator only traces its length;
+/// the replay-fidelity tests below compare a replayed unroll's set with
+/// the one the first build returned.
 ///
 /// This realizes the paper's `unroll` (§5.2): it is the `incr`-duplication
 /// of the region between the two greatest iterates, with stale inner-loop
@@ -833,7 +833,7 @@ mod tests {
         // the table: the arena does not grow, no name is looked up, and a
         // rollback visits exactly the cells it removes.
         use crate::edit::dirty_from_ids;
-        use crate::query::{query_id_with, IntraResolver, QueryStats};
+        use crate::query::{evaluate, IntraResolver, QueryStats};
         let cfg = cfg_of(
             include_str!("../../../tests/fixtures/loop_nest4.dai"),
             "nest0",
@@ -872,11 +872,12 @@ mod tests {
                 "round {round}: rollback looked at a cell it did not remove"
             );
             daig.write_id(stmt_cell, Value::Stmt(stmts[round % 2].clone()));
-            query_id_with(
+            evaluate(
                 &mut daig,
                 &cfg,
+                None,
+                &[exit],
                 &mut memo,
-                exit,
                 &mut IntraResolver,
                 &mut stats,
                 None,

@@ -70,7 +70,7 @@ mod tests {
     use super::*;
     use crate::build::{dest_name, initial_daig, Overrides};
     use crate::name::IterCtx;
-    use crate::query::{query, IntraResolver, QueryStats};
+    use crate::query::{evaluate, IntraResolver, QueryStats};
     use dai_domains::{AbstractDomain, IntervalDomain};
     use dai_lang::cfg::{lower_program, Cfg};
     use dai_lang::parser::parse_program;
@@ -86,7 +86,7 @@ mod tests {
     fn fully_evaluate(cfg: &Cfg, daig: &mut crate::graph::Daig<D>) {
         let mut memo = MemoTable::new();
         let mut stats = QueryStats::default();
-        crate::query::evaluate_all_with(daig, cfg, &mut memo, &mut IntraResolver, &mut stats, None)
+        crate::query::evaluate_all(daig, cfg, None, &mut memo, &mut IntraResolver, &mut stats)
             .unwrap();
     }
 
@@ -162,16 +162,19 @@ mod tests {
         // Re-evaluation succeeds and reflects the new statement.
         let mut memo = MemoTable::new();
         let mut stats = QueryStats::default();
-        let v = query(
+        let exit_id = daig.id_of(&exit).unwrap();
+        evaluate(
             &mut daig,
             &cfg,
+            None,
+            &[exit_id],
             &mut memo,
-            &exit,
             &mut IntraResolver,
             &mut stats,
+            None,
         )
         .unwrap();
-        let state = v.as_state().unwrap().clone();
+        let state = daig.value_id(exit_id).unwrap().as_state().unwrap().clone();
         assert!(!state.is_bottom());
     }
 

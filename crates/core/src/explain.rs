@@ -6,13 +6,14 @@
 //! fix cells it iterates (`Q-Loop-Converge` / `Q-Loop-Unroll`). This
 //! module captures that plan's cost while it executes:
 //!
-//! * [`ExplainSink`] rides the evaluation path — schedulers feed it one
+//! * [`ExplainSink`] rides the evaluation path — the evaluator
+//!   ([`crate::analysis::FuncAnalysis::evaluate`]) feeds it one
 //!   record per demanded cell (outcome class, wall time, compiled vs.
 //!   interpreted transfer) and one accumulated record per fix cell
 //!   (widening iterations, unroll depth);
 //! * the sink folds per-cell finish times along dependency edges, so the
 //!   **critical path (span)** through the cone's DAG falls out of the
-//!   same traversal the scheduler already does in topological order:
+//!   same traversal the evaluator already does in dependency order:
 //!   `finish(c) = wall(c) + max(finish(src) for src in inputs)`;
 //! * [`ExplainReport`] is the finished, domain-erased artifact: total
 //!   work, span, the work/span parallelism ratio (the ceiling an
@@ -350,8 +351,8 @@ struct OpenFix {
     wall_ns: u64,
 }
 
-/// The capture side of a report: schedulers feed it records while they
-/// evaluate, and [`ExplainSink::finish_report`] seals the result.
+/// The capture side of a report: the evaluator feeds it records while it
+/// runs, and [`ExplainSink::finish_report`] seals the result.
 ///
 /// Finish times are tracked in a dense `CellId`-indexed table, so the
 /// sink must be told when evaluation crosses into a different function's

@@ -17,8 +17,8 @@
 //!   payload can be large for domains like octagons);
 //! * computation sources ([`CompSlot::srcs`]) and reverse adjacency
 //!   (`Slot::deps`, the flat list of destinations reading a cell) are
-//!   `CellId` lists, so the scheduler's cone bookkeeping and the edit
-//!   layer's dirtying wave are integer traversals.
+//!   `CellId` lists, so the evaluator's demand walk and the edit layer's
+//!   dirtying wave are integer traversals.
 //!
 //! ## Name ↔ CellId lifecycle
 //!
@@ -84,12 +84,11 @@
 //!
 //! Every mutation of graph *structure* (cell added/removed, computation
 //! installed/removed — not value writes) bumps [`Daig::struct_epoch`].
-//! External caches keyed by ids (CSR snapshots, demanded-cone counts) are
-//! valid for exactly one epoch; [`Daig::begin_delta`]/[`Daig::take_delta`]
-//! additionally record *which* cells changed structurally, which is how
-//! [`crate::build::unroll_loop`] reports the spliced subgraph so
-//! `dai-engine`'s scheduler can patch its cone state instead of
-//! re-traversing (see `dai_engine::scheduler`).
+//! External caches keyed by ids (CSR snapshots, `dai-engine`'s per-unit
+//! location resolutions) are valid for exactly one epoch;
+//! [`Daig::begin_delta`]/[`Daig::take_delta`] additionally record *which*
+//! cells changed structurally, which is how
+//! [`crate::build::unroll_loop`] reports the spliced subgraph.
 //!
 //! ## Value digests
 //!
@@ -612,17 +611,14 @@ impl<D: AbstractDomain> Daig<D> {
     /// identical results. Non-consuming: the iterator
     /// borrows the graph and the caller decides what to evaluate.
     ///
-    /// This is the whole-graph frontier, the reference model for
-    /// schedulers (and what exhaustive evaluate-everything consumers
-    /// drain). `dai-engine`'s scheduler computes the same notion
-    /// restricted to a query's demanded cone, maintained incrementally
-    /// via missing-input counts rather than by re-scanning — see
-    /// `dai_engine::scheduler::evaluate_targets`.
+    /// This is the whole-graph frontier: the reference model a test can
+    /// drain to check that evaluation order does not change any value.
+    /// The evaluator itself ([`crate::query`]) applies a cell as soon as
+    /// the demand walk finds its inputs filled, in demand order.
     ///
     /// `fix` destinations appear in the frontier once both their iterate
-    /// inputs are filled; callers must route those through
-    /// [`crate::query::fix_step_id`] (they mutate the graph) rather than
-    /// [`crate::query::apply_ready_at_with`].
+    /// inputs are filled; they mutate the graph when stepped (converge or
+    /// unroll) rather than being applied as functions.
     pub fn ready_frontier(&self) -> impl Iterator<Item = &Name> {
         self.live
             .iter()

@@ -12,8 +12,9 @@
 //! Interning is **append-only**: a `CellId`, once assigned, names the same
 //! `Name` for the lifetime of the graph, even if the cell is removed (a
 //! loop rollback) and later re-created (a re-unroll reuses the id). This
-//! stability is what lets scheduler-side state keyed by `CellId` survive
-//! structural edits; only the slot's *live* flag changes.
+//! stability is what lets state keyed by `CellId` (the explain sink's
+//! finish times, the engine's resolution cache) survive structural edits;
+//! only the slot's *live* flag changes.
 
 use crate::name::Name;
 use dai_memo::FxBuild;

@@ -1,10 +1,12 @@
 //! Demand-driven query evaluation (paper Fig. 8) with demanded unrolling
 //! of fixed points (§5.2).
 //!
-//! The judgment `D, M ⊢ n ⇒ v ; D', M'` is realized by an explicit-stack
-//! evaluator (so deep straight-line programs from the §7.3 generator cannot
-//! overflow the call stack). Each step applies exactly one of the paper's
-//! rules:
+//! The judgment `D, M ⊢ n ⇒ v ; D', M'` is realized by one explicit-stack
+//! evaluator over one or many targets, exposed as
+//! [`crate::analysis::FuncAnalysis::evaluate`]; every query path in the
+//! repository (`FuncAnalysis`, the interprocedural layer, `dai-engine`
+//! sessions) runs through it. Each step applies exactly one of the
+//! paper's rules:
 //!
 //! * `Q-Reuse` — the cell already holds a value;
 //! * `Q-Match` — all inputs evaluated and `f·(v₁⋯v_k)` is in the memo
@@ -30,6 +32,7 @@
 
 use crate::build::unroll_loop;
 use crate::compile::TransferTable;
+use crate::explain::ExplainSink;
 use crate::graph::{Daig, DaigError, Func, Value};
 use crate::intern::CellId;
 use crate::name::Name;
@@ -37,6 +40,7 @@ use dai_domains::AbstractDomain;
 use dai_lang::cfg::Cfg;
 use dai_lang::{EdgeId, Stmt};
 use dai_memo::{KeyBuilder, MemoStore};
+use std::time::Instant;
 
 /// Resolves the abstract post-state of a call statement from the caller's
 /// pre-state. The interprocedural layer implements this by demanding the
@@ -93,18 +97,16 @@ pub struct QueryStats {
     pub unrolls: u64,
     /// Fixed points written (`Q-Loop-Converge`).
     pub fix_converged: u64,
-    /// Full demanded-cone traversals performed by a cone-maintaining
-    /// scheduler (`dai_engine::scheduler::evaluate_targets`). With
-    /// incremental cone maintenance this stays at one per evaluation call
-    /// no matter how many times loops unroll; the sequential stack
-    /// evaluator never counts it.
+    /// Evaluations that demanded at least one unfilled cell: one per
+    /// evaluation call, however many targets it had and however many
+    /// times its loops unrolled.
     pub cone_walks: u64,
-    /// Cells loaded into a cone-maintaining scheduler's missing-input
-    /// table (initial traversal plus unroll splices). For a multi-target
-    /// evaluation this is the size of the *union* cone, which is what
-    /// makes query coalescing measurable: a batch's union cone is at most
-    /// as large as the sum of its members' solo cones. The sequential
-    /// stack evaluator never counts it.
+    /// Cells an evaluation wrote (`Q-Miss`, `Q-Match` and
+    /// `Q-Loop-Converge`): the size of its demanded cone, including the
+    /// iterates its unrolls added. For a multi-target evaluation this is
+    /// the *union* cone, which is what makes query coalescing measurable:
+    /// a batch's union cone is at most as large as the sum of its
+    /// members' solo cones.
     pub cone_cells: u64,
     /// `Q-Miss` transfer computations evaluated through a staged
     /// [`TransferTable`] closure (see [`crate::compile`]).
@@ -162,11 +164,10 @@ impl QueryStats {
     }
 }
 
-/// Upper bound on unrollings of a single loop instance, as a guard against
+/// Upper bound on unrollings within one evaluation, as a guard against
 /// domains with broken widening; hitting it is reported as an invariant
-/// violation rather than diverging. Shared with `dai-engine`'s cone
-/// scheduler, so the two evaluators cannot drift.
-pub const MAX_UNROLLS_PER_QUERY: u64 = 1_000_000;
+/// violation rather than diverging.
+const MAX_UNROLLS_PER_QUERY: u64 = 1_000_000;
 
 /// The iterate index `k ≥ 1` a widen edge produces, read off its
 /// destination name `ℓ⟨k⟩` (the strategy uses it to schedule `⊔` vs `∇`).
@@ -187,10 +188,7 @@ pub(crate) fn widen_dest_iterate(dest: &Name) -> Result<u32, DaigError> {
 /// Applies the ready computation for `dest`: exactly the `Q-Match`/`Q-Miss`
 /// step of Fig. 8, and the one place it is implemented. Inputs are borrowed
 /// directly from the graph — no input values are cloned — and the caller
-/// writes the returned value into `dest`. The sequential [`query`] loop and
-/// `dai-engine`'s cone scheduler both call this, which is what makes union
-/// evaluation bit-identical to sequential evaluation: every cell value is
-/// produced by this one function from the same inputs.
+/// ([`evaluate`]) writes the returned value into `dest`.
 ///
 /// Transfers are evaluated through a staged [`TransferTable`] when one is
 /// supplied (`None` interprets; the results are bit-identical either way,
@@ -202,7 +200,7 @@ pub(crate) fn widen_dest_iterate(dest: &Name) -> Result<u32, DaigError> {
 /// is a `fix` edge (those are demands for convergence, not functions; see
 /// [`fix_step_id`]), or any input is still empty; resolver failures and
 /// input-typing violations are propagated.
-pub fn apply_ready_at_with<D: AbstractDomain>(
+fn apply_ready_at_with<D: AbstractDomain>(
     daig: &Daig<D>,
     dest: CellId,
     memo: &mut dyn MemoStore<Value<D>>,
@@ -347,40 +345,26 @@ pub fn apply_ready_at_with<D: AbstractDomain>(
 }
 
 /// The outcome of resolving one `fix` edge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FixOutcome {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FixOutcome {
     /// The iterates agreed: the fixed point was written
     /// (`Q-Loop-Converge`).
     Converged,
     /// The loop was unrolled one abstract iteration (`Q-Loop-Unroll`).
-    /// `spliced` lists every cell the unroll added or re-pointed —
-    /// including the fix cell itself — so cone-maintaining schedulers can
-    /// patch their ready-counts for exactly this subgraph instead of
-    /// re-traversing the demanded cone.
-    Unrolled {
-        /// Structurally changed cells, deduplicated.
-        spliced: Vec<CellId>,
-    },
-}
-
-impl FixOutcome {
-    /// Did the fixed point converge?
-    pub fn converged(&self) -> bool {
-        matches!(self, FixOutcome::Converged)
-    }
+    Unrolled,
 }
 
 /// Resolves one `fix` edge whose two iterate inputs are filled: either the
 /// iterates agree under the strategy's convergence test and the fixed
 /// point is written (`Q-Loop-Converge`), or the loop is unrolled one more
-/// abstract iteration (`Q-Loop-Unroll`, reporting the spliced cells) and
-/// the caller must re-demand the (new) inputs.
+/// abstract iteration (`Q-Loop-Unroll`) and the caller must re-demand the
+/// (new) inputs.
 ///
 /// # Errors
 ///
 /// [`DaigError::Invariant`] if `dest` is not a fix destination with filled
 /// state inputs.
-pub fn fix_step_id<D: AbstractDomain>(
+fn fix_step_id<D: AbstractDomain>(
     daig: &mut Daig<D>,
     cfg: &Cfg,
     dest: CellId,
@@ -442,89 +426,92 @@ pub fn fix_step_id<D: AbstractDomain>(
     let spliced = unroll_loop(daig, cfg, dest, k);
     stats.unrolls += 1;
     dai_trace::event!("core.unroll", spliced.len());
-    Ok(FixOutcome::Unrolled { spliced })
+    Ok(FixOutcome::Unrolled)
 }
 
-/// Evaluates the cell named `n`, demanding its transitive dependencies and
+#[cfg(test)]
+thread_local! {
+    /// Cells [`evaluate`] pushed onto its demand stack on this thread,
+    /// seeded targets included (the visit budget of this module's tests).
+    pub(crate) static PUSHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The Fig. 8 evaluator: demands every cell in `targets`, in order,
 /// unrolling loops as needed.
 ///
+/// One explicit stack (so deep straight-line programs from the §7.3
+/// generator cannot overflow the call stack) is seeded with the unfilled
+/// targets, first target on top, so a batch applies cells in exactly the
+/// order sequential one-target evaluations would. A target that is
+/// already filled is a `Q-Reuse`; any other cell is applied by
+/// [`apply_ready_at_with`] or stepped by [`fix_step_id`] once its inputs
+/// are filled.
+///
+/// Counters: `reused` per target filled on entry; `cone_walks` once if
+/// any target was not; `cone_cells` per cell written. When `sink` is
+/// supplied, every reuse, application and fix step is also recorded
+/// there with its wall time (see [`crate::explain`]) — one record per
+/// counter bump. With `None` no timestamps are taken.
+///
+/// §8 of the paper notes that cells whose inputs are all filled could be
+/// applied concurrently. This evaluator does not: the cones measured so
+/// far have a work/span ceiling of about 1.5×
+/// ([`crate::explain::ExplainReport::parallelism`]) and frontiers a few
+/// cells wide, less than a cross-thread hand-off costs. Concurrency lives
+/// one level up, in `dai-engine`'s workers serving different sessions.
+///
 /// # Errors
 ///
-/// * [`DaigError::NoSuchCell`] if `n` is not in the DAIG's namespace;
+/// * [`DaigError::NoSuchCell`] if a target is not live;
 /// * [`DaigError::Invariant`] on internal inconsistency (a bug) or
 ///   divergence-guard trip.
-pub fn query<D: AbstractDomain>(
-    daig: &mut Daig<D>,
-    cfg: &Cfg,
-    memo: &mut dyn MemoStore<Value<D>>,
-    n: &Name,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-) -> Result<Value<D>, DaigError> {
-    query_with(daig, cfg, memo, n, resolver, stats, None)
-}
-
-/// [`query`] evaluating transfers through a staged [`TransferTable`]
-/// when one is supplied.
-///
-/// # Errors
-///
-/// As [`query`].
 #[allow(clippy::too_many_arguments)]
-pub fn query_with<D: AbstractDomain>(
+pub(crate) fn evaluate<D: AbstractDomain>(
     daig: &mut Daig<D>,
     cfg: &Cfg,
+    transfers: Option<&TransferTable<D>>,
+    targets: &[CellId],
     memo: &mut dyn MemoStore<Value<D>>,
-    n: &Name,
     resolver: &mut dyn CallResolver<D>,
     stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
-) -> Result<Value<D>, DaigError> {
-    let Some(id) = daig.id_of(n) else {
-        return Err(DaigError::NoSuchCell(n.to_string()));
-    };
-    query_id_with(daig, cfg, memo, id, resolver, stats, transfers)
-}
-
-/// Id-level [`query_with`]: the explicit-stack Fig. 8 evaluator over
-/// interned cells.
-///
-/// # Errors
-///
-/// As [`query`] (the id must be live).
-#[allow(clippy::too_many_arguments)]
-pub fn query_id_with<D: AbstractDomain>(
-    daig: &mut Daig<D>,
-    cfg: &Cfg,
-    memo: &mut dyn MemoStore<Value<D>>,
-    target: CellId,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
-) -> Result<Value<D>, DaigError> {
-    if !daig.contains_id(target) {
-        return Err(DaigError::NoSuchCell(daig.name_of(target).to_string()));
+    mut sink: Option<&mut ExplainSink>,
+) -> Result<(), DaigError> {
+    let mut stack: Vec<CellId> = Vec::new();
+    for &t in targets {
+        if !daig.contains_id(t) {
+            return Err(DaigError::NoSuchCell(daig.name_of(t).to_string()));
+        }
+        if daig.value_id(t).is_some() {
+            stats.reused += 1;
+            if let Some(s) = sink.as_deref_mut() {
+                s.record_reused(daig.name_of(t).to_string());
+            }
+        } else {
+            stack.push(t);
+        }
     }
-    if let Some(v) = daig.value_id(target) {
-        stats.reused += 1;
-        return Ok(v.clone());
+    if stack.is_empty() {
+        return Ok(());
     }
+    stack.reverse();
+    #[cfg(test)]
+    PUSHES.with(|p| p.set(p.get() + stack.len() as u64));
+    stats.cone_walks += 1;
     let _walk = dai_trace::span!("core.demand_walk");
 
-    let mut stack: Vec<CellId> = vec![target];
-    let mut missing: Vec<CellId> = Vec::new();
-    let mut unroll_guard: u64 = 0;
+    let mut unrolls: u64 = 0;
     while let Some(&top) = stack.last() {
         if daig.value_id(top).is_some() {
             stack.pop();
             continue;
         }
-        // Demand unevaluated inputs first. A cell may appear several times
-        // on the stack (it is a DAG, not a tree); the topmost occurrence
-        // evaluates it and deeper duplicates pop as already-filled. A true
-        // dependency cycle would instead grow the stack beyond any bound
-        // proportional to the graph, which the depth guard below converts
-        // into an invariant error.
+        // Demand unevaluated inputs first, each distinct one once. A cell
+        // may appear several times on the stack (it is a DAG, not a
+        // tree); the topmost occurrence evaluates it and deeper duplicates
+        // pop as already-filled. A true dependency cycle would instead
+        // grow the stack beyond any bound proportional to the graph, which
+        // the depth guard below converts into an invariant error.
+        let depth = stack.len();
         let func = {
             let comp = daig.comp_slot(top).ok_or_else(|| {
                 DaigError::Invariant(format!(
@@ -532,25 +519,24 @@ pub fn query_id_with<D: AbstractDomain>(
                     daig.name_of(top)
                 ))
             })?;
-            missing.clear();
-            for &s in &comp.srcs {
-                if daig.value_id(s).is_none() && !missing.contains(&s) {
-                    missing.push(s);
+            for (i, &s) in comp.srcs.iter().enumerate() {
+                if daig.value_id(s).is_some() || comp.srcs[..i].contains(&s) {
+                    continue;
                 }
-            }
-            comp.func
-        };
-        if !missing.is_empty() {
-            for &m in &missing {
-                if !daig.contains_id(m) {
+                if !daig.contains_id(s) {
                     return Err(DaigError::Invariant(format!(
                         "computation for {} reads missing cell {}",
                         daig.name_of(top),
-                        daig.name_of(m)
+                        daig.name_of(s)
                     )));
                 }
+                stack.push(s);
             }
-            stack.extend_from_slice(&missing);
+            comp.func
+        };
+        if stack.len() > depth {
+            #[cfg(test)]
+            PUSHES.with(|p| p.set(p.get() + (stack.len() - depth) as u64));
             if stack.len() > 4 * daig.cell_count() + 1024 {
                 return Err(DaigError::Invariant(format!(
                     "demand stack exploded at {}: dependency cycle (acyclicity violated)",
@@ -561,43 +547,58 @@ pub fn query_id_with<D: AbstractDomain>(
         }
         // All inputs ready: apply the matching rule.
         if func == Func::Fix {
-            if fix_step_id(daig, cfg, top, stats)?.converged() {
-                stack.pop();
-            } else {
+            let t0 = sink.is_some().then(Instant::now);
+            let outcome = fix_step_id(daig, cfg, top, stats)?;
+            if let (Some(s), Some(t0)) = (sink.as_deref_mut(), t0) {
+                let converged = outcome == FixOutcome::Converged;
+                s.record_fix_step(daig, top, t0.elapsed().as_nanos() as u64, converged);
+            }
+            match outcome {
+                FixOutcome::Converged => {
+                    stats.cone_cells += 1;
+                    stack.pop();
+                }
                 // Leave `top` on the stack: the fix edge now demands the
                 // next iterate.
-                unroll_guard += 1;
-                if unroll_guard > MAX_UNROLLS_PER_QUERY {
-                    return Err(DaigError::Invariant(format!(
-                        "loop at {} exceeded {MAX_UNROLLS_PER_QUERY} unrollings: \
-                         widening does not converge",
-                        daig.name_of(top)
-                    )));
+                FixOutcome::Unrolled => {
+                    unrolls += 1;
+                    if unrolls > MAX_UNROLLS_PER_QUERY {
+                        return Err(DaigError::Invariant(format!(
+                            "loop at {} exceeded {MAX_UNROLLS_PER_QUERY} unrollings: \
+                             widening does not converge",
+                            daig.name_of(top)
+                        )));
+                    }
                 }
             }
         } else {
+            let timed = sink.is_some().then(|| (*stats, Instant::now()));
             let value = apply_ready_at_with(daig, top, memo, resolver, stats, transfers)?;
+            if let (Some(s), Some((before, t0))) = (sink.as_deref_mut(), timed) {
+                let wall_ns = t0.elapsed().as_nanos() as u64;
+                s.record_applied(daig, top, &stats.delta(&before), wall_ns);
+            }
             daig.write_id(top, value);
+            stats.cone_cells += 1;
             stack.pop();
         }
     }
-    Ok(daig.value_id(target).expect("query completed").clone())
+    Ok(())
 }
 
 /// Evaluates every cell in the DAIG (used by the exhaustive analysis
-/// configurations), evaluating transfers through a staged
-/// [`TransferTable`] when one is supplied.
+/// configurations), one [`evaluate`] per cell still empty.
 ///
 /// # Errors
 ///
 /// Propagates the first [`DaigError`] encountered.
-pub fn evaluate_all_with<D: AbstractDomain>(
+pub(crate) fn evaluate_all<D: AbstractDomain>(
     daig: &mut Daig<D>,
     cfg: &Cfg,
+    transfers: Option<&TransferTable<D>>,
     memo: &mut dyn MemoStore<Value<D>>,
     resolver: &mut dyn CallResolver<D>,
     stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
 ) -> Result<(), DaigError> {
     // Demanding all fix cells (and the exit) forces the whole graph; the
     // set of names grows during unrolling, so iterate to quiescence.
@@ -611,7 +612,7 @@ pub fn evaluate_all_with<D: AbstractDomain>(
         }
         for id in pending {
             if daig.contains_id(id) && daig.value_id(id).is_none() {
-                query_id_with(daig, cfg, memo, id, resolver, stats, transfers)?;
+                evaluate(daig, cfg, transfers, &[id], memo, resolver, stats, None)?;
             }
         }
     }
@@ -620,11 +621,12 @@ pub fn evaluate_all_with<D: AbstractDomain>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::FuncAnalysis;
     use crate::build::initial_daig;
-    use dai_domains::IntervalDomain;
+    use dai_domains::{IntervalDomain, OctagonDomain};
     use dai_lang::cfg::lower_program;
     use dai_lang::parser::parse_program;
-    use dai_memo::{MemoTable, SharedMemoTable};
+    use dai_memo::{MemoKey, MemoTable, SharedMemoTable};
 
     type D = IntervalDomain;
 
@@ -632,8 +634,15 @@ mod tests {
         lower_program(&parse_program(src).unwrap()).unwrap().cfgs()[0].clone()
     }
 
-    /// Drains the ready frontier to quiescence — a model of the dai-engine
-    /// scheduler's evaluation order: pure computations via
+    fn root_state(loc: dai_lang::Loc) -> Name {
+        Name::State {
+            loc,
+            ctx: crate::name::IterCtx::root(),
+        }
+    }
+
+    /// Drains the ready frontier to quiescence — an evaluation order other
+    /// than [`evaluate`]'s demand order: pure computations via
     /// `apply_ready_at_with`, fix edges via `fix_step_id`.
     fn frontier_schedule(daig: &mut Daig<D>, cfg: &Cfg, memo: &mut dyn MemoStore<Value<D>>) {
         let mut stats = QueryStats::default();
@@ -670,6 +679,140 @@ mod tests {
     const LOOPY: &str =
         "function f(n) { var i = 0; var s = 0; while (i < 8) { s = s + i; i = i + 1; } return s; }";
 
+    /// Two nested loops that need several unrollings to converge.
+    const SRC: &str = "function f(n) { var i = 0; var s = 0; \
+                       while (i < 9) { var j = 0; while (j < 4) { s = s + j; j = j + 1; } i = i + 1; } \
+                       return s; }";
+
+    /// Five independent branches, so a sweep demands many locations at
+    /// once.
+    const WIDE: &str = "function f(n) { var a = 0; var b = 0; var c = 0; var d = 0; var e = 0; \
+                        if (n < 1) { a = n + 1; } else { a = n - 1; } \
+                        if (n < 2) { b = n + 2; } else { b = n - 2; } \
+                        if (n < 3) { c = n + 3; } else { c = n - 3; } \
+                        if (n < 4) { d = n + 4; } else { d = n - 4; } \
+                        while (e < 5) { e = e + 1; } \
+                        return a + b + c + d + e; }";
+
+    /// A memo store that logs every fetch as `H` (hit) or `M` (miss), and
+    /// the key it fetched: the order in which an evaluation applies cells,
+    /// as far as the memo table can see it.
+    struct Recording<V> {
+        table: MemoTable<V>,
+        log: String,
+        keys: Vec<MemoKey>,
+    }
+
+    impl<V: Clone> MemoStore<V> for Recording<V> {
+        fn fetch(&mut self, key: MemoKey) -> Option<V> {
+            let hit = self.table.fetch(key);
+            self.log.push(if hit.is_some() { 'H' } else { 'M' });
+            self.keys.push(key);
+            hit
+        }
+
+        fn record(&mut self, key: MemoKey, value: V) {
+            self.table.record(key, value);
+        }
+    }
+
+    /// Demands every location outside a loop of `src` at once, then the
+    /// same targets one query at a time on a fresh copy, in the same
+    /// order: even-indexed locations first, then odd ones, so that no
+    /// single demand walk happens to visit cells in target order — and
+    /// then backwards. Both memo tables start warm with the middle
+    /// target's cone, so the log mixes hits and misses.
+    fn assert_union_equals_sequential<Dom: AbstractDomain>(src: &str, top: Dom, at_least: usize) {
+        let cfg = cfg_of(src);
+        let locs: Vec<Name> = cfg
+            .locs()
+            .into_iter()
+            .filter(|&l| cfg.enclosing_loops(l).is_empty())
+            .map(root_state)
+            .collect();
+        let mut targets: Vec<Name> = locs.iter().step_by(2).cloned().collect();
+        targets.extend(locs.iter().skip(1).step_by(2).cloned());
+        assert!(targets.len() >= at_least, "{} targets", targets.len());
+        let middle = locs[locs.len() / 2].clone();
+        let warm = || {
+            let mut memo = Recording {
+                table: MemoTable::new(),
+                log: String::new(),
+                keys: Vec::new(),
+            };
+            let mut fa = FuncAnalysis::new(cfg.clone(), top.clone());
+            fa.query_name(
+                &mut memo,
+                &middle,
+                &mut IntraResolver,
+                &mut QueryStats::default(),
+            )
+            .unwrap();
+            memo.log.clear();
+            memo.keys.clear();
+            memo
+        };
+        for order in ["forwards", "backwards"] {
+            let mut union = FuncAnalysis::new(cfg.clone(), top.clone());
+            let mut union_memo = warm();
+            let mut stats = QueryStats::default();
+            union
+                .evaluate(
+                    &targets,
+                    &mut union_memo,
+                    &mut IntraResolver,
+                    &mut stats,
+                    None,
+                )
+                .unwrap();
+            assert_eq!(stats.cone_walks, 1, "one evaluation for all targets");
+
+            let mut seq = FuncAnalysis::new(cfg.clone(), top.clone());
+            let mut seq_memo = warm();
+            let mut seq_stats = QueryStats::default();
+            for target in &targets {
+                let expected = seq
+                    .query_name(&mut seq_memo, target, &mut IntraResolver, &mut seq_stats)
+                    .unwrap();
+                assert_eq!(union.daig().value(target), Some(&expected), "{target}");
+            }
+            let work = |s: QueryStats| QueryStats {
+                reused: 0,
+                cone_walks: 0,
+                cone_cells: 0,
+                ..s
+            };
+            assert_eq!(
+                work(stats),
+                work(seq_stats),
+                "same cells applied either way"
+            );
+            assert_eq!(stats.cone_cells, seq_stats.cone_cells, "same cells written");
+            assert!(union_memo.log.contains('H') && union_memo.log.contains('M'));
+            assert_eq!(
+                union_memo.log, seq_memo.log,
+                "{order}: same memo hits and misses, in order"
+            );
+            assert_eq!(
+                union_memo.keys, seq_memo.keys,
+                "{order}: same keys, in order"
+            );
+            union.daig().check_well_formed().unwrap();
+            targets.reverse();
+        }
+    }
+
+    #[test]
+    fn union_evaluation_is_bit_identical_to_sequential_query() {
+        // A few targets on the nested-loop workload, many on the
+        // five-branch one (locations inside loops resolve to iterate cells
+        // that only exist after unrolling; `FuncAnalysis::query_loc`
+        // covers those), and the nested loops again under octagon.
+        assert_union_equals_sequential(SRC, IntervalDomain::top(), 2);
+        assert_union_equals_sequential(WIDE, IntervalDomain::top(), 8);
+        assert_union_equals_sequential(SRC, OctagonDomain::top(), 2);
+    }
+
     #[test]
     fn frontier_schedule_matches_sequential_query() {
         // Evaluate one copy by demanded sequential query, another by
@@ -678,13 +821,13 @@ mod tests {
         let mut seq = initial_daig::<D>(&cfg, IntervalDomain::top());
         let mut seq_memo = MemoTable::new();
         let mut stats = QueryStats::default();
-        evaluate_all_with(
+        evaluate_all(
             &mut seq,
             &cfg,
+            None,
             &mut seq_memo,
             &mut IntraResolver,
             &mut stats,
-            None,
         )
         .unwrap();
 
@@ -742,37 +885,32 @@ mod tests {
         let mut memo = MemoTable::new();
         let mut stats = QueryStats::default();
         let head = cfg.loop_heads()[0];
-        let fix_cell = Name::State {
-            loc: head,
-            ctx: crate::name::IterCtx::root(),
-        };
+        let fix_cell = root_state(head);
         // Demand everything below the fix cell, then step it by hand.
         let mut unrolled = 0;
         loop {
-            let comp = daig.comp(&fix_cell).unwrap();
-            for s in &comp.srcs {
-                query(
-                    &mut daig,
-                    &cfg,
-                    &mut memo,
-                    s,
-                    &mut IntraResolver,
-                    &mut stats,
-                )
-                .unwrap();
-            }
             let fix_id = daig.id_of(&fix_cell).unwrap();
+            let srcs = daig.comp_srcs(fix_id).unwrap().to_vec();
+            evaluate(
+                &mut daig,
+                &cfg,
+                None,
+                &srcs,
+                &mut memo,
+                &mut IntraResolver,
+                &mut stats,
+                None,
+            )
+            .unwrap();
             match fix_step_id(&mut daig, &cfg, fix_id, &mut stats).unwrap() {
                 FixOutcome::Converged => break,
-                FixOutcome::Unrolled { spliced } => {
-                    assert!(!spliced.is_empty(), "unroll reports spliced cells");
-                    // The fix cell itself is re-pointed, so it is in the
-                    // spliced set; every spliced id resolves to a live
-                    // cell.
-                    assert!(spliced.contains(&fix_id));
-                    for &id in &spliced {
-                        assert!(daig.contains_id(id), "spliced cell is live");
-                    }
+                FixOutcome::Unrolled => {
+                    // The fix cell is re-pointed at the next iterate: a
+                    // live cell the unroll added, still empty.
+                    let next = daig.comp_srcs(fix_id).unwrap()[1];
+                    assert!(!srcs.contains(&next), "unroll re-points the fix cell");
+                    assert!(daig.contains_id(next), "the new iterate is live");
+                    assert!(daig.value_id(next).is_none(), "and not yet evaluated");
                 }
             }
             unrolled += 1;
@@ -781,5 +919,96 @@ mod tests {
         assert!(unrolled >= 1, "interval loop needs at least one unroll");
         assert!(daig.value(&fix_cell).is_some());
         daig.check_well_formed().unwrap();
+    }
+
+    #[test]
+    fn unknown_target_is_reported() {
+        let mut fa = FuncAnalysis::new(cfg_of(SRC), IntervalDomain::top());
+        let bogus = root_state(dai_lang::Loc(4242));
+        let err = fa
+            .evaluate(
+                &[bogus],
+                &mut MemoTable::new(),
+                &mut IntraResolver,
+                &mut QueryStats::default(),
+                None,
+            )
+            .unwrap_err();
+        assert!(matches!(err, DaigError::NoSuchCell(_)));
+    }
+
+    #[test]
+    fn already_filled_targets_count_as_reuse() {
+        let mut fa = FuncAnalysis::new(cfg_of(SRC), IntervalDomain::top());
+        let mut memo = MemoTable::new();
+        let mut stats = QueryStats::default();
+        let entry = [root_state(fa.cfg().entry())];
+        fa.evaluate(&entry, &mut memo, &mut IntraResolver, &mut stats, None)
+            .unwrap();
+        let computed_before = stats.computed;
+        fa.evaluate(&entry, &mut memo, &mut IntraResolver, &mut stats, None)
+            .unwrap();
+        assert_eq!(stats.computed, computed_before, "no recomputation");
+        assert!(stats.reused >= 1);
+    }
+
+    #[test]
+    fn demanded_cone_is_visited_within_its_budget_despite_unrolls() {
+        // The nested-loop workload needs several unrollings to converge.
+        // Cost stays O(cone + spliced), not O(cone × unrolls): every push
+        // onto the demand stack is a seeded target or a non-statement
+        // input of a cell the evaluation wrote (statement cells are never
+        // empty; an unrolled fix cell's re-demand of its new iterate is
+        // paid for by that iterate, whose previous-iterate input is
+        // already filled when it is demanded).
+        let mut fa = FuncAnalysis::new(cfg_of(SRC), IntervalDomain::top());
+        let mut memo = MemoTable::new();
+        let mut stats = QueryStats::default();
+        let exit = [root_state(fa.cfg().exit())];
+        let filled_before: Vec<CellId> = fa
+            .daig()
+            .ids()
+            .filter(|&id| fa.daig().value_id(id).is_some())
+            .collect();
+        let pushes = || PUSHES.with(|p| p.get());
+        let before = pushes();
+        fa.evaluate(&exit, &mut memo, &mut IntraResolver, &mut stats, None)
+            .unwrap();
+        let pushed = pushes() - before;
+        assert!(
+            stats.unrolls >= 2,
+            "workload must unroll several times (got {})",
+            stats.unrolls
+        );
+        assert_eq!(
+            stats.cone_walks, 1,
+            "one evaluation regardless of {} unrolls",
+            stats.unrolls
+        );
+        let daig = fa.daig();
+        let written: Vec<CellId> = daig
+            .ids()
+            .filter(|&id| daig.value_id(id).is_some() && !filled_before.contains(&id))
+            .collect();
+        assert_eq!(written.len() as u64, stats.cone_cells, "cells written");
+        let budget = exit.len()
+            + written
+                .iter()
+                .flat_map(|&id| daig.comp_srcs(id).unwrap_or(&[]))
+                .filter(|&&src| !matches!(daig.name_of(src), Name::Stmt(_)))
+                .count();
+        assert!(
+            pushed <= budget as u64,
+            "{pushed} pushes for a budget of {budget} ({} unrolls)",
+            stats.unrolls
+        );
+        // A repeated evaluation reuses the filled target without walking
+        // or pushing anything.
+        let before = pushes();
+        fa.evaluate(&exit, &mut memo, &mut IntraResolver, &mut stats, None)
+            .unwrap();
+        assert_eq!(pushes(), before, "filled targets push nothing");
+        assert_eq!(stats.cone_walks, 1, "filled targets walk nothing");
+        fa.daig().check_well_formed().unwrap();
     }
 }

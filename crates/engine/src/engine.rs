@@ -14,7 +14,7 @@
 //! * **requests** are submitted with [`Engine::submit`] (returning a
 //!   [`Ticket`]) or synchronously with [`Engine::request`]; workers pull
 //!   them FIFO and run them to completion — one worker evaluates a
-//!   query's whole demanded cone (see [`crate::scheduler`]);
+//!   query's whole demanded cone (see `dai_core::FuncAnalysis::evaluate`);
 //! * **queries coalesce**: concurrently pending `Request::Query`s against
 //!   the same `(session, function)` are collected in a pending queue and
 //!   answered by one *leader* job, which drains them under a **single**
@@ -1179,8 +1179,8 @@ impl<D: PersistDomain> Engine<D> {
     ///
     /// With `opts.explain`: [`EngineError::NoSuchSession`], or
     /// [`EngineError::Daig`] when the session runs the interprocedural
-    /// backend (its evaluation never reaches the instrumented
-    /// scheduler). Per-member failures stay inside the result vector
+    /// backend (its callee demands run inside call resolution, which no
+    /// sink reaches). Per-member failures stay inside the result vector
     /// either way.
     pub fn query_sweep_with(
         &self,

@@ -1,29 +1,22 @@
 //! # dai-engine — a concurrent, multi-session demanded-analysis engine
 //!
-//! The paper's DAIGs are acyclic by construction (Definition 4.1): cells
-//! on the ready frontier never read each other, so a whole batch of
-//! queries can be answered from one **union** cone, in any topological
-//! order, with the sequential evaluator's exact values. This crate turns
-//! that into a long-lived service whose unit of parallelism is the
-//! **session**: `workers` threads serve that many requests — and so that
-//! many sessions — at once, and one thread evaluates a query.
+//! A whole batch of queries against one function can be answered from one
+//! **union** demanded cone: `dai_core`'s one evaluator takes many targets
+//! and applies cells in exactly the order sequential per-target queries
+//! would. This crate turns that into a long-lived service whose unit of
+//! parallelism is the **session**: `workers` threads serve that many
+//! requests — and so that many sessions — at once, and one thread
+//! evaluates a query.
 //!
 //! * [`pool`] — a fixed worker pool draining a FIFO of request jobs;
 //!   workers claim queued jobs in small batches so a dense request stream
 //!   does not ping-pong the queue lock;
-//! * [`scheduler`] — topological evaluation of the demanded cone over
-//!   interned [`dai_core::CellId`]s: the cone is traversed **once** per
-//!   evaluation into a dense missing-input-count table, writes decrement
-//!   dependents through the graph's flat id adjacency, and a loop unroll
-//!   patches just the spliced subgraph reported by `dai_core::FixOutcome`
-//!   — per-query cost is O(cone + spliced), not O(cone × unrolls). Pure
-//!   computations (`⟦·⟧♯`, `⊔`, `∇`) are applied in place through the
-//!   *same* `dai_core::query::apply_ready_at_with` the sequential
-//!   evaluator uses; `fix` edges mutate the graph by unrolling;
 //! * [`session`] — one loaded program analyzed under a configurable
 //!   call-resolution backend ([`ResolverChoice`]): intraprocedural
-//!   per-function `FuncAnalysis` units (the default) or an
-//!   interprocedural `InterAnalyzer` matching the REPL's answers. Units
+//!   per-function `FuncAnalysis` units (the default), whose batches are
+//!   demanded in rounds through one multi-target
+//!   `dai_core::FuncAnalysis::evaluate` each, or an interprocedural
+//!   `InterAnalyzer` matching the REPL's answers. Units
 //!   are created on demand and edited incrementally; each caches its
 //!   `(location → cell)` query resolutions per structural epoch, so a
 //!   steady-state query is a hash lookup plus a value clone. Sessions
@@ -51,14 +44,14 @@
 //! Every value the engine returns is **bit-identical** to what the
 //! sequential evaluator — and therefore the from-scratch batch oracle
 //! (`dai_core::batch`, Theorem 6.1) — produces for the same program and
-//! location, at every worker count. The scheduler preserves this by
-//! construction: a cell's value is computed by `apply_ready_at_with` from
-//! the cell's own inputs, memo entries are keyed by content hashes of
-//! those inputs (so cross-session reuse can only substitute equal
-//! values), and a session's graph is only ever touched by the one thread
-//! holding its lock. The
-//! `engine_consistency` integration suite enforces the contract against
-//! randomized edit/query interleavings for 1..=8 workers.
+//! location, at every worker count. It holds by construction: there is
+//! one evaluator (`dai_core::FuncAnalysis::evaluate`), which computes a
+//! cell's value from the cell's own inputs; memo entries are keyed by
+//! content hashes of those inputs (so cross-session reuse can only
+//! substitute equal values); and a session's graph is only ever touched
+//! by the one thread holding its lock. The `engine_consistency`
+//! integration suite checks the contract against randomized edit/query
+//! interleavings for 1..=8 workers and both transfer modes.
 //!
 //! ## Quickstart
 //!
@@ -80,7 +73,6 @@
 
 pub mod engine;
 pub mod pool;
-pub mod scheduler;
 pub mod service;
 pub mod session;
 pub mod wire;
@@ -102,7 +94,6 @@ pub use dai_core::explain::{CellCost, CellOutcome, ExplainReport, FixCost};
 // without depending on `dai-trace` directly.
 pub use dai_trace::{TraceDump, TraceOp};
 pub use pool::{PoolHandle, WorkerPool};
-pub use scheduler::evaluate_targets;
 pub use service::Service;
 pub use session::{EditOutcome, ResolverChoice, Session, SessionCounters, SessionSnapshot};
 
@@ -470,6 +461,48 @@ mod tests {
                 assert_eq!(s.sessions, 1);
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Five independent branches, so ready frontiers are wide and a sweep
+    /// demands many locations at once.
+    const WIDE: &str = "function f(n) { var a = 0; var b = 0; var c = 0; var d = 0; var e = 0; \
+                        if (n < 1) { a = n + 1; } else { a = n - 1; } \
+                        if (n < 2) { b = n + 2; } else { b = n - 2; } \
+                        if (n < 3) { c = n + 3; } else { c = n - 3; } \
+                        if (n < 4) { d = n + 4; } else { d = n - 4; } \
+                        while (e < 5) { e = e + 1; } \
+                        return a + b + c + d + e; }";
+
+    #[test]
+    fn evaluated_cell_counts_do_not_depend_on_the_worker_count() {
+        // `workers` is how many sessions are served at once; a query's
+        // cone is evaluated by one thread, so the work a sweep does — and
+        // its split into computed and memo-matched cells, which racing
+        // appliers could shift — is the same whatever the pool size.
+        let locs = lower_program(&parse_program(WIDE).unwrap()).unwrap().cfgs()[0].locs();
+        assert!(locs.len() >= 8);
+        let sweep = |workers: usize| {
+            let engine: Engine<IntervalDomain> = Engine::with_config(EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            });
+            let session = engine.open_session_src("wide", WIDE).unwrap();
+            let answers: Vec<IntervalDomain> = engine
+                .query_batch(session, "f", &locs)
+                .into_iter()
+                .map(|a| a.unwrap())
+                .collect();
+            let stats = engine.stats().query_stats;
+            (answers, stats.computed, stats.memo_matched)
+        };
+        let (expected, computed, matched) = sweep(1);
+        assert!(computed > 0);
+        for workers in [2, 4] {
+            let (answers, c, m) = sweep(workers);
+            assert_eq!(answers, expected, "workers = {workers}");
+            assert_eq!(c + m, computed + matched, "workers = {workers}");
+            assert_eq!((c, m), (computed, matched), "workers = {workers}");
         }
     }
 }

@@ -5,7 +5,7 @@
 //! That is the pool's only job: `workers` is how many requests — and so
 //! how many sessions — are served at once. A query's demanded cone is
 //! evaluated by the one worker that picked its request up (see
-//! [`crate::scheduler`]).
+//! `dai_core::FuncAnalysis::evaluate`).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -127,8 +127,7 @@ pub trait Service<D> {
     /// # Errors
     ///
     /// Unknown session, an interprocedural-backend session (attribution
-    /// requires the instrumented intraprocedural scheduler), or
-    /// transport failures.
+    /// requires the intraprocedural backend), or transport failures.
     fn explain(
         &self,
         session: SessionId,

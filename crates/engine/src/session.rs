@@ -15,7 +15,7 @@
 //!   per-function units created on demand, entry states from
 //!   [`AbstractDomain::entry_default`], calls resolved intraprocedurally
 //!   (the domain's conservative transfer), and a batch's demanded cones
-//!   evaluated as one union by [`crate::scheduler`]. Every per-function
+//!   evaluated as one union by [`FuncAnalysis::evaluate`]. Every per-function
 //!   result is exactly equal to the sequential batch oracle
 //!   `dai_core::batch::batch_analyze` on the same CFG — the
 //!   from-scratch-consistency gate the engine's test suite enforces.
@@ -57,13 +57,12 @@ use dai_persist::{FuncImage, PersistDomain, RestoreReport, SessionImage};
 use std::collections::HashMap;
 
 use crate::engine::EngineError;
-use crate::scheduler::evaluate_targets;
 
 /// How a session resolves call statements (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResolverChoice {
     /// Intraprocedural per-function analysis; calls havoc conservatively;
-    /// union-cone evaluation. The engine's original semantics.
+    /// multi-target evaluation of a batch. The engine's original semantics.
     #[default]
     Intra,
     /// Interprocedural analysis demanding callee exits under the given
@@ -328,13 +327,13 @@ impl<D: AbstractDomain> Session<D> {
     /// `Intra`: the members' demanded cones are evaluated as a **union**:
     /// each round collects, per still-unanswered member, either its
     /// resolved location cell or the outermost unconverged fix cell
-    /// blocking its resolution ([`resolve_loc_frontier`]), and evaluates
-    /// all of them in *one* [`evaluate_targets`] call, on the calling
-    /// thread. A cold batch therefore traverses one union cone instead of
-    /// one cone per member; every answer is still exactly the sequential
-    /// evaluator's (and the batch oracle's) value, because union
-    /// evaluation applies the same `apply_ready_at_with` computations to
-    /// the same inputs. `Interproc`: members are answered sequentially by
+    /// blocking its resolution ([`resolve_loc_frontier`]), and demands
+    /// all of them in *one* multi-target [`FuncAnalysis::evaluate`] call,
+    /// on the calling thread. A cold batch therefore walks one union cone
+    /// instead of one cone per member, and applies its cells in the order
+    /// sequential per-target queries would — so every answer is exactly
+    /// the sequential evaluator's (and the batch oracle's) value.
+    /// `Interproc`: members are answered sequentially by
     /// [`dai_core::InterAnalyzer::query_joined`] under the one session
     /// lock the caller already holds — the batching win there is the
     /// single lock acquisition.
@@ -347,10 +346,10 @@ impl<D: AbstractDomain> Session<D> {
     ///
     /// Cost attribution is opt-in: a supplied `sink` receives one record
     /// per demanded cell — including the `Q-Reuse` fast paths this layer
-    /// answers without touching the scheduler — so report cell counts
-    /// match the [`QueryStats`] movements exactly. `Inter` sessions ignore
-    /// the sink (their evaluation never reaches the instrumented
-    /// scheduler); callers wanting reports must check
+    /// answers without evaluating anything — so report cell counts match
+    /// the [`QueryStats`] movements exactly. `Inter` sessions ignore the
+    /// sink (their callee demands run inside call resolution, which no
+    /// sink reaches); callers wanting reports must check
     /// [`Session::intra_backend`] first.
     ///
     /// # Panics
@@ -403,7 +402,8 @@ impl<D: AbstractDomain> Session<D> {
 
     /// `true` when the session runs the intraprocedural backend — the
     /// only backend whose evaluation path supports cost attribution
-    /// (interprocedural resolution routes around the scheduler).
+    /// (interprocedural call resolution evaluates callees out of the
+    /// sink's sight).
     pub fn intra_backend(&self) -> bool {
         matches!(self.backend, Backend::Intra { .. })
     }
@@ -423,15 +423,14 @@ impl<D: AbstractDomain> Session<D> {
             s.begin_unit();
         }
         // One span per union drain; its payload is the number of cells the
-        // drain loaded into cone tables (0 for a fully warm batch). Every
-        // `engine.cells` span the rounds record falls inside it.
+        // drain wrote (0 for a fully warm batch). Every round's
+        // `engine.cells` span falls inside it.
         let mut walk_span = dai_trace::span!("engine.cone_walk");
         let cells_before = shared_stats.cone_cells;
         let mut out: Vec<Option<Result<D, EngineError>>> = (0..locs.len()).map(|_| None).collect();
         let mut resolved: Vec<Option<Name>> = vec![None; locs.len()];
         // Members whose answer required no evaluation at all count as
-        // `Q-Reuse`, exactly like an already-filled `evaluate_targets`
-        // target.
+        // `Q-Reuse`, exactly like an already-filled evaluation target.
         let mut demanded = vec![false; locs.len()];
         // Steady-state fast path: resolved cells are cached per structural
         // epoch; members still filled answer by lookup.
@@ -532,11 +531,10 @@ impl<D: AbstractDomain> Session<D> {
             }
             targets.sort();
             targets.dedup();
-            let _round_span = dai_trace::span!("engine.round", targets.len());
-            if let Err(e) = evaluate_targets(
-                &mut unit.fa,
+            let _cells_span = dai_trace::span!("engine.cells", targets.len());
+            if let Err(e) = unit.fa.evaluate(
                 &targets,
-                memo,
+                &mut memo.clone(),
                 &mut IntraResolver,
                 shared_stats,
                 sink.as_deref_mut(),

@@ -36,33 +36,30 @@
 //!              FuncAnalysis (CFG + DAIG) per function, built on demand
 //!      │                (session::Session — serialize per session,
 //!      ▼                 parallel across sessions: one worker each)
-//!   scheduler: the union demanded cone of a batch of queries, evaluated
-//!              topologically on the worker that holds the session lock:
-//!              ready cells (all inputs filled) are applied in place;
-//!              fix edges converge or unroll
-//!      │                (scheduler::evaluate_targets)
-//!      ▼
-//!   substrate: apply_ready_at_with / fix_step_id and the
-//!              ready-frontier notion (dai-core)  +  SharedMemoTable
-//!              (dai-memo): sharded, lock-per-shard, shared by all
-//!              sessions
+//!   evaluator: the union demanded cone of a batch of queries, walked
+//!              in demand order on the worker that holds the session
+//!              lock: a cell is applied once its inputs are filled; fix
+//!              edges converge or unroll
+//!      │                (dai-core: FuncAnalysis::evaluate, the one
+//!      ▼                 implementation of the Fig. 8 rules)
+//!   substrate: SharedMemoTable (dai-memo): sharded, lock-per-shard,
+//!              shared by all sessions
 //! ```
 //!
 //! Three properties make this a faithful extension of the paper rather
 //! than a bolt-on:
 //!
-//! 1. **One thread per query.** Cells on the ready frontier never read
-//!    each other (Definition 4.1), so evaluation is *confluent*: every
-//!    topological order produces the same cell values, and a whole batch
-//!    of queries can share one union cone. The engine uses that freedom
-//!    for batching, not for threads — a query's cone is evaluated by the
-//!    one worker serving its request, and `workers` is how many sessions
-//!    are served at once.
-//! 2. **One evaluation function.** The scheduler applies the exact
-//!    `dai_core::query::apply_ready_at_with` the sequential evaluator
-//!    uses, so engine answers are bit-identical to sequential answers —
-//!    and therefore to the from-scratch batch oracle (Theorem 6.1). The
-//!    `engine_consistency` suite enforces this for 1..=8 workers over
+//! 1. **One thread per query.** A whole batch of queries against one
+//!    function shares one union cone, evaluated by the one worker
+//!    serving its request; `workers` is how many sessions are served at
+//!    once.
+//! 2. **One evaluator.** Every query path — the library, the
+//!    interprocedural layer and the engine — demands cells through
+//!    `dai_core::FuncAnalysis::evaluate`, and a batch applies cells in
+//!    exactly the order sequential per-target queries would, so engine
+//!    answers are bit-identical to sequential answers — and therefore to
+//!    the from-scratch batch oracle (Theorem 6.1). The
+//!    `engine_consistency` suite checks this for 1..=8 workers over
 //!    randomized edit/query interleavings.
 //! 3. **Content-addressed sharing.** The shared memo table is keyed by
 //!    hashes of computation inputs (paper §2.1, "names are hashes,

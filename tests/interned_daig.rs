@@ -16,9 +16,10 @@
 //!    `value(&Name)` answers for every cell *and* byte-identical DOT
 //!    export after full evaluation.
 //!
-//! Plus the incrementality regression check: an engine evaluation whose
-//! loops unroll N times still traverses the demanded cone exactly once
-//! (`QueryStats::cone_walks`).
+//! Plus the incrementality regression check: an evaluation whose loops
+//! unroll N times still counts as one demanded-cone walk
+//! (`QueryStats::cone_walks`); dai-core's own tests bound the cells it
+//! visits.
 
 use dai_bench::workload::Workload;
 use dai_core::analysis::FuncAnalysis;
@@ -335,9 +336,9 @@ proptest! {
 
 #[test]
 fn converged_query_walks_cone_once_despite_unrolls() {
-    // The incremental-cone regression gate: an engine evaluation that
-    // unrolls nested loops several times performs exactly one demanded
-    // cone traversal.
+    // The incremental-cone regression gate: an evaluation that unrolls
+    // nested loops several times performs exactly one demanded cone
+    // walk.
     let src = "function f(n) { var i = 0; var s = 0; \
                while (i < 9) { var j = 0; while (j < 4) { s = s + j; j = j + 1; } i = i + 1; } \
                return s; }";
@@ -346,16 +347,15 @@ fn converged_query_walks_cone_once_despite_unrolls() {
         .cfgs()[0]
         .clone();
     let mut fa: FuncAnalysis<D> = FuncAnalysis::new(cfg, IntervalDomain::top());
-    let memo = dai_memo::SharedMemoTable::new(4);
+    let mut memo = dai_memo::SharedMemoTable::new(4);
     let mut stats = QueryStats::default();
     let exit = Name::State {
         loc: fa.cfg().exit(),
         ctx: IterCtx::root(),
     };
-    dai_engine::evaluate_targets(
-        &mut fa,
+    fa.evaluate(
         std::slice::from_ref(&exit),
-        &memo,
+        &mut memo,
         &mut IntraResolver,
         &mut stats,
         None,
@@ -372,14 +372,7 @@ fn converged_query_walks_cone_once_despite_unrolls() {
         stats.unrolls
     );
     // Re-evaluating the now-filled target walks nothing at all.
-    dai_engine::evaluate_targets(
-        &mut fa,
-        &[exit],
-        &memo,
-        &mut IntraResolver,
-        &mut stats,
-        None,
-    )
-    .unwrap();
+    fa.evaluate(&[exit], &mut memo, &mut IntraResolver, &mut stats, None)
+        .unwrap();
     assert_eq!(stats.cone_walks, 1);
 }

@@ -478,7 +478,7 @@ fn explain_command_attributes_cost_and_reports_json() {
     assert!(json.contains("\"parallelism\":"), "{json}");
     assert!(json.contains("\"hottest\":["), "{json}");
     assert!(json.ends_with("]}"), "{json}");
-    // Attribution needs the instrumented intraprocedural scheduler; the
+    // Attribution needs the intraprocedural backend; the
     // interprocedural resolver refuses in a structured way.
     let (_, stderr) = run_repl(
         PROGRAM,

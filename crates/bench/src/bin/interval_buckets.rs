@@ -5,7 +5,7 @@
 //! Paper reference numbers: k=2 verified 85/85, k=1 verified 71/74 (96%),
 //! k=0 verified 4/18 (22%).
 
-use dai_bench::buckets::{run_buckets, run_buckets_functional};
+use dai_bench::buckets::run_buckets;
 use dai_core::interproc::ContextPolicy;
 
 fn main() {
@@ -29,15 +29,4 @@ fn main() {
             r.ratio() * 100.0
         );
     }
-    // Extension beyond the paper's three policies: the §2.3 functional
-    // approach (entry-state-keyed summaries), at least as precise as any
-    // k-call-string policy.
-    let r = run_buckets_functional();
-    println!(
-        "{:<22} {:>10} {:>8} {:>7.0}%",
-        "functional (§2.3)",
-        r.verified,
-        r.total,
-        r.ratio() * 100.0
-    );
 }

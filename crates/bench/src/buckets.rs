@@ -24,13 +24,16 @@
 //! * **k = 2** distinguishes those two-deep chains as well and verifies
 //!   everything.
 //!
+//! Each policy is one run of [`InterAnalyzer`], the one interprocedural
+//! analyzer (paper §7.1). The paper's §2.3 also sketches a functional
+//! (Sharir–Pnueli) approach; it is not implemented, since `k = 2` already
+//! verifies every access here.
+//!
 //! Absolute counts differ from the paper's (different corpus), but the
 //! precision gradient — and the context-multiplication of the access count
-//! (the paper's 18 → 74 → 85) — is the reproduced result; see
-//! EXPERIMENTS.md.
+//! (the paper's 18 → 74 → 85) — is the reproduced result.
 
 use dai_core::interproc::{ContextPolicy, InterAnalyzer};
-use dai_core::summaries::SummaryAnalyzer;
 use dai_domains::IntervalDomain;
 use dai_lang::cfg::lower_program;
 use dai_lang::parser::parse_program;
@@ -247,46 +250,6 @@ pub fn run_buckets(policy: ContextPolicy) -> BucketsResult {
     BucketsResult { verified, total }
 }
 
-/// Runs the experiment under the Sharir–Pnueli functional approach
-/// (paper §2.3; `dai_core::summaries`): accesses are counted once per
-/// *entry state* reaching their function, and verified against that
-/// entry's per-state invariant. At least as precise as any k-call-string
-/// policy — two call paths are only merged when they induce literally the
-/// same abstract entry, in which case merging loses nothing.
-pub fn run_buckets_functional() -> BucketsResult {
-    let program =
-        lower_program(&parse_program(BUCKETS_SRC).expect("suite parses")).expect("suite lowers");
-    let mut analyzer: SummaryAnalyzer<IntervalDomain> =
-        SummaryAnalyzer::new(program.clone(), "main", IntervalDomain::top());
-    let mut verified = 0;
-    let mut total = 0;
-    let names: Vec<Symbol> = program.cfgs().iter().map(|c| c.name().clone()).collect();
-    for fname in names {
-        let cfg = program
-            .by_name(fname.as_str())
-            .expect("function exists")
-            .clone();
-        for edge in cfg.edges() {
-            let accesses = edge.stmt.array_accesses();
-            if accesses.is_empty() {
-                continue;
-            }
-            let per_entry = analyzer
-                .query_at(fname.as_str(), edge.src)
-                .expect("query succeeds");
-            for (_entry, state) in per_entry {
-                for (arr, idx) in &accesses {
-                    total += 1;
-                    if state.array_access_safe(arr, idx) {
-                        verified += 1;
-                    }
-                }
-            }
-        }
-    }
-    BucketsResult { verified, total }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,19 +289,6 @@ mod tests {
             r.verified > 0,
             "caller-independent accesses must verify: {r:?}"
         );
-    }
-
-    #[test]
-    fn functional_verifies_everything_with_fewer_units() {
-        let r = run_buckets_functional();
-        assert_eq!(
-            r.verified, r.total,
-            "functional must verify all accesses: {r:?}"
-        );
-        // Summary sharing: the functional entry count never exceeds the
-        // k=2 context count (equal entries collapse).
-        let k2 = run_buckets(ContextPolicy::CallString(2));
-        assert!(r.total <= k2.total, "functional {r:?} vs k=2 {k2:?}");
     }
 
     #[test]

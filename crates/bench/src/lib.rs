@@ -11,7 +11,8 @@
 //!   configurations, producing the scatter series, the latency CDF, and
 //!   the summary statistics table (`fig10` binary);
 //! * [`buckets`] — the §7.2 interval / context-sensitivity experiment on
-//!   ports of the Buckets.js array functions (`interval_buckets`);
+//!   ports of the Buckets.js array functions, one row per context policy
+//!   of `dai_core::InterAnalyzer` (`interval_buckets`);
 //! * [`lists`] — the §7.2 shape-analysis experiment (Fig. 1 `append` and
 //!   linked-list utilities; `shape_lists`).
 //!

@@ -442,7 +442,7 @@ pub fn entry_cell_name(cfg: &Cfg) -> Name {
 /// This realizes the paper's `unroll` (§5.2): it is the `incr`-duplication
 /// of the region between the two greatest iterates, with stale inner-loop
 /// unrollings normalized to their initial form (a strictly smaller,
-/// name-equivalent graph; see DESIGN.md).
+/// name-equivalent graph).
 ///
 /// # Panics
 ///

@@ -25,6 +25,24 @@
 //!   edit that adds, removes or retargets no call leaves it alone. During
 //!   a query the program and the table are borrowed immutably and units
 //!   are named by table node, so resolving a call builds no key.
+//! * **Units' cells.** One rule invalidates them, whatever the edit: after
+//!   an edit to any function, every unit but the entry unit (the entry
+//!   function in the root context) is reset — entry ⊥, every result
+//!   dropped — and in the entry unit everything downstream of *every* call
+//!   edge is dirtied, on top of what the edit itself dirtied there
+//!   (`InterAnalyzer::reset_units`). What an edit keeps is the entry
+//!   unit's call-free cells, which equal a fresh analysis's, and the memo
+//!   table, which is exact by content (call results are never memoized).
+//!   Everything from the entry function's first call on therefore re-runs
+//!   in the order a fresh analyzer runs it, and feeds every callee entry
+//!   the same contributions in the same order: any query sequence after an
+//!   edit answers like a fresh `InterAnalyzer` given the same queries since
+//!   that edit. That matters because entries are joins accumulated in
+//!   demand order, so even a fresh analyzer's answers depend on the order
+//!   its queries arrive in. The price: an edit to a function reached only
+//!   by the entry function's *last* call still re-runs every call before
+//!   it. A sharper cut-off needs entries that are fixed points, not
+//!   demand-order joins.
 //! * **Forced-entry stamps**: a unit whose entry has been seeded from all
 //!   of its call sites ([`Eval::force_entry`]) is stamped with the current
 //!   *edit epoch*, and forcing a stamped unit returns at once. The epoch
@@ -43,11 +61,14 @@
 //! the entry and [`FuncAnalysis::set_entry_state`] returns early on
 //! equality, and the callee-exit demand that follows finds its cell filled.
 //!
-//! **Warning for whoever fixes the reset-every-entry edit policy.** Today
-//! an entry that grows after its callers were evaluated does not dirty
-//! those callers' post-call cells. A fix that starts dirtying caller cells
-//! when a callee entry grows breaks the argument above at "nothing dirties
-//! those cells between edits": it must move the epoch at that same event.
+//! **Warning for whoever sharpens the edit rule.** An entry that grows
+//! after its callers were evaluated does not dirty those callers' post-call
+//! cells; the edit rule is correct because it re-runs every call anyway. A
+//! rule that dirties caller cells when a callee entry grows breaks the
+//! argument above at "nothing dirties those cells between edits": it must
+//! move the epoch at that same event. `tests/interprocedural.rs` holds the
+//! oracle such a rule must pass: demanded == fresh after every edit of
+//! random multi-function edit streams, under every policy.
 
 use crate::analysis::FuncAnalysis;
 use crate::graph::{DaigError, Value};
@@ -59,7 +80,7 @@ use dai_lang::edit::SpliceInfo;
 use dai_lang::{Block, CfgError, EdgeId, Loc, Stmt, Symbol};
 use dai_memo::{MemoStore, MemoTable};
 use dai_trace::metrics::Counter;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A calling context: the most recent call edges, outermost last
@@ -799,7 +820,7 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
     }
 
     /// After the program accepted an edit to `f`: replays it on every
-    /// unit of `f` and brings the caches and the other units in line.
+    /// unit of `f` and applies the one edit rule (module docs).
     fn edit_units(
         &mut self,
         f: &str,
@@ -813,50 +834,43 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
                 edit(slot.fa_mut())?;
             }
         }
-        self.propagate_cross_function_dirt(f);
+        let calls: Vec<Name> = self
+            .program
+            .func_index(self.entry_fn.as_str())
+            .map_or(&[][..], |func| self.program.calls_out(func))
+            .iter()
+            .map(|&(edge, _)| Name::Stmt(edge))
+            .collect();
+        self.reset_units(|entry| {
+            for call in &calls {
+                crate::edit::dirty_dependents(entry.daig_mut(), call);
+            }
+        });
         Ok(())
     }
 
-    /// After editing `f`: accumulated callee entries anywhere may be stale
-    /// — an edited function's changed values can flow through its callers
-    /// into any other callee's entry join, and joins never shrink on their
-    /// own. Entries are therefore reset (to be re-accumulated on demand)
-    /// for every non-entry unit; callers' post-call cells depend on `f`'s
-    /// exit, so additionally dirty downstream of every transitive caller's
-    /// relevant call sites.
-    fn propagate_cross_function_dirt(&mut self, f: &str) {
-        self.units.epoch += 1;
-        let entry_fn = &self.entry_fn;
-        for slot in &mut self.units.slots {
-            if slot.key.0 == *entry_fn && slot.key.1 .0.is_empty() {
-                continue;
-            }
-            let unit = slot.fa_mut();
-            unit.set_entry_state(D::bottom());
-            unit.dirty_everything();
-        }
-        let units = self
-            .units
-            .slots
-            .iter_mut()
-            .map(|slot| (&slot.key.0, slot.fa.as_mut().expect("no query in progress")));
-        dirty_calls_reaching(&self.program, f, units);
-    }
-
-    /// Discards all analysis results but keeps program structure (the
-    /// demand-driven-only configuration's "dirty the full DAIG").
-    pub fn dirty_everything(&mut self) {
+    /// Moves the edit epoch and resets every unit but the entry unit: its
+    /// entry goes back to ⊥, to be re-accumulated on demand, and every
+    /// result is dropped. `entry` says what the entry unit loses.
+    fn reset_units(&mut self, mut entry: impl FnMut(&mut FuncAnalysis<D>)) {
         self.units.epoch += 1;
         let entry_fn = &self.entry_fn;
         for slot in &mut self.units.slots {
             let is_entry = slot.key.0 == *entry_fn && slot.key.1 .0.is_empty();
             let unit = slot.fa_mut();
-            unit.dirty_everything();
-            // Entries must also be re-accumulated.
-            if !is_entry {
+            if is_entry {
+                entry(unit);
+            } else {
                 unit.set_entry_state(D::bottom());
+                unit.dirty_everything();
             }
         }
+    }
+
+    /// Discards all analysis results but keeps program structure (the
+    /// demand-driven-only configuration's "dirty the full DAIG").
+    pub fn dirty_everything(&mut self) {
+        self.reset_units(FuncAnalysis::dirty_everything);
         self.memo.clear();
     }
 
@@ -872,32 +886,6 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
     #[doc(hidden)]
     pub fn drop_forced_stamps(&mut self) {
         self.units.epoch += 1;
-    }
-}
-
-/// After an edit to `f`, dirties in every unit of a transitive caller of
-/// `f` the cells downstream of the calls through which `f` is reached:
-/// any such call transfer may now produce a different value. Units of `f`
-/// itself are the edit's own business.
-pub(crate) fn dirty_calls_reaching<'u, D: AbstractDomain>(
-    program: &LoweredProgram,
-    f: &str,
-    units: impl Iterator<Item = (&'u Symbol, &'u mut FuncAnalysis<D>)>,
-) {
-    let affected: HashSet<Symbol> = program.transitive_callers(f);
-    for (g, unit) in units {
-        if g.as_str() == f || !affected.contains(g) {
-            continue;
-        }
-        let Some(func) = program.func_index(g.as_str()) else {
-            continue;
-        };
-        for &(edge, callee) in program.calls_out(func) {
-            if affected.contains(program.cfgs()[callee].name()) {
-                let deps: Vec<Name> = unit.daig().dependents(&Name::Stmt(edge)).cloned().collect();
-                crate::edit::dirty_from(unit.daig_mut(), deps);
-            }
-        }
     }
 }
 

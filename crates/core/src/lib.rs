@@ -30,17 +30,16 @@
 //!   `E-Loop`);
 //! * [`analysis`] — a function's CFG + DAIG with program edits and
 //!   fixed-point-consistent location queries;
-//! * [`interproc`] — context-sensitivity policies and demand-driven callee
-//!   DAIG construction (paper §7.1);
+//! * [`interproc`] — the interprocedural analyzer (paper §7.1): one DAIG
+//!   per `(function, context)` built on demand, context-sensitivity
+//!   policies, callee entries as joined `φ₀` edits, and one edit rule that
+//!   keeps a session from-scratch consistent;
 //! * [`batch`] — an independent reference batch interpreter used as the
 //!   from-scratch-consistency oracle (Theorem 6.1);
 //! * [`consistency`] — executable Definition 4.2 / 4.3 checkers;
 //! * [`driver`] — the four evaluation configurations of §7.3;
 //! * [`strategy`] — widening schedules and `⊑`-based convergence (the
 //!   alternatives footnote 4 alludes to);
-//! * [`summaries`] — the Sharir–Pnueli "functional approach" to
-//!   interprocedural demand sketched in §2.3, with entry-state-keyed
-//!   summary DAIGs;
 //! * [`dot`] — Graphviz export of DAIGs (renders the paper's Figs. 3/4).
 //!
 //! ## Quickstart
@@ -78,7 +77,6 @@ pub mod interproc;
 pub mod name;
 pub mod query;
 pub mod strategy;
-pub mod summaries;
 
 pub use analysis::{resolve_loc_cell, FuncAnalysis};
 pub use compile::{FusedRun, TransferMode, TransferTable};
@@ -90,4 +88,3 @@ pub use interproc::{Context, ContextPolicy, InterAnalyzer};
 pub use name::{IterCtx, Name};
 pub use query::{CallResolver, IntraResolver, QueryStats};
 pub use strategy::{Convergence, FixStrategy};
-pub use summaries::SummaryAnalyzer;

@@ -17,9 +17,8 @@
 //! * [`bench`](mod@bench) (`dai-bench`) — the paper's evaluation workloads and
 //!   harnesses.
 //!
-//! See the repository README for a guided tour, `DESIGN.md` for the system
-//! inventory, and `EXPERIMENTS.md` for paper-vs-measured results. The
-//! `examples/` directory contains runnable walkthroughs, starting with
+//! `crates/README.md` maps how the crates compose. The `examples/`
+//! directory contains runnable walkthroughs, starting with
 //! `cargo run --example quickstart` (and `engine_concurrent` for the
 //! engine).
 //!

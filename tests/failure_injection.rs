@@ -6,16 +6,16 @@
 //!
 //! These tests adversarially drop cached state at random points of an
 //! edit/query stream — clearing the memo table, bounding its capacity so
-//! it continually evicts, dirtying whole DAIGs, and purging the summary
-//! analyzer — and assert that query answers never change relative to an
+//! it continually evicts, dirtying whole DAIGs, and dropping every result
+//! of the interprocedural analyzer — and assert that query answers never change relative to an
 //! unperturbed twin run over the same stream. A failed save is the same
 //! kind of fault one layer up: it must cost nothing but the save.
 
 use dai_bench::workload::Workload;
 use dai_core::analysis::FuncAnalysis;
 use dai_core::consistency::{check_ai_consistency, check_cfg_consistency};
+use dai_core::interproc::{ContextPolicy, InterAnalyzer};
 use dai_core::query::{IntraResolver, QueryStats};
-use dai_core::summaries::SummaryAnalyzer;
 use dai_domains::{AbstractDomain, IntervalDomain, OctagonDomain};
 use dai_lang::cfg::lower_program;
 use dai_lang::parser::parse_program;
@@ -154,7 +154,7 @@ fn octagon_survives_combined_perturbations() {
 }
 
 #[test]
-fn summary_analyzer_purge_is_sound() {
+fn interproc_dirty_everything_is_sound() {
     const SRC: &str = r#"
         function dbl(x) { return x * 2; }
         function addsq(y) { var t = dbl(y); return t + y; }
@@ -165,15 +165,24 @@ fn summary_analyzer_purge_is_sound() {
         }
     "#;
     let program = lower_program(&parse_program(SRC).unwrap()).unwrap();
-    let mut an = SummaryAnalyzer::<IntervalDomain>::new(program, "main", IntervalDomain::top());
-    let exit = an.program().by_name("main").unwrap().exit();
-    let reference = an.query_joined("main", exit).unwrap();
-    // Purge between every re-query: answers must be stable.
-    for _ in 0..3 {
-        an.purge();
-        assert_eq!(an.summary_count(), 0);
-        let again = an.query_joined("main", exit).unwrap();
-        assert_eq!(again, reference);
+    for policy in [ContextPolicy::Insensitive, ContextPolicy::CallString(1)] {
+        let mut an = InterAnalyzer::<IntervalDomain>::new(
+            program.clone(),
+            policy,
+            "main",
+            IntervalDomain::top(),
+        );
+        let exit = an.program().by_name("main").unwrap().exit();
+        let reference = an.query_joined("main", exit).unwrap();
+        // Drop every result and the memo between re-queries: answers must
+        // be stable.
+        for _ in 0..3 {
+            an.dirty_everything();
+            let before = an.stats();
+            let again = an.query_joined("main", exit).unwrap();
+            assert_eq!(again, reference);
+            assert!(an.stats().delta(&before).computed > 0, "{policy:?}");
+        }
     }
 }
 

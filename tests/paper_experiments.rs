@@ -1,5 +1,5 @@
 //! End-to-end checks that the paper's evaluation artifacts regenerate with
-//! the reported *shape* (see EXPERIMENTS.md for the full record):
+//! the reported *shape*:
 //!
 //! * E1–E3 (Fig. 10): the latency ordering batch > incremental >
 //!   demand-driven > incremental+demand-driven holds on the synthetic
@@ -96,14 +96,4 @@ fn shape_verification_results() {
     }
     let idx = check_procedure("indexof", false);
     assert!(idx.memory_safe, "{idx:?}");
-}
-
-#[test]
-fn buckets_functional_extension_verifies_everything() {
-    // E7 (extension): the §2.3 functional approach matches k=2's perfect
-    // score with summary sharing (one fewer unit than per-context k=2).
-    let f = dai_bench::buckets::run_buckets_functional();
-    assert_eq!(f.verified, f.total);
-    let k2 = run_buckets(ContextPolicy::CallString(2));
-    assert!(f.total <= k2.total);
 }

@@ -433,10 +433,11 @@ fn tagged_domain_batch_agrees_per_convergence_mode() {
 }
 
 #[test]
-fn functional_summaries_compose_with_strategies() {
-    // Delayed widening inside a callee, demanded through the functional
-    // interprocedural layer: the summary carries the exact loop bound.
-    use dai_core::summaries::SummaryAnalyzer;
+fn call_strings_compose_with_strategies() {
+    // Delayed widening inside a callee, demanded through the
+    // interprocedural analyzer: the callee's exit carries the exact loop
+    // bound back to the caller.
+    use dai_core::interproc::{ContextPolicy, InterAnalyzer};
     const SRC: &str = r#"
         function count(n) {
             var i = 0;
@@ -447,13 +448,19 @@ fn functional_summaries_compose_with_strategies() {
     "#;
     let program = lower_program(&parse_program(SRC).unwrap()).unwrap();
     let exit = program.by_name("main").unwrap().exit();
-    let mut precise = SummaryAnalyzer::<IntervalDomain>::with_strategy(
+    let mut precise = InterAnalyzer::<IntervalDomain>::with_strategy(
         program.clone(),
+        ContextPolicy::CallString(1),
         "main",
         IntervalDomain::top(),
         FixStrategy::delayed(12),
     );
-    let mut paper = SummaryAnalyzer::<IntervalDomain>::new(program, "main", IntervalDomain::top());
+    let mut paper = InterAnalyzer::<IntervalDomain>::new(
+        program,
+        ContextPolicy::CallString(1),
+        "main",
+        IntervalDomain::top(),
+    );
     let a_precise = precise.query_joined("main", exit).unwrap().interval_of("a");
     let a_paper = paper.query_joined("main", exit).unwrap().interval_of("a");
     assert_eq!(a_precise, Interval::constant(10));

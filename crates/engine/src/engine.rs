@@ -48,7 +48,7 @@ use dai_core::graph::{DaigError, Value};
 use dai_core::query::QueryStats;
 use dai_core::strategy::FixStrategy;
 use dai_domains::AbstractDomain;
-use dai_journal::{Journal, JournalConfig, JournalEntry, JournalRecord};
+use dai_journal::{Journal, JournalConfig, JournalEntry, JournalRecord, SessionCut};
 use dai_lang::cfg::{lower_program, LoweredProgram};
 use dai_lang::{CfgError, Loc};
 use dai_memo::{MemoKey, MemoStamps, MemoStats, SharedMemoTable};
@@ -1531,12 +1531,7 @@ impl<D: PersistDomain> Engine<D> {
                     Some(source.clone()),
                 );
                 session.set_replica(replica);
-                let id = self.install_session(session);
-                shared
-                    .journal_map
-                    .lock()
-                    .expect("journal map poisoned")
-                    .bind(entry.session, id);
+                self.install_journaled(entry.session, session);
             }
             JournalRecord::Edit { edit } => {
                 let local = local_of(entry.session)?;
@@ -1583,23 +1578,7 @@ impl<D: PersistDomain> Engine<D> {
                         shared.memo.insert(k, v);
                     }
                 }
-                let mut map = shared.journal_map.lock().expect("journal map poisoned");
-                match map.to_local.get(&entry.session).copied() {
-                    Some(local) => {
-                        // Refresh the mapped session in place: replace
-                        // its slot, keeping the local id stable for
-                        // queries in flight against the follower.
-                        shared
-                            .sessions
-                            .write()
-                            .expect("session map poisoned")
-                            .insert(local, Arc::new(Mutex::new(session)));
-                    }
-                    None => {
-                        let id = self.install_session(session);
-                        map.bind(entry.session, id);
-                    }
-                }
+                self.install_journaled(entry.session, session);
             }
         }
         shared.applied_seq.store(entry.seq, Ordering::Relaxed);
@@ -1607,9 +1586,32 @@ impl<D: PersistDomain> Engine<D> {
         Ok(())
     }
 
+    /// Installs a replayed session for journal session `journal_id`. One
+    /// already mapped — a follower meeting a compaction's snapshot, or an
+    /// `Open` it re-appended — is refreshed in place, keeping the local
+    /// id stable for queries in flight against it.
+    fn install_journaled(&self, journal_id: u64, session: Session<D>) {
+        let shared = &self.shared;
+        let mut map = shared.journal_map.lock().expect("journal map poisoned");
+        match map.to_local.get(&journal_id).copied() {
+            Some(local) => {
+                shared
+                    .sessions
+                    .write()
+                    .expect("session map poisoned")
+                    .insert(local, Arc::new(Mutex::new(session)));
+            }
+            None => {
+                let id = self.install_session(session);
+                map.bind(journal_id, id);
+            }
+        }
+    }
+
     /// Compacts the attached journal if it has crossed its configured
     /// append threshold: one `DAIP` snapshot frame per journal-bound
-    /// session replaces the accumulated history. Returns `true` when a
+    /// session replaces the history it covers, and frames appended while
+    /// the snapshots were taken ride behind them. Returns `true` when a
     /// compaction ran. Called automatically after journaled edits; a
     /// REPL/router can also invoke it directly (`force = true`).
     ///
@@ -1645,20 +1647,32 @@ fn compact_attached_journal<D: PersistDomain>(
         v.sort_unstable();
         v
     };
-    let mut snapshots = Vec::with_capacity(bound.len());
+    let mut cuts = Vec::with_capacity(bound.len());
     for (journal_id, local) in bound {
         let Ok(session) = session_of(shared, local) else {
-            continue; // closed concurrently — its Close frame rides the tail
+            continue; // closed concurrently — the journal drops it whole
         };
+        // A session's frames are appended under its lock (`journal_record`),
+        // so under the lock its image is exactly its frames up to the
+        // head. The journal lock is taken inside the session lock, never
+        // the other way round.
         let guard = session.lock().expect("session poisoned");
+        let covers = journal.session_head(journal_id);
+        if covers == 0 {
+            continue; // its `Open` has not landed: every frame rides the tail
+        }
         let image = guard.image()?;
         drop(guard);
-        snapshots.push((journal_id, image.to_bytes()));
+        cuts.push(SessionCut {
+            session: journal_id,
+            covers,
+            bytes: image.to_bytes(),
+        });
     }
-    // The rewritten file holds no `JMEM` frame: the next save must carry
-    // the table whole (see `memo_mark`).
+    // The rewritten file holds no `JMEM` frame a cut covers: the next
+    // save must carry the table whole (see `memo_mark`).
     let mut mark = shared.memo_mark.lock().expect("memo mark poisoned");
-    journal.compact(&snapshots)?;
+    journal.compact(cuts)?;
     *mark = 0;
     Ok(true)
 }

@@ -5,13 +5,14 @@
 //! recovery IS the ordinary open path, so every test of open is a test
 //! of crash recovery. Appends go to the end under a lock; `Safe`
 //! durability fsyncs the file after each append batch. Compaction
-//! rewrites the file as one `JSNP` snapshot frame per live session
-//! (with *fresh* sequence numbers, so follower cursors survive) via the
-//! same tmp + rename + fsync dance snapshots use.
+//! rewrites the file as one `JSNP` snapshot frame per live session plus
+//! every frame no snapshot covers (all with *fresh* sequence numbers, so
+//! follower cursors survive) via the same tmp + rename + fsync dance
+//! snapshots use.
 
-use crate::record::{replay_bytes, JournalEntry, JournalRecord, Replay};
+use crate::record::{replay_bytes, scan_frames, JournalEntry, JournalRecord, Replay};
 use dai_persist::{sync_file, sync_parent_dir, temp_sibling, Durability, PersistError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -48,6 +49,19 @@ pub struct FrameBatch {
     pub last_seq: u64,
 }
 
+/// One session's image for [`Journal::compact`]: its `DAIP` bytes and
+/// the last `session_seq` of that session's frames the image reflects.
+#[derive(Debug, Clone)]
+pub struct SessionCut {
+    /// The journal session id.
+    pub session: u64,
+    /// The image covers this session's frames up to this `session_seq`
+    /// ([`Journal::session_head`] when it was taken).
+    pub covers: u64,
+    /// A complete `DAIP` container.
+    pub bytes: Vec<u8>,
+}
+
 #[derive(Debug)]
 struct Inner {
     file: std::fs::File,
@@ -59,6 +73,24 @@ struct Inner {
     frames: u64,
     /// Appends since the last compaction (compaction-hint counter).
     appended_since_compact: u64,
+}
+
+impl Inner {
+    /// Stamps `record` with the next global and per-session sequence
+    /// numbers.
+    fn entry(&mut self, session: u64, record: JournalRecord) -> JournalEntry {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let slot = self.session_seqs.entry(session).or_insert(1);
+        let session_seq = *slot;
+        *slot += 1;
+        JournalEntry {
+            seq,
+            session,
+            session_seq,
+            record,
+        }
+    }
 }
 
 /// An open journal file. Cheap to share behind an `Arc`; all file
@@ -175,19 +207,8 @@ impl Journal {
         let mut buf = Vec::new();
         let mut appended = 0u64;
         for record in records {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            let slot = inner.session_seqs.entry(session).or_insert(1);
-            let session_seq = *slot;
-            *slot += 1;
             appended += 1;
-            JournalEntry {
-                seq,
-                session,
-                session_seq,
-                record,
-            }
-            .encode_into(&mut buf);
+            inner.entry(session, record).encode_into(&mut buf);
         }
         if appended == 0 {
             return Ok(inner.next_seq.saturating_sub(1));
@@ -209,6 +230,13 @@ impl Journal {
     pub fn last_seq(&self) -> u64 {
         let inner = self.inner.lock().expect("journal lock poisoned");
         inner.next_seq - 1
+    }
+
+    /// The last `session_seq` handed to `session`'s frames (0 when it has
+    /// none) — the cut-off a [`SessionCut`] taken now covers.
+    pub fn session_head(&self, session: u64) -> u64 {
+        let inner = self.inner.lock().expect("journal lock poisoned");
+        inner.session_seqs.get(&session).map_or(0, |next| next - 1)
     }
 
     /// Good frames currently in the file.
@@ -243,61 +271,85 @@ impl Journal {
             last_seq: after,
             ..FrameBatch::default()
         };
-        let mut offset = 0usize;
-        while offset < bytes.len() && batch.count < max {
-            let Some(split) = dai_persist::split_frame(&bytes[offset..]) else {
-                break;
-            };
-            let Some(payload) = split.payload else { break };
-            let Ok(entry) = JournalEntry::decode(split.header.tag, split.header.version, payload)
-            else {
-                break;
-            };
-            let end = offset + split.consumed;
-            if entry.seq > after {
-                batch.bytes.extend_from_slice(&bytes[offset..end]);
+        scan_frames(&bytes, |entry, frame| {
+            if entry.seq > after && batch.count < max {
+                batch.bytes.extend_from_slice(frame);
                 batch.count += 1;
                 batch.last_seq = entry.seq;
             }
-            offset = end;
-        }
+            batch.count < max
+        });
         Ok(batch)
     }
 
-    /// Replaces the journal's contents with one snapshot frame per
-    /// `(session, DAIP bytes)` pair, assigning fresh sequence numbers
-    /// **above** every previously handed-out one. Written atomically
-    /// (tmp + rename; fsync'd under [`Durability::Safe`]). Returns the
-    /// new last sequence number.
+    /// Hands each entry of the file's clean prefix to `visit`, reading
+    /// one frame at a time — the stream form of [`replay_bytes`].
+    fn scan_file(&self, mut visit: impl FnMut(JournalEntry)) -> Result<(), PersistError> {
+        let file = std::fs::File::open(&self.path).map_err(|e| io_err(&self.path, e))?;
+        let len = file.metadata().map_err(|e| io_err(&self.path, e))?.len();
+        let mut r = std::io::BufReader::new(file);
+        while let Ok(frame) = dai_persist::read_frame(&mut r, len as usize) {
+            let Some(payload) = frame.payload else { break };
+            let Ok(entry) = JournalEntry::decode(frame.header.tag, frame.header.version, &payload)
+            else {
+                break;
+            };
+            visit(entry);
+        }
+        Ok(())
+    }
+
+    /// Rewrites the journal as one snapshot frame per [`SessionCut`],
+    /// followed by every frame of the old file that no cut covers —
+    /// frames above their session's `covers`, and every frame of a
+    /// session without a cut — in their old order. A session with a
+    /// `Close` frame is dropped whole, cut included. Every frame takes
+    /// fresh sequence numbers **above** every previously handed-out one.
+    /// Written atomically (tmp + rename; fsync'd under
+    /// [`Durability::Safe`]) under the append lock, so a frame appended
+    /// while the caller took its cuts survives. Returns the new last
+    /// sequence number.
     ///
-    /// A follower whose cursor points into the truncated history simply
-    /// receives the snapshot frames next pull — snapshot application is
-    /// idempotent, so catching up over a compaction is seamless.
+    /// A follower whose cursor points into the old file simply receives
+    /// the rewritten frames next pull — a snapshot replaces its session
+    /// and the frames after it re-apply, so catching up over a
+    /// compaction is seamless.
     ///
     /// # Errors
     ///
     /// [`PersistError::Io`] on filesystem failure.
-    pub fn compact(&self, snapshots: &[(u64, Vec<u8>)]) -> Result<u64, PersistError> {
+    pub fn compact(&self, cuts: Vec<SessionCut>) -> Result<u64, PersistError> {
         let err = |e| io_err(&self.path, e);
         let mut inner = self.inner.lock().expect("journal lock poisoned");
+        // Appends hold this lock, so the file holds every frame so far.
+        // It is read frame by frame, twice, and only the frames that stay
+        // are kept: the old file is never held whole.
+        let mut closed = HashSet::new();
+        self.scan_file(|e| {
+            if matches!(e.record, JournalRecord::Close) {
+                closed.insert(e.session);
+            }
+        })?;
+        let cuts: Vec<SessionCut> = cuts
+            .into_iter()
+            .filter(|c| !closed.contains(&c.session))
+            .collect();
+        let covers: HashMap<u64, u64> = cuts.iter().map(|c| (c.session, c.covers)).collect();
+        let mut kept = Vec::new();
+        self.scan_file(|e| {
+            let covered = covers.get(&e.session).copied().unwrap_or(0);
+            if !closed.contains(&e.session) && e.session_seq > covered {
+                kept.push((e.session, e.record));
+            }
+        })?;
+        let snapshots = cuts
+            .into_iter()
+            .map(|c| (c.session, JournalRecord::Snapshot { bytes: c.bytes }));
         let mut buf = Vec::new();
         let mut frames = 0u64;
-        for (session, bytes) in snapshots {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            let slot = inner.session_seqs.entry(*session).or_insert(1);
-            let session_seq = *slot;
-            *slot += 1;
+        for (session, record) in snapshots.chain(kept) {
+            inner.entry(session, record).encode_into(&mut buf);
             frames += 1;
-            JournalEntry {
-                seq,
-                session: *session,
-                session_seq,
-                record: JournalRecord::Snapshot {
-                    bytes: bytes.clone(),
-                },
-            }
-            .encode_into(&mut buf);
         }
         let tmp = temp_sibling(&self.path, "compact");
         {
@@ -429,7 +481,12 @@ mod tests {
             journal.append(3, open_record(i)).unwrap();
         }
         let before = std::fs::metadata(&path).unwrap().len();
-        let last = journal.compact(&[(3, vec![0xAB; 10])]).unwrap();
+        let cut = SessionCut {
+            session: 3,
+            covers: journal.session_head(3),
+            bytes: vec![0xAB; 10],
+        };
+        let last = journal.compact(vec![cut]).unwrap();
         assert_eq!(last, 9, "snapshot frame takes the next fresh seq");
         assert!(std::fs::metadata(&path).unwrap().len() < before);
         assert_eq!(journal.frames(), 1);
@@ -448,6 +505,75 @@ mod tests {
         let (_, replay) = Journal::open(&path, JournalConfig::default()).unwrap();
         assert_eq!(replay.entries.len(), 2);
         assert_eq!(replay.entries[1].seq, 10);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn frames_above_a_cut_survive_compaction_in_order_and_resequenced() {
+        let path = tmp_path("compact-tail.daij");
+        let _ = std::fs::remove_file(&path);
+        let (journal, _) = Journal::open(&path, JournalConfig::default()).unwrap();
+        let delta = |n: u32| JournalRecord::MemoDelta {
+            bytes: vec![n as u8],
+        };
+        // Session 1: four frames, cut after the second. Session 2: no
+        // cut. Session 3: closed. Session 1 keeps appending after its
+        // cut was taken, as a frame racing the compaction would.
+        journal.append(1, open_record(1)).unwrap();
+        journal.append(1, delta(10)).unwrap();
+        journal.append(2, open_record(2)).unwrap();
+        let cut = SessionCut {
+            session: 1,
+            covers: journal.session_head(1),
+            bytes: vec![0xCD; 4],
+        };
+        journal.append(3, open_record(3)).unwrap();
+        journal.append(1, delta(11)).unwrap();
+        journal.append(2, delta(20)).unwrap();
+        journal.append(3, JournalRecord::Close).unwrap();
+        journal.append(1, delta(12)).unwrap();
+        let cut3 = SessionCut {
+            session: 3,
+            covers: 1,
+            bytes: vec![0xEF; 4],
+        };
+        let last = journal.compact(vec![cut, cut3]).unwrap();
+        assert_eq!(last, 13, "five frames above the old head of 8");
+        assert_eq!(journal.frames(), 5);
+
+        let batch = journal.frames_since(0, 100).unwrap();
+        let entries = replay_bytes(&batch.bytes).entries;
+        let kept: Vec<(u64, u64, &JournalRecord)> = entries
+            .iter()
+            .map(|e| (e.seq, e.session, &e.record))
+            .collect();
+        assert_eq!(
+            kept,
+            vec![
+                (
+                    9,
+                    1,
+                    &JournalRecord::Snapshot {
+                        bytes: vec![0xCD; 4]
+                    }
+                ),
+                (10, 2, &open_record(2)),
+                (11, 1, &delta(11)),
+                (12, 2, &delta(20)),
+                (13, 1, &delta(12)),
+            ]
+        );
+        // Per-session numbering continues above the old frames, so a
+        // later cut still compares against it.
+        assert_eq!(
+            entries.iter().map(|e| e.session_seq).collect::<Vec<_>>(),
+            vec![5, 3, 6, 4, 7]
+        );
+        assert_eq!(journal.session_head(1), 7);
+        // Recovery reads the same frames back.
+        drop(journal);
+        let (_, replay) = Journal::open(&path, JournalConfig::default()).unwrap();
+        assert_eq!(replay.entries, entries);
         let _ = std::fs::remove_file(&path);
     }
 

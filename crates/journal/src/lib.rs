@@ -33,7 +33,7 @@
 pub mod journal;
 pub mod record;
 
-pub use journal::{FrameBatch, Journal, JournalConfig};
+pub use journal::{FrameBatch, Journal, JournalConfig, SessionCut};
 pub use record::{
     is_journal_tag, replay_bytes, JournalEntry, JournalRecord, Replay, JOURNAL_VERSION,
     TAG_JOURNAL_CLOSE, TAG_JOURNAL_EDIT, TAG_JOURNAL_MEMO, TAG_JOURNAL_OPEN, TAG_JOURNAL_SNAP,

@@ -218,6 +218,25 @@ pub struct Replay {
 /// clean prefix of a journal is a consistent (older) state.
 pub fn replay_bytes(bytes: &[u8]) -> Replay {
     let mut entries = Vec::new();
+    let good_len = scan_frames(bytes, |entry, _| {
+        entries.push(entry);
+        true
+    });
+    Replay {
+        good_len,
+        damaged_len: bytes.len() - good_len,
+        entries,
+    }
+}
+
+/// The walk behind [`replay_bytes`]: hands each clean frame's entry and
+/// raw bytes to `visit` while it returns `true`, stopping at the first
+/// torn, damaged, foreign or undecodable frame. Returns how many bytes
+/// were walked.
+pub(crate) fn scan_frames(
+    bytes: &[u8],
+    mut visit: impl FnMut(JournalEntry, &[u8]) -> bool,
+) -> usize {
     let mut offset = 0usize;
     while offset < bytes.len() {
         let Some(split) = split_frame(&bytes[offset..]) else {
@@ -229,17 +248,17 @@ pub fn replay_bytes(bytes: &[u8]) -> Replay {
         if !is_journal_tag(split.header.tag) {
             break; // foreign bytes: treat like damage, stop cleanly
         }
-        match JournalEntry::decode(split.header.tag, split.header.version, payload) {
-            Ok(entry) => entries.push(entry),
-            Err(_) => break, // verified checksum but unreadable payload
-        }
+        let Ok(entry) = JournalEntry::decode(split.header.tag, split.header.version, payload)
+        else {
+            break; // verified checksum but unreadable payload
+        };
+        let frame = &bytes[offset..offset + split.consumed];
         offset += split.consumed;
+        if !visit(entry, frame) {
+            break;
+        }
     }
-    Replay {
-        good_len: offset,
-        damaged_len: bytes.len() - offset,
-        entries,
-    }
+    offset
 }
 
 #[cfg(test)]

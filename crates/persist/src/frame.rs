@@ -410,8 +410,9 @@ mod tests {
         let f = read_frame_expecting(&mut &flipped[..], 1024, is_v4).unwrap();
         assert!(f.payload.is_none());
         assert_eq!(f.id, Some(0xDEAD_BEEE));
-        // A v3 frame through the same predicate has no id field and the
-        // original checksum: the two layouts coexist on one stream.
+        // An id-less frame (an RPC peer older than protocol 4) through the
+        // same predicate keeps the original checksum and is consumed
+        // whole: the two layouts coexist on one stream.
         let mut mixed = Vec::new();
         write_frame(&mut mixed, *b"RPCQ", 3, b"legacy");
         write_frame_id(&mut mixed, *b"RPCQ", 4, Some(7), b"new");

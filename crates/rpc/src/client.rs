@@ -10,22 +10,14 @@
 //! with a structured [`WireError::DomainMismatch`], never with a
 //! misdecoded state.
 //!
-//! ## Protocol negotiation
-//!
-//! [`Client::connect`] speaks [`PROTOCOL_VERSION`] and **downshifts by
-//! reconnecting** when the server answers
-//! [`WireError::UnsupportedVersion`] naming an older version it does
-//! speak; [`ClientOptions::protocol`] pins the version instead (the
-//! compatibility tests use it to drive a genuine v3 client against a v4
-//! server). On a ≥ 4 connection every request frame carries a fresh
-//! request id and the response's echoed id is verified.
-//!
 //! ## Pipelining
 //!
-//! Service calls serialize on an internal lock — one in-flight request
-//! per connection — so a shared `&Client` is safe from many threads. A
-//! whole sweep is still one frame ([`Service::query_sweep`]); and on
-//! protocol ≥ 4, [`Client::pipeline_queries`] writes **many single-query
+//! Every request frame carries a fresh request id, and the response's
+//! echoed id is verified. Service calls serialize on an internal lock —
+//! one in-flight request per connection — so a shared `&Client` is safe
+//! from many threads. A whole sweep is still one frame
+//! ([`Service::query_sweep`]); and [`Client::pipeline_queries`] writes
+//! **many single-query
 //! frames back-to-back** before reading any response, which the server's
 //! event loop coalesces into one engine batch (one session-lock
 //! acquisition, one union cone) while answering each id individually —
@@ -51,7 +43,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use crate::proto::{
     decode_message, encode_message, WireError, WireRequest, WireResponse, WireState, MAX_FRAME_LEN,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, TAG_REQUEST, TAG_RESPONSE,
+    PROTOCOL_VERSION, TAG_REQUEST, TAG_RESPONSE,
 };
 use crate::server::{Addr, Stream};
 
@@ -59,14 +51,8 @@ use crate::server::{Addr, Stream};
 #[derive(Debug, Clone, Default)]
 pub struct ClientOptions {
     /// The auth token to present in the hello, for servers configured to
-    /// require one. Requires protocol ≥ 4 (the v3 hello layout cannot
-    /// carry a token), so a token plus a v3 downshift is a hard error
-    /// rather than a silently-dropped credential.
+    /// require one.
     pub auth: Option<String>,
-    /// Pins the protocol version instead of negotiating. `None` tries
-    /// [`PROTOCOL_VERSION`] and downshifts on
-    /// [`WireError::UnsupportedVersion`].
-    pub protocol: Option<u16>,
 }
 
 struct ClientInner {
@@ -74,14 +60,20 @@ struct ClientInner {
     /// four fields are four `read` calls, and a burst's answers arrive
     /// many to a read; requests are written straight to the stream.
     stream: BufReader<Stream>,
-    /// The negotiated (or pinned) protocol version of this connection.
-    proto: u16,
-    /// The next request id (protocol ≥ 4; ids start at 1 — id 0 is the
-    /// server's "unattributable frame" sentinel).
+    /// The next request id (ids start at 1 — id 0 is the server's
+    /// "unattributable frame" sentinel).
     next_id: u64,
 }
 
 impl ClientInner {
+    /// Appends one request frame under a fresh id, returning the id.
+    fn frame(&mut self, out: &mut Vec<u8>, payload: &[u8]) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        write_frame_id(out, TAG_REQUEST, PROTOCOL_VERSION, Some(id), payload);
+        id
+    }
+
     fn send(&mut self, frames: &[u8]) -> Result<(), EngineError> {
         self.stream
             .get_mut()
@@ -89,8 +81,8 @@ impl ClientInner {
             .map_err(transport_err)
     }
 
-    fn recv(&mut self) -> Result<(Option<u64>, WireResponse), EngineError> {
-        read_response(&mut self.stream, self.proto)
+    fn recv(&mut self) -> Result<(u64, WireResponse), EngineError> {
+        read_response(&mut self.stream)
     }
 }
 
@@ -148,7 +140,7 @@ impl<D: PersistDomain> Client<D> {
     /// # Errors
     ///
     /// Transport failures as [`EngineError::Remote`] (code `transport`);
-    /// a server speaking no common protocol version (code `version`),
+    /// a server speaking another protocol version (code `version`),
     /// requiring an auth token (code `unauthorized`), or analyzing
     /// another domain (code `domain`) as the mapped wire error.
     pub fn connect(addr: &str) -> Result<Client<D>, EngineError> {
@@ -166,63 +158,32 @@ impl<D: PersistDomain> Client<D> {
     }
 
     /// [`Client::connect_addr`] with explicit [`ClientOptions`] (auth
-    /// token, pinned protocol version).
+    /// token).
     ///
     /// # Errors
     ///
     /// As [`Client::connect`].
     pub fn connect_with(addr: &Addr, options: ClientOptions) -> Result<Client<D>, EngineError> {
-        let mut version = options.protocol.unwrap_or(PROTOCOL_VERSION);
-        loop {
-            if options.auth.is_some() && version < 4 {
-                return Err(EngineError::Remote {
-                    code: "unauthorized",
-                    message: format!(
-                        "cannot present an auth token at protocol {version} (tokens need ≥ 4)"
-                    ),
-                });
-            }
-            let stream = Stream::connect(addr).map_err(transport_err)?;
-            let mut inner = ClientInner {
-                stream: BufReader::with_capacity(READ_BUF, stream),
-                proto: version,
-                next_id: 1,
-            };
-            let hello = WireRequest::Hello {
-                domain: D::domain_tag(),
-                auth: options.auth.clone(),
-            };
-            match call_on(&mut inner, &hello)? {
-                WireResponse::HelloOk { .. } => {
-                    return Ok(Client {
-                        inner: Mutex::new(inner),
-                        decode_cache: Mutex::new(HashMap::default()),
-                        _domain: PhantomData,
-                    })
-                }
-                WireResponse::Error(WireError::UnsupportedVersion { want, .. })
-                    if options.protocol.is_none()
-                        && want < version
-                        && want >= MIN_PROTOCOL_VERSION =>
-                {
-                    // The server speaks an older protocol: reconnect at
-                    // its version (frame layouts differ, so a fresh
-                    // stream keeps both sides at a frame boundary).
-                    version = want;
-                }
-                WireResponse::Error(e) => return Err(e.into_engine()),
-                other => {
-                    return Err(transport_err(format!(
-                        "unexpected hello response {other:?}"
-                    )))
-                }
-            }
+        let stream = Stream::connect(addr).map_err(transport_err)?;
+        let mut inner = ClientInner {
+            stream: BufReader::with_capacity(READ_BUF, stream),
+            next_id: 1,
+        };
+        let hello = WireRequest::Hello {
+            domain: D::domain_tag(),
+            auth: options.auth,
+        };
+        match call_on(&mut inner, &hello)? {
+            WireResponse::HelloOk { .. } => Ok(Client {
+                inner: Mutex::new(inner),
+                decode_cache: Mutex::new(HashMap::default()),
+                _domain: PhantomData,
+            }),
+            WireResponse::Error(e) => Err(e.into_engine()),
+            other => Err(transport_err(format!(
+                "unexpected hello response {other:?}"
+            ))),
         }
-    }
-
-    /// The connection's negotiated protocol version.
-    pub fn protocol(&self) -> u16 {
-        self.inner.lock().map(|g| g.proto).unwrap_or(0)
     }
 
     fn lock_inner(&self) -> Result<MutexGuard<'_, ClientInner>, EngineError> {
@@ -287,12 +248,11 @@ impl<D: PersistDomain> Client<D> {
     }
 
     /// Demands many locations of one function as **pipelined single-query
-    /// frames**: on protocol ≥ 4, every frame is written before any
-    /// response is read, and answers are matched back by request id (the
-    /// server may complete them out of order). The server coalesces the
-    /// adjacent frames into one engine batch, so this reproduces
-    /// [`Service::query_batch`]'s lock/cone profile from plain `Query`
-    /// frames. On a v3 connection it degrades to serial round trips.
+    /// frames**: every frame is written before any response is read, and
+    /// answers are matched back by request id (the server may complete
+    /// them out of order). The server coalesces the adjacent frames into
+    /// one engine batch, so this reproduces [`Service::query_batch`]'s
+    /// lock/cone profile from plain `Query` frames.
     ///
     /// Answers come back in `locs` order, each member succeeding or
     /// failing on its own.
@@ -309,15 +269,6 @@ impl<D: PersistDomain> Client<D> {
             Ok(g) => g,
             Err(e) => return locs.iter().map(|_| Err(refail(&e))).collect(),
         };
-        if inner.proto < 4 {
-            // v3 has no request ids, so in-flight frames cannot be told
-            // apart; fall back to one round trip per query.
-            drop(inner);
-            return locs
-                .iter()
-                .map(|&loc| Service::query(self, session, func, loc))
-                .collect();
-        }
         // Write every request frame back-to-back, then read the answers.
         let mut out = Vec::new();
         let mut ids = Vec::with_capacity(locs.len());
@@ -327,16 +278,7 @@ impl<D: PersistDomain> Client<D> {
                 func: func.to_string(),
                 loc,
             };
-            let id = inner.next_id;
-            inner.next_id += 1;
-            ids.push(id);
-            write_frame_id(
-                &mut out,
-                TAG_REQUEST,
-                inner.proto,
-                Some(id),
-                &encode_message(&request),
-            );
+            ids.push(inner.frame(&mut out, &encode_message(&request)));
         }
         if let Err(e) = inner.send(&out) {
             return locs.iter().map(|_| Err(refail(&e))).collect();
@@ -344,7 +286,7 @@ impl<D: PersistDomain> Client<D> {
         let mut by_id: HashMap<u64, Result<D, EngineError>> = HashMap::new();
         for _ in 0..locs.len() {
             match inner.recv() {
-                Ok((Some(id), response)) => {
+                Ok((id, response)) => {
                     let member = match response {
                         WireResponse::State(blob) => self.decode_state(&blob),
                         WireResponse::Error(e) => Err(e.into_engine()),
@@ -352,22 +294,17 @@ impl<D: PersistDomain> Client<D> {
                     };
                     by_id.insert(id, member);
                 }
-                Ok((None, response)) => {
-                    let e = transport_err(format!("response frame without an id: {response:?}"));
-                    return fill_by_id(&ids, by_id, &e);
-                }
                 Err(e) => return fill_by_id(&ids, by_id, &e),
             }
         }
         fill_by_id(&ids, by_id, &transport_err("response id never arrived"))
     }
 
-    /// Demands `depth` whole sweeps as **pipelined sweep frames**: on
-    /// protocol ≥ 4, all `depth` frames are written before any response
-    /// is read, so syscall and scheduling round-trip costs amortize
-    /// across the in-flight window — the shape a client repeating a
-    /// sweep (or issuing several independent ones) should use for
-    /// throughput. On a v3 connection it degrades to serial sweeps.
+    /// Demands `depth` whole sweeps as **pipelined sweep frames**: all
+    /// `depth` frames are written before any response is read, so
+    /// syscall and scheduling round-trip costs amortize across the
+    /// in-flight window — the shape a client repeating a sweep (or
+    /// issuing several independent ones) should use for throughput.
     ///
     /// Returns one answer vector per sweep, in issue order.
     pub fn pipeline_sweeps(
@@ -384,32 +321,22 @@ impl<D: PersistDomain> Client<D> {
             Ok(g) => g,
             Err(e) => return (0..depth).map(|_| sweep_err(&e)).collect(),
         };
-        if inner.proto < 4 {
-            drop(inner);
-            return (0..depth)
-                .map(|_| Service::query_sweep(self, session, targets))
-                .collect();
-        }
         let request = WireRequest::Sweep {
             session: session.0,
             targets: targets.to_vec(),
         };
         let payload = encode_message(&request);
         let mut out = Vec::with_capacity(depth * (payload.len() + 32));
-        let mut ids = Vec::with_capacity(depth);
-        for _ in 0..depth {
-            let id = inner.next_id;
-            inner.next_id += 1;
-            ids.push(id);
-            write_frame_id(&mut out, TAG_REQUEST, inner.proto, Some(id), &payload);
-        }
+        let ids: Vec<u64> = (0..depth)
+            .map(|_| inner.frame(&mut out, &payload))
+            .collect();
         if let Err(e) = inner.send(&out) {
             return (0..depth).map(|_| sweep_err(&e)).collect();
         }
         let mut by_id: HashMap<u64, Vec<Result<D, EngineError>>> = HashMap::new();
         for _ in 0..depth {
             match inner.recv() {
-                Ok((Some(id), WireResponse::States(members))) => {
+                Ok((id, WireResponse::States(members))) => {
                     let answers = members
                         .into_iter()
                         .map(|m| match m {
@@ -419,19 +346,12 @@ impl<D: PersistDomain> Client<D> {
                         .collect();
                     by_id.insert(id, answers);
                 }
-                Ok((Some(id), WireResponse::Error(e))) => {
+                Ok((id, WireResponse::Error(e))) => {
                     by_id.insert(id, sweep_err(&e.into_engine()));
                 }
-                Ok((Some(id), other)) => {
+                Ok((id, other)) => {
                     let e = transport_err(format!("unexpected response {other:?}"));
                     by_id.insert(id, sweep_err(&e));
-                }
-                Ok((None, response)) => {
-                    let e = transport_err(format!("response frame without an id: {response:?}"));
-                    return ids
-                        .iter()
-                        .map(|id| by_id.remove(id).unwrap_or_else(|| sweep_err(&e)))
-                        .collect();
                 }
                 Err(e) => {
                     return ids
@@ -570,9 +490,8 @@ fn fill_by_id<D>(
         .collect()
 }
 
-/// One round trip on a locked connection: write the request frame (with
-/// a fresh id on protocol ≥ 4), read one response frame, verify the id
-/// echo, decode.
+/// One round trip on a locked connection: write the request frame under
+/// a fresh id, read one response frame, verify the id echo, decode.
 fn call_on(inner: &mut ClientInner, request: &WireRequest) -> Result<WireResponse, EngineError> {
     let payload = encode_message(request);
     // The server rejects oversized frames from the header alone and
@@ -587,50 +506,37 @@ fn call_on(inner: &mut ClientInner, request: &WireRequest) -> Result<WireRespons
             ),
         });
     }
-    let id = (inner.proto >= 4).then(|| {
-        let id = inner.next_id;
-        inner.next_id += 1;
-        id
-    });
     let mut out = Vec::with_capacity(payload.len() + 32);
-    write_frame_id(&mut out, TAG_REQUEST, inner.proto, id, &payload);
+    let id = inner.frame(&mut out, &payload);
     inner.send(&out)?;
     let (got_id, response) = inner.recv()?;
-    if let Some(id) = id {
-        if got_id != Some(id) {
-            return Err(transport_err(format!(
-                "response id {got_id:?} does not echo request id {id}"
-            )));
-        }
+    if got_id != id {
+        return Err(transport_err(format!(
+            "response id {got_id} does not echo request id {id}"
+        )));
     }
     Ok(response)
 }
 
-/// Reads and decodes one response frame, returning its echoed id (`None`
-/// on a v3 connection, whose frames carry no id field).
-fn read_response(
-    stream: &mut impl Read,
-    proto: u16,
-) -> Result<(Option<u64>, WireResponse), EngineError> {
-    let frame: StreamFrame = read_frame_expecting(stream, MAX_FRAME_LEN, |h| {
-        h.tag == TAG_RESPONSE && h.version >= 4
-    })
-    .map_err(|e| match e {
-        FrameReadError::Eof | FrameReadError::Truncated => {
-            transport_err("server closed the connection")
-        }
-        other => transport_err(other),
-    })?;
+/// Reads and decodes one response frame, returning its echoed id.
+fn read_response(stream: &mut impl Read) -> Result<(u64, WireResponse), EngineError> {
+    let frame: StreamFrame =
+        read_frame_expecting(stream, MAX_FRAME_LEN, |_| true).map_err(|e| match e {
+            FrameReadError::Eof | FrameReadError::Truncated => {
+                transport_err("server closed the connection")
+            }
+            other => transport_err(other),
+        })?;
     if frame.header.tag != TAG_RESPONSE {
         return Err(transport_err(format!(
             "unexpected response frame tag {:?}",
             frame.header.tag
         )));
     }
-    if frame.header.version != proto {
+    if frame.header.version != PROTOCOL_VERSION {
         return Err(WireError::UnsupportedVersion {
             got: frame.header.version,
-            want: proto,
+            want: PROTOCOL_VERSION,
         }
         .into_engine());
     }
@@ -639,7 +545,7 @@ fn read_response(
         .ok_or_else(|| transport_err("response frame checksum mismatch"))?;
     let response = decode_message::<WireResponse>(&payload)
         .map_err(|e| transport_err(format!("undecodable response: {e}")))?;
-    Ok((frame.id, response))
+    Ok((frame.id.expect("every frame is read with its id"), response))
 }
 
 impl<D: PersistDomain> Service<D> for Client<D> {
@@ -803,8 +709,8 @@ mod tests {
         };
         let mut stream = BufReader::with_capacity(READ_BUF, socket);
         for id in 1..=3u64 {
-            match read_response(&mut stream, PROTOCOL_VERSION).unwrap() {
-                (Some(got), WireResponse::Opened { session }) => {
+            match read_response(&mut stream).unwrap() {
+                (got, WireResponse::Opened { session }) => {
                     assert_eq!((got, session), (id, id));
                 }
                 other => panic!("frame {id} misread: {other:?}"),

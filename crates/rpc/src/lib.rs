@@ -18,10 +18,10 @@
 //!   structured `overload` error, never unbounded memory), decoded
 //!   queries dispatched as engine tickets whose completion hooks frame
 //!   and write the response on the worker that finished it — so one
-//!   connection can pipeline many requests (protocol ≥ 4 frames carry
-//!   ids; responses may complete out of order), adjacent same-function
-//!   query frames coalesce into one engine batch, and a warm request
-//!   costs the server one wake-up, one read and one write
+//!   connection can pipeline many requests (every frame carries a
+//!   request id; responses may complete out of order), adjacent
+//!   same-function query frames coalesce into one engine batch, and a
+//!   warm request costs the server one wake-up, one read and one write
 //!   ([`Server::io_stats`]).
 //!   Sessions are owned per connection (closed on disconnect) with
 //!   explicit handoff, and a sweep frame lands in
@@ -29,10 +29,9 @@
 //!   fencing survive the wire;
 //! * [`client`] — a typed blocking [`Client<D>`] implementing the same
 //!   [`dai_engine::Service`] trait as the engine itself: swap
-//!   `&Engine<D>` for `&Client<D>` and code runs remotely. Protocol
-//!   negotiation (a v4 client downshifts to a v3 server by
-//!   reconnecting), hello auth tokens, and id-matched pipelining
-//!   ([`Client::pipeline_queries`]) live here;
+//!   `&Engine<D>` for `&Client<D>` and code runs remotely. Hello auth
+//!   tokens and id-matched pipelining ([`Client::pipeline_queries`])
+//!   live here;
 //! * [`replica`] — streaming replication: a [`Replica`] tails a
 //!   leader's `dai-journal` over [`Client::subscribe`] (the journal's
 //!   disk format *is* the wire format) and applies it into a local
@@ -45,7 +44,7 @@
 //!   owning shard, counts routed query members per shard, and migrates
 //!   sessions live between shards via save → release → close → load.
 //!
-//! The wire protocol (frame layout, version negotiation, error codes) is
+//! The wire protocol (frame layout, hello exchange, error codes) is
 //! documented in `crates/rpc/README.md`.
 //!
 //! ## Quickstart
@@ -75,8 +74,8 @@ pub mod server;
 
 pub use client::{Client, ClientOptions, StreamBatch};
 pub use proto::{
-    WireError, WireRequest, WireResponse, WireState, MAX_FRAME_LEN, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION, TAG_REQUEST, TAG_RESPONSE,
+    WireError, WireRequest, WireResponse, WireState, MAX_FRAME_LEN, PROTOCOL_VERSION, TAG_REQUEST,
+    TAG_RESPONSE,
 };
 pub use replica::{Replica, SyncOutcome, DEFAULT_PULL_BATCH};
 pub use router::{Router, ShardBackend};

@@ -3,14 +3,16 @@
 //!
 //! Every message is **one** [`dai_persist::frame`] frame — the same
 //! tag + version + length + payload + FxHash64-checksum layout snapshot
-//! sections use on disk:
+//! sections use on disk, with a `u64` request id after the length
+//! ([`dai_persist::frame::write_frame_id`]):
 //!
 //! ```text
 //! [u8;4]  tag        "RPCQ" (request) | "RPCS" (response)
 //! u16     version    PROTOCOL_VERSION
 //! u64     length     payload length
+//! u64     id         request id (echoed on the response)
 //! bytes   payload    one Persist-encoded WireRequest / WireResponse
-//! u64     checksum   FxHash64 over payload + length
+//! u64     checksum   FxHash64 over payload + length + id
 //! ```
 //!
 //! ## Domain erasure
@@ -23,29 +25,16 @@
 //! [`WireError::DomainMismatch`], so blobs can never be misdecoded under
 //! the wrong domain; after the hello, neither side re-sends the tag.
 //!
-//! ## Version negotiation
+//! ## Version and request ids
 //!
-//! The frame header's `version` field carries the protocol version. The
-//! server speaks [`PROTOCOL_VERSION`] but accepts every version down to
-//! [`MIN_PROTOCOL_VERSION`]: the **first valid-versioned frame pins the
-//! connection** (normally the hello; even a *rejected* hello is answered
-//! in its own frame layout) — a v3 hello gets a v3 connection (serial,
-//! in-order, id-less responses), a v4 hello gets a multiplexed
-//! connection whose frames carry request ids and whose responses may
-//! complete out of order. A frame outside the supported range (or, after the hello,
-//! differing from the pinned version) answers
-//! [`WireError::UnsupportedVersion`] naming the version the server
-//! speaks (the frame is still fully consumed, so the connection stays
-//! usable); the v4 client downshifts by reconnecting at v3.
-//!
-//! ## Request ids (protocol ≥ 4)
-//!
-//! v4 frames carry a `u64` request id between the frame header's length
-//! field and the payload ([`dai_persist::frame::write_frame_id`]); the
-//! checksum covers it. The server echoes each request's id on its
-//! response, so one connection can keep many requests in flight and
-//! match answers out of order. v3 frames have no id field — both layouts
-//! are parsed off the same stream by header `(tag, version)`.
+//! The frame header's `version` field carries the protocol version, and
+//! the server accepts exactly [`PROTOCOL_VERSION`]. Any other version
+//! answers [`WireError::UnsupportedVersion`] naming the version the
+//! server speaks; the frame is still consumed whole (a version below 4
+//! is read in the old id-less layout), so the connection stays in sync
+//! and a corrected hello may follow. The server echoes each request's
+//! id on its response, so one connection can keep many requests in
+//! flight and match answers out of order.
 //!
 //! ## Error codes
 //!
@@ -70,12 +59,6 @@ use dai_persist::{Persist, PersistError, Reader, Writer};
 /// frame field (multiplexed pipelining), the hello auth token, and the
 /// `unauthorized`/`overload` error codes.
 pub const PROTOCOL_VERSION: u16 = 4;
-
-/// The oldest protocol version the server still accepts. A v3 hello
-/// pins its connection to the v3 framing (no request ids, in-order
-/// responses) and the v3 message layouts (no auth field, the v4-only
-/// error variants downgraded — see [`WireError::downgrade_for`]).
-pub const MIN_PROTOCOL_VERSION: u16 = 3;
 
 /// Frame tag of client → server messages.
 pub const TAG_REQUEST: [u8; 4] = *b"RPCQ";
@@ -139,17 +122,14 @@ impl Persist for WireState {
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireRequest {
     /// The mandatory first message on a connection: names the abstract
-    /// domain the client will decode states under, and (protocol ≥ 4)
-    /// optionally presents an auth token.
+    /// domain the client will decode states under, and optionally
+    /// presents an auth token.
     Hello {
         /// The client's [`dai_persist::PersistDomain::domain_tag`].
         domain: String,
         /// The auth token, when the server is configured to require one
         /// (compared constant-time server-side; a mismatch or absence
-        /// answers [`WireError::Unauthorized`]). Encoded only when
-        /// `Some`, so a token-less v4 hello is byte-identical to a v3
-        /// hello and decodes on either side; a v3 server receiving a
-        /// token rejects the trailing bytes in protocol.
+        /// answers [`WireError::Unauthorized`]).
         auth: Option<String>,
     },
     /// Open a session by parsing `source` server-side.
@@ -251,8 +231,7 @@ pub enum WireRequest {
     /// number strictly greater than `after`, at most `max` of them,
     /// verbatim as they sit on the leader's disk. Answered with
     /// [`WireResponse::Stream`]; a server with no journal attached
-    /// answers [`WireError::Rejected`] (kind `no-journal`). Protocol ≥ 4
-    /// (a v3 decoder rejects the tag).
+    /// answers [`WireError::Rejected`] (kind `no-journal`).
     Subscribe {
         /// Return only frames with `seq > after` (0 pulls from genesis).
         after: u64,
@@ -381,14 +360,12 @@ pub enum WireError {
     /// The serving engine dropped the request (worker failure).
     Disconnected,
     /// The hello's auth token was missing or wrong (the server is
-    /// configured to require one). Protocol ≥ 4; downgraded to
-    /// [`WireError::Rejected`] (kind `unauthorized`) for v3 clients.
+    /// configured to require one).
     Unauthorized,
     /// The connection's write queue hit its hard bound — the peer reads
     /// too slowly for the responses it keeps requesting. The response
     /// this error replaces is dropped; the request id still gets an
-    /// answer. Protocol ≥ 4; downgraded to [`WireError::Rejected`]
-    /// (kind `overload`) for v3 clients.
+    /// answer.
     Overloaded,
 }
 
@@ -406,28 +383,6 @@ impl WireError {
             WireError::Disconnected => "disconnected",
             WireError::Unauthorized => "unauthorized",
             WireError::Overloaded => "overload",
-        }
-    }
-
-    /// Rewrites the v4-only variants into forms a `version`-speaking
-    /// peer can decode: v3 predates `Unauthorized`/`Overloaded` (its
-    /// decoder rejects their tags), so they travel as
-    /// [`WireError::Rejected`] with the v4 code as the rejection kind.
-    /// At v4+ (and for every other variant) this is the identity.
-    pub fn downgrade_for(self, version: u16) -> WireError {
-        if version >= 4 {
-            return self;
-        }
-        match self {
-            WireError::Unauthorized => WireError::Rejected {
-                kind: "unauthorized".to_string(),
-                message: "hello auth token missing or wrong".to_string(),
-            },
-            WireError::Overloaded => WireError::Rejected {
-                kind: "overload".to_string(),
-                message: "connection write queue full (slow reader)".to_string(),
-            },
-            other => other,
         }
     }
 
@@ -587,13 +542,7 @@ impl Persist for WireRequest {
             WireRequest::Hello { domain, auth } => {
                 w.u8(0);
                 domain.put(w);
-                // The auth field is encoded only when present: a
-                // token-less hello keeps the exact v3 byte layout, so it
-                // decodes under either protocol version.
-                if let Some(token) = auth {
-                    w.u8(1);
-                    token.put(w);
-                }
+                auth.put(w);
             }
             WireRequest::Open { name, source } => {
                 w.u8(1);
@@ -668,25 +617,10 @@ impl Persist for WireRequest {
 
     fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(match r.u8()? {
-            0 => {
-                let domain = String::get(r)?;
-                // Tolerant decode: a legacy (v3) hello ends after the
-                // domain; a v4 hello may carry a tagged auth token.
-                let auth = if r.is_exhausted() {
-                    None
-                } else {
-                    match r.u8()? {
-                        0 => None,
-                        1 => Some(String::get(r)?),
-                        t => {
-                            return Err(PersistError::Corrupt(format!(
-                                "unknown hello auth tag {t}"
-                            )))
-                        }
-                    }
-                };
-                WireRequest::Hello { domain, auth }
-            }
+            0 => WireRequest::Hello {
+                domain: String::get(r)?,
+                auth: Option::<String>::get(r)?,
+            },
             1 => WireRequest::Open {
                 name: String::get(r)?,
                 source: String::get(r)?,
@@ -1111,45 +1045,26 @@ mod tests {
     }
 
     #[test]
-    fn tokenless_hello_is_byte_identical_to_legacy_and_tolerantly_decoded() {
-        // A v3 client's hello payload is just `tag + domain`; the v4
-        // decoder must accept it with `auth: None`, and a v4 token-less
-        // hello must produce those exact bytes (so v3 servers accept it).
-        let legacy = {
-            let mut w = Writer::new();
-            w.u8(0);
-            "octagon".to_string().put(&mut w);
-            w.into_bytes()
-        };
-        let modern = encode_message(&WireRequest::Hello {
-            domain: "octagon".to_string(),
-            auth: None,
-        });
-        assert_eq!(legacy, modern);
-        match decode_message::<WireRequest>(&legacy).unwrap() {
-            WireRequest::Hello { domain, auth } => {
-                assert_eq!(domain, "octagon");
-                assert_eq!(auth, None);
+    fn hello_auth_is_a_tagged_option_decoded_strictly() {
+        for auth in [None, Some("s3cret".to_string())] {
+            let hello = WireRequest::Hello {
+                domain: "octagon".to_string(),
+                auth,
+            };
+            let bytes = encode_message(&hello);
+            assert_eq!(decode_message::<WireRequest>(&bytes).unwrap(), hello);
+            // Every proper prefix — the bare domain one included — is
+            // refused, never read as a hello without a token.
+            for cut in 0..bytes.len() {
+                assert!(decode_message::<WireRequest>(&bytes[..cut]).is_err());
             }
-            other => panic!("expected hello, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn v4_only_errors_downgrade_for_v3_peers() {
-        // v3 decoders reject tags 8/9 outright…
-        for e in [WireError::Unauthorized, WireError::Overloaded] {
-            let down = e.clone().downgrade_for(3);
-            match &down {
-                WireError::Rejected { kind, .. } => assert_eq!(*kind, e.code()),
-                other => panic!("expected rejected, got {other:?}"),
-            }
-            // …and the downgrade is the identity at v4.
-            assert_eq!(e.clone().downgrade_for(PROTOCOL_VERSION), e);
-        }
-        // Pre-existing variants pass through untouched at any version.
-        let e = WireError::NoSuchSession(7);
-        assert_eq!(e.clone().downgrade_for(3), e);
+        // An auth tag other than `None`/`Some` is refused.
+        let mut w = Writer::new();
+        w.u8(0);
+        "octagon".to_string().put(&mut w);
+        w.u8(2);
+        assert!(decode_message::<WireRequest>(&w.into_bytes()).is_err());
     }
 
     #[test]

@@ -14,12 +14,11 @@
 //! answered on the spot — and never blocks on the engine.
 //!
 //! The **write side** is shared. Each connection has an outbox — reply
-//! slots in request-arrival order, encoded-but-unsent bytes, the pinned
-//! protocol version, owned sessions, epoll interest — behind one mutex,
-//! beside the stream. A ticket's hook
-//! ([`dai_engine::Ticket::on_complete`]) runs on the engine worker that
-//! produced the answer, and that worker converts, frames and writes it
-//! itself, through the one function (`Link::deliver`) the loop also uses
+//! slots in request-arrival order, encoded-but-unsent bytes, owned
+//! sessions, epoll interest — behind one mutex, beside the stream. A
+//! ticket's hook ([`dai_engine::Ticket::on_complete`]) runs on the
+//! engine worker that produced the answer, and that worker converts,
+//! frames and writes it itself, through the one function (`Link::deliver`) the loop also uses
 //! for its immediate answers and for `EPOLLOUT`. Nothing is handed back
 //! to the loop: a request costs it one wake-up (the arrival) and one
 //! `read`, and the worker one `write`. `epoll_ctl` is callable from any
@@ -28,10 +27,9 @@
 //! interest before it releases the outbox. One thread at a time writes
 //! a socket (the outbox's `writing` flag), with the mutex *released*:
 //! the peer it wakes may send its next request at once, and the loop
-//! must be able to queue it. Protocol ≥ 4 frames carry a request id, so
-//! one connection carries **many in-flight requests** answered as they
-//! complete; protocol 3 connections are answered strictly in request
-//! order, a rule that lives in the outbox's flush and nowhere else.
+//! must be able to queue it. Every frame carries a request id, so one
+//! connection carries **many in-flight requests** answered as they
+//! complete.
 //!
 //! Only the loop accepts, reads, dispatches and closes: a worker that
 //! leaves a connection finished or broken shuts the socket down, and the
@@ -107,7 +105,7 @@ use std::thread::JoinHandle;
 
 use crate::proto::{
     decode_message, encode_message, WireError, WireRequest, WireResponse, WireState, MAX_FRAME_LEN,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, TAG_REQUEST, TAG_RESPONSE,
+    PROTOCOL_VERSION, TAG_REQUEST, TAG_RESPONSE,
 };
 
 /// Write-queue backlog (bytes) above which a connection stops being
@@ -125,7 +123,7 @@ pub const HARD_WRITE_CAP: usize = 8 << 20;
 pub const MAX_INFLIGHT: usize = 1024;
 
 /// Request id used on responses to frames whose own id could not be
-/// read (wrong tag, short header). Clients allocate ids from 1.
+/// read (wrong tag, an old id-less version). Clients allocate ids from 1.
 const UNATTRIBUTED_ID: u64 = 0;
 
 // ---------------------------------------------------------------------
@@ -625,10 +623,10 @@ impl<D: PersistDomain> Drop for Server<D> {
 /// One owed reply, in request-arrival order.
 struct Slot {
     seq: u64,
-    id: Option<u64>,
-    /// Filled and waiting for the flush (v4: the next one; v3: its
-    /// turn). Boxed: a response dwarfs the rest of the slot, and most
-    /// queued slots at any instant are still unfilled.
+    id: u64,
+    /// Filled and waiting for the next flush. Boxed: a response dwarfs
+    /// the rest of the slot, and most queued slots at any instant are
+    /// still unfilled.
     reply: Option<Box<WireResponse>>,
 }
 
@@ -649,8 +647,6 @@ struct Outbox {
     /// The socket refused bytes; only an `EPOLLOUT` event (the loop)
     /// writes again, so workers do not retry what cannot succeed.
     blocked: bool,
-    /// Pinned by the first valid-versioned frame; `None` until then.
-    version: Option<u16>,
     owned: HashSet<SessionId>,
     interest: u32,
     /// The loop stopped dispatching this connection's frames (set in
@@ -667,13 +663,6 @@ struct Outbox {
 }
 
 impl Outbox {
-    /// The protocol version responses on this connection are framed
-    /// with ([`PROTOCOL_VERSION`] until the first valid-versioned frame
-    /// pins one).
-    fn wire_version(&self) -> u16 {
-        self.version.unwrap_or(PROTOCOL_VERSION)
-    }
-
     /// How many more frames the loop may dispatch before asking again,
     /// given the `run` members it has parsed but not yet queued; zero
     /// marks the connection stalled.
@@ -687,59 +676,43 @@ impl Outbox {
         }
     }
 
-    /// Frames filled replies into the write buffer. v4 connections flush
-    /// any filled slot (out-of-order completion is the point); v3
-    /// connections flush strictly in request order.
+    /// Frames every filled reply into the write buffer, in whatever
+    /// order they completed (out-of-order completion is the point).
     fn flush_ready(&mut self) {
         let mut slots = std::mem::take(&mut self.slots);
-        if self.wire_version() >= 4 {
-            slots.retain_mut(|slot| match slot.reply.take() {
-                Some(response) => {
-                    self.encode_response(slot.id, *response);
-                    false
-                }
-                None => true,
-            });
-        } else {
-            while let Some(response) = slots.front_mut().and_then(|slot| slot.reply.take()) {
-                let slot = slots.pop_front().expect("checked front");
+        slots.retain_mut(|slot| match slot.reply.take() {
+            Some(response) => {
                 self.encode_response(slot.id, *response);
+                false
             }
-        }
+            None => true,
+        });
         self.slots = slots;
     }
 
-    /// Appends one response frame to the write buffer, applying the
-    /// three response-side guards: the overload hard cap, the
-    /// oversized-response replacement, and the v3 error downgrade.
-    fn encode_response(&mut self, id: Option<u64>, mut response: WireResponse) {
-        let version = self.wire_version();
+    /// Appends one response frame to the write buffer, applying the two
+    /// response-side guards: the overload hard cap and the
+    /// oversized-response replacement.
+    fn encode_response(&mut self, id: u64, mut response: WireResponse) {
         if self.backlog > HARD_WRITE_CAP {
             // The peer reads too slowly for the responses it keeps
             // requesting: drop the payload, keep the id answered.
             response = WireResponse::Error(WireError::Overloaded);
         }
-        if let WireResponse::Error(e) = response {
-            response = WireResponse::Error(e.downgrade_for(version));
-        }
         let _encode_span = dai_trace::span!("rpc.encode");
         let mut payload = encode_message(&response);
         if payload.len() > MAX_FRAME_LEN {
-            payload = encode_message(&WireResponse::Error(
-                WireError::Protocol(format!(
-                    "response of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame bound",
-                    payload.len()
-                ))
-                .downgrade_for(version),
-            ));
+            payload = encode_message(&WireResponse::Error(WireError::Protocol(format!(
+                "response of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame bound",
+                payload.len()
+            ))));
         }
-        let frame_id = (version >= 4).then(|| id.unwrap_or(UNATTRIBUTED_ID));
         let before = self.wbuf.len();
         dai_persist::frame::write_frame_id(
             &mut self.wbuf,
             TAG_RESPONSE,
-            version,
-            frame_id,
+            PROTOCOL_VERSION,
+            Some(id),
             &payload,
         );
         self.backlog += self.wbuf.len() - before;
@@ -1040,8 +1013,6 @@ struct Conn<D> {
     rbuf: Vec<u8>,
     rpos: usize,
     rend: usize,
-    /// The loop's copy of [`Outbox::version`], for checking frames.
-    version: Option<u16>,
     hello_done: bool,
     next_seq: u64,
     /// `read` returned 0.
@@ -1056,7 +1027,7 @@ impl<D: PersistDomain> Conn<D> {
     }
 
     /// Queues an already-answered slot; the pump's delivery frames it.
-    fn push_ready(&mut self, id: Option<u64>, response: WireResponse) {
+    fn push_ready(&mut self, id: u64, response: WireResponse) {
         let seq = self.take_seq();
         self.link.queue([Slot {
             seq,
@@ -1067,7 +1038,7 @@ impl<D: PersistDomain> Conn<D> {
 
     /// Queues the slot of one request frame and hooks its tickets: a
     /// lone ticket, or (`one_frame`) the members of a batch or sweep.
-    fn push_tickets(&mut self, id: Option<u64>, tickets: Vec<Ticket<D>>, one_frame: bool) {
+    fn push_tickets(&mut self, id: u64, tickets: Vec<Ticket<D>>, one_frame: bool) {
         if tickets.is_empty() {
             return self.push_ready(id, WireResponse::States(Vec::new()));
         }
@@ -1102,7 +1073,10 @@ enum Parsed {
     },
 }
 
-/// Whether a frame's `(tag, version)` pair carries the id field.
+/// Whether a frame's `(tag, version)` pair carries the id field. Only
+/// [`PROTOCOL_VERSION`] is served, but an older peer's id-less frame is
+/// still consumed whole, so its `UnsupportedVersion` answer leaves the
+/// stream at a frame boundary.
 fn frame_has_id(header: &FrameHeader) -> bool {
     (header.tag == TAG_REQUEST || header.tag == TAG_RESPONSE) && header.version >= 4
 }
@@ -1161,7 +1135,7 @@ struct QueryRun {
     session: u64,
     func: String,
     first_seq: u64,
-    members: Vec<(dai_lang::Loc, Option<u64>)>, // (loc, id)
+    members: Vec<(dai_lang::Loc, u64)>, // (loc, id)
 }
 
 struct EventLoop<D: PersistDomain> {
@@ -1226,7 +1200,6 @@ impl<D: PersistDomain> EventLoop<D> {
                 rbuf: vec![0u8; READ_BUF],
                 rpos: 0,
                 rend: 0,
-                version: None,
                 hello_done: false,
                 next_seq: 0,
                 eof: false,
@@ -1342,7 +1315,7 @@ impl<D: PersistDomain> Dispatch<D> {
                         "declared frame length {} exceeds the {MAX_FRAME_LEN}-byte bound",
                         header.len
                     ));
-                    conn.push_ready(id, WireResponse::Error(err));
+                    conn.push_ready(id.unwrap_or(UNATTRIBUTED_ID), WireResponse::Error(err));
                 }
                 Parsed::Frame {
                     header,
@@ -1382,31 +1355,20 @@ impl<D: PersistDomain> Dispatch<D> {
         let payload_start =
             conn.rpos + FRAME_HEADER_LEN + if id.is_some() { FRAME_ID_LEN } else { 0 };
         let payload_range = payload_start..payload_start + header.len as usize;
+        let id = id.unwrap_or(UNATTRIBUTED_ID);
         conn.rpos += consumed;
 
-        let version_ok = match conn.version {
-            Some(v) => header.version == v,
-            None => (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&header.version),
-        };
         let refusal = if header.tag != TAG_REQUEST {
             Some(WireError::Protocol(format!(
                 "unexpected frame tag {:?} (want {:?})",
                 header.tag, TAG_REQUEST
             )))
-        } else if !version_ok {
+        } else if header.version != PROTOCOL_VERSION {
             Some(WireError::UnsupportedVersion {
                 got: header.version,
                 want: PROTOCOL_VERSION,
             })
         } else {
-            if conn.version.is_none() {
-                // Pin the connection's frame layout to the first
-                // valid-versioned frame, hello or not, accepted or not: a
-                // rejected v3 hello (bad auth, wrong domain) must be
-                // *answered* in the id-less v3 layout the peer can read.
-                conn.version = Some(header.version);
-                conn.link.out().version = conn.version;
-            }
             (!payload_ok).then(|| WireError::Protocol("frame checksum mismatch".to_string()))
         };
         let request = match refusal {
@@ -1426,7 +1388,7 @@ impl<D: PersistDomain> Dispatch<D> {
             }
             Ok(request) if !conn.hello_done => {
                 self.flush_run(conn, run);
-                let response = self.handle_hello(conn, header.version, request);
+                let response = self.handle_hello(conn, request);
                 conn.push_ready(id, response);
             }
             Ok(WireRequest::Query { session, func, loc }) => {
@@ -1476,16 +1438,8 @@ impl<D: PersistDomain> Dispatch<D> {
 
     /// The gate every connection starts behind: the first decoded
     /// message must be a hello naming the right domain (and presenting
-    /// the auth token, when the server requires one). The frame layout
-    /// was already pinned to the hello frame's version in
-    /// [`Dispatch::dispatch_frame`] — even a rejected hello answers in
-    /// the layout the peer reads.
-    fn handle_hello(
-        &self,
-        conn: &mut Conn<D>,
-        frame_version: u16,
-        request: WireRequest,
-    ) -> WireResponse {
+    /// the auth token, when the server requires one).
+    fn handle_hello(&self, conn: &mut Conn<D>, request: WireRequest) -> WireResponse {
         match request {
             WireRequest::Hello { domain, auth } => {
                 if domain != D::domain_tag() {
@@ -1505,7 +1459,7 @@ impl<D: PersistDomain> Dispatch<D> {
                 conn.hello_done = true;
                 WireResponse::HelloOk {
                     domain,
-                    protocol: frame_version,
+                    protocol: PROTOCOL_VERSION,
                 }
             }
             other => WireResponse::Error(WireError::Protocol(format!(
@@ -1518,7 +1472,7 @@ impl<D: PersistDomain> Dispatch<D> {
     /// Routes one post-hello, non-`Query` request. Engine-backed
     /// requests become tickets (the loop never blocks on them); the
     /// session-table and introspection requests answer immediately.
-    fn handle_request(&self, conn: &mut Conn<D>, id: Option<u64>, request: WireRequest) {
+    fn handle_request(&self, conn: &mut Conn<D>, id: u64, request: WireRequest) {
         let engine = &self.engine;
         let mut ticketed =
             |request: Request| conn.push_tickets(id, vec![engine.submit(request)], false);

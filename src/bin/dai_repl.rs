@@ -563,13 +563,7 @@ fn repl<D: PersistDomain>(
                         message: e,
                     })
                     .and_then(|addr| {
-                        Client::<D>::connect_with(
-                            &addr,
-                            ClientOptions {
-                                auth: token,
-                                ..ClientOptions::default()
-                            },
-                        )
+                        Client::<D>::connect_with(&addr, ClientOptions { auth: token })
                     });
                 match connected {
                     Ok(client) => {

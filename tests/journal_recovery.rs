@@ -22,7 +22,10 @@
 //!   frame, recovery from those frames is warm, a compaction makes the
 //!   next save carry the table whole, and every flipped byte of such a
 //!   journal — state tables and packed octagons included — still leaves
-//!   a prefix that answers like the leader did there.
+//!   a prefix that answers like the leader did there;
+//! * **compaction loses nothing** — edits, opens and closes hammered in
+//!   from several threads while compaction after compaction runs all
+//!   survive: recovery answers like the live engine.
 
 use dai_bench::workload::Workload;
 use dai_core::batch::batch_analyze;
@@ -33,6 +36,7 @@ use dai_engine::{Engine, JournalConfig, JournalRecord, PersistOutcome, Service, 
 use dai_journal::{replay_bytes, TAG_JOURNAL_MEMO};
 use dai_lang::Loc;
 use dai_memo::MemoKey;
+use dai_persist::PersistDomain;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -277,7 +281,7 @@ proptest! {
 type Oct = OctagonDomain;
 
 /// Every `(function, location)` of the session's program, sorted.
-fn all_targets(engine: &Engine<Oct>, session: SessionId) -> Vec<(String, Loc)> {
+fn all_targets<D: PersistDomain>(engine: &Engine<D>, session: SessionId) -> Vec<(String, Loc)> {
     let program = engine.program_of(session).unwrap();
     let mut targets = Vec::new();
     for cfg in program.cfgs() {
@@ -287,7 +291,7 @@ fn all_targets(engine: &Engine<Oct>, session: SessionId) -> Vec<(String, Loc)> {
     targets
 }
 
-fn full_sweep(engine: &Engine<Oct>, session: SessionId) -> Vec<Oct> {
+fn full_sweep<D: PersistDomain>(engine: &Engine<D>, session: SessionId) -> Vec<D> {
     let targets = all_targets(engine, session);
     let answers = engine.query_sweep(session, &targets).into_iter();
     answers.map(|r| r.expect("sweep member")).collect()
@@ -544,5 +548,113 @@ fn every_byte_flip_of_a_journal_with_memo_deltas_recovers_to_a_state_the_leader_
     }
     for file in [&journal, &flip_file, &rounds.snapshot] {
         let _ = std::fs::remove_file(file);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Compaction racing appends.
+// ---------------------------------------------------------------------
+
+/// A session as recovery must reproduce it: its program's edges and
+/// its full sweep's answers.
+fn fingerprint(engine: &Engine<IntervalDomain>, session: SessionId) -> String {
+    let program = engine.program_of(session).unwrap();
+    let mut cfgs: Vec<_> = program
+        .cfgs()
+        .iter()
+        .map(|cfg| {
+            let mut edges: Vec<_> = cfg.edges().cloned().collect();
+            edges.sort_by_key(|e| e.id);
+            (cfg.name().to_string(), edges)
+        })
+        .collect();
+    cfgs.sort_by(|a, b| a.0.cmp(&b.0));
+    format!("{cfgs:?} {:?}", full_sweep(engine, session))
+}
+
+/// Four threads edit their own sessions — and open, edit and close a
+/// throwaway one now and then — while the calling thread forces one
+/// compaction after another. A frame appended between a compaction's
+/// images and its rename must survive it, so the recovered sessions are
+/// exactly the live ones, answer for answer.
+fn hammer_through_compactions(seed: u64) {
+    const THREADS: u64 = 4;
+    const EDITS: usize = 96;
+    let journal = scratch("hammer");
+    let _ = std::fs::remove_file(&journal);
+    let engine: Engine<IntervalDomain> = Engine::new(THREADS as usize);
+    engine
+        .open_journal(&journal, JournalConfig::default())
+        .expect("fresh journal opens");
+    let source = Workload::initial_source();
+    let running = std::sync::atomic::AtomicU64::new(THREADS);
+    let mut compactions = 0;
+    let sessions: Vec<SessionId> = std::thread::scope(|scope| {
+        let editors: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (engine, source, running) = (&engine, &source, &running);
+                scope.spawn(move || {
+                    let edit = |session: SessionId, gen: &mut Workload| {
+                        let program = engine.program_of(session).unwrap();
+                        let edit = gen.next_edit(&program);
+                        Service::<IntervalDomain>::edit(engine, session, &edit).unwrap();
+                        // Filled DAIGs make the images, and so the race
+                        // window, larger.
+                        full_sweep(engine, session);
+                    };
+                    let session = engine.open_session_src(format!("h{t}"), source).unwrap();
+                    let mut gen = Workload::new(seed * THREADS + t);
+                    for round in 0..EDITS {
+                        edit(session, &mut gen);
+                        if round % 8 == 3 {
+                            let throwaway = engine.open_session_src("throwaway", source).unwrap();
+                            edit(throwaway, &mut gen);
+                            assert!(engine.close_session(throwaway));
+                        }
+                    }
+                    running.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                    session
+                })
+            })
+            .collect();
+        while running.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+            assert!(engine.compact_journal(true).unwrap());
+            compactions += 1;
+        }
+        editors.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(
+        compactions > 1,
+        "only {compactions} compaction(s) raced the edits"
+    );
+    let mut live: Vec<String> = sessions.iter().map(|&s| fingerprint(&engine, s)).collect();
+    live.sort();
+    drop(engine);
+
+    let recovered: Engine<IntervalDomain> = Engine::new(1);
+    let recovery = recovered
+        .open_journal(&journal, JournalConfig::default())
+        .unwrap_or_else(|e| panic!("seed {seed}: recovery failed: {e}"));
+    assert_eq!(recovery.damaged_len, 0);
+    assert_eq!(recovered.stats().sessions, sessions.len(), "seed {seed}");
+    // Replay numbers sessions from 1 in journal order; closed ones leave
+    // gaps.
+    let mut got: Vec<String> = (1..=64)
+        .map(SessionId)
+        .filter(|&s| recovered.program_of(s).is_ok())
+        .map(|s| fingerprint(&recovered, s))
+        .collect();
+    got.sort();
+    assert_eq!(
+        got, live,
+        "seed {seed}: recovery differs from the live engine"
+    );
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn edits_racing_forced_compactions_all_survive_recovery() {
+    for seed in 1..=6 {
+        hammer_through_compactions(seed);
     }
 }

@@ -23,7 +23,9 @@ use dai_engine::{
     Engine, EngineConfig, EngineError, ResolverChoice, Service, SessionId, SessionSnapshot,
 };
 use dai_lang::Loc;
-use dai_persist::frame::{read_frame, write_frame, FrameHeader, FrameReadError};
+use dai_persist::frame::{
+    read_frame, read_frame_expecting, write_frame, write_frame_id, FrameHeader, FrameReadError,
+};
 use dai_persist::{PersistDomain, FRAME_HEADER_LEN};
 use dai_rpc::{
     Addr, Client, Server, WireError, WireRequest, WireResponse, MAX_FRAME_LEN, PROTOCOL_VERSION,
@@ -110,17 +112,6 @@ fn engine_with(resolver: ResolverChoice) -> Arc<Engine<OctagonDomain>> {
 /// The acceptance gate: socket answers and DOT bytes == in-process, with
 /// two concurrent connections, under the given resolver.
 fn socket_matches_in_process(resolver: ResolverChoice, tag: &str) {
-    socket_matches_in_process_with(resolver, tag, dai_rpc::ClientOptions::default());
-}
-
-/// [`socket_matches_in_process`] under explicit client options — the
-/// compatibility tests pin `protocol: Some(3)` to drive a genuine v3
-/// client through the whole lifecycle against the v4 server.
-fn socket_matches_in_process_with(
-    resolver: ResolverChoice,
-    tag: &str,
-    options: dai_rpc::ClientOptions,
-) {
     let (source, edits, targets) = fig10_script(10, 379422);
     // In-process reference.
     let (reference, reference_snap) = run_session(
@@ -144,14 +135,12 @@ fn socket_matches_in_process_with(
             let source = source.clone();
             let edits = edits.clone();
             let targets = targets.clone();
-            let options = options.clone();
             // Named so any trace records they produce resolve to a real
             // thread name, never the recorder's `thread-{id}` fallback.
             std::thread::Builder::new()
                 .name(format!("e2e-client-{i}"))
                 .spawn(move || {
-                    let client: Client<OctagonDomain> =
-                        Client::connect_with(&Addr::parse(&addr).unwrap(), options).unwrap();
+                    let client: Client<OctagonDomain> = Client::connect(&addr).unwrap();
                     run_session(&client, "e2e", &source, &edits, &targets)
                 })
                 .expect("spawn e2e client thread")
@@ -180,22 +169,6 @@ fn fig10_socket_equals_in_process_interproc() {
             policy: dai_core::interproc::ContextPolicy::CallString(1),
         },
         "interproc",
-    );
-}
-
-#[test]
-fn fig10_v3_client_equals_in_process_against_v4_server() {
-    // The compatibility acceptance gate: a client pinned to protocol 3
-    // (id-less frames, serial in-order responses) completes the full
-    // equality suite — opens, edits, sweeps, snapshots — against the
-    // v4 multiplexing server, byte for byte.
-    socket_matches_in_process_with(
-        ResolverChoice::Intra,
-        "v3compat",
-        dai_rpc::ClientOptions {
-            protocol: Some(3),
-            ..Default::default()
-        },
     );
 }
 
@@ -327,30 +300,44 @@ fn wire_stats_carry_batch_and_persist_counters() {
 // Hostile frames.
 // ---------------------------------------------------------------------
 
-/// The id-less legacy frame layout the raw sweeps are written in: a
-/// `RawConn` is a genuine v3 peer, so these tests double as coverage of
-/// the v4 server's v3 compatibility path (the v4-layout hostile frames
-/// get their own sweep in `hostile_pipelining_*` below).
-const RAW_VERSION: u16 = 3;
+/// A protocol-4 request frame carrying `id`.
+fn request_frame(id: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame_id(&mut out, TAG_REQUEST, PROTOCOL_VERSION, Some(id), payload);
+    out
+}
 
-/// A raw (frame-level) connection that has already completed the hello
-/// exchange, for crafting hostile bytes a typed `Client` cannot send.
+/// A raw (frame-level) connection, for crafting hostile bytes a typed
+/// `Client` cannot send and for pipelining them between valid in-flight
+/// requests. The hello goes out as id 1 and `assert_alive`'s probe as
+/// id 2.
 struct RawConn {
     stream: UnixStream,
 }
 
 impl RawConn {
-    fn connect(path: &str) -> RawConn {
-        let mut conn = RawConn {
+    /// Connects without the hello exchange.
+    fn open(path: &str) -> RawConn {
+        RawConn {
             stream: UnixStream::connect(path).expect("server socket accepts"),
-        };
+        }
+    }
+
+    /// Connects and completes the hello exchange.
+    fn connect(path: &str) -> RawConn {
+        let mut conn = RawConn::open(path);
+        conn.hello();
+        conn
+    }
+
+    fn hello(&mut self) {
         let hello = dai_rpc::proto::encode_message(&WireRequest::Hello {
             domain: IntervalDomain::domain_tag(),
             auth: None,
         });
-        conn.send_frame(TAG_REQUEST, RAW_VERSION, &hello);
-        match conn.read_response() {
-            Some(WireResponse::HelloOk { .. }) => conn,
+        self.send_request(1, &hello);
+        match self.read_answer() {
+            (1, WireResponse::HelloOk { .. }) => {}
             other => panic!("hello failed: {other:?}"),
         }
     }
@@ -360,32 +347,39 @@ impl RawConn {
         self.stream.flush().expect("flush");
     }
 
-    fn send_frame(&mut self, tag: [u8; 4], version: u16, payload: &[u8]) {
-        let mut out = Vec::new();
-        write_frame(&mut out, tag, version, payload);
-        self.send_raw(&out);
+    fn send_request(&mut self, id: u64, payload: &[u8]) {
+        self.send_raw(&request_frame(id, payload));
     }
 
-    /// Reads one response, or `None` when the server closed the
-    /// connection instead.
-    fn read_response(&mut self) -> Option<WireResponse> {
-        match read_frame(&mut self.stream, MAX_FRAME_LEN) {
+    /// Reads one response and its id, or `None` when the server closed
+    /// the connection instead.
+    fn read_frame(&mut self) -> Option<(u64, WireResponse)> {
+        match read_frame_expecting(&mut self.stream, MAX_FRAME_LEN, |_| true) {
             Ok(frame) => {
                 let payload = frame.payload.expect("server frames are well-formed");
-                Some(dai_rpc::proto::decode_message::<WireResponse>(&payload).unwrap())
+                let response = dai_rpc::proto::decode_message::<WireResponse>(&payload).unwrap();
+                Some((frame.id.expect("read with its id"), response))
             }
             Err(FrameReadError::Eof) | Err(FrameReadError::Truncated) => None,
             Err(e) => panic!("client-side read failed oddly: {e}"),
         }
     }
 
+    fn read_response(&mut self) -> Option<WireResponse> {
+        self.read_frame().map(|(_, response)| response)
+    }
+
+    fn read_answer(&mut self) -> (u64, WireResponse) {
+        self.read_frame().expect("server keeps the connection")
+    }
+
     /// Sends a valid `Stats` request and asserts it is answered — the
     /// probe that the connection survived whatever came before.
     fn assert_alive(&mut self) {
         let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-        self.send_frame(TAG_REQUEST, RAW_VERSION, &payload);
-        match self.read_response() {
-            Some(WireResponse::Stats(_)) => {}
+        self.send_request(2, &payload);
+        match self.read_answer() {
+            (2, WireResponse::Stats(_)) => {}
             other => panic!("connection did not survive: {other:?}"),
         }
     }
@@ -406,10 +400,9 @@ fn bad_checksum_answers_wire_error_and_connection_survives() {
     let (server, path) = hostile_server();
     let mut conn = RawConn::connect(&path);
     let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    let mut frame = Vec::new();
-    write_frame(&mut frame, TAG_REQUEST, RAW_VERSION, &payload);
-    // Flip one payload byte: the checksum must catch it.
-    frame[FRAME_HEADER_LEN] ^= 0xFF;
+    let mut frame = request_frame(5, &payload);
+    // Flip one payload byte (past the id): the checksum must catch it.
+    frame[FRAME_HEADER_LEN + 8] ^= 0xFF;
     conn.send_raw(&frame);
     match conn.read_response() {
         Some(WireResponse::Error(e)) => assert_eq!(e.code(), "protocol", "{e}"),
@@ -422,36 +415,47 @@ fn bad_checksum_answers_wire_error_and_connection_survives() {
 #[test]
 fn wrong_protocol_version_answers_structured_error_and_survives() {
     let (server, path) = hostile_server();
-    let mut conn = RawConn::connect(&path);
-    // Too old for the supported range: version 2 predates the id field,
-    // so it travels (and is consumed) in the id-less layout.
-    let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    conn.send_frame(TAG_REQUEST, 2, &payload);
-    match conn.read_response() {
-        Some(WireResponse::Error(WireError::UnsupportedVersion { got, want })) => {
-            assert_eq!(got, 2);
-            assert_eq!(want, PROTOCOL_VERSION);
+    let mut conn = RawConn::open(&path);
+    let hello = dai_rpc::proto::encode_message(&WireRequest::Hello {
+        domain: IntervalDomain::domain_tag(),
+        auth: None,
+    });
+    let stats = dai_rpc::proto::encode_message(&WireRequest::Stats);
+    // Too old: versions 3 and 2 predate the id field, so their frames
+    // travel (and are consumed) in the id-less layout. A v3 hello is
+    // refused like any other old frame.
+    for (version, payload) in [(3, &hello), (2, &stats)] {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, TAG_REQUEST, version, payload);
+        conn.send_raw(&frame);
+        match conn.read_response() {
+            Some(WireResponse::Error(WireError::UnsupportedVersion { got, want })) => {
+                assert_eq!((got, want), (version, PROTOCOL_VERSION));
+            }
+            other => panic!("version {version}: expected version error, got {other:?}"),
         }
-        other => panic!("expected version error, got {other:?}"),
     }
     // Too new: a ≥ 4 version means the id frame layout, and the whole
     // frame (id included) must be consumed so the stream stays in sync.
     let mut frame = Vec::new();
-    dai_persist::frame::write_frame_id(
+    write_frame_id(
         &mut frame,
         TAG_REQUEST,
         PROTOCOL_VERSION + 41,
         Some(7),
-        &payload,
+        &stats,
     );
     conn.send_raw(&frame);
-    match conn.read_response() {
-        Some(WireResponse::Error(WireError::UnsupportedVersion { got, want })) => {
+    match conn.read_answer() {
+        (7, WireResponse::Error(WireError::UnsupportedVersion { got, want })) => {
             assert_eq!(got, PROTOCOL_VERSION + 41);
             assert_eq!(want, PROTOCOL_VERSION);
         }
         other => panic!("expected version error, got {other:?}"),
     }
+    // Still at a frame boundary: a corrected v4 hello on the same
+    // connection succeeds.
+    conn.hello();
     conn.assert_alive();
     server.shutdown();
 }
@@ -461,14 +465,15 @@ fn oversized_declared_length_rejected_before_allocation_and_survives() {
     let (server, path) = hostile_server();
     let mut conn = RawConn::connect(&path);
     // A header declaring a multi-terabyte payload, with nothing behind
-    // it: the server must answer from the header alone (allocating
-    // nothing) and stay in sync for the next real frame.
+    // its id: the server must answer from the header and id alone
+    // (allocating nothing) and stay in sync for the next real frame.
     let header = FrameHeader {
         tag: TAG_REQUEST,
-        version: RAW_VERSION,
+        version: PROTOCOL_VERSION,
         len: 1 << 42,
     };
     conn.send_raw(&header.encode());
+    conn.send_raw(&5u64.to_le_bytes());
     match conn.read_response() {
         Some(WireResponse::Error(e)) => {
             assert_eq!(e.code(), "protocol");
@@ -485,7 +490,7 @@ fn undecodable_and_misdirected_payloads_answer_wire_errors() {
     let (server, path) = hostile_server();
     let mut conn = RawConn::connect(&path);
     // Garbage payload under a valid frame (checksum fine, bytes absurd).
-    conn.send_frame(TAG_REQUEST, RAW_VERSION, &[0xFE, 0xDC, 0xBA]);
+    conn.send_request(5, &[0xFE, 0xDC, 0xBA]);
     match conn.read_response() {
         Some(WireResponse::Error(e)) => assert_eq!(e.code(), "protocol", "{e}"),
         other => panic!("expected protocol error, got {other:?}"),
@@ -493,14 +498,16 @@ fn undecodable_and_misdirected_payloads_answer_wire_errors() {
     // Trailing bytes after a valid request are a violation, not padding.
     let mut padded = dai_rpc::proto::encode_message(&WireRequest::Stats);
     padded.extend_from_slice(b"padding");
-    conn.send_frame(TAG_REQUEST, RAW_VERSION, &padded);
+    conn.send_request(6, &padded);
     match conn.read_response() {
         Some(WireResponse::Error(e)) => assert_eq!(e.code(), "protocol", "{e}"),
         other => panic!("expected protocol error, got {other:?}"),
     }
     // A response-tagged frame sent at the server.
     let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    conn.send_frame(*b"RPCS", RAW_VERSION, &payload);
+    let mut frame = Vec::new();
+    write_frame_id(&mut frame, *b"RPCS", PROTOCOL_VERSION, Some(7), &payload);
+    conn.send_raw(&frame);
     match conn.read_response() {
         Some(WireResponse::Error(e)) => assert_eq!(e.code(), "protocol", "{e}"),
         other => panic!("expected protocol error, got {other:?}"),
@@ -534,25 +541,11 @@ fn client_refuses_to_send_oversized_frames_and_stays_usable() {
 #[test]
 fn requests_before_hello_are_rejected_in_protocol() {
     let (server, path) = hostile_server();
-    let mut stream = UnixStream::connect(&path).unwrap();
-    let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    let mut frame = Vec::new();
-    // A v4 frame: carries a request id, which the rejection must echo.
-    dai_persist::frame::write_frame_id(
-        &mut frame,
-        TAG_REQUEST,
-        PROTOCOL_VERSION,
-        Some(9),
-        &payload,
-    );
-    stream.write_all(&frame).unwrap();
-    let response =
-        dai_persist::frame::read_frame_expecting(&mut stream, MAX_FRAME_LEN, |h| h.version >= 4)
-            .unwrap();
-    assert_eq!(response.id, Some(9), "rejection echoes the request id");
-    let decoded =
-        dai_rpc::proto::decode_message::<WireResponse>(&response.payload.unwrap()).unwrap();
-    match decoded {
+    let mut conn = RawConn::open(&path);
+    conn.send_request(9, &dai_rpc::proto::encode_message(&WireRequest::Stats));
+    let (id, response) = conn.read_answer();
+    assert_eq!(id, 9, "rejection echoes the request id");
+    match response {
         WireResponse::Error(e) => {
             assert_eq!(e.code(), "protocol");
             assert!(e.to_string().contains("hello"), "{e}");
@@ -600,8 +593,7 @@ fn every_truncation_prefix_is_handled_cleanly() {
         func: "f".to_string(),
         loc: Loc(3),
     });
-    let mut frame = Vec::new();
-    write_frame(&mut frame, TAG_REQUEST, RAW_VERSION, &payload);
+    let frame = request_frame(5, &payload);
     for cut in 0..frame.len() {
         let mut conn = RawConn::connect(&path);
         conn.send_raw(&frame[..cut]);
@@ -638,6 +630,7 @@ fn decode_never_panics(bytes: &[u8]) {
     let _ = dai_persist::split_frame(bytes);
     let _ = dai_persist::decode_trace_frame(bytes);
     let _ = read_frame(&mut &bytes[..], MAX_FRAME_LEN);
+    let _ = read_frame_expecting(&mut &bytes[..], MAX_FRAME_LEN, |_| true);
 }
 
 proptest! {
@@ -652,8 +645,7 @@ proptest! {
             session: seed,
             targets: vec![("main".to_string(), Loc(seed as u32 % 17))],
         });
-        let mut frame = Vec::new();
-        write_frame(&mut frame, TAG_REQUEST, PROTOCOL_VERSION, &payload);
+        let frame = request_frame(seed, &payload);
         let a = (seed as usize) % frame.len();
         let b = (seed as usize / 7) % frame.len();
         decode_never_panics(&frame[..a]);
@@ -770,8 +762,7 @@ fn trace_and_metrics_requests_survive_truncations_and_flips() {
         dai_rpc::proto::encode_message(&WireRequest::Metrics),
     ];
     for payload in &payloads {
-        let mut frame = Vec::new();
-        write_frame(&mut frame, TAG_REQUEST, RAW_VERSION, payload);
+        let frame = request_frame(5, payload);
         for cut in 0..frame.len() {
             let mut conn = RawConn::connect(&path);
             conn.send_raw(&frame[..cut]);
@@ -939,8 +930,7 @@ fn explain_requests_survive_truncations_and_flips() {
         session: 1,
         targets: vec![("f".to_string(), Loc(2))],
     });
-    let mut frame = Vec::new();
-    write_frame(&mut frame, TAG_REQUEST, RAW_VERSION, &payload);
+    let frame = request_frame(5, &payload);
     for cut in 0..frame.len() {
         let mut conn = RawConn::connect(&path);
         conn.send_raw(&frame[..cut]);
@@ -984,8 +974,7 @@ fn every_single_byte_flip_is_handled_cleanly() {
     // them all.
     let (server, path) = hostile_server();
     let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    let mut frame = Vec::new();
-    write_frame(&mut frame, TAG_REQUEST, RAW_VERSION, &payload);
+    let frame = request_frame(5, &payload);
     for i in 0..frame.len() {
         let mut flipped = frame.clone();
         flipped[i] ^= 0xFF;
@@ -1008,59 +997,6 @@ fn every_single_byte_flip_is_handled_cleanly() {
 // Protocol 4: multiplexed pipelining, auth, shutdown churn.
 // ---------------------------------------------------------------------
 
-/// A raw v4 (id-framed) connection, for pipelining hostile bytes between
-/// valid in-flight requests.
-struct RawV4Conn {
-    stream: UnixStream,
-}
-
-impl RawV4Conn {
-    fn connect(path: &str) -> RawV4Conn {
-        let mut conn = RawV4Conn {
-            stream: UnixStream::connect(path).expect("server socket accepts"),
-        };
-        let hello = dai_rpc::proto::encode_message(&WireRequest::Hello {
-            domain: IntervalDomain::domain_tag(),
-            auth: None,
-        });
-        conn.send_request(1, &hello);
-        match conn.read_response() {
-            (Some(1), WireResponse::HelloOk { .. }) => conn,
-            other => panic!("v4 hello failed: {other:?}"),
-        }
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) {
-        self.stream.write_all(bytes).expect("send");
-        self.stream.flush().expect("flush");
-    }
-
-    fn send_request(&mut self, id: u64, payload: &[u8]) {
-        let mut out = Vec::new();
-        dai_persist::frame::write_frame_id(
-            &mut out,
-            TAG_REQUEST,
-            PROTOCOL_VERSION,
-            Some(id),
-            payload,
-        );
-        self.send_raw(&out);
-    }
-
-    fn read_response(&mut self) -> (Option<u64>, WireResponse) {
-        let frame =
-            dai_persist::frame::read_frame_expecting(&mut self.stream, MAX_FRAME_LEN, |h| {
-                h.version >= 4
-            })
-            .expect("server keeps the connection");
-        let payload = frame.payload.expect("server frames are well-formed");
-        (
-            frame.id,
-            dai_rpc::proto::decode_message::<WireResponse>(&payload).unwrap(),
-        )
-    }
-}
-
 #[test]
 fn hostile_pipelining_keeps_stream_in_sync_and_answers_every_id() {
     // The v4 hostile sweep: valid pipelined queries with an
@@ -1069,7 +1005,7 @@ fn hostile_pipelining_keeps_stream_in_sync_and_answers_every_id() {
     // frame boundaries, every id — hostile or not — must be answered,
     // and the connection must survive to serve the next request.
     let (server, path) = hostile_server();
-    let mut conn = RawV4Conn::connect(&path);
+    let mut conn = RawConn::connect(&path);
 
     // A real session to query, set up over the same raw connection.
     let open = dai_rpc::proto::encode_message(&WireRequest::Open {
@@ -1077,8 +1013,8 @@ fn hostile_pipelining_keeps_stream_in_sync_and_answers_every_id() {
         source: LOOPY.to_string(),
     });
     conn.send_request(2, &open);
-    let session = match conn.read_response() {
-        (Some(2), WireResponse::Opened { session }) => session,
+    let session = match conn.read_answer() {
+        (2, WireResponse::Opened { session }) => session,
         other => panic!("open failed: {other:?}"),
     };
     let locs: Vec<Loc> = {
@@ -1142,8 +1078,7 @@ fn hostile_pipelining_keeps_stream_in_sync_and_answers_every_id() {
     // Five ids in flight; answers may arrive in any order.
     let mut answers = std::collections::HashMap::new();
     for _ in 0..5 {
-        let (id, response) = conn.read_response();
-        let id = id.expect("v4 responses carry ids");
+        let (id, response) = conn.read_answer();
         assert!(
             answers.insert(id, response).is_none(),
             "id {id} answered twice"
@@ -1174,8 +1109,8 @@ fn hostile_pipelining_keeps_stream_in_sync_and_answers_every_id() {
     // The connection survived the whole splice.
     let stats = dai_rpc::proto::encode_message(&WireRequest::Stats);
     conn.send_request(20, &stats);
-    match conn.read_response() {
-        (Some(20), WireResponse::Stats(_)) => {}
+    match conn.read_answer() {
+        (20, WireResponse::Stats(_)) => {}
         other => panic!("connection did not survive: {other:?}"),
     }
     server.shutdown();
@@ -1191,7 +1126,6 @@ fn pipelined_per_query_frames_reproduce_the_coalesced_lock_profile() {
     let engine: Arc<Engine<IntervalDomain>> = Arc::new(Engine::new(1));
     let server = Server::bind(&Addr::Unix(scratch("pipeline")), Arc::clone(&engine)).unwrap();
     let client: Client<IntervalDomain> = Client::connect(&server.addr().to_string()).unwrap();
-    assert_eq!(client.protocol(), PROTOCOL_VERSION);
     let session = client.open("pipeline", LOOPY).unwrap();
     let locs: Vec<Loc> = engine
         .program_of(session)
@@ -1254,34 +1188,12 @@ fn auth_token_gates_the_hello_exchange() {
 
     // Missing and wrong tokens: structured `unauthorized`, no session.
     for bad in [None, Some("wrong".to_string())] {
-        let got = Client::<IntervalDomain>::connect_with(
-            &addr,
-            dai_rpc::ClientOptions {
-                auth: bad,
-                ..Default::default()
-            },
-        );
+        let got =
+            Client::<IntervalDomain>::connect_with(&addr, dai_rpc::ClientOptions { auth: bad });
         match got {
             Err(EngineError::Remote { code, .. }) => assert_eq!(code, "unauthorized"),
             other => panic!("expected unauthorized, got {:?}", other.err()),
         }
-    }
-
-    // A v3 client cannot present a token at all; the downgraded error
-    // still names the cause.
-    let got = Client::<IntervalDomain>::connect_with(
-        &addr,
-        dai_rpc::ClientOptions {
-            auth: None,
-            protocol: Some(3),
-        },
-    );
-    match got {
-        Err(EngineError::Remote { code, message }) => {
-            assert_eq!(code, "rejected");
-            assert!(message.contains("unauthorized"), "{message}");
-        }
-        other => panic!("expected downgraded unauthorized, got {:?}", other.err()),
     }
 
     // The right token connects and serves.
@@ -1289,7 +1201,6 @@ fn auth_token_gates_the_hello_exchange() {
         &addr,
         dai_rpc::ClientOptions {
             auth: Some("s3cret".to_string()),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -1483,7 +1394,7 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
 fn a_peer_that_does_not_read_is_bounded_and_still_answered_in_full() {
     use dai_rpc::server::{HARD_WRITE_CAP, MAX_INFLIGHT, SOFT_WRITE_CAP};
     let (server, path) = hostile_server();
-    let mut conn = RawV4Conn::connect(&path);
+    let mut conn = RawConn::connect(&path);
     // `big` answers with a state of several hundred intervals (≈ 10 KB
     // on the wire), `small` with one.
     let mut source = String::from("function big(n) { ");
@@ -1498,8 +1409,8 @@ fn a_peer_that_does_not_read_is_bounded_and_still_answered_in_full() {
             source,
         }),
     );
-    let session = match conn.read_response() {
-        (Some(2), WireResponse::Opened { session }) => session,
+    let session = match conn.read_answer() {
+        (2, WireResponse::Opened { session }) => session,
         other => panic!("open failed: {other:?}"),
     };
     let exit_of = |func: &str| {
@@ -1527,12 +1438,11 @@ fn a_peer_that_does_not_read_is_bounded_and_still_answered_in_full() {
     // Reads until every id of the burst has been answered exactly once,
     // by a state or by `Overloaded` (and `also`, if given, by an error);
     // returns (overloaded, largest state frame).
-    let drain = |conn: &mut RawV4Conn, first_id: u64, count: usize, mut also: Option<u64>| {
+    let drain = |conn: &mut RawConn, first_id: u64, count: usize, mut also: Option<u64>| {
         let mut seen = std::collections::HashSet::new();
         let (mut overloaded, mut largest) = (0usize, 0usize);
         while seen.len() < count || also.is_some() {
-            let (id, response) = conn.read_response();
-            let id = id.expect("v4 responses carry ids");
+            let (id, response) = conn.read_answer();
             if also == Some(id) {
                 assert!(matches!(response, WireResponse::Error(_)), "{response:?}");
                 also = None;
@@ -1628,8 +1538,8 @@ fn a_peer_that_does_not_read_is_bounded_and_still_answered_in_full() {
             loc: exit_of("small"),
         }),
     );
-    match conn.read_response() {
-        (Some(7), WireResponse::State(_)) => {}
+    match conn.read_answer() {
+        (7, WireResponse::State(_)) => {}
         other => panic!("connection did not survive: {other:?}"),
     }
     server.shutdown();
@@ -1650,8 +1560,7 @@ fn responses_written_by_four_workers_match_an_in_process_replay() {
     // four workers: answers are framed and written by whichever worker
     // finishes them, several per connection at once. Every id must be
     // answered exactly once and every answer must equal what an
-    // in-process engine gives for the same script — and on the protocol 3
-    // connection, which has no ids, in request order.
+    // in-process engine gives for the same script.
     const SOURCE: &str = "function f(n) { var a = 1; var i = 0; var s = 0; \
                           while (i < 9) { s = s + a; i = i + 1; } return s; } \
                           function g(n) { var b = 2; var t = b + 1; return t; }";
@@ -1707,27 +1616,16 @@ fn responses_written_by_four_workers_match_an_in_process_replay() {
         for conn_no in 0..4i64 {
             let (engine, path) = (&engine, &path);
             scope.spawn(move || {
-                let v3 = conn_no == 3;
-                // (`RawV4Conn` reads either layout: the header says which.)
-                let mut conn = RawV4Conn {
-                    stream: UnixStream::connect(path).unwrap(),
-                };
+                let mut conn = RawConn::open(path);
                 conn.stream
                     .set_read_timeout(Some(std::time::Duration::from_secs(60)))
                     .unwrap();
-                let version = if v3 { 3 } else { PROTOCOL_VERSION };
                 let mut next_id = 1u64;
-                // Frames one request in the connection's layout.
+                // Frames one request under the next id.
                 let mut frame = |out: &mut Vec<u8>, request: &WireRequest| -> u64 {
                     let id = next_id;
                     next_id += 1;
-                    dai_persist::frame::write_frame_id(
-                        out,
-                        TAG_REQUEST,
-                        version,
-                        (!v3).then_some(id),
-                        &dai_rpc::proto::encode_message(request),
-                    );
+                    out.extend(request_frame(id, &dai_rpc::proto::encode_message(request)));
                     id
                 };
                 let mut out = Vec::new();
@@ -1746,11 +1644,8 @@ fn responses_written_by_four_workers_match_an_in_process_replay() {
                     },
                 );
                 conn.send_raw(&out);
-                assert!(matches!(
-                    conn.read_response().1,
-                    WireResponse::HelloOk { .. }
-                ));
-                let session = match conn.read_response().1 {
+                assert!(matches!(conn.read_answer().1, WireResponse::HelloOk { .. }));
+                let session = match conn.read_answer().1 {
                     WireResponse::Opened { session } => SessionId(session),
                     other => panic!("open failed: {other:?}"),
                 };
@@ -1798,15 +1693,9 @@ fn responses_written_by_four_workers_match_an_in_process_replay() {
                     }
                     conn.send_raw(&out);
                     let mut answered = std::collections::HashSet::new();
-                    for position in 0..burst.len() {
-                        let (id, response) = conn.read_response();
-                        // Protocol 3 answers carry no id: request order
-                        // is the only thing matching them to questions.
-                        let at = match id {
-                            Some(id) => ids.iter().position(|&i| i == id).expect("a known id"),
-                            None => position,
-                        };
-                        assert_eq!(id.is_none(), v3);
+                    for _ in 0..burst.len() {
+                        let (id, response) = conn.read_answer();
+                        let at = ids.iter().position(|&i| i == id).expect("a known id");
                         assert!(answered.insert(at), "request {at} answered twice");
                         match (&want[at], response) {
                             (None, WireResponse::Edited(_)) => {}

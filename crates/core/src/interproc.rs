@@ -37,11 +37,13 @@
 //!   in the order a fresh analyzer runs it, and feeds every callee entry
 //!   the same contributions in the same order: any query sequence after an
 //!   edit answers like a fresh `InterAnalyzer` given the same queries since
-//!   that edit. That matters because entries are joins accumulated in
-//!   demand order, so even a fresh analyzer's answers depend on the order
-//!   its queries arrive in. The price: an edit to a function reached only
-//!   by the entry function's *last* call still re-runs every call before
-//!   it. A sharper cut-off needs entries that are fixed points, not
+//!   that edit. Entries are joins accumulated in demand order, yet no
+//!   fresh analyzer has been seen to answer differently for the order its
+//!   queries arrive in: `tests/interprocedural.rs` asks every location in
+//!   definition order, its reverse and callees first, under every policy,
+//!   and gets the same answers. The price: an edit to a function reached
+//!   only by the entry function's *last* call still re-runs every call
+//!   before it. A sharper cut-off needs entries that are fixed points, not
 //!   demand-order joins.
 //! * **Forced-entry stamps**: a unit whose entry has been seeded from all
 //!   of its call sites ([`Eval::force_entry`]) is stamped with the current

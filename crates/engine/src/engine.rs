@@ -51,10 +51,10 @@ use dai_domains::AbstractDomain;
 use dai_journal::{Journal, JournalConfig, JournalEntry, JournalRecord, SessionCut};
 use dai_lang::cfg::{lower_program, LoweredProgram};
 use dai_lang::{CfgError, Loc};
-use dai_memo::{MemoKey, MemoStamps, MemoStats, SharedMemoTable};
+use dai_memo::{MemoStats, SharedMemoTable};
 use dai_persist::{
-    decode_memo_entries, encode_memo_entries, read_snapshot_file, write_snapshot_file_durable,
-    Durability, PersistDomain, PersistError, SessionImage,
+    read_snapshot_file, write_snapshot_file_durable, Durability, PersistDomain, PersistError,
+    SessionImage,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -138,10 +138,9 @@ pub enum Request {
         /// Target session.
         session: SessionId,
     },
-    /// Persist a session (source + edit history + demanded DAIGs, plus
-    /// the shared memo table) to a snapshot file. Serialized behind the
-    /// session's lock like `Edit`, so the saved image is a consistent
-    /// point in the request stream.
+    /// Persist a session (source + edit history + demanded DAIGs) to a
+    /// snapshot file. Serialized behind the session's lock like `Edit`,
+    /// so the saved image is a consistent point in the request stream.
     Save {
         /// Target session (must have been opened from source —
         /// [`crate::Engine::open_session_src`]).
@@ -150,8 +149,8 @@ pub enum Request {
         path: String,
     },
     /// Restore a snapshot file into a **new** session (the saved session
-    /// name is kept; the id is fresh). Damaged or version-skewed DAIG /
-    /// memo sections degrade to a cold start; see `dai-persist`.
+    /// name is kept; the id is fresh). Damaged or version-skewed DAIG
+    /// sections degrade to a cold start; see `dai-persist`.
     Load {
         /// Source file path.
         path: String,
@@ -171,22 +170,15 @@ pub struct PersistOutcome {
     /// validation, or an interprocedural session that takes no warm
     /// units) — each one cold-starts, which is sound.
     pub funcs_dropped: usize,
-    /// Memo entries written (save) or imported (load).
-    pub memo_entries: usize,
-    /// Of those, the entries this save also appended to the attached
-    /// journal as one `JMEM` frame: the ones no frame since the last
-    /// compaction already carries (0 without a journal, and on load).
-    pub memo_journaled: usize,
-    /// Memo sections dropped on load.
-    pub memo_sections_dropped: usize,
     /// The file ended mid-section (load only).
     pub truncated: bool,
 }
 
 impl PersistOutcome {
-    /// `true` when a load brought back any warm state.
+    /// `true` when a load installed any function's DAIG warm. The memo
+    /// table is never saved, so it takes no part.
     pub fn is_warm(&self) -> bool {
-        self.funcs > 0 || self.memo_entries > 0
+        self.funcs > 0
     }
 }
 
@@ -876,13 +868,6 @@ struct EngineShared<D: AbstractDomain> {
     journal: RwLock<Option<Arc<Journal>>>,
     /// Journal-session ↔ local-session correspondence.
     journal_map: Mutex<JournalMap>,
-    /// The memo table's insertion stamp up to which the journal's `JMEM`
-    /// frames carry its entries; 0 when they carry none. Held across
-    /// "pick the entries above it, append them, advance it" and across a
-    /// compaction, which drops every `JMEM` frame and puts it back to 0 —
-    /// so the journal holds each entry once between compactions, and a
-    /// compaction racing a save wins.
-    memo_mark: Mutex<u64>,
     /// Highest journal sequence number applied through
     /// [`Engine::apply_journal_entry`], and how many entries that was.
     applied_seq: AtomicU64,
@@ -950,7 +935,6 @@ impl<D: PersistDomain> Engine<D> {
                     next_id: 1,
                     ..JournalMap::default()
                 }),
-                memo_mark: Mutex::new(0),
                 applied_seq: AtomicU64::new(0),
                 applied_frames: AtomicU64::new(0),
                 explain_totals: Mutex::new(ExplainStats::default()),
@@ -1450,7 +1434,7 @@ impl<D: PersistDomain> Engine<D> {
 
     /// Opens (or creates) the journal at `path`, **recovers** by
     /// replaying its clean prefix into this engine — opens, edits,
-    /// memo deltas, snapshots; any torn tail was already truncated by
+    /// closes, snapshots; any torn tail was already truncated by
     /// [`Journal::open`] — and then attaches the journal so every
     /// subsequent source-backed open, edit, close, and save is
     /// appended. Sessions opened *before* the journal attaches are
@@ -1481,9 +1465,6 @@ impl<D: PersistDomain> Engine<D> {
             damaged_len: replay.damaged_len,
             last_seq: journal.last_seq(),
         };
-        // This engine has appended nothing to the journal it now holds:
-        // the first save carries the table whole.
-        *self.shared.memo_mark.lock().expect("memo mark poisoned") = 0;
         *self.shared.journal.write().expect("journal slot poisoned") = Some(journal);
         Ok(recovery)
     }
@@ -1499,8 +1480,7 @@ impl<D: PersistDomain> Engine<D> {
     /// # Errors
     ///
     /// Parse/CFG failures on `Open`, unknown journal sessions on
-    /// `Edit`/`Close`, snapshot decode failures. An undecodable
-    /// `MemoDelta` is *not* an error — memo warmth is lossy by design.
+    /// `Edit`/`Close`, snapshot decode failures.
     pub fn apply_journal_entry(
         &self,
         entry: &JournalEntry,
@@ -1547,25 +1527,8 @@ impl<D: PersistDomain> Engine<D> {
                 let local = local_of(entry.session)?;
                 self.close_session(local);
             }
-            JournalRecord::MemoDelta { bytes } => {
-                // Lossy, like a snapshot's MEMO section: a delta that
-                // fails to decode is skipped whole, costing warmth only.
-                match decode_memo_entries::<D>(bytes) {
-                    Ok(entries) => {
-                        for (k, v) in entries {
-                            shared.memo.insert(k, v);
-                        }
-                    }
-                    Err(_) => {
-                        dai_trace::metrics()
-                            .counter("dai_journal_memo_deltas_dropped_total")
-                            .inc();
-                    }
-                }
-            }
             JournalRecord::Snapshot { bytes } => {
-                let (mut image, report) = SessionImage::<D>::from_bytes(bytes)?;
-                let memo_entries = std::mem::take(&mut image.memo);
+                let (image, report) = SessionImage::<D>::from_bytes(bytes)?;
                 let restore_resolver = match image.policy {
                     Some(policy) => ResolverChoice::Interproc { policy },
                     None => ResolverChoice::Intra,
@@ -1573,11 +1536,6 @@ impl<D: PersistDomain> Engine<D> {
                 let (mut session, _, _) =
                     Session::restore(image, restore_resolver, shared.transfer, &report)?;
                 session.set_replica(replica);
-                if !matches!(restore_resolver, ResolverChoice::Interproc { .. }) {
-                    for (k, v) in memo_entries {
-                        shared.memo.insert(k, v);
-                    }
-                }
                 self.install_journaled(entry.session, session);
             }
         }
@@ -1669,11 +1627,7 @@ fn compact_attached_journal<D: PersistDomain>(
             bytes: image.to_bytes(),
         });
     }
-    // The rewritten file holds no `JMEM` frame a cut covers: the next
-    // save must carry the table whole (see `memo_mark`).
-    let mut mark = shared.memo_mark.lock().expect("memo mark poisoned");
     journal.compact(cuts)?;
-    *mark = 0;
     Ok(true)
 }
 
@@ -1796,39 +1750,6 @@ fn journal_append(journal: &Journal, journal_id: u64, record: JournalRecord) -> 
             .inc();
     }
     landed
-}
-
-/// Appends, as one `JMEM` frame for the session `local` is bound to, the
-/// exported memo entries no frame since the last compaction carries:
-/// those stamped above the engine's mark. The mark moves only once the
-/// frame has landed. Returns how many entries that was. Call with the
-/// session lock held, like [`journal_record`].
-fn journal_memo_delta<D: PersistDomain>(
-    shared: &EngineShared<D>,
-    local: SessionId,
-    guard: &Session<D>,
-    entries: &[(MemoKey, Value<D>)],
-    stamps: &MemoStamps,
-) -> usize {
-    let mut mark = shared.memo_mark.lock().expect("memo mark poisoned");
-    let fresh: Vec<&(MemoKey, Value<D>)> = stamps.newer_than(*mark).map(|i| &entries[i]).collect();
-    if fresh.is_empty() {
-        return 0;
-    }
-    let bytes = encode_memo_entries(fresh.iter().copied());
-    let len = bytes.len() as u64;
-    if !journal_record(shared, local, guard, JournalRecord::MemoDelta { bytes }) {
-        return 0;
-    }
-    *mark = stamps.high;
-    let metrics = dai_trace::metrics();
-    metrics
-        .counter("dai_journal_memo_delta_entries_total")
-        .add(fresh.len() as u64);
-    metrics
-        .counter("dai_journal_memo_delta_bytes_total")
-        .add(len);
-    fresh.len()
 }
 
 /// Builds one reply slot, returning the waiting and the producing half.
@@ -2300,50 +2221,36 @@ fn process<D: PersistDomain>(
             Ok(Response::Snapshot(snap))
         }
         Request::Save { session, path } => {
-            let sid = session;
             let mut save_span = dai_trace::span!("engine.save");
             let session = session_of(shared, session)?;
             // Behind the session lock (like Edit): the image is a
             // consistent point in this session's request stream. The
-            // shared memo table is deliberately sampled *after* the lock
-            // drops — its entries are input-content-keyed, so any sample
-            // is sound, and a full-table clone must not stall the
-            // session's queries. Note the table is engine-wide (shared
-            // by all sessions — that sharing is what makes it warm), so
-            // its export rides along with whichever session is saved.
+            // engine-wide memo table is not saved — it belongs to no one
+            // session, and a restored DAIG answers without it.
             let guard = lock_session(shared.as_ref(), &session);
             let _lock_span = dai_trace::span!("engine.session_lock");
-            let mut image = guard.image()?;
+            let image = guard.image()?;
             drop(guard);
-            let stamps;
-            (image.memo, stamps) = shared.memo.export_entries();
             let funcs = image.funcs.len();
-            let memo_entries = image.memo.len();
             let bytes = image.to_bytes();
             save_span.set_arg(bytes.len() as u64);
             write_snapshot_file_durable(&path, &bytes, shared.durability)?;
             shared.saves.fetch_add(1, Ordering::Relaxed);
-            // Per-session attribution (and the journal's memo delta)
-            // happen only once the write has actually landed. The brief
-            // relock is bookkeeping, not serving — not a session_lock.
-            let memo_journaled = {
-                let mut guard = session.lock().expect("session poisoned");
-                guard.note_saved();
-                journal_memo_delta(shared.as_ref(), sid, &guard, &image.memo, &stamps)
-            };
+            // Per-session attribution happens only once the write has
+            // actually landed. The brief relock is bookkeeping, not
+            // serving — not a session_lock.
+            session.lock().expect("session poisoned").note_saved();
             Ok(Response::Saved(PersistOutcome {
                 bytes: bytes.len(),
                 funcs,
-                memo_entries,
-                memo_journaled,
                 ..PersistOutcome::default()
             }))
         }
         Request::Load { path } => {
             // A load fences the whole engine (its fence was bumped at
             // submit): queries submitted after it must not be answered
-            // until the restore — and its engine-wide memo import — has
-            // happened. Completion is on-drop, error paths included.
+            // until the restore has happened. Completion is on-drop,
+            // error paths included.
             let _fence = FenceCompletion {
                 shared,
                 pool,
@@ -2352,8 +2259,7 @@ fn process<D: PersistDomain>(
             let mut load_span = dai_trace::span!("engine.load");
             let bytes = read_snapshot_file(&path)?;
             load_span.set_arg(bytes.len() as u64);
-            let (mut image, report) = SessionImage::<D>::from_bytes(&bytes)?;
-            let memo_entries = std::mem::take(&mut image.memo);
+            let (image, report) = SessionImage::<D>::from_bytes(&bytes)?;
             // A snapshot's semantics travel with it: like the iteration
             // strategy, the resolver the restored session runs under is
             // the one it was *saved* under (interprocedural with the
@@ -2368,25 +2274,6 @@ fn process<D: PersistDomain>(
             };
             let (session, installed, dropped) =
                 Session::restore(image, restore_resolver, shared.transfer, &report)?;
-            // Import the memo section into the engine-wide shared table.
-            // Entries are keyed by content hashes of their inputs, so
-            // importing them alongside live traffic is exactly as sound
-            // as the cross-session sharing the table already does.
-            // Interprocedural sessions never read the shared table (the
-            // analyzer carries its own memo), so when the restored
-            // session is interprocedural the section is counted as
-            // dropped instead of imported as dead weight — the outcome
-            // must not claim warmth no query can use.
-            let interproc = matches!(restore_resolver, ResolverChoice::Interproc { .. });
-            let (imported, memo_unused) = if interproc {
-                (0, usize::from(!memo_entries.is_empty()))
-            } else {
-                let n = memo_entries.len();
-                for (k, v) in memo_entries {
-                    shared.memo.insert(k, v);
-                }
-                (n, 0)
-            };
             let id = SessionId(shared.next_session.fetch_add(1, Ordering::Relaxed));
             shared
                 .sessions
@@ -2400,9 +2287,6 @@ fn process<D: PersistDomain>(
                     bytes: bytes.len(),
                     funcs: installed,
                     funcs_dropped: dropped,
-                    memo_entries: imported,
-                    memo_journaled: 0,
-                    memo_sections_dropped: report.memo_sections_dropped + memo_unused,
                     truncated: report.truncated,
                 },
             })

@@ -670,12 +670,10 @@ impl<D: AbstractDomain> Session<D> {
 }
 
 impl<D: PersistDomain> Session<D> {
-    /// Assembles this session's snapshot image: the replayable header
-    /// (source + history + strategy + policy) and the demanded DAIGs
-    /// (`Intra` backend only — an `Interproc` session snapshots cold).
-    /// The image's memo section starts empty; the engine's `Save` handler
-    /// attaches the shared table's export after releasing the session
-    /// lock.
+    /// Assembles this session's durable form, `SESS` + `FUNC`: the
+    /// replayable header (source + history + strategy + policy) and the
+    /// demanded DAIGs (`Intra` backend only — an `Interproc` session
+    /// snapshots cold). The engine-wide memo table is no part of it.
     ///
     /// # Errors
     ///
@@ -710,7 +708,6 @@ impl<D: PersistDomain> Session<D> {
             source,
             edits: self.history.clone(),
             funcs,
-            memo: Vec::new(),
         })
     }
 

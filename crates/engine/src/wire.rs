@@ -43,9 +43,6 @@ impl Persist for PersistOutcome {
         w.u64(self.bytes as u64);
         w.u64(self.funcs as u64);
         w.u64(self.funcs_dropped as u64);
-        w.u64(self.memo_entries as u64);
-        w.u64(self.memo_journaled as u64);
-        w.u64(self.memo_sections_dropped as u64);
         self.truncated.put(w);
     }
 
@@ -54,9 +51,6 @@ impl Persist for PersistOutcome {
             bytes: r.u64()? as usize,
             funcs: r.u64()? as usize,
             funcs_dropped: r.u64()? as usize,
-            memo_entries: r.u64()? as usize,
-            memo_journaled: r.u64()? as usize,
-            memo_sections_dropped: r.u64()? as usize,
             truncated: bool::get(r)?,
         })
     }
@@ -205,9 +199,6 @@ mod tests {
             bytes: 1024,
             funcs: 4,
             funcs_dropped: 1,
-            memo_entries: 77,
-            memo_journaled: 9,
-            memo_sections_dropped: 0,
             truncated: true,
         });
         roundtrip(&BatchStats {

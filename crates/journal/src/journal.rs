@@ -10,7 +10,9 @@
 //! follower cursors survive) via the same tmp + rename + fsync dance
 //! snapshots use.
 
-use crate::record::{replay_bytes, scan_frames, JournalEntry, JournalRecord, Replay};
+use crate::record::{
+    replay_bytes, scan_frames, JournalEntry, JournalRecord, Replay, TAG_JOURNAL_MEMO,
+};
 use dai_persist::{sync_file, sync_parent_dir, temp_sibling, Durability, PersistError};
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
@@ -239,7 +241,7 @@ impl Journal {
         inner.session_seqs.get(&session).map_or(0, |next| next - 1)
     }
 
-    /// Good frames currently in the file.
+    /// Good frames currently in the file (retired frames not counted).
     pub fn frames(&self) -> u64 {
         let inner = self.inner.lock().expect("journal lock poisoned");
         inner.frames
@@ -290,6 +292,9 @@ impl Journal {
         let mut r = std::io::BufReader::new(file);
         while let Ok(frame) = dai_persist::read_frame(&mut r, len as usize) {
             let Some(payload) = frame.payload else { break };
+            if frame.header.tag == TAG_JOURNAL_MEMO {
+                continue;
+            }
             let Ok(entry) = JournalEntry::decode(frame.header.tag, frame.header.version, &payload)
             else {
                 break;
@@ -303,8 +308,9 @@ impl Journal {
     /// followed by every frame of the old file that no cut covers —
     /// frames above their session's `covers`, and every frame of a
     /// session without a cut — in their old order. A session with a
-    /// `Close` frame is dropped whole, cut included. Every frame takes
-    /// fresh sequence numbers **above** every previously handed-out one.
+    /// `Close` frame is dropped whole, cut included, and so is every
+    /// retired frame. Every frame takes fresh sequence numbers **above**
+    /// every previously handed-out one.
     /// Written atomically (tmp + rename; fsync'd under
     /// [`Durability::Safe`]) under the append lock, so a frame appended
     /// while the caller took its cuts survives. Returns the new last
@@ -385,6 +391,10 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::JOURNAL_VERSION;
+    use dai_core::driver::ProgramEdit;
+    use dai_lang::{EdgeId, Stmt, Symbol};
+    use dai_persist::Writer;
 
     fn tmp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dai-journal-{}", std::process::id()));
@@ -513,14 +523,18 @@ mod tests {
         let path = tmp_path("compact-tail.daij");
         let _ = std::fs::remove_file(&path);
         let (journal, _) = Journal::open(&path, JournalConfig::default()).unwrap();
-        let delta = |n: u32| JournalRecord::MemoDelta {
-            bytes: vec![n as u8],
+        let relabel = |n: u32| JournalRecord::Edit {
+            edit: ProgramEdit::Relabel {
+                func: Symbol::from("f"),
+                edge: EdgeId(n),
+                stmt: Stmt::Skip,
+            },
         };
         // Session 1: four frames, cut after the second. Session 2: no
         // cut. Session 3: closed. Session 1 keeps appending after its
         // cut was taken, as a frame racing the compaction would.
         journal.append(1, open_record(1)).unwrap();
-        journal.append(1, delta(10)).unwrap();
+        journal.append(1, relabel(10)).unwrap();
         journal.append(2, open_record(2)).unwrap();
         let cut = SessionCut {
             session: 1,
@@ -528,10 +542,10 @@ mod tests {
             bytes: vec![0xCD; 4],
         };
         journal.append(3, open_record(3)).unwrap();
-        journal.append(1, delta(11)).unwrap();
-        journal.append(2, delta(20)).unwrap();
+        journal.append(1, relabel(11)).unwrap();
+        journal.append(2, relabel(20)).unwrap();
         journal.append(3, JournalRecord::Close).unwrap();
-        journal.append(1, delta(12)).unwrap();
+        journal.append(1, relabel(12)).unwrap();
         let cut3 = SessionCut {
             session: 3,
             covers: 1,
@@ -558,9 +572,9 @@ mod tests {
                     }
                 ),
                 (10, 2, &open_record(2)),
-                (11, 1, &delta(11)),
-                (12, 2, &delta(20)),
-                (13, 1, &delta(12)),
+                (11, 1, &relabel(11)),
+                (12, 2, &relabel(20)),
+                (13, 1, &relabel(12)),
             ]
         );
         // Per-session numbering continues above the old frames, so a
@@ -574,6 +588,55 @@ mod tests {
         drop(journal);
         let (_, replay) = Journal::open(&path, JournalConfig::default()).unwrap();
         assert_eq!(replay.entries, entries);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn retired_frames_are_stepped_over_and_compacted_away() {
+        let path = tmp_path("retired.daij");
+        let entry = |seq: u64, record: JournalRecord| JournalEntry {
+            seq,
+            session: 1,
+            session_seq: seq,
+            record,
+        };
+        let edit = JournalRecord::Edit {
+            edit: ProgramEdit::Relabel {
+                func: Symbol::from("f1"),
+                edge: EdgeId(0),
+                stmt: Stmt::Skip,
+            },
+        };
+        // What an older binary wrote: open, a memo frame, an edit.
+        let mut bytes = entry(1, open_record(1)).to_frame_bytes();
+        let mut memo = Writer::new();
+        for n in [2, 1, 2, 3] {
+            memo.u64(n);
+        }
+        memo.bytes(b"old");
+        let memo = memo.into_bytes();
+        dai_persist::write_frame(&mut bytes, TAG_JOURNAL_MEMO, JOURNAL_VERSION, &memo);
+        entry(3, edit.clone()).encode_into(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let (journal, replay) = Journal::open(&path, JournalConfig::default()).unwrap();
+        let seqs = |entries: &[JournalEntry]| entries.iter().map(|e| e.seq).collect::<Vec<_>>();
+        assert_eq!((seqs(&replay.entries), replay.damaged_len), (vec![1, 3], 0));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "nothing truncated");
+        let batch = journal.frames_since(0, 100).unwrap();
+        assert_eq!((batch.count, batch.last_seq), (2, 3));
+        assert_eq!(seqs(&replay_bytes(&batch.bytes).entries), [1, 3]);
+
+        // Compaction keeps every frame of the open session but that one.
+        journal.compact(Vec::new()).unwrap();
+        let after = std::fs::read(&path).unwrap();
+        assert!(!after.windows(4).any(|w| w == TAG_JOURNAL_MEMO));
+        let kept: Vec<JournalRecord> = replay_bytes(&after)
+            .entries
+            .into_iter()
+            .map(|e| e.record)
+            .collect();
+        assert_eq!(kept, [open_record(1), edit]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -2,8 +2,9 @@
 //!
 //! Replaces "rewrite the whole snapshot on every save" with an
 //! append-only log of what actually happened: `open` (name + source),
-//! `edit` (one [`dai_core::driver::ProgramEdit`]), `close`, lossy
-//! `memo-delta` batches, and compaction-produced `snapshot` frames.
+//! `edit` (one [`dai_core::driver::ProgramEdit`]), `close`, and
+//! compaction-produced `snapshot` frames. The retired `JMEM` (memo) tag
+//! an older binary wrote is stepped over on every read.
 //! Every record is one [`dai_persist::frame`] frame — the exact layout
 //! snapshot sections and `dai-rpc` messages already use — so the disk
 //! format *is* the replication wire format: a leader ships journal
@@ -17,8 +18,7 @@
 //! journal prefix *is* a consistent prior state: opens and edits up to
 //! any frame boundary describe a program the engine can analyze from
 //! scratch. So recovery ([`Journal::open`]) replays the longest clean
-//! prefix and truncates the rest; memo deltas are additionally lossy
-//! individually (undecodable ⇒ skipped). The same argument makes a
+//! prefix and truncates the rest. The same argument makes a
 //! lagging replica sound: it serves answers for the program as of an
 //! older sequence number — correct for that state, merely colder.
 //!

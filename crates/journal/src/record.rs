@@ -16,8 +16,9 @@ pub const TAG_JOURNAL_OPEN: [u8; 4] = *b"JOPN";
 pub const TAG_JOURNAL_EDIT: [u8; 4] = *b"JEDT";
 /// Frame tag: a session was closed.
 pub const TAG_JOURNAL_CLOSE: [u8; 4] = *b"JCLS";
-/// Frame tag: an opaque, domain-encoded batch of memo entries (lossy —
-/// a replayer that cannot decode it skips it and stays sound).
+/// Retired frame tag: memo entries, which older binaries journaled on
+/// every save. Readers step over such a frame without decoding it, and
+/// compaction drops it; nothing writes one.
 pub const TAG_JOURNAL_MEMO: [u8; 4] = *b"JMEM";
 /// Frame tag: a full `DAIP` snapshot of a session, written by
 /// compaction; replaces that session's earlier frames.
@@ -44,11 +45,6 @@ pub enum JournalRecord {
     },
     /// The session closed.
     Close,
-    /// Domain-encoded memo entries (opaque here; lossy on replay).
-    MemoDelta {
-        /// `(key, value)` pairs in the engine's memo wire encoding.
-        bytes: Vec<u8>,
-    },
     /// A full `DAIP` snapshot container for the session (compaction).
     Snapshot {
         /// `SessionImage::to_bytes` output.
@@ -63,7 +59,6 @@ impl JournalRecord {
             JournalRecord::Open { .. } => TAG_JOURNAL_OPEN,
             JournalRecord::Edit { .. } => TAG_JOURNAL_EDIT,
             JournalRecord::Close => TAG_JOURNAL_CLOSE,
-            JournalRecord::MemoDelta { .. } => TAG_JOURNAL_MEMO,
             JournalRecord::Snapshot { .. } => TAG_JOURNAL_SNAP,
         }
     }
@@ -74,7 +69,6 @@ impl JournalRecord {
             JournalRecord::Open { .. } => "open",
             JournalRecord::Edit { .. } => "edit",
             JournalRecord::Close => "close",
-            JournalRecord::MemoDelta { .. } => "memo-delta",
             JournalRecord::Snapshot { .. } => "snapshot",
         }
     }
@@ -110,7 +104,7 @@ impl JournalEntry {
             }
             JournalRecord::Edit { edit } => edit.put(&mut w),
             JournalRecord::Close => {}
-            JournalRecord::MemoDelta { bytes } | JournalRecord::Snapshot { bytes } => {
+            JournalRecord::Snapshot { bytes } => {
                 w.u64(bytes.len() as u64);
                 w.bytes(bytes);
             }
@@ -154,12 +148,6 @@ impl JournalEntry {
                 edit: ProgramEdit::get(&mut r)?,
             },
             TAG_JOURNAL_CLOSE => JournalRecord::Close,
-            TAG_JOURNAL_MEMO => {
-                let n = r.len_prefix()?;
-                JournalRecord::MemoDelta {
-                    bytes: r.take(n)?.to_vec(),
-                }
-            }
             TAG_JOURNAL_SNAP => {
                 let n = r.len_prefix()?;
                 JournalRecord::Snapshot {
@@ -188,7 +176,8 @@ impl JournalEntry {
     }
 }
 
-/// Whether `tag` names one of the journal frame kinds.
+/// Whether `tag` names one of the journal frame kinds, the retired one
+/// included.
 pub fn is_journal_tag(tag: [u8; 4]) -> bool {
     matches!(
         tag,
@@ -230,9 +219,9 @@ pub fn replay_bytes(bytes: &[u8]) -> Replay {
 }
 
 /// The walk behind [`replay_bytes`]: hands each clean frame's entry and
-/// raw bytes to `visit` while it returns `true`, stopping at the first
-/// torn, damaged, foreign or undecodable frame. Returns how many bytes
-/// were walked.
+/// raw bytes to `visit` while it returns `true`, stepping over retired
+/// frames and stopping at the first torn, damaged, foreign or undecodable
+/// frame. Returns how many bytes were walked.
 pub(crate) fn scan_frames(
     bytes: &[u8],
     mut visit: impl FnMut(JournalEntry, &[u8]) -> bool,
@@ -247,6 +236,10 @@ pub(crate) fn scan_frames(
         };
         if !is_journal_tag(split.header.tag) {
             break; // foreign bytes: treat like damage, stop cleanly
+        }
+        if split.header.tag == TAG_JOURNAL_MEMO {
+            offset += split.consumed;
+            continue;
         }
         let Ok(entry) = JournalEntry::decode(split.header.tag, split.header.version, payload)
         else {
@@ -294,20 +287,12 @@ mod tests {
                 seq: 3,
                 session: 7,
                 session_seq: 3,
-                record: JournalRecord::MemoDelta {
-                    bytes: vec![1, 2, 3, 4],
-                },
+                record: JournalRecord::Snapshot { bytes: vec![9; 64] },
             },
             JournalEntry {
                 seq: 4,
                 session: 7,
                 session_seq: 4,
-                record: JournalRecord::Snapshot { bytes: vec![9; 64] },
-            },
-            JournalEntry {
-                seq: 5,
-                session: 7,
-                session_seq: 5,
                 record: JournalRecord::Close,
             },
         ]

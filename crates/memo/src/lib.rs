@@ -479,10 +479,9 @@ impl<V> MemoTable<V> {
     }
 
     /// Iterates every live entry (both generations), in no particular
-    /// order and without touching statistics or generations (persistence
-    /// export). A key present in both generations (inserted again after
-    /// aging into `previous`) is yielded once, with its current value —
-    /// exporters must see each key exactly as a lookup would.
+    /// order and without touching statistics or generations. A key present
+    /// in both generations (inserted again after aging into `previous`) is
+    /// yielded once, with its current value — as a lookup would see it.
     pub fn entries(&self) -> impl Iterator<Item = (MemoKey, &V)> {
         self.current
             .iter()
@@ -540,12 +539,6 @@ impl<V: Clone> MemoStore<V> for MemoTable<V> {
 /// Cloning is shallow (an [`Arc`] bump): clones share the same shards and
 /// counters, which is how `dai-engine` hands one table to every worker and
 /// session.
-///
-/// Every entry carries an **insertion stamp** — a table-wide sequence
-/// number taken when its key first entered the table — so an exporter can
-/// tell what is new since its last export ([`MemoStamps::newer_than`]):
-/// that is how a journal holds each entry once instead of the whole table
-/// per save.
 #[derive(Debug, Clone)]
 pub struct SharedMemoTable<V> {
     inner: Arc<SharedInner<V>>,
@@ -554,12 +547,8 @@ pub struct SharedMemoTable<V> {
 #[derive(Debug)]
 struct SharedInner<V> {
     /// Power-of-two shard array; a key's shard is chosen by its mixed
-    /// high/low hash bits. Values sit beside their insertion stamp.
-    shards: Vec<Mutex<MemoTable<(u64, V)>>>,
-    /// The last stamp handed out. A stamp is taken with the key's shard
-    /// locked, so an exporter that reads this *before* it locks the shards
-    /// sees every entry stamped at or below what it read.
-    last_stamp: AtomicU64,
+    /// high/low hash bits.
+    shards: Vec<Mutex<MemoTable<V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -601,7 +590,6 @@ impl<V> SharedMemoTable<V> {
         SharedMemoTable {
             inner: Arc::new(SharedInner {
                 shards,
-                last_stamp: AtomicU64::new(0),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 insertions: AtomicU64::new(0),
@@ -615,7 +603,7 @@ impl<V> SharedMemoTable<V> {
         self.inner.shards.len()
     }
 
-    fn shard(&self, key: MemoKey) -> &Mutex<MemoTable<(u64, V)>> {
+    fn shard(&self, key: MemoKey) -> &Mutex<MemoTable<V>> {
         // Fold both 64-bit halves so either lane alone suffices to spread
         // keys.
         let h = (key.0 >> 64) as u64 ^ key.0 as u64;
@@ -628,7 +616,7 @@ impl<V> SharedMemoTable<V> {
         V: Clone,
     {
         let mut shard = self.shard(key).lock().expect("memo shard poisoned");
-        let out = shard.get(key).map(|(_, v)| v.clone());
+        let out = shard.get(key).cloned();
         match out {
             Some(_) => self.inner.hits.fetch_add(1, Ordering::Relaxed),
             None => self.inner.misses.fetch_add(1, Ordering::Relaxed),
@@ -637,17 +625,11 @@ impl<V> SharedMemoTable<V> {
     }
 
     /// Inserts an entry, attributing any capacity eviction to the global
-    /// counter. A key the table already holds keeps its stamp: writing it
-    /// again (two sessions missing on it at once, a restore importing what
-    /// is already here) gives an exporter nothing new to carry.
+    /// counter.
     pub fn insert(&self, key: MemoKey, value: V) {
         let mut shard = self.shard(key).lock().expect("memo shard poisoned");
         let evicted_before = shard.stats().evictions;
-        let stamp = match shard.peek(key) {
-            Some((stamp, _)) => *stamp,
-            None => self.inner.last_stamp.fetch_add(1, Ordering::SeqCst) + 1,
-        };
-        shard.insert(key, (stamp, value));
+        shard.insert(key, value);
         let delta = shard.stats().evictions - evicted_before;
         drop(shard);
         self.inner.insertions.fetch_add(1, Ordering::Relaxed);
@@ -678,30 +660,6 @@ impl<V> SharedMemoTable<V> {
         }
     }
 
-    /// Clones out every live entry across all shards, and their stamps
-    /// (persistence export). The order is shard-internal and unspecified;
-    /// persistence sorts by key before serializing so snapshots are
-    /// byte-deterministic. Dropping or re-importing any subset of the
-    /// result is sound — memo entries are keyed by content hashes of their
-    /// inputs, so a restored entry can only ever substitute a value the
-    /// analysis would have computed itself.
-    pub fn export_entries(&self) -> (Vec<(MemoKey, V)>, MemoStamps)
-    where
-        V: Clone,
-    {
-        // Read before the first shard is locked (see `last_stamp`).
-        let high = self.inner.last_stamp.load(Ordering::SeqCst);
-        let (mut entries, mut stamps) = (Vec::new(), Vec::new());
-        for s in &self.inner.shards {
-            let shard = s.lock().expect("memo shard poisoned");
-            for (k, (stamp, v)) in shard.entries() {
-                entries.push((k, v.clone()));
-                stamps.push(*stamp);
-            }
-        }
-        (entries, MemoStamps { stamps, high })
-    }
-
     /// Global statistics, read without touching the shard locks.
     pub fn stats(&self) -> MemoStats {
         MemoStats {
@@ -710,27 +668,6 @@ impl<V> SharedMemoTable<V> {
             insertions: self.inner.insertions.load(Ordering::Relaxed),
             evictions: self.inner.evictions.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// The insertion stamps of one [`SharedMemoTable::export_entries`], index
-/// for index with its entries.
-#[derive(Debug, Clone)]
-pub struct MemoStamps {
-    stamps: Vec<u64>,
-    /// Every entry stamped at or below this was exported (unless the
-    /// table had already dropped it); one stamped above it may have been
-    /// missed, and is left for the next export.
-    pub high: u64,
-}
-
-impl MemoStamps {
-    /// Indices of the exported entries stamped above `mark` and at or
-    /// below [`Self::high`]: what entered the table since an export whose
-    /// `high` was `mark`.
-    pub fn newer_than(&self, mark: u64) -> impl Iterator<Item = usize> + '_ {
-        let stamps = self.stamps.iter().enumerate();
-        stamps.filter_map(move |(i, &s)| (mark < s && s <= self.high).then_some(i))
     }
 }
 
@@ -890,37 +827,6 @@ mod tests {
         shared.clear();
         assert!(other.is_empty());
         assert_eq!(other.stats().hits, 50, "clear keeps counters");
-    }
-
-    #[test]
-    fn exports_say_what_is_new_since_a_mark() {
-        let t: SharedMemoTable<i64> = SharedMemoTable::new(4);
-        let newer = |mark: u64| {
-            let (entries, stamps) = t.export_entries();
-            let mut keys: Vec<MemoKey> = stamps.newer_than(mark).map(|i| entries[i].0).collect();
-            keys.sort();
-            (keys, stamps.high)
-        };
-        let sorted = |r: std::ops::Range<i64>| {
-            let mut keys: Vec<MemoKey> = r.map(|i| key("f", &[i])).collect();
-            keys.sort();
-            keys
-        };
-        for i in 0..10 {
-            t.insert(key("f", &[i]), i);
-        }
-        let (all, first) = newer(0);
-        assert_eq!((all, first), (sorted(0..10), 10));
-        // A key written again keeps its stamp; new keys are what is new.
-        t.insert(key("f", &[3]), 3);
-        for i in 10..15 {
-            t.insert(key("f", &[i]), i);
-        }
-        let (fresh, second) = newer(first);
-        assert_eq!((fresh, second), (sorted(10..15), 15));
-        assert_eq!(newer(second).0, []);
-        assert_eq!(newer(0).0, sorted(0..15), "mark 0 is the table whole");
-        assert_eq!(t.get(key("f", &[3])), Some(3));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! u16     container format version (FORMAT_VERSION)
 //! u16     reserved flags (0)
 //! then, repeated until end of file:
-//!   [u8;4]  section tag ("SESS", "FUNC", "MEMO", …)
+//!   [u8;4]  section tag ("SESS", "FUNC", …)
 //!   u16     section payload version
 //!   u64     payload length
 //!   bytes   payload
@@ -39,8 +39,6 @@ pub const FORMAT_VERSION: u16 = 1;
 pub const TAG_SESSION: [u8; 4] = *b"SESS";
 /// Section tag: one demanded function's DAIG (structure + values).
 pub const TAG_FUNC: [u8; 4] = *b"FUNC";
-/// Section tag: memo-table entries.
-pub const TAG_MEMO: [u8; 4] = *b"MEMO";
 
 /// Failures surfaced by snapshot encoding/decoding.
 ///
@@ -143,11 +141,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `u128`.
-    pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends raw bytes (no length prefix).
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -240,15 +233,6 @@ impl<'a> Reader<'a> {
     /// [`PersistError::Truncated`] at end of input.
     pub fn i64(&mut self) -> Result<i64, PersistError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// Reads a little-endian `u128`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Truncated`] at end of input.
-    pub fn u128(&mut self) -> Result<u128, PersistError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16")))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -396,9 +380,8 @@ pub fn read_sections(bytes: &[u8]) -> Result<SectionList<'_>, PersistError> {
 }
 
 /// Rewrites a snapshot file without any section whose tag is `tag`.
-/// Damaged trailing data is dropped too. Used by tests and the
-/// persistence benchmark to build memo-only (or DAIG-only) restore
-/// points from one full snapshot.
+/// Damaged trailing data is dropped too. Used by tests to build cold
+/// restore points from one full snapshot.
 ///
 /// # Errors
 ///
@@ -429,7 +412,6 @@ mod tests {
         w.u32(70_000);
         w.u64(1 << 40);
         w.i64(-42);
-        w.u128(0xDEAD_BEEF_DEAD_BEEF_0123_4567_89AB_CDEF);
         w.str("héllo");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
@@ -438,7 +420,6 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), 1 << 40);
         assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.u128().unwrap(), 0xDEAD_BEEF_DEAD_BEEF_0123_4567_89AB_CDEF);
         assert_eq!(r.str().unwrap(), "héllo");
         assert!(r.is_exhausted());
         assert_eq!(r.u8(), Err(PersistError::Truncated));
@@ -457,7 +438,7 @@ mod tests {
     fn sections_roundtrip_and_verify() {
         let mut sw = SnapshotWriter::new();
         sw.section(TAG_SESSION, 1, b"hello");
-        sw.section(TAG_MEMO, 2, b"world!");
+        sw.section(TAG_FUNC, 2, b"world!");
         let bytes = sw.into_bytes();
         let list = read_sections(&bytes).unwrap();
         assert!(!list.truncated);
@@ -472,7 +453,7 @@ mod tests {
     fn flipped_byte_damages_only_its_section() {
         let mut sw = SnapshotWriter::new();
         sw.section(TAG_SESSION, 1, b"intact");
-        sw.section(TAG_MEMO, 1, b"to-be-damaged");
+        sw.section(TAG_FUNC, 1, b"to-be-damaged");
         let mut bytes = sw.into_bytes();
         // Flip one byte inside the second payload.
         let at = bytes.len() - 10;
@@ -520,11 +501,11 @@ mod tests {
     fn strip_removes_tagged_sections() {
         let mut sw = SnapshotWriter::new();
         sw.section(TAG_SESSION, 1, b"keep");
-        sw.section(TAG_MEMO, 1, b"drop");
-        sw.section(TAG_FUNC, 1, b"keep2");
-        let stripped = strip_sections(&sw.into_bytes(), TAG_MEMO).unwrap();
+        sw.section(TAG_FUNC, 1, b"drop");
+        sw.section(TAG_SESSION, 1, b"keep2");
+        let stripped = strip_sections(&sw.into_bytes(), TAG_FUNC).unwrap();
         let list = read_sections(&stripped).unwrap();
         assert_eq!(list.sections.len(), 2);
-        assert!(list.sections.iter().all(|s| s.tag != TAG_MEMO));
+        assert!(list.sections.iter().all(|s| s.tag != TAG_FUNC));
     }
 }

@@ -4,7 +4,7 @@
 //! and a trailing FxHash64 checksum.
 //!
 //! ```text
-//! [u8;4]  tag        ("SESS", "FUNC", "MEMO", "RPCQ", "RPCS", …)
+//! [u8;4]  tag        ("SESS", "FUNC", "RPCQ", "RPCS", …)
 //! u16     version    payload version (snapshot sections) or protocol
 //!                    version (RPC messages)
 //! u64     length     payload length in bytes

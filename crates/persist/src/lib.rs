@@ -1,11 +1,12 @@
 //! # dai-persist — versioned snapshot/restore for demanded analysis
 //!
-//! Serializes the three stateful layers of a demanded-abstract-
-//! interpretation session — **session state** (program source + edit
-//! history), **per-function DAIGs** (cell structure + computed values),
-//! and **memo-table shards** — into a self-describing, versioned binary
-//! file, and restores them. Hand-rolled codec: the workspace builds
-//! offline, so there is no serde; see [`codec`] for the exact framing.
+//! Serializes a demanded-abstract-interpretation session — its **session
+//! state** (program source + edit history) and its **per-function DAIGs**
+//! (cell structure + computed values) — into a self-describing, versioned
+//! binary file, and restores them. The memo table is not saved: it only
+//! ever speeds up what a DAIG or the program already determines.
+//! Hand-rolled codec: the workspace builds offline, so there is no serde;
+//! see [`codec`] for the exact framing.
 //!
 //! ## Why a *lossy* format is sound (and why that matters here)
 //!
@@ -16,7 +17,7 @@
 //! all of them — never changes any query's answer**, only the work needed
 //! to produce it. Persistence inherits that guarantee wholesale:
 //!
-//! * a snapshot's `FUNC` (DAIG) and `MEMO` sections are pure *warm-start
+//! * a snapshot's `FUNC` (DAIG) sections are pure *warm-start
 //!   accelerators*. If one is corrupt on disk, version-skewed, or simply
 //!   cut off, the restore **skips it and degrades to a cold start** for
 //!   exactly that state — same answers, more recomputation;
@@ -41,14 +42,13 @@
 //! header   "DAIP" + container version
 //! SESS     name, domain tag, strategy, source text, edit history   (required)
 //! FUNC*    one per demanded function: name, φ₀, state table, cells (lossy)
-//! MEMO     layout version, state table, sorted (key, value) entries (lossy)
 //! ```
 //!
 //! Every section is length-prefixed and carries its own version and
-//! checksum, so readers can always skip what they cannot use. Snapshots
-//! of equal sessions are byte-identical (cells are written in interning
-//! order, memo entries sorted by key). A `FUNC` or `MEMO` payload writes
-//! each distinct abstract state once, in a table its cells and entries
+//! checksum, so readers can always skip what they cannot use — a `MEMO`
+//! section an older binary wrote among them. Snapshots of equal sessions
+//! are byte-identical (cells are written in interning order). A `FUNC`
+//! payload writes each distinct abstract state once, in a table its cells
 //! index ([`snapshot`]'s module docs have the layout).
 //!
 //! ## Crate map
@@ -80,7 +80,7 @@ pub mod wire;
 
 pub use codec::{
     read_sections, strip_sections, PersistError, Reader, SnapshotWriter, Writer, FORMAT_VERSION,
-    TAG_FUNC, TAG_MEMO, TAG_SESSION,
+    TAG_FUNC, TAG_SESSION,
 };
 pub use explain::{
     decode_explain_frame, encode_explain_frame, EXPLAIN_FRAME_TAG, EXPLAIN_FRAME_VERSION,
@@ -91,10 +91,9 @@ pub use frame::{
     FRAME_TRAILER_LEN,
 };
 pub use snapshot::{
-    decode_daig, decode_memo_entries, encode_daig, encode_memo_entries, read_snapshot_file,
-    sync_counts, sync_file, sync_parent_dir, temp_sibling, write_snapshot_file,
-    write_snapshot_file_durable, Durability, FuncImage, RestoreReport, SessionImage, FUNC_VERSION,
-    MEMO_VERSION, SESSION_VERSION,
+    decode_daig, encode_daig, read_snapshot_file, sync_counts, sync_file, sync_parent_dir,
+    temp_sibling, write_snapshot_file, write_snapshot_file_durable, Durability, FuncImage,
+    RestoreReport, SessionImage, FUNC_VERSION, SESSION_VERSION,
 };
 pub use trace::{decode_trace_frame, encode_trace_frame, TRACE_FRAME_TAG, TRACE_FRAME_VERSION};
 pub use wire::{Persist, PersistDomain, MAX_DECODE_DEPTH};

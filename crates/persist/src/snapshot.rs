@@ -1,8 +1,8 @@
 //! Whole-session snapshot images: what gets saved, and the lossy policy
 //! applied on restore.
 //!
-//! A [`SessionImage`] carries the three stateful layers of a demanded
-//! analysis session, in three kinds of sections:
+//! A [`SessionImage`] carries a demanded analysis session in two kinds of
+//! sections:
 //!
 //! * **`SESS` (required)** — the session header: name, domain tag,
 //!   iteration strategy, context-sensitivity policy (for
@@ -17,23 +17,22 @@
 //!   value, and producing computation. Restoring it warm-starts queries;
 //!   dropping it merely means the next query recomputes (paper §2.2:
 //!   dropping cached results is always sound).
-//! * **`MEMO` (optional)** — memo-table entries `f·(v₁⋯v_k) ↦ v`, sorted
-//!   by key for byte-deterministic output. Same lossy contract. The
-//!   payload is [`encode_memo_entries`]' — the bytes a journal's `JMEM`
-//!   frame carries too.
+//!
+//! The memo table is not saved: a restored DAIG answers without it, and
+//! its entries refill as queries run. A `MEMO` section written by an
+//! older binary is skipped like any tag this reader does not know.
 //!
 //! [`SessionImage::from_bytes`] enforces that policy: a damaged or
-//! version-skewed `FUNC`/`MEMO` section is *counted and skipped* (the
+//! version-skewed `FUNC` section is *counted and skipped* (the
 //! [`RestoreReport`] says what was dropped), while a damaged `SESS`
 //! section fails the whole restore — there is nothing sound to fall back
 //! to without the program.
 //!
 //! ## A state is written once per payload
 //!
-//! Most cells of a DAIG hold a state some other cell holds too (a matched
-//! cell's value *is* a memo entry's), so a `FUNC` payload (after the
-//! function's name and entry state) and a memo-entries payload (after its
-//! layout version) each open with a **state table**:
+//! Most cells of a DAIG hold a state some other cell holds too, so a
+//! `FUNC` payload, after the function's name and entry state, opens with a
+//! **state table**:
 //!
 //! ```text
 //! u64     number of distinct states
@@ -41,26 +40,23 @@
 //!         the payload first uses them
 //! ```
 //!
-//! and a value slot in what follows is one byte — `0` empty (cells only),
-//! `1` a statement, inline, `2` a state — with a state's `u32` table index
-//! behind it. States are told apart by a 128-bit content hash: the digest
-//! a filled cell already caches, [`PersistDomain::content_key`] for a memo
-//! entry's state (the trust memo keys already place in such hashes).
-//! Decoding builds each state once and hands out clones, so states that
-//! shared an allocation when saved share one when restored. An index may
-//! name at most the next state not yet used, and every state must be used:
-//! one payload has one encoding, and anything else is `Corrupt`. The table
-//! is per payload, so the lossy policy above is untouched — a damaged
-//! section takes only its own states with it.
+//! and a value slot in what follows is one byte — `0` empty, `1` a
+//! statement, inline, `2` a state — with a state's `u32` table index
+//! behind it. States are told apart by the 128-bit content digest a
+//! filled cell already caches. Decoding builds each state once and hands
+//! out clones, so states that shared an allocation when saved share one
+//! when restored. An index may name at most the next state not yet used,
+//! and every state must be used: one payload has one encoding, and
+//! anything else is `Corrupt`. The table is per payload, so the lossy
+//! policy above is untouched — a damaged section takes only its own
+//! states with it.
 //!
-//! [`FUNC_VERSION`] 2 and [`MEMO_VERSION`] 4 mark this layout (and, for
-//! octagons, state tag 3 inside it — see [`crate::wire`]); sections and
-//! `JMEM` frames written before it are dropped cold, which is sound.
-//! [`MEMO_VERSION`] 5 is the same layout under keys of the folded-multiply
-//! content hash; a version-4 payload is dropped the same way.
+//! [`FUNC_VERSION`] 2 marks this layout (and, for octagons, state tag 3
+//! inside it — see [`crate::wire`]); sections written before it are
+//! dropped cold, which is sound.
 
 use crate::codec::{
-    read_sections, PersistError, Reader, SnapshotWriter, Writer, TAG_FUNC, TAG_MEMO, TAG_SESSION,
+    read_sections, PersistError, Reader, SnapshotWriter, Writer, TAG_FUNC, TAG_SESSION,
 };
 use crate::wire::{Persist, PersistDomain};
 use dai_core::driver::ProgramEdit;
@@ -71,7 +67,7 @@ use dai_core::name::Name;
 use dai_core::strategy::FixStrategy;
 use dai_domains::AbstractDomain;
 use dai_lang::{Stmt, Symbol};
-use dai_memo::{MemoKey, PrehashedBuild};
+use dai_memo::PrehashedBuild;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -81,16 +77,6 @@ pub const SESSION_VERSION: u16 = 1;
 /// Payload version of `FUNC` sections: 2 opens the payload with a state
 /// table (module docs).
 pub const FUNC_VERSION: u16 = 2;
-/// Version of a memo-entries payload — a `MEMO` section's, where it is
-/// also the section's version, and a journal `JMEM` frame's, which has no
-/// other. Its keys are content hashes of abstract states: version 2 marks
-/// the octagon's fingerprint-based `Hash`, version 3 that fingerprint
-/// covering the packed half matrix (keys written by an older binary can
-/// never be matched again, so the skew path drops the section instead of
-/// loading entries that would only occupy the table); version 4 is the
-/// state-table layout; version 5 marks dai-memo's folded-multiply content
-/// hash, which replaced SipHash in every key.
-pub const MEMO_VERSION: u16 = 5;
 
 /// One demanded function's restored analysis state.
 #[derive(Debug, Clone)]
@@ -125,8 +111,6 @@ pub struct SessionImage<D: AbstractDomain> {
     pub edits: Vec<ProgramEdit>,
     /// Demanded functions' DAIGs (possibly empty — a cold snapshot).
     pub funcs: Vec<FuncImage<D>>,
-    /// Memo entries (possibly empty).
-    pub memo: Vec<(MemoKey, Value<D>)>,
 }
 
 /// What a lossy restore kept and dropped.
@@ -138,23 +122,19 @@ pub struct RestoreReport {
     /// failing DAIG well-formedness) — each degrades that function to a
     /// cold start.
     pub funcs_dropped: usize,
-    /// Memo entries restored.
-    pub memo_entries: usize,
-    /// `MEMO` sections dropped.
-    pub memo_sections_dropped: usize,
     /// The file ended mid-section; everything after the cut was dropped.
     pub truncated: bool,
 }
 
 impl RestoreReport {
-    /// `true` when anything warm (DAIG values or memo entries) survived.
+    /// `true` when any function's DAIG survived.
     pub fn is_warm(&self) -> bool {
-        self.funcs_restored > 0 || self.memo_entries > 0
+        self.funcs_restored > 0
     }
 
     /// `true` when any optional payload was lost.
     pub fn is_lossy(&self) -> bool {
-        self.funcs_dropped > 0 || self.memo_sections_dropped > 0 || self.truncated
+        self.funcs_dropped > 0 || self.truncated
     }
 }
 
@@ -162,12 +142,14 @@ impl fmt::Display for RestoreReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} function DAIG(s) restored ({} dropped), {} memo entrie(s) ({} section(s) dropped){}",
+            "{} function DAIG(s) restored ({} dropped){}",
             self.funcs_restored,
             self.funcs_dropped,
-            self.memo_entries,
-            self.memo_sections_dropped,
-            if self.truncated { ", file truncated" } else { "" }
+            if self.truncated {
+                ", file truncated"
+            } else {
+                ""
+            }
         )
     }
 }
@@ -212,8 +194,8 @@ impl<'w> StateTable<'w> {
     }
 
     /// Writes a filled value slot: a statement inline, a state by its table
-    /// index — encoding the state if `key`, a content hash that tells this
-    /// payload's states apart, is one the payload has not met.
+    /// index — encoding the state if `key`, its content digest, is one the
+    /// payload has not met.
     fn put_value<D: Persist>(&mut self, key: u128, value: &Value<D>, body: &mut Writer) {
         match value {
             Value::Stmt(s) => {
@@ -399,77 +381,9 @@ pub fn decode_daig<D: AbstractDomain + Persist>(
     Ok(daig)
 }
 
-/// Encodes memo entries — a `MEMO` section's payload, and a journal `JMEM`
-/// frame's: [`MEMO_VERSION`], the state table, then the entries sorted by
-/// key (each key once), so equal sets produce identical bytes.
-pub fn encode_memo_entries<'a, D: PersistDomain + 'a>(
-    entries: impl IntoIterator<Item = &'a (MemoKey, Value<D>)>,
-) -> Vec<u8> {
-    // Sort and dedup by reference: cloning the entries (every memoized
-    // abstract state) just to order them would double the save path's
-    // transient memory.
-    let mut entries: Vec<&(MemoKey, Value<D>)> = entries.into_iter().collect();
-    entries.sort_by_key(|(k, _)| *k);
-    entries.dedup_by_key(|(k, _)| *k);
-    let mut w = Writer::new();
-    w.u16(MEMO_VERSION);
-    let mut table = StateTable::new(&mut w);
-    let mut body = Writer::new();
-    body.u64(entries.len() as u64);
-    for (k, v) in entries {
-        k.put(&mut body);
-        // A cell caches its value's digest; an entry's state is asked.
-        let key = v.as_state().map_or(0, D::content_key);
-        table.put_value(key, v, &mut body);
-    }
-    table.finish(body);
-    w.into_bytes()
-}
-
-/// Decodes a payload [`encode_memo_entries`] wrote. Strict: any malformed
-/// entry, or a byte left over, rejects the whole payload — the caller
-/// counts it dropped, which is lossy and sound.
-///
-/// # Errors
-///
-/// [`PersistError::UnsupportedVersion`] for a payload of another layout
-/// (anything written before the version led the payload reads as one),
-/// [`PersistError`] on truncated or structurally invalid input.
-pub fn decode_memo_entries<D: PersistDomain>(
-    bytes: &[u8],
-) -> Result<Vec<(MemoKey, Value<D>)>, PersistError> {
-    let mut r = Reader::new(bytes);
-    let version = r.u16()?;
-    if version != MEMO_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    let mut states = StateReader::<D>::get(&mut r)?;
-    let n = r.u64()?;
-    if n > r.remaining() as u64 {
-        return Err(PersistError::Corrupt(format!(
-            "memo entry count {n} exceeds remaining input"
-        )));
-    }
-    let mut entries = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let key = MemoKey::get(&mut r)?;
-        let tag = r.u8()?;
-        entries.push((key, states.get_value(tag, &mut r)?));
-    }
-    states.finish()?;
-    if !r.is_exhausted() {
-        return Err(PersistError::Corrupt(format!(
-            "memo entries have {} trailing bytes",
-            r.remaining()
-        )));
-    }
-    Ok(entries)
-}
-
 impl<D: PersistDomain> SessionImage<D> {
     /// Serializes the image into a complete snapshot file (header plus
-    /// `SESS`/`FUNC`*/`MEMO` sections). Memo entries are sorted by key
-    /// first, so equal images produce byte-identical files.
+    /// `SESS`/`FUNC`* sections). Equal images produce byte-identical files.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = SnapshotWriter::new();
         let mut sess = Writer::new();
@@ -487,16 +401,14 @@ impl<D: PersistDomain> SessionImage<D> {
             encode_daig(&f.daig, &mut w);
             out.section(TAG_FUNC, FUNC_VERSION, &w.into_bytes());
         }
-        if !self.memo.is_empty() {
-            out.section(TAG_MEMO, MEMO_VERSION, &encode_memo_entries(&self.memo));
-        }
         out.into_bytes()
     }
 
-    /// Parses a snapshot file, applying the lossy policy: `FUNC` and
-    /// `MEMO` sections that are damaged, version-skewed, or undecodable
-    /// are dropped (counted in the report); restore then degrades to a
-    /// cold start for exactly that state, which is sound.
+    /// Parses a snapshot file, applying the lossy policy: `FUNC` sections
+    /// that are damaged, version-skewed, or undecodable are dropped
+    /// (counted in the report); restore then degrades to a cold start for
+    /// exactly that function, which is sound. Sections of any other tag
+    /// (a retired `MEMO` among them) are skipped.
     ///
     /// # Errors
     ///
@@ -508,7 +420,7 @@ impl<D: PersistDomain> SessionImage<D> {
             truncated: list.truncated,
             ..RestoreReport::default()
         };
-        // The required session header. Unlike FUNC/MEMO — where version
+        // The required session header. Unlike FUNC — where version
         // skew just drops the section — a skewed SESS section is fatal:
         // decoding it under the wrong layout could silently restore a
         // wrong session, and there is nothing sound to fall back to.
@@ -542,44 +454,25 @@ impl<D: PersistDomain> SessionImage<D> {
             source,
             edits,
             funcs: Vec::new(),
-            memo: Vec::new(),
         };
-        for s in &list.sections {
-            match s.tag {
-                t if t == TAG_FUNC => {
-                    let decoded = s
-                        .payload
-                        .filter(|_| s.version == FUNC_VERSION)
-                        .and_then(|payload| {
-                            let mut r = Reader::new(payload);
-                            let func = Symbol::get(&mut r).ok()?;
-                            let entry = D::get(&mut r).ok()?;
-                            let daig = decode_daig::<D>(&mut r, strategy).ok()?;
-                            r.is_exhausted().then_some(FuncImage { func, entry, daig })
-                        })
-                        .filter(|f| f.daig.check_well_formed().is_ok());
-                    match decoded {
-                        Some(f) => {
-                            image.funcs.push(f);
-                            report.funcs_restored += 1;
-                        }
-                        None => report.funcs_dropped += 1,
-                    }
+        for s in list.sections.iter().filter(|s| s.tag == TAG_FUNC) {
+            let decoded = s
+                .payload
+                .filter(|_| s.version == FUNC_VERSION)
+                .and_then(|payload| {
+                    let mut r = Reader::new(payload);
+                    let func = Symbol::get(&mut r).ok()?;
+                    let entry = D::get(&mut r).ok()?;
+                    let daig = decode_daig::<D>(&mut r, strategy).ok()?;
+                    r.is_exhausted().then_some(FuncImage { func, entry, daig })
+                })
+                .filter(|f| f.daig.check_well_formed().is_ok());
+            match decoded {
+                Some(f) => {
+                    image.funcs.push(f);
+                    report.funcs_restored += 1;
                 }
-                t if t == TAG_MEMO => {
-                    let decoded = s
-                        .payload
-                        .filter(|_| s.version == MEMO_VERSION)
-                        .and_then(|payload| decode_memo_entries::<D>(payload).ok());
-                    match decoded {
-                        Some(mut entries) => {
-                            report.memo_entries += entries.len();
-                            image.memo.append(&mut entries);
-                        }
-                        None => report.memo_sections_dropped += 1,
-                    }
-                }
-                _ => {} // SESS (already handled) and unknown future tags.
+                None => report.funcs_dropped += 1,
             }
         }
         Ok((image, report))
@@ -726,27 +619,28 @@ mod tests {
     use super::*;
     use crate::codec::strip_sections;
     use dai_core::analysis::FuncAnalysis;
+    use dai_core::name::IterCtx;
     use dai_core::query::{IntraResolver, QueryStats};
     use dai_domains::IntervalDomain;
     use dai_lang::cfg::lower_program;
     use dai_lang::parse_program;
-    use dai_memo::{MemoStore, MemoTable};
+    use dai_lang::Loc;
+    use dai_memo::MemoTable;
 
     type D = IntervalDomain;
 
     const SRC: &str = "function f(n) { var i = 0; while (i < 9) { i = i + 1; } return i; }";
 
-    fn evaluated_analysis() -> (FuncAnalysis<D>, MemoTable<Value<D>>) {
+    fn evaluated_analysis() -> FuncAnalysis<D> {
         let cfg = lower_program(&parse_program(SRC).unwrap()).unwrap().cfgs()[0].clone();
         let mut fa = FuncAnalysis::new(cfg, IntervalDomain::top());
-        let mut memo = MemoTable::new();
         let mut stats = QueryStats::default();
-        fa.query_exit(&mut memo, &mut IntraResolver, &mut stats)
+        fa.query_exit(&mut MemoTable::new(), &mut IntraResolver, &mut stats)
             .unwrap();
-        (fa, memo)
+        fa
     }
 
-    fn image_of(fa: &FuncAnalysis<D>, memo: &MemoTable<Value<D>>) -> SessionImage<D> {
+    fn image_of(fa: &FuncAnalysis<D>) -> SessionImage<D> {
         SessionImage {
             name: "test".to_string(),
             domain: <D as PersistDomain>::domain_tag(),
@@ -759,15 +653,13 @@ mod tests {
                 entry: fa.entry_state().clone(),
                 daig: fa.daig().clone(),
             }],
-            memo: memo.entries().map(|(k, v)| (k, v.clone())).collect(),
         }
     }
 
     #[test]
     fn daig_roundtrip_preserves_every_cell_and_value() {
-        let (fa, memo) = evaluated_analysis();
-        let (image, report) =
-            SessionImage::<D>::from_bytes(&image_of(&fa, &memo).to_bytes()).unwrap();
+        let fa = evaluated_analysis();
+        let (image, report) = SessionImage::<D>::from_bytes(&image_of(&fa).to_bytes()).unwrap();
         assert_eq!(report.funcs_restored, 1);
         assert_eq!(report.funcs_dropped, 0);
         assert!(report.is_warm());
@@ -780,12 +672,11 @@ mod tests {
             assert_eq!(restored.value(n), fa.daig().value(n), "cell {n}");
             assert_eq!(restored.comp(n), fa.daig().comp(n), "comp of {n}");
         }
-        assert_eq!(image.memo.len(), memo.len());
     }
 
     #[test]
     fn loop_table_is_rebuilt_from_names_not_stored() {
-        let (fa, _) = evaluated_analysis();
+        let fa = evaluated_analysis();
         let unrolled = fa.daig().unrolled_loops();
         assert_eq!(unrolled.len(), 1, "the interval loop unrolls");
         let mut w = Writer::new();
@@ -819,8 +710,7 @@ mod tests {
     fn unrolled_cell_without_its_loop_is_corrupt_not_trusted() {
         // `ℓ2⟨ℓ2:2⟩` names an iterate only an unrolling of the loop at `ℓ2`
         // creates; a section holding it without that loop must not decode.
-        use dai_core::name::IterCtx;
-        use dai_lang::{EdgeId, Loc, Stmt};
+        use dai_lang::{EdgeId, Stmt};
         let mut d: Daig<D> = Daig::new();
         let l0 = Name::State {
             loc: Loc(0),
@@ -858,7 +748,7 @@ mod tests {
             let set: std::collections::HashSet<u128> = of.iter().map(by).collect();
             set.len()
         };
-        let by_content = |s: &O| s.content_key();
+        let by_content = |s: &O| dai_memo::content_digest(s);
         let by_allocation = |s: &O| u128::from(s.encode_identity().unwrap());
         let live = states(daig);
         let unique = distinct(&live, &by_content);
@@ -873,43 +763,27 @@ mod tests {
         assert_eq!(states(&back), live);
         // Built once each, then handed out as clones of the one handle.
         assert_eq!(distinct(&states(&back), &by_allocation), unique);
-
-        // The same for memo entries, whose digests are computed here.
-        let entries: Vec<(MemoKey, Value<O>)> =
-            memo.entries().map(|(k, v)| (k, v.clone())).collect();
-        let values: Vec<O> = entries
-            .iter()
-            .filter_map(|(_, v)| v.as_state().cloned())
-            .collect();
-        let unique = distinct(&values, &by_content);
-        let bytes = encode_memo_entries(&entries);
-        assert_eq!(Reader::new(&bytes[2..]).u64().unwrap(), unique as u64);
-        let mut back = decode_memo_entries::<O>(&bytes).unwrap();
-        let mut sorted = entries.clone();
-        sorted.sort_by_key(|(k, _)| *k);
-        assert_eq!(back, sorted);
-        back.retain(|(_, v)| v.as_state().is_some());
-        let restored: Vec<O> = back
-            .into_iter()
-            .filter_map(|(_, v)| v.as_state().cloned())
-            .collect();
-        assert_eq!(distinct(&restored, &by_allocation), unique);
     }
 
-    /// A memo-entries payload: `table` states as declared by `count`, then
-    /// entries whose values are the state indices `refs`.
-    fn memo_payload(version: u16, count: u64, table: &[D], refs: &[u32]) -> Vec<u8> {
+    /// A DAIG payload: `table` states as declared by `count`, then one
+    /// computation-free cell `ℓi` per entry of `refs`, whose value is the
+    /// state index `refs[i]`.
+    fn daig_payload(count: u64, table: &[D], refs: &[u32]) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u16(version);
         w.u64(count);
         for s in table {
             s.put(&mut w);
         }
         w.u64(refs.len() as u64);
         for (i, at) in refs.iter().enumerate() {
-            MemoKey(i as u128).put(&mut w);
+            let name = Name::State {
+                loc: Loc(i as u32),
+                ctx: IterCtx::root(),
+            };
+            name.put(&mut w);
             w.u8(2);
             w.u32(*at);
+            w.u8(0);
         }
         w.into_bytes()
     }
@@ -917,84 +791,55 @@ mod tests {
     #[test]
     fn hostile_state_tables_are_corrupt_not_trusted() {
         let table = [IntervalDomain::top(), IntervalDomain::bottom()];
-        let decode = |bytes: &[u8]| decode_memo_entries::<D>(bytes).map(|e| e.len());
+        let decode = |bytes: &[u8]| {
+            decode_daig::<D>(&mut Reader::new(bytes), FixStrategy::PAPER).map(|d| d.cell_count())
+        };
         let corrupt = |bytes: &[u8], what: &str| match decode(bytes) {
             Err(PersistError::Corrupt(m)) => assert!(m.contains(what), "{m}"),
             other => panic!("{what}: {other:?}"),
         };
         // The canonical payload: states in first-use order, all used.
-        let good = memo_payload(MEMO_VERSION, 2, &table, &[0, 1, 0]);
+        let good = daig_payload(2, &table, &[0, 1, 0]);
         assert_eq!(decode(&good), Ok(3));
-        assert_eq!(
-            good,
-            encode_memo_entries(&decode_memo_entries::<D>(&good).unwrap())
-        );
+        let back = decode_daig::<D>(&mut Reader::new(&good), FixStrategy::PAPER).unwrap();
+        let mut w = Writer::new();
+        encode_daig(&back, &mut w);
+        assert_eq!(good, w.into_bytes());
         // A table count beyond the remaining input is refused before any
         // state is read or a slot allocated for one.
-        corrupt(
-            &memo_payload(MEMO_VERSION, u64::MAX, &table, &[0, 1]),
-            "count",
-        );
-        corrupt(&memo_payload(MEMO_VERSION, 1 << 40, &[], &[]), "count");
+        corrupt(&daig_payload(u64::MAX, &table, &[0, 1]), "count");
+        corrupt(&daig_payload(1 << 40, &[], &[]), "count");
         // An index past the table, and one that skips a state not yet used.
-        corrupt(
-            &memo_payload(MEMO_VERSION, 2, &table, &[0, 1, 2]),
-            "state index 2",
-        );
-        corrupt(
-            &memo_payload(MEMO_VERSION, 2, &table, &[1, 0]),
-            "state index 1",
-        );
-        corrupt(&memo_payload(MEMO_VERSION, 0, &[], &[0]), "state index 0");
-        // A state nothing refers to, an entry count beyond the input, a
-        // value marker that is neither statement nor state, trailing bytes.
-        corrupt(&memo_payload(MEMO_VERSION, 2, &table, &[0]), "never used");
-        let mut counted = memo_payload(MEMO_VERSION, 0, &[], &[]);
+        corrupt(&daig_payload(2, &table, &[0, 1, 2]), "state index 2");
+        corrupt(&daig_payload(2, &table, &[1, 0]), "state index 1");
+        corrupt(&daig_payload(0, &[], &[0]), "state index 0");
+        // A state nothing refers to, a cell count beyond the input, a value
+        // marker that is neither empty, statement nor state.
+        corrupt(&daig_payload(2, &table, &[0]), "never used");
+        let mut counted = daig_payload(0, &[], &[]);
         let at = counted.len() - 8;
         counted[at..].copy_from_slice(&u64::MAX.to_le_bytes());
-        corrupt(&counted, "entry count");
+        corrupt(&counted, "cell count");
         let mut marked = good.clone();
-        let at = marked.len() - 5;
-        marked[at] = 0; // "empty" is a cell's marker, not an entry's
-        corrupt(&marked, "bad value marker 0");
-        let mut trailing = good.clone();
-        trailing.push(0);
-        corrupt(&trailing, "trailing");
-        // Another layout is named as such, so the caller can count it.
-        for version in [0, MEMO_VERSION - 1, MEMO_VERSION + 1] {
-            let skewed = memo_payload(version, 2, &table, &[0, 1, 0]);
-            assert_eq!(
-                decode(&skewed),
-                Err(PersistError::UnsupportedVersion(version))
-            );
-        }
+        let at = marked.len() - 6;
+        marked[at] = 7;
+        corrupt(&marked, "bad value marker 7");
         // Every prefix is a clean error.
         for cut in 0..good.len() {
             assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
         }
-        // The same reader serves a DAIG's cells.
-        let (fa, _) = evaluated_analysis();
-        let mut w = Writer::new();
-        encode_daig(fa.daig(), &mut w);
-        let mut bytes = w.into_bytes();
-        bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = decode_daig::<D>(&mut Reader::new(&bytes), FixStrategy::PAPER).unwrap_err();
-        assert!(matches!(err, PersistError::Corrupt(m) if m.contains("count")));
     }
 
     #[test]
     fn snapshot_bytes_are_deterministic() {
-        let (fa, memo) = evaluated_analysis();
-        assert_eq!(
-            image_of(&fa, &memo).to_bytes(),
-            image_of(&fa, &memo).to_bytes()
-        );
+        let fa = evaluated_analysis();
+        assert_eq!(image_of(&fa).to_bytes(), image_of(&fa).to_bytes());
     }
 
     #[test]
     fn damaged_func_section_degrades_not_errors() {
-        let (fa, memo) = evaluated_analysis();
-        let mut bytes = image_of(&fa, &memo).to_bytes();
+        let fa = evaluated_analysis();
+        let mut bytes = image_of(&fa).to_bytes();
         // Find the FUNC section and corrupt a payload byte: locate the tag.
         let at = bytes
             .windows(4)
@@ -1007,34 +852,32 @@ mod tests {
         assert!(report.is_lossy());
         assert!(image.funcs.is_empty());
         assert_eq!(image.source, SRC, "session header intact");
-        assert_eq!(image.memo.len(), memo.len(), "memo section intact");
     }
 
     #[test]
     fn truncation_never_panics_and_keeps_prefix_sections() {
-        let (fa, memo) = evaluated_analysis();
-        let bytes = image_of(&fa, &memo).to_bytes();
+        let fa = evaluated_analysis();
+        let bytes = image_of(&fa).to_bytes();
         for cut in 0..bytes.len() {
             // Either a clean error (header/SESS gone) or a lossy success.
             let _ = SessionImage::<D>::from_bytes(&bytes[..cut]);
         }
-        // Cutting just the trailing memo checksum keeps everything else.
+        // Cutting just the trailing FUNC checksum keeps the header.
         let (image, report) = SessionImage::<D>::from_bytes(&bytes[..bytes.len() - 1]).unwrap();
         assert!(report.truncated);
-        assert_eq!(report.funcs_restored, 1);
-        assert_eq!(report.memo_sections_dropped, 1);
-        assert!(image.memo.is_empty());
+        assert_eq!((report.funcs_restored, report.funcs_dropped), (0, 1));
+        assert_eq!(image.source, SRC);
     }
 
     #[test]
-    fn stripping_func_sections_leaves_a_memo_only_warm_start() {
-        let (fa, memo) = evaluated_analysis();
-        let bytes = image_of(&fa, &memo).to_bytes();
-        let memo_only = strip_sections(&bytes, TAG_FUNC).unwrap();
-        let (image, report) = SessionImage::<D>::from_bytes(&memo_only).unwrap();
+    fn stripping_func_sections_leaves_a_cold_image() {
+        let fa = evaluated_analysis();
+        let bytes = image_of(&fa).to_bytes();
+        let cold = strip_sections(&bytes, TAG_FUNC).unwrap();
+        let (image, report) = SessionImage::<D>::from_bytes(&cold).unwrap();
         assert!(image.funcs.is_empty());
         assert_eq!(report.funcs_dropped, 0, "stripped, not damaged");
-        assert_eq!(image.memo.len(), memo.len());
+        assert!(!report.is_warm() && !report.is_lossy());
     }
 
     #[test]
@@ -1042,8 +885,8 @@ mod tests {
         // Rewrite the file with the SESS section stamped as a future
         // payload version: the reader must refuse rather than decode the
         // payload under v1 field order.
-        let (fa, memo) = evaluated_analysis();
-        let bytes = image_of(&fa, &memo).to_bytes();
+        let fa = evaluated_analysis();
+        let bytes = image_of(&fa).to_bytes();
         let list = crate::codec::read_sections(&bytes).unwrap();
         let mut rewritten = crate::codec::SnapshotWriter::new();
         for s in list.sections {
@@ -1063,8 +906,8 @@ mod tests {
 
     #[test]
     fn version_skewed_warm_sections_are_dropped_not_fatal() {
-        let (fa, memo) = evaluated_analysis();
-        let bytes = image_of(&fa, &memo).to_bytes();
+        let fa = evaluated_analysis();
+        let bytes = image_of(&fa).to_bytes();
         let list = crate::codec::read_sections(&bytes).unwrap();
         let mut rewritten = crate::codec::SnapshotWriter::new();
         for s in list.sections {
@@ -1077,74 +920,16 @@ mod tests {
         }
         let (image, report) = SessionImage::<D>::from_bytes(&rewritten.into_bytes()).unwrap();
         assert_eq!(report.funcs_dropped, 1);
-        assert_eq!(report.memo_sections_dropped, 1);
-        assert!(image.funcs.is_empty() && image.memo.is_empty());
+        assert!(image.funcs.is_empty());
         assert_eq!(image.source, SRC, "header still restores");
     }
 
     #[test]
-    fn memo_section_keyed_by_an_older_hash_is_dropped_alone() {
-        // A snapshot from before the octagon fingerprint (MEMO stamped
-        // version 1), from before it covered the packed half (version 2)
-        // or from before the folded-multiply hash (version 4): its keys no
-        // longer name any state, so the section is counted and dropped;
-        // everything else restores.
-        let (fa, memo) = evaluated_analysis();
-        let bytes = image_of(&fa, &memo).to_bytes();
-        for older in 1..MEMO_VERSION {
-            let list = crate::codec::read_sections(&bytes).unwrap();
-            let mut rewritten = crate::codec::SnapshotWriter::new();
-            for s in list.sections {
-                let version = if s.tag == TAG_MEMO { older } else { s.version };
-                rewritten.section(s.tag, version, s.payload.unwrap());
-            }
-            let (image, report) = SessionImage::<D>::from_bytes(&rewritten.into_bytes()).unwrap();
-            assert_eq!(report.memo_sections_dropped, 1, "version {older}");
-            assert_eq!(report.memo_entries, 0);
-            assert!(image.memo.is_empty());
-            assert_eq!((report.funcs_restored, report.funcs_dropped), (1, 0));
-        }
-    }
-
-    #[test]
     fn wrong_domain_is_rejected() {
-        let (fa, memo) = evaluated_analysis();
-        let bytes = image_of(&fa, &memo).to_bytes();
+        let fa = evaluated_analysis();
+        let bytes = image_of(&fa).to_bytes();
         let err = SessionImage::<dai_domains::SignDomain>::from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, PersistError::Corrupt(m) if m.contains("domain")));
-    }
-
-    #[test]
-    fn restored_memo_entries_hit_a_fresh_table() {
-        let (fa, memo) = evaluated_analysis();
-        let (image, _) = SessionImage::<D>::from_bytes(&image_of(&fa, &memo).to_bytes()).unwrap();
-        let mut fresh: MemoTable<Value<D>> = MemoTable::new();
-        for (k, v) in image.memo {
-            fresh.record(k, v);
-        }
-        // Re-running the query over a fresh DAIG with the restored memo
-        // table must match memo entries instead of recomputing.
-        let cfg = lower_program(&parse_program(SRC).unwrap()).unwrap().cfgs()[0].clone();
-        let mut fa2 = FuncAnalysis::new(cfg, IntervalDomain::top());
-        let mut stats = QueryStats::default();
-        let out = fa2
-            .query_exit(&mut fresh, &mut IntraResolver, &mut stats)
-            .unwrap();
-        assert!(stats.memo_matched > 0, "warm memo must match: {stats:?}");
-        let mut cold_memo = MemoTable::new();
-        let cfg = lower_program(&parse_program(SRC).unwrap()).unwrap().cfgs()[0].clone();
-        let mut fa3 = FuncAnalysis::new(cfg, IntervalDomain::top());
-        let mut cold_stats = QueryStats::default();
-        let cold = fa3
-            .query_exit(&mut cold_memo, &mut IntraResolver, &mut cold_stats)
-            .unwrap();
-        assert_eq!(out, cold, "warm and cold answers agree");
-        assert!(
-            stats.computed < cold_stats.computed,
-            "warm start computes fewer cells ({} vs {})",
-            stats.computed,
-            cold_stats.computed
-        );
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //! no writer emits them and the reader treats them as any unknown tag,
 //! here and on the socket, where the same `Persist` form is the answer
 //! blob. A snapshot section or journal frame holding one fails to decode
-//! and is dropped cold — [`crate::snapshot::FUNC_VERSION`] and
-//! [`crate::snapshot::MEMO_VERSION`] moved with tag 3 so that such a
-//! section is skipped on its version before a byte of it is read.
+//! and is dropped cold — [`crate::snapshot::FUNC_VERSION`] moved with
+//! tag 3 so that such a section is skipped on its version before a byte
+//! of it is read.
 
 use crate::codec::{PersistError, Reader, Writer};
 use dai_core::driver::ProgramEdit;
@@ -50,7 +50,6 @@ use dai_domains::shape::{Addr, ShapeDomain, SymHeap};
 use dai_domains::sign::Sign;
 use dai_domains::{AbstractDomain, NonRel, Prod, ValueLattice};
 use dai_lang::{AstStmt, BinOp, Block, EdgeId, Expr, Loc, Stmt, Symbol, UnOp};
-use dai_memo::{content_digest, MemoKey};
 
 /// Maximum nesting depth accepted when decoding recursive syntax.
 pub const MAX_DECODE_DEPTH: u32 = 512;
@@ -87,15 +86,6 @@ pub trait PersistDomain: AbstractDomain + Persist {
     /// entry to pin the address.
     fn encode_identity(&self) -> Option<u64> {
         None
-    }
-
-    /// A 128-bit content hash of this state — what a payload's state table
-    /// tells the states of memo entries apart by. Equal states must return
-    /// equal keys, and unequal ones equal keys no more often than
-    /// [`content_digest`] would; a domain that already caches such a hash
-    /// returns it instead of hashing again.
-    fn content_key(&self) -> u128 {
-        content_digest(self)
     }
 }
 
@@ -272,16 +262,6 @@ impl Persist for dai_memo::MemoStats {
             insertions: r.u64()?,
             evictions: r.u64()?,
         })
-    }
-}
-
-impl Persist for MemoKey {
-    fn put(&self, w: &mut Writer) {
-        w.u128(self.0);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(MemoKey(r.u128()?))
     }
 }
 
@@ -1185,10 +1165,6 @@ impl<V: ValueLattice + Persist> PersistDomain for NonRel<V> {
     fn encode_identity(&self) -> Option<u64> {
         Some(self.identity())
     }
-
-    fn content_key(&self) -> u128 {
-        self.digest()
-    }
 }
 
 impl PersistDomain for OctagonDomain {
@@ -1204,13 +1180,6 @@ impl PersistDomain for OctagonDomain {
         match self {
             OctagonDomain::Bottom => Some(0),
             OctagonDomain::Oct(o) => Some(std::sync::Arc::as_ptr(o) as u64),
-        }
-    }
-
-    fn content_key(&self) -> u128 {
-        match self {
-            OctagonDomain::Bottom => 0,
-            OctagonDomain::Oct(o) => o.fingerprint(),
         }
     }
 }

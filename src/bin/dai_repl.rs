@@ -42,8 +42,8 @@
 //! `save PATH` persists the session — original source text plus the edit
 //! history — through `dai-persist`; `load PATH` replays such a snapshot
 //! (any snapshot the engine wrote works too: the REPL uses the required
-//! session header and lets the warm sections lapse, which is sound —
-//! caches rebuild on demand).
+//! `SESS` header and lets the `FUNC` sections lapse, which is sound —
+//! DAIGs rebuild on demand).
 //!
 //! Commands read from stdin, one per line; results go to stdout (errors to
 //! stderr, which keeps piped sessions scriptable — the integration tests
@@ -383,7 +383,6 @@ impl<D: PersistDomain> ReplSession<D> {
             source: self.source.clone(),
             edits: self.history.clone(),
             funcs: Vec::new(),
-            memo: Vec::new(),
         };
         let bytes = image.to_bytes();
         write_snapshot_file(path, &bytes).map_err(|e| e.to_string())?;
@@ -392,7 +391,8 @@ impl<D: PersistDomain> ReplSession<D> {
 
     /// Restores a snapshot: parse the saved source, replay the saved edit
     /// history, and swap the rebuilt session in. Returns the replayed
-    /// edit count and a note about dropped warm sections, if any.
+    /// edit count and a note about the `FUNC` sections it did not use, if
+    /// any.
     fn load(&mut self, path: &str) -> Result<(usize, String), String> {
         let bytes = read_snapshot_file(path).map_err(|e| e.to_string())?;
         let (image, report) = SessionImage::<D>::from_bytes(&bytes).map_err(|e| e.to_string())?;
@@ -416,7 +416,7 @@ impl<D: PersistDomain> ReplSession<D> {
                 .map_err(|e| format!("replaying edit: {e}"))?;
         }
         let mut note = if report.is_warm() || report.is_lossy() {
-            format!(" (warm sections not used by the repl: {report})")
+            format!(" (FUNC sections not used by the repl: {report})")
         } else {
             String::new()
         };

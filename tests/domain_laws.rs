@@ -54,10 +54,28 @@ fn arb_interval_state() -> impl Strategy<Value = IntervalDomain> {
     })
 }
 
+/// Octagon constants: mostly small; sometimes within two of `±2^40`, the
+/// octagon's `EXACT_CLOSURE_BOUND`, past which tightening leaves the matrix
+/// for a full closure; sometimes within four of `i64::MAX` (its `INF`) or
+/// of `i64::MIN + 1`, where bound arithmetic saturates.
+fn arb_octagon_const() -> impl Strategy<Value = i64> {
+    const EXACT_CLOSURE_BOUND: i64 = 1 << 40;
+    prop_oneof![
+        -10i64..10,
+        -10i64..10,
+        -10i64..10,
+        -10i64..10,
+        (-2i64..3).prop_map(|k| EXACT_CLOSURE_BOUND + k),
+        (-2i64..3).prop_map(|k| -EXACT_CLOSURE_BOUND + k),
+        (0i64..5).prop_map(|k| i64::MAX - k),
+        (0i64..5).prop_map(|k| i64::MIN + 1 + k),
+    ]
+}
+
 /// Octagon states built by random assignment/assume sequences (keeps them
 /// satisfiable-by-construction or ⊥, both valid).
 fn arb_octagon_state() -> impl Strategy<Value = OctagonDomain> {
-    prop::collection::vec((0usize..3, -10i64..10, 0usize..3), 0..5).prop_map(|ops| {
+    prop::collection::vec((0usize..3, arb_octagon_const(), 0usize..3), 0..5).prop_map(|ops| {
         let mut s = OctagonDomain::top();
         for (v, c, kind) in ops {
             let var = format!("v{v}");
@@ -512,4 +530,25 @@ fn transfer_preserves_bottom() {
             .transfer(s)
             .is_bottom());
     }
+}
+
+/// `a ⊔ b ⊑ a ∇ b` fails for octagons whose bounds saturate `i64`, which
+/// the boundary constants of `arb_octagon_state` reach (`octagon_laws`
+/// first draws one at case 4,867 of its stream). `v2 := v0 + i64::MAX`
+/// writes the odd unary bound `−2·v2 ≤ −(2⁶³ − 1)` and keeps the matrix
+/// flagged strongly closed; `s ∇ s` is the same matrix flagged unclosed,
+/// and its closure tightens that bound to `i64::MIN`, below `s`'s. Flagging
+/// such an assignment unclosed instead makes the later `close()` round
+/// other states by path order, and `law_hash_follows_eq`'s two tracking
+/// orders then differ within the first 64 cases.
+#[test]
+#[ignore = "ROADMAP item 3: octagon closure is not canonical once a bound saturates i64"]
+fn octagon_widening_covers_the_join_when_a_bound_saturates() {
+    let s = OctagonDomain::top()
+        .transfer(&Stmt::Assign("v0".into(), Expr::Int(0)))
+        .transfer(&Stmt::Assign(
+            "v2".into(),
+            parse_expr(&format!("v0 + {}", i64::MAX)).unwrap(),
+        ));
+    law_widen_upper_bound(&s, &s);
 }

@@ -306,8 +306,8 @@ fn splice_after_a_query_ran_out_of_fuel_mid_loop_is_from_scratch_consistent() {
 }
 
 #[test]
-fn a_save_that_cannot_write_journals_nothing_and_the_next_good_save_carries_its_entries() {
-    use dai_engine::{Engine, EngineError, JournalConfig, JournalRecord, Service};
+fn a_failed_save_journals_nothing_and_leaves_no_temporary() {
+    use dai_engine::{Engine, EngineError, JournalConfig, Service};
     let dir = std::env::temp_dir().join(format!("dai-failed-save-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let journal_path = dir.join("journal.daij");
@@ -326,14 +326,8 @@ fn a_save_that_cannot_write_journals_nothing_and_the_next_good_save_carries_its_
         .exit();
     engine.query(session, "f", exit).unwrap();
     let journal = engine.journal().unwrap();
-    let deltas = || {
-        let bytes = std::fs::read(&journal_path).unwrap();
-        let entries = dai_journal::replay_bytes(&bytes).entries.into_iter();
-        entries
-            .filter(|e| matches!(e.record, JournalRecord::MemoDelta { .. }))
-            .count()
-    };
-    let frames_before = journal.frames();
+    let journaled = || std::fs::read(&journal_path).unwrap();
+    let before = journaled();
 
     // The directory does not exist: the temporary cannot be created.
     let unwritable = dir.join("no-such-dir").join("snap.daip");
@@ -343,11 +337,7 @@ fn a_save_that_cannot_write_journals_nothing_and_the_next_good_save_carries_its_
         matches!(&err, EngineError::Persist(dai_persist::PersistError::Io(m)) if m.contains("no-such-dir")),
         "{err}"
     );
-    assert_eq!(
-        (journal.frames(), deltas()),
-        (frames_before, 0),
-        "nothing journaled"
-    );
+    assert_eq!((journal.frames(), journaled()), (1, before.clone()));
     assert_eq!(engine.stats().saves, 0);
     assert_eq!(
         std::fs::read_dir(&dir).unwrap().count(),
@@ -355,14 +345,12 @@ fn a_save_that_cannot_write_journals_nothing_and_the_next_good_save_carries_its_
         "no temporary left behind"
     );
 
-    // The mark stayed where it was: the next save that lands journals
-    // everything the failed one would have, and the one after it nothing.
+    // A save that lands writes the snapshot file and still journals
+    // nothing: what it wrote is the session's image, which the journal's
+    // `JOPN`/`JEDT` frames already determine.
     let good = dir.join("snap.daip");
     let saved = Service::<OctagonDomain>::save(&engine, session, good.to_str().unwrap()).unwrap();
-    assert!(saved.memo_entries > 0);
-    assert_eq!(saved.memo_journaled, saved.memo_entries);
-    assert_eq!(deltas(), 1);
-    let again = Service::<OctagonDomain>::save(&engine, session, good.to_str().unwrap()).unwrap();
-    assert_eq!((again.memo_journaled, deltas()), (0, 1));
+    assert_eq!((saved.funcs, engine.stats().saves), (1, 1));
+    assert_eq!(journaled(), before);
     let _ = std::fs::remove_dir_all(&dir);
 }

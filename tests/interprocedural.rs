@@ -611,8 +611,9 @@ proptest! {
 /// Replays one random script and checks Thm 6.1 for sessions: after every
 /// query, a fresh analyzer over the current program, asked the queries
 /// made since the last accepted edit in the same order, gives the same
-/// last answer. Entries are joins accumulated in demand order, so the
-/// order is part of what a fresh analysis is.
+/// last answer. (The order is kept although
+/// `fresh_answers_do_not_depend_on_query_order` finds it changes no
+/// answer.)
 fn demanded_equals_fresh(seed: u64, policy: ContextPolicy) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (src, layers) = layered_program(&mut rng);
@@ -663,6 +664,68 @@ proptest! {
     #[test]
     fn demanded_equals_fresh_after_every_edit_k2(seed in 0u64..100_000) {
         demanded_equals_fresh(seed, ContextPolicy::CallString(2));
+    }
+}
+
+/// Every location of `src`'s functions in three orders — definition order,
+/// its reverse, and callees first — asked of a fresh analyzer each: the
+/// answers are the same whatever order they were asked in.
+fn answers_do_not_depend_on_query_order(src: &str, policy: ContextPolicy) {
+    let an = analyzer_of(src, policy);
+    let program = an.program();
+    let locs_of = |f: &Symbol| -> Vec<(String, dai_lang::Loc)> {
+        let cfg = program.by_name(f.as_str()).unwrap();
+        cfg.locs().into_iter().map(|l| (f.to_string(), l)).collect()
+    };
+    let forward: Vec<(String, dai_lang::Loc)> = program
+        .cfgs()
+        .iter()
+        .flat_map(|c| locs_of(c.name()))
+        .collect();
+    let reverse: Vec<_> = forward.iter().rev().cloned().collect();
+    let callees_first: Vec<_> = program.topo_order().iter().flat_map(locs_of).collect();
+    let answers = |order: &[(String, dai_lang::Loc)]| {
+        let mut fresh = analyzer_of(src, policy);
+        let mut out = std::collections::BTreeMap::new();
+        for (f, loc) in order {
+            out.insert(format!("{f}:{loc}"), fresh.query_at(f, *loc).unwrap());
+        }
+        out
+    };
+    let want = answers(&forward);
+    assert_eq!(answers(&reverse), want, "reverse order, {policy:?}\n{src}");
+    assert_eq!(
+        answers(&callees_first),
+        want,
+        "callees first, {policy:?}\n{src}"
+    );
+}
+
+#[test]
+fn fresh_answers_do_not_depend_on_query_order() {
+    let mut programs: Vec<String> = [
+        SRC,
+        CHAIN,
+        DEEP_CHAIN,
+        "function id(v) { return v; }
+         function main() { var a = id(1); var b = id(100); return a + b; }",
+        "function count(n) { var i = 0; while (i < n) { i = i + 1; } return i; }
+         function main() { var a = count(3); var b = count(50); var c = count(a + b);
+                           return a + b + c; }",
+    ]
+    .map(String::from)
+    .to_vec();
+    for seed in 0..12 {
+        programs.push(layered_program(&mut StdRng::seed_from_u64(seed)).0);
+    }
+    for src in &programs {
+        for policy in [
+            ContextPolicy::Insensitive,
+            ContextPolicy::CallString(1),
+            ContextPolicy::CallString(2),
+        ] {
+            answers_do_not_depend_on_query_order(src, policy);
+        }
     }
 }
 

@@ -17,12 +17,10 @@
 //! * **compaction equivalence** — under proptest, a journal that was
 //!   compacted mid-history (snapshot frames + edit tail) recovers to
 //!   the same answers as the full uncompacted history;
-//! * **the memo delta is a delta** — over edit/query/save rounds on two
-//!   octagon sessions, each memo key is journaled in exactly one `JMEM`
-//!   frame, recovery from those frames is warm, a compaction makes the
-//!   next save carry the table whole, and every flipped byte of such a
-//!   journal — state tables and packed octagons included — still leaves
-//!   a prefix that answers like the leader did there;
+//! * **retired frames keep what follows them** — a journal an older
+//!   binary wrote, with a `JMEM` (memo) frame between its edits, recovers
+//!   every edit and answers like the batch oracle; the leader serves the
+//!   edits but not the frame, and compaction drops it;
 //! * **compaction loses nothing** — edits, opens and closes hammered in
 //!   from several threads while compaction after compaction runs all
 //!   survive: recovery answers like the live engine.
@@ -31,14 +29,13 @@ use dai_bench::workload::Workload;
 use dai_core::batch::batch_analyze;
 use dai_core::driver::ProgramEdit;
 use dai_core::query::IntraResolver;
-use dai_domains::{AbstractDomain, IntervalDomain, OctagonDomain};
-use dai_engine::{Engine, JournalConfig, JournalRecord, PersistOutcome, Service, SessionId};
-use dai_journal::{replay_bytes, TAG_JOURNAL_MEMO};
+use dai_domains::{AbstractDomain, IntervalDomain};
+use dai_engine::{Engine, JournalConfig, Service, SessionId};
+use dai_journal::{replay_bytes, JournalEntry, JOURNAL_VERSION, TAG_JOURNAL_MEMO};
 use dai_lang::Loc;
-use dai_memo::MemoKey;
 use dai_persist::PersistDomain;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A unique scratch path for journal files.
 fn scratch(tag: &str) -> String {
@@ -275,10 +272,76 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The `JMEM` frame: what a save journals, and what recovery makes of it.
+// Journals written by an older binary.
 // ---------------------------------------------------------------------
 
-type Oct = OctagonDomain;
+#[test]
+fn a_retired_memo_frame_between_edits_loses_no_edit() {
+    let recorded = scratch("retired-recorded");
+    let edits = record_history(&recorded, 3, 0x1E7);
+    let entries = replay_bytes(&std::fs::read(&recorded).unwrap()).entries;
+    assert_eq!(entries.len(), 4, "JOPN and three JEDT");
+    // JOPN, JEDT, JMEM, JEDT, JEDT: the memo frame takes sequence number
+    // 3 and the edits after it move up one, as an older binary numbered
+    // them. Its payload is never read, so any bytes do.
+    let mut bytes = Vec::new();
+    for (i, entry) in entries.into_iter().enumerate() {
+        let seq = entry.seq + u64::from(i >= 2);
+        let session_seq = entry.session_seq + u64::from(i >= 2);
+        if i == 2 {
+            let mut memo = dai_persist::Writer::new();
+            for n in [3, entry.session, 3, 4] {
+                memo.u64(n);
+            }
+            memo.bytes(&[5, 0, 0xAB, 0xCD]);
+            let memo = memo.into_bytes();
+            dai_persist::write_frame(&mut bytes, TAG_JOURNAL_MEMO, JOURNAL_VERSION, &memo);
+        }
+        let entry = JournalEntry {
+            seq,
+            session_seq,
+            ..entry
+        };
+        entry.encode_into(&mut bytes);
+    }
+    let journal = scratch("retired");
+    std::fs::write(&journal, &bytes).unwrap();
+
+    let mut oracles = HashMap::new();
+    let k = assert_recovered_matches_oracle(&journal, &edits, &mut oracles, "retired JMEM");
+    assert_eq!(k, 4, "every edit after the memo frame recovered");
+    assert_eq!(std::fs::read(&journal).unwrap(), bytes, "nothing truncated");
+
+    // The leader serves the edits, not the memo frame, and appends above
+    // the file's head; compaction then drops the frame.
+    let engine: Engine<IntervalDomain> = Engine::new(1);
+    engine
+        .open_journal(&journal, JournalConfig::default())
+        .unwrap();
+    let feed = engine.journal().unwrap().frames_since(0, 100).unwrap();
+    assert_eq!((feed.count, feed.last_seq), (4, 5));
+    assert!(engine.compact_journal(true).unwrap());
+    let compacted = std::fs::read(&journal).unwrap();
+    assert!(!compacted.windows(4).any(|w| w == TAG_JOURNAL_MEMO));
+    let (targets, expected) = &oracles[&4];
+    let recovered: Engine<IntervalDomain> = Engine::new(1);
+    let recovery = recovered
+        .open_journal(&journal, JournalConfig::default())
+        .unwrap();
+    assert_eq!(recovery.entries_replayed, 1, "one JSNP frame");
+    let got = recovered.query_sweep(SessionId(1), targets);
+    let got: Vec<IntervalDomain> = got.into_iter().map(|r| r.unwrap()).collect();
+    assert_eq!(
+        &got, expected,
+        "the compacted journal answers like the oracle"
+    );
+    let _ = std::fs::remove_file(&recorded);
+    let _ = std::fs::remove_file(&journal);
+}
+
+// ---------------------------------------------------------------------
+// Compaction racing appends.
+// ---------------------------------------------------------------------
 
 /// Every `(function, location)` of the session's program, sorted.
 fn all_targets<D: PersistDomain>(engine: &Engine<D>, session: SessionId) -> Vec<(String, Loc)> {
@@ -296,264 +359,6 @@ fn full_sweep<D: PersistDomain>(engine: &Engine<D>, session: SessionId) -> Vec<D
     let answers = engine.query_sweep(session, &targets).into_iter();
     answers.map(|r| r.expect("sweep member")).collect()
 }
-
-/// Two journaled octagon sessions and the generators that edit them.
-struct Rounds {
-    engine: Engine<Oct>,
-    sessions: [SessionId; 2],
-    gens: [Workload; 2],
-    snapshot: String,
-    /// Every save's outcome, in order.
-    saves: Vec<PersistOutcome>,
-}
-
-impl Rounds {
-    fn start(journal: &str, tag: &str, seed: u64) -> Rounds {
-        let _ = std::fs::remove_file(journal);
-        let engine: Engine<Oct> = Engine::new(1);
-        engine
-            .open_journal(journal, JournalConfig::default())
-            .expect("fresh journal opens");
-        let source = Workload::initial_source();
-        let sessions = ["a", "b"].map(|n| engine.open_session_src(n, &source).unwrap());
-        Rounds {
-            engine,
-            sessions,
-            gens: [Workload::new(seed), Workload::new(seed + 1)],
-            snapshot: scratch(tag),
-            saves: Vec::new(),
-        }
-    }
-
-    /// One round: each session is edited, swept and saved.
-    fn round(&mut self) {
-        for (session, gen) in self.sessions.into_iter().zip(&mut self.gens) {
-            let program = self.engine.program_of(session).unwrap();
-            let edit = gen.next_edit(&program);
-            Service::<Oct>::edit(&self.engine, session, &edit).unwrap();
-            full_sweep(&self.engine, session);
-            let outcome = Service::<Oct>::save(&self.engine, session, &self.snapshot).unwrap();
-            self.saves.push(outcome);
-        }
-    }
-
-    fn answers(&self) -> Vec<Vec<Oct>> {
-        let sweeps = self.sessions.iter().map(|s| full_sweep(&self.engine, *s));
-        sweeps.collect()
-    }
-}
-
-/// The memo keys of each `JMEM` frame in the journal file, in order.
-fn jmem_frames(journal: &str) -> Vec<Vec<MemoKey>> {
-    let replay = replay_bytes(&std::fs::read(journal).unwrap());
-    assert_eq!(replay.damaged_len, 0);
-    let mut frames = Vec::new();
-    for entry in replay.entries {
-        if let JournalRecord::MemoDelta { bytes } = entry.record {
-            let entries = dai_persist::decode_memo_entries::<Oct>(&bytes).expect("frame decodes");
-            frames.push(entries.into_iter().map(|(k, _)| k).collect());
-        }
-    }
-    frames
-}
-
-/// The journal file without its `JMEM` frames.
-fn without_jmem(journal: &str, out: &str) {
-    let bytes = std::fs::read(journal).unwrap();
-    let (mut kept, mut rest) = (Vec::new(), &bytes[..]);
-    while let Some(frame) = dai_persist::split_frame(rest) {
-        if frame.header.tag != TAG_JOURNAL_MEMO {
-            kept.extend_from_slice(&rest[..frame.consumed]);
-        }
-        rest = &rest[frame.consumed..];
-    }
-    assert!(
-        rest.is_empty(),
-        "a clean journal is a whole number of frames"
-    );
-    std::fs::write(out, kept).unwrap();
-}
-
-/// Recovers a fresh engine from `journal` and sweeps both sessions:
-/// the answers, and what the first sweeps cost.
-fn recover_and_sweep(journal: &str) -> (Vec<Vec<Oct>>, dai_core::query::QueryStats) {
-    let engine: Engine<Oct> = Engine::new(1);
-    let recovery = engine
-        .open_journal(journal, JournalConfig::default())
-        .unwrap();
-    assert_eq!(recovery.damaged_len, 0);
-    // Replay installs sessions in journal order: ids 1 and 2.
-    let answers = [1, 2].map(|id| full_sweep(&engine, SessionId(id)));
-    (answers.to_vec(), engine.stats().query_stats)
-}
-
-#[test]
-fn each_memo_entry_is_journaled_once_and_recovery_from_the_deltas_is_warm() {
-    let journal = scratch("delta");
-    let mut rounds = Rounds::start(&journal, "delta-snap", 4242);
-    for _ in 0..4 {
-        rounds.round();
-    }
-    let table = rounds.saves.last().unwrap().memo_entries;
-    let frames = jmem_frames(&journal);
-    let journaled: Vec<usize> = rounds.saves.iter().map(|s| s.memo_journaled).collect();
-    assert_eq!(frames.iter().map(Vec::len).collect::<Vec<_>>(), journaled);
-    assert!(
-        journaled.iter().all(|&n| n > 0),
-        "every round computed something new: {journaled:?}"
-    );
-    assert!(
-        journaled[1..].iter().all(|&n| n < table),
-        "a delta, not the table: {journaled:?}"
-    );
-    let keys: HashSet<MemoKey> = frames.iter().flatten().copied().collect();
-    assert_eq!(
-        keys.len(),
-        frames.iter().map(Vec::len).sum::<usize>(),
-        "no key twice"
-    );
-    assert_eq!(keys.len(), table, "and every key of the table once");
-    // A save with nothing new since the last journals no frame at all.
-    let idle = Service::<Oct>::save(&rounds.engine, rounds.sessions[0], &rounds.snapshot).unwrap();
-    assert_eq!((idle.memo_journaled, idle.memo_entries), (0, table));
-    assert_eq!(jmem_frames(&journal).len(), frames.len());
-
-    // Recovery replays the deltas into the shared table: the first sweep
-    // matches where a journal without them must compute.
-    let live = rounds.answers();
-    let stripped = scratch("delta-stripped");
-    without_jmem(&journal, &stripped);
-    let (warm_answers, warm) = recover_and_sweep(&journal);
-    let (cold_answers, cold) = recover_and_sweep(&stripped);
-    assert_eq!(warm_answers, live);
-    assert_eq!(cold_answers, live);
-    // (Cold still matches a little: the two sessions share a table.)
-    assert!(
-        warm.memo_matched > cold.memo_matched,
-        "{warm:?} vs {cold:?}"
-    );
-    assert!(warm.computed < cold.computed, "{warm:?} vs {cold:?}");
-
-    // A compaction drops every `JMEM` frame, so the next save carries the
-    // table whole, and recovery is as warm as it was.
-    assert!(rounds.engine.compact_journal(true).unwrap());
-    assert!(jmem_frames(&journal).is_empty());
-    let whole = Service::<Oct>::save(&rounds.engine, rounds.sessions[1], &rounds.snapshot).unwrap();
-    assert_eq!((whole.memo_journaled, whole.memo_entries), (table, table));
-    assert_eq!(
-        jmem_frames(&journal)
-            .iter()
-            .map(Vec::len)
-            .collect::<Vec<_>>(),
-        [table]
-    );
-    let (after_answers, after) = recover_and_sweep(&journal);
-    assert_eq!(after_answers, live);
-    assert!(after.computed <= warm.computed, "{after:?} vs {warm:?}");
-    // And the round after that is a delta again.
-    rounds.round();
-    let last = &rounds.saves[rounds.saves.len() - 2..];
-    assert!(last
-        .iter()
-        .all(|s| 0 < s.memo_journaled && s.memo_journaled < s.memo_entries));
-    assert_eq!(recover_and_sweep(&journal).0, rounds.answers());
-    for file in [&journal, &stripped, &rounds.snapshot] {
-        let _ = std::fs::remove_file(file);
-    }
-}
-
-#[test]
-fn every_byte_flip_of_a_journal_with_memo_deltas_recovers_to_a_state_the_leader_was_in() {
-    // Two rounds on a small program: opens, edits and two `JMEM` frames
-    // per session whose octagons share states through the frame's table.
-    let journal = scratch("delta-flip");
-    let mut rounds = Rounds::start(&journal, "delta-flip-snap", 77);
-    // What the leader answered after each journal frame, by frame count.
-    let mut history: Vec<(u64, Vec<Option<Vec<Oct>>>)> = Vec::new();
-    let mut note = |rounds: &Rounds| {
-        let frames = rounds.engine.journal().unwrap().frames();
-        let answers = rounds.sessions.map(|s| Some(full_sweep(&rounds.engine, s)));
-        history.push((frames, answers.to_vec()));
-    };
-    note(&rounds);
-    for _ in 0..2 {
-        for i in 0..2 {
-            let session = rounds.sessions[i];
-            let program = rounds.engine.program_of(session).unwrap();
-            let edit = rounds.gens[i].next_edit(&program);
-            Service::<Oct>::edit(&rounds.engine, session, &edit).unwrap();
-            note(&rounds);
-            Service::<Oct>::save(&rounds.engine, session, &rounds.snapshot).unwrap();
-            note(&rounds);
-        }
-    }
-    let bytes = std::fs::read(&journal).unwrap();
-    let total = rounds.engine.journal().unwrap().frames() as usize;
-    let deltas = jmem_frames(&journal).len();
-    assert!(
-        deltas >= 2 && total == 2 + 4 + deltas,
-        "{deltas} of {total} frames"
-    );
-    // The leader's answers once `k` frames were in the journal. The two
-    // opens are frames 1 and 2; before both, a session may be absent.
-    let expected = |k: usize| -> Vec<Option<Vec<Oct>>> {
-        match k {
-            0 => vec![None, None],
-            1 => vec![history[0].1[0].clone(), None],
-            _ => {
-                let at = history
-                    .iter()
-                    .rev()
-                    .find(|(frames, _)| *frames as usize <= k);
-                at.expect("noted from frame 2 on").1.clone()
-            }
-        }
-    };
-    let flip_file = scratch("delta-flip-cut");
-    // Every byte of the frames that carry states, and a stride elsewhere.
-    let jmem_ranges: Vec<std::ops::Range<usize>> = {
-        let (mut ranges, mut at) = (Vec::new(), 0);
-        while let Some(frame) = dai_persist::split_frame(&bytes[at..]) {
-            if frame.header.tag == TAG_JOURNAL_MEMO {
-                ranges.push(at..at + frame.consumed);
-            }
-            at += frame.consumed;
-        }
-        ranges
-    };
-    let in_jmem = |i: usize| jmem_ranges.iter().any(|r| r.contains(&i));
-    let stride = (bytes.len() / 400).max(1);
-    for i in (0..bytes.len()).filter(|&i| i % stride == 0 || in_jmem(i)) {
-        let mut flipped = bytes.clone();
-        flipped[i] ^= 0xFF;
-        std::fs::write(&flip_file, &flipped).unwrap();
-        let engine: Engine<Oct> = Engine::new(1);
-        let recovery = engine
-            .open_journal(&flip_file, JournalConfig::default())
-            .unwrap_or_else(|e| panic!("flip at {i}: recovery must not fail: {e}"));
-        let k = recovery.entries_replayed;
-        assert!(
-            k < total,
-            "flip at {i}: a corrupted journal replayed all {total} frames"
-        );
-        let got: Vec<Option<Vec<Oct>>> = [1, 2]
-            .map(|id| {
-                engine
-                    .program_of(SessionId(id))
-                    .ok()
-                    .map(|_| full_sweep(&engine, SessionId(id)))
-            })
-            .to_vec();
-        assert_eq!(got, expected(k), "flip at {i}: prefix of {k} frames");
-    }
-    for file in [&journal, &flip_file, &rounds.snapshot] {
-        let _ = std::fs::remove_file(file);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Compaction racing appends.
-// ---------------------------------------------------------------------
 
 /// A session as recovery must reproduce it: its program's edges and
 /// its full sweep's answers.

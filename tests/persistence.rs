@@ -10,11 +10,12 @@
 //!    request stream, save, load into a fresh engine, full query sweep);
 //! 2. a property test over random edit histories, checking values *and*
 //!    DOT bytes against the live session;
-//! 3. adversarial files: corrupted `FUNC`/`MEMO` sections must load cold
-//!    with identical answers (and with `MEMO` intact, memo-warm: strictly
-//!    fewer cells computed), a corrupted `SESS` section must fail
-//!    cleanly, and every truncation prefix must either fail cleanly or
-//!    restore a session that still answers identically.
+//! 3. adversarial files: corrupted `FUNC` sections must load cold with
+//!    identical answers, a `MEMO` section an older binary wrote — intact
+//!    or corrupted — must be skipped without costing a `FUNC` section its
+//!    warmth, a corrupted `SESS` section must fail cleanly, and every
+//!    truncation prefix must either fail cleanly or restore a session
+//!    that still answers identically.
 
 use dai_bench::workload::Workload;
 use dai_core::interproc::{ContextPolicy, InterAnalyzer};
@@ -24,7 +25,7 @@ use dai_lang::cfg::lower_program;
 use dai_lang::{parse_program, Loc, Symbol};
 use dai_persist::{
     read_sections, Persist, PersistDomain, Reader, SessionImage, SnapshotWriter, Writer, TAG_FUNC,
-    TAG_MEMO, TAG_SESSION,
+    TAG_SESSION,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -133,7 +134,6 @@ fn fig10_roundtrip_restores_identical_answers_and_dot() {
     let fresh: Engine<D> = Engine::new(1);
     let (restored, outcome) = load_from(&fresh, &path).expect("load succeeds");
     assert!(outcome.funcs > 0, "warm DAIGs restored: {outcome:?}");
-    assert!(outcome.memo_entries > 0, "memo restored: {outcome:?}");
     assert_eq!(outcome.funcs_dropped, 0);
     // The restored session must answer every query with the exact live
     // value, without recomputing anything (pure Q-Reuse).
@@ -156,7 +156,18 @@ fn corrupted_func_and_memo_sections_degrade_to_cold_start() {
     let path = scratch("damaged.daip");
     save_to(&engine, session, &path);
     drop(engine);
-    let clean = std::fs::read(&path).unwrap();
+    // The image with a `MEMO` section behind its `FUNC` sections, as an
+    // older binary wrote it. Its payload is never read.
+    const TAG_MEMO: [u8; 4] = *b"MEMO";
+    let mut with_memo = SnapshotWriter::new();
+    let saved = std::fs::read(&path).unwrap();
+    let sections = read_sections(&saved).unwrap().sections;
+    for s in &sections {
+        with_memo.section(s.tag, s.version, s.payload.unwrap());
+    }
+    with_memo.section(TAG_MEMO, 5, &[0x5A; 32]);
+    let clean = with_memo.into_bytes();
+    let funcs = sections.iter().filter(|s| s.tag == TAG_FUNC).count();
 
     // One byte flipped inside every payload tagged one of `tags`, loaded
     // into a fresh engine and swept: what the load kept, and how many
@@ -169,7 +180,7 @@ fn corrupted_func_and_memo_sections_degrade_to_cold_start() {
             .filter(|(_, w)| tags.iter().any(|t| w == t))
             .map(|(i, _)| i)
             .collect();
-        assert!(!positions.is_empty());
+        assert!(positions.len() >= tags.len());
         for at in positions {
             bytes[at + 24] ^= 0xA5;
         }
@@ -183,31 +194,28 @@ fn corrupted_func_and_memo_sections_degrade_to_cold_start() {
         (outcome, fresh.stats().query_stats.computed)
     };
 
+    // `SESS`, `FUNC`, `MEMO` loads FUNC-warm: nothing recomputed.
+    let (warm, warm_computed) = restore_damaged(&[]);
+    assert_eq!((warm.funcs, warm.funcs_dropped), (funcs, 0), "{warm:?}");
+    assert_eq!(warm_computed, 0, "a warm restore recomputes nothing");
+    // A damaged `MEMO` section costs nothing either.
+    let (memo_damaged, computed) = restore_damaged(&[TAG_MEMO]);
+    assert_eq!((memo_damaged, computed), (warm, 0));
+
     let (cold, cold_computed) = restore_damaged(&[TAG_FUNC, TAG_MEMO]);
     assert_eq!(cold.funcs, 0, "every warm section dropped: {cold:?}");
-    assert!(cold.funcs_dropped > 0 && cold.memo_entries == 0, "{cold:?}");
+    assert_eq!(cold.funcs_dropped, funcs, "{cold:?}");
     assert!(cold_computed > 0, "cold restore must recompute");
-
-    // Memo-only warm start: every DAIG is rebuilt empty, but what the memo
-    // table kept answers part of the sweep — strictly fewer cells computed.
-    let (memo_only, memo_computed) = restore_damaged(&[TAG_FUNC]);
-    assert_eq!(memo_only.funcs, 0, "{memo_only:?}");
-    assert!(memo_only.memo_entries > 0, "MEMO survives: {memo_only:?}");
-    assert!(
-        memo_computed < cold_computed,
-        "memo-only restore computed {memo_computed} cells, cold {cold_computed}"
-    );
 }
 
-/// `bytes` with the payload of every section tagged `tag` passed through
-/// `edit` and re-framed, so its checksum is good and only the decoder can
-/// object.
-fn with_payloads_edited(bytes: &[u8], tag: [u8; 4], edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+/// `bytes` with the payload of every `FUNC` section passed through `edit`
+/// and re-framed, so its checksum is good and only the decoder can object.
+fn with_func_payloads_edited(bytes: &[u8], edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = SnapshotWriter::new();
     let mut edited = 0;
     for s in read_sections(bytes).unwrap().sections {
         let mut payload = s.payload.expect("clean file").to_vec();
-        if s.tag == tag {
+        if s.tag == TAG_FUNC {
             edit(&mut payload);
             edited += 1;
         }
@@ -244,10 +252,9 @@ fn hostile_state_tables_and_retired_octagon_tags_drop_their_section_and_restore_
     let funcs = read_sections(&bytes).unwrap();
     let funcs = funcs.sections.iter().filter(|s| s.tag == TAG_FUNC).count();
     type Edit<'a> = Box<dyn Fn(&mut Vec<u8>) + 'a>;
-    let cases: Vec<(&str, [u8; 4], Edit)> = vec![
+    let cases: Vec<(&str, Edit)> = vec![
         (
             "a table count beyond the input",
-            TAG_FUNC,
             Box::new(|p| {
                 let at = table_at(p);
                 p[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -255,7 +262,6 @@ fn hostile_state_tables_and_retired_octagon_tags_drop_their_section_and_restore_
         ),
         (
             "a state index out of range",
-            TAG_FUNC,
             Box::new(|p| {
                 let at = first_ref_at(p);
                 p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -263,7 +269,6 @@ fn hostile_state_tables_and_retired_octagon_tags_drop_their_section_and_restore_
         ),
         (
             "a forward state index",
-            TAG_FUNC,
             Box::new(|p| {
                 let at = first_ref_at(p);
                 p[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
@@ -271,48 +276,20 @@ fn hostile_state_tables_and_retired_octagon_tags_drop_their_section_and_restore_
         ),
         (
             "a retired octagon tag in the table",
-            TAG_FUNC,
             Box::new(|p| {
                 let at = table_at(p) + 8;
                 assert_eq!(p[at], 3, "the table's first state is a packed octagon");
                 p[at] = 2;
             }),
         ),
-        (
-            "a memo table count beyond the input",
-            TAG_MEMO,
-            Box::new(|p| {
-                p[2..10].copy_from_slice(&u64::MAX.to_le_bytes());
-            }),
-        ),
-        (
-            "a memo payload of another layout",
-            TAG_MEMO,
-            Box::new(|p| {
-                p[..2].copy_from_slice(&3u16.to_le_bytes());
-            }),
-        ),
     ];
     let hostile = scratch("hostile_edited.daip");
-    for (what, tag, edit) in cases {
-        std::fs::write(&hostile, with_payloads_edited(&bytes, tag, edit)).unwrap();
+    for (what, edit) in cases {
+        std::fs::write(&hostile, with_func_payloads_edited(&bytes, edit)).unwrap();
         let fresh: Engine<D> = Engine::new(1);
         let (restored, outcome) =
             load_from(&fresh, &hostile).unwrap_or_else(|e| panic!("{what}: {e}"));
-        if tag == TAG_FUNC {
-            assert_eq!((outcome.funcs, outcome.funcs_dropped), (0, funcs), "{what}");
-            assert!(
-                outcome.memo_entries > 0,
-                "{what}: the memo section is its own"
-            );
-        } else {
-            assert_eq!(
-                (outcome.funcs, outcome.memo_sections_dropped),
-                (funcs, 1),
-                "{what}"
-            );
-            assert_eq!(outcome.memo_entries, 0, "{what}");
-        }
+        assert_eq!((outcome.funcs, outcome.funcs_dropped), (0, funcs), "{what}");
         assert_eq!(sweep(&fresh, restored, &targets), live, "{what}");
     }
 }
@@ -524,8 +501,8 @@ fn interproc_sessions_match_the_repl_analyzer() {
 fn snapshots_restore_under_their_saved_resolver_not_the_engines() {
     // A snapshot's semantics travel with it: an Intra-saved warm snapshot
     // loaded into an Interproc-configured engine restores as an *Intra*
-    // session (that is what was persisted), so its warm DAIGs install,
-    // its memo imports, and it answers exactly like the saved session —
+    // session (that is what was persisted), so its warm DAIGs install and
+    // it answers exactly like the saved session —
     // the engine's resolver config applies only to newly opened sessions.
     let (engine, session, targets, live) = grown_session(4, 0xAB);
     let path = scratch("cross-config.daip");
@@ -551,7 +528,6 @@ fn snapshots_restore_under_their_saved_resolver_not_the_engines() {
         "saved-resolver warm units install: {outcome:?}"
     );
     assert_eq!(outcome.funcs_dropped, 0, "{outcome:?}");
-    assert!(outcome.memo_entries > 0, "{outcome:?}");
     assert_eq!(
         sweep(&interproc, restored, &targets),
         live,

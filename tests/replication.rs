@@ -13,7 +13,9 @@
 //!   like the batch oracle of its own (older) program, and rejects
 //!   direct edits with `EngineError::ReadOnly`;
 //! * **compaction** — a follower whose cursor points into compacted-
-//!   away history catches up seamlessly through the snapshot frames.
+//!   away history catches up seamlessly through the snapshot frames;
+//! * **retired frames** — a `JMEM` frame an older leader ships between
+//!   two edits is stepped over, and the edits after it apply.
 
 use dai_bench::workload::Workload;
 use dai_core::batch::batch_analyze;
@@ -245,6 +247,61 @@ fn lagged_follower_is_the_leader_as_of_an_earlier_frame() {
             );
         }
     }
+    server.shutdown();
+}
+
+#[test]
+fn a_retired_memo_frame_in_the_stream_is_stepped_over() {
+    use dai_journal::{replay_bytes, JournalEntry, JOURNAL_VERSION, TAG_JOURNAL_MEMO};
+    let (source, edits, targets) = fig10_script(2, 77);
+    let leader = journaled_leader::<IntervalDomain>(ResolverChoice::Intra, "retired");
+    let session = leader.open("retired", &source).unwrap();
+    for edit in &edits {
+        leader.edit(session, edit).unwrap();
+    }
+    let want: Vec<_> = leader.query_sweep(session, &targets);
+    let server = Server::bind(&Addr::Unix(scratch("retired")), Arc::clone(&leader)).unwrap();
+    let follower: Replica<IntervalDomain> =
+        Replica::connect(&server.addr().to_string(), 1).unwrap();
+
+    // The leader's JOPN, JEDT, JEDT with a JMEM frame cut in after the
+    // first edit, numbered as an older leader numbered it.
+    let feed = leader.journal().unwrap().frames_since(0, 100).unwrap();
+    let mut frames = Vec::new();
+    for (i, entry) in replay_bytes(&feed.bytes).entries.into_iter().enumerate() {
+        if i == 2 {
+            let mut memo = dai_persist::Writer::new();
+            for n in [3, entry.session, 3, 2] {
+                memo.u64(n);
+            }
+            memo.bytes(&[5, 0]);
+            let memo = memo.into_bytes();
+            dai_persist::write_frame(&mut frames, TAG_JOURNAL_MEMO, JOURNAL_VERSION, &memo);
+        }
+        let shift = u64::from(i >= 2);
+        let entry = JournalEntry {
+            seq: entry.seq + shift,
+            session_seq: entry.session_seq + shift,
+            ..entry
+        };
+        entry.encode_into(&mut frames);
+    }
+    let batch = dai_rpc::StreamBatch {
+        head_seq: 4,
+        last_seq: 4,
+        count: 4,
+        frames,
+    };
+    let outcome = follower.apply_stream(&batch).unwrap();
+    assert_eq!(
+        (outcome.applied, outcome.applied_seq, outcome.lag),
+        (3, 4, 0)
+    );
+    let got = follower.engine().query_sweep(SessionId(1), &targets);
+    let unwrap = |v: Vec<Result<IntervalDomain, EngineError>>| -> Vec<IntervalDomain> {
+        v.into_iter().map(|r| r.unwrap()).collect()
+    };
+    assert_eq!(unwrap(got), unwrap(want), "follower differs from leader");
     server.shutdown();
 }
 

@@ -11,7 +11,7 @@
 //! integration tests assert.
 
 use crate::graph::{DaigError, Value};
-use crate::query::{CallResolver, QueryStats};
+use crate::query::{CallInput, CallResolver, QueryStats};
 use crate::strategy::FixStrategy;
 use dai_domains::AbstractDomain;
 use dai_lang::cfg::Cfg;
@@ -121,8 +121,11 @@ impl<D: AbstractDomain> Engine<'_, D> {
 
     fn transfer(&mut self, stmt: &Stmt, pre: &D, edge: dai_lang::EdgeId) -> Result<D, DaigError> {
         if stmt.is_call() {
-            self.resolver
-                .resolve(pre, stmt, edge, &mut self.memo, &mut self.stats)
+            self.resolver.resolve(
+                &CallInput::new(pre, stmt, edge),
+                &mut self.memo,
+                &mut self.stats,
+            )
         } else {
             Ok(pre.transfer(stmt))
         }

@@ -45,7 +45,6 @@ use crate::graph::Value;
 use dai_domains::{AbstractDomain, CompiledTransfer};
 use dai_lang::cfg::Cfg;
 use dai_lang::{EdgeId, Stmt};
-use dai_memo::content_digest;
 use std::sync::Arc;
 
 /// How a session evaluates transfer edges.
@@ -147,7 +146,7 @@ impl<D: AbstractDomain> TransferTable<D> {
             inner.entries.resize_with(idx + 1, || None);
             inner.seen.resize_with(idx + 1, || None);
         }
-        let digest = stmt_digest::<D>(stmt);
+        let digest = Value::<D>::stmt_digest(stmt);
         inner.seen[idx] = Some(digest);
         inner.entries[idx] = D::compile_transfer(stmt).map(|ct| Entry {
             stmt_digest: digest,
@@ -181,7 +180,7 @@ impl<D: AbstractDomain> TransferTable<D> {
                 inner.entries.resize_with(idx + 1, || None);
                 inner.seen.resize_with(idx + 1, || None);
             }
-            let digest = stmt_digest::<D>(&e.stmt);
+            let digest = Value::<D>::stmt_digest(&e.stmt);
             if inner.seen[idx] == Some(digest) {
                 continue;
             }
@@ -216,7 +215,7 @@ impl<D: AbstractDomain> TransferTable<D> {
         for e in cfg.edges() {
             let idx = e.id.0 as usize;
             present[idx] = true;
-            let digest = stmt_digest::<D>(&e.stmt);
+            let digest = Value::<D>::stmt_digest(&e.stmt);
             if inner.seen[idx] == Some(digest) {
                 continue; // unchanged since last sync
             }
@@ -272,13 +271,6 @@ impl<D: AbstractDomain> TransferTable<D> {
     pub fn fused_runs(&self) -> &[FusedRun<D>] {
         &self.inner.runs
     }
-}
-
-/// The digest of a statement *as stored in a statement cell* — must match
-/// [`crate::graph::Daig::digest_id`] of the `Name::Stmt` cell, which
-/// hashes the `Value::Stmt` wrapper, not the bare statement.
-fn stmt_digest<D: AbstractDomain>(stmt: &Stmt) -> u128 {
-    content_digest(&Value::<D>::Stmt(stmt.clone()))
 }
 
 fn recount<D: AbstractDomain>(inner: &mut Inner<D>) {
@@ -364,7 +356,7 @@ mod tests {
         let t = TransferTable::<OctagonDomain>::build(&cfg);
         assert!(t.compiled_edges() > 0);
         for e in cfg.edges() {
-            let d = stmt_digest::<OctagonDomain>(&e.stmt);
+            let d = Value::<OctagonDomain>::stmt_digest(&e.stmt);
             let ct = t.lookup(e.id, d).expect("non-call edges compile");
             // The staged closure agrees with the interpreter.
             let pre = OctagonDomain::top();
@@ -380,11 +372,11 @@ mod tests {
         let mut t = TransferTable::<OctagonDomain>::build(&cfg);
         let e = cfg.edges().next().unwrap();
         let new_stmt = Stmt::Assign("x".into(), dai_lang::parse_expr("41").unwrap());
-        let old_digest = stmt_digest::<OctagonDomain>(&e.stmt);
+        let old_digest = Value::<OctagonDomain>::stmt_digest(&e.stmt);
         t.relabel(e.id, &new_stmt);
         assert!(t.lookup(e.id, old_digest).is_none(), "old digest is stale");
         let ct = t
-            .lookup(e.id, stmt_digest::<OctagonDomain>(&new_stmt))
+            .lookup(e.id, Value::<OctagonDomain>::stmt_digest(&new_stmt))
             .unwrap();
         assert_eq!(ct.shape(), TransferShape::ConstAssign);
     }

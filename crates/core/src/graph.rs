@@ -136,6 +136,28 @@ impl<D: AbstractDomain> Value<D> {
     }
 }
 
+impl<D: Hash> Value<D> {
+    /// The digest a cell holding `Value::State(state)` caches, computed
+    /// without building that value.
+    pub(crate) fn state_digest(state: &D) -> u128 {
+        content_digest(&ValueRef::State(state))
+    }
+
+    /// The digest a cell holding `Value::Stmt(stmt)` caches, computed
+    /// without building that value.
+    pub(crate) fn stmt_digest(stmt: &Stmt) -> u128 {
+        content_digest(&ValueRef::<D>::Stmt(stmt))
+    }
+}
+
+/// [`Value`] by reference: the same variants in the same order, so it
+/// hashes exactly as the owned value does.
+#[derive(Hash)]
+enum ValueRef<'a, D> {
+    Stmt(&'a Stmt),
+    State(&'a D),
+}
+
 impl<D: fmt::Display> fmt::Display for Value<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -1524,6 +1546,21 @@ mod tests {
         );
         let empty = d.id_of(&state(1)).unwrap();
         assert_eq!(d.digest_id(empty), None);
+    }
+
+    #[test]
+    fn borrowed_digests_equal_the_cached_ones() {
+        let stmt = Stmt::Assign("x".into(), dai_lang::parse_expr("x + 1").unwrap());
+        let state = IntervalDomain::top();
+        assert_eq!(
+            Value::<D>::stmt_digest(&stmt),
+            content_digest(&Value::<D>::Stmt(stmt.clone()))
+        );
+        assert_eq!(
+            Value::state_digest(&state),
+            content_digest(&Value::State(state.clone()))
+        );
+        assert_ne!(Value::<D>::state_digest(&state), content_digest(&state));
     }
 
     #[test]

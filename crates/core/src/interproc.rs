@@ -32,10 +32,10 @@
 //!   edge is dirtied, on top of what the edit itself dirtied there
 //!   (`InterAnalyzer::reset_units`). What an edit keeps is the entry
 //!   unit's call-free cells, which equal a fresh analysis's, and the memo
-//!   table, which is exact by content (call results are never memoized).
-//!   Everything from the entry function's first call on therefore re-runs
-//!   in the order a fresh analyzer runs it, and feeds every callee entry
-//!   the same contributions in the same order: any query sequence after an
+//!   table, which is exact by content. Everything from the entry
+//!   function's first call on therefore re-runs in the order a fresh
+//!   analyzer runs it, and feeds every callee entry the same contributions
+//!   in the same order: any query sequence after an
 //!   edit answers like a fresh `InterAnalyzer` given the same queries since
 //!   that edit. Entries are joins accumulated in demand order, yet no
 //!   fresh analyzer has been seen to answer differently for the order its
@@ -45,6 +45,15 @@
 //!   only by the entry function's *last* call still re-runs every call
 //!   before it. A sharper cut-off needs entries that are fixed points, not
 //!   demand-order joins.
+//! * **Call bindings** in the memo table. `call_entry` and `call_return`
+//!   are pure functions of their arguments (the [`AbstractDomain`]
+//!   contract), so each is memoized by content ([`binding_key`]): the
+//!   digests of the call statement and the pre-state, the site key, and
+//!   the callee's parameters or the digest of its exit. The callee's exit
+//!   itself is never memoized — it depends on the callee's current body —
+//!   so every call still feeds the callee and demands its exit; a re-run
+//!   after an edit skips only the domain's binding work for calls whose
+//!   inputs did not change. A call cell still counts as computed.
 //! * **Forced-entry stamps**: a unit whose entry has been seeded from all
 //!   of its call sites ([`Eval::force_entry`]) is stamped with the current
 //!   *edit epoch*, and forcing a stamped unit returns at once. The epoch
@@ -75,15 +84,16 @@
 use crate::analysis::FuncAnalysis;
 use crate::graph::{DaigError, Value};
 use crate::name::Name;
-use crate::query::{CallResolver, QueryStats};
+use crate::query::{CallInput, CallResolver, QueryStats};
 use dai_domains::{AbstractDomain, CallSite};
 use dai_lang::cfg::LoweredProgram;
 use dai_lang::edit::SpliceInfo;
 use dai_lang::{Block, CfgError, EdgeId, Loc, Stmt, Symbol};
-use dai_memo::{MemoStore, MemoTable};
+use dai_memo::{KeyBuilder, MemoKey, MemoStore, MemoTable};
 use dai_trace::metrics::Counter;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 /// A calling context: the most recent call edges, outermost last
 /// (bounded by the policy's `k`).
@@ -261,8 +271,10 @@ impl Node {
 /// How often the interprocedural caches did their job; see
 /// [`InterAnalyzer::counters`]. The same events are published process-wide
 /// as `dai_interproc_context_table_builds_total`,
-/// `dai_interproc_entries_forced_total` and
-/// `dai_interproc_entry_force_skips_total` in the `dai-trace` registry.
+/// `dai_interproc_entries_forced_total`,
+/// `dai_interproc_entry_force_skips_total`,
+/// `dai_interproc_bindings_computed_total` and
+/// `dai_interproc_bindings_reused_total` in the `dai-trace` registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InterprocCounters {
     /// Context tables built (one at construction, then one per edit that
@@ -272,6 +284,10 @@ pub struct InterprocCounters {
     pub entries_forced: u64,
     /// Forcings answered by a stamp from the current edit epoch.
     pub entry_force_skips: u64,
+    /// Call bindings (`call_entry` or `call_return`) the domain computed.
+    pub bindings_computed: u64,
+    /// Call bindings answered by the memo table.
+    pub bindings_reused: u64,
 }
 
 /// This analyzer's counts beside the handles of the process-wide ones.
@@ -280,6 +296,8 @@ struct Counters {
     table_builds: Counter,
     entries_forced: Counter,
     force_skips: Counter,
+    bindings_computed: Counter,
+    bindings_reused: Counter,
 }
 
 impl Counters {
@@ -290,6 +308,8 @@ impl Counters {
             table_builds: m.counter("dai_interproc_context_table_builds_total"),
             entries_forced: m.counter("dai_interproc_entries_forced_total"),
             force_skips: m.counter("dai_interproc_entry_force_skips_total"),
+            bindings_computed: m.counter("dai_interproc_bindings_computed_total"),
+            bindings_reused: m.counter("dai_interproc_bindings_reused_total"),
         }
     }
 
@@ -307,6 +327,39 @@ impl Counters {
         self.own.entry_force_skips += 1;
         self.force_skips.inc();
     }
+
+    fn binding_computed(&mut self) {
+        self.own.bindings_computed += 1;
+        self.bindings_computed.inc();
+    }
+
+    fn binding_reused(&mut self) {
+        self.own.bindings_reused += 1;
+        self.bindings_reused.inc();
+    }
+}
+
+/// The memo symbols of the two call bindings.
+const CALL_ENTRY: &str = "call_entry";
+const CALL_RETURN: &str = "call_return";
+
+/// The memo key of one call binding: `symbol·(stmt, pre, site key, last)`,
+/// where `last` is the callee's parameters for [`CALL_ENTRY`] and the
+/// digest of the callee's exit for [`CALL_RETURN`]. The DAIG's calls and
+/// entry forcing both key their bindings here, so they share entries.
+fn binding_key<D: AbstractDomain>(
+    symbol: &str,
+    call: &CallInput<'_, D>,
+    site_key: &str,
+    last: &(impl Hash + ?Sized),
+) -> MemoKey {
+    let (stmt, pre) = call.digests();
+    KeyBuilder::new(symbol)
+        .push_digest(stmt)
+        .push_digest(pre)
+        .push(site_key)
+        .push(last)
+        .finish()
 }
 
 /// One `(function, context)` DAIG and its forced-entry stamp.
@@ -369,14 +422,11 @@ struct InterResolver<'e, 'a, D: AbstractDomain> {
 impl<D: AbstractDomain> CallResolver<D> for InterResolver<'_, '_, D> {
     fn resolve(
         &mut self,
-        pre: &D,
-        stmt: &Stmt,
-        edge: EdgeId,
+        call: &CallInput<'_, D>,
         memo: &mut dyn MemoStore<Value<D>>,
         stats: &mut QueryStats,
     ) -> Result<D, DaigError> {
-        self.eval
-            .resolve_call(self.caller, pre, stmt, edge, memo, stats)
+        self.eval.resolve_call(self.caller, call, memo, stats)
     }
 }
 
@@ -475,71 +525,94 @@ impl<'a, D: AbstractDomain> Eval<'a, D> {
     }
 
     /// Resolves one call: feeds the callee ([`Eval::feed_callee`]) and
-    /// applies the return transfer to the exit it demanded.
+    /// applies the return binding to the exit it demanded.
     fn resolve_call(
         &mut self,
         caller: NodeId,
-        pre: &D,
-        stmt: &Stmt,
-        edge: EdgeId,
+        call: &CallInput<'_, D>,
         memo: &mut dyn MemoStore<Value<D>>,
         stats: &mut QueryStats,
     ) -> Result<D, DaigError> {
-        Ok(
-            match self.feed_callee(caller, pre, stmt, edge, memo, stats)? {
-                Fed::Dead => D::bottom(),
-                // Fall back to the domain's conservative call transfer.
-                Fed::UnknownCallee => pre.transfer(stmt),
-                Fed::Exit(site, exit) => pre.call_return(site, &exit),
-            },
-        )
+        Ok(match self.feed_callee(caller, call, memo, stats)? {
+            Fed::Dead => D::bottom(),
+            // Fall back to the domain's conservative call transfer.
+            Fed::UnknownCallee => call.pre.transfer(call.stmt),
+            Fed::Exit(site, exit) => {
+                let key = binding_key(
+                    CALL_RETURN,
+                    call,
+                    site.site_key,
+                    &Value::state_digest(&exit),
+                );
+                self.bind(key, memo, || call.pre.call_return(site, &exit))
+            }
+        })
     }
 
     /// The half of a call that acts on the callee: joins the entry
-    /// contribution of `pre` into the callee's context and demands the
-    /// callee's exit.
+    /// contribution of the pre-state into the callee's context and demands
+    /// the callee's exit.
     fn feed_callee<'s>(
         &mut self,
         caller: NodeId,
-        pre: &D,
-        stmt: &'s Stmt,
-        edge: EdgeId,
+        call: &CallInput<'s, D>,
         memo: &mut dyn MemoStore<Value<D>>,
         stats: &mut QueryStats,
     ) -> Result<Fed<'s, D>, DaigError>
     where
         'a: 's,
     {
-        let Stmt::Call { lhs, callee, args } = stmt else {
+        let Stmt::Call { lhs, callee, args } = call.stmt else {
             return Err(DaigError::Invariant("resolve_call on non-call".to_string()));
         };
-        if pre.is_bottom() {
+        if call.pre.is_bottom() {
             return Ok(Fed::Dead);
         }
-        let table = self.table;
-        let Some(call) = table.call_on(caller, edge) else {
-            if self.program.by_name(callee.as_str()).is_none() {
+        let (program, table) = (self.program, self.table);
+        let Some(out) = table.call_on(caller, call.edge) else {
+            if program.by_name(callee.as_str()).is_none() {
                 return Ok(Fed::UnknownCallee);
             }
             return Err(DaigError::Invariant(format!(
-                "call to {callee} on {edge} is not in the context table"
+                "call to {callee} on {} is not in the context table",
+                call.edge
             )));
         };
-        let callee_cfg = &self.program.cfgs()[table.nodes[call.callee].func];
+        let callee_cfg = &program.cfgs()[table.nodes[out.callee].func];
         debug_assert_eq!(callee_cfg.name(), callee, "context table is stale");
         let site = CallSite {
             lhs: lhs.as_ref(),
             callee,
             args: args.as_slice(),
-            site_key: &call.site_key,
+            site_key: &out.site_key,
         };
-        let contribution = pre.call_entry(site, callee_cfg.params());
-        let unit = self.unit_of(call.callee);
+        let params = callee_cfg.params();
+        let key = binding_key(CALL_ENTRY, call, site.site_key, params);
+        let contribution = self.bind(key, memo, || call.pre.call_entry(site, params));
+        let unit = self.unit_of(out.callee);
         let fa = self.units.slots[unit].fa_mut();
         let joined = fa.entry_state().join(&contribution);
         fa.set_entry_state(joined);
-        let exit = self.query_exit_of(call.callee, memo, stats)?;
+        let exit = self.query_exit_of(out.callee, memo, stats)?;
         Ok(Fed::Exit(site, exit))
+    }
+
+    /// One call binding: the memoized result under `key`, or `compute`'s,
+    /// recorded.
+    fn bind(
+        &mut self,
+        key: MemoKey,
+        memo: &mut dyn MemoStore<Value<D>>,
+        compute: impl FnOnce() -> D,
+    ) -> D {
+        if let Some(Value::State(bound)) = memo.fetch(key) {
+            self.units.counters.binding_reused();
+            return bound;
+        }
+        let bound = compute();
+        memo.record(key, Value::State(bound.clone()));
+        self.units.counters.binding_computed();
+        bound
     }
 
     /// Seeds the entry of `node` from all of its call sites' current
@@ -575,7 +648,8 @@ impl<'a, D: AbstractDomain> Eval<'a, D> {
             })?;
             let pre = self.query_loc_of(site.caller, edge.src, memo, stats)?;
             // Only the entry join is wanted: no return binding is made.
-            self.feed_callee(site.caller, &pre, &edge.stmt, site.edge, memo, stats)?;
+            let call = CallInput::new(&pre, &edge.stmt, site.edge);
+            self.feed_callee(site.caller, &call, memo, stats)?;
         }
         self.units.slots[unit].forced_in = self.units.epoch;
         self.units.counters.entry_forced();
@@ -971,6 +1045,29 @@ mod tests {
         assert_eq!(sites, program_sites(&program, "id"));
         assert_eq!(table.nodes[ENTRY_NODE].calls.len(), 3);
         assert_eq!(table.nodes[ENTRY_NODE].calls[0].site_key, "main:e0");
+    }
+
+    #[test]
+    fn binding_keys_tell_sites_and_callee_parameters_apart() {
+        // One statement text and one pre-state, as at two sites of `main`.
+        let stmt = Stmt::Call {
+            lhs: Some(Symbol::new("y")),
+            callee: Symbol::new("g"),
+            args: vec![dai_lang::parse_expr("x + 1").unwrap()],
+        };
+        let pre = IntervalDomain::top();
+        let call = CallInput::new(&pre, &stmt, EdgeId(0));
+        let (p, q) = ([Symbol::new("p")], [Symbol::new("q")]);
+        let key = |site: &str, params: &[Symbol]| binding_key(CALL_ENTRY, &call, site, params);
+        assert_eq!(key("main:e0", &p), key("main:e0", &p));
+        assert_ne!(key("main:e0", &p), key("main:e3", &p), "site keys");
+        assert_ne!(key("main:e0", &p), key("main:e0", &q), "callee parameters");
+        let exit = Value::state_digest(&pre);
+        assert_ne!(
+            binding_key(CALL_RETURN, &call, "main:e0", &exit),
+            binding_key(CALL_RETURN, &call, "main:e3", &exit),
+            "site keys of a return binding"
+        );
     }
 
     fn program_sites(program: &LoweredProgram, f: &str) -> Vec<(String, EdgeId)> {

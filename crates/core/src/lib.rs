@@ -86,5 +86,5 @@ pub use graph::{Daig, DaigError, Func, Value};
 pub use intern::{CellId, NameInterner};
 pub use interproc::{Context, ContextPolicy, InterAnalyzer};
 pub use name::{IterCtx, Name};
-pub use query::{CallResolver, IntraResolver, QueryStats};
+pub use query::{CallInput, CallResolver, IntraResolver, QueryStats};
 pub use strategy::{Convergence, FixStrategy};

@@ -25,10 +25,12 @@
 //! once after it is produced.
 //!
 //! Call statements are resolved through a [`CallResolver`] so the
-//! interprocedural layer (paper §7.1) can evaluate callee DAIGs on demand;
-//! call results are deliberately **not** memoized in `M`, because their
-//! value depends on the callee's current program text, not only on the
-//! argument values.
+//! interprocedural layer (paper §7.1) can evaluate callee DAIGs on demand.
+//! A call cell is never filled by `Q-Match` here: its value depends on the
+//! callee's current exit, not only on the cell's inputs. The resolver
+//! memoizes what is a function of its inputs — the interprocedural layer
+//! keys the two call bindings (`call_entry`, `call_return`) by the cell
+//! digests handed over in [`CallInput`].
 
 use crate::build::unroll_loop;
 use crate::compile::TransferTable;
@@ -42,23 +44,59 @@ use dai_lang::{EdgeId, Stmt};
 use dai_memo::{KeyBuilder, MemoStore};
 use std::time::Instant;
 
+/// One call to resolve: the caller's pre-state and the call statement on
+/// CFG edge `edge`.
+#[derive(Debug)]
+pub struct CallInput<'a, D> {
+    /// The caller's state before the call.
+    pub pre: &'a D,
+    /// The call statement.
+    pub stmt: &'a Stmt,
+    /// The CFG edge the statement labels.
+    pub edge: EdgeId,
+    /// The statement and pre-state cells' digests, when the DAIG holds
+    /// them.
+    held: Option<(u128, u128)>,
+}
+
+impl<'a, D: AbstractDomain> CallInput<'a, D> {
+    /// A call whose statement and pre-state are not DAIG cells.
+    pub(crate) fn new(pre: &'a D, stmt: &'a Stmt, edge: EdgeId) -> CallInput<'a, D> {
+        CallInput {
+            pre,
+            stmt,
+            edge,
+            held: None,
+        }
+    }
+
+    /// The digests of the statement and the pre-state, `(stmt, pre)`, as
+    /// cells holding them cache them ([`Value::stmt_digest`],
+    /// [`Value::state_digest`]): the DAIG's own, or computed here.
+    pub(crate) fn digests(&self) -> (u128, u128) {
+        self.held.unwrap_or_else(|| {
+            (
+                Value::<D>::stmt_digest(self.stmt),
+                Value::state_digest(self.pre),
+            )
+        })
+    }
+}
+
 /// Resolves the abstract post-state of a call statement from the caller's
 /// pre-state. The interprocedural layer implements this by demanding the
 /// callee's exit; the intraprocedural default havocs via
 /// [`AbstractDomain::transfer`]. The shared memo store and statistics are
 /// threaded through so nested cross-DAIG queries reuse them.
 pub trait CallResolver<D: AbstractDomain> {
-    /// Computes the post-state of `stmt` (a call) on edge `edge` from
-    /// `pre`.
+    /// Computes the post-state of `call.stmt` from `call.pre`.
     ///
     /// # Errors
     ///
     /// Returns a [`DaigError`] if demanding the callee fails.
     fn resolve(
         &mut self,
-        pre: &D,
-        stmt: &Stmt,
-        edge: EdgeId,
+        call: &CallInput<'_, D>,
         memo: &mut dyn MemoStore<Value<D>>,
         stats: &mut QueryStats,
     ) -> Result<D, DaigError>;
@@ -72,13 +110,11 @@ pub struct IntraResolver;
 impl<D: AbstractDomain> CallResolver<D> for IntraResolver {
     fn resolve(
         &mut self,
-        pre: &D,
-        stmt: &Stmt,
-        _edge: EdgeId,
+        call: &CallInput<'_, D>,
         _memo: &mut dyn MemoStore<Value<D>>,
         _stats: &mut QueryStats,
     ) -> Result<D, DaigError> {
-        Ok(pre.transfer(stmt))
+        Ok(call.pre.transfer(call.stmt))
     }
 }
 
@@ -250,13 +286,17 @@ fn apply_ready_at_with<D: AbstractDomain>(
             }
         };
         if let Stmt::Call { .. } = stmt {
-            // Calls: resolve through the interprocedural layer and do
-            // not memoize (the result depends on the callee's current
-            // body).
+            // Calls: no `Q-Match` on the cell, whose value depends on the
+            // callee's current exit; the resolver memoizes the bindings,
+            // which depend only on what is handed over here.
             stats.computed += 1;
-            Ok(Value::State(
-                resolver.resolve(pre, stmt, edge, memo, stats)?,
-            ))
+            let call = CallInput {
+                pre,
+                stmt,
+                edge,
+                held: Some((digest(stmt_cell), digest(pre_cell))),
+            };
+            Ok(Value::State(resolver.resolve(&call, memo, stats)?))
         } else {
             let key = KeyBuilder::new(Func::Transfer.memo_symbol())
                 .push_digest(digest(stmt_cell))

@@ -144,7 +144,9 @@ pub trait AbstractDomain:
     /// Abstract transfer `⟦s⟧♯` for non-call statements. Call statements
     /// are handled by the interprocedural layer; an implementation should
     /// treat a call conservatively (havoc the left-hand side) so that a
-    /// purely intraprocedural analysis remains sound.
+    /// purely intraprocedural analysis remains sound. Must be a pure
+    /// function of `self`'s content (as `Hash` sees it) and `stmt`: the
+    /// memo table reuses a result wherever the same pair recurs.
     fn transfer(&self, stmt: &Stmt) -> Self;
 
     /// Stages `stmt` into a [`CompiledTransfer`] closure specialized to
@@ -162,10 +164,18 @@ pub trait AbstractDomain:
 
     /// Abstract entry state of a callee: bind `callee_params` to the actual
     /// arguments evaluated in the caller state `self` at the call site.
+    ///
+    /// Must be a pure function of `self`'s content (as `Hash` sees it),
+    /// `site` and `callee_params`: `dai-core` memoizes it under a key
+    /// built from exactly those, as it memoizes [`Self::transfer`].
     fn call_entry(&self, site: CallSite<'_>, callee_params: &[Symbol]) -> Self;
 
     /// Abstract post-call state: combine the caller state at the call
     /// (`self`) with the callee's exit state.
+    ///
+    /// Must be a pure function of `self`'s and `callee_exit`'s content
+    /// (as `Hash` sees it) and `site`: `dai-core` memoizes it under a key
+    /// built from exactly those.
     fn call_return(&self, site: CallSite<'_>, callee_exit: &Self) -> Self;
 
     /// Concretization membership test `σ ⊨ φ` (i.e. `σ ∈ γ(φ)`), used by

@@ -26,20 +26,23 @@
 //! ## Edit fencing
 //!
 //! Coalescing must not reorder a query past a mutation that was submitted
-//! before it: a query enqueued *after* an `Edit` (or a `Load`) was
-//! submitted must never be answered from pre-edit state. Every `Edit`
-//! bumps its session's fence (and every `Load` the engine-global fence)
-//! at **submit** time; queries are stamped with the fence values they
+//! before it: a query enqueued *after* an `Edit` was submitted must never
+//! be answered from pre-edit state. Every `Edit` bumps its session's fence
+//! at **submit** time; queries are stamped with the fence value they
 //! were enqueued under, and a draining leader only takes members whose
-//! stamps are covered by the fences already **applied**. Later-stamped
+//! stamps are covered by the fence already **applied**. Later-stamped
 //! members stay pending — the batch *splits* at the fence — and the
-//! fencing request re-kicks them once it completes (success or failure;
+//! edit re-kicks them once it completes (success or failure;
 //! a failed edit still advances the fence, which is sound because it
 //! changed nothing). The fences count, so a session's edits must complete
 //! in the order they were stamped: each joins its session's edit queue as
 //! it is stamped, and whichever worker next holds the session lock applies
 //! the queue's front — `n` completions are the first `n` edits, never the
 //! second one overtaking the first on another worker.
+//!
+//! A `Load` fences nothing: it installs a new session, whose id exists
+//! only once the restore is done, so no query submitted before that can
+//! name it.
 
 use dai_core::compile::TransferMode;
 use dai_core::driver::ProgramEdit;
@@ -793,8 +796,6 @@ struct PendingQuery<D> {
     responder: Responder<D>,
     /// The target session's fence at enqueue time.
     fence: u64,
-    /// The engine-global (load) fence at enqueue time.
-    global_fence: u64,
 }
 
 /// The coalescing key: queries against the same session *and* function
@@ -837,7 +838,6 @@ struct EngineShared<D: AbstractDomain> {
     /// the engine's lifetime (session ids are never reused, so a stale
     /// fence is unreachable, and keeping it avoids close/submit races).
     fences: RwLock<HashMap<SessionId, Arc<Fence<D>>>>,
-    global_fence: Fence<D>,
     /// The pending-query coalescing queue. Invariant: an entry is present
     /// iff it is non-empty, and then either a leader job is queued/running
     /// for its key or every member is deferred behind a fence whose
@@ -910,7 +910,6 @@ impl<D: PersistDomain> Engine<D> {
             shared: Arc::new(EngineShared {
                 sessions: RwLock::new(HashMap::new()),
                 fences: RwLock::new(HashMap::new()),
-                global_fence: Fence::default(),
                 pending: Mutex::new(HashMap::new()),
                 memo,
                 strategy: config.strategy,
@@ -1038,9 +1037,9 @@ impl<D: PersistDomain> Engine<D> {
     /// `Query` requests go through the coalescing queue: while one is
     /// pending, further queries against the same `(session, function)`
     /// join its batch and the whole group is answered under a single
-    /// session-lock acquisition. `Edit` and `Load` bump their fences here,
+    /// session-lock acquisition. An `Edit` bumps its session's fence here,
     /// at submit time, so no later-submitted query can be answered from
-    /// earlier state (see the module docs).
+    /// pre-edit state (see the module docs).
     pub fn submit(&self, request: Request) -> Ticket<D> {
         let (ticket, responder) = reply_slot();
         match request {
@@ -1066,12 +1065,6 @@ impl<D: PersistDomain> Engine<D> {
                     .spawn(move || apply_next_edit(&shared, &pool, session));
             }
             request => {
-                if let Request::Load { .. } = &request {
-                    self.shared
-                        .global_fence
-                        .submitted
-                        .fetch_add(1, Ordering::SeqCst);
-                }
                 let shared = Arc::clone(&self.shared);
                 let pool = self.pool.handle();
                 pool.clone().spawn(move || {
@@ -1354,15 +1347,6 @@ impl<D: PersistDomain> Engine<D> {
         (
             fence.submitted.load(Ordering::SeqCst),
             fence.applied.load(Ordering::SeqCst),
-        )
-    }
-
-    /// The `(submitted, applied)` engine-global fence counters bumped by
-    /// `Load` requests.
-    pub fn global_fence(&self) -> (u64, u64) {
-        (
-            self.shared.global_fence.submitted.load(Ordering::SeqCst),
-            self.shared.global_fence.applied.load(Ordering::SeqCst),
         )
     }
 
@@ -1831,7 +1815,6 @@ fn enqueue_queries<D: PersistDomain>(
     }
     dai_trace::event!("engine.enqueue", members.len());
     let fence = fence_of(shared, session).submitted.load(Ordering::SeqCst);
-    let global_fence = shared.global_fence.submitted.load(Ordering::SeqCst);
     let key = (session, func);
     let spawn_leader = {
         let mut pending = shared.pending.lock().expect("pending queue poisoned");
@@ -1841,7 +1824,6 @@ fn enqueue_queries<D: PersistDomain>(
             loc,
             responder,
             fence,
-            global_fence,
         }));
         was_empty
     };
@@ -1861,21 +1843,21 @@ fn spawn_batch_leader<D: PersistDomain>(
     pool.spawn(move || serve_batch(&shared, &pool2, key));
 }
 
-/// Re-kicks pending batches after a fence completed: spawns a leader for
-/// every matching non-empty entry (`session == None` matches all — the
-/// global fence). Spurious leaders are harmless: a drain that finds
-/// nothing eligible puts the members back and returns.
+/// Re-kicks pending batches after a session's fence completed: spawns a
+/// leader for each of its non-empty entries. Spurious leaders are
+/// harmless: a drain that finds nothing eligible puts the members back and
+/// returns.
 fn kick_pending<D: PersistDomain>(
     shared: &Arc<EngineShared<D>>,
     pool: &PoolHandle,
-    session: Option<SessionId>,
+    session: SessionId,
 ) {
     let keys: Vec<BatchKey> = shared
         .pending
         .lock()
         .expect("pending queue poisoned")
         .iter()
-        .filter(|((s, _), members)| !members.is_empty() && session.is_none_or(|id| *s == id))
+        .filter(|((s, _), members)| !members.is_empty() && *s == session)
         .map(|(k, _)| k.clone())
         .collect();
     for key in keys {
@@ -1883,33 +1865,21 @@ fn kick_pending<D: PersistDomain>(
     }
 }
 
-/// Bumps a fence's `applied` counter and re-kicks pending batches when
-/// dropped — attached to every fencing request (`Edit`, `Load`) so the
-/// bump happens on *every* exit path, errors included; a query deferred
-/// behind a fence must never wait forever.
+/// Bumps a session fence's `applied` counter and re-kicks its pending
+/// batches when dropped — attached to every edit so the bump happens on
+/// *every* exit path, errors included; a query deferred behind a fence
+/// must never wait forever.
 struct FenceCompletion<'a, D: PersistDomain> {
     shared: &'a Arc<EngineShared<D>>,
     pool: &'a PoolHandle,
-    /// `Some` for a session fence (`Edit`), `None` for the global one
-    /// (`Load`).
-    session: Option<SessionId>,
+    session: SessionId,
 }
 
 impl<D: PersistDomain> Drop for FenceCompletion<'_, D> {
     fn drop(&mut self) {
-        match self.session {
-            Some(id) => {
-                fence_of(self.shared.as_ref(), id)
-                    .applied
-                    .fetch_add(1, Ordering::SeqCst);
-            }
-            None => {
-                self.shared
-                    .global_fence
-                    .applied
-                    .fetch_add(1, Ordering::SeqCst);
-            }
-        }
+        fence_of(self.shared.as_ref(), self.session)
+            .applied
+            .fetch_add(1, Ordering::SeqCst);
         kick_pending(self.shared, self.pool, self.session);
     }
 }
@@ -1935,7 +1905,7 @@ fn apply_next_edit<D: PersistDomain>(
         let _fence = FenceCompletion {
             shared,
             pool,
-            session: Some(sid),
+            session: sid,
         };
         let _edit_span = dai_trace::span!("engine.edit");
         match session_of(shared, sid) {
@@ -2028,13 +1998,11 @@ fn serve_batch<D: PersistDomain>(shared: &Arc<EngineShared<D>>, pool: &PoolHandl
     let applied = fence_of(shared.as_ref(), session_id)
         .applied
         .load(Ordering::SeqCst);
-    let global_applied = shared.global_fence.applied.load(Ordering::SeqCst);
     let eligible: Vec<PendingQuery<D>> = {
         let mut pending = shared.pending.lock().expect("pending queue poisoned");
         let members = pending.remove(&key).unwrap_or_default();
-        let (eligible, deferred): (Vec<_>, Vec<_>) = members
-            .into_iter()
-            .partition(|m| m.fence <= applied && m.global_fence <= global_applied);
+        let (eligible, deferred): (Vec<_>, Vec<_>) =
+            members.into_iter().partition(|m| m.fence <= applied);
         if !deferred.is_empty() {
             dai_trace::event!("engine.fence_defer", deferred.len());
             // The batch splits at the fence: later-stamped members stay
@@ -2047,7 +2015,7 @@ fn serve_batch<D: PersistDomain>(shared: &Arc<EngineShared<D>>, pool: &PoolHandl
     if eligible.is_empty() {
         drop(lock_span);
         drop(guard);
-        recheck_deferred(shared, pool, &key, applied, global_applied);
+        recheck_deferred(shared, pool, &key, applied);
         return;
     }
     let locs: Vec<Loc> = eligible.iter().map(|m| m.loc).collect();
@@ -2102,7 +2070,7 @@ fn serve_batch<D: PersistDomain>(shared: &Arc<EngineShared<D>>, pool: &PoolHandl
         m.responder.send(r.map(Response::State));
     }
     batch_latency().observe_ns(t0.elapsed().as_nanos() as u64);
-    recheck_deferred(shared, pool, &key, applied, global_applied);
+    recheck_deferred(shared, pool, &key, applied);
 }
 
 /// The engine-wide batch-serve latency histogram, registered once.
@@ -2111,7 +2079,7 @@ fn batch_latency() -> &'static dai_trace::Histogram {
     H.get_or_init(|| dai_trace::metrics().histogram("dai_engine_batch_serve_seconds"))
 }
 
-/// After a drain deferred members: if the fences moved past the values the
+/// After a drain deferred members: if the fence moved past the value the
 /// drain used while it held the queue, the completion kick may already
 /// have fired into the drained-out window — re-kick so nothing strands.
 fn recheck_deferred<D: PersistDomain>(
@@ -2119,7 +2087,6 @@ fn recheck_deferred<D: PersistDomain>(
     pool: &PoolHandle,
     key: &BatchKey,
     applied_seen: u64,
-    global_applied_seen: u64,
 ) {
     let still_pending = shared
         .pending
@@ -2133,8 +2100,7 @@ fn recheck_deferred<D: PersistDomain>(
     let applied_now = fence_of(shared.as_ref(), key.0)
         .applied
         .load(Ordering::SeqCst);
-    let global_now = shared.global_fence.applied.load(Ordering::SeqCst);
-    if applied_now > applied_seen || global_now > global_applied_seen {
+    if applied_now > applied_seen {
         spawn_batch_leader(shared, pool, key.clone());
     }
 }
@@ -2247,15 +2213,8 @@ fn process<D: PersistDomain>(
             }))
         }
         Request::Load { path } => {
-            // A load fences the whole engine (its fence was bumped at
-            // submit): queries submitted after it must not be answered
-            // until the restore has happened. Completion is on-drop,
-            // error paths included.
-            let _fence = FenceCompletion {
-                shared,
-                pool,
-                session: None,
-            };
+            // No fence: the restored session's id is assigned below, after
+            // the restore, so no pending query can name it.
             let mut load_span = dai_trace::span!("engine.load");
             let bytes = read_snapshot_file(&path)?;
             load_span.set_arg(bytes.len() as u64);

@@ -36,8 +36,8 @@
 //!   single session-lock acquisition ([`BatchStats`] counts the savings;
 //!   `Engine::submit_query_batch` submits a sweep as one deliberate
 //!   batch). Submit-time fences keep coalescing honest: a query enqueued
-//!   after an `Edit` or `Load` was submitted is never answered from
-//!   pre-mutation state — the batch splits at the fence instead.
+//!   after an `Edit` to its session was submitted is never answered from
+//!   pre-edit state — the batch splits at the fence instead.
 //!
 //! ## The consistency contract
 //!

@@ -7,6 +7,12 @@
 //! been applied to the same inputs *anywhere* in the program, independent
 //! of program location; `Q-Miss` computes and records a new entry.
 //!
+//! The symbols `dai-core` keys are the DAIG's own functions — `transfer`,
+//! `join` and `widen` (a delayed widening keys as `join`) — and, for
+//! interprocedural analysis, the two call bindings `call_entry` and
+//! `call_return`. A callee's exit is never an entry: it depends on the
+//! callee's current body, not only on its arguments.
+//!
 //! The paper's prototype obtains this table from `adapton.ocaml`; the
 //! semantics only require a sound finite map, so this crate provides
 //! exactly that:

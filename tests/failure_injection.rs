@@ -227,9 +227,7 @@ struct FailingResolver {
 impl dai_core::query::CallResolver<IntervalDomain> for FailingResolver {
     fn resolve(
         &mut self,
-        pre: &IntervalDomain,
-        stmt: &dai_lang::Stmt,
-        _edge: dai_lang::EdgeId,
+        call: &dai_core::CallInput<'_, IntervalDomain>,
         _memo: &mut dyn dai_memo::MemoStore<dai_core::Value<IntervalDomain>>,
         _stats: &mut QueryStats,
     ) -> Result<IntervalDomain, dai_core::DaigError> {
@@ -237,7 +235,7 @@ impl dai_core::query::CallResolver<IntervalDomain> for FailingResolver {
         if self.calls == self.fail_at {
             return Err(dai_core::DaigError::Invariant("injected failure".into()));
         }
-        Ok(pre.transfer(stmt))
+        Ok(call.pre.transfer(call.stmt))
     }
 }
 

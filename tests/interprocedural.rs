@@ -1129,6 +1129,66 @@ fn a_leaf_relabel_costs_at_most_sixteen_cells_per_call_before_it() {
     }
 }
 
+/// The call bindings (`call_entry` and `call_return`) the domain computes
+/// when `main`'s exit is demanded again after `g`'s return is relabelled,
+/// on a warm analyzer.
+fn relabel_bindings(k: usize, g_first: bool, policy: ContextPolicy) -> u64 {
+    let mut an = analyzer_of(&loops_then_leaf(k, g_first), policy);
+    let exit = cfg_exit(&an);
+    an.query_joined("main", exit).unwrap();
+    let ret = edge_of(&an, "g", "__ret = (p + 1)");
+    an.relabel("g", ret, assign("__ret", "p + 2")).unwrap();
+    let registry = dai_trace::metrics();
+    let published = || {
+        (
+            registry
+                .counter("dai_interproc_bindings_computed_total")
+                .get(),
+            registry
+                .counter("dai_interproc_bindings_reused_total")
+                .get(),
+        )
+    };
+    let (before, published_before) = (an.counters(), published());
+    an.query_joined("main", exit).unwrap();
+    let (after, published_after) = (an.counters(), published());
+    let computed = after.bindings_computed - before.bindings_computed;
+    let reused = after.bindings_reused - before.bindings_reused;
+    assert!(reused > 0);
+    // Other tests of this binary publish into the same counters.
+    assert!(published_after.0 - published_before.0 >= computed);
+    assert!(published_after.1 - published_before.1 >= reused);
+    computed
+}
+
+/// Call bindings are memoized by content, so the re-run after an edit
+/// binds again only the calls whose inputs moved. With `g` last, only
+/// `g`'s return binding sees a new input (its exit), whatever K is. With
+/// `g` first, its new exit changes the pre-state of every looping call
+/// after it: each binds its entry and return again, but feeds its callee
+/// the same entry as before.
+#[test]
+fn a_leaf_relabel_rebinds_only_the_calls_whose_inputs_moved() {
+    for policy in POLICIES {
+        let last: Vec<u64> = [4, 16, 64]
+            .iter()
+            .map(|&k| relabel_bindings(k, false, policy))
+            .collect();
+        assert!(
+            last.iter().all(|&b| b == last[0]),
+            "{policy:?}, g last: bindings computed at K = 4 / 16 / 64: {last:?}"
+        );
+        for k in [4, 16, 64] {
+            let first = relabel_bindings(k, true, policy);
+            let budget = 2 * k as u64 + 2;
+            assert!(
+                first <= budget,
+                "{policy:?}, K = {k}, g first: {first} bindings computed > {budget}"
+            );
+        }
+    }
+}
+
 /// The acceptance test for a sharper cut-off: with `g` called last, no
 /// looping callee's entry depends on `g`, so a relabel of `g` need not
 /// re-run any of them and its cost need not grow with K.

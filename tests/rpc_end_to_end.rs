@@ -1439,8 +1439,8 @@ fn a_peer_that_does_not_read_is_bounded_and_still_answered_in_full() {
     };
 
     // Phase 1 — small answers behind a barrier. A `Load` from a fifo
-    // holds its worker (and, through the engine-global fence, every
-    // query submitted after it) until the test opens the other end, so
+    // holds the engine's one worker (and so every query submitted after
+    // it) until the test opens the other end, so
     // the burst piles up to exactly `MAX_INFLIGHT` owed replies. The
     // burst is a few frames longer than that and fits the server's read
     // buffer (64 KiB) whole: when the stall begins, the surplus frames

@@ -22,7 +22,7 @@
 //! benchmark under `benchmark/` (`bash benchmark/run.sh`, five workloads,
 //! contract in `BENCHMARK.json`); the count invariants of those layers
 //! (locks per batch, cells recomputed after a restore, follower
-//! byte-equality, routed == served) are asserted by the suites under
+//! byte-equality) are asserted by the suites under
 //! `tests/`.
 
 pub mod buckets;

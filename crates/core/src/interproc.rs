@@ -16,7 +16,7 @@
 //!
 //! # What is cached, and what invalidates it
 //!
-//! * **The context table** ([`ContextTable`]): every `(function, context)`
+//! * **The context table** (`ContextTable`): every `(function, context)`
 //!   reachable from the entry under the policy, each with its calls out
 //!   (edge → callee node, plus the call's site key) and the call sites
 //!   mapping to it, in the order entry forcing visits them. It is a
@@ -47,7 +47,7 @@
 //!   demand-order joins.
 //! * **Call bindings** in the memo table. `call_entry` and `call_return`
 //!   are pure functions of their arguments (the [`AbstractDomain`]
-//!   contract), so each is memoized by content ([`binding_key`]): the
+//!   contract), so each is memoized by content (`binding_key`): the
 //!   digests of the call statement and the pre-state, the site key, and
 //!   the callee's parameters or the digest of its exit. The callee's exit
 //!   itself is never memoized — it depends on the callee's current body —
@@ -55,7 +55,7 @@
 //!   after an edit skips only the domain's binding work for calls whose
 //!   inputs did not change. A call cell still counts as computed.
 //! * **Forced-entry stamps**: a unit whose entry has been seeded from all
-//!   of its call sites ([`Eval::force_entry`]) is stamped with the current
+//!   of its call sites (`Eval::force_entry`) is stamped with the current
 //!   *edit epoch*, and forcing a stamped unit returns at once. The epoch
 //!   moves — dropping every stamp — exactly where entries are reset to ⊥:
 //!   [`InterAnalyzer::relabel`], [`InterAnalyzer::splice`] and

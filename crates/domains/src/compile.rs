@@ -2,7 +2,7 @@
 //!
 //! # Staged transfer compilation
 //!
-//! [`AbstractDomain::transfer`](crate::AbstractDomain::transfer) is an
+//! [`AbstractDomain::transfer`] is an
 //! *interpreter*: every evaluation re-classifies the statement AST
 //! (which `Stmt` variant? is the right-hand side `±x + c`? is it
 //! definitely numeric?) before doing any abstract arithmetic. On the
@@ -44,7 +44,7 @@
 //!   current body, not only on the statement text;
 //! * **every domain but the octagon** — [`crate::nonrel::NonRel`]'s
 //!   instances and shape — does not override
-//!   [`AbstractDomain::compile_transfer`](crate::AbstractDomain::compile_transfer),
+//!   [`AbstractDomain::compile_transfer`],
 //!   so every statement falls back (measured for PR 23: over a Rust
 //!   `match` on `Stmt` the staged closures of the environment domains
 //!   bought nothing, ROADMAP item 4.2);
@@ -151,7 +151,7 @@ impl<D> CompiledTransfer<D> {
 
 /// Per-domain transfer compilers. A domain implements `stage` with its
 /// own shape classification and overrides
-/// [`AbstractDomain::compile_transfer`](crate::AbstractDomain::compile_transfer)
+/// [`AbstractDomain::compile_transfer`]
 /// to delegate here; consumers (the transfer table in `dai-core`) only
 /// ever call the `AbstractDomain` entry point, so unstaged domains need
 /// no impl at all.

@@ -29,19 +29,19 @@
 //! once — the lower triangle of 2×2 blocks, `2n(n+1)` words for `n`
 //! variables where the square has `4n²`. Row `i` keeps columns `j ≤ i|1`,
 //! entry `(i, j)` at `j + ⌊(i+1)²/2⌋`; every other `(i, j)` is read as
-//! `(j̄, ī)` ([`slot`]). This is the only representation. Coherence is
-//! therefore structural: a twin is the same slot, so [`Oct::tighten`],
-//! [`Oct::forget`] and the O(d) assignments write each constraint once and
+//! `(j̄, ī)` (`slot`). This is the only representation. Coherence is
+//! therefore structural: a twin is the same slot, so `Oct::tighten`,
+//! `Oct::forget` and the O(d) assignments write each constraint once and
 //! an `Oct` whose halves disagree cannot be built. (The two diagonal
 //! entries of a block are twins that are both stored; they are `0` until
 //! closure finds the octagon empty.)
 //!
 //! Equality, the fingerprint, join, widening and `closes_exactly` are
 //! pointwise over the packed array, and so touch half the words;
-//! [`Oct::close`], [`Oct::strengthen`] and [`Oct::close_through`] relax
+//! `Oct::close`, `Oct::strengthen` and `Oct::close_through` relax
 //! stored rows only, each a contiguous zip against pivot rows read out at
-//! full width; `leq` visits the stored blocks. [`Oct::track`] re-lays rows
-//! as slices and [`Oct::project`] — projection onto a subset of the
+//! full width; `leq` visits the stored blocks. `Oct::track` re-lays rows
+//! as slices and `Oct::project` — projection onto a subset of the
 //! variables, renamed, in one pass — serves both `untrack` and
 //! `call_entry`. Everything else (`Display`, `models`, interval
 //! evaluation) goes through the accessor in the order it always did.
@@ -75,12 +75,12 @@
 //!
 //! ## When closure is incremental
 //!
-//! [`Oct::close`] is the one general strong closure, O(d³). Adding a
+//! `Oct::close` is the one general strong closure, O(d³). Adding a
 //! single constraint to a matrix that is already strongly closed does not
-//! need it: [`Oct::tighten`] restores closure in O(d²) with
-//! [`Oct::close_through`] (Miné's incremental closure) when the matrix is
+//! need it: `Oct::tighten` restores closure in O(d²) with
+//! `Oct::close_through` (Miné's incremental closure) when the matrix is
 //! flagged closed, consistent, and it and the new bound lie within
-//! [`EXACT_CLOSURE_BOUND`]. That is every tightening `assume` and call
+//! `EXACT_CLOSURE_BOUND`. That is every tightening `assume` and call
 //! return on the warm path. Genuinely unclosed inputs — widening results,
 //! [`Oct::from_packed`], `call_entry`'s projected matrix — and matrices with
 //! huge entries still go through `close()`.
@@ -101,13 +101,13 @@
 //! differently, which is why such matrices are left to `close()`, and why
 //! a constraint of two cells never takes both routes where a sum can
 //! saturate: the two bounds of an `==` have one magnitude, and
-//! [`Oct::constrain_interval`] puts an end beyond the bound in first, so
+//! `Oct::constrain_interval` puts an end beyond the bound in first, so
 //! that `close()` gets both ends raw. Adding a constraint therefore gives,
 //! bit for bit and on every input, what raw tightening followed by
 //! `close()` gives.
 //!
 //! **Beyond the bound this `close()` is not the full-matrix one**, whose
-//! `2n` single pivots a packed matrix cannot take (see [`Oct::close`]).
+//! `2n` single pivots a packed matrix cannot take (see `Oct::close`).
 //! Where a sum saturates, the `n` paired pivots here may round it
 //! differently: on about one saturating input in forty by the proptests'
 //! count, and on half of those the full-matrix result was itself
@@ -1630,10 +1630,10 @@ impl AbstractDomain for OctagonDomain {
 
 impl crate::compile::CompileTransfer for OctagonDomain {
     /// Stages a statement against the octagon domain. The win here is
-    /// real: the interpreter re-runs [`linear1`] (an AST walk with
+    /// real: the interpreter re-runs `linear1` (an AST walk with
     /// checked arithmetic) on every evaluation before reaching the O(d)
     /// `assign_*_closed` primitives; staging runs it once and the closure
-    /// enters [`OctagonDomain::assign`] where the interpreter does, so the
+    /// enters `OctagonDomain::assign` where the interpreter does, so the
     /// results are bit-identical by construction.
     fn stage(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
         use crate::compile::{CompiledTransfer, TransferShape};

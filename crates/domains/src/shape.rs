@@ -608,7 +608,7 @@ impl ShapeDomain {
     }
 
     /// Rebuilds a state from persisted parts, re-entering through the
-    /// same normalization as [`ShapeDomain::from_heaps`] (persistence
+    /// same normalization as `ShapeDomain::from_heaps` (persistence
     /// accessor): `⊥`/`⊤` collapse, saturation + GC, deduplication, and
     /// the disjunct cap. A snapshot therefore cannot materialize a state
     /// unreachable through the domain's own constructors — e.g. an empty

@@ -603,7 +603,8 @@ pub struct EngineStats {
     pub query_stats: QueryStats,
     /// Running totals across explain captures.
     pub explain: ExplainStats,
-    /// Shared memo table counters.
+    /// Memo counters: the shared table's, plus the private tables of
+    /// `Interproc` sessions' analyzers (counted per served batch).
     pub memo: MemoStats,
     /// Journal and replication counters.
     pub replication: ReplicationStats,
@@ -859,7 +860,10 @@ struct EngineShared<D: AbstractDomain> {
     singleton_queries: AtomicU64,
     union_cone_cells: AtomicU64,
     union_cone_walks: AtomicU64,
-    query_stats: Mutex<QueryStats>,
+    /// Evaluation work across all requests, and the memo traffic of
+    /// `Interproc` sessions, whose analyzers own their memo tables
+    /// ([`EngineStats::memo`] adds it to `memo`'s own).
+    work: Mutex<(QueryStats, MemoStats)>,
     /// Fsync policy for saves and (by default) journal appends.
     durability: Durability,
     /// The attached journal, if any ([`Engine::open_journal`]). Writes
@@ -927,7 +931,7 @@ impl<D: PersistDomain> Engine<D> {
                 singleton_queries: AtomicU64::new(0),
                 union_cone_cells: AtomicU64::new(0),
                 union_cone_walks: AtomicU64::new(0),
-                query_stats: Mutex::new(QueryStats::default()),
+                work: Mutex::default(),
                 durability: config.durability,
                 journal: RwLock::new(None),
                 journal_map: Mutex::new(JournalMap {
@@ -1240,7 +1244,7 @@ impl<D: PersistDomain> Engine<D> {
             let mut shared_stats = QueryStats::default();
             let mut per_query = vec![QueryStats::default(); locs.len()];
             let t0 = std::time::Instant::now();
-            let r = guard.query_locs(
+            let (r, _) = guard.query_locs(
                 func,
                 &locs,
                 &self.shared.memo,
@@ -1279,9 +1283,10 @@ impl<D: PersistDomain> Engine<D> {
         let lock_held_ns = t_held.elapsed().as_nanos() as u64;
         drop(guard);
         self.shared
-            .query_stats
+            .work
             .lock()
             .expect("stats poisoned")
+            .0
             .absorb(work);
         let report = sink.finish_report(
             D::domain_tag(),
@@ -1554,8 +1559,8 @@ impl<D: PersistDomain> Engine<D> {
     /// append threshold: one `DAIP` snapshot frame per journal-bound
     /// session replaces the history it covers, and frames appended while
     /// the snapshots were taken ride behind them. Returns `true` when a
-    /// compaction ran. Called automatically after journaled edits; a
-    /// REPL/router can also invoke it directly (`force = true`).
+    /// compaction ran. Called automatically after journaled edits; the
+    /// REPL's `journal compact` invokes it directly (`force = true`).
     ///
     /// # Errors
     ///
@@ -2021,7 +2026,7 @@ fn serve_batch<D: PersistDomain>(shared: &Arc<EngineShared<D>>, pool: &PoolHandl
     let locs: Vec<Loc> = eligible.iter().map(|m| m.loc).collect();
     let mut shared_stats = QueryStats::default();
     let mut per_query = vec![QueryStats::default(); locs.len()];
-    let results = guard.query_locs(
+    let (results, inter_memo) = guard.query_locs(
         func,
         &locs,
         &shared.memo,
@@ -2060,11 +2065,10 @@ fn serve_batch<D: PersistDomain>(shared: &Arc<EngineShared<D>>, pool: &PoolHandl
     for pq in &per_query {
         work.absorb(*pq);
     }
-    shared
-        .query_stats
-        .lock()
-        .expect("stats poisoned")
-        .absorb(work);
+    let mut totals = shared.work.lock().expect("stats poisoned");
+    totals.0.absorb(work);
+    totals.1.absorb(inter_memo);
+    drop(totals);
     dai_trace::event!("engine.answer", served);
     for (m, r) in eligible.into_iter().zip(results) {
         m.responder.send(r.map(Response::State));
@@ -2108,6 +2112,7 @@ fn recheck_deferred<D: PersistDomain>(
 /// One place that assembles [`EngineStats`], used by both
 /// [`Engine::stats`] and the in-stream [`Request::Stats`] handler.
 fn snapshot_stats<D: AbstractDomain>(shared: &EngineShared<D>, workers: usize) -> EngineStats {
+    let (query_stats, inter_memo) = *shared.work.lock().expect("stats poisoned");
     EngineStats {
         workers,
         sessions: shared.sessions.read().expect("session map poisoned").len(),
@@ -2124,13 +2129,17 @@ fn snapshot_stats<D: AbstractDomain>(shared: &EngineShared<D>, workers: usize) -
             union_cone_cells: shared.union_cone_cells.load(Ordering::Relaxed),
             union_cone_walks: shared.union_cone_walks.load(Ordering::Relaxed),
         },
-        query_stats: *shared.query_stats.lock().expect("stats poisoned"),
+        query_stats,
         explain: shared
             .explain_totals
             .lock()
             .expect("explain stats poisoned")
             .clone(),
-        memo: shared.memo.stats(),
+        memo: {
+            let mut memo = shared.memo.stats();
+            memo.absorb(inter_memo);
+            memo
+        },
         replication: {
             let journal = shared
                 .journal

@@ -52,7 +52,7 @@ use dai_core::strategy::FixStrategy;
 use dai_domains::AbstractDomain;
 use dai_lang::cfg::{lower_program, LoweredProgram};
 use dai_lang::{Loc, Symbol};
-use dai_memo::SharedMemoTable;
+use dai_memo::{MemoStats, SharedMemoTable};
 use dai_persist::{FuncImage, PersistDomain, RestoreReport, SessionImage};
 use std::collections::HashMap;
 
@@ -189,6 +189,13 @@ fn make_backend<D: AbstractDomain>(
             }
         }
     }
+}
+
+/// One `NoSuchFunction` answer per member of a batch on an unknown `func`.
+fn no_such_function<D>(func: &str, locs: &[Loc]) -> Vec<Result<D, EngineError>> {
+    locs.iter()
+        .map(|_| Err(EngineError::NoSuchFunction(func.to_string())))
+        .collect()
 }
 
 impl<D: AbstractDomain> Session<D> {
@@ -344,6 +351,11 @@ impl<D: AbstractDomain> Session<D> {
     /// individually: an unknown location yields `Err` in its slot while
     /// its siblings are still answered.
     ///
+    /// Besides the answers, returns the memo traffic that `memo` does not
+    /// count: an `Inter` session's analyzer owns its memo table, so its
+    /// hits, misses and insertions over the batch come back here (zero
+    /// for `Intra`, whose lookups all go through `memo`).
+    ///
     /// Cost attribution is opt-in: a supplied `sink` receives one record
     /// per demanded cell — including the `Q-Reuse` fast paths this layer
     /// answers without evaluating anything — so report cell counts match
@@ -363,7 +375,7 @@ impl<D: AbstractDomain> Session<D> {
         shared_stats: &mut QueryStats,
         per_query: &mut [QueryStats],
         sink: Option<&mut ExplainSink>,
-    ) -> Vec<Result<D, EngineError>> {
+    ) -> (Vec<Result<D, EngineError>>, MemoStats) {
         assert_eq!(per_query.len(), locs.len(), "one stats slot per member");
         self.queries += locs.len() as u64;
         match &mut self.backend {
@@ -371,23 +383,18 @@ impl<D: AbstractDomain> Session<D> {
                 let unit = match Self::unit_mut(units, program, self.strategy, self.transfer, func)
                 {
                     Ok(unit) => unit,
-                    Err(_) => {
-                        return locs
-                            .iter()
-                            .map(|_| Err(EngineError::NoSuchFunction(func.to_string())))
-                            .collect();
-                    }
+                    Err(_) => return (no_such_function(func, locs), MemoStats::default()),
                 };
-                Self::query_unit_locs(unit, locs, memo, shared_stats, per_query, sink)
+                let out = Self::query_unit_locs(unit, locs, memo, shared_stats, per_query, sink);
+                (out, MemoStats::default())
             }
             Backend::Inter { analyzer, .. } => {
                 if analyzer.program().by_name(func).is_none() {
-                    return locs
-                        .iter()
-                        .map(|_| Err(EngineError::NoSuchFunction(func.to_string())))
-                        .collect();
+                    return (no_such_function(func, locs), MemoStats::default());
                 }
-                locs.iter()
+                let memo_before = analyzer.memo_stats();
+                let out = locs
+                    .iter()
                     .enumerate()
                     .map(|(i, &loc)| {
                         let before = analyzer.stats();
@@ -395,7 +402,8 @@ impl<D: AbstractDomain> Session<D> {
                         per_query[i].absorb(analyzer.stats().delta(&before));
                         out
                     })
-                    .collect()
+                    .collect();
+                (out, analyzer.memo_stats().delta(&memo_before))
             }
         }
     }

@@ -377,6 +377,25 @@ impl MemoStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// Adds `other`'s counters into these.
+    pub fn absorb(&mut self, other: MemoStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.insertions += other.insertions;
+        self.evictions += other.evictions;
+    }
+
+    /// The counts between an `earlier` reading and this one (field-wise
+    /// subtraction).
+    pub fn delta(&self, earlier: &MemoStats) -> MemoStats {
+        MemoStats {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            insertions: self.insertions - earlier.insertions,
+            evictions: self.evictions - earlier.evictions,
+        }
+    }
 }
 
 /// The auxiliary memo table `M` of the DAIG semantics.

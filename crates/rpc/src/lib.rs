@@ -37,12 +37,7 @@
 //!   disk format *is* the wire format) and applies it into a local
 //!   follower engine whose replicated sessions are read-only — a
 //!   lagging follower is simply the leader as of an earlier frame, so
-//!   its answers are sound (see `crates/journal/README.md`);
-//! * [`router`] — session sharding: a [`Router`] is a third [`Service`]
-//!   implementor that consistent-hashes session names across N
-//!   [`ShardBackend`]s (engines or clients), forwards every call to the
-//!   owning shard, counts routed query members per shard, and migrates
-//!   sessions live between shards via save → release → close → load.
+//!   its answers are sound (see `crates/journal/README.md`).
 //!
 //! The wire protocol (frame layout, hello exchange, error codes) is
 //! documented in `crates/rpc/README.md`.
@@ -69,7 +64,6 @@
 pub mod client;
 pub mod proto;
 pub mod replica;
-pub mod router;
 pub mod server;
 
 pub use client::{Client, ClientOptions, StreamBatch};
@@ -78,7 +72,6 @@ pub use proto::{
     TAG_RESPONSE,
 };
 pub use replica::{Replica, SyncOutcome, DEFAULT_PULL_BATCH};
-pub use router::{Router, ShardBackend};
 pub use server::{Addr, IoStats, Server, ServerConfig};
 
 #[allow(unused_imports)]

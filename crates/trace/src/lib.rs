@@ -13,7 +13,7 @@
 //!   an [`TraceConfig`] runtime switch (one relaxed atomic load when
 //!   off) and the `probes` cargo feature (probe sites compile to inert
 //!   stubs when disabled, for a zero-cost baseline build).
-//! * **[`metrics`]** — a registry of named counters, gauges, and
+//! * **[`metrics`](mod@metrics)** — a registry of named counters, gauges, and
 //!   fixed-bucket latency histograms with Prometheus-style text
 //!   exposition ([`Metrics::render_prometheus`]).
 //! * **[`chrome`]** — a Chrome `trace_event` JSON exporter (open dumps

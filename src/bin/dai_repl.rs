@@ -4,9 +4,9 @@
 //! re-query with incremental reuse, watching the work counters.
 //!
 //! ```text
-//! $ cargo run --bin dai-repl -- program.js            # interval domain
-//! $ cargo run --bin dai-repl -- --domain octagon p.js
-//! $ cargo run --bin dai-repl -- --threads 4 p.js      # engine worker pool
+//! $ cargo run --bin dai_repl -- program.js            # interval domain
+//! $ cargo run --bin dai_repl -- --domain octagon p.js
+//! $ cargo run --bin dai_repl -- --threads 4 p.js      # engine worker pool
 //! dai> help
 //! dai> list
 //! dai> cfg main
@@ -61,7 +61,7 @@ use dai_engine::{Engine, EngineConfig, ResolverChoice, Service};
 use dai_lang::cfg::lower_program;
 use dai_lang::{EdgeId, Loc, Symbol};
 use dai_persist::{read_snapshot_file, write_snapshot_file, PersistDomain, SessionImage};
-use dai_rpc::{Addr, Client, ClientOptions, Replica, Router, Server, ServerConfig};
+use dai_rpc::{Addr, Client, ClientOptions, Replica, Server, ServerConfig};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
@@ -959,42 +959,6 @@ fn repl<D: PersistDomain>(
                     Err(e) => eprintln!("follow failed: {e}"),
                 }
             }
-            "route" => {
-                let n: usize = match rest.trim().parse() {
-                    Ok(n) if (1..=16).contains(&n) => n,
-                    _ => {
-                        eprintln!("usage: route N (1..=16 in-process shards)");
-                        continue;
-                    }
-                };
-                let backends: Vec<Arc<Engine<D>>> = (0..n)
-                    .map(|_| {
-                        Arc::new(Engine::with_config(EngineConfig {
-                            workers: threads,
-                            resolver: serve_resolver,
-                            transfer: session.transfer,
-                            ..EngineConfig::default()
-                        }))
-                    })
-                    .collect();
-                let router = Router::new(backends);
-                match sweep_via_service(
-                    &router,
-                    &session.source,
-                    &session.history,
-                    &sweep_targets(analyzer.program()),
-                ) {
-                    Ok(stats) => {
-                        let routed = router.routed_queries();
-                        println!(
-                            "routed per shard: {routed:?} (total {})",
-                            routed.iter().sum::<u64>()
-                        );
-                        last_engine_stats = Some(stats);
-                    }
-                    Err(e) => eprintln!("routed sweep failed: {e}"),
-                }
-            }
             "trace" => {
                 if let Err(e) =
                     trace_command(rest.trim(), remote.as_ref(), last_engine_stats.as_ref())
@@ -1135,9 +1099,6 @@ fn print_help() {
   follow ADDR               replicate a journaled `listen` server: pull its
                             journal, apply it into a read-only follower,
                             report the catch-up
-  route N                   run the serve sweep through a session-sharding
-                            router over N in-process engines, reporting the
-                            per-shard routed-query fan-out
   stats                     query/memo work counters
   stats --json              last serve/connect engine stats, one JSON line
   explain [--json] [FN [lNN]]

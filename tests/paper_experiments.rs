@@ -3,15 +3,20 @@
 //!
 //! * E1–E3 (Fig. 10): the latency ordering batch > incremental >
 //!   demand-driven > incremental+demand-driven holds on the synthetic
-//!   workload, with the combined configuration best at the tail;
+//!   workload, with the combined configuration best at the tail; the
+//!   same ordering holds, deterministically, for the cells each
+//!   configuration computes;
 //! * E4 (§7.2 intervals): the context-sensitivity precision gradient;
 //! * E5 (§7.2 shapes): list procedures verify; append needs one unrolling.
 
 use dai_bench::buckets::run_buckets;
 use dai_bench::harness::{run_fig10, summarize, Fig10Params};
 use dai_bench::lists::check_procedure;
-use dai_core::driver::Config;
+use dai_bench::workload::Workload;
+use dai_core::driver::{Config, Driver};
 use dai_core::interproc::ContextPolicy;
+use dai_core::query::QueryStats;
+use dai_domains::OctagonDomain;
 
 #[test]
 fn fig10_latency_ordering_holds() {
@@ -57,6 +62,50 @@ fn fig10_latency_ordering_holds() {
     // Tail latency: the combined configuration wins there too.
     assert!(p95_of(Config::IncrementalDemandDriven) <= p95_of(Config::Batch));
     assert!(p95_of(Config::IncrementalDemandDriven) <= p95_of(Config::DemandDriven));
+}
+
+/// Cells `config` computes over one Fig. 10 trial (60 edits, 3 queries
+/// each), in `run_trial`'s edit/query order: the work the wall-clock
+/// latencies above measure, counted instead of timed.
+fn fig10_cells_computed(config: Config, seed: u64) -> u64 {
+    let mut driver: Driver<OctagonDomain> = Driver::new(
+        config,
+        Workload::initial_program(),
+        ContextPolicy::Insensitive,
+        "main",
+        OctagonDomain::top(),
+    );
+    let mut gen = Workload::new(seed);
+    let mut computed = 0;
+    for _ in 0..60 {
+        let edit = gen.next_edit(driver.analyzer().program());
+        // Batch replaces its analyzer on every edit, so the new one's
+        // stats are this edit's work whole.
+        let before = match config {
+            Config::Batch => QueryStats::default(),
+            _ => driver.analyzer().stats(),
+        };
+        driver.apply_edit(&edit).unwrap();
+        computed += driver.analyzer().stats().delta(&before).computed;
+        for (f, loc) in gen.next_queries(driver.analyzer().program(), 3) {
+            let before = driver.analyzer().stats();
+            driver.query(f.as_str(), loc).unwrap();
+            computed += driver.analyzer().stats().delta(&before).computed;
+        }
+    }
+    computed
+}
+
+#[test]
+fn fig10_work_ordering_holds() {
+    // The harness's own trial seeds (`run_fig10` uses 0xDA1 + trial).
+    for seed in [0xDA1, 0xDA2] {
+        let [batch, incr, dd, incr_dd] = Config::ALL.map(|c| fig10_cells_computed(c, seed));
+        let counts = format!("seed {seed}: batch {batch}, incr {incr}, dd {dd}, incr+dd {incr_dd}");
+        assert!(batch > incr && incr > incr_dd, "{counts}");
+        assert!(dd > incr_dd, "{counts}");
+        println!("{counts}");
+    }
 }
 
 #[test]

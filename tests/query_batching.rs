@@ -15,14 +15,18 @@
 //!   it fenced; a `Load`, which only adds a session, holds back nothing;
 //! * **accounting** — `coalesced_queries + singleton_queries` equals the
 //!   queries served, one session lock and one union-cone traversal per
-//!   cold coalesced batch, and a union cone is never larger than the sum
-//!   of its members' solo cones.
+//!   cold coalesced batch, a union cone is never larger than the sum
+//!   of its members' solo cones, and an `Interproc` session's memo
+//!   traffic reaches `EngineStats::memo`.
 
 use dai_core::batch::batch_analyze;
 use dai_core::driver::ProgramEdit;
+use dai_core::interproc::{ContextPolicy, InterAnalyzer};
 use dai_core::query::IntraResolver;
 use dai_domains::{AbstractDomain, IntervalDomain, OctagonDomain};
-use dai_engine::{Engine, EngineError, Request, Response, SessionId, Ticket};
+use dai_engine::{
+    Engine, EngineConfig, EngineError, Request, ResolverChoice, Response, SessionId, Ticket,
+};
 use dai_lang::cfg::lower_program;
 use dai_lang::{parse_program, Loc, Symbol};
 
@@ -592,4 +596,51 @@ fn union_cone_is_at_most_the_sum_of_solo_cones() {
         union <= solo(a) + solo(b),
         "fig10 union cone exceeds the sum of solo cones"
     );
+}
+
+#[test]
+fn interproc_memo_traffic_reaches_the_engine_stats() {
+    // An `Interproc` session's analyzer owns its memo table, which the
+    // engine's shared table never sees; the engine still reports its
+    // traffic. Checked against a twin analyzer given the same queries in
+    // the same order: the engine's `memo` is the sum of its batch deltas.
+    let src = "function inc(x) { return x + 1; }
+               function twice(y) { var a = inc(y); var b = inc(a); return b; }
+               function main() { var i = 0; var s = 0;
+                                 while (i < 5) { s = twice(s); i = inc(i); }
+                                 return s; }";
+    let policy = ContextPolicy::CallString(1);
+    let config = EngineConfig {
+        resolver: ResolverChoice::Interproc { policy },
+        ..EngineConfig::default()
+    };
+    let engine: Engine<IntervalDomain> = Engine::with_config(config);
+    let session = engine.open_session_src("memo", src).unwrap();
+    let program = engine.program_of(session).unwrap();
+    let mut twin: InterAnalyzer<IntervalDomain> = InterAnalyzer::with_config(
+        program.clone(),
+        policy,
+        "main",
+        IntervalDomain::entry_default(&[]),
+        config.strategy,
+        config.transfer,
+    );
+    let mut twin_memo = dai_memo::MemoStats::default();
+    for cfg in program.cfgs() {
+        let (func, locs) = (cfg.name().as_str(), cfg.locs());
+        for r in engine.query_batch(session, func, &locs) {
+            r.unwrap();
+        }
+        let before = twin.memo_stats();
+        for &loc in &locs {
+            twin.query_joined(func, loc).unwrap();
+        }
+        twin_memo.absorb(twin.memo_stats().delta(&before));
+    }
+    let memo = engine.stats().memo;
+    assert!(
+        memo.hits + memo.misses > 0,
+        "no memo lookups counted: {memo:?}"
+    );
+    assert_eq!(memo, twin_memo);
 }

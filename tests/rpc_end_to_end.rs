@@ -10,7 +10,8 @@
 //!   `ResolverChoice::Intra` and `Interproc`, with two concurrent client
 //!   connections;
 //! * **ownership** — sessions die with their connection unless handed
-//!   off explicitly;
+//!   off explicitly; a session saved, handed off and closed on one
+//!   server loads on another with the same answers;
 //! * **hostility** — truncations, bit flips, bad checksums, wrong
 //!   protocol versions, and oversized declared lengths each produce a
 //!   structured `WireError` (or a clean connection close for
@@ -245,6 +246,62 @@ fn sessions_die_with_their_connection_unless_handed_off() {
     // Closing an adopted session works from any connection.
     assert!(client2.close(kept).unwrap());
     server.shutdown();
+}
+
+#[test]
+fn a_session_saved_on_one_server_loads_on_another_with_the_same_sweep() {
+    let (source, edits, targets) = fig10_script(5, 77);
+    let servers: Vec<_> = (0..2)
+        .map(|i| {
+            let engine: Arc<Engine<IntervalDomain>> = Arc::new(Engine::new(1));
+            Server::bind(&Addr::Unix(scratch(&format!("mover-{i}"))), engine).unwrap()
+        })
+        .collect();
+    let clients: Vec<Client<IntervalDomain>> = servers
+        .iter()
+        .map(|s| Client::connect(&s.addr().to_string()).unwrap())
+        .collect();
+    let sweep = |client: &Client<IntervalDomain>, session| {
+        client
+            .query_sweep(session, &targets)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect::<Vec<_>>()
+    };
+    let served = |server: &Server<IntervalDomain>| server.engine().stats().queries;
+
+    let mover = clients[0].open("mover", &source).unwrap();
+    for edit in &edits {
+        clients[0].edit(mover, edit).unwrap();
+    }
+    let before = sweep(&clients[0], mover);
+    // Every query sent over a socket is served by that socket's engine.
+    assert_eq!(served(&servers[0]), targets.len() as u64);
+    assert_eq!(served(&servers[1]), 0);
+
+    // Save on the owner, hand off and close there, load on the other.
+    let snap = scratch("mover.daip");
+    clients[0].save(mover, &snap).unwrap();
+    assert!(clients[0].handoff(mover).unwrap());
+    assert!(clients[0].close(mover).unwrap());
+    assert!(matches!(
+        servers[0].engine().program_of(mover),
+        Err(EngineError::NoSuchSession(_))
+    ));
+    let (moved, _) = clients[1].load(&snap).unwrap();
+    assert_eq!(
+        sweep(&clients[1], moved),
+        before,
+        "answers changed across servers"
+    );
+    assert_eq!(served(&servers[0]), targets.len() as u64);
+    assert_eq!(served(&servers[1]), targets.len() as u64);
+
+    let _ = std::fs::remove_file(&snap);
+    drop(clients);
+    for server in servers {
+        server.shutdown();
+    }
 }
 
 #[test]

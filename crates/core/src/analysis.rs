@@ -346,6 +346,15 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         self.daig.write(&ec, Value::State(self.entry_state.clone()));
     }
 
+    /// Replaces the entry state and drops every result in one pass:
+    /// [`FuncAnalysis::set_entry_state`] then
+    /// [`FuncAnalysis::dirty_everything`], without the dirtying walk the
+    /// first would spend on cells the second empties anyway.
+    pub(crate) fn reset(&mut self, phi0: D) {
+        self.entry_state = phi0;
+        self.dirty_everything();
+    }
+
     /// Demands every cell in `targets`, in order, through the one Fig. 8
     /// evaluator (see [`crate::query`]): on success each target holds a
     /// value. A batch applies cells in exactly the order

@@ -30,7 +30,8 @@
 //!   function in the root context) is reset — entry ⊥, every result
 //!   dropped — and in the entry unit everything downstream of *every* call
 //!   edge is dirtied, on top of what the edit itself dirtied there
-//!   (`InterAnalyzer::reset_units`). What an edit keeps is the entry
+//!   (`InterAnalyzer::reset_units`, which resets a unit in one pass with
+//!   `FuncAnalysis::reset`). What an edit keeps is the entry
 //!   unit's call-free cells, which equal a fresh analysis's, and the memo
 //!   table, which is exact by content. Everything from the entry
 //!   function's first call on therefore re-runs in the order a fresh
@@ -49,11 +50,24 @@
 //!   are pure functions of their arguments (the [`AbstractDomain`]
 //!   contract), so each is memoized by content (`binding_key`): the
 //!   digests of the call statement and the pre-state, the site key, and
-//!   the callee's parameters or the digest of its exit. The callee's exit
-//!   itself is never memoized — it depends on the callee's current body —
-//!   so every call still feeds the callee and demands its exit; a re-run
-//!   after an edit skips only the domain's binding work for calls whose
-//!   inputs did not change. A call cell still counts as computed.
+//!   the callee's parameters or the digest of its exit. A re-run after an
+//!   edit skips the domain's binding work for calls whose inputs did not
+//!   change. A call cell still counts as computed.
+//! * **Leaf exits** in the memo table. A callee whose table node has no
+//!   calls out is a *leaf*: its unit's exit is a function of its body and
+//!   its entry alone, and by Thm 6.1 it equals what a fresh analysis of
+//!   that body from that entry computes. So after the entry join, a leaf's
+//!   exit is looked up under `call_exit·(body digest, entry digest)`
+//!   (`exit_key`, `body_digest`): a hit returns the stored exit without
+//!   demanding the unit, whose entry is set and whose cells stay reset
+//!   until a query lands inside it; a miss demands the exit and records
+//!   it. The body digest covers the parameters, the entry and exit
+//!   locations, the strategy and every edge `(id, src, dst, stmt
+//!   digest)`, and is cached per function per edit epoch. The key holds
+//!   content only, so equal bodies share entries. A non-leaf callee stays
+//!   out: its own callees join contributions from other call sites, so
+//!   its exit depends on more than its entry, and every call to it feeds
+//!   it and demands its exit.
 //! * **Forced-entry stamps**: a unit whose entry has been seeded from all
 //!   of its call sites (`Eval::force_entry`) is stamped with the current
 //!   *edit epoch*, and forcing a stamped unit returns at once. The epoch
@@ -70,7 +84,8 @@
 //! edits (entries only change when a *new* contribution arrives, and every
 //! contribution of a forced unit has arrived); so the re-join reproduces
 //! the entry and [`FuncAnalysis::set_entry_state`] returns early on
-//! equality, and the callee-exit demand that follows finds its cell filled.
+//! equality, and the callee-exit demand that follows finds its cell filled
+//! (or, for a leaf, its exit in the memo table).
 //!
 //! **Warning for whoever sharpens the edit rule.** An entry that grows
 //! after its callers were evaluated does not dirty those callers' post-call
@@ -85,11 +100,12 @@ use crate::analysis::FuncAnalysis;
 use crate::graph::{DaigError, Value};
 use crate::name::Name;
 use crate::query::{CallInput, CallResolver, QueryStats};
+use crate::strategy::FixStrategy;
 use dai_domains::{AbstractDomain, CallSite};
-use dai_lang::cfg::LoweredProgram;
+use dai_lang::cfg::{Cfg, LoweredProgram};
 use dai_lang::edit::SpliceInfo;
 use dai_lang::{Block, CfgError, EdgeId, Loc, Stmt, Symbol};
-use dai_memo::{KeyBuilder, MemoKey, MemoStore, MemoTable};
+use dai_memo::{content_digest, KeyBuilder, MemoKey, MemoStore, MemoTable};
 use dai_trace::metrics::Counter;
 use std::collections::HashMap;
 use std::fmt;
@@ -342,6 +358,27 @@ impl Counters {
 /// The memo symbols of the two call bindings.
 const CALL_ENTRY: &str = "call_entry";
 const CALL_RETURN: &str = "call_return";
+/// The memo symbol of a leaf callee's exit.
+const CALL_EXIT: &str = "call_exit";
+
+/// The content digest of what a unit of `cfg` computes from a given entry:
+/// its parameters, entry and exit locations, the iteration strategy, and
+/// its edges in ascending id as `(id, src, dst, stmt digest)`.
+fn body_digest(cfg: &Cfg, strategy: FixStrategy) -> u128 {
+    let edges: Vec<(EdgeId, Loc, Loc, u128)> = cfg
+        .edges()
+        .map(|e| (e.id, e.src, e.dst, content_digest(&e.stmt)))
+        .collect();
+    content_digest(&(cfg.params(), cfg.entry(), cfg.exit(), strategy, edges))
+}
+
+/// The memo key of a leaf callee's exit: `call_exit·(body, entry)`.
+fn exit_key(body: u128, entry: u128) -> MemoKey {
+    KeyBuilder::new(CALL_EXIT)
+        .push_digest(body)
+        .push_digest(entry)
+        .finish()
+}
 
 /// The memo key of one call binding: `symbol·(stmt, pre, site key, last)`,
 /// where `last` is the callee's parameters for [`CALL_ENTRY`] and the
@@ -390,6 +427,9 @@ struct Units<D: AbstractDomain> {
     of_node: Vec<Option<UnitId>>,
     /// Moves wherever entries are reset to ⊥; see the module docs.
     epoch: u64,
+    /// Per function (definition index), its `body_digest` and the epoch
+    /// it was taken in.
+    bodies: HashMap<usize, (u64, u128)>,
     counters: Counters,
 }
 
@@ -551,7 +591,7 @@ impl<'a, D: AbstractDomain> Eval<'a, D> {
 
     /// The half of a call that acts on the callee: joins the entry
     /// contribution of the pre-state into the callee's context and demands
-    /// the callee's exit.
+    /// the callee's exit (a leaf's by content, [`Eval::leaf_exit`]).
     fn feed_callee<'s>(
         &mut self,
         caller: NodeId,
@@ -593,8 +633,44 @@ impl<'a, D: AbstractDomain> Eval<'a, D> {
         let fa = self.units.slots[unit].fa_mut();
         let joined = fa.entry_state().join(&contribution);
         fa.set_entry_state(joined);
-        let exit = self.query_exit_of(out.callee, memo, stats)?;
+        let exit = if table.nodes[out.callee].calls.is_empty() {
+            self.leaf_exit(out.callee, unit, memo, stats)?
+        } else {
+            self.query_exit_of(out.callee, memo, stats)?
+        };
         Ok(Fed::Exit(site, exit))
+    }
+
+    /// The exit of a `node` with no calls out, by content (module docs): a
+    /// memo hit leaves the unit undemanded.
+    fn leaf_exit(
+        &mut self,
+        node: NodeId,
+        unit: UnitId,
+        memo: &mut dyn MemoStore<Value<D>>,
+        stats: &mut QueryStats,
+    ) -> Result<D, DaigError> {
+        let entry = Value::state_digest(self.units.slots[unit].fa_mut().entry_state());
+        let key = exit_key(self.body_digest(self.table.nodes[node].func), entry);
+        if let Some(Value::State(exit)) = memo.fetch(key) {
+            return Ok(exit);
+        }
+        let exit = self.query_exit_of(node, memo, stats)?;
+        memo.record(key, Value::State(exit.clone()));
+        Ok(exit)
+    }
+
+    /// The `body_digest` of function `func`, taken once per edit epoch.
+    fn body_digest(&mut self, func: usize) -> u128 {
+        let epoch = self.units.epoch;
+        match self.units.bodies.get(&func) {
+            Some(&(at, digest)) if at == epoch => digest,
+            _ => {
+                let digest = body_digest(&self.program.cfgs()[func], self.units.strategy);
+                self.units.bodies.insert(func, (epoch, digest));
+                digest
+            }
+        }
     }
 
     /// One call binding: the memoized result under `key`, or `compute`'s,
@@ -719,6 +795,7 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
                 ids: HashMap::new(),
                 of_node: vec![None; table.nodes.len()],
                 epoch: 1,
+                bodies: HashMap::new(),
                 counters,
             },
             program,
@@ -728,6 +805,19 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
             memo: MemoTable::new(),
             stats: QueryStats::default(),
         }
+    }
+
+    /// Bounds this analyzer's memo table to roughly `capacity` entries
+    /// ([`MemoTable::with_capacity_limit`]); without it the table is
+    /// unbounded. Meant for a new analyzer: entries held so far are
+    /// dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn with_memo_capacity(mut self, capacity: usize) -> InterAnalyzer<D> {
+        self.memo = MemoTable::with_capacity_limit(capacity);
+        self
     }
 
     /// After an edit moved the call graph.
@@ -937,8 +1027,7 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
             if is_entry {
                 entry(unit);
             } else {
-                unit.set_entry_state(D::bottom());
-                unit.dirty_everything();
+                unit.reset(D::bottom());
             }
         }
     }
@@ -1068,6 +1157,85 @@ mod tests {
             binding_key(CALL_RETURN, &call, "main:e3", &exit),
             "site keys of a return binding"
         );
+    }
+
+    #[test]
+    fn exit_keys_move_with_the_body_and_the_entry_and_equal_bodies_share_one() {
+        let program = lower(
+            "function f(p) { var i = 0; while (i < p) { i = i + 1; } return i; } \
+             function same(p) { var i = 0; while (i < p) { i = i + 1; } return i; } \
+             function stmt(p) { var i = 1; while (i < p) { i = i + 1; } return i; } \
+             function param(p, q) { var i = 0; while (i < p) { i = i + 1; } return i; } \
+             function main() { return 0; }",
+        );
+        let cfg = |f: &str| program.by_name(f).unwrap();
+        let (low, high) = (IntervalDomain::top(), IntervalDomain::bottom());
+        let key = |f: &str, strategy: FixStrategy, entry: &IntervalDomain| {
+            exit_key(body_digest(cfg(f), strategy), Value::state_digest(entry))
+        };
+        let base = key("f", FixStrategy::PAPER, &low);
+        assert_eq!(base, key("same", FixStrategy::PAPER, &low), "equal bodies");
+        assert_ne!(base, key("stmt", FixStrategy::PAPER, &low), "a statement");
+        assert_ne!(base, key("param", FixStrategy::PAPER, &low), "a parameter");
+        assert_ne!(base, key("f", FixStrategy::PAPER, &high), "the entry");
+        assert_ne!(
+            base,
+            key("f", FixStrategy::delayed(2), &low),
+            "the strategy"
+        );
+    }
+
+    /// `count` is a leaf called from `main` only. After an edit elsewhere,
+    /// `main`'s exit finds `count`'s exit in the memo table and leaves its
+    /// reset unit alone; a query inside `count` then fills it, and answers
+    /// like a fresh analyzer asked the same queries.
+    #[test]
+    fn a_query_inside_a_leaf_skipped_by_an_exit_hit_answers_like_a_fresh_analysis() {
+        let src = "function count(n) { var i = 0; while (i < n) { i = i + 1; } return i; } \
+                   function other(q) { return q + 1; } \
+                   function main() { var a = count(5); var b = other(a); return b; }";
+        for policy in [ContextPolicy::Insensitive, ContextPolicy::CallString(2)] {
+            let mut an: InterAnalyzer<IntervalDomain> =
+                InterAnalyzer::new(lower(src), policy, "main", IntervalDomain::top());
+            let main_exit = an.program().by_name("main").unwrap().exit();
+            an.query_joined("main", main_exit).unwrap();
+            let ret = an
+                .program()
+                .by_name("other")
+                .unwrap()
+                .edges()
+                .next()
+                .unwrap()
+                .id;
+            let stmt = Stmt::Assign(
+                Symbol::new(dai_lang::RETURN_VAR),
+                dai_lang::parse_expr("q + 2").unwrap(),
+            );
+            an.relabel("other", ret, stmt).unwrap();
+
+            let ctx = an.contexts_of("count").pop().unwrap();
+            let filled = |an: &InterAnalyzer<IntervalDomain>| {
+                an.unit("count", &ctx).unwrap().daig().filled_count()
+            };
+            let reset = filled(&an);
+            let hits = an.memo_stats().hits;
+            let answer = an.query_joined("main", main_exit).unwrap();
+            assert!(an.memo_stats().hits > hits);
+            assert_eq!(filled(&an), reset, "{policy:?}: the leaf was demanded");
+
+            let mut fresh: InterAnalyzer<IntervalDomain> =
+                InterAnalyzer::new(an.program().clone(), policy, "main", IntervalDomain::top());
+            assert_eq!(fresh.query_joined("main", main_exit).unwrap(), answer);
+            for loc in an.program().by_name("count").unwrap().locs() {
+                let got = an.query_at("count", loc).unwrap();
+                assert_eq!(
+                    got,
+                    fresh.query_at("count", loc).unwrap(),
+                    "{policy:?} {loc}"
+                );
+            }
+            assert!(filled(&an) > reset);
+        }
     }
 
     fn program_sites(program: &LoweredProgram, f: &str) -> Vec<(String, EdgeId)> {

@@ -86,7 +86,9 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Shards of the shared memo table.
     pub memo_shards: usize,
-    /// Optional total memo capacity (entries) across shards.
+    /// Optional total memo capacity (entries) across shards. It also
+    /// bounds, separately, the memo table an `Interproc` session's
+    /// analyzer owns.
     pub memo_capacity: Option<usize>,
     /// Loop-head iteration strategy applied to every session.
     pub strategy: FixStrategy,
@@ -848,6 +850,8 @@ struct EngineShared<D: AbstractDomain> {
     strategy: FixStrategy,
     resolver: ResolverChoice,
     transfer: TransferMode,
+    /// Bounds each `Interproc` session's own memo table too.
+    memo_capacity: Option<usize>,
     next_session: AtomicU64,
     queries: AtomicU64,
     edits: AtomicU64,
@@ -919,6 +923,7 @@ impl<D: PersistDomain> Engine<D> {
                 strategy: config.strategy,
                 resolver: config.resolver,
                 transfer: config.transfer,
+                memo_capacity: config.memo_capacity,
                 next_session: AtomicU64::new(1),
                 queries: AtomicU64::new(0),
                 edits: AtomicU64::new(0),
@@ -963,6 +968,7 @@ impl<D: PersistDomain> Engine<D> {
             self.shared.resolver,
             self.shared.transfer,
             None,
+            self.shared.memo_capacity,
         ))
     }
 
@@ -989,6 +995,7 @@ impl<D: PersistDomain> Engine<D> {
             self.shared.resolver,
             self.shared.transfer,
             Some(source.to_string()),
+            self.shared.memo_capacity,
         ));
         journal_open(&self.shared, id, &name, source);
         Ok(id)
@@ -1498,6 +1505,7 @@ impl<D: PersistDomain> Engine<D> {
                     shared.resolver,
                     shared.transfer,
                     Some(source.clone()),
+                    shared.memo_capacity,
                 );
                 session.set_replica(replica);
                 self.install_journaled(entry.session, session);
@@ -1522,8 +1530,13 @@ impl<D: PersistDomain> Engine<D> {
                     Some(policy) => ResolverChoice::Interproc { policy },
                     None => ResolverChoice::Intra,
                 };
-                let (mut session, _, _) =
-                    Session::restore(image, restore_resolver, shared.transfer, &report)?;
+                let (mut session, _, _) = Session::restore(
+                    image,
+                    restore_resolver,
+                    shared.transfer,
+                    shared.memo_capacity,
+                    &report,
+                )?;
                 session.set_replica(replica);
                 self.install_journaled(entry.session, session);
             }
@@ -2240,8 +2253,13 @@ fn process<D: PersistDomain>(
                 Some(policy) => ResolverChoice::Interproc { policy },
                 None => ResolverChoice::Intra,
             };
-            let (session, installed, dropped) =
-                Session::restore(image, restore_resolver, shared.transfer, &report)?;
+            let (session, installed, dropped) = Session::restore(
+                image,
+                restore_resolver,
+                shared.transfer,
+                shared.memo_capacity,
+                &report,
+            )?;
             let id = SessionId(shared.next_session.fetch_add(1, Ordering::Relaxed));
             shared
                 .sessions

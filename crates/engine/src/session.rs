@@ -170,6 +170,7 @@ fn make_backend<D: AbstractDomain>(
     program: LoweredProgram,
     strategy: FixStrategy,
     transfer: TransferMode,
+    memo_capacity: Option<usize>,
 ) -> Backend<D> {
     match resolver {
         ResolverChoice::Intra => Backend::Intra {
@@ -181,11 +182,14 @@ fn make_backend<D: AbstractDomain>(
                 Some(cfg) => (cfg.name().to_string(), D::entry_default(cfg.params())),
                 None => ("main".to_string(), D::entry_default(&[])),
             };
+            let analyzer =
+                InterAnalyzer::with_config(program, policy, &entry, phi0, strategy, transfer);
             Backend::Inter {
                 policy,
-                analyzer: Box::new(InterAnalyzer::with_config(
-                    program, policy, &entry, phi0, strategy, transfer,
-                )),
+                analyzer: Box::new(match memo_capacity {
+                    Some(capacity) => analyzer.with_memo_capacity(capacity),
+                    None => analyzer,
+                }),
             }
         }
     }
@@ -209,12 +213,14 @@ impl<D: AbstractDomain> Session<D> {
             ResolverChoice::Intra,
             TransferMode::default(),
             None,
+            None,
         )
     }
 
     /// Creates a session with an explicit resolver choice, transfer mode,
-    /// and (optionally) the program's source text, which makes the
-    /// session saveable.
+    /// (optionally) the program's source text, which makes the session
+    /// saveable, and (optionally) the capacity of an interprocedural
+    /// analyzer's own memo table (see [`crate::EngineConfig::memo_capacity`]).
     pub fn with_config(
         name: impl Into<String>,
         program: LoweredProgram,
@@ -222,8 +228,9 @@ impl<D: AbstractDomain> Session<D> {
         resolver: ResolverChoice,
         transfer: TransferMode,
         source: Option<String>,
+        memo_capacity: Option<usize>,
     ) -> Self {
-        let backend = make_backend(resolver, program, strategy, transfer);
+        let backend = make_backend(resolver, program, strategy, transfer, memo_capacity);
         Session {
             name: name.into(),
             strategy,
@@ -740,6 +747,7 @@ impl<D: PersistDomain> Session<D> {
         image: SessionImage<D>,
         resolver: ResolverChoice,
         transfer: TransferMode,
+        memo_capacity: Option<usize>,
         report: &RestoreReport,
     ) -> Result<(Session<D>, usize, usize), EngineError> {
         let program = dai_lang::parse_program(&image.source)
@@ -752,6 +760,7 @@ impl<D: PersistDomain> Session<D> {
             resolver,
             transfer,
             Some(image.source),
+            memo_capacity,
         );
         for edit in &image.edits {
             session.apply_edit(edit)?;

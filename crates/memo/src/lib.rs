@@ -446,8 +446,9 @@ impl<V> MemoTable<V> {
     /// Looks up `key`, recording a hit or miss.
     pub fn get(&mut self, key: MemoKey) -> Option<&V> {
         // Promote from the previous generation on hit so hot entries
-        // survive rotations.
-        if !self.current.contains_key(&key) {
+        // survive rotations. Until a rotation fills it, `previous` is
+        // empty and a lookup is one probe of `current`.
+        if !self.previous.is_empty() && !self.current.contains_key(&key) {
             if let Some(v) = self.previous.remove(&key) {
                 self.current.insert(key, v);
             }
@@ -807,6 +808,19 @@ mod tests {
             // rotation can retire it.
             assert_eq!(m.get(hot), Some(&-1), "hot entry lost at i={i}");
         }
+    }
+
+    #[test]
+    fn a_rotated_entry_is_promoted_on_its_next_hit() {
+        let mut m = MemoTable::with_capacity_limit(4);
+        let (a, b) = (key("f", &[1]), key("f", &[2]));
+        m.insert(a, 1);
+        m.insert(b, 2); // fills half the capacity: `a` and `b` rotate out
+        assert!(m.current.is_empty() && m.previous.len() == 2);
+        assert_eq!(m.get(a), Some(&1));
+        assert!(m.current.contains_key(&a) && !m.previous.contains_key(&a));
+        assert_eq!(m.get(key("f", &[3])), None);
+        assert_eq!((m.stats().hits, m.stats().misses), (1, 1));
     }
 
     #[test]

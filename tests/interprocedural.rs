@@ -1110,9 +1110,11 @@ const POLICIES: [ContextPolicy; 3] = [
 ];
 
 /// The edit rule re-runs `main` from its first call on, so a relabel of
-/// `g` re-runs every looping callee whichever end `g` is called from:
-/// 11·K + 3 cone cells today, under every policy. This bound keeps the rule
-/// from getting worse.
+/// `g` re-runs every looping call whichever end `g` is called from. The
+/// looping callees are leaves fed the entries they had, so their exits
+/// come from the memo table: K + 3 cone cells at either end under every
+/// policy (11·K + 3 while each call demanded its callee's unit). This
+/// bound keeps the rule from getting worse than that older cost.
 #[test]
 fn a_leaf_relabel_costs_at_most_sixteen_cells_per_call_before_it() {
     for policy in POLICIES {
@@ -1125,6 +1127,21 @@ fn a_leaf_relabel_costs_at_most_sixteen_cells_per_call_before_it() {
                     "{policy:?}, K = {k}, g first: {g_first}: {cost} cone cells > {budget}"
                 );
             }
+        }
+    }
+}
+
+/// `g` is a leaf, so with `g` called last every looping callee is fed the
+/// entry it had before the edit and answers its exit from the memo table
+/// without demanding its unit: the re-run costs `main`'s K + 1 calls, its
+/// exit and `g`'s one changed edge. Each call cell of `main` is still
+/// computed, so the cost still grows with K (the cut-off test below).
+#[test]
+fn a_leaf_called_last_relabels_at_k_plus_3() {
+    for policy in POLICIES {
+        for k in [4, 16, 64] {
+            let cost = relabel_cost(k, false, policy);
+            assert_eq!(cost, k as u64 + 3, "{policy:?}, K = {k}");
         }
     }
 }

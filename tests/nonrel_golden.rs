@@ -3,8 +3,9 @@
 //! `382beb5`, the commit before `NonRel<V>` replaced their three private
 //! `Bottom | Env(BTreeMap)` representations. Only the *values* of memo keys
 //! may differ from that commit, and the `Interproc` per-query memo counts,
-//! which since call bindings are memoized also count their lookups;
-//! everything else recorded here may not.
+//! which since call bindings and leaf callee exits are memoized also count
+//! their lookups (and a query inside a leaf whose exit a hit answered pays
+//! for that leaf's cells); everything else recorded here may not.
 //!
 //! Per domain and fixture (`call_fan.dai` under `Interproc` with
 //! `CallString(1)`, the rest `Intra`, one analysis per function over one

@@ -644,3 +644,65 @@ fn interproc_memo_traffic_reaches_the_engine_stats() {
     );
     assert_eq!(memo, twin_memo);
 }
+
+#[test]
+fn memo_capacity_bounds_interproc_sessions_and_answers_alike() {
+    // An `Interproc` session's analyzer owns its memo table; the engine's
+    // `memo_capacity` bounds it as it bounds the shared one. A small bound
+    // rotates entries out, and answers stay those of an unbounded twin,
+    // before and after an edit.
+    let src = "function inc(x) { return x + 1; }
+               function count(n) { var i = 0; while (i < n) { i = i + 1; } return i; }
+               function main() { var i = 0; var s = 0;
+                                 while (i < 5) { s = inc(s); i = inc(i); }
+                                 var c = count(s); return c; }";
+    let config = |memo_capacity| EngineConfig {
+        resolver: ResolverChoice::Interproc {
+            policy: ContextPolicy::CallString(1),
+        },
+        memo_capacity,
+        ..EngineConfig::default()
+    };
+    let answers = |memo_capacity| {
+        let engine: Engine<IntervalDomain> = Engine::with_config(config(memo_capacity));
+        let session = engine.open_session_src("bounded", src).unwrap();
+        let sweep = |engine: &Engine<IntervalDomain>| {
+            let program = engine.program_of(session).unwrap();
+            let mut out = Vec::new();
+            for cfg in program.cfgs() {
+                let (func, locs) = (cfg.name().as_str(), cfg.locs());
+                for r in engine.query_batch(session, func, &locs) {
+                    out.push(r.unwrap());
+                }
+            }
+            out
+        };
+        let mut out = sweep(&engine);
+        let edge = engine
+            .program_of(session)
+            .unwrap()
+            .by_name("inc")
+            .unwrap()
+            .edges()
+            .next()
+            .unwrap()
+            .id;
+        let edit = ProgramEdit::Relabel {
+            func: Symbol::new("inc"),
+            edge,
+            stmt: dai_lang::Stmt::Assign(
+                Symbol::new(dai_lang::RETURN_VAR),
+                dai_lang::parse_expr("x + 2").unwrap(),
+            ),
+        };
+        let edited = engine.request(Request::Edit { session, edit }).unwrap();
+        assert!(matches!(edited, Response::Edited(_)));
+        out.extend(sweep(&engine));
+        (out, engine.stats().memo)
+    };
+    let (bounded, bounded_memo) = answers(Some(8));
+    let (unbounded, unbounded_memo) = answers(None);
+    assert!(bounded_memo.evictions > 0, "{bounded_memo:?}");
+    assert_eq!(unbounded_memo.evictions, 0, "{unbounded_memo:?}");
+    assert_eq!(bounded, unbounded);
+}

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Shares of a sigprof.c dump: self, inclusive, and "under function X".
+"""Shares of sigprof.c dumps: self, inclusive, and "under function X".
 
-    report.py DUMP BINARY [--under SUBSTRING] [--only PREFIX] [--top N]
+    report.py DUMP... BINARY [--under SUBSTRING] [--only PREFIX] [--top N]
+
+Several dumps (say, one per run of the same binary) are merged: each is
+symbolised against its own memory maps and their counts are summed.
 
 A sample counts once for every distinct function on its stack (inclusive)
 and once for its innermost one (self); with --under, only samples whose
@@ -9,7 +12,7 @@ stack contains SUBSTRING count, and the inclusive table lists what runs
 below it. With --only, frames whose symbol does not start with PREFIX (or,
 for `<T as Trait>::f` impls, contain it) are dropped from every stack first,
 so `--only dai_` charges std/hashbrown wrappers to the crate function that
-called them. Shares are of all samples taken.
+called them. Shares are of all samples taken, across every dump.
 """
 import collections
 import os
@@ -18,16 +21,9 @@ import subprocess
 import sys
 
 
-def main():
-    args = sys.argv[1:]
-    opt = {"--under": None, "--only": None, "--top": "30"}
-    for flag in opt:
-        if flag in args:
-            at = args.index(flag)
-            opt[flag] = args[at + 1]
-            del args[at : at + 2]
-    dump, binary = args
-    binary = os.path.realpath(binary)
+def read_dump(dump, binary):
+    """The dump's samples as stacks, innermost first: offsets into `binary`
+    (ints) or "[library]" names, resolved against the dump's own maps."""
     samples, maps = [], []
     for line in open(dump):
         if line.startswith("S "):
@@ -53,7 +49,22 @@ def main():
                 return "[" + os.path.basename(path) + "]"
         return "[unmapped]"
 
-    stacks = [[locate(a, i == 0) for i, a in enumerate(s)] for s in samples]
+    return [[locate(a, i == 0) for i, a in enumerate(s)] for s in samples]
+
+
+def main():
+    args = sys.argv[1:]
+    opt = {"--under": None, "--only": None, "--top": "30"}
+    for flag in opt:
+        if flag in args:
+            at = args.index(flag)
+            opt[flag] = args[at + 1]
+            del args[at : at + 2]
+    if len(args) < 2:
+        sys.exit(__doc__)
+    *dumps, binary = args
+    binary = os.path.realpath(binary)
+    stacks = [stack for dump in dumps for stack in read_dump(dump, binary)]
     wanted = sorted({f for s in stacks for f in s if isinstance(f, int)})
     out = subprocess.run(
         ["addr2line", "-a", "-f", "-C", "-i", "-e", binary],

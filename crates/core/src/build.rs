@@ -13,7 +13,10 @@
 //! The source of a DAIG edge out of location `a` follows the paper's
 //! `src-nm`: the fixed-point cell when `a` is a loop head and the edge
 //! leaves the loop, the current iterate when the edge stays inside, and
-//! the plain state cell otherwise.
+//! the plain state cell otherwise. An edge that leaves loops from a body
+//! location (a `return` inside a loop) is a case `src-nm` does not have:
+//! it reads `a⟨ℓ: fix⟩`, the state at `a` in each left loop's converged
+//! iteration, through an `at_fix` computation (see [`Func::AtFix`]).
 
 use crate::graph::{Daig, Func, Value};
 use crate::intern::CellId;
@@ -77,6 +80,9 @@ impl<'a> CtxCache<'a> {
 
     /// [`src_name`] via the cache.
     fn src(&mut self, a: Loc, b: Loc) -> Name {
+        if let Some(exit) = at_fix_name(self.cfg, a, b, self.ctx(a)) {
+            return exit;
+        }
         if self.cfg.is_loop_head(a) {
             let into_loop = a == b || self.cfg.enclosing_chain(b).contains(&a);
             let i = self.iteration(a);
@@ -137,8 +143,13 @@ pub fn fix_name(cfg: &Cfg, loc: Loc, overrides: &Overrides) -> Name {
     }
 }
 
-/// The paper's `src-nm(a, b)`: the cell an edge `a → b` reads from.
+/// The paper's `src-nm(a, b)`: the cell an edge `a → b` reads from —
+/// extended by the `a⟨ℓ: fix⟩` case for an edge that leaves loops from a
+/// body location (see [`Func::AtFix`]).
 pub fn src_name(cfg: &Cfg, a: Loc, b: Loc, overrides: &Overrides) -> Name {
+    if let Some(exit) = at_fix_name(cfg, a, b, &iter_ctx(cfg, a, overrides)) {
+        return exit;
+    }
     if cfg.is_loop_head(a) {
         let ctx = iter_ctx(cfg, a, overrides);
         if a == b || cfg.enclosing_chain(b).contains(&a) {
@@ -158,6 +169,70 @@ pub fn src_name(cfg: &Cfg, a: Loc, b: Loc, overrides: &Overrides) -> Name {
             loc: a,
             ctx: iter_ctx(cfg, a, overrides),
         }
+    }
+}
+
+/// The source of an edge `a → b` that leaves loops from a body location
+/// `a` (not a loop head), given `a`'s context `ctx`: `a` with every left
+/// loop's component set to [`IterCtx::FIX`]. `None` for any other edge.
+fn at_fix_name(cfg: &Cfg, a: Loc, b: Loc, ctx: &IterCtx) -> Option<Name> {
+    if cfg.is_loop_head(a) {
+        return None;
+    }
+    let stays = cfg.enclosing_chain(b);
+    if ctx.0.iter().all(|(h, _)| stays.contains(h) || *h == b) {
+        return None;
+    }
+    let ctx = ctx
+        .0
+        .iter()
+        .map(|&(h, i)| {
+            let left = !stays.contains(&h) && h != b;
+            (h, if left { IterCtx::FIX } else { i })
+        })
+        .collect();
+    Some(Name::State {
+        loc: a,
+        ctx: IterCtx(ctx),
+    })
+}
+
+/// The sources of an `a⟨ℓ: fix⟩` cell (see [`Func::AtFix`]): the
+/// fixed-point cell of each left loop, outermost first, at iteration 0 of
+/// the left loops around it, then `a` at iteration 0 of all of them.
+pub(crate) fn at_fix_srcs(exit: &Name) -> Vec<Name> {
+    let Name::State { loc, ctx } = exit else {
+        unreachable!("an at-fix cell is a state cell")
+    };
+    let mut srcs = Vec::new();
+    let mut sigma = IterCtx::root();
+    for &(h, i) in &ctx.0 {
+        if i == IterCtx::FIX {
+            srcs.push(Name::State {
+                loc: h,
+                ctx: sigma.clone(),
+            });
+            sigma = sigma.push(h, 0);
+        } else {
+            sigma = sigma.push(h, i);
+        }
+    }
+    srcs.push(Name::State {
+        loc: *loc,
+        ctx: sigma,
+    });
+    srcs
+}
+
+/// Installs the `a⟨ℓ: fix⟩` cell `src` and its `at_fix` computation
+/// unless `src` is some other kind of source or already present.
+fn ensure_at_fix_cell<D: AbstractDomain>(daig: &mut Daig<D>, src: &Name) {
+    let is_exit = src
+        .ctx()
+        .is_some_and(|c| c.0.iter().any(|&(_, i)| i == IterCtx::FIX));
+    if is_exit && !daig.contains(src) {
+        daig.add_cell(src.clone(), None);
+        daig.add_comp(src.clone(), Func::AtFix, at_fix_srcs(src));
     }
 }
 
@@ -229,6 +304,7 @@ fn add_edge_structure_cached<D: AbstractDomain>(
         daig.add_cell(stmt_cell.clone(), Some(Value::Stmt(e.stmt.clone())));
     }
     let src = ctxs.src(e.src, e.dst);
+    ensure_at_fix_cell(daig, &src);
     if cfg.is_back_edge(e.id) {
         // Back edge: transfer into the pre-widen cell of the head's
         // current iteration.
@@ -351,7 +427,10 @@ pub fn initial_daig<D: AbstractDomain>(cfg: &Cfg, phi0: D) -> Daig<D> {
         // This id-level shortcut must agree with the Name-level rule in
         // [`src_name`]/`CtxCache::src` (the unroll path still goes through
         // those); the debug assertion pins the two together.
-        let src_id = if cfg.is_loop_head(e.src)
+        let src_id = if let Some(exit) = at_fix_name(cfg, e.src, e.dst, ctxs.ctx(e.src)) {
+            ensure_at_fix_cell(&mut daig, &exit);
+            daig.id_of(&exit).expect("at-fix cell installed")
+        } else if cfg.is_loop_head(e.src)
             && !(e.src == e.dst || cfg.enclosing_chain(e.dst).contains(&e.src))
         {
             fix_ids[&e.src]

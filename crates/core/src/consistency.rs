@@ -2,7 +2,7 @@
 //! (Definition 4.3) checkers. These run inside property tests to validate
 //! the preservation lemmas (6.2, 6.3) after every query and edit.
 
-use crate::build::{dest_name, src_name, Overrides};
+use crate::build::{at_fix_srcs, dest_name, src_name, Overrides};
 use crate::graph::{Daig, Func, Value};
 use crate::name::Name;
 use dai_domains::AbstractDomain;
@@ -51,6 +51,12 @@ pub fn check_cfg_consistency<D: AbstractDomain>(daig: &Daig<D>, cfg: &Cfg) -> Re
             .ok_or_else(|| format!("missing transfer comp into {dest}"))?;
         if comp.func != Func::Transfer || comp.srcs != vec![Name::Stmt(e.id), src.clone()] {
             return Err(format!("edge {} mis-encoded into {dest}", e.id));
+        }
+        // An edge leaving loops from a body location reads `a⟨ℓ: fix⟩`.
+        if let Some(exit) = daig.comp(&src).filter(|c| c.func == Func::AtFix) {
+            if exit.srcs != at_fix_srcs(&src) {
+                return Err(format!("at-fix cell {src} has wrong sources"));
+            }
         }
         if via_join {
             let jd = dest_name(cfg, e.dst, &ov);
@@ -126,8 +132,10 @@ pub fn check_cfg_consistency<D: AbstractDomain>(daig: &Daig<D>, cfg: &Cfg) -> Re
 /// Checks Definition 4.3: every non-empty cell's value equals its
 /// computation applied to its (non-empty) source values; fix cells hold
 /// their older source, which under the strategy's convergence test agrees
-/// with the newer one. Call transfers are skipped (their value depends on
-/// the interprocedural layer, not only on local inputs). Widen edges are
+/// with the newer one; an `at_fix` cell `a⟨ℓ: fix⟩` holds `a`'s cell in
+/// the converged iterations its fixed points name, which must be filled.
+/// Call transfers are skipped (their value depends on the
+/// interprocedural layer, not only on local inputs). Widen edges are
 /// checked against the operator the DAIG's [`crate::strategy::FixStrategy`]
 /// actually schedules for their iterate.
 pub fn check_ai_consistency<D: AbstractDomain>(daig: &Daig<D>) -> Result<(), String> {
@@ -144,6 +152,18 @@ pub fn check_ai_consistency<D: AbstractDomain>(daig: &Daig<D>) -> Result<(), Str
             })
             .collect::<Result<_, _>>()?;
         let expected: Value<D> = match comp.func {
+            Func::AtFix => match crate::query::at_fix_source(daig, daig.id_of(n).expect("live")) {
+                Ok(crate::query::AtFixSource::Ready(src)) => {
+                    daig.value_id(src).expect("ready").clone()
+                }
+                Ok(crate::query::AtFixSource::Demand(cell)) => {
+                    return Err(format!(
+                        "at-fix {n} is filled but {} is empty",
+                        daig.name_of(cell)
+                    ));
+                }
+                Err(e) => return Err(format!("{n}: {e}")),
+            },
             Func::Fix => {
                 let older = vals[0]
                     .as_state()

@@ -82,6 +82,7 @@ fn func_glyph(f: Func) -> &'static str {
         Func::Join => "⊔",
         Func::Widen => "∇",
         Func::Fix => "fix",
+        Func::AtFix => "at-fix",
     }
 }
 

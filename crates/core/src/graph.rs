@@ -180,6 +180,16 @@ pub enum Func {
     /// The distinguished fixed-point marker (paper §5.2): not a function
     /// but a demand for convergence of its two iterate sources.
     Fix,
+    /// The state at a loop body location `a` in the converged iteration
+    /// of each loop an exit edge leaves from it (`a⟨ℓ: fix⟩`, see
+    /// [`crate::name::IterCtx::FIX`]). Like `Fix`, not a function of its
+    /// sources: once the loops' fixed-point cells are filled, the value is
+    /// a copy of `a`'s cell in iteration `k` of each, where `k` is read
+    /// off the fix edge's older source, outermost loop first. Its sources
+    /// are what an edit must dirty it through: the fixed-point cells of
+    /// the loops it leaves, each at iteration 0 of those around it, and
+    /// `a` at iteration 0 of all of them.
+    AtFix,
 }
 
 impl Func {
@@ -191,6 +201,7 @@ impl Func {
             Func::Join => "join",
             Func::Widen => "widen",
             Func::Fix => "fix",
+            Func::AtFix => "at_fix",
         }
     }
 }
@@ -275,10 +286,15 @@ struct LoopInst {
 
 /// The ownership rule of the module docs: the loop instance (head, length
 /// of its context prefix within `n`'s context) and block that own the
-/// cell named `n`, or `None` for initial structure.
+/// cell named `n`, or `None` for initial structure. A converged-iteration
+/// component ([`IterCtx::FIX`], an `at_fix` cell) names no block: such a
+/// cell belongs to the loop around it, if any.
 fn owning_block(n: &Name) -> Option<(Loc, usize, u32)> {
     let ctx = &n.ctx()?.0;
     for (depth, &(head, i)) in ctx.iter().enumerate().rev() {
+        if i == IterCtx::FIX {
+            continue;
+        }
         let own_iterate =
             depth + 1 == ctx.len() && matches!(n, Name::State { loc, .. } if *loc == head);
         let block = if own_iterate { i.saturating_sub(1) } else { i };
@@ -1205,6 +1221,9 @@ impl<D: AbstractDomain> Daig<D> {
                 Func::Join if comp.srcs.len() < 2 => {
                     return Err(DaigError::Invariant(format!("join arity at {dn}")));
                 }
+                Func::AtFix if comp.srcs.len() < 2 => {
+                    return Err(DaigError::Invariant(format!("at-fix arity at {dn}")));
+                }
                 _ => {}
             }
         }
@@ -1425,6 +1444,14 @@ mod tests {
                     ctx: sigma(1).push(inner, 0),
                 },
                 Some((outer, 0, 1)),
+            ),
+            // An `at_fix` cell is owned by the iteration around the loops
+            // it leaves, not by any of theirs.
+            (at(6, sigma(IterCtx::FIX)), None),
+            (at(6, sigma(0).push(inner, IterCtx::FIX)), None),
+            (
+                at(6, sigma(2).push(inner, IterCtx::FIX)),
+                Some((outer, 0, 2)),
             ),
         ];
         for (name, owner) in cases {

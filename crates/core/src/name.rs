@@ -13,7 +13,10 @@
 //!   `incr` corresponds to bumping the unrolled loop's own component).
 //!   For a loop head `ℓ`, the name *without* its own component is the
 //!   fixed-point cell `ℓ` and the name *with* component `(ℓ, i)` is the
-//!   i-th abstract iterate `ℓ^(i)`.
+//!   i-th abstract iterate `ℓ^(i)`. A body location `a` whose component
+//!   for loop `ℓ` is [`IterCtx::FIX`] names `a⟨ℓ: fix⟩`, the state at `a`
+//!   in `ℓ`'s converged iteration — what an edge leaving `ℓ` from `a`
+//!   reads (see `Func::AtFix`).
 //! * [`Name::PreWiden`] `ℓ⟨σ,i⟩·ℓ⟨σ,i+1⟩` — the pre-widening state of the
 //!   i-th abstract iteration at head `ℓ` (the paper's product name).
 //! * [`Name::Stmt`] — the statement cell of a CFG edge. Edge identities
@@ -36,6 +39,12 @@ use std::fmt;
 pub struct IterCtx(pub Vec<(Loc, u32)>);
 
 impl IterCtx {
+    /// The iteration of a component that names a loop's converged
+    /// iteration rather than a fixed one (`a⟨ℓ: fix⟩`): which iteration
+    /// that is, is read off `ℓ`'s fixed-point cell when the cell is
+    /// evaluated.
+    pub const FIX: u32 = u32::MAX;
+
     /// The empty context (outside all loops).
     pub fn root() -> IterCtx {
         IterCtx(Vec::new())
@@ -83,7 +92,11 @@ impl fmt::Display for IterCtx {
             if i > 0 {
                 write!(f, ",")?;
             }
-            write!(f, "{h}:{k}")?;
+            if *k == IterCtx::FIX {
+                write!(f, "{h}:fix")?;
+            } else {
+                write!(f, "{h}:{k}")?;
+            }
         }
         write!(f, "⟩")
     }
@@ -207,6 +220,11 @@ mod tests {
             ctx: IterCtx::root().push(Loc(3), 1),
         };
         assert_eq!(it1.to_string(), "l3⟨l3:1⟩");
+        let exit = Name::State {
+            loc: Loc(5),
+            ctx: IterCtx::root().push(Loc(3), IterCtx::FIX),
+        };
+        assert_eq!(exit.to_string(), "l5⟨l3:fix⟩");
         assert_eq!(Name::Stmt(EdgeId(4)).to_string(), "stmt[e4]");
     }
 

@@ -37,7 +37,7 @@ use crate::compile::TransferTable;
 use crate::explain::ExplainSink;
 use crate::graph::{Daig, DaigError, Func, Value};
 use crate::intern::CellId;
-use crate::name::Name;
+use crate::name::{IterCtx, Name};
 use dai_domains::AbstractDomain;
 use dai_lang::cfg::Cfg;
 use dai_lang::{EdgeId, Stmt};
@@ -247,9 +247,10 @@ fn apply_ready_at_with<D: AbstractDomain>(
     let comp = daig.comp_slot(dest).ok_or_else(|| {
         DaigError::Invariant(format!("cell {} has no computation", daig.name_of(dest)))
     })?;
-    if comp.func == Func::Fix {
+    if matches!(comp.func, Func::Fix | Func::AtFix) {
         return Err(DaigError::Invariant(format!(
-            "fix edge at {} cannot be applied as a ready computation",
+            "{} edge at {} cannot be applied as a ready computation",
+            comp.func.memo_symbol(),
             daig.name_of(dest)
         )));
     }
@@ -469,6 +470,79 @@ fn fix_step_id<D: AbstractDomain>(
     Ok(FixOutcome::Unrolled)
 }
 
+/// Where the value of an `at_fix` cell comes from (see [`Func::AtFix`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AtFixSource {
+    /// The location's cell in the converged iterations, filled: its value
+    /// is the `at_fix` cell's.
+    Ready(CellId),
+    /// A cell to demand first: a left loop's fixed-point cell, or the
+    /// location's cell in the converged iterations.
+    Demand(CellId),
+}
+
+/// Resolves the `at_fix` cell `cell`, `a⟨ℓ: fix⟩`, against the graph as it
+/// stands: each left loop, outermost first, is replaced by the iteration
+/// `k` its fixed-point cell converged at — read off the fix edge's older
+/// source, as [`crate::analysis::resolve_loc_frontier`] does for a query —
+/// until a fixed point still to be demanded is met.
+///
+/// # Errors
+///
+/// [`DaigError::Invariant`] if a left loop has no fix computation in the
+/// resolved context or `a` has no cell there.
+pub(crate) fn at_fix_source<D: AbstractDomain>(
+    daig: &Daig<D>,
+    cell: CellId,
+) -> Result<AtFixSource, DaigError> {
+    let Name::State { loc, ctx } = daig.name_of(cell) else {
+        return Err(DaigError::Invariant(format!(
+            "at-fix cell {} is not a state cell",
+            daig.name_of(cell)
+        )));
+    };
+    let mut sigma = IterCtx::root();
+    for &(head, i) in &ctx.0 {
+        if i != IterCtx::FIX {
+            sigma = sigma.push(head, i);
+            continue;
+        }
+        let fix_cell = Name::State {
+            loc: head,
+            ctx: sigma.clone(),
+        };
+        let fix = daig
+            .id_of(&fix_cell)
+            .filter(|&id| daig.comp_func(id) == Some(Func::Fix))
+            .ok_or_else(|| DaigError::Invariant(format!("{fix_cell} has no fix computation")))?;
+        if daig.value_id(fix).is_none() {
+            return Ok(AtFixSource::Demand(fix));
+        }
+        let older = daig.comp_srcs(fix).expect("checked above")[0];
+        match daig.name_of(older).ctx().and_then(IterCtx::last) {
+            Some((h, k)) if h == head => sigma = sigma.push(head, k),
+            _ => {
+                return Err(DaigError::Invariant(format!(
+                    "fix source {} is not an iterate of {head}",
+                    daig.name_of(older)
+                )));
+            }
+        }
+    }
+    let at = Name::State {
+        loc: *loc,
+        ctx: sigma,
+    };
+    let src = daig
+        .id_of(&at)
+        .ok_or_else(|| DaigError::Invariant(format!("at-fix source {at} has no cell")))?;
+    Ok(if daig.value_id(src).is_some() {
+        AtFixSource::Ready(src)
+    } else {
+        AtFixSource::Demand(src)
+    })
+}
+
 #[cfg(test)]
 thread_local! {
     /// Cells [`evaluate`] pushed onto its demand stack on this thread,
@@ -485,7 +559,8 @@ thread_local! {
 /// order sequential one-target evaluations would. A target that is
 /// already filled is a `Q-Reuse`; any other cell is applied by
 /// [`apply_ready_at_with`] or stepped by [`fix_step_id`] once its inputs
-/// are filled.
+/// are filled; an `at_fix` cell then demands the cells [`at_fix_source`]
+/// names, one at a time, and copies the last.
 ///
 /// Counters: `reused` per target filled on entry; `cone_walks` once if
 /// any target was not; `cone_cells` per cell written. When `sink` is
@@ -586,7 +661,33 @@ pub(crate) fn evaluate<D: AbstractDomain>(
             continue;
         }
         // All inputs ready: apply the matching rule.
-        if func == Func::Fix {
+        if func == Func::AtFix {
+            match at_fix_source(daig, top)? {
+                AtFixSource::Demand(cell) => {
+                    #[cfg(test)]
+                    PUSHES.with(|p| p.set(p.get() + 1));
+                    stack.push(cell);
+                    if stack.len() > 4 * daig.cell_count() + 1024 {
+                        return Err(DaigError::Invariant(format!(
+                            "demand stack exploded at {}: dependency cycle (acyclicity violated)",
+                            daig.name_of(top)
+                        )));
+                    }
+                }
+                AtFixSource::Ready(src) => {
+                    let t0 = sink.is_some().then(Instant::now);
+                    let value = daig.value_id(src).expect("ready").clone();
+                    daig.write_id(top, value);
+                    if let (Some(s), Some(t0)) = (sink.as_deref_mut(), t0) {
+                        let wall_ns = t0.elapsed().as_nanos() as u64;
+                        s.record_applied(daig, top, &QueryStats::default(), wall_ns);
+                    }
+                    stats.computed += 1;
+                    stats.cone_cells += 1;
+                    stack.pop();
+                }
+            }
+        } else if func == Func::Fix {
             let t0 = sink.is_some().then(Instant::now);
             let outcome = fix_step_id(daig, cfg, top, stats)?;
             if let (Some(s), Some(t0)) = (sink.as_deref_mut(), t0) {

@@ -12,9 +12,12 @@
 //!   sessions and workers — cross-session reuse is sound because entries
 //!   are keyed by content hashes of the computation's inputs;
 //! * **requests** are submitted with [`Engine::submit`] (returning a
-//!   [`Ticket`]) or synchronously with [`Engine::request`]; workers pull
-//!   them FIFO and run them to completion — one worker evaluates a
-//!   query's whole demanded cone (see `dai_core::FuncAnalysis::evaluate`);
+//!   [`Ticket`]) or synchronously with [`Engine::request`]. A submitted
+//!   request's jobs go to the worker pool, whose workers pull them FIFO
+//!   and run them to completion; a synchronous request's jobs run on the
+//!   calling thread, in an inline scope ([`PoolHandle::run_inline`]), so
+//!   it waits for no worker. Either way one thread evaluates a query's
+//!   whole demanded cone (see `dai_core::FuncAnalysis::evaluate`);
 //! * **queries coalesce**: concurrently pending `Request::Query`s against
 //!   the same `(session, function)` are collected in a pending queue and
 //!   answered by one *leader* job, which drains them under a **single**
@@ -80,9 +83,13 @@ impl fmt::Display for SessionId {
 /// Engine construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Worker threads (minimum 1): requests served concurrently, and so
-    /// how many sessions make progress at once; a query is evaluated by
-    /// one thread.
+    /// Worker threads (minimum 1): asynchronous requests
+    /// ([`Engine::submit`] and its batch forms) served concurrently, and
+    /// so how many of their sessions make progress at once. A synchronous
+    /// request ([`Engine::request`], [`Engine::query_batch`], the
+    /// [`crate::Service`] verbs) is served on its caller's thread, so `N`
+    /// caller threads can evaluate `N` sessions at once whatever this is.
+    /// A query is evaluated by one thread.
     pub workers: usize,
     /// Shards of the shared memo table.
     pub memo_shards: usize,
@@ -427,8 +434,9 @@ impl<D> Drop for Responder<D> {
 }
 
 /// A pending response, consumed one of two ways: [`Ticket::wait`] blocks
-/// until the worker finishes; [`Ticket::on_complete`] leaves a hook that
-/// the finishing thread runs with the value, so nobody blocks at all.
+/// until the thread serving the request finishes; [`Ticket::on_complete`]
+/// leaves a hook that the finishing thread runs with the value, so nobody
+/// blocks at all.
 pub struct Ticket<D> {
     cell: Arc<Oneshot<D>>,
 }
@@ -456,8 +464,10 @@ impl<D> Ticket<D> {
     /// caller's thread, if it is already filled. A request whose worker
     /// died delivers [`EngineError::Disconnected`] like any other value.
     /// The hook runs outside the slot's lock and may do real work (the
-    /// RPC server encodes and writes the response in it) — on an engine
-    /// worker, so it must not wait on another ticket.
+    /// RPC server encodes and writes the response in it) — often on an
+    /// engine worker, so it must not wait on a ticket of
+    /// [`Engine::submit`]'s; a synchronous request ([`Engine::request`])
+    /// is served on the hook's own thread and may be made from it.
     pub fn on_complete(self, hook: impl FnOnce(Result<Response<D>, EngineError>) + Send + 'static) {
         let mut slot = self.cell.slot.lock().expect("ticket slot poisoned");
         match slot.value.take() {
@@ -1142,18 +1152,34 @@ impl<D: PersistDomain> Engine<D> {
         tickets
     }
 
-    /// Synchronous [`Engine::submit_query_batch`]: blocks for every
-    /// member's state, in `locs` order.
+    /// Synchronous [`Engine::submit_query_batch`], served on the calling
+    /// thread (see [`Engine::request`]): every member's state, in `locs`
+    /// order.
     pub fn query_batch(
         &self,
         session: SessionId,
         func: &str,
         locs: &[Loc],
     ) -> Vec<Result<D, EngineError>> {
-        self.submit_query_batch(session, func, locs)
-            .into_iter()
-            .map(|t| t.wait().and_then(Response::state_or_invariant))
-            .collect()
+        let tickets = self
+            .pool
+            .handle()
+            .run_inline(|| self.submit_query_batch(session, func, locs));
+        states_of(tickets)
+    }
+
+    /// Synchronous [`Engine::submit_query_sweep`], served on the calling
+    /// thread (see [`Engine::request`]).
+    pub(crate) fn query_sweep_sync(
+        &self,
+        session: SessionId,
+        targets: &[(String, Loc)],
+    ) -> Vec<Result<D, EngineError>> {
+        let tickets = self
+            .pool
+            .handle()
+            .run_inline(|| self.submit_query_sweep(session, targets));
+        states_of(tickets)
     }
 
     /// [`Engine::submit_query_sweep`] with per-call options: with
@@ -1161,7 +1187,8 @@ impl<D: PersistDomain> Engine<D> {
     /// session-lock acquisition with cost attribution riding the
     /// evaluation, and the capture comes back alongside the per-member
     /// results. Without it the sweep takes the regular coalescing path
-    /// (which takes no timestamps) and the report slot is `None`.
+    /// (which takes no timestamps) on the calling thread, and the report
+    /// slot is `None`.
     ///
     /// # Errors
     ///
@@ -1180,12 +1207,7 @@ impl<D: PersistDomain> Engine<D> {
             let (results, report) = self.explain_serve(session, targets)?;
             Ok((results, Some(report)))
         } else {
-            let results = self
-                .submit_query_sweep(session, targets)
-                .into_iter()
-                .map(|t| t.wait().and_then(Response::state_or_invariant))
-                .collect();
-            Ok((results, None))
+            Ok((self.query_sweep_sync(session, targets), None))
         }
     }
 
@@ -1322,13 +1344,25 @@ impl<D: PersistDomain> Engine<D> {
         Ok((results, report))
     }
 
-    /// Submits a request and blocks for its response.
+    /// Serves a request on the calling thread and returns its response.
+    ///
+    /// The request is submitted inside an inline scope
+    /// ([`PoolHandle::run_inline`]): its jobs — and what they spawn, such
+    /// as a batch leader or the re-kick of queries an edit fenced — run
+    /// here before the wait, so no worker is woken and none has to wake
+    /// this thread. The wait blocks only when another thread owns the
+    /// job that answers it: a pending batch the query joined, or an
+    /// earlier edit of the session. A request made from an inline job or
+    /// a completion hook runs the same way, on that thread.
     ///
     /// # Errors
     ///
     /// See [`Ticket::wait`].
     pub fn request(&self, request: Request) -> Result<Response<D>, EngineError> {
-        self.submit(request).wait()
+        self.pool
+            .handle()
+            .run_inline(|| self.submit(request))
+            .wait()
     }
 
     /// Convenience: a synchronous query returning the abstract state.
@@ -1752,6 +1786,14 @@ fn journal_append(journal: &Journal, journal_id: u64, record: JournalRecord) -> 
             .inc();
     }
     landed
+}
+
+/// Waits for each query ticket's state, in order.
+fn states_of<D: AbstractDomain>(tickets: Vec<Ticket<D>>) -> Vec<Result<D, EngineError>> {
+    tickets
+        .into_iter()
+        .map(|t| t.wait().and_then(Response::state_or_invariant))
+        .collect()
 }
 
 /// Builds one reply slot, returning the waiting and the producing half.

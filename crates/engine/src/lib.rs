@@ -5,12 +5,18 @@
 //! and applies cells in exactly the order sequential per-target queries
 //! would. This crate turns that into a long-lived service whose unit of
 //! parallelism is the **session**: `workers` threads serve that many
-//! requests — and so that many sessions — at once, and one thread
-//! evaluates a query.
+//! asynchronous requests — and so that many sessions — at once, a
+//! synchronous request is served on the thread that made it, and one
+//! thread evaluates a query.
 //!
 //! * [`pool`] — a fixed worker pool draining a FIFO of request jobs;
 //!   workers claim queued jobs in small batches so a dense request stream
-//!   does not ping-pong the queue lock;
+//!   does not ping-pong the queue lock. A synchronous request
+//!   (`Engine::request`, `Engine::query_batch`, the [`Service`] verbs)
+//!   opens an inline scope instead: the jobs it spawns — and those they
+//!   spawn — run on the calling thread before it waits, so it pays no
+//!   hand-off to a worker and none back. Asynchronous submissions
+//!   (`Engine::submit`, and so `dai-rpc`'s server) stay on the pool;
 //! * [`session`] — one loaded program analyzed under a configurable
 //!   call-resolution backend ([`ResolverChoice`]): intraprocedural
 //!   per-function `FuncAnalysis` units (the default), whose batches are

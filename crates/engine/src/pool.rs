@@ -1,12 +1,25 @@
-//! A small fixed-size worker pool: a FIFO of request jobs.
+//! A small fixed-size worker pool: a FIFO of request jobs, and inline
+//! scopes that keep a synchronous caller's jobs on its own thread.
 //!
 //! Whole engine requests (query batches, edits, snapshots) are submitted
-//! with [`PoolHandle::spawn`] and drained in order by the worker threads.
-//! That is the pool's only job: `workers` is how many requests — and so
-//! how many sessions — are served at once. A query's demanded cone is
-//! evaluated by the one worker that picked its request up (see
+//! with [`PoolHandle::spawn`]. Which thread runs a job depends on where it
+//! was spawned:
+//!
+//! * outside an inline scope, the job goes to the shared FIFO and one of
+//!   the worker threads drains it — `workers` is how many asynchronous
+//!   requests, and so how many sessions, are served at once;
+//! * inside an inline scope ([`PoolHandle::run_inline`]), the job is
+//!   queued on the spawning thread, and that thread runs it — together
+//!   with every job those jobs spawn, in FIFO order — before the scope
+//!   closes. A synchronous request that would only wait for a worker
+//!   runs on the thread that asked for it, so it pays no hand-off to a
+//!   worker and none back.
+//!
+//! Either way a job runs under `catch_unwind`, and a query's demanded cone
+//! is evaluated by the one thread that runs its job (see
 //! `dai_core::FuncAnalysis::evaluate`).
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,14 +49,109 @@ impl PoolHandle {
         self.workers
     }
 
-    /// Enqueues a job for the worker threads.
+    /// Enqueues a job: on this thread's inline queue while an inline
+    /// scope is open here, else for the worker threads.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
+        let job: Job = Box::new(job);
+        let outside = INLINE.with(|inline| {
+            let mut inline = inline.borrow_mut();
+            if inline.depth == 0 {
+                return Some(job);
+            }
+            inline.jobs.push_back(job);
+            None
+        });
+        if let Some(job) = outside {
+            self.inject(job);
+        }
+    }
+
+    fn inject(&self, job: Job) {
         {
             let mut q = self.injector.queue.lock().expect("pool queue poisoned");
-            q.push_back(Box::new(job));
+            q.push_back(job);
         }
         self.injector.available.notify_one();
     }
+
+    /// Runs `submit` inside an inline scope on this thread: every job
+    /// spawned while it runs — and every job those jobs spawn — is run
+    /// here, in FIFO order and each under `catch_unwind`, before this
+    /// returns. A synchronous request submits inside the scope and waits
+    /// on its ticket after it, so the wait finds its answer already there
+    /// unless another thread owns the job that answers it (a batch it
+    /// joined, an edit it queued behind).
+    ///
+    /// Scopes nest: a synchronous request made by an inline job or by a
+    /// completion hook drains the thread's queue — the outer scope's jobs
+    /// included — before it returns, so no ticket it waits on can hang on
+    /// a job queued, unrun, beneath it. If `submit` panics, the scope
+    /// still closes; jobs it left queued go to the worker threads once
+    /// the outermost scope is gone.
+    pub fn run_inline<T>(&self, submit: impl FnOnce() -> T) -> T {
+        let scope = InlineScope::open(self);
+        let out = submit();
+        while let Some(job) = INLINE.with(|inline| inline.borrow_mut().jobs.pop_front()) {
+            run_job(job);
+        }
+        drop(scope);
+        out
+    }
+}
+
+/// One thread's inline queue: how many scopes are open on it, and the
+/// jobs spawned under them that have yet to run.
+struct Inline {
+    depth: usize,
+    jobs: VecDeque<Job>,
+}
+
+thread_local! {
+    static INLINE: RefCell<Inline> = const {
+        RefCell::new(Inline {
+            depth: 0,
+            jobs: VecDeque::new(),
+        })
+    };
+}
+
+/// Closes an inline scope however [`PoolHandle::run_inline`] leaves it.
+/// After a panic the closing outermost scope hands what is still queued
+/// to the worker threads, so `spawn` on this thread reaches the pool
+/// again and no job is stranded.
+struct InlineScope<'a> {
+    pool: &'a PoolHandle,
+}
+
+impl<'a> InlineScope<'a> {
+    fn open(pool: &'a PoolHandle) -> InlineScope<'a> {
+        INLINE.with(|inline| inline.borrow_mut().depth += 1);
+        InlineScope { pool }
+    }
+}
+
+impl Drop for InlineScope<'_> {
+    fn drop(&mut self) {
+        let left = INLINE.with(|inline| {
+            let mut inline = inline.borrow_mut();
+            inline.depth -= 1;
+            if inline.depth == 0 {
+                std::mem::take(&mut inline.jobs)
+            } else {
+                VecDeque::new()
+            }
+        });
+        for job in left {
+            self.pool.inject(job);
+        }
+    }
+}
+
+/// Runs one job. A panicking request must not take its thread down with
+/// it; the requester observes the failure through its dropped reply
+/// channel.
+fn run_job(job: Job) {
+    let _ = catch_unwind(AssertUnwindSafe(job));
 }
 
 /// A fixed-size worker pool. Dropping it shuts the workers down after the
@@ -150,10 +258,7 @@ fn worker_loop(injector: &Injector) {
             }
         }
         for job in local.drain(..) {
-            // A panicking request must not take the worker down with it;
-            // the requester observes the failure through its dropped reply
-            // channel.
-            let _ = catch_unwind(AssertUnwindSafe(job));
+            run_job(job);
         }
     }
 }
@@ -180,6 +285,140 @@ mod tests {
             rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 100);
+    }
+
+    /// The thread-local inline queue is empty and no scope is open.
+    fn no_scope_is_open() -> bool {
+        INLINE.with(|inline| {
+            let inline = inline.borrow();
+            inline.depth == 0 && inline.jobs.is_empty()
+        })
+    }
+
+    /// Spawns a job reporting the thread that ran it, and waits for it.
+    fn runs_on(handle: &PoolHandle) -> std::thread::ThreadId {
+        let (tx, rx) = std::sync::mpsc::channel();
+        handle.spawn(move || {
+            let _ = tx.send(std::thread::current().id());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the job ran")
+    }
+
+    #[test]
+    fn jobs_spawned_in_an_inline_scope_run_on_the_caller_in_fifo_order() {
+        let pool = WorkerPool::new(2);
+        let handle = pool.handle();
+        let caller = std::thread::current().id();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let log = |order: &Arc<Mutex<Vec<u32>>>, n: u32| {
+            let order = Arc::clone(order);
+            move || {
+                assert_eq!(std::thread::current().id(), caller);
+                order.lock().unwrap().push(n);
+            }
+        };
+        handle.run_inline(|| {
+            let (first, third) = (log(&order, 1), log(&order, 3));
+            let inner = handle.clone();
+            handle.spawn(move || {
+                first();
+                // Spawned by an inline job: queued behind `2`, still here.
+                inner.spawn(third);
+            });
+            handle.spawn(log(&order, 2));
+            assert!(
+                order.lock().unwrap().is_empty(),
+                "nothing runs before the drain"
+            );
+        });
+        assert_eq!(*order.lock().unwrap(), vec![1, 2, 3]);
+        assert!(no_scope_is_open());
+        assert_ne!(
+            runs_on(&handle),
+            caller,
+            "outside a scope a worker runs the job"
+        );
+    }
+
+    #[test]
+    fn a_panicking_inline_job_is_contained_and_its_requester_disconnected() {
+        let pool = WorkerPool::new(1);
+        let handle = pool.handle();
+        let caller = std::thread::current().id();
+        let behind = Arc::new(AtomicU64::new(0));
+        let (ticket, responder) = crate::engine::reply_slot::<()>();
+        handle.run_inline(|| {
+            handle.spawn(move || {
+                let _responder = responder;
+                panic!("injected job panic");
+            });
+            let behind = Arc::clone(&behind);
+            handle.spawn(move || {
+                behind.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(
+            behind.load(Ordering::SeqCst),
+            1,
+            "the job behind the panic ran"
+        );
+        assert!(matches!(
+            ticket.wait(),
+            Err(crate::EngineError::Disconnected)
+        ));
+        assert!(no_scope_is_open());
+        assert_ne!(runs_on(&handle), caller);
+    }
+
+    #[test]
+    fn a_scope_whose_submit_panics_closes_and_hands_its_jobs_to_the_workers() {
+        let pool = WorkerPool::new(1);
+        let handle = pool.handle();
+        let caller = std::thread::current().id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            handle.run_inline(|| {
+                let tx = tx.clone();
+                handle.spawn(move || {
+                    let _ = tx.send(std::thread::current().id());
+                });
+                panic!("injected submit panic");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert!(no_scope_is_open());
+        let ran_on = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the job queued before the panic still ran");
+        assert_ne!(ran_on, caller);
+        assert_ne!(runs_on(&handle), caller, "spawn reaches the pool again");
+    }
+
+    #[test]
+    fn a_nested_scope_runs_the_outer_queue_before_it_returns() {
+        // The first job opens a scope of its own and then needs what the
+        // second — queued behind it in the outer scope — delivers. Were
+        // the nested scope to drain only its own jobs, this would hang.
+        let pool = WorkerPool::new(1);
+        let handle = pool.handle();
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let got = Arc::new(AtomicU64::new(0));
+        handle.run_inline(|| {
+            let inner = handle.clone();
+            let got = Arc::clone(&got);
+            handle.spawn(move || {
+                inner.run_inline(|| ());
+                if rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok() {
+                    got.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            handle.spawn(move || {
+                let _ = tx.send(());
+            });
+        });
+        assert_eq!(got.load(Ordering::SeqCst), 1);
+        assert!(no_scope_is_open());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! stream hidden behind it. Two implementations exist:
 //!
 //! * [`Engine`] — in-process: methods route into the request stream and
-//!   its coalescing queue exactly as before;
+//!   its coalescing queue, and are served on the calling thread (see
+//!   [`Engine::request`]);
 //! * `dai_rpc::Client` — remote: the same methods encode one wire frame
 //!   per call (a sweep is **one** frame, landing in
 //!   [`Engine::submit_query_sweep`] server-side so query coalescing and
@@ -23,7 +24,7 @@ use dai_core::explain::ExplainReport;
 use dai_lang::Loc;
 
 use crate::engine::{
-    Engine, EngineError, EngineStats, PersistOutcome, Request, Response, SessionId, Ticket,
+    Engine, EngineError, EngineStats, PersistOutcome, Request, Response, SessionId,
 };
 use crate::session::{EditOutcome, SessionSnapshot};
 use dai_persist::PersistDomain;
@@ -135,12 +136,6 @@ pub trait Service<D> {
     ) -> Result<ExplainReport, EngineError>;
 }
 
-/// Maps a ticket's response to the queried state, sharing
-/// [`Engine::query`]'s non-state guard.
-fn state_of<D: dai_domains::AbstractDomain>(ticket: Ticket<D>) -> Result<D, EngineError> {
-    ticket.wait().and_then(Response::state_or_invariant)
-}
-
 fn expect_response<D: dai_domains::AbstractDomain, T>(
     got: Result<Response<D>, EngineError>,
     what: &str,
@@ -183,10 +178,7 @@ impl<D: PersistDomain> Service<D> for Engine<D> {
         session: SessionId,
         targets: &[(String, Loc)],
     ) -> Vec<Result<D, EngineError>> {
-        self.submit_query_sweep(session, targets)
-            .into_iter()
-            .map(state_of)
-            .collect()
+        self.query_sweep_sync(session, targets)
     }
 
     fn edit(&self, session: SessionId, edit: &ProgramEdit) -> Result<EditOutcome, EngineError> {

@@ -51,9 +51,10 @@
 //! policy above is untouched — a damaged section takes only its own
 //! states with it.
 //!
-//! [`FUNC_VERSION`] 2 marks this layout (and, for octagons, state tag 3
-//! inside it — see [`crate::wire`]); sections written before it are
-//! dropped cold, which is sound.
+//! [`FUNC_VERSION`] 3 marks this layout (and, for octagons, state tag 3
+//! inside it — see [`crate::wire`]) with the `at_fix` function code 4,
+//! which an edge leaving a loop from a body location reads through;
+//! sections written before it are dropped cold, which is sound.
 
 use crate::codec::{
     read_sections, PersistError, Reader, SnapshotWriter, Writer, TAG_FUNC, TAG_SESSION,
@@ -74,9 +75,10 @@ use std::path::Path;
 
 /// Payload version of `SESS` sections.
 pub const SESSION_VERSION: u16 = 1;
-/// Payload version of `FUNC` sections: 2 opens the payload with a state
-/// table (module docs).
-pub const FUNC_VERSION: u16 = 2;
+/// Payload version of `FUNC` sections: 2 opened the payload with a state
+/// table (module docs); 3 added the `at_fix` function code, so a version-2
+/// section's loop exits would read iteration 0 and is dropped cold.
+pub const FUNC_VERSION: u16 = 3;
 
 /// One demanded function's restored analysis state.
 #[derive(Debug, Clone)]
@@ -160,6 +162,7 @@ fn func_code(f: Func) -> u8 {
         Func::Join => 1,
         Func::Widen => 2,
         Func::Fix => 3,
+        Func::AtFix => 4,
     }
 }
 
@@ -169,6 +172,7 @@ fn func_from_code(c: u8) -> Result<Func, PersistError> {
         1 => Func::Join,
         2 => Func::Widen,
         3 => Func::Fix,
+        4 => Func::AtFix,
         t => return Err(PersistError::Corrupt(format!("unknown func tag {t}"))),
     })
 }

@@ -26,10 +26,27 @@ fn initial_program() -> dai_lang::cfg::LoweredProgram {
     lower_program(&parse_program(SEED_PROGRAM).unwrap()).unwrap()
 }
 
+/// Sends `request` the way the script's configuration asks: through the
+/// worker pool (`Engine::submit` + `Ticket::wait_all`) when `workers > 1`,
+/// else synchronously (`Engine::request`, served on this thread — where
+/// the worker count plays no part).
+fn send<D: PersistDomain>(
+    engine: &Engine<D>,
+    workers: usize,
+    request: Request,
+) -> Result<Response<D>, dai_engine::EngineError> {
+    if workers > 1 {
+        Ticket::wait_all(vec![engine.submit(request)]).map(|mut r| r.remove(0))
+    } else {
+        engine.request(request)
+    }
+}
+
 /// Runs one randomized edit/query script through an engine with `workers`
 /// workers under `transfer`, asserting every answer against the batch
 /// oracle; returns the full answer trace for cross-worker-count (and
-/// cross-transfer-mode) comparison.
+/// cross-transfer-mode) comparison. With one worker the script is served
+/// on this thread; with more, through the pool (see [`send`]).
 fn run_script<D: PersistDomain>(
     workers: usize,
     seed: u64,
@@ -55,16 +72,19 @@ fn run_script<D: PersistDomain>(
         let edges: Vec<_> = cfg.edges().map(|e| e.id).collect();
         let edge = edges[gen.pick_index(edges.len())];
         let block = gen.random_block_no_calls();
-        engine
-            .request(Request::Edit {
+        send(
+            &engine,
+            workers,
+            Request::Edit {
                 session,
                 edit: ProgramEdit::Insert {
                     func: Symbol::new("main"),
                     edge,
                     block,
                 },
-            })
-            .unwrap_or_else(|e| panic!("workers {workers} seed {seed} step {step}: edit: {e}"));
+            },
+        )
+        .unwrap_or_else(|e| panic!("workers {workers} seed {seed} step {step}: edit: {e}"));
         // Random query, checked against a from-scratch batch run of the
         // *current* program.
         let cfg = engine
@@ -75,8 +95,13 @@ fn run_script<D: PersistDomain>(
             .clone();
         let locs = cfg.locs();
         let loc = locs[gen.pick_index(locs.len())];
-        let answer = engine
-            .query(session, "main", loc)
+        let query = Request::Query {
+            session,
+            func: "main".to_string(),
+            loc,
+        };
+        let answer = send(&engine, workers, query)
+            .and_then(Response::state_or_invariant)
             .unwrap_or_else(|e| panic!("workers {workers} seed {seed} step {step}: query: {e}"));
         let oracle = batch_analyze(&cfg, D::entry_default(cfg.params()), &mut IntraResolver)
             .unwrap_or_else(|e| panic!("seed {seed} step {step}: oracle: {e}"));
@@ -95,8 +120,31 @@ fn run_script<D: PersistDomain>(
         .unwrap()
         .clone();
     let oracle = batch_analyze(&cfg, D::entry_default(cfg.params()), &mut IntraResolver).unwrap();
-    for loc in cfg.locs() {
-        let answer = engine.query(session, "main", loc).unwrap();
+    let answers: Vec<D> = if workers > 1 {
+        // Every query in flight at once: they coalesce on the pool.
+        let tickets = cfg
+            .locs()
+            .into_iter()
+            .map(|loc| {
+                engine.submit(Request::Query {
+                    session,
+                    func: "main".to_string(),
+                    loc,
+                })
+            })
+            .collect();
+        Ticket::wait_all(tickets)
+            .unwrap()
+            .into_iter()
+            .map(|r| r.state_or_invariant().unwrap())
+            .collect()
+    } else {
+        cfg.locs()
+            .into_iter()
+            .map(|loc| engine.query(session, "main", loc).unwrap())
+            .collect()
+    };
+    for (loc, answer) in cfg.locs().into_iter().zip(answers) {
         assert_eq!(
             answer, oracle[&loc],
             "workers {workers} seed {seed}: final sweep at {loc}"

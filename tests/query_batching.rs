@@ -17,7 +17,10 @@
 //!   queries served, one session lock and one union-cone traversal per
 //!   cold coalesced batch, a union cone is never larger than the sum
 //!   of its members' solo cones, and an `Interproc` session's memo
-//!   traffic reaches `EngineStats::memo`.
+//!   traffic reaches `EngineStats::memo`;
+//! * **caller-served** — a synchronous request runs on the thread that
+//!   made it: it answers while every worker is busy, and from inside a
+//!   completion hook running on the only worker.
 
 use dai_core::batch::batch_analyze;
 use dai_core::driver::ProgramEdit;
@@ -705,4 +708,122 @@ fn memo_capacity_bounds_interproc_sessions_and_answers_alike() {
     assert!(bounded_memo.evictions > 0, "{bounded_memo:?}");
     assert_eq!(unbounded_memo.evictions, 0, "{unbounded_memo:?}");
     assert_eq!(bounded, unbounded);
+}
+
+/// Submits asynchronous queries until one's completion hook runs on an
+/// engine worker, and runs `on_worker` in that hook. A hook registered
+/// after its request was answered runs on the registering thread instead;
+/// such an attempt reports `false` and the next one is made.
+fn in_a_hook_on_a_worker(
+    engine: &Engine<IntervalDomain>,
+    session: SessionId,
+    exit: Loc,
+    on_worker: impl Fn() + Send + Sync + 'static,
+) {
+    let on_worker = std::sync::Arc::new(on_worker);
+    for _ in 0..1000 {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let on_worker = std::sync::Arc::clone(&on_worker);
+        engine
+            .submit(Request::Query {
+                session,
+                func: "main".to_string(),
+                loc: exit,
+            })
+            .on_complete(move |_| {
+                let here = std::thread::current()
+                    .name()
+                    .is_some_and(|n| n.starts_with("dai-worker"));
+                let _ = tx.send(here);
+                if here {
+                    on_worker();
+                }
+            });
+        let here = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the hook ran");
+        if here {
+            return;
+        }
+    }
+    panic!("no completion hook ran on a worker in 1000 attempts");
+}
+
+#[test]
+fn a_synchronous_query_answers_while_the_only_worker_is_parked() {
+    let engine = std::sync::Arc::new(Engine::<IntervalDomain>::new(1));
+    let parked = engine.open_session("parked", program(STRAIGHT));
+    let free = engine.open_session("free", program(STRAIGHT));
+    let exit = engine
+        .program_of(free)
+        .unwrap()
+        .by_name("main")
+        .unwrap()
+        .exit();
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let gate = std::sync::Mutex::new(gate);
+    in_a_hook_on_a_worker(&engine, parked, exit, move || {
+        let _ = gate.lock().unwrap().recv();
+    });
+    // The only worker now waits on `gate`; a query that needed it would
+    // wait too.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let caller = std::sync::Arc::clone(&engine);
+    let asker = std::thread::spawn(move || {
+        let _ = tx.send(caller.query(free, "main", exit));
+    });
+    let answer = rx.recv_timeout(std::time::Duration::from_secs(10));
+    release.send(()).unwrap();
+    let answer = answer.expect("the synchronous query waited for the parked worker");
+    asker.join().unwrap();
+    assert_eq!(
+        answer.unwrap().interval_of("b"),
+        dai_domains::interval::Interval::constant(3)
+    );
+}
+
+#[test]
+fn a_synchronous_request_inside_a_completion_hook_answers() {
+    let engine = std::sync::Arc::new(Engine::<IntervalDomain>::new(1));
+    let session = engine.open_session("hooked", program(STRAIGHT));
+    let cfg = engine
+        .program_of(session)
+        .unwrap()
+        .by_name("main")
+        .unwrap()
+        .clone();
+    let exit = cfg.exit();
+    let edge = cfg
+        .edges()
+        .find(|e| e.stmt.to_string() == "a = 1")
+        .unwrap()
+        .id;
+    // The hook holds the engine only weakly, so a hook that never returns
+    // keeps no engine alive whose drop would join the stuck worker.
+    let weak = std::sync::Arc::downgrade(&engine);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let tx = std::sync::Mutex::new(tx);
+    in_a_hook_on_a_worker(&engine, session, exit, move || {
+        let answers = {
+            let engine = weak.upgrade().expect("the test holds the engine");
+            let edited = engine.request(Request::Edit {
+                session,
+                edit: ProgramEdit::Relabel {
+                    func: Symbol::new("main"),
+                    edge,
+                    stmt: dai_lang::Stmt::Assign("a".into(), dai_lang::parse_expr("10").unwrap()),
+                },
+            });
+            (edited.is_ok(), engine.query(session, "main", exit))
+        };
+        let _ = tx.lock().unwrap().send(answers);
+    });
+    let (edited, answer) = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("a synchronous request inside a hook on the only worker deadlocked");
+    assert!(edited);
+    assert_eq!(
+        answer.unwrap().interval_of("b"),
+        dai_domains::interval::Interval::constant(12)
+    );
 }

@@ -5,6 +5,7 @@
 
 use dai_bench::workload::Workload;
 use dai_core::analysis::FuncAnalysis;
+use dai_core::batch::batch_analyze;
 use dai_core::query::{IntraResolver, QueryStats};
 use dai_domains::{
     AbstractDomain, ConstDomain, IntervalDomain, OctagonDomain, ParityDomain, Prod, ShapeDomain,
@@ -210,17 +211,15 @@ fn product_soundness_preserved_across_random_edits() {
 }
 
 // ---------------------------------------------------------------------
-// ROADMAP item 1: the two holes around `return`. (a) is open and a red
-// test, `#[ignore]`d until its fix lands (`cargo test -- --ignored` runs
-// it; the values it fails with today are recorded beside it); (b) is fixed.
+// ROADMAP item 1: the two holes around `return`, both fixed.
 // ---------------------------------------------------------------------
 
-/// Item 1(a): an edge that leaves a loop from a non-head body location is
-/// read at iteration 0 only, so a fresh analysis misses the early return.
-/// Today the exit answers `{__ret: [5,+inf], i: [5,+inf], x: [0,0]}`
-/// where the program returns with `__ret = 7, i = 3, x = 7`.
+/// Item 1(a): an edge that leaves a loop from a non-head body location
+/// reads the location in the loop's converged iteration (`a⟨ℓ: fix⟩`).
+/// Read at iteration 0, as it was before the fix, the exit answered
+/// `{__ret: [5,+inf], i: [5,+inf], x: [0,0]}` where the program returns
+/// with `__ret = 7, i = 3, x = 7`.
 #[test]
-#[ignore = "ROADMAP item 1"]
 fn early_return_from_a_loop_body_is_modelled_at_the_exit() {
     let src = include_str!("corpus/return_in_loop.dai");
     check_soundness(src, IntervalDomain::top(), vec![]);
@@ -251,22 +250,19 @@ fn edit_script(script: &str) -> Vec<(String, dai_lang::EdgeId, dai_lang::Block)>
 /// `{__ret: [5,5], x: [1,1]}`.
 #[test]
 fn a_spliced_return_joins_at_the_exit_like_a_fresh_analysis() {
-    // Program, edit script, and whether the answers are also held against
-    // the concrete interpreter: the second `return` leaves a loop body, and
-    // what a fresh analysis says of that is item 1(a).
+    // Program and edit script; the second `return` leaves a loop body
+    // (item 1(a)).
     let corpus = [
         (
             include_str!("corpus/return_after_splice.dai"),
             include_str!("corpus/return_after_splice.edits"),
-            true,
         ),
         (
             include_str!("corpus/return_spliced_in_loop.dai"),
             include_str!("corpus/return_spliced_in_loop.edits"),
-            false,
         ),
     ];
-    for (src, edits, check_concrete) in corpus {
+    for (src, edits) in corpus {
         let mut lowered = lower_program(&parse_program(src).unwrap()).unwrap();
         let mut fa = FuncAnalysis::new(lowered.cfgs()[0].clone(), IntervalDomain::top());
         let mut memo = MemoTable::new();
@@ -286,9 +282,6 @@ fn a_spliced_return_joins_at_the_exit_like_a_fresh_analysis() {
         let demanded = sweep(&mut fa, &mut memo);
         let mut fresh = FuncAnalysis::new(fa.cfg().clone(), IntervalDomain::top());
         assert_eq!(demanded, sweep(&mut fresh, &mut MemoTable::new()), "{src}");
-        if !check_concrete {
-            continue;
-        }
         // And what both say covers what the program does.
         let run = collect(&lowered, "main", vec![], 50_000);
         for (loc, abs) in fa.cfg().locs().into_iter().zip(&demanded) {
@@ -299,5 +292,77 @@ fn a_spliced_return_joins_at_the_exit_like_a_fresh_analysis() {
                 );
             }
         }
+    }
+}
+
+/// Item 1(a) two loops deep: a `return` leaves both loops, and its source
+/// resolves the outer loop's converged iteration first, then the inner
+/// loop's within it. Both programs are held against the concrete
+/// interpreter, and after each relabel the demanded answers — on a DAIG
+/// that answered every location before — must equal a fresh analysis's.
+/// In the second program the inner loop sits in a branch the outer loop's
+/// back edge never sees, so only the inner loop's fixed point at outer
+/// iteration 0 carries an inner-body edit to the exit.
+#[test]
+fn a_return_two_loops_deep_is_sound_and_demanded_equals_fresh() {
+    let corpus: [(&str, &[(&str, &str)]); 2] = [
+        (
+            include_str!("corpus/return_two_loops_deep.dai"),
+            &[("s = (s + 1)", "s + 2"), ("j = (j + 1)", "j + 3")],
+        ),
+        (
+            include_str!("corpus/return_from_a_branch_loop.dai"),
+            &[("j = (j + 1)", "j + 2"), ("i = (i + 1)", "i + 2")],
+        ),
+    ];
+    for (src, relabels) in corpus {
+        check_soundness(src, IntervalDomain::top(), vec![]);
+        check_soundness(src, OctagonDomain::top(), vec![]);
+        demanded_equals_fresh_after_relabels(src, IntervalDomain::top(), relabels);
+        demanded_equals_fresh_after_relabels(src, OctagonDomain::top(), relabels);
+    }
+}
+
+/// Answers every location of `src`'s first function, then, per relabel
+/// `(statement, new right-hand side)` of an assignment, edits the DAIG and
+/// compares a full sweep with a fresh analysis of the edited CFG.
+fn demanded_equals_fresh_after_relabels<D: AbstractDomain>(
+    src: &str,
+    phi0: D,
+    relabels: &[(&str, &str)],
+) {
+    let lowered = lower_program(&parse_program(src).unwrap()).unwrap();
+    let mut fa = FuncAnalysis::new(lowered.cfgs()[0].clone(), phi0.clone());
+    let mut memo = MemoTable::new();
+    let sweep = |fa: &mut FuncAnalysis<D>, memo: &mut MemoTable<_>| {
+        let locs = fa.cfg().locs();
+        let answer = |loc| {
+            fa.query_loc(memo, loc, &mut IntraResolver, &mut QueryStats::default())
+                .unwrap_or_else(|e| panic!("query {loc}: {e}"))
+        };
+        locs.into_iter().map(answer).collect::<Vec<_>>()
+    };
+    sweep(&mut fa, &mut memo);
+    for (stmt, rhs) in relabels {
+        let edge = fa.cfg().edges().find(|e| e.stmt.to_string() == *stmt);
+        let edge = edge.unwrap_or_else(|| panic!("no edge `{stmt}`"));
+        let (id, var) = match &edge.stmt {
+            dai_lang::Stmt::Assign(var, _) => (edge.id, var.clone()),
+            other => panic!("`{other}` is not an assignment"),
+        };
+        let expr = dai_lang::parse_expr(rhs).unwrap();
+        fa.relabel(id, dai_lang::Stmt::Assign(var, expr)).unwrap();
+        let demanded = sweep(&mut fa, &mut memo);
+        let mut fresh = FuncAnalysis::new(fa.cfg().clone(), phi0.clone());
+        let expected = sweep(&mut fresh, &mut MemoTable::new());
+        assert_eq!(demanded, expected, "after `{stmt}` := {rhs}:\n{src}");
+        // The batch oracle feeds a loop's exits from its converged
+        // iteration too.
+        let oracle = batch_analyze(fa.cfg(), phi0.clone(), &mut IntraResolver).unwrap();
+        let batch: Vec<D> = fa.cfg().locs().iter().map(|l| oracle[l].clone()).collect();
+        assert_eq!(batch, expected, "batch after `{stmt}` := {rhs}:\n{src}");
+        dai_core::consistency::check_cfg_consistency(fa.daig(), fa.cfg()).unwrap();
+        dai_core::consistency::check_ai_consistency(fa.daig()).unwrap();
+        fa.daig().check_well_formed().unwrap();
     }
 }
